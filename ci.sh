@@ -59,9 +59,9 @@ cargo run --release --offline -p bench --bin e19_autotune -- --metrics-json \
 test -s BENCH_e19.json
 
 echo "== E20 kernel-plane gate (jit identity, >=2x vs unfused, wire contract)"
-# Asserts the jitted Expr path is bitwise-equal to the interpreter on 1e6
-# lanes, >= 2x faster than unfused evaluation, and that warm invokes are
-# one sub-100-byte control message per worker.
+# Asserts the jitted Expr path is bitwise-equal to eager unfused
+# evaluation on 1e6 lanes and >= 2x faster than it, and that warm invokes
+# are one sub-100-byte control message per worker.
 cargo run --release --offline -p bench --bin e20_jit_kernels -- --metrics-json \
   | tail -n 1 > BENCH_e20.json
 test -s BENCH_e20.json
@@ -107,18 +107,26 @@ cargo run --release --offline -p bench --bin e24_program -- --metrics-json \
 test -s BENCH_e24.json
 
 echo "== E25 native-tier gate (cc codegen, parity probe, >=10x vs interpreter)"
-# Asserts the native, VM, and RPN tiers are bitwise-identical on the E20
-# 1e6-lane identity (arrays and fused reductions), that a fused
-# multi-output stencil group matches across tiers, that no parity probe
-# failed, and — when a C compiler is present — that the native tier is
-# >= 10x over the boxed interpreter; prints the compile-cost break-even
-# curve (all asserted in the binary).
+# Asserts the native and VM tiers are bitwise-identical to each other and
+# to the eager oracle on the E20 1e6-lane identity (arrays and fused
+# reductions), that a fused multi-output stencil group matches across
+# tiers, that no parity probe failed, and — when a C compiler is present
+# — that the native tier is >= 10x over the boxed interpreter; prints the
+# compile-cost break-even curve (all asserted in the binary).
 cargo run --release --offline -p bench --bin e25_native -- --metrics-json \
   | tail -n 1 > BENCH_e25.json
 test -s BENCH_e25.json
 
 echo "== bench artifacts parse and carry their gate fields"
 cargo run --release --offline -p bench --bin bench_check
+
+echo "== repo benchmark: harness unit tests + smoke pass of every workload"
+# The five workloads' serial/bitwise oracles (benchmark/README.md) gate
+# every refactor: 1 s per workload, each op checked against its oracle.
+# The benchmark is its own package, so these two steps build it apart
+# from the workspace.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke
 
 echo "== public API listing is current"
 cargo run --release --offline -p bench --bin api_listing -- --check

@@ -3,8 +3,8 @@
 //! Three claims from the kernel-plane PR, each checked hard:
 //!
 //! * **identity**: `Expr::eval` (lowered to Seamless bytecode, run by the
-//!   worker VMs) is bitwise-identical to `Expr::eval_rpn` (the
-//!   interpreted fused path) on a 1e6-element expression.
+//!   worker kernel tiers) is bitwise-identical to `Expr::eval_unfused`
+//!   (the eager node-at-a-time oracle) on a 1e6-element expression.
 //! * **speed**: the jitted single-pass evaluation beats the unfused path
 //!   (one broadcast + one materialized temporary per AST node) by >= 2x.
 //! * **wire contract**: a kernel's bytecode crosses the wire exactly once
@@ -42,29 +42,29 @@ fn main() {
         "Seamless-JIT kernel plane for ODIN expressions",
         "lazy expressions lower to Seamless bytecode that ships to each \
          worker once and runs unboxed; the jitted pass is bitwise-equal \
-         to the interpreter and >= 2x faster than unfused evaluation",
+         to eager evaluation and >= 2x faster than it",
     );
     let ctx = OdinContext::with_workers(WORKERS);
     let x = ctx.linspace(0.0, 1.0, N);
     let y = ctx.linspace(1.0, 3.0, N);
     let ops = probe(&x, &y).n_ops();
 
-    // ---- identity: jit vs interpreted RPN, bit for bit -------------------
+    // ---- identity: jit vs the eager oracle, bit for bit -------------------
     let jit = probe(&x, &y).eval();
-    let rpn = probe(&x, &y).eval_rpn();
-    let (jv, rv) = (jit.to_vec(), rpn.to_vec());
+    let eager = probe(&x, &y).eval_unfused();
+    let (jv, ev) = (jit.to_vec(), eager.to_vec());
     for i in 0..N {
         assert_eq!(
             jv[i].to_bits(),
-            rv[i].to_bits(),
-            "jit and interpreter diverged at lane {i}: {} vs {}",
+            ev[i].to_bits(),
+            "jit and eager evaluation diverged at lane {i}: {} vs {}",
             jv[i],
-            rv[i]
+            ev[i]
         );
     }
-    println!("identity: jit == interpreter on all {N} lanes ({ops}-op expression), bitwise");
+    println!("identity: jit == eager oracle on all {N} lanes ({ops}-op expression), bitwise");
     let fused = probe(&x, &y).sum();
-    let two_pass = probe(&x, &y).eval_rpn().sum();
+    let two_pass = eager.sum();
     assert_eq!(fused.to_bits(), two_pass.to_bits());
     println!("identity: fused reduction tail == two-pass sum, bitwise");
 
@@ -105,10 +105,6 @@ fn main() {
         std::hint::black_box(probe(&x, &y).eval());
         ctx.barrier();
     });
-    let t_rpn = best_of(5, || {
-        std::hint::black_box(probe(&x, &y).eval_rpn());
-        ctx.barrier();
-    });
     let t_unfused = best_of(5, || {
         std::hint::black_box(probe(&x, &y).eval_unfused());
         ctx.barrier();
@@ -116,14 +112,9 @@ fn main() {
     let t_reduce = best_of(5, || std::hint::black_box(probe(&x, &y).sum()));
     println!("\ntimings, {N} elems x {ops} ops, {WORKERS} workers (best of 5):");
     println!("  unfused (1 temp per AST node) : {}", fmt_s(t_unfused));
-    println!("  fused interpreter (RPN)       : {}", fmt_s(t_rpn));
-    println!("  jitted bytecode (VM)          : {}", fmt_s(t_jit));
+    println!("  jitted bytecode               : {}", fmt_s(t_jit));
     println!("  jitted fused reduction        : {}", fmt_s(t_reduce));
-    println!(
-        "  -> jit is {:.1}x faster than unfused, {:.2}x vs interpreter",
-        t_unfused / t_jit,
-        t_rpn / t_jit
-    );
+    println!("  -> jit is {:.1}x faster than unfused", t_unfused / t_jit);
     assert!(
         t_unfused >= 2.0 * t_jit,
         "jitted eval must be >= 2x faster than unfused ({:.2}x)",
@@ -133,5 +124,5 @@ fn main() {
     println!("\nshape: compilation happens once on the master (microseconds),");
     println!("then every evaluation is a single broadcast and a single pass");
     println!("over each worker's segment — no temporaries, no re-parsing, and");
-    println!("the answer never moves by a bit from the interpreted semantics.");
+    println!("the answer never moves by a bit from the eager semantics.");
 }

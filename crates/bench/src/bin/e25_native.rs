@@ -4,12 +4,13 @@
 //! Claims, each checked hard:
 //!
 //! * **identity**: the native tier, the VM tier (`HPC_KERNEL_TIER=vm`),
-//!   and the interpreted RPN plane agree bit for bit on the E20
-//!   1e6-lane identity expression, including the fused reduction tail.
+//!   and the eager oracle (`Expr::eval_unfused`) agree bit for bit on
+//!   the E20 1e6-lane identity expression, including the fused
+//!   reduction tail.
 //! * **speed**: the native tier beats the boxed tree-walking interpreter
 //!   by >= 10x on that expression (gated only where a C compiler is
-//!   present); the vectorized RPN pass and the typed-register VM are
-//!   reported as intermediate tiers.
+//!   present); the typed-register VM is reported as the intermediate
+//!   tier.
 //! * **amortization**: the one-time cc + dlopen + parity-probe cost is
 //!   charged against the per-invoke saving; the break-even invoke count
 //!   and the cumulative-cost curve are printed.
@@ -28,8 +29,8 @@ const N: usize = 1_000_000;
 const WORKERS: usize = 4;
 
 /// The E20 identity expression: wide, cheap-op, all lanes finite — the
-/// body whose jit-vs-interpreter bitwise identity anchored the kernel
-/// plane, now run on three tiers.
+/// body whose jit-vs-eager bitwise identity anchored the kernel plane,
+/// now run on both tiers.
 fn probe<'x, 'c>(x: &'x odin::DistArray<'c>, y: &'x odin::DistArray<'c>) -> Expr<'x, 'c> {
     (Expr::leaf(x) * 2.0 + Expr::leaf(y)) * (Expr::leaf(x) - Expr::leaf(y) * 0.5)
         + (Expr::leaf(x) * Expr::leaf(y) + 3.0)
@@ -116,7 +117,7 @@ fn main() {
     let y = ctx.linspace(1.0, 3.0, N);
     let ops = probe(&x, &y).n_ops();
 
-    // ---- identity across all three tiers, bit for bit --------------------
+    // ---- identity across both tiers and the eager oracle, bit for bit ----
     let native_arr = probe(&x, &y).eval().to_vec();
     let native_sum = probe(&x, &y).sum();
     std::env::set_var("HPC_KERNEL_TIER", "vm");
@@ -124,7 +125,7 @@ fn main() {
     let vm_arr = probe(&x, &y).eval().to_vec();
     let vm_sum = probe(&x, &y).sum();
     restore_tier(&tier_pin);
-    let rpn_arr = probe(&x, &y).eval_rpn().to_vec();
+    let eager = probe(&x, &y).eval_unfused();
     assert_eq!(
         bits(&native_arr),
         bits(&vm_arr),
@@ -132,14 +133,16 @@ fn main() {
     );
     assert_eq!(
         bits(&vm_arr),
-        bits(&rpn_arr),
-        "VM tier and RPN interpreter diverged"
+        bits(&eager.to_vec()),
+        "VM tier and eager oracle diverged"
     );
     assert_eq!(native_sum.to_bits(), vm_sum.to_bits());
-    println!("identity: native == VM == interpreter on all {N} lanes ({ops}-op body), bitwise");
+    assert_eq!(vm_sum.to_bits(), eager.sum().to_bits());
+    drop(eager);
+    println!("identity: native == VM == eager oracle on all {N} lanes ({ops}-op body), bitwise");
     println!("identity: fused reduction tail agrees across tiers, bitwise");
 
-    // ---- speed: native vs VM vs RPN vs boxed interpreter -----------------
+    // ---- speed: native vs VM vs boxed interpreter ------------------------
     let t_native = best_of(5, || {
         std::hint::black_box(probe(&x, &y).eval());
         ctx.barrier();
@@ -155,10 +158,6 @@ fn main() {
         ctx.barrier();
     });
     restore_tier(&tier_pin);
-    let t_rpn = best_of(5, || {
-        std::hint::black_box(probe(&x, &y).eval_rpn());
-        ctx.barrier();
-    });
     // Bottom tier: the boxed tree-walking interpreter over the same
     // 1e6 lanes, fused with its reduction (strictly *less* work than the
     // tiers above, which also materialize the output array).
@@ -183,7 +182,6 @@ fn main() {
     );
     println!("\ntimings, {N} lanes x {ops} ops, {WORKERS} workers (best of 5):");
     println!("  boxed interpreter    : {}", fmt_s(t_interp));
-    println!("  interpreted RPN pass : {}", fmt_s(t_rpn));
     println!("  VM tier (bytecode)   : {}", fmt_s(t_vm));
     println!(
         "  native tier (cc)     : {}  (fused sum {})",
@@ -191,9 +189,8 @@ fn main() {
         fmt_s(t_native_sum)
     );
     println!(
-        "  -> native is {:.0}x over the boxed interpreter, {:.1}x over the RPN pass, {:.1}x over the VM",
+        "  -> native is {:.0}x over the boxed interpreter, {:.1}x over the VM",
         t_interp / t_native,
-        t_rpn / t_native,
         t_vm / t_native
     );
     if native_possible {

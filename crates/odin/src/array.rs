@@ -279,7 +279,7 @@ impl<'c> DistArray<'c> {
 
     /// Pipelined [`Self::fetch`]: dispatch the gather and return a future,
     /// so independent commands can overlap with the segment uploads.
-    pub fn fetch_async(&self) -> crate::context::Pending<'c, (Vec<usize>, Buffer)> {
+    pub fn fetch_async(&self) -> crate::reply::Pending<'c, (Vec<usize>, Buffer)> {
         let meta = self.meta();
         let raw = self.ctx.dispatch_all(&Cmd::Fetch { a: self.id });
         raw.map(move |replies| {

@@ -39,8 +39,8 @@
 use crate::array::DistArray;
 use crate::buffer::DType;
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, Cmd, ReduceKind};
-use seamless::bytecode::RegFile;
+use crate::protocol::{ArrayMeta, Cmd, KernelOut, ReduceKind};
+use seamless::bytecode::{Reg, RegFile};
 use seamless::{SeamlessError, Type};
 
 /// Which execution tier a kernel runs on.
@@ -85,6 +85,9 @@ pub struct Kernel<'c> {
     name: String,
     arity: usize,
     ret: DType,
+    /// The entry function's return register — the row every invoke
+    /// harvests.
+    ret_reg: (RegFile, Reg),
     /// Compute dtype: the monomorphization workers execute.
     dtype: DType,
     /// Resolved tier after the arming attempt (never `Auto`).
@@ -190,6 +193,9 @@ impl<'c> KernelSpec<'c> {
                 )))
             }
         };
+        let ret_reg = entry
+            .ret_reg()
+            .expect("a scalar-typed function has a scalar Ret");
         // Arm the native tier before the program moves into the registry.
         // Master and workers are threads of one process, so this warm
         // populates the same codegen cache the workers will hit.
@@ -197,8 +203,10 @@ impl<'c> KernelSpec<'c> {
             Tier::Vm => false,
             Tier::Native | Tier::Auto => {
                 let armed = match dtype {
-                    DType::F64 => seamless::codegen::native_f64(&program, None).is_some(),
-                    DType::I64 | DType::Bool => seamless::codegen::native_i64(&program).is_some(),
+                    DType::F64 => seamless::codegen::native::<f64>(&program, &[ret_reg]).is_some(),
+                    DType::I64 | DType::Bool => {
+                        seamless::codegen::native::<i64>(&program, &[ret_reg]).is_some()
+                    }
                 };
                 if obs::enabled() {
                     let key = if armed {
@@ -231,6 +239,7 @@ impl<'c> KernelSpec<'c> {
             name: fname,
             arity,
             ret,
+            ret_reg,
             dtype,
             tier: if native { Tier::Native } else { Tier::Vm },
         })
@@ -294,22 +303,33 @@ impl<'c> Kernel<'c> {
         (t_meta, inputs, temps)
     }
 
+    /// The launch command harvesting this kernel's return row as `out`.
+    fn launch(&self, inputs: Vec<u64>, out: KernelOut) -> Cmd {
+        Cmd::EvalKernel {
+            kernel: self.id,
+            template: inputs[0],
+            inputs,
+            scalars: Vec::new(),
+            outs: vec![out],
+            dtype: self.dtype,
+            native: self.tier == Tier::Native,
+        }
+    }
+
     /// Apply the kernel element-wise: `out[i] = f(args[0][i], …)` over
     /// every worker's segment, one small control message total.
     pub fn map(&self, args: &[&DistArray<'c>]) -> DistArray<'c> {
         let (t_meta, inputs, temps) = self.bind(args);
         let ctx = self.ctx;
         let out = ctx.alloc_id();
-        ctx.send_cmd(&Cmd::EvalKernel {
-            out,
-            kernel: self.id,
-            template: inputs[0],
+        ctx.send_cmd(&self.launch(
             inputs,
-            out_dtype: self.ret,
-            reduce: None,
-            dtype: self.dtype,
-            native: self.tier == Tier::Native,
-        });
+            KernelOut::Array {
+                id: out,
+                dtype: self.ret,
+                reg: self.ret_reg,
+            },
+        ));
         let out_meta = ArrayMeta {
             dtype: self.ret,
             ..t_meta
@@ -324,17 +344,14 @@ impl<'c> Kernel<'c> {
     /// to `map(args)` followed by the matching whole-array reduction.
     pub fn map_reduce(&self, args: &[&DistArray<'c>], kind: ReduceKind) -> f64 {
         let (_t_meta, inputs, temps) = self.bind(args);
-        let pending = self.ctx.dispatch_single::<f64>(&Cmd::EvalKernel {
-            out: 0,
-            kernel: self.id,
-            template: inputs[0],
-            inputs,
-            out_dtype: DType::F64,
-            reduce: Some(kind),
-            dtype: self.dtype,
-            native: self.tier == Tier::Native,
-        });
-        let v = pending.wait();
+        let reduce = KernelOut::Reduce {
+            kind,
+            reg: self.ret_reg,
+        };
+        let pending = self
+            .ctx
+            .dispatch_single::<Vec<f64>>(&self.launch(inputs, reduce));
+        let v = pending.wait()[0];
         drop(temps);
         v
     }

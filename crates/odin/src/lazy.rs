@@ -6,17 +6,17 @@
 //! worker (structurally identical expressions reuse the registration),
 //! and executes it in one unboxed pass over each worker's segment — no
 //! intermediate arrays, and each invoke after the first is a
-//! tens-of-bytes control message. [`Expr::eval_rpn`] runs the older
-//! interpreted RPN plane instead (bitwise-identical results; the JIT
-//! parity baseline), and [`Expr::eval_unfused`] materializes every node
-//! (what eager evaluation does); experiments E6/E20 measure the
-//! differences. [`Expr::sum`] / [`Expr::max`] / [`Expr::min`] fuse the
+//! tens-of-bytes control message. [`Expr::eval_unfused`] materializes
+//! every node through the eager [`DistArray`] operators instead — what
+//! eager evaluation does, and the independent bitwise reference the
+//! fused path is tested against (experiments E6/E20 measure the
+//! difference). [`Expr::sum`] / [`Expr::max`] / [`Expr::min`] fuse the
 //! reduction into the same pass — map and fold without ever
 //! materializing the mapped array.
 
 use crate::array::DistArray;
 use crate::buffer::DType;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, FusedOp, ReduceKind, UnaryOp};
+use crate::protocol::{ArrayMeta, BinOp, Cmd, KernelOut, ReduceKind, UnaryOp};
 use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Program, Reg, RegFile};
 use seamless::Type;
 use std::collections::HashMap;
@@ -119,25 +119,6 @@ impl<'x, 'c> Expr<'x, 'c> {
         }
     }
 
-    fn compile(&self, aligned: &std::collections::HashMap<u64, u64>, program: &mut Vec<FusedOp>) {
-        match self {
-            Expr::Leaf(a) => {
-                let id = aligned.get(&a.id()).copied().unwrap_or_else(|| a.id());
-                program.push(FusedOp::PushArray(id));
-            }
-            Expr::Scalar(v) => program.push(FusedOp::PushScalar(*v)),
-            Expr::Unary(op, e) => {
-                e.compile(aligned, program);
-                program.push(FusedOp::Unary(*op));
-            }
-            Expr::Binary(op, a, b) => {
-                a.compile(aligned, program);
-                b.compile(aligned, program);
-                program.push(FusedOp::Binary(*op));
-            }
-        }
-    }
-
     /// Align non-conformable leaves against the template's distribution
     /// (kept alive until the kernel command has been issued — commands
     /// are processed in order, so issuing Free afterwards is safe).
@@ -160,9 +141,9 @@ impl<'x, 'c> Expr<'x, 'c> {
 
     /// Lower to a single straight-line Seamless bytecode function over
     /// f64 scalar parameters, one per distinct (aligned) leaf array.
-    /// Returns the program and the ordered input array ids that bind to
-    /// its parameters.
-    fn lower(&self, aligned: &HashMap<u64, u64>) -> (Program, Vec<u64>) {
+    /// Returns the program, the ordered input array ids that bind to its
+    /// parameters, and the register holding the root value.
+    fn lower(&self, aligned: &HashMap<u64, u64>) -> (Program, Vec<u64>, (RegFile, Reg)) {
         let mut leaves = Vec::new();
         self.collect_leaves(&mut leaves);
         let mut inputs: Vec<u64> = Vec::new();
@@ -195,6 +176,7 @@ impl<'x, 'c> Expr<'x, 'c> {
                 externs: Vec::new(),
             },
             inputs,
+            (RegFile::F, ret),
         )
     }
 
@@ -203,7 +185,7 @@ impl<'x, 'c> Expr<'x, 'c> {
     /// identical expression reuses the registration), then run one
     /// unboxed fused pass per worker segment. One small control message
     /// per invoke, no temporaries, bitwise-identical to
-    /// [`Expr::eval_rpn`].
+    /// [`Expr::eval_unfused`] over f64 operands.
     pub fn eval(&self) -> DistArray<'c> {
         let template = self
             .first_leaf()
@@ -211,56 +193,26 @@ impl<'x, 'c> Expr<'x, 'c> {
         let ctx = template.ctx();
         let t_meta = template.meta();
         let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs) = self.lower(&aligned);
+        let (program, inputs, reg) = self.lower(&aligned);
         let kernel = ctx.register_kernel_program(program);
         let out = ctx.alloc_id();
-        // dtype: mirror the worker-side inference conservatively as f64
-        // unless the program is all-integer (master keeps it simple and
-        // trusts the worker, recording f64 for mixed programs).
         let out_dtype = self.infer_dtype();
         ctx.send_cmd(&Cmd::EvalKernel {
-            out,
             kernel,
             template: template.id(),
             inputs,
-            out_dtype,
-            reduce: None,
+            scalars: Vec::new(),
+            outs: vec![KernelOut::Array {
+                id: out,
+                dtype: out_dtype,
+                reg,
+            }],
             // Lowered expressions compute in f64 regardless of out_dtype;
             // workers may tier up to the probed native body when one is
             // available (first worker to arrive compiles, the rest hit
             // the process-global cache).
             dtype: DType::F64,
             native: true,
-        });
-        let out_meta = ArrayMeta {
-            dtype: out_dtype,
-            ..t_meta
-        };
-        ctx.record_meta(out, out_meta);
-        drop(temps);
-        DistArray::from_id(ctx, out)
-    }
-
-    /// Evaluate on the interpreted RPN plane (the pre-JIT fused path):
-    /// one control message carrying the whole program, one chunked
-    /// interpreted pass. Kept as the bitwise parity baseline for the
-    /// kernel plane (experiment E20) and for contexts that want to avoid
-    /// kernel registration entirely.
-    pub fn eval_rpn(&self) -> DistArray<'c> {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
-        let ctx = template.ctx();
-        let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let mut program = Vec::new();
-        self.compile(&aligned, &mut program);
-        let out = ctx.alloc_id();
-        let out_dtype = self.infer_dtype();
-        ctx.send_cmd(&Cmd::EvalFused {
-            out,
-            template: template.id(),
-            program,
         });
         let out_meta = ArrayMeta {
             dtype: out_dtype,
@@ -282,19 +234,18 @@ impl<'x, 'c> Expr<'x, 'c> {
         let ctx = template.ctx();
         let t_meta = template.meta();
         let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs) = self.lower(&aligned);
+        let (program, inputs, reg) = self.lower(&aligned);
         let kernel = ctx.register_kernel_program(program);
-        let pending = ctx.dispatch_single::<f64>(&Cmd::EvalKernel {
-            out: 0,
+        let pending = ctx.dispatch_single::<Vec<f64>>(&Cmd::EvalKernel {
             kernel,
             template: template.id(),
             inputs,
-            out_dtype: DType::F64,
-            reduce: Some(kind),
+            scalars: Vec::new(),
+            outs: vec![KernelOut::Reduce { kind, reg }],
             dtype: DType::F64,
             native: true,
         });
-        let v = pending.wait();
+        let v = pending.wait()[0];
         drop(temps);
         v
     }
@@ -331,8 +282,10 @@ impl<'x, 'c> Expr<'x, 'c> {
         }
     }
 
-    /// Evaluate eagerly, materializing every intermediate node — the
-    /// fusion-OFF baseline for experiment E6.
+    /// Evaluate eagerly, materializing every intermediate node through
+    /// the `buffer.rs` ufuncs — the fusion-OFF baseline for experiment E6
+    /// and the independent oracle the kernel plane's parity tests and
+    /// benches (E20/E25) compare against.
     pub fn eval_unfused(&self) -> DistArray<'c> {
         match self.eval_node() {
             NodeVal::Arr(a) => a,
@@ -376,13 +329,13 @@ impl<'x, 'c> Expr<'x, 'c> {
 /// Expression → Seamless bytecode lowering state.
 ///
 /// Produces straight-line code over the F/I register files. Every opcode
-/// choice mirrors the interpreted RPN plane's arithmetic exactly
-/// (`fused_unary_chunk` / `fused_binary_chunk` in `context.rs`) so the
-/// two planes stay bitwise-identical: comparisons and logic ops produce
-/// 0.0/1.0 through integer compares, `Mod` uses Rust `%` ([`Instr::RemF`],
-/// not the VM's Python-modulo `ModF`), and `x ** c` for small integral
-/// constants strength-reduces to [`Instr::PowIC`] just like the RPN
-/// interpreter does at runtime.
+/// choice mirrors the eager ufuncs' f64 arithmetic exactly (`apply_unary`
+/// / `apply_binary` / `apply_binary_scalar` in `buffer.rs`) so fused and
+/// eager evaluation stay bitwise-identical: comparisons and logic ops
+/// produce 0.0/1.0 through integer compares, `Mod` uses Rust `%`
+/// ([`Instr::RemF`], not the VM's Python-modulo `ModF`), and `x ** c` for
+/// small integral constants strength-reduces to [`Instr::PowIC`] just
+/// like `apply_binary_scalar` does.
 pub(crate) struct Lowerer {
     /// Aligned leaf array id → F parameter register.
     pub(crate) params: HashMap<u64, Reg>,
@@ -391,9 +344,9 @@ pub(crate) struct Lowerer {
     pub(crate) n_i: Reg,
 }
 
-/// `x ** c` strength-reduction eligibility, shared by every lowering
-/// plane (RPN chunks, single-expression JIT, whole-program JIT): small
-/// integral exponents run as [`Instr::PowIC`].
+/// `x ** c` strength-reduction eligibility, shared by both lowering
+/// planes (single-expression and whole-program): small integral
+/// exponents run as [`Instr::PowIC`].
 pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
     if c.fract() == 0.0 && c.abs() <= 8.0 {
         Some(c as i32)
@@ -472,7 +425,7 @@ impl Lowerer {
             Floor => m1(MathFn::Floor, self),
             Ceil => m1(MathFn::Ceil, self),
             Not => {
-                // f64::from(x == 0.0), like the RPN interpreter
+                // f64::from(x == 0.0)
                 let z = self.zero_f();
                 let i = self.fresh_i();
                 self.instrs.push(Instr::CmpF(Cmp::Eq, i, s, z));
@@ -576,7 +529,7 @@ impl Lowerer {
             Expr::Binary(op, l, r) => {
                 // `x ** c` with a small integral constant exponent:
                 // strength-reduce to powi without materializing the rhs,
-                // exactly as the RPN plane does for uniform chunks.
+                // exactly as the eager scalar-broadcast ufunc does.
                 if let (BinOp::Pow, Expr::Scalar(c)) = (op, r.as_ref()) {
                     if let Some(e) = powic_exponent(*c) {
                         let a = self.go(l, aligned);
@@ -729,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn jitted_matches_interpreted_rpn_bitwise() {
+    fn jitted_matches_eager_oracle_bitwise() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.linspace(0.0, 2.0, 103);
         let y = ctx.linspace(1.0, 3.0, 103);
@@ -741,9 +694,9 @@ mod tests {
                 + (Expr::leaf(&y) % 0.7)
         };
         let jit = make().eval().to_vec();
-        let rpn = make().eval_rpn().to_vec();
+        let eager = make().eval_unfused().to_vec();
         for i in 0..jit.len() {
-            assert_eq!(jit[i].to_bits(), rpn[i].to_bits(), "lane {i}");
+            assert_eq!(jit[i].to_bits(), eager[i].to_bits(), "lane {i}");
         }
     }
 

@@ -32,20 +32,24 @@ pub mod mapreduce;
 pub mod ops_ext;
 pub mod program;
 pub mod protocol;
+pub mod recover;
 pub mod reduce;
+pub mod reply;
 pub mod slicing;
 pub mod table;
+pub mod worker;
 
 pub use array::{binary_strategy, set_binary_strategy, BinaryStrategy, DistArray};
 pub use buffer::{Buffer, DType};
-pub use context::{
-    ContextStats, LocalFn, OdinCheckpoint, OdinConfig, OdinContext, Pending, WorkerScope,
-};
+pub use context::{ContextStats, OdinConfig, OdinContext};
 pub use error::{OdinError, RecoveryReport};
 pub use io::remove_saved;
 pub use kernel::{Kernel, KernelSpec, Tier};
 pub use lazy::Expr;
 pub use program::{PExpr, Program, ProgramRun, ProgramStats, Traced, TracedScalar};
 pub use protocol::{ArrayMeta, BinOp, Dist, KernelOut, ReduceKind, ReplyMsg, UnaryOp};
+pub use recover::OdinCheckpoint;
+pub use reply::Pending;
 pub use slicing::SliceSpec;
 pub use table::{DistTable, FieldType, FieldValue, Record, Schema, TableSeg};
+pub use worker::{LocalFn, WorkerScope};

@@ -24,8 +24,9 @@ use std::sync::Arc;
 
 use crate::array::DistArray;
 use crate::buffer::Buffer;
-use crate::context::{LocalFn, OdinContext, WorkerScope};
+use crate::context::OdinContext;
 use crate::protocol::ArrayMeta;
+use crate::worker::{LocalFn, WorkerScope};
 
 impl OdinContext {
     /// Register and immediately invoke a local function once — the common

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::context::LocalFn;
 use crate::table::{DistTable, Record};
+use crate::worker::LocalFn;
 
 fn key_home(key: &str, p: usize) -> usize {
     let mut h = DefaultHasher::new();

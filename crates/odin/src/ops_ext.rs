@@ -73,7 +73,7 @@ impl<'c> DistArray<'c> {
 
     fn arg_reduce(&self, is_max: bool) -> (usize, f64) {
         assert!(!self.is_empty(), "arg reduction of an empty array");
-        let pending: crate::context::Pending<'_, (f64, usize)> =
+        let pending: crate::reply::Pending<'_, (f64, usize)> =
             self.ctx().dispatch_single(&Cmd::ArgReduce {
                 a: self.id(),
                 is_max,

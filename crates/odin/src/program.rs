@@ -7,8 +7,8 @@
 //!
 //! - **cross-statement fusion**: producer/consumer elementwise statements
 //!   with the same template geometry merge into one Seamless kernel (one
-//!   [`Cmd::EvalKernelMulti`] launch materializes several arrays and
-//!   folds several reductions),
+//!   [`Cmd::EvalKernel`] launch materializes several arrays and folds
+//!   several reductions),
 //! - **CSE**: structural interning means a repeated expression fragment
 //!   compiles and runs once,
 //! - **DSE**: statements whose results are never read and never requested
@@ -753,7 +753,7 @@ impl<'x, 'c> Program<'x, 'c> {
         let mut mat: HashMap<usize, DistArray<'c>> = HashMap::new();
         let mut aligned: HashMap<(ArrayInput, Dist), DistArray<'c>> = HashMap::new();
         let mut scalar_vals: HashMap<usize, f64> = HashMap::new();
-        let mut pendings: VecDeque<(crate::context::Pending<'c, Vec<f64>>, Vec<usize>)> =
+        let mut pendings: VecDeque<(crate::reply::Pending<'c, Vec<f64>>, Vec<usize>)> =
             VecDeque::new();
         let mut redistributes_issued = 0u64;
         let mut elems_moved = 0u64;
@@ -822,7 +822,10 @@ impl<'x, 'c> Program<'x, 'c> {
                         match self.stmts[s].kind {
                             StmtKind::Reduce { kind, .. } => {
                                 reduce_stmts.push(s);
-                                outs.push(KernelOut::Reduce { kind, reg });
+                                outs.push(KernelOut::Reduce {
+                                    kind,
+                                    reg: (RegFile::F, reg),
+                                });
                             }
                             StmtKind::Eval { .. } => {
                                 let id = ctx.alloc_id();
@@ -831,21 +834,21 @@ impl<'x, 'c> Program<'x, 'c> {
                                 outs.push(KernelOut::Array {
                                     id,
                                     dtype: self.stmts[s].out_meta.dtype,
-                                    reg,
+                                    reg: (RegFile::F, reg),
                                 });
                             }
                             StmtKind::Redistribute { .. } => unreachable!(),
                         }
                     }
-                    let cmd = Cmd::EvalKernelMulti {
+                    let cmd = Cmd::EvalKernel {
                         kernel,
                         template,
                         inputs: input_ids,
                         scalars,
                         outs,
                         // Fused groups compute in f64; workers tier up to
-                        // the probed native multi-output body when the
-                        // compile plane is available.
+                        // the probed native body when the compile plane
+                        // is available.
                         dtype: DType::F64,
                         native: true,
                     };
@@ -1115,7 +1118,7 @@ mod tests {
         let t = p.assign(xl * 2.0 + 1.0);
         let mut run = p.run(&[t]);
         let _a = run.array(t);
-        // One EvalKernelMulti broadcast and nothing else: the bytecode
+        // One EvalKernel broadcast and nothing else: the bytecode
         // matched the already-registered Expr kernel.
         let st = ctx.stats();
         assert_eq!(st.ctrl_msgs, 2, "re-registration happened");

@@ -9,6 +9,7 @@ use comm::{CommError, Cursor, Wire};
 
 use crate::buffer::{Buffer, DType};
 use crate::slicing::SliceSpec;
+use seamless::bytecode::{Reg, RegFile};
 
 /// Distribution of the distributed axis (mirrors [`dmap::Distribution`]
 /// but is wire-encodable).
@@ -207,20 +208,6 @@ pub enum Fill {
     },
 }
 
-/// One step of a fused elementwise program (RPN over a per-element stack):
-/// the compiled form of a lazy expression (§III loop fusion).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FusedOp {
-    /// Push the element of the given array.
-    PushArray(u64),
-    /// Push a constant.
-    PushScalar(f64),
-    /// Apply a unary op to the stack top.
-    Unary(UnaryOp),
-    /// Apply a binary op to the top two entries (pushed left-to-right).
-    Binary(BinOp),
-}
-
 /// One worker→master reply. Control replies and small results travel as
 /// encoded wire bytes; whole array segments (the `Fetch` gather — the
 /// heaviest master-bound mover) at or above the comm's zero-copy
@@ -354,15 +341,6 @@ pub enum Cmd {
         /// Per-dimension slice specs.
         specs: Vec<SliceSpec>,
     },
-    /// Evaluate a fused elementwise program over conformable inputs.
-    EvalFused {
-        /// Output id.
-        out: u64,
-        /// Template array id (defines the output meta before dtype).
-        template: u64,
-        /// RPN program.
-        program: Vec<FusedOp>,
-    },
     /// Reduce `a`; worker 0 replies with the scalar (axis `None`) or the
     /// workers cooperatively build array `out` (axis `Some`).
     Reduce {
@@ -452,42 +430,20 @@ pub enum Cmd {
         /// Extern-free compiled program (entry function at index 0).
         program: seamless::bytecode::Program,
     },
-    /// Run a registered kernel elementwise over conformable inputs —
-    /// tens of bytes of control traffic per invoke, like every other
-    /// command. With `reduce` set, the map and the reduction run as one
-    /// pass with no materialized intermediate (`out` is then unused and
-    /// worker 0 replies with the scalar).
+    /// Run a registered kernel elementwise over conformable inputs and
+    /// harvest one or more register rows — tens of bytes of control
+    /// traffic per invoke, like every other command. A plain map names
+    /// one [`KernelOut::Array`] reading the function's return register; a
+    /// fused map+reduce names one [`KernelOut::Reduce`]; the
+    /// whole-program optimizer (DESIGN §14) fuses a group of traced
+    /// statements into one function and names one out per materialized
+    /// array or folded reduction. Worker 0 replies with the reduction
+    /// scalars (a `Vec<f64>` in `outs` order) iff any
+    /// [`KernelOut::Reduce`] is present.
     EvalKernel {
-        /// Output id (ignored when `reduce` is `Some`).
-        out: u64,
         /// Registered kernel id.
         kernel: u64,
-        /// Template array id (defines the output meta before dtype).
-        template: u64,
-        /// Input array ids, in kernel-parameter order.
-        inputs: Vec<u64>,
-        /// Output dtype (the master decides; workers astype).
-        out_dtype: DType,
-        /// Fused reduction tail, if any.
-        reduce: Option<ReduceKind>,
-        /// Compute dtype — which monomorphization runs: `F64` stages f64
-        /// rows through `run_f64_chunk`, `I64`/`Bool` stage i64 rows
-        /// through `run_i64_chunk`. Independent of `out_dtype`.
-        dtype: DType,
-        /// Whether the worker may dispatch the probed native tier for
-        /// this invoke (`false` pins the VM, e.g. `Tier::Vm` kernels).
-        native: bool,
-    },
-    /// Run a registered kernel once and harvest *several* register rows:
-    /// the whole-program optimizer (DESIGN §14) fuses a group of traced
-    /// statements into one function, so one launch can materialize many
-    /// arrays and fold many reductions. Workers reply with the reduction
-    /// scalars (rank 0, in `outs` order) iff any [`KernelOut::Reduce`]
-    /// is present.
-    EvalKernelMulti {
-        /// Registered kernel id.
-        kernel: u64,
-        /// Template array id (defines the shared output meta).
+        /// Template array id (defines the shared output meta before dtype).
         template: u64,
         /// Input array ids, in kernel array-parameter order.
         inputs: Vec<u64>,
@@ -496,32 +452,35 @@ pub enum Cmd {
         scalars: Vec<f64>,
         /// What to harvest from the evaluated register file.
         outs: Vec<KernelOut>,
-        /// Compute dtype of the fused body (traces are f64 today, but
-        /// the tag keeps the two kernel commands symmetric on the wire).
+        /// Compute dtype — which lane monomorphization runs: `F64`
+        /// streams f64 rows, `I64`/`Bool` stream i64 rows (bools as
+        /// 0/1). Independent of the outs' dtypes.
         dtype: DType,
-        /// Whether the worker may dispatch the probed native tier.
+        /// Whether the worker may dispatch the probed native tier for
+        /// this invoke (`false` pins the VM, e.g. `Tier::Vm` kernels).
         native: bool,
     },
 }
 
-/// One harvested output of a fused multi-statement kernel launch.
+/// One harvested output of a kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelOut {
-    /// Materialize a float-register row as a new distributed array.
+    /// Materialize a register row as a new distributed array.
     Array {
         /// Output array id.
         id: u64,
-        /// Output dtype (workers astype the raw f64 row).
+        /// Output dtype (the master decides; workers astype the raw row).
         dtype: DType,
-        /// Float register holding the statement's root value.
-        reg: u16,
+        /// Scalar register holding the value (integer registers widen
+        /// into f64 rows).
+        reg: (RegFile, Reg),
     },
-    /// Fold a float-register row through a whole-array reduction.
+    /// Fold a register row through a whole-array reduction.
     Reduce {
         /// Reduction kind.
         kind: ReduceKind,
-        /// Float register holding the reduced expression's raw value.
-        reg: u16,
+        /// Scalar register holding the reduced expression's raw value.
+        reg: (RegFile, Reg),
     },
 }
 
@@ -547,11 +506,11 @@ impl Wire for KernelOut {
             0 => Ok(KernelOut::Array {
                 id: u64::decode(cur)?,
                 dtype: DType::decode(cur)?,
-                reg: u16::decode(cur)?,
+                reg: Wire::decode(cur)?,
             }),
             1 => Ok(KernelOut::Reduce {
                 kind: ReduceKind::decode(cur)?,
-                reg: u16::decode(cur)?,
+                reg: Wire::decode(cur)?,
             }),
             b => Err(CommError::Decode(format!("bad KernelOut byte {b}"))),
         }
@@ -704,38 +663,6 @@ impl Wire for Fill {
     }
 }
 
-impl Wire for FusedOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FusedOp::PushArray(id) => {
-                buf.push(0);
-                id.encode(buf);
-            }
-            FusedOp::PushScalar(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-            FusedOp::Unary(op) => {
-                buf.push(2);
-                op.encode(buf);
-            }
-            FusedOp::Binary(op) => {
-                buf.push(3);
-                op.encode(buf);
-            }
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
-        match u8::decode(cur)? {
-            0 => Ok(FusedOp::PushArray(u64::decode(cur)?)),
-            1 => Ok(FusedOp::PushScalar(f64::decode(cur)?)),
-            2 => Ok(FusedOp::Unary(UnaryOp::decode(cur)?)),
-            3 => Ok(FusedOp::Binary(BinOp::decode(cur)?)),
-            b => Err(CommError::Decode(format!("bad fusedop byte {b}"))),
-        }
-    }
-}
-
 impl Wire for Cmd {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -796,16 +723,6 @@ impl Wire for Cmd {
                 out.encode(buf);
                 a.encode(buf);
                 specs.encode(buf);
-            }
-            Cmd::EvalFused {
-                out,
-                template,
-                program,
-            } => {
-                buf.push(8);
-                out.encode(buf);
-                template.encode(buf);
-                program.encode(buf);
             }
             Cmd::Reduce { a, kind, axis, out } => {
                 buf.push(9);
@@ -869,26 +786,6 @@ impl Wire for Cmd {
                 program.encode(buf);
             }
             Cmd::EvalKernel {
-                out,
-                kernel,
-                template,
-                inputs,
-                out_dtype,
-                reduce,
-                dtype,
-                native,
-            } => {
-                buf.push(21);
-                out.encode(buf);
-                kernel.encode(buf);
-                template.encode(buf);
-                inputs.encode(buf);
-                out_dtype.encode(buf);
-                reduce.encode(buf);
-                dtype.encode(buf);
-                native.encode(buf);
-            }
-            Cmd::EvalKernelMulti {
                 kernel,
                 template,
                 inputs,
@@ -897,7 +794,7 @@ impl Wire for Cmd {
                 dtype,
                 native,
             } => {
-                buf.push(22);
+                buf.push(21);
                 kernel.encode(buf);
                 template.encode(buf);
                 inputs.encode(buf);
@@ -955,11 +852,6 @@ impl Wire for Cmd {
                 a: u64::decode(cur)?,
                 specs: Vec::decode(cur)?,
             }),
-            8 => Ok(Cmd::EvalFused {
-                out: u64::decode(cur)?,
-                template: u64::decode(cur)?,
-                program: Vec::decode(cur)?,
-            }),
             9 => Ok(Cmd::Reduce {
                 a: u64::decode(cur)?,
                 kind: ReduceKind::decode(cur)?,
@@ -1008,16 +900,6 @@ impl Wire for Cmd {
                 program: seamless::bytecode::Program::decode(cur)?,
             }),
             21 => Ok(Cmd::EvalKernel {
-                out: u64::decode(cur)?,
-                kernel: u64::decode(cur)?,
-                template: u64::decode(cur)?,
-                inputs: Vec::decode(cur)?,
-                out_dtype: DType::decode(cur)?,
-                reduce: Option::<ReduceKind>::decode(cur)?,
-                dtype: DType::decode(cur)?,
-                native: bool::decode(cur)?,
-            }),
-            22 => Ok(Cmd::EvalKernelMulti {
                 kernel: u64::decode(cur)?,
                 template: u64::decode(cur)?,
                 inputs: Vec::decode(cur)?,
@@ -1026,6 +908,11 @@ impl Wire for Cmd {
                 dtype: DType::decode(cur)?,
                 native: bool::decode(cur)?,
             }),
+            // Tags 8 (the interpreted RPN plane) and 22 (the separate
+            // multi-output launch, folded into 21) are retired and must
+            // never be reassigned: an old peer's bytes fail typed here
+            // instead of mis-parsing as another command.
+            b @ (8 | 22) => Err(CommError::Decode(format!("retired cmd byte {b}"))),
             b => Err(CommError::Decode(format!("bad cmd byte {b}"))),
         }
     }
@@ -1114,16 +1001,6 @@ mod tests {
                 a: 11,
                 specs: vec![SliceSpec::new(1, 99, 1), SliceSpec::new(0, 4, 2)],
             },
-            Cmd::EvalFused {
-                out: 13,
-                template: 7,
-                program: vec![
-                    FusedOp::PushArray(7),
-                    FusedOp::PushScalar(2.0),
-                    FusedOp::Binary(BinOp::Pow),
-                    FusedOp::Unary(UnaryOp::Sqrt),
-                ],
-            },
             Cmd::Reduce {
                 a: 13,
                 kind: ReduceKind::Sum,
@@ -1160,22 +1037,27 @@ mod tests {
                 program: tiny_program(),
             },
             Cmd::EvalKernel {
-                out: 22,
                 kernel: 1,
                 template: 7,
                 inputs: vec![7, 8],
-                out_dtype: DType::F64,
-                reduce: Some(ReduceKind::Sum),
+                scalars: vec![],
+                outs: vec![KernelOut::Reduce {
+                    kind: ReduceKind::Sum,
+                    reg: (RegFile::F, 2),
+                }],
                 dtype: DType::F64,
                 native: true,
             },
             Cmd::EvalKernel {
-                out: 23,
                 kernel: 2,
                 template: 7,
                 inputs: vec![7],
-                out_dtype: DType::Bool,
-                reduce: None,
+                scalars: vec![],
+                outs: vec![KernelOut::Array {
+                    id: 23,
+                    dtype: DType::Bool,
+                    reg: (RegFile::I, 0),
+                }],
                 dtype: DType::I64,
                 native: false,
             },
@@ -1234,12 +1116,14 @@ mod tests {
         // every subsequent invoke is under 100 bytes of control traffic
         // even with several inputs and a reduction tail.
         let invoke = encode_to_vec(&Cmd::EvalKernel {
-            out: u64::MAX,
             kernel: u64::MAX - 1,
             template: u64::MAX - 2,
             inputs: vec![1, 2, 3],
-            out_dtype: DType::F64,
-            reduce: Some(ReduceKind::Sum),
+            scalars: vec![],
+            outs: vec![KernelOut::Reduce {
+                kind: ReduceKind::Sum,
+                reg: (RegFile::F, u16::MAX),
+            }],
             dtype: DType::F64,
             native: true,
         });
@@ -1251,10 +1135,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_kernel_multi_roundtrips_and_stays_small() {
-        // The whole-program launch command: several materialized arrays
-        // plus reduction tails out of one kernel run, still control-sized.
-        let cmd = Cmd::EvalKernelMulti {
+    fn multi_output_invokes_roundtrip_and_stay_small() {
+        // The whole-program launch: several materialized arrays plus
+        // reduction tails out of one kernel run, still control-sized.
+        let cmd = Cmd::EvalKernel {
             kernel: 7,
             template: u64::MAX - 3,
             inputs: vec![10, 11, 12],
@@ -1263,16 +1147,16 @@ mod tests {
                 KernelOut::Array {
                     id: 100,
                     dtype: DType::F64,
-                    reg: 4,
+                    reg: (RegFile::F, 4),
                 },
                 KernelOut::Array {
                     id: 101,
                     dtype: DType::I64,
-                    reg: 9,
+                    reg: (RegFile::F, 9),
                 },
                 KernelOut::Reduce {
                     kind: ReduceKind::Sum,
-                    reg: 6,
+                    reg: (RegFile::F, 6),
                 },
             ],
             dtype: DType::F64,
@@ -1285,5 +1169,30 @@ mod tests {
             "multi-out invoke too big: {} bytes",
             bytes.len()
         );
+    }
+
+    #[test]
+    fn retired_tags_decode_to_a_typed_error() {
+        // Tag 8 was the interpreted RPN plane's command, tag 22 the
+        // separate multi-output launch. Bytes that once parsed as those
+        // commands — and any truncation of them — must fail typed, never
+        // panic or come back as a different command.
+        let mut fused = vec![8u8];
+        13u64.encode(&mut fused); // out
+        7u64.encode(&mut fused); // template
+        0u64.encode(&mut fused); // empty program
+        let mut multi = vec![22u8];
+        7u64.encode(&mut multi); // kernel
+        9u64.encode(&mut multi); // template
+        vec![10u64, 11].encode(&mut multi);
+        vec![0.5f64].encode(&mut multi);
+        for old in [fused, multi] {
+            for cut in 1..=old.len() {
+                match decode_from_slice::<Cmd>(&old[..cut]) {
+                    Err(CommError::Decode(msg)) => assert!(msg.contains("retired"), "{msg}"),
+                    other => panic!("retired tag decoded as {other:?}"),
+                }
+            }
+        }
     }
 }

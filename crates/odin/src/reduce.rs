@@ -5,8 +5,8 @@
 //! from worker 0, so it never becomes a bottleneck (paper Fig. 1 caption).
 
 use crate::array::DistArray;
-use crate::context::Pending;
 use crate::protocol::{Cmd, ReduceKind};
+use crate::reply::Pending;
 
 impl<'c> DistArray<'c> {
     /// Dispatch a full reduction and return a reply future — the master

@@ -1,0 +1,454 @@
+//! The master's pipelined reply engine: reply *tickets*, the [`Pending`]
+//! reply future, and the bounded, liveness-probing waits behind it.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::{Duration, Instant};
+
+use comm::Wire;
+
+use crate::context::OdinContext;
+use crate::error::OdinError;
+use crate::protocol::{Cmd, ReplyMsg};
+
+/// Demultiplexer for worker replies. Workers execute commands in FIFO
+/// order, so the `k`-th reply to arrive from a worker always answers the
+/// `k`-th reply-bearing command the master sent it — a *ticket*. Replies
+/// that arrive before their ticket is claimed are buffered; tickets whose
+/// [`Pending`] was dropped are discarded on arrival so the stream never
+/// desynchronizes.
+#[derive(Default)]
+pub(crate) struct ReplyEngine {
+    /// Tickets issued per worker (reply-bearing commands dispatched).
+    pub(crate) issued: Vec<u64>,
+    /// Replies consumed from the channel per worker.
+    pub(crate) arrived: Vec<u64>,
+    /// Arrived but not yet claimed, keyed by `(worker, ticket)`.
+    pub(crate) buffered: HashMap<(usize, u64), ReplyMsg>,
+    /// Tickets whose `Pending` was dropped before the reply arrived.
+    pub(crate) abandoned: HashSet<(usize, u64)>,
+}
+
+/// Decoder applied to the raw replies when a [`Pending`] is waited.
+type Decode<T> = Box<dyn FnOnce(Vec<ReplyMsg>) -> T>;
+
+/// A reply future: the handle returned by pipelined dispatch. Dropping it
+/// abandons the reply (the engine discards it on arrival); [`Pending::wait`]
+/// first flushes any open command batch, so waiting inside a batch can
+/// never deadlock.
+#[must_use = "dropping a Pending abandons its reply; call wait() (or hold it to overlap master-side work with the workers)"]
+pub struct Pending<'c, T> {
+    ctx: &'c OdinContext,
+    tickets: Vec<(usize, u64)>,
+    seq: u64,
+    span_name: &'static str,
+    decode: Option<Decode<T>>,
+}
+
+impl<'c, T> Pending<'c, T> {
+    /// Dispatch sequence number of the command this reply answers.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Whether every reply has already arrived (non-blocking).
+    pub fn ready(&mut self) -> bool {
+        self.ctx.tickets_ready(&self.tickets)
+    }
+
+    /// Block until every reply arrives and decode the result. Flushes any
+    /// open command batch first. Panics with the [`OdinError`] diagnostic
+    /// if a worker dies; use [`Self::try_wait`] for a typed error.
+    pub fn wait(mut self) -> T {
+        let tickets = std::mem::take(&mut self.tickets);
+        let replies = self.ctx.await_tickets(&tickets, self.seq, self.span_name);
+        (self.decode.take().expect("pending waited twice"))(replies)
+    }
+
+    /// Fallible [`Self::wait`]: a dead or silent worker yields
+    /// [`OdinError::WorkerDead`] in bounded time instead of a panic or a
+    /// hang.
+    pub fn try_wait(mut self) -> Result<T, OdinError> {
+        let tickets = std::mem::take(&mut self.tickets);
+        let replies = self
+            .ctx
+            .try_await_tickets(&tickets, self.seq, self.span_name)?;
+        Ok((self.decode.take().expect("pending waited twice"))(replies))
+    }
+
+    /// Post-process the decoded reply once it arrives.
+    pub fn map<U>(mut self, f: impl FnOnce(T) -> U + 'static) -> Pending<'c, U>
+    where
+        T: 'static,
+    {
+        let tickets = std::mem::take(&mut self.tickets);
+        let decode = self.decode.take().expect("pending waited twice");
+        Pending {
+            ctx: self.ctx,
+            tickets,
+            seq: self.seq,
+            span_name: self.span_name,
+            decode: Some(Box::new(move |replies| f(decode(replies)))),
+        }
+    }
+}
+
+impl<T> Drop for Pending<'_, T> {
+    fn drop(&mut self) {
+        self.ctx.abandon_tickets(&self.tickets);
+    }
+}
+
+/// Interval at which a blocked reply wait probes worker liveness.
+const PROBE_TICK: Duration = Duration::from_millis(20);
+
+impl OdinContext {
+    /// Reserve the next reply ticket from `worker`.
+    fn issue_ticket(&self, worker: usize) -> (usize, u64) {
+        let mut eng = self.engine.borrow_mut();
+        let t = eng.issued[worker];
+        eng.issued[worker] += 1;
+        (worker, t)
+    }
+
+    /// Account one reply pulled off the channel and assign its ticket.
+    /// Returns `None` when the ticket was abandoned (reply discarded).
+    fn admit_arrival(&self, rank: usize, msg: ReplyMsg) -> Option<((usize, u64), ReplyMsg)> {
+        {
+            let mut st = self.stats.borrow_mut();
+            st.data_msgs += 1;
+            // Encoded-equivalent size either way, so byte accounting does
+            // not depend on which payload arm the reply took.
+            st.data_bytes += msg.wire_len() as u64;
+        }
+        let mut eng = self.engine.borrow_mut();
+        let t = eng.arrived[rank];
+        eng.arrived[rank] += 1;
+        let key = (rank, t);
+        if eng.abandoned.remove(&key) {
+            return None;
+        }
+        Some((key, msg))
+    }
+
+    /// Block until the reply for `want` arrives, buffering any replies
+    /// that belong to other in-flight tickets. Bounded: a worker whose
+    /// thread exited is detected by the liveness probe within
+    /// [`PROBE_TICK`], and a live-but-silent worker trips
+    /// [`OdinConfig::reply_timeout`] when one is set — either way the
+    /// wait ends with a typed [`OdinError`], never a hang.
+    fn try_claim_ticket(&self, want: (usize, u64)) -> Result<ReplyMsg, OdinError> {
+        if let Some(msg) = self.engine.borrow_mut().buffered.remove(&want) {
+            return Ok(msg);
+        }
+        let t0 = Instant::now();
+        loop {
+            let tick = match self.config.reply_timeout {
+                Some(limit) => match limit.checked_sub(t0.elapsed()) {
+                    None | Some(Duration::ZERO) => {
+                        return Err(OdinError::WorkerDead {
+                            worker: want.0,
+                            waited: t0.elapsed(),
+                        })
+                    }
+                    Some(left) => left.min(PROBE_TICK),
+                },
+                None => PROBE_TICK,
+            };
+            let received = self.from_workers.borrow().recv_timeout(tick);
+            match received {
+                Ok((rank, msg)) => {
+                    if let Some((key, msg)) = self.admit_arrival(rank, msg) {
+                        if key == want {
+                            return Ok(msg);
+                        }
+                        self.engine.borrow_mut().buffered.insert(key, msg);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    self.probe_worker(want.0);
+                    if self.dead.borrow()[want.0] {
+                        // Drain stragglers in case the worker replied just
+                        // before dying, then give up with a diagnostic.
+                        self.poll_arrivals();
+                        if let Some(msg) = self.engine.borrow_mut().buffered.remove(&want) {
+                            return Ok(msg);
+                        }
+                        return Err(OdinError::WorkerDead {
+                            worker: want.0,
+                            waited: t0.elapsed(),
+                        });
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(OdinError::PoolDown),
+            }
+        }
+    }
+
+    /// Pull every already-arrived reply into the buffer (non-blocking).
+    fn poll_arrivals(&self) {
+        loop {
+            let received = self.from_workers.borrow().try_recv();
+            match received {
+                Ok((rank, msg)) => {
+                    if let Some((key, msg)) = self.admit_arrival(rank, msg) {
+                        self.engine.borrow_mut().buffered.insert(key, msg);
+                    }
+                }
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn tickets_ready(&self, tickets: &[(usize, u64)]) -> bool {
+        self.poll_arrivals();
+        let eng = self.engine.borrow();
+        tickets.iter().all(|k| eng.buffered.contains_key(k))
+    }
+
+    /// Forget tickets whose `Pending` was dropped: discard buffered
+    /// replies now, mark the rest for discard on arrival.
+    fn abandon_tickets(&self, tickets: &[(usize, u64)]) {
+        if tickets.is_empty() {
+            return;
+        }
+        let mut eng = self.engine.borrow_mut();
+        for &key in tickets {
+            if eng.buffered.remove(&key).is_none() {
+                eng.abandoned.insert(key);
+            }
+        }
+    }
+
+    /// Claim `tickets` in order and mark dispatch `seq` complete on the
+    /// workers that answered. Panics with the [`OdinError`] diagnostic on
+    /// worker death; fallible callers use [`Self::try_await_tickets`].
+    fn await_tickets(
+        &self,
+        tickets: &[(usize, u64)],
+        seq: u64,
+        name: &'static str,
+    ) -> Vec<ReplyMsg> {
+        self.try_await_tickets(tickets, seq, name)
+            .unwrap_or_else(|e| panic!("odin reply wait failed: {e}"))
+    }
+
+    /// Fallible [`Self::await_tickets`]: returns a typed error instead of
+    /// panicking when a worker dies or times out.
+    fn try_await_tickets(
+        &self,
+        tickets: &[(usize, u64)],
+        seq: u64,
+        name: &'static str,
+    ) -> Result<Vec<ReplyMsg>, OdinError> {
+        self.flush_open_batch();
+        let timer = self.obs_timer();
+        let mut out = Vec::with_capacity(tickets.len());
+        let mut reply_bytes = 0u64;
+        for (i, &key) in tickets.iter().enumerate() {
+            match self.try_claim_ticket(key) {
+                Ok(msg) => {
+                    reply_bytes += msg.wire_len() as u64;
+                    out.push(msg);
+                }
+                Err(e) => {
+                    // Abandon the unclaimed remainder so late replies from
+                    // surviving workers are discarded, not leaked.
+                    self.abandon_tickets(&tickets[i..]);
+                    return Err(e);
+                }
+            }
+        }
+        {
+            let mut done = self.worker_done_seq.borrow_mut();
+            for &(w, _) in tickets {
+                if done[w] < seq {
+                    done[w] = seq;
+                }
+            }
+        }
+        if let Some(t) = timer {
+            self.obs_data(name, tickets.len() as u64, reply_bytes, t, 0);
+        }
+        Ok(out)
+    }
+
+    /// Reply future for one reply from every worker (worker order).
+    pub(crate) fn pending_all(&self, span_name: &'static str) -> Pending<'_, Vec<ReplyMsg>> {
+        let tickets = (0..self.n_workers).map(|w| self.issue_ticket(w)).collect();
+        Pending {
+            ctx: self,
+            tickets,
+            seq: self.cmd_seq.get(),
+            span_name,
+            decode: Some(Box::new(|replies| replies)),
+        }
+    }
+
+    /// Reply future for a single worker-0 reply, raw bytes.
+    pub(crate) fn pending_single_raw(&self, span_name: &'static str) -> Pending<'_, Vec<u8>> {
+        let tickets = vec![self.issue_ticket(0)];
+        Pending {
+            ctx: self,
+            tickets,
+            seq: self.cmd_seq.get(),
+            span_name,
+            decode: Some(Box::new(|mut replies| {
+                replies.pop().expect("single reply present").into_bytes()
+            })),
+        }
+    }
+
+    /// Reply future for a single worker-0 reply decoded as `T`.
+    pub(crate) fn pending_single<T: Wire>(&self, span_name: &'static str) -> Pending<'_, T> {
+        let tickets = vec![self.issue_ticket(0)];
+        Pending {
+            ctx: self,
+            tickets,
+            seq: self.cmd_seq.get(),
+            span_name,
+            decode: Some(Box::new(|mut replies| {
+                let bytes = replies.pop().expect("single reply present").into_bytes();
+                comm::decode_from_slice(&bytes).expect("bad reply encoding")
+            })),
+        }
+    }
+
+    /// Broadcast a command and return a future for one reply per worker —
+    /// the pipelined dispatch primitive: the master keeps issuing commands
+    /// while replies are still in flight.
+    pub(crate) fn dispatch_all(&self, cmd: &Cmd) -> Pending<'_, Vec<ReplyMsg>> {
+        self.send_cmd(cmd);
+        self.pending_all("collect_replies")
+    }
+
+    /// Broadcast a command whose protocol says only worker 0 replies and
+    /// return a typed future for that reply.
+    pub(crate) fn dispatch_single<T: Wire>(&self, cmd: &Cmd) -> Pending<'_, T> {
+        self.send_cmd(cmd);
+        self.pending_single("collect_single_reply")
+    }
+
+    /// Highest dispatch sequence number issued so far.
+    pub fn dispatch_seq(&self) -> u64 {
+        self.cmd_seq.get()
+    }
+
+    /// Highest sequence number proven complete on **every** worker.
+    pub fn completed_seq(&self) -> u64 {
+        self.worker_done_seq
+            .borrow()
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Whether a command touching array `id` may still be in flight.
+    pub fn array_in_flight(&self, id: u64) -> bool {
+        self.array_seq
+            .borrow()
+            .get(&id)
+            .is_some_and(|&s| s > self.completed_seq())
+    }
+
+    /// Replies reserved by in-flight futures but not yet consumed.
+    pub fn outstanding_replies(&self) -> u64 {
+        let eng = self.engine.borrow();
+        let issued: u64 = eng.issued.iter().sum();
+        let arrived: u64 = eng.arrived.iter().sum();
+        issued - arrived
+    }
+
+    /// Receive one reply from each worker, returned in worker order,
+    /// collapsed to encoded bytes (reduction-style replies are always on
+    /// the `Bytes` arm, so the collapse is free).
+    pub(crate) fn collect_replies(&self) -> Vec<Vec<u8>> {
+        self.pending_all("collect_replies")
+            .wait()
+            .into_iter()
+            .map(ReplyMsg::into_bytes)
+            .collect()
+    }
+
+    /// Drain `n` replies (used when several reply-bearing commands were
+    /// batched). Broadcast commands produce one reply per worker, so `n`
+    /// must be a multiple of the worker count.
+    pub fn drain_replies(&self, n: usize) {
+        assert!(
+            n.is_multiple_of(self.n_workers),
+            "drain_replies needs one reply per worker per command"
+        );
+        let per = n / self.n_workers;
+        let tickets: Vec<(usize, u64)> = (0..self.n_workers)
+            .flat_map(|w| std::iter::repeat_n(w, per))
+            .map(|w| self.issue_ticket(w))
+            .collect();
+        let _ = self.await_tickets(&tickets, self.cmd_seq.get(), "drain_replies");
+    }
+
+    /// Receive a single reply (commands where only worker 0 replies).
+    pub(crate) fn collect_single_reply(&self) -> Vec<u8> {
+        self.pending_single_raw("collect_single_reply").wait()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::context::OdinContext;
+
+    #[test]
+    fn pipelined_dispatch_overlaps_independent_commands() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.full(&[10], 2.0, crate::protocol::Dist::Block);
+        let y = ctx.linspace(1.0, 10.0, 10);
+        // dispatch two reductions without waiting for either
+        let px = x.sum_async();
+        let py = y.sum_async();
+        assert!(
+            px.seq() < py.seq(),
+            "independent commands get distinct seqs"
+        );
+        assert_eq!(ctx.outstanding_replies(), 2, "both replies in flight");
+        // claim out of dispatch order: the engine buffers the early reply
+        assert!((py.wait() - 55.0).abs() < 1e-9);
+        assert!((px.wait() - 20.0).abs() < 1e-9);
+        assert_eq!(ctx.outstanding_replies(), 0);
+    }
+
+    #[test]
+    fn pending_ready_polls_without_blocking() {
+        let ctx = OdinContext::with_workers(3);
+        let x = ctx.ones(&[9], crate::buffer::DType::F64);
+        let mut p = x.sum_async();
+        while !p.ready() {
+            std::thread::yield_now();
+        }
+        assert!((p.wait() - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dropped_pending_reply_is_discarded_not_misdelivered() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.full(&[4], 3.0, crate::protocol::Dist::Block);
+        let y = ctx.full(&[4], 5.0, crate::protocol::Dist::Block);
+        let abandoned = x.sum_async();
+        drop(abandoned);
+        // the abandoned reply (12.0) must not be delivered to this wait
+        assert!((y.sum() - 20.0).abs() < 1e-12);
+        ctx.barrier();
+        assert_eq!(ctx.outstanding_replies(), 0);
+    }
+
+    #[test]
+    fn array_sequence_tracking_clears_after_barrier() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.ones(&[6], crate::buffer::DType::F64);
+        let y = &x + 1.0; // in flight: no reply claimed yet
+        assert!(ctx.array_in_flight(y.id()));
+        assert!(ctx.dispatch_seq() > ctx.completed_seq());
+        ctx.barrier(); // proves everything up to the Ping executed
+        assert!(!ctx.array_in_flight(y.id()));
+        assert_eq!(ctx.dispatch_seq(), ctx.completed_seq());
+    }
+}

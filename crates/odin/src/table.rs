@@ -243,9 +243,9 @@ impl OdinContext {
     pub(crate) fn run_spmd_reply<T: Wire>(
         &self,
         arrays: &[&crate::array::DistArray<'_>],
-        f: impl Fn(&mut crate::context::WorkerScope<'_>, &[u64]) + Send + Sync + 'static,
+        f: impl Fn(&mut crate::worker::WorkerScope<'_>, &[u64]) + Send + Sync + 'static,
     ) -> T {
-        let wrapped: crate::context::LocalFn = Arc::new(move |scope, args, _| {
+        let wrapped: crate::worker::LocalFn = Arc::new(move |scope, args, _| {
             f(scope, args);
         });
         let fid = self.register_local(wrapped);
@@ -256,7 +256,7 @@ impl OdinContext {
     }
 
     pub(crate) fn send_collect(&self, table_id: u64) -> Vec<Record> {
-        let wrapped: crate::context::LocalFn = Arc::new(move |scope, _, _| {
+        let wrapped: crate::worker::LocalFn = Arc::new(move |scope, _, _| {
             let payload = comm::encode_to_vec(&scope.table(table_id).rows);
             scope.reply(payload);
         });

@@ -1,0 +1,1108 @@
+//! The worker side of the ODIN pool: the command loop each worker thread
+//! runs, the per-command executors, and what a local-mode function sees
+//! of its worker ([`WorkerScope`]). Workers own the array *segments*,
+//! execute commands in order, and communicate directly with each other
+//! over a [`comm`] communicator — never through the master — for
+//! redistributions, slicing, reductions and local-mode functions.
+
+use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
+
+use comm::{Comm, Cursor, Wire};
+use dlinalg::DistVector;
+use seamless::bytecode::{Reg, RegFile};
+use seamless::vm::Lane;
+
+use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
+use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind, ReplyMsg};
+use crate::slicing::{redistribute_worker, slice_worker};
+
+/// Signature of a registered local-mode function (the `@odin.local`
+/// decorator analog): it runs on every worker with direct access to the
+/// worker's scope and the call's array/scalar arguments.
+pub type LocalFn = Arc<dyn Fn(&mut WorkerScope<'_>, &[u64], &[f64]) + Send + Sync>;
+
+pub(crate) enum ToWorker {
+    /// One or more concatenated Wire-encoded commands. `flow` is the
+    /// control-plane flow id of the dispatch (`obs::flow`, 0 when tracing
+    /// is off) — the worker's execution span consumes it, which is what
+    /// draws master→worker arrows in the trace.
+    Bytes { bytes: Vec<u8>, flow: u64 },
+    /// Broadcast a local-mode function object (the paper's decorator
+    /// "broadcasts the resulting function object to all worker nodes").
+    Register { id: u64, f: LocalFn },
+}
+
+/// What a local-mode function sees on each worker: the worker
+/// communicator (for direct worker↔worker communication), the segment
+/// store, and the structured-table store (§III-I).
+pub struct WorkerScope<'a> {
+    /// The worker communicator.
+    pub comm: &'a Comm,
+    arrays: &'a mut HashMap<u64, (ArrayMeta, Buffer)>,
+    tables: &'a mut HashMap<u64, crate::table::TableSeg>,
+    reply: &'a Sender<(usize, ReplyMsg)>,
+}
+
+impl<'a> WorkerScope<'a> {
+    /// This worker's rank.
+    pub fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+
+    /// Number of workers.
+    pub fn n_workers(&self) -> usize {
+        self.comm.size()
+    }
+
+    /// Metadata of an array.
+    pub fn meta(&self, id: u64) -> &ArrayMeta {
+        &self.arrays.get(&id).expect("unknown array on worker").0
+    }
+
+    /// This worker's segment of an array.
+    pub fn local(&self, id: u64) -> &Buffer {
+        &self.arrays.get(&id).expect("unknown array on worker").1
+    }
+
+    /// Mutable segment access.
+    pub fn local_mut(&mut self, id: u64) -> &mut Buffer {
+        &mut self.arrays.get_mut(&id).expect("unknown array on worker").1
+    }
+
+    /// The [`dmap::DistMap`] of an array's distributed axis.
+    pub fn axis_map(&self, id: u64) -> dmap::DistMap {
+        let meta = self.meta(id);
+        meta.axis_map(self.n_workers(), self.rank())
+    }
+
+    /// Insert (or replace) an array segment.
+    pub fn insert(&mut self, id: u64, meta: ArrayMeta, data: Buffer) {
+        debug_assert_eq!(
+            data.len(),
+            meta.local_len(self.n_workers(), self.rank()),
+            "segment length must match the meta"
+        );
+        self.arrays.insert(id, (meta, data));
+    }
+
+    /// View a 1-D block-distributed f64 array as a [`DistVector`] — the
+    /// ODIN↔Trilinos bridge (§III-E). Panics if not conformable with a
+    /// block vector layout (redistribute first).
+    pub fn as_dist_vector(&self, id: u64) -> DistVector<f64> {
+        let meta = self.meta(id);
+        assert_eq!(meta.ndim(), 1, "bridge requires a 1-D array");
+        assert_eq!(meta.dist, Dist::Block, "bridge requires block distribution");
+        assert_eq!(meta.dtype, DType::F64, "bridge requires f64");
+        let map = self.axis_map(id);
+        DistVector::from_local(map, self.local(id).as_f64().to_vec())
+    }
+
+    /// Store a [`DistVector`] back as the segment of array `id`.
+    pub fn store_dist_vector(&mut self, id: u64, v: &DistVector<f64>) {
+        let meta = ArrayMeta {
+            shape: vec![v.n_global()],
+            axis: 0,
+            dist: Dist::Block,
+            dtype: DType::F64,
+        };
+        self.insert(id, meta, Buffer::F64(v.local().to_vec()));
+    }
+
+    /// Send a reply payload to the master (used by reduction-style local
+    /// functions; usually only worker 0 should reply). Best-effort: a
+    /// master mid-teardown (its reply channel closed) is not an error the
+    /// worker can act on, so the payload is silently discarded and the
+    /// worker exits at its next command-channel receive.
+    pub fn reply(&self, bytes: Vec<u8>) {
+        let _ = self.reply.send((self.rank(), ReplyMsg::Bytes(bytes)));
+    }
+
+    /// This worker's segment of a distributed table.
+    pub fn table(&self, id: u64) -> &crate::table::TableSeg {
+        self.tables.get(&id).expect("unknown table on worker")
+    }
+
+    /// Mutable table segment access.
+    pub fn table_mut(&mut self, id: u64) -> &mut crate::table::TableSeg {
+        self.tables.get_mut(&id).expect("unknown table on worker")
+    }
+
+    /// Insert (or replace) a table segment.
+    pub fn insert_table(&mut self, id: u64, seg: crate::table::TableSeg) {
+        self.tables.insert(id, seg);
+    }
+
+    /// Drop a table segment.
+    pub fn remove_table(&mut self, id: u64) {
+        self.tables.remove(&id);
+    }
+}
+
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// Uniform [0,1) from (seed, global element index) — worker-count
+/// invariant by construction.
+fn seeded_uniform(seed: u64, gidx: u64) -> f64 {
+    let bits = splitmix64(seed ^ splitmix64(gidx));
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
+
+fn fill_buffer(meta: &ArrayMeta, fill: &Fill, n_workers: usize, rank: usize) -> Buffer {
+    let map = meta.axis_map(n_workers, rank);
+    let slab = meta.slab();
+    let n_local = map.my_count() * slab;
+    match fill {
+        Fill::Zeros => Buffer::zeros(meta.dtype, n_local),
+        Fill::Full(v) => match meta.dtype {
+            DType::F64 => Buffer::F64(vec![*v; n_local]),
+            DType::I64 => Buffer::I64(vec![*v as i64; n_local]),
+            DType::Bool => Buffer::Bool(vec![*v != 0.0; n_local]),
+        },
+        Fill::Arange { start, step } => {
+            let vals = local_global_indices(&map, slab).map(|g| start + step * g as f64);
+            match meta.dtype {
+                DType::F64 => Buffer::F64(vals.collect()),
+                DType::I64 => Buffer::I64(vals.map(|v| v as i64).collect()),
+                DType::Bool => Buffer::Bool(vals.map(|v| v != 0.0).collect()),
+            }
+        }
+        Fill::Linspace { start, stop } => {
+            let n = meta.n_global();
+            let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
+            let step = (stop - start) / denom;
+            let s = *start;
+            Buffer::F64(
+                local_global_indices(&map, slab)
+                    .map(|g| s + step * g as f64)
+                    .collect(),
+            )
+        }
+        Fill::Random { seed } => {
+            let s = *seed;
+            Buffer::F64(
+                local_global_indices(&map, slab)
+                    .map(|g| seeded_uniform(s, g as u64))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// Iterator of global flat indices for this worker's segment, in local
+/// storage order (rows along the distributed axis are contiguous).
+fn local_global_indices(map: &dmap::DistMap, slab: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..map.my_count()).flat_map(move |l| {
+        let g = map.local_to_global(l);
+        (0..slab).map(move |k| g * slab + k)
+    })
+}
+
+/// Row buffers one worker recycles across kernel invokes (staged inputs,
+/// constant scalar rows, reduction rows), so steady-state kernel
+/// execution stops reallocating them per command. One pool per lane type.
+#[derive(Default)]
+struct WorkerScratch {
+    f64_rows: Vec<Vec<f64>>,
+    i64_rows: Vec<Vec<i64>>,
+}
+
+pub(crate) fn worker_main(
+    comm: &mut Comm,
+    rx: Receiver<ToWorker>,
+    reply: Sender<(usize, ReplyMsg)>,
+) {
+    let mut arrays: HashMap<u64, (ArrayMeta, Buffer)> = HashMap::new();
+    let mut tables: HashMap<u64, crate::table::TableSeg> = HashMap::new();
+    let mut fns: HashMap<u64, LocalFn> = HashMap::new();
+    let mut kernels: HashMap<u64, seamless::bytecode::Program> = HashMap::new();
+    let mut scratch = WorkerScratch::default();
+    'outer: loop {
+        // Idle-wait with a periodic reliability pump: a worker parked
+        // here can still owe retransmits for the final sends of its last
+        // collective (a peer may be blocked on one of them), and nothing
+        // else on this rank would ever resend. See `Comm::pump`.
+        let msg = loop {
+            match rx.recv_timeout(std::time::Duration::from_millis(10)) {
+                Ok(m) => break m,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => comm.pump(),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break 'outer,
+            }
+        };
+        match msg {
+            ToWorker::Register { id, f } => {
+                fns.insert(id, f);
+            }
+            ToWorker::Bytes { bytes, flow } => {
+                // Execution span consuming the dispatch's control flow:
+                // cross-clock-domain, so it annotates the trace (arrow
+                // from the master) without entering the critical path.
+                let timer = if flow != 0 && obs::enabled() {
+                    Some(obs::span::span_start(comm.virtual_time()))
+                } else {
+                    None
+                };
+                let n_bytes = bytes.len();
+                let mut cur = Cursor::new(&bytes);
+                while cur.remaining() > 0 {
+                    let cmd = Cmd::decode(&mut cur).expect("bad command encoding");
+                    // Fault-injection hook: a killed worker stops executing
+                    // and exits, dropping its channels so the master's
+                    // liveness probe discovers the death.
+                    if comm.fault_tick().is_err() {
+                        break 'outer;
+                    }
+                    if !exec_cmd(
+                        comm,
+                        &reply,
+                        &mut arrays,
+                        &mut tables,
+                        &fns,
+                        &mut kernels,
+                        &mut scratch,
+                        cmd,
+                    ) {
+                        break 'outer;
+                    }
+                }
+                if let Some(t) = timer {
+                    t.finish_meta(
+                        "odin",
+                        "exec",
+                        comm.virtual_time(),
+                        &[("cmd_bytes", n_bytes as f64)],
+                        obs::span::SpanMeta {
+                            kind: obs::span::SpanKind::Other,
+                            flow_out: 0,
+                            flow_in: flow,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Execute one command; returns false on shutdown.
+#[allow(clippy::too_many_arguments)]
+fn exec_cmd(
+    comm: &Comm,
+    reply: &Sender<(usize, ReplyMsg)>,
+    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
+    tables: &mut HashMap<u64, crate::table::TableSeg>,
+    fns: &HashMap<u64, LocalFn>,
+    kernels: &mut HashMap<u64, seamless::bytecode::Program>,
+    scratch: &mut WorkerScratch,
+    cmd: Cmd,
+) -> bool {
+    let p = comm.size();
+    let rank = comm.rank();
+    match cmd {
+        Cmd::Create { id, meta, fill } => {
+            let data = fill_buffer(&meta, &fill, p, rank);
+            comm.advance_compute(data.len() as f64);
+            arrays.insert(id, (meta, data));
+        }
+        Cmd::SetData { id, meta, data } => {
+            assert_eq!(data.len(), meta.local_len(p, rank), "bad segment length");
+            arrays.insert(id, (meta, data));
+        }
+        Cmd::Unary { out, a, op } => {
+            let (meta, buf) = &arrays[&a];
+            let result = apply_unary(op, buf);
+            comm.advance_compute(buf.len() as f64);
+            let out_meta = ArrayMeta {
+                dtype: result.dtype(),
+                ..meta.clone()
+            };
+            arrays.insert(out, (out_meta, result));
+        }
+        Cmd::Binary { out, a, b, op } => {
+            let (ma, ba) = &arrays[&a];
+            let (mb, bb) = &arrays[&b];
+            assert!(
+                ma.conformable(mb),
+                "binary ufunc on non-conformable arrays (master should have redistributed)"
+            );
+            let result = apply_binary(op, ba, bb);
+            comm.advance_compute(ba.len() as f64);
+            let out_meta = ArrayMeta {
+                dtype: result.dtype(),
+                ..ma.clone()
+            };
+            arrays.insert(out, (out_meta, result));
+        }
+        Cmd::BinaryScalar {
+            out,
+            a,
+            scalar,
+            op,
+            scalar_left,
+        } => {
+            let (meta, buf) = &arrays[&a];
+            let result = apply_binary_scalar(op, buf, scalar, scalar_left);
+            comm.advance_compute(buf.len() as f64);
+            let out_meta = ArrayMeta {
+                dtype: result.dtype(),
+                ..meta.clone()
+            };
+            arrays.insert(out, (out_meta, result));
+        }
+        Cmd::AsType { out, a, dtype } => {
+            let (meta, buf) = &arrays[&a];
+            let result = buf.astype(dtype);
+            let out_meta = ArrayMeta {
+                dtype,
+                ..meta.clone()
+            };
+            arrays.insert(out, (out_meta, result));
+        }
+        Cmd::Redistribute { out, a, dist, axis } => {
+            assert_eq!(axis, 0, "arrays are distributed along axis 0");
+            let (meta, buf) = &arrays[&a];
+            let (out_meta, out_buf) = redistribute_worker(comm, meta, buf, dist);
+            arrays.insert(out, (out_meta, out_buf));
+        }
+        Cmd::Slice { out, a, specs } => {
+            let (meta, buf) = &arrays[&a];
+            let (out_meta, out_buf) = slice_worker(comm, meta, buf, &specs);
+            arrays.insert(out, (out_meta, out_buf));
+        }
+        Cmd::Reduce { a, kind, axis, out } => {
+            exec_reduce(comm, reply, arrays, a, kind, axis, out);
+        }
+        Cmd::Fetch { a } => {
+            let (meta, buf) = &arrays[&a];
+            let map = meta.axis_map(p, rank);
+            let gids = map.my_gids();
+            // Segments at or above the zero-copy threshold move as typed
+            // regions (the Buffer clone is unavoidable here — the worker
+            // keeps its segment — but the encode/decode round-trip is
+            // not). Small segments take the classic wire path.
+            let msg_size = gids.wire_size() + buf.wire_size();
+            let msg = if msg_size >= comm.zerocopy_threshold() {
+                ReplyMsg::Segment {
+                    gids,
+                    data: buf.clone(),
+                }
+            } else {
+                // Field-by-field tuple encoding, wire-compatible with
+                // `encode_to_vec(&(gids, buffer))` but without cloning
+                // the whole segment first.
+                let mut payload = Vec::new();
+                gids.encode(&mut payload);
+                buf.encode(&mut payload);
+                ReplyMsg::Bytes(payload)
+            };
+            let _ = reply.send((rank, msg));
+        }
+        Cmd::CallLocal {
+            fn_id,
+            arrays: arg_arrays,
+            scalars,
+        } => {
+            let f = Arc::clone(fns.get(&fn_id).expect("unknown local function"));
+            let mut scope = WorkerScope {
+                comm,
+                arrays,
+                tables,
+                reply,
+            };
+            f(&mut scope, &arg_arrays, &scalars);
+        }
+        Cmd::Free { id } => {
+            arrays.remove(&id);
+        }
+        Cmd::Ping => {
+            let _ = reply.send((rank, ReplyMsg::Bytes(Vec::new())));
+        }
+        Cmd::Shutdown => return false,
+        Cmd::Select { out, cond, a, b } => {
+            let (mc, bc) = &arrays[&cond];
+            let (ma, ba) = &arrays[&a];
+            let (mb, bb) = &arrays[&b];
+            assert!(
+                mc.conformable(ma) && ma.conformable(mb),
+                "select operands must be conformable"
+            );
+            let n = bc.len();
+            let out_dtype = ba.dtype().promote(bb.dtype());
+            let values = Buffer::F64(
+                (0..n)
+                    .map(|i| {
+                        if bc.get_f64(i) != 0.0 {
+                            ba.get_f64(i)
+                        } else {
+                            bb.get_f64(i)
+                        }
+                    })
+                    .collect(),
+            )
+            .astype(out_dtype);
+            comm.advance_compute(n as f64);
+            let out_meta = ArrayMeta {
+                dtype: out_dtype,
+                ..ma.clone()
+            };
+            arrays.insert(out, (out_meta, values));
+        }
+        Cmd::CumSum { out, a } => {
+            let (meta, buf) = &arrays[&a];
+            assert_eq!(meta.ndim(), 1, "cumsum supports 1-D arrays");
+            assert_eq!(
+                meta.dist,
+                Dist::Block,
+                "cumsum needs contiguous segments (master redistributes first)"
+            );
+            // local prefix, then shift by the exscan of local totals —
+            // the classic distributed scan.
+            let n = buf.len();
+            let mut local = Vec::with_capacity(n);
+            let mut acc = 0.0f64;
+            for i in 0..n {
+                acc += buf.get_f64(i);
+                local.push(acc);
+            }
+            comm.advance_compute(n as f64);
+            let offset = comm.exscan(&acc, 0.0, |x: &f64, y: &f64| x + y);
+            for v in &mut local {
+                *v += offset;
+            }
+            let out_dtype = match meta.dtype {
+                DType::Bool => DType::I64,
+                d => d,
+            };
+            let out_meta = ArrayMeta {
+                dtype: out_dtype,
+                ..meta.clone()
+            };
+            let data = Buffer::F64(local).astype(out_dtype);
+            arrays.insert(out, (out_meta, data));
+        }
+        Cmd::ArgReduce { a, is_max } => {
+            let (meta, buf) = &arrays[&a];
+            let map = meta.axis_map(p, rank);
+            let slab = meta.slab();
+            let mut best: Option<(f64, usize)> = None;
+            for i in 0..buf.len() {
+                let v = buf.get_f64(i);
+                let better = match best {
+                    None => true,
+                    Some((bv, _)) => {
+                        if is_max {
+                            v > bv
+                        } else {
+                            v < bv
+                        }
+                    }
+                };
+                if better {
+                    let gid = map.local_to_global(i / slab.max(1)) * slab.max(1) + i % slab.max(1);
+                    best = Some((v, gid));
+                }
+            }
+            comm.advance_compute(buf.len() as f64);
+            // combine keeping the smallest global index on ties
+            let sentinel = if is_max {
+                (f64::NEG_INFINITY, usize::MAX)
+            } else {
+                (f64::INFINITY, usize::MAX)
+            };
+            let mine = best.unwrap_or(sentinel);
+            let winner = comm.allreduce(&mine, |x: &(f64, usize), y: &(f64, usize)| {
+                let x_wins = if is_max {
+                    x.0 > y.0 || (x.0 == y.0 && x.1 <= y.1)
+                } else {
+                    x.0 < y.0 || (x.0 == y.0 && x.1 <= y.1)
+                };
+                if x_wins {
+                    *x
+                } else {
+                    *y
+                }
+            });
+            if rank == 0 {
+                let _ = reply.send((rank, ReplyMsg::Bytes(comm::encode_to_vec(&winner))));
+            }
+        }
+        Cmd::Concat { out, a, b } => {
+            let (ma, _) = &arrays[&a];
+            let (mb, _) = &arrays[&b];
+            assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
+            assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
+            let n1 = ma.shape[0];
+            let n2 = mb.shape[0];
+            let out_dtype = arrays[&a].1.dtype().promote(arrays[&b].1.dtype());
+            let out_meta = ArrayMeta {
+                shape: vec![n1 + n2],
+                axis: 0,
+                dist: Dist::Block,
+                dtype: out_dtype,
+            };
+            let out_map = out_meta.axis_map(p, rank);
+            // route each local element of a and b to its owner in out
+            let mut per_peer_idx: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+            let mut per_peer_val: Vec<Vec<f64>> = (0..p).map(|_| Vec::new()).collect();
+            for (src, base) in [(a, 0usize), (b, n1)] {
+                let (m, buf) = &arrays[&src];
+                let map = m.axis_map(p, rank);
+                for l in 0..buf.len() {
+                    let g = map.local_to_global(l) + base;
+                    let owner = out_map.owner_of(g).expect("structured map");
+                    per_peer_idx[owner].push(g);
+                    per_peer_val[owner].push(buf.get_f64(l));
+                }
+            }
+            let outgoing: Vec<Vec<(Vec<usize>, Vec<f64>)>> = per_peer_idx
+                .into_iter()
+                .zip(per_peer_val)
+                .map(|(i, v)| {
+                    if i.is_empty() {
+                        Vec::new()
+                    } else {
+                        vec![(i, v)]
+                    }
+                })
+                .collect();
+            let incoming = comm.alltoallv(outgoing);
+            let mut values = vec![0.0f64; out_map.my_count()];
+            for (idx, vals) in incoming.into_iter().flatten() {
+                for (g, v) in idx.into_iter().zip(vals) {
+                    values[out_map.global_to_local(g).expect("routed wrong")] = v;
+                }
+            }
+            let data = Buffer::F64(values).astype(out_dtype);
+            arrays.insert(out, (out_meta, data));
+        }
+        Cmd::MatMul { out, a, b } => {
+            let (ma, ba) = &arrays[&a];
+            let (mb, bb) = &arrays[&b];
+            assert_eq!(ma.ndim(), 2, "matmul takes 2-D arrays");
+            assert_eq!(mb.ndim(), 2, "matmul takes 2-D arrays");
+            let (m, ka) = (ma.shape[0], ma.shape[1]);
+            let (kb, ncols) = (mb.shape[0], mb.shape[1]);
+            assert_eq!(ka, kb, "matmul inner dimensions must agree");
+            // allgather B: each worker contributes (row gids, flat rows)
+            let b_map = mb.axis_map(p, rank);
+            let my_b: Vec<f64> = (0..bb.len()).map(|i| bb.get_f64(i)).collect();
+            let pieces: Vec<(Vec<usize>, Vec<f64>)> = comm.allgather(&(b_map.my_gids(), my_b));
+            let mut bfull = vec![0.0f64; kb * ncols];
+            for (gids, vals) in pieces {
+                for (l, g) in gids.into_iter().enumerate() {
+                    bfull[g * ncols..(g + 1) * ncols]
+                        .copy_from_slice(&vals[l * ncols..(l + 1) * ncols]);
+                }
+            }
+            // local GEMM over my block rows of A (ikj order)
+            let a_map = ma.axis_map(p, rank);
+            let rows = a_map.my_count();
+            let mut c = vec![0.0f64; rows * ncols];
+            for i in 0..rows {
+                for kk in 0..ka {
+                    let aik = ba.get_f64(i * ka + kk);
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let brow = &bfull[kk * ncols..(kk + 1) * ncols];
+                    let crow = &mut c[i * ncols..(i + 1) * ncols];
+                    for (cv, bv) in crow.iter_mut().zip(brow) {
+                        *cv += aik * bv;
+                    }
+                }
+            }
+            comm.advance_compute(2.0 * (rows * ka * ncols) as f64);
+            let out_meta = ArrayMeta {
+                shape: vec![m, ncols],
+                axis: 0,
+                dist: ma.dist,
+                dtype: DType::F64,
+            };
+            assert_eq!(
+                out_meta.local_len(p, rank),
+                c.len(),
+                "matmul requires A's row distribution to be block-compatible"
+            );
+            arrays.insert(out, (out_meta, Buffer::F64(c)));
+        }
+        Cmd::RegisterKernel { id, program } => {
+            kernels.insert(id, program);
+        }
+        Cmd::EvalKernel {
+            kernel,
+            template,
+            inputs,
+            scalars,
+            outs,
+            dtype,
+            native,
+        } => match dtype {
+            DType::F64 => exec_kernel::<f64>(
+                comm, reply, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs,
+                native,
+            ),
+            DType::I64 | DType::Bool => exec_kernel::<i64>(
+                comm, reply, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs,
+                native,
+            ),
+        },
+    }
+    true
+}
+
+/// What the lane-generic kernel executor needs to know about a lane type
+/// beyond [`Lane`]: how it maps onto a worker's [`Buffer`] segments.
+trait KernelLane: Lane + Default {
+    /// This lane's recycled row pool.
+    fn pool(scratch: &mut WorkerScratch) -> &mut Vec<Vec<Self>>;
+    /// The segment's storage when it already is a row of this lane
+    /// (streamed in place, no copy).
+    fn borrow(buf: &Buffer) -> Option<&[Self]>;
+    /// Element `i` of any segment converted to this lane (the staging
+    /// conversion: bools widen to 0/1, floats truncate like `astype`).
+    fn get(buf: &Buffer, i: usize) -> Self;
+    /// A resolved scalar parameter as a lane value.
+    fn from_scalar(v: f64) -> Self;
+    /// Widened per element for the reduction fold, so collective tails
+    /// share `reduce_combine` across lanes.
+    fn to_f64(self) -> f64;
+    /// A raw output row as a segment of this lane's own dtype.
+    fn wrap(row: Vec<Self>) -> Buffer;
+}
+
+impl KernelLane for f64 {
+    fn pool(scratch: &mut WorkerScratch) -> &mut Vec<Vec<f64>> {
+        &mut scratch.f64_rows
+    }
+    fn borrow(buf: &Buffer) -> Option<&[f64]> {
+        match buf {
+            Buffer::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn get(buf: &Buffer, i: usize) -> f64 {
+        buf.get_f64(i)
+    }
+    fn from_scalar(v: f64) -> f64 {
+        v
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn wrap(row: Vec<f64>) -> Buffer {
+        Buffer::F64(row)
+    }
+}
+
+impl KernelLane for i64 {
+    fn pool(scratch: &mut WorkerScratch) -> &mut Vec<Vec<i64>> {
+        &mut scratch.i64_rows
+    }
+    fn borrow(buf: &Buffer) -> Option<&[i64]> {
+        match buf {
+            Buffer::I64(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn get(buf: &Buffer, i: usize) -> i64 {
+        buf.get_i64(i)
+    }
+    fn from_scalar(v: f64) -> i64 {
+        v as i64
+    }
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn wrap(row: Vec<i64>) -> Buffer {
+        Buffer::I64(row)
+    }
+}
+
+/// A recycled row of `len` copies of `fill`.
+fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
+    let mut row = pool.pop().unwrap_or_default();
+    row.clear();
+    row.resize(len, fill);
+    row
+}
+
+/// Run a registered Seamless kernel element-wise over this worker's
+/// segment, in lane type `L`, and harvest the register rows named by
+/// `outs`: each [`KernelOut::Array`] materializes its row as a new
+/// segment (one final `astype`), each [`KernelOut::Reduce`] folds its row
+/// straight into a scalar — map and reduce in one pass, no materialized
+/// intermediate.
+///
+/// Inputs already stored as `L` rows are borrowed in place; the others
+/// are staged through the recycled scratch pool, and scalar parameters
+/// become constant rows, so the bytecode sees ordinary lane inputs. The
+/// VM tier streams `CHUNK`-lane chunks; with `native` set, the probed C
+/// monomorphization (DESIGN §15) runs the whole segment as one chunk —
+/// the compiled loop *is* the chunk loop. Either tier writes array rows
+/// straight into the result segment. The probe gate makes the tiers
+/// bitwise-interchangeable, and the modeled compute advance is
+/// tier-independent, so chaos/critical-path results do not depend on
+/// which tier ran.
+///
+/// The reduce tail mirrors `exec_reduce` with `axis: None` exactly —
+/// sequential element-order local fold (widened to f64), then one
+/// `allreduce` per reduction in `outs` order, then a rank-0 reply with
+/// the scalar vector — so fused reductions are bitwise-identical to
+/// `map(...)` + `Reduce`.
+#[allow(clippy::too_many_arguments)]
+fn exec_kernel<L: KernelLane>(
+    comm: &Comm,
+    reply: &Sender<(usize, ReplyMsg)>,
+    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
+    kernels: &HashMap<u64, seamless::bytecode::Program>,
+    scratch: &mut WorkerScratch,
+    kernel: u64,
+    template: u64,
+    inputs: &[u64],
+    scalars: &[f64],
+    outs: &[KernelOut],
+    native: bool,
+) {
+    const CHUNK: usize = 4096;
+    let program = kernels.get(&kernel).expect("unknown kernel");
+    let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
+    let t_meta = arrays[&template].0.clone();
+    let n = arrays[&template].1.len();
+    // Kernel event span: covers the chunk loop plus its modeled compute
+    // advance, closing *before* the collective reduce tail so no comm
+    // spans nest inside it (the critical-path walk treats Kernel spans as
+    // atomic clock advances).
+    let kernel_timer = if obs::enabled() {
+        Some(obs::span::span_start(comm.virtual_time()))
+    } else {
+        None
+    };
+    let out_regs: Vec<(RegFile, Reg)> = outs
+        .iter()
+        .map(|o| match o {
+            KernelOut::Array { reg, .. } | KernelOut::Reduce { reg, .. } => *reg,
+        })
+        .collect();
+    // The native cache was warmed master-side at build(), so this lookup
+    // never compiles on a worker; a cold cache (a lowered expression's
+    // first invoke, a replayed command after recover) compiles once and
+    // probes before use. `out_regs` are part of the cache key.
+    let native_fn = if native {
+        seamless::codegen::native::<L>(program, &out_regs)
+    } else {
+        None
+    };
+    let vm = seamless::vm::Vm::new(program);
+    let step = if native_fn.is_some() { n } else { CHUNK.min(n) };
+    let pool = L::pool(scratch);
+    // Array rows are written in place at their final length; reduction
+    // rows are one recycled chunk, folded as each chunk completes.
+    let mut rows: Vec<Vec<L>> = outs
+        .iter()
+        .map(|o| match o {
+            KernelOut::Array { .. } => vec![L::default(); n],
+            KernelOut::Reduce { .. } => take_row(pool, step, L::default()),
+        })
+        .collect();
+    let mut accs: Vec<f64> = outs
+        .iter()
+        .map(|o| match o {
+            KernelOut::Reduce { kind, .. } => reduce_identity(*kind),
+            KernelOut::Array { .. } => 0.0,
+        })
+        .collect();
+    let mut staged: Vec<Option<Vec<L>>> = inputs
+        .iter()
+        .map(|id| {
+            let (m, b) = &arrays[id];
+            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
+            L::borrow(b)
+                .is_none()
+                .then(|| take_row(pool, 0, L::default()))
+        })
+        .collect();
+    let scalar_rows: Vec<Vec<L>> = scalars
+        .iter()
+        .map(|&v| take_row(pool, step, L::from_scalar(v)))
+        .collect();
+    let mut start = 0usize;
+    while start < n {
+        let end = (start + step).min(n);
+        let len = end - start;
+        for (buf, id) in staged.iter_mut().zip(inputs) {
+            if let Some(buf) = buf {
+                let b = &arrays[id].1;
+                buf.clear();
+                buf.extend((start..end).map(|i| L::get(b, i)));
+            }
+        }
+        let mut refs: Vec<&[L]> = inputs
+            .iter()
+            .zip(&staged)
+            .map(|(id, s)| match s {
+                Some(buf) => &buf[..],
+                None => &L::borrow(&arrays[id].1).expect("other inputs are staged")[start..end],
+            })
+            .collect();
+        refs.extend(scalar_rows.iter().map(|r| &r[..len]));
+        {
+            let mut dst: Vec<&mut [L]> = rows
+                .iter_mut()
+                .zip(outs)
+                .map(|(row, o)| match o {
+                    KernelOut::Array { .. } => &mut row[start..end],
+                    KernelOut::Reduce { .. } => &mut row[..len],
+                })
+                .collect();
+            match &native_fn {
+                Some(nf) => nf.run(&refs, &mut dst, len),
+                None => vm
+                    .run_chunk(0, &refs, &out_regs, &mut dst)
+                    .expect("kernel failed on a worker segment"),
+            }
+        }
+        // Sequential element-order fold, chunk after chunk: the same
+        // order on either tier, so reductions stay bitwise equal.
+        for ((row, o), acc) in rows.iter().zip(outs).zip(&mut accs) {
+            if let KernelOut::Reduce { kind, .. } = o {
+                for &v in &row[..len] {
+                    *acc = reduce_combine(*kind, *acc, reduce_element(*kind, v.to_f64()));
+                }
+            }
+        }
+        start = end;
+    }
+    pool.extend(staged.into_iter().flatten().chain(scalar_rows));
+    if native_fn.is_some() && obs::enabled() {
+        obs::global().counter("odin.kernel.native_invokes").add(1);
+    }
+    // The modeled compute advance is tier- and lane-independent: chaos
+    // schedules and critical-path attributions must not depend on which
+    // tier executed.
+    comm.advance_compute((n * n_instrs.max(1)) as f64);
+    if let Some(t) = kernel_timer {
+        t.finish_meta(
+            "odin",
+            "kernel",
+            comm.virtual_time(),
+            &[("n", n as f64), ("instrs", n_instrs as f64)],
+            obs::span::SpanMeta {
+                kind: obs::span::SpanKind::Kernel,
+                flow_out: 0,
+                flow_in: 0,
+            },
+        );
+    }
+    let mut totals: Vec<f64> = Vec::new();
+    for ((row, o), acc) in rows.into_iter().zip(outs).zip(accs) {
+        match o {
+            KernelOut::Array { id, dtype, .. } => {
+                let raw = L::wrap(row);
+                let data = if raw.dtype() == *dtype {
+                    raw
+                } else {
+                    raw.astype(*dtype)
+                };
+                let out_meta = ArrayMeta {
+                    dtype: *dtype,
+                    ..t_meta.clone()
+                };
+                arrays.insert(*id, (out_meta, data));
+            }
+            KernelOut::Reduce { kind, .. } => {
+                pool.push(row);
+                // Collective: runs on every rank even with an empty segment,
+                // one allreduce per reduction, in declaration order.
+                totals.push(comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(*kind, *x, *y)));
+            }
+        }
+    }
+    if !totals.is_empty() && comm.rank() == 0 {
+        let _ = reply.send((comm.rank(), ReplyMsg::Bytes(comm::encode_to_vec(&totals))));
+    }
+}
+
+fn reduce_identity(kind: ReduceKind) -> f64 {
+    match kind {
+        ReduceKind::Sum | ReduceKind::CountNonzero => 0.0,
+        ReduceKind::Prod => 1.0,
+        ReduceKind::Min => f64::INFINITY,
+        ReduceKind::Max => f64::NEG_INFINITY,
+    }
+}
+
+fn reduce_combine(kind: ReduceKind, a: f64, b: f64) -> f64 {
+    match kind {
+        ReduceKind::Sum | ReduceKind::CountNonzero => a + b,
+        ReduceKind::Prod => a * b,
+        ReduceKind::Min => a.min(b),
+        ReduceKind::Max => a.max(b),
+    }
+}
+
+fn reduce_element(kind: ReduceKind, x: f64) -> f64 {
+    match kind {
+        ReduceKind::CountNonzero => f64::from(u8::from(x != 0.0)),
+        _ => x,
+    }
+}
+
+fn exec_reduce(
+    comm: &Comm,
+    reply: &Sender<(usize, ReplyMsg)>,
+    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
+    a: u64,
+    kind: ReduceKind,
+    axis: Option<usize>,
+    out: u64,
+) {
+    let p = comm.size();
+    let rank = comm.rank();
+    // Borrowed, not cloned: each axis arm's last read of the input
+    // segment comes before its `arrays.insert`.
+    let (meta, buf) = &arrays[&a];
+    match axis {
+        None => {
+            let mut acc = reduce_identity(kind);
+            for i in 0..buf.len() {
+                acc = reduce_combine(kind, acc, reduce_element(kind, buf.get_f64(i)));
+            }
+            comm.advance_compute(buf.len() as f64);
+            let total = comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
+            if rank == 0 {
+                let _ = reply.send((rank, ReplyMsg::Bytes(comm::encode_to_vec(&total))));
+            }
+        }
+        Some(0) => {
+            assert!(meta.ndim() >= 2, "axis-0 reduce needs ndim ≥ 2");
+            let slab = meta.slab();
+            let map = meta.axis_map(p, rank);
+            let mut partial = vec![reduce_identity(kind); slab];
+            for l in 0..map.my_count() {
+                for (k, pk) in partial.iter_mut().enumerate() {
+                    let x = reduce_element(kind, buf.get_f64(l * slab + k));
+                    *pk = reduce_combine(kind, *pk, x);
+                }
+            }
+            comm.advance_compute(buf.len() as f64);
+            let full = comm.allreduce(&partial, |x: &Vec<f64>, y: &Vec<f64>| {
+                x.iter()
+                    .zip(y.iter())
+                    .map(|(u, v)| reduce_combine(kind, *u, *v))
+                    .collect()
+            });
+            // Output: shape without axis 0, block-distributed along the
+            // (new) axis 0. Each worker keeps its block of the slab.
+            let out_shape: Vec<usize> = meta.shape[1..].to_vec();
+            let out_meta = ArrayMeta {
+                shape: out_shape,
+                axis: 0,
+                dist: Dist::Block,
+                dtype: reduce_output_dtype(kind, meta.dtype),
+            };
+            let out_map = out_meta.axis_map(p, rank);
+            let out_slab = out_meta.slab();
+            let mut mine = Vec::with_capacity(out_map.my_count() * out_slab);
+            for l in 0..out_map.my_count() {
+                let g = out_map.local_to_global(l);
+                for k in 0..out_slab {
+                    mine.push(full[g * out_slab + k]);
+                }
+            }
+            let data = Buffer::F64(mine).astype(out_meta.dtype);
+            arrays.insert(out, (out_meta, data));
+        }
+        Some(ax) => {
+            assert!(ax < meta.ndim(), "reduce axis out of range");
+            let map = meta.axis_map(p, rank);
+            let dims = &meta.shape[1..];
+            // strides within the slab
+            let mut strides = vec![1usize; dims.len()];
+            for i in (0..dims.len().saturating_sub(1)).rev() {
+                strides[i] = strides[i + 1] * dims[i + 1];
+            }
+            let red_d = ax - 1; // index into slab dims
+            let out_dims: Vec<usize> = dims
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != red_d)
+                .map(|(_, &d)| d)
+                .collect();
+            let out_slab: usize = out_dims.iter().product();
+            // row-major strides of the reduced (output) slab
+            let mut out_strides = vec![1usize; out_dims.len()];
+            for i in (0..out_dims.len().saturating_sub(1)).rev() {
+                out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
+            }
+            // source-dim index of each output dim
+            let src_dims: Vec<usize> = (0..dims.len()).filter(|&d| d != red_d).collect();
+            // base offset (reduced dim = 0) of each output slab position
+            let base_offsets: Vec<usize> = (0..out_slab)
+                .map(|o| {
+                    src_dims
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &sd)| ((o / out_strides[i]) % out_dims[i]) * strides[sd])
+                        .sum()
+                })
+                .collect();
+            let slab = meta.slab();
+            let red_len = dims[red_d];
+            let red_stride = strides[red_d];
+            let mut values = Vec::with_capacity(map.my_count() * out_slab);
+            for l in 0..map.my_count() {
+                let row = l * slab;
+                for &base in base_offsets.iter().take(out_slab) {
+                    let mut acc = reduce_identity(kind);
+                    for r in 0..red_len {
+                        let x = reduce_element(kind, buf.get_f64(row + base + r * red_stride));
+                        acc = reduce_combine(kind, acc, x);
+                    }
+                    values.push(acc);
+                }
+            }
+            comm.advance_compute(buf.len() as f64);
+            let mut out_shape = vec![meta.shape[0]];
+            out_shape.extend(out_dims);
+            let out_meta = ArrayMeta {
+                shape: out_shape,
+                axis: 0,
+                dist: meta.dist,
+                dtype: reduce_output_dtype(kind, meta.dtype),
+            };
+            let data = Buffer::F64(values).astype(out_meta.dtype);
+            arrays.insert(out, (out_meta, data));
+        }
+    }
+}
+
+fn reduce_output_dtype(kind: ReduceKind, input: DType) -> DType {
+    match kind {
+        ReduceKind::CountNonzero => DType::I64,
+        _ => match input {
+            DType::Bool => DType::I64,
+            d => d,
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seeded_uniform_is_deterministic_and_in_range() {
+        for g in 0..1000u64 {
+            let v = seeded_uniform(42, g);
+            assert!((0.0..1.0).contains(&v));
+            assert_eq!(v, seeded_uniform(42, g));
+        }
+        // different seeds decorrelate
+        assert_ne!(seeded_uniform(1, 0), seeded_uniform(2, 0));
+    }
+}

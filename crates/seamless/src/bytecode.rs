@@ -7,7 +7,7 @@
 use crate::types::Type;
 
 /// Which register file a slot belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegFile {
     /// `f64` scalars.
     F,
@@ -270,6 +270,19 @@ pub struct CompiledFunc {
     pub reg_counts: [usize; 4],
     /// The code.
     pub instrs: Vec<Instr>,
+}
+
+impl CompiledFunc {
+    /// The function's return register: that of its last scalar `Ret`
+    /// (`compile_program` appends a `Ret(None)` epilogue after every
+    /// body, so this is not always the final instruction). A
+    /// single-output kernel invoke names this register as its output.
+    pub fn ret_reg(&self) -> Option<(RegFile, Reg)> {
+        self.instrs.iter().rev().find_map(|ins| match ins {
+            Instr::Ret(Some((file @ (RegFile::F | RegFile::I), r))) => Some((*file, *r)),
+            _ => None,
+        })
+    }
 }
 
 /// A compiled program: the entry function plus everything it calls,

@@ -9,9 +9,10 @@
 //!
 //! 1. every kernel runs on the VM immediately (tier 0 — always correct);
 //! 2. a straight-line, infallible, scalar body is *monomorphized* per
-//!    (kernel, dtype) into a C chunk function
-//!    `void name$dtype$hash(const double* const* in, double* const* out,
-//!    size_t n)` and compiled once per process;
+//!    (kernel, lane type, output registers) into a C chunk function
+//!    `void name$lane$hash(const T* const* in, T* const* out, size_t n)`
+//!    — one input row per parameter, one output row per named register —
+//!    and compiled once per process;
 //! 3. the native symbol is swapped in **only after a bitwise-parity
 //!    probe** against the VM on seeded inputs at several widths. Any
 //!    mismatch, compile failure, or unsupported opcode refuses the
@@ -36,29 +37,25 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Program, Reg, RegFile};
 use crate::cmodule;
-use crate::vm::Vm;
+use crate::vm::{Lane, Vm};
 
-/// ABI of a compiled f64 chunk function: `in` points at one full-length
-/// row per kernel parameter, `out` at one row per output register, `n` is
-/// the lane count.
-pub type NativeF64 = unsafe extern "C" fn(*const *const f64, *const *mut f64, usize);
-/// The `i64` twin (bools travel as 0/1).
-pub type NativeI64 = unsafe extern "C" fn(*const *const i64, *const *mut i64, usize);
-
-/// A probed, cached native f64 chunk function plus its arity, wrapped so
-/// callers get slice-checked dispatch instead of raw pointers.
+/// A probed, cached native chunk function over lane type `L`, wrapped so
+/// callers get slice-checked dispatch instead of raw pointers. The C ABI
+/// is `void f(const L* const* in, L* const* out, size_t n)`: `in` points
+/// at one full-length row per kernel parameter, `out` at one row per
+/// output register, `n` is the lane count.
 #[derive(Clone, Copy)]
-pub struct NativeF64Fn {
-    f: NativeF64,
+pub struct NativeFn<L: Lane> {
+    f: unsafe extern "C" fn(*const *const L, *const *mut L, usize),
     n_in: usize,
     n_out: usize,
 }
 
-impl NativeF64Fn {
+impl<L: Lane> NativeFn<L> {
     /// Run the native body over `n` lanes. Panics (like a slice index
     /// would) if arity or lengths don't line up — callers stage
     /// full-length rows.
-    pub fn run(&self, inputs: &[&[f64]], outs: &mut [&mut [f64]], n: usize) {
+    pub fn run(&self, inputs: &[&[L]], outs: &mut [&mut [L]], n: usize) {
         assert_eq!(inputs.len(), self.n_in, "native kernel input arity");
         assert_eq!(outs.len(), self.n_out, "native kernel output arity");
         assert!(
@@ -72,8 +69,8 @@ impl NativeF64Fn {
         if n == 0 {
             return;
         }
-        let in_ptrs: Vec<*const f64> = inputs.iter().map(|r| r.as_ptr()).collect();
-        let out_ptrs: Vec<*mut f64> = outs.iter_mut().map(|r| r.as_mut_ptr()).collect();
+        let in_ptrs: Vec<*const L> = inputs.iter().map(|r| r.as_ptr()).collect();
+        let out_ptrs: Vec<*mut L> = outs.iter_mut().map(|r| r.as_mut_ptr()).collect();
         // SAFETY: the symbol was compiled for exactly n_in/n_out rows, the
         // rows are ≥ n lanes long, and the parity probe exercised this
         // pointer protocol before the function was ever published.
@@ -81,49 +78,18 @@ impl NativeF64Fn {
     }
 }
 
-/// A probed, cached native i64 chunk function (single output).
-#[derive(Clone, Copy)]
-pub struct NativeI64Fn {
-    f: NativeI64,
-    n_in: usize,
-}
-
-impl NativeI64Fn {
-    /// Run over `n` lanes into one output row.
-    pub fn run(&self, inputs: &[&[i64]], out: &mut [i64], n: usize) {
-        assert_eq!(inputs.len(), self.n_in, "native kernel input arity");
-        assert!(
-            inputs.iter().all(|r| r.len() >= n),
-            "native input rows too short"
-        );
-        assert!(out.len() >= n, "native output row too short");
-        if n == 0 {
-            return;
-        }
-        let in_ptrs: Vec<*const i64> = inputs.iter().map(|r| r.as_ptr()).collect();
-        let out_ptr: [*mut i64; 1] = [out.as_mut_ptr()];
-        // SAFETY: as in NativeF64Fn::run.
-        unsafe { (self.f)(in_ptrs.as_ptr(), out_ptr.as_ptr(), n) }
-    }
-}
-
-// fn pointers are Send + Sync, so entries can live in a global map.
-#[derive(Clone, Copy)]
-enum Entry {
-    F64(NativeF64Fn),
-    I64(NativeI64Fn),
-    /// Compile failed, probe failed, or the body is not native-compilable:
-    /// never try again this process.
-    Refused,
-}
+/// A published symbol address, or `None` when the monomorphization was
+/// refused (compile failed, probe failed, or the body is not
+/// native-compilable): never try again this process. Addresses are plain
+/// integers, so entries can live in a global map.
+type Entry = Option<usize>;
 
 /// Which monomorphization a cache key names.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Key {
     program_hash: u64,
-    /// 0 = f64 scalar-return, 1 = f64 multi-output, 2 = i64 scalar-return.
-    abi: u8,
-    out_regs: Vec<Reg>,
+    lane: RegFile,
+    out_regs: Vec<(RegFile, Reg)>,
 }
 
 fn cache() -> &'static Mutex<HashMap<Key, Entry>> {
@@ -165,7 +131,7 @@ pub fn stats() -> CodegenStats {
 /// `HPC_KERNEL_TIER=vm` pins every kernel to the VM tier — the CI
 /// fallback for machines without a C compiler, and the A/B switch the
 /// benches use. Read per call (tests in one process flip it).
-pub fn vm_forced() -> bool {
+fn vm_forced() -> bool {
     std::env::var("HPC_KERNEL_TIER")
         .map(|v| v == "vm")
         .unwrap_or(false)
@@ -194,7 +160,7 @@ fn effective_instrs(f: &CompiledFunc) -> &[Instr] {
 /// scalar-only bodies ending in a scalar `Ret` — the same class as the
 /// VM's vectorized chunk path, minus its register-ordering requirement
 /// (C locals don't alias rows).
-pub fn native_compilable(program: &Program) -> bool {
+fn native_compilable(program: &Program) -> bool {
     if !program.externs.is_empty() || program.funcs.is_empty() {
         return false;
     }
@@ -256,10 +222,10 @@ fn program_hash(program: &Program) -> u64 {
     h.finish()
 }
 
-/// `identity$f64$1a2b3c4d`-style symbol mangling: source name (sanitized
-/// to C identifier characters — `$` is accepted by gcc/clang on ELF),
-/// dtype tag, program hash.
-fn mangle(name: &str, dtype: &str, hash: u64, out_regs: &[Reg]) -> String {
+/// `identity$f64x1$1a2b3c4d`-style symbol mangling: source name
+/// (sanitized to C identifier characters — `$` is accepted by gcc/clang
+/// on ELF), lane tag and output arity, program hash.
+fn mangle(name: &str, lane: RegFile, hash: u64, n_out: usize) -> String {
     let mut base: String = name
         .chars()
         .map(|c| {
@@ -273,36 +239,13 @@ fn mangle(name: &str, dtype: &str, hash: u64, out_regs: &[Reg]) -> String {
     if base.is_empty() || base.starts_with(|c: char| c.is_ascii_digit()) {
         base.insert(0, 'k');
     }
-    if out_regs.is_empty() {
-        format!("{base}${dtype}${hash:016x}")
-    } else {
-        format!("{base}${dtype}x{}${hash:016x}", out_regs.len())
-    }
+    let tag = if lane == RegFile::F { "f64" } else { "i64" };
+    format!("{base}${tag}x{n_out}${hash:016x}")
 }
 
 // ---------------------------------------------------------------------------
 // C emission
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Abi {
-    /// f64 rows in, one f64 row out of the trailing `Ret`.
-    F64Ret,
-    /// f64 rows in, one f64 row per listed output register.
-    F64Multi,
-    /// i64 rows in, one i64 row out of the trailing `Ret`.
-    I64Ret,
-}
-
-impl Abi {
-    fn tag(self) -> u8 {
-        match self {
-            Abi::F64Ret => 0,
-            Abi::F64Multi => 1,
-            Abi::I64Ret => 2,
-        }
-    }
-}
 
 const C_PRELUDE: &str = r#"#include <math.h>
 #include <stddef.h>
@@ -426,17 +369,24 @@ fn emit_instr(ins: &Instr) -> Option<String> {
     })
 }
 
-/// Emit the full translation unit for one monomorphization. Returns
-/// `None` when any instruction falls outside the emitter's class.
-fn emit_c(f: &CompiledFunc, symbol: &str, abi: Abi, out_regs: &[Reg]) -> Option<String> {
-    let (in_ty, out_ty) = match abi {
-        Abi::I64Ret => ("sl_i64", "sl_i64"),
-        _ => ("double", "double"),
+/// Emit the full translation unit for one monomorphization: parameters
+/// load from the `lane` file's input rows, every `out_regs` entry stores
+/// to its own output row (integer registers widen into `double` rows).
+/// Returns `None` when any instruction falls outside the emitter's class.
+fn emit_c(
+    f: &CompiledFunc,
+    symbol: &str,
+    lane: RegFile,
+    out_regs: &[(RegFile, Reg)],
+) -> Option<String> {
+    let (c_ty, own) = match lane {
+        RegFile::F => ("double", 'f'),
+        _ => ("sl_i64", 'i'),
     };
     let mut src = String::with_capacity(2048 + 64 * f.instrs.len());
     src.push_str(C_PRELUDE);
     src.push_str(&format!(
-        "void {symbol}(const {in_ty}* const* in, {out_ty}* const* out, size_t n) {{\n"
+        "void {symbol}(const {c_ty}* const* in, {c_ty}* const* out, size_t n) {{\n"
     ));
     src.push_str("    for (size_t lane = 0; lane < n; ++lane) {\n");
     // registers zero-initialized per lane, matching the VM's fallback
@@ -448,40 +398,24 @@ fn emit_c(f: &CompiledFunc, symbol: &str, abi: Abi, out_regs: &[Reg]) -> Option<
         src.push_str(&format!("        sl_i64 i{r} = 0;\n"));
     }
     for (k, &(file, reg)) in f.params.iter().enumerate() {
-        match (abi, file) {
-            (Abi::I64Ret, RegFile::I) => {
-                src.push_str(&format!("        i{reg} = in[{k}][lane];\n"))
-            }
-            (Abi::F64Ret | Abi::F64Multi, RegFile::F) => {
-                src.push_str(&format!("        f{reg} = in[{k}][lane];\n"))
-            }
-            _ => return None,
+        if file != lane {
+            return None;
         }
+        src.push_str(&format!("        {own}{reg} = in[{k}][lane];\n"));
     }
     let instrs = effective_instrs(f);
-    let n = instrs.len();
-    for ins in &instrs[..n - 1] {
+    for ins in &instrs[..instrs.len() - 1] {
         src.push_str("        ");
         src.push_str(&emit_instr(ins)?);
         src.push('\n');
     }
-    match (abi, &instrs[n - 1]) {
-        (Abi::F64Ret, Instr::Ret(Some((RegFile::F, r)))) => {
-            src.push_str(&format!("        out[0][lane] = f{r};\n"));
-        }
-        (Abi::F64Ret, Instr::Ret(Some((RegFile::I, r)))) => {
-            // integer returns widen to f64, as in run_f64_chunk
-            src.push_str(&format!("        out[0][lane] = (double)i{r};\n"));
-        }
-        (Abi::I64Ret, Instr::Ret(Some((RegFile::I, r)))) => {
-            src.push_str(&format!("        out[0][lane] = i{r};\n"));
-        }
-        (Abi::F64Multi, Instr::Ret(_)) => {
-            for (j, r) in out_regs.iter().enumerate() {
-                src.push_str(&format!("        out[{j}][lane] = f{r};\n"));
-            }
-        }
-        _ => return None,
+    for (j, &(file, r)) in out_regs.iter().enumerate() {
+        src.push_str(&match (lane, file) {
+            (RegFile::F, RegFile::F) => format!("        out[{j}][lane] = f{r};\n"),
+            (RegFile::F, RegFile::I) => format!("        out[{j}][lane] = (double)i{r};\n"),
+            (RegFile::I, RegFile::I) => format!("        out[{j}][lane] = i{r};\n"),
+            _ => return None,
+        });
     }
     src.push_str("    }\n}\n");
     Some(src)
@@ -503,19 +437,16 @@ fn splitmix(state: &mut u64) -> u64 {
 /// chunk big enough to push the VM onto its vectorized path.
 const PROBE_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 256];
 
-fn probe_f64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<f64>> {
-    const FIXED: &[f64] = &[0.0, 1.0, -1.0, 0.5, -2.0, 3.25, 0.125, -0.75];
+fn probe_inputs<L: Lane>(arity: usize, width: usize, seed: u64) -> Vec<Vec<L>> {
     let mut state = seed;
     (0..arity)
         .map(|k| {
             (0..width)
                 .map(|lane| {
-                    if lane < FIXED.len() && (lane + k) % 3 != 2 {
-                        FIXED[(lane + k) % FIXED.len()]
+                    if lane < L::PROBE_FIXED.len() && (lane + k) % 3 != 2 {
+                        L::PROBE_FIXED[(lane + k) % L::PROBE_FIXED.len()]
                     } else {
-                        let u = splitmix(&mut state);
-                        let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                        (x - 0.5) * 8.0
+                        L::probe_random(splitmix(&mut state))
                     }
                 })
                 .collect()
@@ -523,86 +454,34 @@ fn probe_f64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn probe_i64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<i64>> {
-    const FIXED: &[i64] = &[0, 1, -1, 2, -3, 5, -8, 13];
-    let mut state = seed;
-    (0..arity)
-        .map(|k| {
-            (0..width)
-                .map(|lane| {
-                    if lane < FIXED.len() && (lane + k) % 3 != 2 {
-                        FIXED[(lane + k) % FIXED.len()]
-                    } else {
-                        (splitmix(&mut state) as i64) % 1000
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn probe_f64(program: &Program, nf: NativeF64Fn, out_regs: &[Reg], seed: u64) -> bool {
+/// Bitwise-parity probe: the native body must reproduce the VM's output
+/// rows exactly, at every probe width, before it is published.
+fn probe<L: Lane>(
+    program: &Program,
+    nf: NativeFn<L>,
+    out_regs: &[(RegFile, Reg)],
+    seed: u64,
+) -> bool {
     let arity = program.funcs[0].params.len();
     let vm = Vm::new(program);
     for &w in PROBE_WIDTHS {
-        let rows = probe_f64_inputs(arity, w, seed ^ w as u64);
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        if out_regs.is_empty() {
-            let mut vm_out = vec![0.0f64; w];
-            if vm.run_f64_chunk(0, &refs, &mut vm_out).is_err() {
+        let rows = probe_inputs::<L>(arity, w, seed ^ w as u64);
+        let refs: Vec<&[L]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut vm_rows = vec![vec![L::PROBE_FIXED[0]; w]; out_regs.len()];
+        let mut native_rows = vm_rows.clone();
+        {
+            let mut vm_outs: Vec<&mut [L]> = vm_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
+            if vm.run_chunk(0, &refs, out_regs, &mut vm_outs).is_err() {
                 return false;
             }
-            let mut native_out = vec![0.0f64; w];
-            nf.run(&refs, &mut [&mut native_out[..]], w);
-            if vm_out
-                .iter()
-                .zip(&native_out)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
+            let mut native_outs: Vec<&mut [L]> =
+                native_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
+            nf.run(&refs, &mut native_outs, w);
+        }
+        for (vr, nr) in vm_rows.iter().zip(&native_rows) {
+            if vr.iter().zip(nr).any(|(a, b)| a.bits() != b.bits()) {
                 return false;
             }
-        } else {
-            let mut vm_rows = vec![vec![0.0f64; w]; out_regs.len()];
-            {
-                let mut vm_outs: Vec<&mut [f64]> =
-                    vm_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-                if vm
-                    .run_f64_multi_chunk(0, &refs, out_regs, &mut vm_outs)
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            let mut native_rows = vec![vec![0.0f64; w]; out_regs.len()];
-            {
-                let mut native_outs: Vec<&mut [f64]> =
-                    native_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-                nf.run(&refs, &mut native_outs, w);
-            }
-            for (vr, nr) in vm_rows.iter().zip(&native_rows) {
-                if vr.iter().zip(nr).any(|(a, b)| a.to_bits() != b.to_bits()) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-fn probe_i64(program: &Program, nf: NativeI64Fn, seed: u64) -> bool {
-    let arity = program.funcs[0].params.len();
-    let vm = Vm::new(program);
-    for &w in PROBE_WIDTHS {
-        let rows = probe_i64_inputs(arity, w, seed ^ w as u64);
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut vm_out = vec![0i64; w];
-        if vm.run_i64_chunk(0, &refs, &mut vm_out).is_err() {
-            return false;
-        }
-        let mut native_out = vec![0i64; w];
-        nf.run(&refs, &mut native_out, w);
-        if vm_out != native_out {
-            return false;
         }
     }
     true
@@ -614,20 +493,22 @@ fn probe_i64(program: &Program, nf: NativeI64Fn, seed: u64) -> bool {
 
 fn refuse(key: Key) {
     REFUSED.fetch_add(1, Ordering::Relaxed);
-    cache().lock().unwrap().insert(key, Entry::Refused);
+    cache().lock().unwrap().insert(key, None);
 }
 
-/// Fetch (compiling on first use) the native f64 monomorphization of a
-/// program. `out_regs: None` compiles the scalar-return ABI used by
-/// `EvalKernel`; `Some(regs)` compiles the multi-output ABI used by fused
-/// trace groups (`EvalKernelMulti`), dumping the listed F registers.
+/// Fetch (compiling on first use) the native monomorphization of a
+/// program over lane type `L` that writes one output row per `out_regs`
+/// entry. A single-output invoke names [`CompiledFunc::ret_reg`]; fused
+/// trace groups name every harvested register. Bool kernels ride the
+/// `i64` lane as 0/1.
 ///
 /// Returns `None` — and the caller stays on the VM — when the tier is
 /// pinned off (`HPC_KERNEL_TIER=vm`), no C compiler exists, the body
-/// falls outside the emitter's class, the compile fails, or the bitwise
-/// parity probe fails. All but the first two are cached as permanent
+/// falls outside the emitter's class, a parameter or output register is
+/// outside what `L` can hold, the compile fails, or the bitwise parity
+/// probe fails. Compile and probe failures are cached as permanent
 /// refusals.
-pub fn native_f64(program: &Program, out_regs: Option<&[Reg]>) -> Option<NativeF64Fn> {
+pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option<NativeFn<L>> {
     if vm_forced() || cmodule::system_cc().is_none() {
         return None;
     }
@@ -635,118 +516,53 @@ pub fn native_f64(program: &Program, out_regs: Option<&[Reg]>) -> Option<NativeF
         return None;
     }
     let f = &program.funcs[0];
-    if f.params.iter().any(|&(file, _)| file != RegFile::F) {
+    if f.params.iter().any(|&(file, _)| file != L::FILE) {
         return None;
     }
-    let (abi, regs) = match out_regs {
-        None => (Abi::F64Ret, Vec::new()),
-        Some(rs) => {
-            if rs.is_empty() || rs.iter().any(|&r| r as usize >= f.reg_counts[0]) {
-                return None;
-            }
-            (Abi::F64Multi, rs.to_vec())
-        }
+    let readable = |&(file, r): &(RegFile, Reg)| {
+        L::reads(file) && (r as usize) < f.reg_counts[usize::from(file == RegFile::I)]
     };
-    let hash = program_hash(program);
-    let key = Key {
-        program_hash: hash,
-        abi: abi.tag(),
-        out_regs: regs.clone(),
-    };
-    if let Some(entry) = cache().lock().unwrap().get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return match entry {
-            Entry::F64(nf) => Some(*nf),
-            _ => None,
-        };
-    }
-    let symbol = mangle(&f.name, "f64", hash, &regs);
-    let Some(c_src) = emit_c(f, &symbol, abi, &regs) else {
-        refuse(key);
-        return None;
-    };
-    let addr = match cmodule::compile_and_load(&c_src, &symbol) {
-        Ok(a) => a,
-        Err(_) => {
-            refuse(key);
-            return None;
-        }
-    };
-    // SAFETY: the symbol was just emitted with exactly this signature.
-    let raw: NativeF64 = unsafe { std::mem::transmute(addr) };
-    let nf = NativeF64Fn {
-        f: raw,
-        n_in: f.params.len(),
-        n_out: if regs.is_empty() { 1 } else { regs.len() },
-    };
-    if !probe_f64(program, nf, &regs, hash) {
-        PROBE_FAILED.fetch_add(1, Ordering::Relaxed);
-        refuse(key);
-        return None;
-    }
-    COMPILED.fetch_add(1, Ordering::Relaxed);
-    cache().lock().unwrap().insert(key, Entry::F64(nf));
-    Some(nf)
-}
-
-/// Fetch (compiling on first use) the native i64 monomorphization: i64
-/// rows in, one i64 row out. Bool kernels ride this ABI as 0/1. Same
-/// refusal semantics as [`native_f64`].
-pub fn native_i64(program: &Program) -> Option<NativeI64Fn> {
-    if vm_forced() || cmodule::system_cc().is_none() {
-        return None;
-    }
-    if !native_compilable(program) {
-        return None;
-    }
-    let f = &program.funcs[0];
-    if f.params.iter().any(|&(file, _)| file != RegFile::I) {
-        return None;
-    }
-    if !matches!(
-        effective_instrs(f).last(),
-        Some(Instr::Ret(Some((RegFile::I, _))))
-    ) {
+    if out_regs.is_empty() || !out_regs.iter().all(readable) {
         return None;
     }
     let hash = program_hash(program);
     let key = Key {
         program_hash: hash,
-        abi: Abi::I64Ret.tag(),
-        out_regs: Vec::new(),
+        lane: L::FILE,
+        out_regs: out_regs.to_vec(),
+    };
+    let publish = |addr: usize| NativeFn {
+        // SAFETY: `addr` is a symbol this module emitted with exactly
+        // this signature for this key's lane type.
+        f: unsafe {
+            std::mem::transmute::<usize, unsafe extern "C" fn(*const *const L, *const *mut L, usize)>(
+                addr,
+            )
+        },
+        n_in: f.params.len(),
+        n_out: out_regs.len(),
     };
     if let Some(entry) = cache().lock().unwrap().get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return match entry {
-            Entry::I64(nf) => Some(*nf),
-            _ => None,
-        };
+        return entry.map(publish);
     }
-    let symbol = mangle(&f.name, "i64", hash, &[]);
-    let Some(c_src) = emit_c(f, &symbol, Abi::I64Ret, &[]) else {
+    let symbol = mangle(&f.name, L::FILE, hash, out_regs.len());
+    let Some(c_src) = emit_c(f, &symbol, L::FILE, out_regs) else {
         refuse(key);
         return None;
     };
-    let addr = match cmodule::compile_and_load(&c_src, &symbol) {
-        Ok(a) => a,
-        Err(_) => {
-            refuse(key);
-            return None;
-        }
+    let Ok(addr) = cmodule::compile_and_load(&c_src, &symbol) else {
+        refuse(key);
+        return None;
     };
-    // SAFETY: the symbol was just emitted with exactly this signature.
-    let raw: NativeI64 = unsafe { std::mem::transmute(addr) };
-    let nf = NativeI64Fn {
-        f: raw,
-        n_in: f.params.len(),
-    };
-    if !probe_i64(program, nf, hash) {
+    let nf = publish(addr);
+    if !probe(program, nf, out_regs, hash) {
         PROBE_FAILED.fetch_add(1, Ordering::Relaxed);
         refuse(key);
         return None;
     }
     COMPILED.fetch_add(1, Ordering::Relaxed);
-    cache().lock().unwrap().insert(key, Entry::I64(nf));
+    cache().lock().unwrap().insert(key, Some(addr));
     Some(nf)
 }
 
@@ -811,11 +627,15 @@ mod tests {
     }
 
     #[test]
-    fn mangling_is_c_safe_and_dtype_tagged() {
-        let s = mangle("weird name!", "f64", 0xABCD, &[]);
-        assert!(s.starts_with("weird_name_$f64$"));
-        let m = mangle("stencil", "f64", 1, &[3, 5]);
-        assert!(m.contains("$f64x2$"));
+    fn mangling_is_c_safe_and_lane_tagged() {
+        let s = mangle("weird name!", RegFile::F, 0xABCD, 1);
+        assert!(s.starts_with("weird_name_$f64x1$"));
+        let m = mangle("stencil", RegFile::I, 1, 2);
+        assert!(m.contains("$i64x2$"));
+    }
+
+    fn bits<L: Lane>(v: &[L]) -> Vec<u64> {
+        v.iter().map(|x| x.bits()).collect()
     }
 
     #[test]
@@ -824,7 +644,7 @@ mod tests {
         if !native_available() {
             return; // bare machine: VM-only fallback
         }
-        // f1 = x*x; f2 = sin(f1); f3 = f2 / x; i0 = (f3 < x); f4 = i0 -> f
+        // f1 = x*x; f2 = sin(f1); f3 = f2 / x; i0 = (f3 < x); f4 = f3^3
         let p = f64_program(
             vec![
                 Instr::MulF(1, 0, 0),
@@ -839,22 +659,29 @@ mod tests {
             6,
             1,
         );
+        // the return row, an intermediate row, and a widened integer row
+        let regs = [(RegFile::F, 5), (RegFile::F, 2), (RegFile::I, 0)];
         let before = stats();
-        let nf = native_f64(&p, None).expect("body compiles and passes the probe");
+        let nf = native::<f64>(&p, &regs).expect("body compiles and passes the probe");
         assert_eq!(stats().compiled, before.compiled + 1);
         // the probe already checked widths 1..=8 and 256; spot-check again
         let xs: Vec<f64> = (0..37).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut native_out = vec![0.0; xs.len()];
-        nf.run(&[&xs], &mut [&mut native_out[..]], xs.len());
-        let vm = Vm::new(&p);
-        let mut vm_out = vec![0.0; xs.len()];
-        vm.run_f64_chunk(0, &[&xs], &mut vm_out).unwrap();
-        for (a, b) in vm_out.iter().zip(&native_out) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let mut native_rows = vec![vec![0.0; xs.len()]; 3];
+        let mut vm_rows = native_rows.clone();
+        {
+            let mut outs: Vec<&mut [f64]> = native_rows.iter_mut().map(|r| &mut r[..]).collect();
+            nf.run(&[&xs], &mut outs, xs.len());
+            let mut outs: Vec<&mut [f64]> = vm_rows.iter_mut().map(|r| &mut r[..]).collect();
+            Vm::new(&p)
+                .run_chunk(0, &[&xs[..]], &regs, &mut outs)
+                .unwrap();
+        }
+        for (v, n) in vm_rows.iter().zip(&native_rows) {
+            assert_eq!(bits(v), bits(n));
         }
         // second fetch is a cache hit, not a recompile
         let hits = stats().cache_hits;
-        let _ = native_f64(&p, None).unwrap();
+        let _ = native::<f64>(&p, &regs).unwrap();
         assert_eq!(stats().cache_hits, hits + 1);
         assert_eq!(stats().compiled, before.compiled + 1);
     }
@@ -883,15 +710,19 @@ mod tests {
             }],
             externs: Vec::new(),
         };
-        let nf = native_i64(&p).expect("i64 body compiles");
+        let ret = [p.funcs[0].ret_reg().unwrap()];
+        let nf = native::<i64>(&p, &ret).expect("i64 body compiles");
         let xs: Vec<i64> = (-20..20).collect();
         let ys: Vec<i64> = (0..40).map(|i| i * 7 - 100).collect();
         let mut native_out = vec![0i64; xs.len()];
-        nf.run(&[&xs, &ys], &mut native_out, xs.len());
-        let vm = Vm::new(&p);
+        nf.run(&[&xs, &ys], &mut [&mut native_out[..]], xs.len());
         let mut vm_out = vec![0i64; xs.len()];
-        vm.run_i64_chunk(0, &[&xs, &ys], &mut vm_out).unwrap();
+        Vm::new(&p)
+            .run_chunk(0, &[&xs[..], &ys[..]], &ret, &mut [&mut vm_out[..]])
+            .unwrap();
         assert_eq!(vm_out, native_out);
+        // an integer lane cannot harvest a float register
+        assert!(native::<i64>(&p, &[(RegFile::F, 0)]).is_none());
     }
 
     #[test]
@@ -904,48 +735,8 @@ mod tests {
             0,
         );
         std::env::set_var("HPC_KERNEL_TIER", "vm");
-        assert!(native_f64(&p, None).is_none());
+        assert!(native::<f64>(&p, &[(RegFile::F, 1)]).is_none());
         assert!(!native_available());
         std::env::remove_var("HPC_KERNEL_TIER");
-    }
-
-    #[test]
-    fn multi_output_abi_matches_vm_rows() {
-        let _g = env_lock();
-        if !native_available() {
-            return;
-        }
-        // two outputs from one body: f1 = x + x, f2 = x * f1
-        let p = f64_program(
-            vec![
-                Instr::AddF(1, 0, 0),
-                Instr::MulF(2, 0, 1),
-                Instr::Ret(Some((RegFile::F, 2))),
-            ],
-            1,
-            3,
-            0,
-        );
-        let nf = native_f64(&p, Some(&[1, 2])).expect("multi body compiles");
-        let xs: Vec<f64> = (0..19).map(|i| i as f64 * 0.5 - 4.0).collect();
-        let mut n1 = vec![0.0; xs.len()];
-        let mut n2 = vec![0.0; xs.len()];
-        nf.run(&[&xs], &mut [&mut n1[..], &mut n2[..]], xs.len());
-        let vm = Vm::new(&p);
-        let mut v1 = vec![0.0; xs.len()];
-        let mut v2 = vec![0.0; xs.len()];
-        {
-            let mut outs: Vec<&mut [f64]> = vec![&mut v1[..], &mut v2[..]];
-            vm.run_f64_multi_chunk(0, &[&xs], &[1, 2], &mut outs)
-                .unwrap();
-        }
-        assert_eq!(
-            v1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            n1.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            n2.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 }

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 pub struct Vm<'p> {
     program: &'p Program,
     /// Lane-major register scratch for the vectorized chunk path, reused
-    /// across [`Vm::run_f64_chunk`] calls so a long array pays the
+    /// across [`Vm::run_chunk`] calls so a long array pays the
     /// allocation once.
     lanes: RefCell<Lanes>,
 }
@@ -133,207 +133,96 @@ impl<'p> Vm<'p> {
         })
     }
 
-    /// Unboxed elementwise fast path: run function `func` once per lane,
-    /// feeding `inputs[k][lane]` into the k-th (float) parameter and
-    /// writing the float return into `out[lane]`. No `Value` is boxed
-    /// anywhere — one frame is reused across the whole chunk, so the
-    /// per-lane cost is register writes plus the dispatch loop.
+    /// Unboxed elementwise chunk path, generic over the lane type: run
+    /// function `func` once per lane, feeding `inputs[k][lane]` into the
+    /// k-th parameter, then copy the register rows named by `out_regs`
+    /// into `outs`. No `Value` is boxed anywhere. A fused multi-statement
+    /// kernel names several registers and pays for its shared
+    /// subexpressions once; a single-output caller names
+    /// [`CompiledFunc::ret_reg`].
     ///
-    /// Every parameter must live in the `F` register file and every input
-    /// slice must be at least `out.len()` long; integer returns are
-    /// widened to `f64`, array/unit returns are errors.
-    pub fn run_f64_chunk(
-        &self,
-        func: usize,
-        inputs: &[&[f64]],
-        out: &mut [f64],
-    ) -> Result<(), SeamlessError> {
-        let f = &self.program.funcs[func];
-        if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "{} takes {} arguments, got {} input streams",
-                f.name,
-                f.params.len(),
-                inputs.len()
-            )));
-        }
-        for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::F {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_chunk: parameter {k} of {} is not a float scalar",
-                    f.name
-                )));
-            }
-            if inputs[k].len() < out.len() {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_chunk: input {k} shorter than the output chunk"
-                )));
-            }
-        }
-        if chunk_vectorizable(f) {
-            self.run_chunk_vectorized(f, inputs, out);
-            return Ok(());
-        }
-        let mut frame = Frame {
-            f: vec![0.0; f.reg_counts[0]],
-            i: vec![0; f.reg_counts[1]],
-            af: vec![Vec::new(); f.reg_counts[2]],
-            ai: vec![Vec::new(); f.reg_counts[3]],
-        };
-        for lane in 0..out.len() {
-            for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.f[reg as usize] = inputs[k][lane];
-            }
-            out[lane] = match self.exec(func, &mut frame)? {
-                RawRet::F(v) => v,
-                RawRet::I(v) => v as f64,
-                _ => {
-                    return Err(SeamlessError::Runtime(format!(
-                        "run_f64_chunk: {} must return a scalar",
-                        f.name
-                    )))
-                }
-            };
-        }
-        Ok(())
-    }
-
-    /// Integer twin of [`Vm::run_f64_chunk`]: run function `func` once per
-    /// lane over `i64` input streams, writing the integer return into
-    /// `out[lane]`. This is the execution path for `i64`/`bool` kernel
-    /// specializations (params compiled into the `I` register file, bools
-    /// as 0/1), and the bitwise reference the native `i64` tier is probed
-    /// against. Registers are zeroed per lane — exactly what the emitted C
-    /// does — so straight-line bodies cannot leak state across lanes.
+    /// Every parameter must live in `L::FILE`, every input slice must be
+    /// at least as long as the output rows, and every output register
+    /// must be a scalar `L` can hold (`f64` lanes widen `I` registers,
+    /// `i64` lanes read only the `I` file).
     ///
-    /// Every parameter must live in the `I` register file and the function
-    /// must return an integer scalar (`Int` or `Bool`); float returns are
-    /// errors (use the f64 chunk path for those).
-    pub fn run_i64_chunk(
+    /// Straight-line bodies (`chunk_vectorizable`) run register-
+    /// vectorized: each register is a lane-major row and every
+    /// instruction one tight loop over the chunk. Anything else runs the
+    /// interpreter per lane on a zeroed frame — exactly what the emitted
+    /// C does — so a branchy body cannot leak state across lanes.
+    pub fn run_chunk<L: Lane>(
         &self,
         func: usize,
-        inputs: &[&[i64]],
-        out: &mut [i64],
+        inputs: &[&[L]],
+        out_regs: &[(RegFile, Reg)],
+        outs: &mut [&mut [L]],
     ) -> Result<(), SeamlessError> {
         let f = &self.program.funcs[func];
+        let bad = |what: String| Err(SeamlessError::Runtime(format!("run_chunk: {what}")));
         if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
+            return bad(format!(
                 "{} takes {} arguments, got {} input streams",
                 f.name,
                 f.params.len(),
                 inputs.len()
-            )));
-        }
-        for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::I {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_i64_chunk: parameter {k} of {} is not an integer scalar",
-                    f.name
-                )));
-            }
-            if inputs[k].len() < out.len() {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_i64_chunk: input {k} shorter than the output chunk"
-                )));
-            }
-        }
-        let mut frame = Frame {
-            f: vec![0.0; f.reg_counts[0]],
-            i: vec![0; f.reg_counts[1]],
-            af: vec![Vec::new(); f.reg_counts[2]],
-            ai: vec![Vec::new(); f.reg_counts[3]],
-        };
-        for lane in 0..out.len() {
-            frame.f.fill(0.0);
-            frame.i.fill(0);
-            for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.i[reg as usize] = inputs[k][lane];
-            }
-            out[lane] = match self.exec(func, &mut frame)? {
-                RawRet::I(v) => v,
-                _ => {
-                    return Err(SeamlessError::Runtime(format!(
-                        "run_i64_chunk: {} must return an integer scalar",
-                        f.name
-                    )))
-                }
-            };
-        }
-        Ok(())
-    }
-
-    /// Multi-output variant of [`Vm::run_f64_chunk`]: one pass over the
-    /// chunk evaluates the whole function, then the rows named by
-    /// `out_regs` (float-file registers) are copied into `outs` — so a
-    /// fused multi-statement kernel pays for its shared subexpressions
-    /// once instead of once per output. Register contents are identical
-    /// to the single-output path; only the read-out differs.
-    pub fn run_f64_multi_chunk(
-        &self,
-        func: usize,
-        inputs: &[&[f64]],
-        out_regs: &[Reg],
-        outs: &mut [&mut [f64]],
-    ) -> Result<(), SeamlessError> {
-        let f = &self.program.funcs[func];
-        if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "{} takes {} arguments, got {} input streams",
-                f.name,
-                f.params.len(),
-                inputs.len()
-            )));
+            ));
         }
         if out_regs.len() != outs.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "run_f64_multi_chunk: {} output registers but {} output chunks",
+            return bad(format!(
+                "{} output registers but {} output rows",
                 out_regs.len(),
                 outs.len()
-            )));
+            ));
         }
         let len = outs.first().map_or(0, |o| o.len());
         if outs.iter().any(|o| o.len() != len) {
-            return Err(SeamlessError::Runtime(
-                "run_f64_multi_chunk: output chunks differ in length".into(),
-            ));
+            return bad("output rows differ in length".into());
         }
         for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::F {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: parameter {k} of {} is not a float scalar",
-                    f.name
-                )));
+            if file != L::FILE {
+                return bad(format!(
+                    "parameter {k} of {} is not a {:?}-file scalar",
+                    f.name,
+                    L::FILE
+                ));
             }
             if inputs[k].len() < len {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: input {k} shorter than the output chunk"
-                )));
+                return bad(format!("input {k} shorter than the output rows"));
             }
         }
-        for &r in out_regs {
-            if r as usize >= f.reg_counts[0] {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: output register f{r} out of range for {}",
-                    f.name
-                )));
+        for &(file, r) in out_regs {
+            // `reads` admits only the two scalar files: F is count 0, I is 1
+            let in_range =
+                L::reads(file) && (r as usize) < f.reg_counts[usize::from(file == RegFile::I)];
+            if !in_range {
+                return bad(format!(
+                    "output register {file:?}{r} of {} is not readable as a {:?}-file lane",
+                    f.name,
+                    L::FILE
+                ));
             }
         }
         if len == 0 {
             return Ok(());
         }
         if chunk_vectorizable(f) {
+            // Row stride = len rounded away from a multiple of the
+            // cache-line count: callers hand over power-of-two chunks
+            // (4096 lanes), and exactly power-of-two row spacing lands
+            // every register row on the same L1 sets, which thrashes once
+            // an expression holds a few live rows. One extra line of
+            // padding decorrelates them.
             let stride = len + 8;
             let mut lanes = self.lanes.borrow_mut();
             let Lanes { f: fl, i: il } = &mut *lanes;
             vector_pass(f, inputs, len, stride, fl, il);
-            for (&r, o) in out_regs.iter().zip(outs.iter_mut()) {
-                o.copy_from_slice(&fl[r as usize * stride..][..len]);
+            for (&(file, r), o) in out_regs.iter().zip(outs.iter_mut()) {
+                L::read_row(fl, il, file, r as usize * stride, o);
             }
             return Ok(());
         }
-        // Fallback interpreter path: run the function per lane, then read
-        // the requested registers out of the frame. Registers are zeroed
-        // per lane so a branchy function can't leak state across lanes.
+        let ret = f.ret_reg();
         let mut frame = Frame {
             f: vec![0.0; f.reg_counts[0]],
             i: vec![0; f.reg_counts[1]],
@@ -341,65 +230,120 @@ impl<'p> Vm<'p> {
             ai: vec![Vec::new(); f.reg_counts[3]],
         };
         for lane in 0..len {
-            frame.f.fill(0.0);
-            frame.i.fill(0);
-            for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.f[reg as usize] = inputs[k][lane];
+            // An empty file skips the call: a zero-length `fill` still
+            // reaches libc's memset, which measured ~100 ns per lane.
+            if !frame.f.is_empty() {
+                frame.f.fill(0.0);
             }
-            self.exec(func, &mut frame)?;
-            for (&r, o) in out_regs.iter().zip(outs.iter_mut()) {
-                o[lane] = frame.f[r as usize];
+            if !frame.i.is_empty() {
+                frame.i.fill(0);
+            }
+            let own = L::own(&mut frame.f, &mut frame.i);
+            for (k, &(_, reg)) in f.params.iter().enumerate() {
+                own[reg as usize] = inputs[k][lane];
+            }
+            // An early `Ret` returns out of its own register; land the
+            // value in the function's return register so naming that
+            // register always reads the lane's return value.
+            match (self.exec(func, &mut frame)?, ret) {
+                (RawRet::F(v), Some((RegFile::F, r))) => frame.f[r as usize] = v,
+                (RawRet::I(v), Some((RegFile::I, r))) => frame.i[r as usize] = v,
+                _ => {}
+            }
+            for (&(file, r), o) in out_regs.iter().zip(outs.iter_mut()) {
+                L::read_row(&frame.f, &frame.i, file, r as usize, &mut o[lane..=lane]);
             }
         }
         Ok(())
     }
+}
 
-    /// Register-vectorized execution of a straight-line scalar function:
-    /// each register becomes a lane-major row and every instruction is
-    /// one tight loop over the whole chunk — the same per-op shape as a
-    /// hand-fused interpreter, but driven by compiled bytecode. Only
-    /// reached when [`chunk_vectorizable`] accepted the function, which
-    /// guarantees straight-line infallible instructions and, per
-    /// instruction, a destination register strictly above its same-file
-    /// sources (so the row split below never aliases).
-    fn run_chunk_vectorized(&self, f: &CompiledFunc, inputs: &[&[f64]], out: &mut [f64]) {
-        let len = out.len();
-        if len == 0 {
-            return;
-        }
-        // Row stride = len rounded away from a multiple of the cache-line
-        // count: callers hand over power-of-two chunks (4096 lanes), and
-        // exactly power-of-two row spacing lands every register row on
-        // the same L1 sets, which thrashes once an expression holds a few
-        // live rows. One extra line of padding decorrelates them.
-        let stride = len + 8;
-        let mut lanes = self.lanes.borrow_mut();
-        let Lanes { f: fl, i: il } = &mut *lanes;
-        vector_pass(f, inputs, len, stride, fl, il);
-        match f.instrs[f.instrs.len() - 1] {
-            Instr::Ret(Some((RegFile::F, r))) => {
-                out.copy_from_slice(&fl[r as usize * stride..][..len])
-            }
-            Instr::Ret(Some((RegFile::I, r))) => {
-                let src = &il[r as usize * stride..][..len];
-                for (o, &x) in out.iter_mut().zip(src) {
+/// A kernel lane type: the scalar streamed through [`Vm::run_chunk`] and
+/// the native tier ([`crate::codegen::native`]). `f64` lanes bind their
+/// parameters in the `F` register file; `i64` lanes (bools ride as 0/1)
+/// bind the `I` file and never round-trip through floats.
+pub trait Lane: Copy {
+    /// Register file the lane's parameters live in.
+    const FILE: RegFile;
+    /// Fixed parity-probe inputs (zero, signs, small magnitudes).
+    const PROBE_FIXED: [Self; 8];
+    /// A seeded parity-probe input from 64 random bits.
+    fn probe_random(bits: u64) -> Self;
+    /// Exact bit pattern, for bitwise comparison.
+    fn bits(self) -> u64;
+    /// Whether a register of `file` can be read out as this lane.
+    fn reads(file: RegFile) -> bool;
+    /// This lane's own register file out of a frame's (or row buffer's)
+    /// two scalar files.
+    fn own<'a>(f: &'a mut [f64], i: &'a mut [i64]) -> &'a mut [Self];
+    /// Copy `out.len()` values starting at `at` in register file `file`
+    /// into `out`, converting to this lane ([`Lane::reads`] holds).
+    fn read_row(f: &[f64], i: &[i64], file: RegFile, at: usize, out: &mut [Self]);
+}
+
+impl Lane for f64 {
+    const FILE: RegFile = RegFile::F;
+    const PROBE_FIXED: [f64; 8] = [0.0, 1.0, -1.0, 0.5, -2.0, 3.25, 0.125, -0.75];
+    fn probe_random(bits: u64) -> f64 {
+        let x = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        (x - 0.5) * 8.0
+    }
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn reads(file: RegFile) -> bool {
+        matches!(file, RegFile::F | RegFile::I)
+    }
+    #[inline]
+    fn own<'a>(f: &'a mut [f64], _i: &'a mut [i64]) -> &'a mut [f64] {
+        f
+    }
+    #[inline]
+    fn read_row(f: &[f64], i: &[i64], file: RegFile, at: usize, out: &mut [f64]) {
+        match file {
+            RegFile::F => out.copy_from_slice(&f[at..][..out.len()]),
+            // integer registers widen to f64
+            _ => {
+                for (o, &x) in out.iter_mut().zip(&i[at..]) {
                     *o = x as f64;
                 }
-            }
-            ref other => {
-                unreachable!("vectorized function must end in a scalar Ret, got {other:?}")
             }
         }
     }
 }
 
-/// Shared lane-major instruction pass for the vectorized chunk paths:
-/// stages the float parameters into register rows, then runs every
-/// instruction except the trailing `Ret`. Callers read whichever result
-/// rows they need out of `fl`/`il` afterwards.
-fn vector_pass(
+impl Lane for i64 {
+    const FILE: RegFile = RegFile::I;
+    const PROBE_FIXED: [i64; 8] = [0, 1, -1, 2, -3, 5, -8, 13];
+    fn probe_random(bits: u64) -> i64 {
+        (bits as i64) % 1000
+    }
+    fn bits(self) -> u64 {
+        self as u64
+    }
+    fn reads(file: RegFile) -> bool {
+        file == RegFile::I
+    }
+    #[inline]
+    fn own<'a>(_f: &'a mut [f64], i: &'a mut [i64]) -> &'a mut [i64] {
+        i
+    }
+    #[inline]
+    fn read_row(_f: &[f64], i: &[i64], _file: RegFile, at: usize, out: &mut [i64]) {
+        out.copy_from_slice(&i[at..][..out.len()]);
+    }
+}
+
+/// Lane-major instruction pass of the vectorized chunk path: stages the
+/// parameters into their register rows, then runs every instruction
+/// except the trailing `Ret`. Only reached when [`chunk_vectorizable`]
+/// accepted the function, which guarantees straight-line infallible
+/// instructions and, per instruction, a destination register strictly
+/// above its same-file sources (so the row splits below never alias).
+/// The caller reads whichever result rows it needs out of `fl`/`il`.
+fn vector_pass<L: Lane>(
     f: &CompiledFunc,
-    inputs: &[&[f64]],
+    inputs: &[&[L]],
     len: usize,
     stride: usize,
     fl: &mut Vec<f64>,
@@ -408,8 +352,9 @@ fn vector_pass(
     {
         fl.resize(f.reg_counts[0] * stride, 0.0);
         il.resize(f.reg_counts[1] * stride, 0);
+        let own = L::own(fl, il);
         for (k, &(_, reg)) in f.params.iter().enumerate() {
-            fl[reg as usize * stride..][..len].copy_from_slice(&inputs[k][..len]);
+            own[reg as usize * stride..][..len].copy_from_slice(&inputs[k][..len]);
         }
         // d = op(a, b), all in the float file: d's row sits above both
         // source rows, so splitting at d's offset borrows them disjointly.
@@ -1021,7 +966,10 @@ def make(n):
     }
 
     #[test]
-    fn run_f64_chunk_matches_boxed_calls() {
+    fn run_chunk_matches_boxed_calls_on_a_branchy_body() {
+        // Early returns leave their value in their own register; naming
+        // the function's return register must still read every lane's
+        // return value.
         let src = "
 def f(x, y):
     if x > y:
@@ -1031,10 +979,12 @@ def f(x, y):
         let m = parse_module(src).unwrap();
         let p = compile_program(&m, "f", &[Type::Float, Type::Float]).unwrap();
         let vm = Vm::new(&p);
+        let ret = p.funcs[0].ret_reg().unwrap();
         let xs = [1.0, 4.0, -2.5, 0.0];
         let ys = [3.0, 1.0, -2.5, 7.25];
         let mut out = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut out).unwrap();
+        vm.run_chunk(0, &[&xs[..], &ys[..]], &[ret], &mut [&mut out[..]])
+            .unwrap();
         for i in 0..4 {
             let boxed = vm
                 .call(vec![Value::Float(xs[i]), Value::Float(ys[i])])
@@ -1044,30 +994,45 @@ def f(x, y):
     }
 
     #[test]
-    fn run_f64_chunk_rejects_array_params() {
+    fn run_chunk_rejects_params_and_registers_outside_the_lane() {
         let src = "def g(a):\n    return a[0]\n";
         let m = parse_module(src).unwrap();
         let p = compile_program(&m, "g", &[Type::ArrF]).unwrap();
         let err = Vm::new(&p)
-            .run_f64_chunk(0, &[&[1.0]], &mut [0.0])
+            .run_chunk(0, &[&[1.0][..]], &[(RegFile::F, 0)], &mut [&mut [0.0][..]])
+            .unwrap_err();
+        assert!(matches!(err, SeamlessError::Runtime(_)));
+        // an i64 lane cannot read a float register
+        let src = "def h(a):\n    return a * 0.5\n";
+        let m = parse_module(src).unwrap();
+        let p = compile_program(&m, "h", &[Type::Int]).unwrap();
+        let err = Vm::new(&p)
+            .run_chunk(
+                0,
+                &[&[1i64][..]],
+                &[(RegFile::F, 0)],
+                &mut [&mut [0i64][..]],
+            )
             .unwrap_err();
         assert!(matches!(err, SeamlessError::Runtime(_)));
     }
 
     #[test]
-    fn run_f64_multi_chunk_reads_intermediate_registers() {
-        // Hand-built straight-line function: f2 = f0 + f1, f3 = f2 * f0.
-        // Reading {f2, f3} out of one multi-chunk pass must match what
-        // per-lane arithmetic says each register holds.
+    fn run_chunk_reads_intermediate_registers() {
+        // Hand-built straight-line function: f2 = f0 + f1, f3 = f2 * f0,
+        // i0 = f3 < f0. Reading {f2, f3, i0} out of one vectorized pass
+        // must match what per-lane arithmetic says each register holds
+        // (the integer row widened to 0.0/1.0).
         let func = CompiledFunc {
             name: "multi".into(),
             params: vec![(RegFile::F, 0), (RegFile::F, 1)],
             param_types: vec![Type::Float, Type::Float],
             ret: Type::Float,
-            reg_counts: [4, 0, 0, 0],
+            reg_counts: [4, 1, 0, 0],
             instrs: vec![
                 Instr::AddF(2, 0, 1),
                 Instr::MulF(3, 2, 0),
+                Instr::CmpF(Cmp::Lt, 0, 3, 0),
                 Instr::Ret(Some((RegFile::F, 3))),
             ],
         };
@@ -1075,59 +1040,52 @@ def f(x, y):
             funcs: vec![func],
             externs: vec![],
         };
+        assert!(chunk_vectorizable(&p.funcs[0]));
         let vm = Vm::new(&p);
         let xs = [1.5, -2.0, 0.25, 7.0];
         let ys = [0.5, 3.0, -1.25, 2.0];
-        let mut a = [0.0; 4];
-        let mut b = [0.0; 4];
-        vm.run_f64_multi_chunk(0, &[&xs, &ys], &[2, 3], &mut [&mut a, &mut b])
-            .unwrap();
+        let (mut a, mut b, mut c) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+        let regs = [(RegFile::F, 2), (RegFile::F, 3), (RegFile::I, 0)];
+        vm.run_chunk(
+            0,
+            &[&xs[..], &ys[..]],
+            &regs,
+            &mut [&mut a[..], &mut b[..], &mut c[..]],
+        )
+        .unwrap();
         for i in 0..4 {
+            let prod = (xs[i] + ys[i]) * xs[i];
             assert_eq!(a[i].to_bits(), (xs[i] + ys[i]).to_bits());
-            assert_eq!(b[i].to_bits(), ((xs[i] + ys[i]) * xs[i]).to_bits());
+            assert_eq!(b[i].to_bits(), prod.to_bits());
+            assert_eq!(c[i], f64::from(u8::from(prod < xs[i])));
         }
-        // The Ret register row must agree with the single-output path.
-        let mut single = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut single).unwrap();
-        assert_eq!(b, single);
         // Out-of-range output register is a runtime error, not UB.
         let err = vm
-            .run_f64_multi_chunk(0, &[&xs, &ys], &[9], &mut [&mut a])
+            .run_chunk(
+                0,
+                &[&xs[..], &ys[..]],
+                &[(RegFile::F, 9)],
+                &mut [&mut a[..]],
+            )
             .unwrap_err();
         assert!(matches!(err, SeamlessError::Runtime(_)));
     }
 
     #[test]
-    fn run_f64_multi_chunk_interpreter_fallback_matches() {
-        // A looping function is not chunk-vectorizable; the per-lane
-        // fallback must still read registers out correctly.
-        let src = "
-def f(x, y):
-    acc = x
-    i = 0
-    while i < 3:
-        acc = acc * 2.0 + y
-        i = i + 1
-    return acc
-";
+    fn run_chunk_i64_lanes_stay_in_the_integer_file() {
+        let src = "def f(a, b):\n    return a * a - b * 3 + min(a, b)\n";
         let m = parse_module(src).unwrap();
-        let p = compile_program(&m, "f", &[Type::Float, Type::Float]).unwrap();
+        let p = compile_program(&m, "f", &[Type::Int, Type::Int]).unwrap();
         let vm = Vm::new(&p);
-        let xs = [1.0, 4.0, -2.5, 0.0];
-        let ys = [3.0, 1.0, -2.5, 7.25];
-        let ret_reg = match p.funcs[0].instrs.iter().rev().find_map(|i| match i {
-            Instr::Ret(Some((RegFile::F, r))) => Some(*r),
-            _ => None,
-        }) {
-            Some(r) => r,
-            None => return, // compiler changed Ret shape; nothing to probe
-        };
-        let mut multi = [0.0; 4];
-        vm.run_f64_multi_chunk(0, &[&xs, &ys], &[ret_reg], &mut [&mut multi])
+        let xs: Vec<i64> = (-4..5).collect();
+        let ys: Vec<i64> = (0..9).map(|i| 7 - 2 * i).collect();
+        let mut out = [0i64; 9];
+        let ret = p.funcs[0].ret_reg().unwrap();
+        vm.run_chunk(0, &[&xs[..], &ys[..]], &[ret], &mut [&mut out[..]])
             .unwrap();
-        let mut single = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut single).unwrap();
-        assert_eq!(multi, single);
+        for i in 0..9 {
+            assert_eq!(out[i], xs[i] * xs[i] - ys[i] * 3 + xs[i].min(ys[i]));
+        }
     }
 
     #[test]

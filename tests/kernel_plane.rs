@@ -1,12 +1,13 @@
 //! Kernel-plane determinism: the Seamless-JIT path (`Expr::eval`,
-//! `Kernel::map`) must be bitwise-identical to the interpreted RPN path
-//! at every pool width, under seeded chaos, and across a
-//! checkpoint/recover cycle that respawns the whole worker pool.
+//! `Kernel::map`) must be bitwise-identical to the eager oracle
+//! (`Expr::eval_unfused`) at every pool width and segment length, on
+//! both tiers, under seeded chaos, and across a checkpoint/recover cycle
+//! that respawns the whole worker pool.
 
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan};
-use hpc_framework::odin::OdinError;
+use hpc_framework::odin::{BinOp, OdinError};
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
 
@@ -46,22 +47,22 @@ fn probe_expr<'x, 'c>(x: &'x DistArray<'c>, y: &'x DistArray<'c>) -> Expr<'x, 'c
 }
 
 #[test]
-fn jitted_matches_interpreted_at_every_pool_width() {
+fn jitted_matches_eager_oracle_at_every_pool_width() {
     let _g = stats_read();
     // Same data, same expression, 1–8 ranks: the jitted bytecode result
-    // must equal the interpreted RPN result bit for bit, and both must be
-    // independent of the pool width.
+    // must equal the eager node-at-a-time result bit for bit, and both
+    // must be independent of the pool width.
     let mut reference: Option<Vec<u64>> = None;
     for workers in 1..=8usize {
         let ctx = OdinContext::with_workers(workers);
         let x = ctx.linspace(-2.0, 3.0, 257);
         let y = ctx.linspace(0.1, 4.0, 257);
         let jit = probe_expr(&x, &y).eval().to_vec();
-        let rpn = probe_expr(&x, &y).eval_rpn().to_vec();
+        let eager = probe_expr(&x, &y).eval_unfused().to_vec();
         assert_eq!(
             bits(&jit),
-            bits(&rpn),
-            "jit vs interpreter diverged at {workers} workers"
+            bits(&eager),
+            "jit vs eager oracle diverged at {workers} workers"
         );
         match &reference {
             None => reference = Some(bits(&jit)),
@@ -70,7 +71,7 @@ fn jitted_matches_interpreted_at_every_pool_width() {
         // Fused reduction tail vs the two-pass (materialize, then reduce)
         // route, at the same widths.
         let fused = probe_expr(&x, &y).sum();
-        let two_pass = probe_expr(&x, &y).eval_rpn().sum();
+        let two_pass = probe_expr(&x, &y).eval_unfused().sum();
         assert_eq!(
             fused.to_bits(),
             two_pass.to_bits(),
@@ -312,6 +313,185 @@ fn mid_batch_kill_is_absorbed_by_recover_without_recompiling() {
     // Same Kernel handle, never recompiled, pool respawned underneath:
     // the batch must not move by a single bit.
     assert_eq!(results, reference);
+}
+
+#[test]
+fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
+    let _g = stats_read();
+    // The executor streams 4096-lane chunks on the VM tier and one
+    // whole-segment chunk on the native tier. Pin both, in both lane
+    // types, at segment lengths on and around the chunk boundary (a
+    // 1-worker pool makes segment length == array length), with inputs
+    // that are borrowed in place and inputs that are staged, for array
+    // outputs and fused reduce tails.
+    let ctx = OdinContext::with_workers(1);
+    let fsrc = "def fk(a, b):\n    return sqrt(abs(a * 2.0 + b)) + a * 0.25\n";
+    let isrc = "def ik(a, b):\n    return a * a - b * 3 + min(a, b)\n";
+    let bsrc = "def bk(a, b):\n    return a == b\n";
+    for tier in [Tier::Vm, Tier::Auto] {
+        let fk = ctx.kernel(fsrc, "fk").tier(tier).build().unwrap();
+        let ik = ctx
+            .kernel(isrc, "ik")
+            .dtype(DType::I64)
+            .tier(tier)
+            .build()
+            .unwrap();
+        let bk = ctx
+            .kernel(bsrc, "bk")
+            .dtype(DType::Bool)
+            .tier(tier)
+            .build()
+            .unwrap();
+        for n in [0usize, 1, 4095, 4096, 4097, 8193] {
+            let tag = format!("n={n} tier={tier:?}");
+            let xf = ctx.arange_f64(-3.0, 0.37, n, Dist::Block);
+            let yf = ctx.arange_f64(0.5, 0.011, n, Dist::Block);
+            let xi = ctx.arange(n);
+            let yi = &(&ctx.arange(n) * 3.0) - 7.0;
+            assert_eq!((xi.dtype(), yi.dtype()), (DType::I64, DType::I64));
+            let xb = (&ctx.arange(n) % 3.0).astype(DType::Bool);
+            let yb = (&ctx.arange(n) % 2.0).astype(DType::Bool);
+
+            // f64 lanes: (F64, F64) borrows both inputs, (I64, F64) and
+            // (Bool, F64) stage the first.
+            for a in [&xf, &xi, &xb] {
+                let oracle = ((Expr::leaf(a) * 2.0 + Expr::leaf(&yf)).abs().sqrt()
+                    + Expr::leaf(a) * 0.25)
+                    .eval_unfused();
+                assert_eq!(oracle.dtype(), DType::F64);
+                assert_eq!(
+                    bits(&fk.map(&[a, &yf]).to_vec()),
+                    bits(&oracle.to_vec()),
+                    "f64 map, first input {:?}, {tag}",
+                    a.dtype()
+                );
+                assert_eq!(
+                    fk.map_reduce(&[a, &yf], ReduceKind::Sum).to_bits(),
+                    oracle.sum().to_bits(),
+                    "f64 reduce tail, first input {:?}, {tag}",
+                    a.dtype()
+                );
+                // The lowered-expression plane over the same operands
+                // (always Auto; the VM-pinned CI pass covers its VM arm).
+                if tier == Tier::Vm {
+                    continue;
+                }
+                let make = || (Expr::leaf(a) * 2.0 + Expr::leaf(&yf)).abs().sqrt();
+                assert_eq!(
+                    bits(&make().eval().to_vec()),
+                    bits(&make().eval_unfused().to_vec()),
+                    "Expr::eval, first input {:?}, {tag}",
+                    a.dtype()
+                );
+                assert_eq!(
+                    make().max().to_bits(),
+                    make().eval_unfused().max().to_bits(),
+                    "Expr::max, first input {:?}, {tag}",
+                    a.dtype()
+                );
+            }
+
+            // i64 lanes: (I64, I64) borrows, (Bool, I64) and (F64, I64)
+            // stage (floats truncate like astype).
+            for a in [&xi, &xb, &xf] {
+                let ai = a.astype(DType::I64);
+                let oracle = (Expr::leaf(&ai) * Expr::leaf(&ai) - Expr::leaf(&yi) * 3.0
+                    + Expr::Binary(
+                        BinOp::Min,
+                        Box::new(Expr::leaf(&ai)),
+                        Box::new(Expr::leaf(&yi)),
+                    ))
+                .eval_unfused();
+                assert_eq!(oracle.dtype(), DType::I64);
+                let got = ik.map(&[a, &yi]);
+                assert_eq!(got.dtype(), DType::I64);
+                assert_eq!(
+                    got.to_vec_i64(),
+                    oracle.to_vec_i64(),
+                    "i64 map, first input {:?}, {tag}",
+                    a.dtype()
+                );
+                assert_eq!(
+                    ik.map_reduce(&[a, &yi], ReduceKind::Sum).to_bits(),
+                    oracle.sum().to_bits(),
+                    "i64 reduce tail, first input {:?}, {tag}",
+                    a.dtype()
+                );
+            }
+
+            // bool kernels ride the i64 lanes as 0/1: (Bool, Bool) stages
+            // both inputs, (I64, Bool) borrows the first.
+            for a in [&xb, &xi] {
+                let ab = a.astype(DType::Bool);
+                let oracle = Expr::Binary(
+                    BinOp::Eq,
+                    Box::new(Expr::leaf(&ab)),
+                    Box::new(Expr::leaf(&yb)),
+                )
+                .eval_unfused();
+                assert_eq!(oracle.dtype(), DType::Bool);
+                let got = bk.map(&[&ab, &yb]);
+                assert_eq!(got.dtype(), DType::Bool);
+                assert_eq!(got.to_vec_i64(), oracle.to_vec_i64(), "bool map, {tag}");
+                assert_eq!(
+                    bk.map_reduce(&[&ab, &yb], ReduceKind::CountNonzero),
+                    oracle.count_nonzero() as f64,
+                    "bool reduce tail, {tag}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_one_statement_trace_and_an_expr_send_the_same_command() {
+    let _g = stats_read();
+    // One executor, one command: a single-statement traced program must
+    // lower to the byte-identical kernel `Expr::eval` registers (one
+    // registry entry, no second RegisterKernel) and launch it with an
+    // EvalKernel of exactly the same size — the two commands differ only
+    // in the fresh output id — for array outputs and reduce tails alike.
+    let ctx = OdinContext::with_workers(2);
+    let x = ctx.linspace(0.25, 4.0, 300);
+    let y = ctx.linspace(1.0, 2.0, 300);
+    let eager = (Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5).eval(); // registers
+    let eager_sum = (Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5).sum(); // same kernel
+    ctx.reset_stats();
+    let again = (Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5).eval();
+    let expr_cmd = ctx.stats();
+    assert_eq!(expr_cmd.ctrl_msgs, 2, "warm Expr::eval is one broadcast");
+
+    ctx.reset_stats();
+    let mut p = ctx.trace();
+    let (xl, yl) = (p.leaf(&x), p.leaf(&y));
+    let t = p.assign(xl.sqrt() * yl + 0.5);
+    let mut run = p.run(&[t]);
+    let traced = run.array(t);
+    let trace_cmd = ctx.stats();
+    assert_eq!(
+        (trace_cmd.ctrl_msgs, trace_cmd.ctrl_bytes),
+        (expr_cmd.ctrl_msgs, expr_cmd.ctrl_bytes),
+        "a one-statement trace must be one EvalKernel of the same size, no registration"
+    );
+    assert_eq!(bits(&traced.to_vec()), bits(&eager.to_vec()));
+    assert_eq!(bits(&again.to_vec()), bits(&eager.to_vec()));
+
+    ctx.reset_stats();
+    let warm_sum = (Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5).sum();
+    let expr_cmd = ctx.stats();
+    ctx.reset_stats();
+    let mut p = ctx.trace();
+    let (xl, yl) = (p.leaf(&x), p.leaf(&y));
+    let s = p.sum(xl.sqrt() * yl + 0.5);
+    let run = p.run(&[]);
+    let trace_cmd = ctx.stats();
+    assert_eq!(
+        (trace_cmd.ctrl_msgs, trace_cmd.ctrl_bytes),
+        (expr_cmd.ctrl_msgs, expr_cmd.ctrl_bytes),
+        "a one-reduction trace must be one EvalKernel of the same size"
+    );
+    assert_eq!(run.scalar(s).to_bits(), eager_sum.to_bits());
+    assert_eq!(warm_sum.to_bits(), eager_sum.to_bits());
 }
 
 /// Straight-line f64 body covering the native emitter's surface: unary

@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use comm::Comm;
 
+use crate::runs::{compress, Run};
+
 /// The distribution *pattern* of a map — the vocabulary the paper's ODIN
 /// exposes for array creation ("block, cyclic, block-cyclic, or another
 /// arbitrary global-to-local index mapping", §III-A).
@@ -276,6 +278,35 @@ impl DistMap {
         (0..self.my_count())
             .map(|l| self.local_to_global(l))
             .collect()
+    }
+
+    /// The global ids this rank owns, in local-index order, as strided
+    /// runs: one run for block and cyclic maps, one per owned block for
+    /// block-cyclic maps, the compressed gid list for arbitrary maps.
+    pub fn local_runs(&self) -> Vec<Run> {
+        let (n, p, me) = (self.n_global, self.n_ranks, self.my_rank);
+        match &self.kind {
+            MapKind::Block { offsets } => vec![Run {
+                start: offsets[me],
+                step: 1,
+                n: self.my_count(),
+            }],
+            // a block-cyclic map with blocks of one is cyclic
+            MapKind::Cyclic | MapKind::BlockCyclic { block: 1 } => vec![Run {
+                start: me,
+                step: p,
+                n: self.my_count(),
+            }],
+            MapKind::BlockCyclic { block } => (me * block..n)
+                .step_by(p * block)
+                .map(|start| Run {
+                    start,
+                    step: 1,
+                    n: (n - start).min(*block),
+                })
+                .collect(),
+            MapKind::Arbitrary { my_gids, .. } => compress(my_gids.iter().copied()),
+        }
     }
 
     /// Start of this rank's block (contiguous maps only).

@@ -11,7 +11,7 @@ use std::cell::Cell;
 
 use crate::buffer::{Buffer, DType};
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, UnaryOp};
+use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, ReplyMsg, UnaryOp};
 use crate::slicing::SliceSpec;
 
 /// How non-conformable binary operands are aligned.
@@ -282,22 +282,21 @@ impl<'c> DistArray<'c> {
     pub fn fetch_async(&self) -> crate::reply::Pending<'c, (Vec<usize>, Buffer)> {
         let meta = self.meta();
         let raw = self.ctx.dispatch_all(&Cmd::Fetch { a: self.id });
+        let p = self.ctx.n_workers();
         raw.map(move |replies| {
-            let slab = meta.slab();
             let mut out = Buffer::zeros(meta.dtype, meta.n_global());
-            for msg in replies {
+            for (w, msg) in replies.into_iter().enumerate() {
                 // Large segments arrive as typed regions (no decode);
                 // small ones on the classic wire path.
-                let (gids, seg): (Vec<usize>, Buffer) = match msg {
-                    crate::protocol::ReplyMsg::Segment { gids, data } => (gids, data),
-                    crate::protocol::ReplyMsg::Bytes(bytes) => {
+                let seg = match msg {
+                    ReplyMsg::Segment(data) => data,
+                    ReplyMsg::Bytes(bytes) => {
                         comm::decode_from_slice(&bytes).expect("bad fetch payload")
                     }
                 };
-                for (l, g) in gids.iter().enumerate() {
-                    let src = seg.gather_indices(l * slab..(l + 1) * slab);
-                    place(&mut out, g * slab, &src);
-                }
+                // Replies come in worker order; worker `w` holds the rows
+                // of its axis map, in local order.
+                out.scatter_runs(&meta.axis_map(p, w).local_runs(), meta.slab(), &seg);
             }
             (meta.shape, out)
         })
@@ -305,14 +304,18 @@ impl<'c> DistArray<'c> {
 
     /// Fetch as a flat `Vec<f64>` (any dtype widens).
     pub fn to_vec(&self) -> Vec<f64> {
-        let (_, buf) = self.fetch();
-        (0..buf.len()).map(|i| buf.get_f64(i)).collect()
+        match self.fetch().1 {
+            Buffer::F64(v) => v,
+            buf => (0..buf.len()).map(|i| buf.get_f64(i)).collect(),
+        }
     }
 
     /// Fetch as a flat `Vec<i64>`.
     pub fn to_vec_i64(&self) -> Vec<i64> {
-        let (_, buf) = self.fetch();
-        (0..buf.len()).map(|i| buf.get_i64(i)).collect()
+        match self.fetch().1 {
+            Buffer::I64(v) => v,
+            buf => (0..buf.len()).map(|i| buf.get_i64(i)).collect(),
+        }
     }
 
     // ---- named ufuncs ----
@@ -381,15 +384,6 @@ impl<'c> DistArray<'c> {
     /// Elementwise greater-than comparison.
     pub fn gt(&self, other: &DistArray<'c>) -> DistArray<'c> {
         self.binary(other, BinOp::Gt)
-    }
-}
-
-fn place(out: &mut Buffer, at: usize, row: &Buffer) {
-    match (out, row) {
-        (Buffer::F64(o), Buffer::F64(r)) => o[at..at + r.len()].copy_from_slice(r),
-        (Buffer::I64(o), Buffer::I64(r)) => o[at..at + r.len()].copy_from_slice(r),
-        (Buffer::Bool(o), Buffer::Bool(r)) => o[at..at + r.len()].copy_from_slice(r),
-        _ => panic!("fetch dtype mismatch"),
     }
 }
 
@@ -492,7 +486,7 @@ impl OdinContext {
         };
         for w in 0..self.n_workers() {
             let map = meta.axis_map(self.n_workers(), w);
-            let seg: Vec<f64> = map.my_gids().iter().map(|&g| values[g]).collect();
+            let seg = dmap::gather_runs(values, &map.local_runs(), 1);
             self.send_cmd_to(
                 w,
                 &Cmd::SetData {

@@ -4,6 +4,7 @@
 //! kinds the reproduction supports.
 
 use comm::{CommError, Cursor, Wire};
+use dmap::Run;
 
 use crate::protocol::{BinOp, UnaryOp};
 
@@ -137,13 +138,37 @@ impl Buffer {
         }
     }
 
-    /// Extract a strided subsequence (1-D slice materialization).
-    pub fn gather_indices(&self, idx: impl Iterator<Item = usize>) -> Buffer {
+    /// The elements selected by `runs`, in order; run indices are in units
+    /// of `width` elements (see [`dmap::runs`]).
+    pub fn gather_runs(&self, runs: &[Run], width: usize) -> Buffer {
         match self {
-            Buffer::Bool(v) => Buffer::Bool(idx.map(|i| v[i]).collect()),
-            Buffer::I64(v) => Buffer::I64(idx.map(|i| v[i]).collect()),
-            Buffer::F64(v) => Buffer::F64(idx.map(|i| v[i]).collect()),
+            Buffer::Bool(v) => Buffer::Bool(dmap::gather_runs(v, runs, width)),
+            Buffer::I64(v) => Buffer::I64(dmap::gather_runs(v, runs, width)),
+            Buffer::F64(v) => Buffer::F64(dmap::gather_runs(v, runs, width)),
         }
+    }
+
+    /// Copy the elements `src_runs` selects in `src` onto the positions
+    /// `dst_runs` selects here, in order (panics on a dtype mismatch).
+    pub fn copy_runs(&mut self, dst_runs: &[Run], src: &Buffer, src_runs: &[Run], width: usize) {
+        match (self, src) {
+            (Buffer::Bool(d), Buffer::Bool(s)) => dmap::copy_runs(d, dst_runs, s, src_runs, width),
+            (Buffer::I64(d), Buffer::I64(s)) => dmap::copy_runs(d, dst_runs, s, src_runs, width),
+            (Buffer::F64(d), Buffer::F64(s)) => dmap::copy_runs(d, dst_runs, s, src_runs, width),
+            (d, s) => panic!("copy of {:?} into {:?}", s.dtype(), d.dtype()),
+        }
+    }
+
+    /// The inverse of [`Self::gather_runs`]: write all of `src`, front to
+    /// back, to the positions `runs` selects.
+    pub fn scatter_runs(&mut self, runs: &[Run], width: usize, src: &Buffer) {
+        let whole = Run {
+            start: 0,
+            step: 1,
+            n: dmap::runs::run_len(runs),
+        };
+        assert_eq!(src.len(), whole.n * width, "scatter length mismatch");
+        self.copy_runs(runs, src, &[whole], width);
     }
 
     /// Concatenate buffers of the same dtype.
@@ -561,11 +586,26 @@ mod tests {
     }
 
     #[test]
-    fn gather_indices_and_concat() {
+    fn gather_scatter_runs_and_concat() {
         let a = Buffer::I64(vec![10, 20, 30, 40, 50]);
-        let g = a.gather_indices([4, 2, 0].into_iter());
-        assert_eq!(g, Buffer::I64(vec![50, 30, 10]));
+        let runs = [
+            Run {
+                start: 0,
+                step: 2,
+                n: 3,
+            },
+            Run {
+                start: 1,
+                step: 1,
+                n: 1,
+            },
+        ];
+        let g = a.gather_runs(&runs, 1);
+        assert_eq!(g, Buffer::I64(vec![10, 30, 50, 20]));
+        let mut back = Buffer::zeros(DType::I64, 5);
+        back.scatter_runs(&runs, 1, &g);
+        assert_eq!(back, Buffer::I64(vec![10, 20, 30, 0, 50]));
         let c = Buffer::concat(vec![g, Buffer::I64(vec![99])]);
-        assert_eq!(c, Buffer::I64(vec![50, 30, 10, 99]));
+        assert_eq!(c, Buffer::I64(vec![10, 30, 50, 20, 99]));
     }
 }

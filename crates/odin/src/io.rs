@@ -1,11 +1,13 @@
 //! Distributed file IO (§III-H): every worker writes/reads its own chunk
 //! in parallel; the master only touches a small header. Files round-trip
 //! across different worker counts because chunks are keyed by global row
-//! ids, "full control to read or write any arbitrary distributed file
-//! format".
+//! ids (stored as strided runs), "full control to read or write any
+//! arbitrary distributed file format".
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+
+use dmap::Run;
 
 use crate::array::DistArray;
 use crate::buffer::Buffer;
@@ -19,6 +21,10 @@ fn header_path(base: &Path) -> PathBuf {
 fn part_path(base: &Path, rank: usize) -> PathBuf {
     base.with_extension(format!("part{rank}"))
 }
+
+/// One chunk file: the global rows it holds as `(start, step, n)` runs,
+/// and the rows themselves in that order.
+type Chunk = (Vec<(usize, usize, usize)>, Buffer);
 
 impl OdinContext {
     /// Save an array: one header (master) plus one chunk file per worker,
@@ -44,7 +50,9 @@ impl OdinContext {
         self.run_spmd(&[arr], move |scope, args| {
             let id = args[0];
             let map = scope.axis_map(id);
-            let payload = comm::encode_to_vec(&(map.my_gids(), scope.local(id).clone()));
+            let rows = map.local_runs().into_iter().map(|r| (r.start, r.step, r.n));
+            let chunk: Chunk = (rows.collect(), scope.local(id).clone());
+            let payload = comm::encode_to_vec(&chunk);
             let path = part_path(&base2, scope.rank());
             std::fs::write(path, payload).expect("chunk write failed");
         });
@@ -63,7 +71,7 @@ impl OdinContext {
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         // probe one chunk for the dtype
         let probe = std::fs::read(part_path(&base, 0))?;
-        let (_, probe_buf): (Vec<usize>, Buffer) = comm::decode_from_slice(&probe)
+        let (_, probe_buf): Chunk = comm::decode_from_slice(&probe)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let dtype = probe_buf.dtype();
         let out = self.zeros(&shape, dtype);
@@ -73,51 +81,37 @@ impl OdinContext {
         self.run_spmd(&[&out], move |scope, args| {
             let id = args[0];
             let map = scope.axis_map(id);
+            // the loaded array is block-distributed: this worker keeps
+            // the rows `lo..hi`
+            let lo = map.my_block_start().expect("block map");
+            let hi = lo + map.my_count();
             let mut parts: Vec<usize> = (0..n_parts).collect();
             // stagger the scan so workers do not all hit part 0 first
             parts.rotate_left(scope.rank() % n_parts.max(1));
             for p in parts {
                 let bytes = std::fs::read(part_path(&base2, p)).expect("chunk read failed");
-                let (gids, buf): (Vec<usize>, Buffer) =
+                let (rows, buf): Chunk =
                     comm::decode_from_slice(&bytes).expect("bad chunk encoding");
                 let dst = scope.local_mut(id);
-                // block maps answer ownership arithmetically; consecutive
-                // owned gids are copied as one run
-                let mut k = 0;
-                while k < gids.len() {
-                    match map.global_to_local(gids[k]) {
-                        None => k += 1,
-                        Some(l_dst) => {
-                            let mut run = 1;
-                            while k + run < gids.len()
-                                && gids[k + run] == gids[k] + run
-                                && map.global_to_local(gids[k + run]) == Some(l_dst + run)
-                            {
-                                run += 1;
-                            }
-                            copy_row(dst, l_dst * slab, &buf, k * slab, run * slab);
-                            k += run;
-                        }
-                    }
+                let mut at = 0;
+                for (start, step, n) in rows {
+                    // the part of this run that falls in my block
+                    let (skip, mine) = Run { start, step, n }.clip(lo, hi);
+                    let from = Run {
+                        start: at + skip,
+                        step: 1,
+                        n: mine.n,
+                    };
+                    let to = Run {
+                        start: mine.start.saturating_sub(lo),
+                        ..mine
+                    };
+                    dst.copy_runs(&[to], &buf, &[from], slab);
+                    at += n;
                 }
             }
         });
         Ok(out)
-    }
-}
-
-fn copy_row(dst: &mut Buffer, dst_at: usize, src: &Buffer, src_at: usize, n: usize) {
-    match (dst, src) {
-        (Buffer::F64(d), Buffer::F64(s)) => {
-            d[dst_at..dst_at + n].copy_from_slice(&s[src_at..src_at + n])
-        }
-        (Buffer::I64(d), Buffer::I64(s)) => {
-            d[dst_at..dst_at + n].copy_from_slice(&s[src_at..src_at + n])
-        }
-        (Buffer::Bool(d), Buffer::Bool(s)) => {
-            d[dst_at..dst_at + n].copy_from_slice(&s[src_at..src_at + n])
-        }
-        _ => panic!("chunk dtype mismatch"),
     }
 }
 

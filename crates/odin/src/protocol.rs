@@ -219,14 +219,10 @@ pub enum Fill {
 pub enum ReplyMsg {
     /// Encoded reply payload (the classic wire path).
     Bytes(Vec<u8>),
-    /// A transferable array segment: the global ids this worker owns and
-    /// the segment data, in `gids` order.
-    Segment {
-        /// Global row ids, in segment order.
-        gids: Vec<usize>,
-        /// Segment storage, moved (not serialized) to the master.
-        data: Buffer,
-    },
+    /// A worker's array segment in local order, moved (not serialized)
+    /// to the master, which knows the rows it holds from the array's
+    /// axis map.
+    Segment(Buffer),
 }
 
 impl ReplyMsg {
@@ -236,23 +232,17 @@ impl ReplyMsg {
     pub fn wire_len(&self) -> usize {
         match self {
             ReplyMsg::Bytes(b) => b.len(),
-            ReplyMsg::Segment { gids, data } => gids.wire_size() + data.wire_size(),
+            ReplyMsg::Segment(data) => data.wire_size(),
         }
     }
 
     /// Collapse to encoded bytes. Free for the `Bytes` arm; a `Segment`
-    /// is encoded as the `(gids, data)` tuple (wire-compatible with what
-    /// the encode path would have sent), for consumers that only
-    /// understand bytes.
+    /// is encoded as the encode path would have sent it, for consumers
+    /// that only understand bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         match self {
             ReplyMsg::Bytes(b) => b,
-            ReplyMsg::Segment { gids, data } => {
-                let mut buf = Vec::with_capacity(gids.wire_size() + data.wire_size());
-                gids.encode(&mut buf);
-                data.encode(&mut buf);
-                buf
-            }
+            ReplyMsg::Segment(data) => comm::encode_to_vec(&data),
         }
     }
 }

@@ -110,11 +110,9 @@ impl OdinContext {
         }
         let mut restored = Vec::with_capacity(ck.arrays.len());
         for (id, meta, data) in &ck.arrays {
-            let slab = meta.slab();
             for w in 0..self.n_workers {
                 let map = meta.axis_map(self.n_workers, w);
-                let seg = data
-                    .gather_indices(map.my_gids().iter().flat_map(|&g| g * slab..(g + 1) * slab));
+                let seg = data.gather_runs(&map.local_runs(), meta.slab());
                 self.send_cmd_to(
                     w,
                     &Cmd::SetData {

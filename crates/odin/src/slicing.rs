@@ -11,101 +11,89 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use comm::{Comm, CommError, Cursor, Wire};
+use dmap::runs::{push_index, Run};
 
 use crate::buffer::Buffer;
 use crate::protocol::{ArrayMeta, Dist};
 
-/// Reserved tag for the split-phase exchanges below. Safe as a fixed tag:
+/// Reserved tag for the route exchange below. Safe as a fixed tag:
 /// workers execute commands in SPMD order and channels are FIFO, so two
 /// exchanges can never have messages in flight that would cross-match.
 const XCHG_TAG: comm::Tag = 0x2FFF_0002;
 
-/// All-to-all exchange with compute/communication overlap: post
-/// nonblocking sends to every peer, run `local` (the local-copy phase of
-/// the caller) while the payloads are in flight, then drain incoming
-/// messages in arrival order. `incoming[peer]` is what `peer` sent here;
-/// the self entry is moved across without touching the network. Segment
-/// payloads at or above the comm's zero-copy threshold transfer as region
-/// handles (ownership move, no encode/decode round-trip).
-fn exchange_overlapped<T: Wire + Clone + Send + Sync + 'static>(
-    comm: &Comm,
-    mut outgoing: Vec<Vec<T>>,
-    local: impl FnOnce(),
-) -> Vec<Vec<T>> {
-    let p = comm.size();
-    let me = comm.rank();
-    debug_assert_eq!(outgoing.len(), p);
-    let mut incoming: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    incoming[me] = std::mem::take(&mut outgoing[me]);
-    if p == 1 {
-        local();
-        return incoming;
-    }
-    let mut sreqs = Vec::with_capacity(p - 1);
-    for (peer, msg) in outgoing.into_iter().enumerate() {
-        if peer == me {
-            continue;
-        }
-        sreqs.push(comm.isend_zc(peer, XCHG_TAG, msg).expect("exchange isend"));
-    }
-    local();
-    let mut peers: Vec<usize> = (0..p).filter(|&peer| peer != me).collect();
-    let mut rreqs: Vec<comm::Request> = peers
-        .iter()
-        .map(|&peer| {
-            comm.irecv(comm::Src::Rank(peer), XCHG_TAG)
-                .expect("exchange irecv")
-        })
-        .collect();
-    while !rreqs.is_empty() {
-        let (idx, done) = comm.waitany(&mut rreqs).expect("exchange wait");
-        let peer = peers.remove(idx);
-        let (payload, _) = done.expect("receive completion carries a payload");
-        incoming[peer] = match payload {
-            comm::Payload::Bytes(bytes) => {
-                let v = comm::decode_from_slice(&bytes).expect("bad exchange payload");
-                comm.put_buf(bytes);
-                v
-            }
-            comm::Payload::Region(region) => region
-                .take::<Vec<T>>()
-                .expect("exchange region payload is not Vec<T>"),
-        };
-    }
-    for req in sreqs {
-        comm.wait(req).expect("exchange send wait");
-    }
-    incoming
+/// Row-routing plan for slices and redistributions, as strided runs per
+/// peer. Sender and receiver both enumerate the rows they exchange in
+/// increasing global order, so each side derives its half from the two
+/// axis maps alone and the message is the bare gathered [`Buffer`] — no
+/// row list crosses the wire. A pure function of the array's shape, its
+/// distribution, and the request (per rank), so cached entries never need
+/// invalidation — an equal key always reproduces an equal route.
+struct RoutePlan {
+    /// Per peer (self included): source positions shipped there.
+    send: Vec<Vec<Run>>,
+    /// Per peer (self included): output positions its shipment fills.
+    recv: Vec<Vec<Run>>,
+    /// Elements per position on both sides: a whole row when rows move
+    /// intact, one when the slice picks columns.
+    width: usize,
 }
 
-/// Row-routing plan for the general slice/redistribute paths: which flat
-/// source elements ship to which peer and where rows staying local land.
-/// A pure function of the array's shape, its distribution, and the
-/// request (per rank), so cached entries never need invalidation — an
-/// equal key always reproduces an equal route.
-struct RoutePlan {
-    /// Per peer: output/global rows shipped there.
-    peer_rows: Vec<Vec<usize>>,
-    /// Per peer: flat source element indices, in shipment order.
-    peer_idx: Vec<Vec<usize>>,
-    /// `(output lid, source element base)` for rows staying on this rank.
-    local_rows: Vec<(usize, usize)>,
+impl RoutePlan {
+    /// Move `data` into `out` along this plan. Collective: an all-to-all
+    /// with compute/communication overlap — post a nonblocking send to
+    /// every peer, copy the rows staying here while those payloads are in
+    /// flight, then place incoming segments in arrival order. Segments at
+    /// or above the comm's zero-copy threshold transfer as region handles
+    /// (ownership move, no encode/decode round-trip).
+    fn execute(&self, comm: &Comm, data: &Buffer, out: &mut Buffer) {
+        let me = comm.rank();
+        let mut peers: Vec<usize> = (0..comm.size()).filter(|&peer| peer != me).collect();
+        let sreqs: Vec<comm::Request> = peers
+            .iter()
+            .map(|&peer| {
+                let segment = data.gather_runs(&self.send[peer], self.width);
+                comm.isend_zc(peer, XCHG_TAG, segment)
+                    .expect("exchange isend")
+            })
+            .collect();
+        out.copy_runs(&self.recv[me], data, &self.send[me], self.width);
+        let mut rreqs: Vec<comm::Request> = peers
+            .iter()
+            .map(|&peer| {
+                comm.irecv(comm::Src::Rank(peer), XCHG_TAG)
+                    .expect("exchange irecv")
+            })
+            .collect();
+        while !rreqs.is_empty() {
+            let (idx, done) = comm.waitany(&mut rreqs).expect("exchange wait");
+            let peer = peers.remove(idx);
+            let (payload, _) = done.expect("receive completion carries a payload");
+            let segment: Buffer = match payload {
+                comm::Payload::Bytes(bytes) => {
+                    let v = comm::decode_from_slice(&bytes).expect("bad exchange payload");
+                    comm.put_buf(bytes);
+                    v
+                }
+                comm::Payload::Region(region) => region
+                    .take()
+                    .expect("exchange region payload is not a Buffer"),
+            };
+            out.scatter_runs(&self.recv[peer], self.width, &segment);
+        }
+        for req in sreqs {
+            comm.wait(req).expect("exchange send wait");
+        }
+    }
 }
 
 /// Exact cache key for a [`RoutePlan`]. Rank and communicator size are
 /// implicit: the cache is per worker thread.
 #[derive(PartialEq)]
-enum RouteKey {
-    Slice {
-        shape: Vec<usize>,
-        dist: Dist,
-        specs: Vec<SliceSpec>,
-    },
-    Redistribute {
-        shape: Vec<usize>,
-        dist: Dist,
-        new_dist: Dist,
-    },
+struct RouteKey {
+    shape: Vec<usize>,
+    dist: Dist,
+    out_dist: Dist,
+    specs: Vec<SliceSpec>,
 }
 
 /// Retained routes per worker; LRU-evicted beyond this.
@@ -247,146 +235,7 @@ pub fn slice_worker(
     specs: &[SliceSpec],
 ) -> (ArrayMeta, Buffer) {
     assert_eq!(specs.len(), meta.ndim(), "one slice spec per dimension");
-    assert_eq!(meta.axis, 0, "arrays are distributed along axis 0");
-    let p = comm.size();
-    let rank = comm.rank();
-    let src_map = meta.axis_map(p, rank);
-    let row_spec = specs[0];
-    // Output metadata: same dist along axis 0, sliced shape.
-    let out_shape: Vec<usize> = specs.iter().map(|s| s.len()).collect();
-    let out_meta = ArrayMeta {
-        shape: out_shape,
-        axis: 0,
-        dist: meta.dist,
-        dtype: meta.dtype,
-    };
-    let out_map = out_meta.axis_map(p, rank);
-    let slab_dims = &meta.shape[1..];
-    let offsets = slab_offsets(slab_dims, &specs[1..]);
-    let slab = meta.slab();
-    let out_slab = offsets.len();
-    // For each locally owned source row selected by the slice, compute the
-    // destination row and owner; ship ONE flat payload per peer (row list
-    // + concatenated row data), not one message per row.
-    let rank = comm.rank();
-    let mut out = Buffer::zeros(meta.dtype, out_map.my_count() * out_slab);
-    // Fast path: block → block, unit row step, identity slab selection.
-    // Every transfer is then a contiguous run per peer — pure memcpy plus
-    // at most P descriptor messages (the common shifted-slice case of the
-    // paper's finite-difference example).
-    let identity_slab =
-        out_slab == slab && (slab == 0 || (offsets[0] == 0 && offsets[slab - 1] + 1 == slab));
-    if meta.dist == crate::protocol::Dist::Block && row_spec.step == 1 && identity_slab {
-        let src_start = src_map.my_block_start().expect("block map");
-        let src_end = src_start + src_map.my_count();
-        let g_lo = src_start.max(row_spec.start);
-        let g_hi = src_end.min(row_spec.stop);
-        let mut outgoing: Vec<Vec<(usize, Buffer)>> = (0..p).map(|_| Vec::new()).collect();
-        let mut local_copy: Option<(usize, usize, usize)> = None;
-        if g_lo < g_hi {
-            for (owner, out_msgs) in outgoing.iter_mut().enumerate() {
-                let o_map = out_meta.axis_map(p, owner);
-                let o_start = o_map.my_block_start().expect("block map");
-                let o_end = o_start + o_map.my_count();
-                // out rows this owner holds, intersected with mine
-                let lo = (g_lo - row_spec.start).max(o_start);
-                let hi = (g_hi - row_spec.start).min(o_end);
-                if lo >= hi {
-                    continue;
-                }
-                let src_base = (lo + row_spec.start - src_start) * slab;
-                let n_elems = (hi - lo) * slab;
-                if owner == rank {
-                    local_copy = Some(((lo - o_start) * out_slab, src_base, n_elems));
-                } else {
-                    let flat = data.gather_indices(src_base..src_base + n_elems);
-                    out_msgs.push((lo, flat));
-                }
-            }
-        }
-        // The local memcpy runs while the remote payloads are in flight.
-        let incoming = exchange_overlapped(comm, outgoing, || {
-            if let Some((dst_base, src_base, n_elems)) = local_copy {
-                copy_rows(&mut out, dst_base, data, src_base, n_elems);
-            }
-        });
-        let my_out_start = out_map.my_block_start().expect("block map");
-        for (lo, flat) in incoming.into_iter().flatten() {
-            let dst_base = (lo - my_out_start) * out_slab;
-            let n_elems = flat.len();
-            copy_rows(&mut out, dst_base, &flat, 0, n_elems);
-        }
-        return (out_meta, out);
-    }
-    let plan = cached_route(
-        comm,
-        RouteKey::Slice {
-            shape: meta.shape.clone(),
-            dist: meta.dist,
-            specs: specs.to_vec(),
-        },
-        || {
-            let mut peer_rows: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            let mut peer_idx: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            let mut local_rows: Vec<(usize, usize)> = Vec::new();
-            for l in 0..src_map.my_count() {
-                let g = src_map.local_to_global(l);
-                if !row_spec.contains(g) {
-                    continue;
-                }
-                let out_row = row_spec.position_of(g);
-                let owner = out_map.owner_of(out_row).expect("structured map");
-                let base = l * slab;
-                if owner == rank {
-                    // local fast path: no serialization round-trip;
-                    // deferred into the overlap window below
-                    local_rows.push((out_map.global_to_local(out_row).unwrap(), base));
-                } else {
-                    peer_rows[owner].push(out_row);
-                    peer_idx[owner].extend(offsets.iter().map(|&o| base + o));
-                }
-            }
-            RoutePlan {
-                peer_rows,
-                peer_idx,
-                local_rows,
-            }
-        },
-    );
-    let outgoing: Vec<Vec<(Vec<usize>, Buffer)>> = plan
-        .peer_rows
-        .iter()
-        .zip(&plan.peer_idx)
-        .map(|(rows, idx)| {
-            if rows.is_empty() {
-                Vec::new()
-            } else {
-                vec![(rows.clone(), data.gather_indices(idx.iter().copied()))]
-            }
-        })
-        .collect();
-    let incoming = exchange_overlapped(comm, outgoing, || {
-        let contiguous =
-            offsets.len() == slab && slab > 0 && offsets[0] == 0 && offsets[slab - 1] + 1 == slab;
-        for &(lo, base) in &plan.local_rows {
-            if contiguous {
-                copy_rows(&mut out, lo * out_slab, data, base, out_slab);
-            } else {
-                let row = data.gather_indices(offsets.iter().map(|&o| base + o));
-                copy_rows(&mut out, lo * out_slab, &row, 0, out_slab);
-            }
-        }
-    });
-    for batch in incoming.into_iter().flatten() {
-        let (rows, flat) = batch;
-        for (k, out_row) in rows.into_iter().enumerate() {
-            let lo = out_map
-                .global_to_local(out_row)
-                .expect("row routed to wrong owner");
-            copy_rows(&mut out, lo * out_slab, &flat, k * out_slab, out_slab);
-        }
-    }
-    (out_meta, out)
+    route_rows(comm, meta, data, specs, meta.dist)
 }
 
 /// Redistribute an array to a new distribution along axis 0. Collective.
@@ -394,86 +243,134 @@ pub fn redistribute_worker(
     comm: &Comm,
     meta: &ArrayMeta,
     data: &Buffer,
-    new_dist: crate::protocol::Dist,
+    new_dist: Dist,
 ) -> (ArrayMeta, Buffer) {
-    let p = comm.size();
-    let rank = comm.rank();
-    let src_map = meta.axis_map(p, rank);
-    let out_meta = ArrayMeta {
-        shape: meta.shape.clone(),
-        axis: 0,
-        dist: new_dist,
-        dtype: meta.dtype,
-    };
-    let out_map = out_meta.axis_map(p, rank);
-    let slab = meta.slab();
-    let rank = comm.rank();
-    let mut out = Buffer::zeros(meta.dtype, out_map.my_count() * slab);
-    let plan = cached_route(
-        comm,
-        RouteKey::Redistribute {
-            shape: meta.shape.clone(),
-            dist: meta.dist,
-            new_dist,
-        },
-        || {
-            let mut peer_rows: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            let mut peer_idx: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            let mut local_rows: Vec<(usize, usize)> = Vec::new();
-            for l in 0..src_map.my_count() {
-                let g = src_map.local_to_global(l);
-                let owner = out_map.owner_of(g).expect("structured map");
-                let base = l * slab;
-                if owner == rank {
-                    local_rows.push((out_map.global_to_local(g).unwrap(), base));
-                    continue;
-                }
-                peer_rows[owner].push(g);
-                peer_idx[owner].extend(base..base + slab);
-            }
-            RoutePlan {
-                peer_rows,
-                peer_idx,
-                local_rows,
-            }
-        },
-    );
-    let outgoing: Vec<Vec<(Vec<usize>, Buffer)>> = plan
-        .peer_rows
-        .iter()
-        .zip(&plan.peer_idx)
-        .map(|(rows, idx)| {
-            if rows.is_empty() {
-                Vec::new()
-            } else {
-                vec![(rows.clone(), data.gather_indices(idx.iter().copied()))]
-            }
-        })
-        .collect();
-    let incoming = exchange_overlapped(comm, outgoing, || {
-        for &(lo, base) in &plan.local_rows {
-            copy_rows(&mut out, lo * slab, data, base, slab);
-        }
-    });
-    for (rows, flat) in incoming.into_iter().flatten() {
-        for (k, g) in rows.into_iter().enumerate() {
-            let lo = out_map
-                .global_to_local(g)
-                .expect("row routed to wrong owner");
-            copy_rows(&mut out, lo * slab, &flat, k * slab, slab);
-        }
-    }
-    (out_meta, out)
+    let specs: Vec<SliceSpec> = meta.shape.iter().map(|&n| SliceSpec::full(n)).collect();
+    route_rows(comm, meta, data, &specs, new_dist)
 }
 
-/// Copy `n` elements from `src[src_at..]` into `out[at..]`.
-fn copy_rows(out: &mut Buffer, at: usize, src: &Buffer, src_at: usize, n: usize) {
-    match (out, src) {
-        (Buffer::F64(o), Buffer::F64(r)) => o[at..at + n].copy_from_slice(&r[src_at..src_at + n]),
-        (Buffer::I64(o), Buffer::I64(r)) => o[at..at + n].copy_from_slice(&r[src_at..src_at + n]),
-        (Buffer::Bool(o), Buffer::Bool(r)) => o[at..at + n].copy_from_slice(&r[src_at..src_at + n]),
-        _ => panic!("row dtype mismatch"),
+/// The one mover behind both: select `specs` from the array and lay the
+/// result out under `out_dist`.
+fn route_rows(
+    comm: &Comm,
+    meta: &ArrayMeta,
+    data: &Buffer,
+    specs: &[SliceSpec],
+    out_dist: Dist,
+) -> (ArrayMeta, Buffer) {
+    assert_eq!(meta.axis, 0, "arrays are distributed along axis 0");
+    let p = comm.size();
+    let rank = comm.rank();
+    let row_spec = specs[0];
+    let out_meta = ArrayMeta {
+        shape: specs.iter().map(|s| s.len()).collect(),
+        axis: 0,
+        dist: out_dist,
+        dtype: meta.dtype,
+    };
+    let slab = meta.slab();
+    let out_slab = out_meta.slab();
+    // Trailing dims taken whole: rows move as units of `slab` elements.
+    let whole_rows = specs[1..]
+        .iter()
+        .zip(&meta.shape[1..])
+        .all(|(s, &n)| *s == SliceSpec::full(n));
+    let mut out = Buffer::zeros(meta.dtype, out_meta.local_len(p, rank));
+    // Block → block with a unit row step (the shifted slices of the
+    // paper's finite-difference example): every transfer is one contiguous
+    // run per peer, known in closed form — no cached plan, pure memcpy.
+    if meta.dist == Dist::Block && out_dist == Dist::Block && row_spec.step == 1 && whole_rows {
+        let blocks = |m: &ArrayMeta| -> Vec<(usize, usize)> {
+            (0..p)
+                .map(|r| {
+                    let map = m.axis_map(p, r);
+                    let lo = map.my_block_start().expect("block map");
+                    (lo, lo + map.my_count())
+                })
+                .collect()
+        };
+        let (src_blocks, out_blocks) = (blocks(meta), blocks(&out_meta));
+        // Output rows held (as source rows) by `from` and owned by `to`.
+        let overlap = |from: usize, to: usize| {
+            let ((s_lo, s_hi), (o_lo, o_hi)) = (src_blocks[from], out_blocks[to]);
+            let lo = s_lo.max(row_spec.start) - row_spec.start;
+            let hi = s_hi.min(row_spec.stop).saturating_sub(row_spec.start);
+            (lo.max(o_lo), hi.min(o_hi))
+        };
+        let run = |lo: usize, hi: usize, origin: usize| {
+            vec![Run {
+                start: lo.saturating_sub(origin),
+                step: 1,
+                n: hi.saturating_sub(lo),
+            }]
+        };
+        let (src_lo, out_lo) = (src_blocks[rank].0, out_blocks[rank].0);
+        let plan = RoutePlan {
+            send: (0..p)
+                .map(|to| {
+                    let (lo, hi) = overlap(rank, to);
+                    run(lo + row_spec.start, hi + row_spec.start, src_lo)
+                })
+                .collect(),
+            recv: (0..p)
+                .map(|from| {
+                    let (lo, hi) = overlap(from, rank);
+                    run(lo, hi, out_lo)
+                })
+                .collect(),
+            width: slab,
+        };
+        plan.execute(comm, data, &mut out);
+        return (out_meta, out);
     }
+    let key = RouteKey {
+        shape: meta.shape.clone(),
+        dist: meta.dist,
+        out_dist,
+        specs: specs.to_vec(),
+    };
+    let plan = cached_route(comm, key, || {
+        let src_map = meta.axis_map(p, rank);
+        let out_map = out_meta.axis_map(p, rank);
+        // Positions are whole rows, or single elements when the slice
+        // picks columns: source columns `cols` of each `stride`-wide row
+        // land on all `out_stride` columns of an output row.
+        let (cols, stride, out_stride) = if whole_rows {
+            (vec![0], 1, 1)
+        } else {
+            (slab_offsets(&meta.shape[1..], &specs[1..]), slab, out_slab)
+        };
+        let mut send: Vec<Vec<Run>> = vec![Vec::new(); p];
+        let mut recv: Vec<Vec<Run>> = vec![Vec::new(); p];
+        // Both loops walk rows in increasing global order, which is what
+        // lets the two ends of a transfer agree without exchanging rows.
+        for l in 0..src_map.my_count() {
+            let g = src_map.local_to_global(l);
+            if !row_spec.contains(g) {
+                continue;
+            }
+            let to = out_map
+                .owner_of(row_spec.position_of(g))
+                .expect("structured map");
+            for &c in &cols {
+                push_index(&mut send[to], l * stride + c);
+            }
+        }
+        for l in 0..out_map.my_count() {
+            let g = row_spec.index_at(out_map.local_to_global(l));
+            let from = src_map.owner_of(g).expect("structured map");
+            for k in l * out_stride..(l + 1) * out_stride {
+                push_index(&mut recv[from], k);
+            }
+        }
+        RoutePlan {
+            send,
+            recv,
+            width: if whole_rows { slab } else { 1 },
+        }
+    });
+    plan.execute(comm, data, &mut out);
+    (out_meta, out)
 }
 
 #[cfg(test)]

@@ -378,27 +378,15 @@ fn exec_cmd(
             exec_reduce(comm, reply, arrays, a, kind, axis, out);
         }
         Cmd::Fetch { a } => {
-            let (meta, buf) = &arrays[&a];
-            let map = meta.axis_map(p, rank);
-            let gids = map.my_gids();
+            let (_, buf) = &arrays[&a];
             // Segments at or above the zero-copy threshold move as typed
             // regions (the Buffer clone is unavoidable here — the worker
             // keeps its segment — but the encode/decode round-trip is
             // not). Small segments take the classic wire path.
-            let msg_size = gids.wire_size() + buf.wire_size();
-            let msg = if msg_size >= comm.zerocopy_threshold() {
-                ReplyMsg::Segment {
-                    gids,
-                    data: buf.clone(),
-                }
+            let msg = if buf.wire_size() >= comm.zerocopy_threshold() {
+                ReplyMsg::Segment(buf.clone())
             } else {
-                // Field-by-field tuple encoding, wire-compatible with
-                // `encode_to_vec(&(gids, buffer))` but without cloning
-                // the whole segment first.
-                let mut payload = Vec::new();
-                gids.encode(&mut payload);
-                buf.encode(&mut payload);
-                ReplyMsg::Bytes(payload)
+                ReplyMsg::Bytes(comm::encode_to_vec(buf))
             };
             let _ = reply.send((rank, msg));
         }

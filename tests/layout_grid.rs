@@ -1,0 +1,233 @@
+//! Layout conformance grid (ROADMAP item 3b, after D2O): every
+//! distribution strategy must obey the same indexing semantics. Every
+//! (Block | Cyclic | BlockCyclic(1, 3, 64)) array is fetched, scattered,
+//! redistributed to every other layout and sliced with positive, negative,
+//! stepped and empty bounds, at 1–8 workers and sizes around the worker
+//! count and the block size, 1-D and 2-D, in all three dtypes — and each
+//! result is compared lane for lane with a serial `Vec` computation. Both
+//! payload arms run, clean and under a seeded fault schedule healed by
+//! reliable delivery (`HPC_FAULT_SEED`, swept by ci.sh).
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use hpc_framework::comm::{Delivery, FaultPlan};
+use hpc_framework::odin::{Buffer, SliceSpec};
+use hpc_framework::prelude::*;
+use obs::SplitMix64;
+
+const LAYOUTS: [Dist; 5] = [
+    Dist::Block,
+    Dist::Cyclic,
+    Dist::BlockCyclic(1),
+    Dist::BlockCyclic(3),
+    Dist::BlockCyclic(64),
+];
+const DTYPES: [DType; 3] = [DType::F64, DType::I64, DType::Bool];
+const COLS: usize = 3;
+
+/// Chaos seed, overridable per CI pass: `HPC_FAULT_SEED=43 cargo test …`.
+fn fault_seed() -> u64 {
+    std::env::var("HPC_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
+
+/// Row counts around the worker count and the 64-row block.
+fn sizes(p: usize) -> Vec<usize> {
+    let mut ns = vec![0, 1, p - 1, p, 63, 64, 65, 1000];
+    ns.sort_unstable();
+    ns.dedup();
+    ns
+}
+
+// ---- the serial side ---------------------------------------------------------
+
+fn random_lanes(rng: &mut SplitMix64, dtype: DType, len: usize) -> Buffer {
+    match dtype {
+        DType::F64 => Buffer::F64((0..len).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()),
+        DType::I64 => Buffer::I64(
+            (0..len)
+                .map(|_| rng.gen_index(2001) as i64 - 1000)
+                .collect(),
+        ),
+        DType::Bool => Buffer::Bool((0..len).map(|_| rng.gen_bool(0.5)).collect()),
+    }
+}
+
+/// Rows `rows` x columns `cols` of a row-major `COLS`-wide (or 1-D when
+/// `slab == 1`) serial array.
+fn take(vals: &Buffer, slab: usize, rows: &[usize], cols: &[usize]) -> Buffer {
+    fn pick<T: Copy>(v: &[T], slab: usize, rows: &[usize], cols: &[usize]) -> Vec<T> {
+        rows.iter()
+            .flat_map(|&r| cols.iter().map(move |&c| v[r * slab + c]))
+            .collect()
+    }
+    match vals {
+        Buffer::F64(v) => Buffer::F64(pick(v, slab, rows, cols)),
+        Buffer::I64(v) => Buffer::I64(pick(v, slab, rows, cols)),
+        Buffer::Bool(v) => Buffer::Bool(pick(v, slab, rows, cols)),
+    }
+}
+
+/// Python's `range(*slice(start, stop, step).indices(n))` for `step > 0`.
+fn py_slice(n: usize, start: isize, stop: Option<isize>, step: usize) -> Vec<usize> {
+    let norm = |i: isize| (if i < 0 { i + n as isize } else { i }).clamp(0, n as isize) as usize;
+    (norm(start)..norm(stop.unwrap_or(n as isize)))
+        .step_by(step)
+        .collect()
+}
+
+/// Positive, negative, stepped and empty bounds.
+fn slice_cases(rng: &mut SplitMix64, n: usize) -> Vec<(isize, Option<isize>, usize)> {
+    let r = |rng: &mut SplitMix64| rng.gen_index(2 * n + 3) as isize - n as isize - 1;
+    vec![
+        (1, None, 1),
+        (0, Some(-1), 1),
+        (-3, None, 1),
+        (2, Some(-2), 3),
+        (0, None, 2),
+        (3, Some(3), 1),
+        (-1, Some(1), 1),
+        (r(rng), Some(r(rng)), 1 + rng.gen_index(4)),
+        (r(rng), Some(r(rng)), 1 + rng.gen_index(70)),
+    ]
+}
+
+// ---- the distributed side ------------------------------------------------------
+
+/// Place a serial array on the workers under `dist`, lane by lane through
+/// the axis map's own `local_to_global` — no run or route plan involved.
+fn scatter<'c>(ctx: &'c OdinContext, vals: &Buffer, shape: &[usize], dist: Dist) -> DistArray<'c> {
+    let a = ctx.zeros_dist(shape, vals.dtype(), dist);
+    let slab: usize = shape[1..].iter().product();
+    let vals = Arc::new(vals.clone());
+    ctx.run_spmd(&[&a], move |scope, args| {
+        let map = scope.axis_map(args[0]);
+        let rows: Vec<usize> = (0..map.my_count())
+            .map(|l| map.local_to_global(l))
+            .collect();
+        let cols: Vec<usize> = (0..slab).collect();
+        *scope.local_mut(args[0]) = take(&vals, slab, &rows, &cols);
+    });
+    a
+}
+
+#[track_caller]
+fn check(what: &str, got: &DistArray<'_>, want_shape: &[usize], want: &Buffer, case: &str) {
+    let (shape, lanes) = got.fetch();
+    assert_eq!(shape, want_shape, "{what}: shape, {case}");
+    assert_eq!(&lanes, want, "{what}: lanes, {case}");
+}
+
+/// One context's share of the grid: every layout pair, slice, dtype and
+/// dimensionality at each row count in `ns`.
+fn run_grid(ctx: &OdinContext, ns: &[usize], rng: &mut SplitMix64) {
+    let p = ctx.n_workers();
+    for &n in ns {
+        for (slab, dtype) in [1, COLS].into_iter().flat_map(|s| DTYPES.map(|d| (s, d))) {
+            let shape = if slab == 1 { vec![n] } else { vec![n, slab] };
+            let vals = random_lanes(rng, dtype, n * slab);
+            let all_cols: Vec<usize> = (0..slab).collect();
+            for src in LAYOUTS {
+                let case = format!("p={p} n={n} slab={slab} {dtype:?} from {src:?}");
+                let a = scatter(ctx, &vals, &shape, src);
+                check("fetch", &a, &shape, &vals, &case);
+                for dst in LAYOUTS.into_iter().filter(|&d| d != src) {
+                    let b = a.redistribute(dst);
+                    assert_eq!(b.dist(), dst);
+                    check(
+                        "redistribute",
+                        &b,
+                        &shape,
+                        &vals,
+                        &format!("{case} to {dst:?}"),
+                    );
+                }
+                for (start, stop, step) in slice_cases(rng, n) {
+                    let rows = py_slice(n, start, stop, step);
+                    let case = format!("{case} [{start}:{stop:?}:{step}]");
+                    if slab == 1 {
+                        let s = a.slice1(start, stop, step);
+                        assert_eq!(s.dist(), src);
+                        let want = take(&vals, 1, &rows, &[0]);
+                        check("slice1", &s, &[rows.len()], &want, &case);
+                        continue;
+                    }
+                    // 2-D: the same row bounds, with whole and partial rows
+                    let row_spec = match rows.first() {
+                        Some(&first) => SliceSpec::new(first, rows[rows.len() - 1] + 1, step),
+                        None => SliceSpec::new(0, 0, step),
+                    };
+                    for col_spec in [SliceSpec::full(slab), SliceSpec::new(0, slab, 2)] {
+                        let cols: Vec<usize> = all_cols
+                            .iter()
+                            .copied()
+                            .filter(|&c| col_spec.contains(c))
+                            .collect();
+                        let s = a.slice(&[row_spec, col_spec]);
+                        let want = take(&vals, slab, &rows, &cols);
+                        check("slice", &s, &[rows.len(), cols.len()], &want, &case);
+                    }
+                }
+                // master-side scatter and the typed read-outs
+                if slab == 1 {
+                    let wide: Vec<f64> = (0..n).map(|i| vals.get_f64(i)).collect();
+                    let ints: Vec<i64> = (0..n).map(|i| vals.get_i64(i)).collect();
+                    assert_eq!(a.to_vec(), wide, "to_vec, {case}");
+                    assert_eq!(a.to_vec_i64(), ints, "to_vec_i64, {case}");
+                    if dtype == DType::F64 {
+                        let back = ctx.from_vec(&wide, src);
+                        assert_eq!(back.dist(), src);
+                        check("from_vec", &back, &shape, &vals, &case);
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn clean_grid(threshold: usize) {
+    let mut rng = SplitMix64::new(0x1a70_0713);
+    for p in 1..=8 {
+        let ctx = OdinContext::new(
+            OdinConfig::default()
+                .with_n_workers(p)
+                .with_zerocopy_threshold(threshold),
+        );
+        run_grid(&ctx, &sizes(p), &mut rng);
+    }
+}
+
+#[test]
+fn every_layout_matches_the_serial_oracle_on_the_region_arm() {
+    clean_grid(1);
+}
+
+#[test]
+fn every_layout_matches_the_serial_oracle_on_the_encode_arm() {
+    clean_grid(usize::MAX);
+}
+
+#[test]
+fn layouts_hold_under_seeded_chaos_on_both_arms() {
+    // Swept over HPC_FAULT_SEED by ci.sh. Worker-to-worker segments are
+    // dropped, duplicated and delayed per the seed (and corrupted, which
+    // only exists on the encode arm); reliable delivery must heal every
+    // schedule. A thinner grid: each recovery costs a retransmit timeout.
+    let mut rng = SplitMix64::new(fault_seed());
+    for threshold in [1, usize::MAX] {
+        for (p, n) in [(2, 65), (3, 2), (5, 65)] {
+            let ctx = OdinContext::new(
+                OdinConfig::default()
+                    .with_n_workers(p)
+                    .with_zerocopy_threshold(threshold)
+                    .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
+                    .with_delivery(Delivery::Reliable)
+                    .with_stall_timeout(Duration::from_secs(10)),
+            );
+            run_grid(&ctx, &[n], &mut rng);
+        }
+    }
+}

@@ -12,6 +12,30 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== panic-site ratchet (ROADMAP 3d)"
+# Non-test code on the rank path should return typed errors. Count the
+# `unwrap()` / `expect(` / `panic!` sites above the first `#[cfg(test)]`
+# of each file and hold every crate at its committed ceiling: lower a
+# ceiling when a PR removes sites, never raise one without a reason in
+# the PR.
+panic_sites() {
+  local n=0 f
+  for f in crates/"$1"/src/*.rs; do
+    n=$((n + $(awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
+      | grep -o 'unwrap()\|expect(\|panic!' | wc -l)))
+  done
+  echo "$n"
+}
+for entry in comm:47 odin:70 seamless:43; do
+  crate=${entry%%:*} ceiling=${entry##*:}
+  sites=$(panic_sites "$crate")
+  echo "-- $crate: $sites panic sites (ceiling $ceiling)"
+  if [ "$sites" -gt "$ceiling" ]; then
+    echo "panic-site ratchet: crates/$crate/src has $sites sites, ceiling is $ceiling" >&2
+    exit 1
+  fi
+done
+
 echo "== native kernel tier: C compiler detection"
 # The tiered kernel plane lowers straight-line bodies to C and compiles
 # them with the system compiler (DESIGN.md §15). Without one, every

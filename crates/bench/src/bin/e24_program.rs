@@ -19,7 +19,7 @@
 use bench::{best_of, fmt_s};
 use comm::{Delivery, FaultPlan};
 use odin::lazy::Expr;
-use odin::{Dist, DistArray, OdinConfig, OdinContext, PExpr, ProgramStats};
+use odin::{Dist, DistArray, OdinConfig, OdinContext, ProgramStats};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -52,12 +52,12 @@ fn stencil_leaves(
 fn stencil_traced(ctx: &OdinContext, n: usize) -> (Vec<u64>, u64, u64, ProgramStats) {
     let (xm, x, xp, c) = stencil_leaves(ctx, n);
     let mut p = ctx.trace();
-    let (xml, xl, xpl, cl) = (p.leaf(&xm), p.leaf(&x), p.leaf(&xp), p.leaf(&c));
-    let lap = p.assign(xml - xl.clone() * 2.0 + xpl);
+    let (xl, cl) = (Expr::leaf(&x), Expr::leaf(&c));
+    let lap = p.assign(Expr::leaf(&xm) - xl.clone() * 2.0 + Expr::leaf(&xp));
     let xc = xl.clone() * cl.clone();
     let _damp = p.assign(xc.clone()); // dead store: never read, never requested
-    let xnew = p.assign(xl + (PExpr::from(lap) * cl + xc.clone()) * 0.1);
-    let resid = p.sum(PExpr::from(lap) * PExpr::from(lap));
+    let xnew = p.assign(xl + (Expr::from(lap) * cl + xc.clone()) * 0.1);
+    let resid = p.sum(Expr::from(lap) * Expr::from(lap));
     let energy = p.sum(xc.clone() * xc);
     let mut run = p.run(&[xnew]);
     let st = run.stats();
@@ -115,16 +115,16 @@ fn cg_leaves(
 fn cg_traced(ctx: &OdinContext, n: usize) -> (Vec<u64>, Vec<u64>, [u64; 3], ProgramStats) {
     let (pv, rv, xv, dv) = cg_leaves(ctx, n);
     let mut pg = ctx.trace();
-    let (pl, rl, xl, dl) = (pg.leaf(&pv), pg.leaf(&rv), pg.leaf(&xv), pg.leaf(&dv));
+    let (pl, rl) = (Expr::leaf(&pv), Expr::leaf(&rv));
     let rr0 = pg.sum(rl.clone() * rl.clone());
-    let q = pg.assign(pl.clone() * dl);
-    let den = pg.sum(pl.clone() * PExpr::from(q));
-    let alpha = PExpr::from(rr0) / PExpr::from(den);
-    let x1 = pg.assign(xl + pl.clone() * alpha.clone());
-    let r1 = pg.assign(rl - PExpr::from(q) * alpha);
-    let rr1 = pg.sum(PExpr::from(r1) * PExpr::from(r1));
-    let beta = PExpr::from(rr1) / PExpr::from(rr0);
-    let p1 = pg.assign(PExpr::from(r1) + pl * beta);
+    let q = pg.assign(pl.clone() * Expr::leaf(&dv));
+    let den = pg.sum(pl.clone() * Expr::from(q));
+    let alpha = Expr::from(rr0) / Expr::from(den);
+    let x1 = pg.assign(Expr::leaf(&xv) + pl.clone() * alpha.clone());
+    let r1 = pg.assign(rl - Expr::from(q) * alpha);
+    let rr1 = pg.sum(Expr::from(r1) * Expr::from(r1));
+    let beta = Expr::from(rr1) / Expr::from(rr0);
+    let p1 = pg.assign(Expr::from(r1) + pl * beta);
     let mut run = pg.run(&[x1, p1]);
     let st = run.stats();
     let scalars = [

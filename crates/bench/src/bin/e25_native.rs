@@ -22,7 +22,7 @@
 use bench::{best_of, fmt_s, timed};
 use odin::kernel::Tier;
 use odin::lazy::Expr;
-use odin::{OdinContext, PExpr};
+use odin::OdinContext;
 use seamless::{codegen, Interpreter, Value};
 
 const N: usize = 1_000_000;
@@ -50,11 +50,10 @@ fn run_stencil(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, u64) {
     let x = ctx.arange_f64(-1.0, 0.002, 4096, odin::Dist::Block);
     let c = ctx.arange_f64(0.3, 0.0007, 4096, odin::Dist::Block);
     let mut p = ctx.trace();
-    let (xl, cl) = (p.leaf(&x), p.leaf(&c));
-    let shared = xl.clone() * cl.clone();
-    let t1 = p.assign(shared.clone() * 0.25 + xl.clone() * 0.5 + cl * 0.25);
+    let shared = Expr::leaf(&x) * Expr::leaf(&c);
+    let t1 = p.assign(shared.clone() * 0.25 + Expr::leaf(&x) * 0.5 + Expr::leaf(&c) * 0.25);
     let t2 = p.assign((shared + 1.0).sqrt());
-    let s = p.sum(PExpr::from(t1) * PExpr::from(t2));
+    let s = p.sum(Expr::from(t1) * Expr::from(t2));
     let mut run = p.run(&[t1, t2]);
     (
         run.array(t1).to_vec().iter().map(|v| v.to_bits()).collect(),

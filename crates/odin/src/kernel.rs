@@ -114,8 +114,8 @@ impl OdinContext {
     ///
     /// Fails with a typed [`SeamlessError`] when the source does not
     /// parse or type-check, when the entry function is missing, or when
-    /// it is not a scalar→scalar function (array parameters or an array
-    /// return cannot run element-wise).
+    /// it is not a scalar→scalar function of at least one parameter
+    /// (array parameters or an array return cannot run element-wise).
     pub fn compile_kernel(&self, src: &str, fname: &str) -> Result<Kernel<'_>, SeamlessError> {
         self.kernel(src, fname).build()
     }
@@ -160,6 +160,11 @@ impl<'c> KernelSpec<'c> {
             SeamlessError::Type(format!("no function named `{fname}` in kernel source"))
         })?;
         let arity = def.params.len();
+        if arity == 0 {
+            return Err(SeamlessError::Type(format!(
+                "kernel `{fname}` takes no parameters: a kernel maps over at least one array"
+            )));
+        }
         let param_type = match dtype {
             DType::F64 => Type::Float,
             DType::I64 => Type::Int,
@@ -459,6 +464,11 @@ mod tests {
         assert!(ctx
             .compile_kernel("def f(n):\n    return zeros(int(n))\n", "f")
             .is_err());
+        // nothing to map over: no template array to take a geometry from
+        assert!(matches!(
+            ctx.compile_kernel("def f():\n    return 1.0\n", "f"),
+            Err(seamless::SeamlessError::Type(_))
+        ));
         // float-returning body cannot be monomorphized for i64 compute
         assert!(ctx
             .kernel("def f(x):\n    return x * 0.5\n", "f")

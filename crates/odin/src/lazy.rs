@@ -1,36 +1,68 @@
 //! Lazy expressions and loop fusion (§III: "ODIN can optimize distributed
 //! array expressions. These optimizations include: loop fusion, …").
 //!
-//! An [`Expr`] is built without touching the workers; [`Expr::eval`]
-//! lowers it to Seamless bytecode, registers the kernel once on every
-//! worker (structurally identical expressions reuse the registration),
-//! and executes it in one unboxed pass over each worker's segment — no
-//! intermediate arrays, and each invoke after the first is a
-//! tens-of-bytes control message. [`Expr::eval_unfused`] materializes
-//! every node through the eager [`DistArray`] operators instead — what
-//! eager evaluation does, and the independent bitwise reference the
-//! fused path is tested against (experiments E6/E20 measure the
-//! difference). [`Expr::sum`] / [`Expr::max`] / [`Expr::min`] fuse the
-//! reduction into the same pass — map and fold without ever
-//! materializing the mapped array.
+//! An [`Expr`] is built without touching the workers. It is the one lazy
+//! tree of the crate: [`Expr::eval`] / [`Expr::reduce`] record it as a
+//! one-statement [`Program`] and run that, so a
+//! lone expression and a multi-statement trace share one interner, one
+//! operand aligner and one lowering to Seamless bytecode. The kernel is
+//! registered once on every worker (structurally identical expressions
+//! reuse the registration) and executes in one unboxed pass over each
+//! worker's segment — no intermediate arrays, and each invoke after the
+//! first is a tens-of-bytes control message.
+//! [`Expr::eval_unfused`] materializes every node through the eager
+//! [`DistArray`] operators instead — what eager evaluation does, and the
+//! independent bitwise reference the fused path is tested against
+//! (experiments E6/E20 measure the difference). [`Expr::sum`] /
+//! [`Expr::max`] / [`Expr::min`] fuse the reduction into the same pass —
+//! map and fold without ever materializing the mapped array.
 
 use crate::array::DistArray;
 use crate::buffer::DType;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, KernelOut, ReduceKind, UnaryOp};
-use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Program, Reg, RegFile};
-use seamless::Type;
-use std::collections::HashMap;
+use crate::context::OdinContext;
+use crate::program::{Program, Traced, TracedScalar, FOREIGN_HANDLE};
+use crate::protocol::{BinOp, ReduceKind, UnaryOp};
+use seamless::bytecode::{Cmp, Instr, Math2Fn, MathFn, Reg};
 
-/// A lazy elementwise expression over distributed arrays.
+pub(crate) const NO_ARRAY_OPERAND: &str = "expression needs at least one array operand";
+
+/// A lazy elementwise expression over distributed arrays and, inside a
+/// [`Program`] trace, over the results of
+/// earlier statements.
+#[derive(Clone)]
 pub enum Expr<'x, 'c> {
     /// A distributed array operand.
     Leaf(&'x DistArray<'c>),
     /// A broadcast constant.
     Scalar(f64),
+    /// The array an earlier traced statement produces (`Traced::into`).
+    Stmt(Traced),
+    /// The value an earlier traced reduction produces
+    /// (`TracedScalar::into`); it reaches the kernel as an f64 scalar
+    /// parameter resolved from the earlier launch's reply.
+    ScalarStmt(TracedScalar),
     /// Unary node.
     Unary(UnaryOp, Box<Expr<'x, 'c>>),
     /// Binary node.
     Binary(BinOp, Box<Expr<'x, 'c>>, Box<Expr<'x, 'c>>),
+}
+
+impl From<Traced> for Expr<'_, '_> {
+    fn from(t: Traced) -> Self {
+        Expr::Stmt(t)
+    }
+}
+
+impl From<TracedScalar> for Expr<'_, '_> {
+    fn from(s: TracedScalar) -> Self {
+        Expr::ScalarStmt(s)
+    }
+}
+
+impl From<f64> for Expr<'_, '_> {
+    fn from(v: f64) -> Self {
+        Expr::Scalar(v)
+    }
 }
 
 impl<'x, 'c> Expr<'x, 'c> {
@@ -46,6 +78,10 @@ impl<'x, 'c> Expr<'x, 'c> {
 
     fn un(self, op: UnaryOp) -> Self {
         Expr::Unary(op, Box::new(self))
+    }
+
+    fn bin(self, op: BinOp, rhs: Self) -> Self {
+        Expr::Binary(op, Box::new(self), Box::new(rhs))
     }
 
     /// Square root node.
@@ -84,143 +120,59 @@ impl<'x, 'c> Expr<'x, 'c> {
     pub fn ceil(self) -> Self {
         self.un(UnaryOp::Ceil)
     }
-    /// Power with a scalar exponent.
+    /// Power with a scalar exponent (small integral exponents
+    /// strength-reduce to `powi`, exactly as the eager ufunc does).
     pub fn pow(self, e: f64) -> Self {
-        Expr::Binary(BinOp::Pow, Box::new(self), Box::new(Expr::Scalar(e)))
+        self.bin(BinOp::Pow, Expr::Scalar(e))
     }
-
-    fn first_leaf(&self) -> Option<&'x DistArray<'c>> {
-        match self {
-            Expr::Leaf(a) => Some(a),
-            Expr::Scalar(_) => None,
-            Expr::Unary(_, e) => e.first_leaf(),
-            Expr::Binary(_, a, b) => a.first_leaf().or_else(|| b.first_leaf()),
-        }
+    /// Elementwise maximum.
+    pub fn max_with(self, rhs: Self) -> Self {
+        self.bin(BinOp::Max, rhs)
     }
-
-    fn collect_leaves(&self, out: &mut Vec<&'x DistArray<'c>>) {
-        match self {
-            Expr::Leaf(a) => out.push(a),
-            Expr::Scalar(_) => {}
-            Expr::Unary(_, e) => e.collect_leaves(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_leaves(out);
-                b.collect_leaves(out);
-            }
-        }
+    /// Elementwise minimum.
+    pub fn min_with(self, rhs: Self) -> Self {
+        self.bin(BinOp::Min, rhs)
     }
 
     /// Number of operation nodes (for reporting).
     pub fn n_ops(&self) -> usize {
         match self {
-            Expr::Leaf(_) | Expr::Scalar(_) => 0,
+            Expr::Leaf(_) | Expr::Scalar(_) | Expr::Stmt(_) | Expr::ScalarStmt(_) => 0,
             Expr::Unary(_, e) => 1 + e.n_ops(),
             Expr::Binary(_, a, b) => 1 + a.n_ops() + b.n_ops(),
         }
     }
 
-    /// Align non-conformable leaves against the template's distribution
-    /// (kept alive until the kernel command has been issued — commands
-    /// are processed in order, so issuing Free afterwards is safe).
-    fn align(&self, t_meta: &ArrayMeta) -> (HashMap<u64, u64>, Vec<DistArray<'c>>) {
-        let mut leaves = Vec::new();
-        self.collect_leaves(&mut leaves);
-        let mut aligned = HashMap::new();
-        let mut temps: Vec<DistArray<'c>> = Vec::new();
-        for leaf in &leaves {
-            let m = leaf.meta();
-            assert_eq!(m.shape, t_meta.shape, "fused operands must share a shape");
-            if !m.conformable(t_meta) && !aligned.contains_key(&leaf.id()) {
-                let moved = leaf.redistribute(t_meta.dist);
-                aligned.insert(leaf.id(), moved.id());
-                temps.push(moved);
-            }
+    /// The context of the leftmost array operand — where a directly
+    /// evaluated expression runs. A traced-statement handle can only be
+    /// resolved by the [`Program`] that issued it, never by a direct
+    /// `eval`.
+    fn ctx(&self) -> Option<&'c OdinContext> {
+        match self {
+            Expr::Leaf(a) => Some(a.ctx()),
+            Expr::Scalar(_) => None,
+            Expr::Stmt(_) | Expr::ScalarStmt(_) => panic!("{FOREIGN_HANDLE}"),
+            Expr::Unary(_, e) => e.ctx(),
+            Expr::Binary(_, a, b) => a.ctx().or_else(|| b.ctx()),
         }
-        (aligned, temps)
     }
 
-    /// Lower to a single straight-line Seamless bytecode function over
-    /// f64 scalar parameters, one per distinct (aligned) leaf array.
-    /// Returns the program, the ordered input array ids that bind to its
-    /// parameters, and the register holding the root value.
-    fn lower(&self, aligned: &HashMap<u64, u64>) -> (Program, Vec<u64>, (RegFile, Reg)) {
-        let mut leaves = Vec::new();
-        self.collect_leaves(&mut leaves);
-        let mut inputs: Vec<u64> = Vec::new();
-        let mut params: HashMap<u64, Reg> = HashMap::new();
-        for leaf in &leaves {
-            let id = aligned
-                .get(&leaf.id())
-                .copied()
-                .unwrap_or_else(|| leaf.id());
-            if let std::collections::hash_map::Entry::Vacant(e) = params.entry(id) {
-                e.insert(inputs.len() as Reg);
-                inputs.push(id);
-            }
-        }
-        let n = inputs.len();
-        let mut lw = Lowerer::with_params(params, n);
-        let ret = lw.go(self, aligned);
-        lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
-        let f = CompiledFunc {
-            name: "expr".into(),
-            params: (0..n).map(|k| (RegFile::F, k as Reg)).collect(),
-            param_types: vec![Type::Float; n],
-            ret: Type::Float,
-            reg_counts: [lw.n_f as usize, lw.n_i as usize, 0, 0],
-            instrs: lw.instrs,
-        };
-        (
-            Program {
-                funcs: vec![f],
-                externs: Vec::new(),
-            },
-            inputs,
-            (RegFile::F, ret),
-        )
+    /// A fresh trace on this expression's context.
+    fn trace(&self) -> Program<'x, 'c> {
+        self.ctx().expect(NO_ARRAY_OPERAND).trace()
     }
 
-    /// Evaluate through the JIT kernel plane: lower once to Seamless
-    /// bytecode, register it on every worker (cached — a structurally
-    /// identical expression reuses the registration), then run one
-    /// unboxed fused pass per worker segment. One small control message
-    /// per invoke, no temporaries, bitwise-identical to
+    /// Evaluate through the JIT kernel plane as a one-statement
+    /// [`Program`]: lowered once to Seamless
+    /// bytecode, registered on every worker (cached — a structurally
+    /// identical expression reuses the registration), then one unboxed
+    /// fused pass per worker segment. One small control message per
+    /// invoke, no temporaries, bitwise-identical to
     /// [`Expr::eval_unfused`] over f64 operands.
     pub fn eval(&self) -> DistArray<'c> {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
-        let ctx = template.ctx();
-        let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs, reg) = self.lower(&aligned);
-        let kernel = ctx.register_kernel_program(program);
-        let out = ctx.alloc_id();
-        let out_dtype = self.infer_dtype();
-        ctx.send_cmd(&Cmd::EvalKernel {
-            kernel,
-            template: template.id(),
-            inputs,
-            scalars: Vec::new(),
-            outs: vec![KernelOut::Array {
-                id: out,
-                dtype: out_dtype,
-                reg,
-            }],
-            // Lowered expressions compute in f64 regardless of out_dtype;
-            // workers may tier up to the probed native body when one is
-            // available (first worker to arrive compiles, the rest hit
-            // the process-global cache).
-            dtype: DType::F64,
-            native: true,
-        });
-        let out_meta = ArrayMeta {
-            dtype: out_dtype,
-            ..t_meta
-        };
-        ctx.record_meta(out, out_meta);
-        drop(temps);
-        DistArray::from_id(ctx, out)
+        let mut p = self.trace();
+        let t = p.assign_ref(self);
+        p.run(&[t]).array(t)
     }
 
     /// Fused map+reduce: evaluate the expression and fold it to a scalar
@@ -228,26 +180,9 @@ impl<'x, 'c> Expr<'x, 'c> {
     /// materialized. Bitwise-identical to `self.eval()` followed by the
     /// matching array reduction.
     pub fn reduce(&self, kind: ReduceKind) -> f64 {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
-        let ctx = template.ctx();
-        let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs, reg) = self.lower(&aligned);
-        let kernel = ctx.register_kernel_program(program);
-        let pending = ctx.dispatch_single::<Vec<f64>>(&Cmd::EvalKernel {
-            kernel,
-            template: template.id(),
-            inputs,
-            scalars: Vec::new(),
-            outs: vec![KernelOut::Reduce { kind, reg }],
-            dtype: DType::F64,
-            native: true,
-        });
-        let v = pending.wait()[0];
-        drop(temps);
-        v
+        let mut p = self.trace();
+        let s = p.reduce_ref(self, kind);
+        p.run(&[]).scalar(s)
     }
 
     /// Sum of the evaluated expression, fused into the map pass.
@@ -265,23 +200,6 @@ impl<'x, 'c> Expr<'x, 'c> {
         self.reduce(ReduceKind::Min)
     }
 
-    fn infer_dtype(&self) -> DType {
-        match self {
-            Expr::Leaf(a) => a.dtype(),
-            Expr::Scalar(v) => {
-                if v.fract() == 0.0 {
-                    DType::I64
-                } else {
-                    DType::F64
-                }
-            }
-            Expr::Unary(op, e) => crate::buffer::unary_result_dtype(*op, e.infer_dtype()),
-            Expr::Binary(op, a, b) => {
-                crate::buffer::binary_result_dtype(*op, a.infer_dtype(), b.infer_dtype())
-            }
-        }
-    }
-
     /// Evaluate eagerly, materializing every intermediate node through
     /// the `buffer.rs` ufuncs — the fusion-OFF baseline for experiment E6
     /// and the independent oracle the kernel plane's parity tests and
@@ -293,7 +211,7 @@ impl<'x, 'c> Expr<'x, 'c> {
                 // force a copy so the caller owns the result
                 a.astype(a.dtype())
             }
-            NodeVal::Scalar(_) => panic!("expression needs at least one array operand"),
+            NodeVal::Scalar(_) => panic!("{NO_ARRAY_OPERAND}"),
         }
     }
 
@@ -301,6 +219,7 @@ impl<'x, 'c> Expr<'x, 'c> {
         match self {
             Expr::Leaf(a) => NodeVal::Borrowed(a),
             Expr::Scalar(v) => NodeVal::Scalar(*v),
+            Expr::Stmt(_) | Expr::ScalarStmt(_) => panic!("{FOREIGN_HANDLE}"),
             Expr::Unary(op, e) => match e.eval_node() {
                 NodeVal::Scalar(v) => NodeVal::Scalar(scalar_unary(*op, v)),
                 NodeVal::Borrowed(a) => NodeVal::Arr(unary_of(a, *op)),
@@ -337,16 +256,13 @@ impl<'x, 'c> Expr<'x, 'c> {
 /// small integral constants strength-reduces to [`Instr::PowIC`] just
 /// like `apply_binary_scalar` does.
 pub(crate) struct Lowerer {
-    /// Aligned leaf array id → F parameter register.
-    pub(crate) params: HashMap<u64, Reg>,
     pub(crate) instrs: Vec<Instr>,
     pub(crate) n_f: Reg,
     pub(crate) n_i: Reg,
 }
 
-/// `x ** c` strength-reduction eligibility, shared by both lowering
-/// planes (single-expression and whole-program): small integral
-/// exponents run as [`Instr::PowIC`].
+/// `x ** c` strength-reduction eligibility: small integral exponents
+/// run as [`Instr::PowIC`].
 pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
     if c.fract() == 0.0 && c.abs() <= 8.0 {
         Some(c as i32)
@@ -357,10 +273,9 @@ pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
 
 impl Lowerer {
     /// Fresh lowering state with the first `n_params` F registers bound
-    /// to parameters (the caller owns the id → register map).
-    pub(crate) fn with_params(params: HashMap<u64, Reg>, n_params: usize) -> Self {
+    /// to parameters (the caller owns the operand → register map).
+    pub(crate) fn with_params(n_params: usize) -> Self {
         Lowerer {
-            params,
             instrs: Vec::new(),
             n_f: n_params as Reg,
             n_i: 0,
@@ -492,7 +407,7 @@ impl Lowerer {
 
     /// Emit the value a consumer would observe if the register were
     /// materialized as an array of `dtype` and then staged back as f64
-    /// for the next kernel — the whole-program plane uses this to fuse
+    /// for the next kernel — a multi-statement program uses this to fuse
     /// *across* a statement whose dtype is not F64 while staying bitwise
     /// identical to the materialize-then-stage route: `astype(I64)` is
     /// `v as i64` and staging is `as f64` (FToI + IToF); `astype(Bool)`
@@ -510,35 +425,6 @@ impl Lowerer {
                 let i = self.fresh_i();
                 self.instrs.push(Instr::CmpF(Cmp::Ne, i, s, z));
                 self.bool_to_f(i)
-            }
-        }
-    }
-
-    /// Lower one node; returns the F register holding its value.
-    fn go(&mut self, e: &Expr<'_, '_>, aligned: &HashMap<u64, u64>) -> Reg {
-        match e {
-            Expr::Leaf(a) => {
-                let id = aligned.get(&a.id()).copied().unwrap_or_else(|| a.id());
-                self.params[&id]
-            }
-            Expr::Scalar(v) => self.emit_const(*v),
-            Expr::Unary(op, e) => {
-                let s = self.go(e, aligned);
-                self.emit_unary(*op, s)
-            }
-            Expr::Binary(op, l, r) => {
-                // `x ** c` with a small integral constant exponent:
-                // strength-reduce to powi without materializing the rhs,
-                // exactly as the eager scalar-broadcast ufunc does.
-                if let (BinOp::Pow, Expr::Scalar(c)) = (op, r.as_ref()) {
-                    if let Some(e) = powic_exponent(*c) {
-                        let a = self.go(l, aligned);
-                        return self.emit_pow_const(a, e);
-                    }
-                }
-                let a = self.go(l, aligned);
-                let b = self.go(r, aligned);
-                self.emit_binary(*op, a, b)
             }
         }
     }
@@ -599,13 +485,13 @@ macro_rules! expr_binop {
         impl<'x, 'c> std::ops::$trait for Expr<'x, 'c> {
             type Output = Expr<'x, 'c>;
             fn $method(self, rhs: Expr<'x, 'c>) -> Expr<'x, 'c> {
-                Expr::Binary($op, Box::new(self), Box::new(rhs))
+                self.bin($op, rhs)
             }
         }
         impl<'x, 'c> std::ops::$trait<f64> for Expr<'x, 'c> {
             type Output = Expr<'x, 'c>;
             fn $method(self, rhs: f64) -> Expr<'x, 'c> {
-                Expr::Binary($op, Box::new(self), Box::new(Expr::Scalar(rhs)))
+                self.bin($op, Expr::Scalar(rhs))
             }
         }
     };
@@ -616,6 +502,13 @@ expr_binop!(Sub, sub, BinOp::Sub);
 expr_binop!(Mul, mul, BinOp::Mul);
 expr_binop!(Div, div, BinOp::Div);
 expr_binop!(Rem, rem, BinOp::Mod);
+
+impl<'x, 'c> std::ops::Neg for Expr<'x, 'c> {
+    type Output = Expr<'x, 'c>;
+    fn neg(self) -> Expr<'x, 'c> {
+        self.un(UnaryOp::Neg)
+    }
+}
 
 #[cfg(test)]
 mod tests {

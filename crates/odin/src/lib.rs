@@ -46,7 +46,7 @@ pub use error::{OdinError, RecoveryReport};
 pub use io::remove_saved;
 pub use kernel::{Kernel, KernelSpec, Tier};
 pub use lazy::Expr;
-pub use program::{PExpr, Program, ProgramRun, ProgramStats, Traced, TracedScalar};
+pub use program::{Program, ProgramRun, ProgramStats, Traced, TracedScalar};
 pub use protocol::{ArrayMeta, BinOp, Dist, KernelOut, ReduceKind, ReplyMsg, UnaryOp};
 pub use recover::OdinCheckpoint;
 pub use reply::Pending;

@@ -85,7 +85,10 @@ impl WorkerScope<'_> {
                 (Some(buf.get_f64(0)), Some(buf.get_f64(buf.len() - 1)))
             }
         };
-        const HALO_TAG: comm::Tag = 0x2FFF_0001;
+        // A tag of its own per exchange (every worker runs the helper in
+        // SPMD order): retransmits can reorder two back-to-back halo
+        // exchanges, which a fixed tag would cross-match.
+        let halo_tag = self.comm.next_spmd_tag();
         // Post both sends nonblocking, then both receives; sends to the
         // two neighbors overlap with each other and with the receives.
         // Empty ranks forward nothing; for simplicity this helper
@@ -101,28 +104,28 @@ impl WorkerScope<'_> {
             if rank > 0 {
                 sreqs.push(
                     self.comm
-                        .isend(rank - 1, HALO_TAG, &first.unwrap())
+                        .isend(rank - 1, halo_tag, &first.unwrap())
                         .expect("halo send"),
                 );
             }
             if rank + 1 < p {
                 sreqs.push(
                     self.comm
-                        .isend(rank + 1, HALO_TAG, &last.unwrap())
+                        .isend(rank + 1, halo_tag, &last.unwrap())
                         .expect("halo send"),
                 );
             }
             if rank + 1 < p {
                 let (v, _) = self
                     .comm
-                    .recv::<f64>(comm::Src::Rank(rank + 1), HALO_TAG)
+                    .recv::<f64>(comm::Src::Rank(rank + 1), halo_tag)
                     .expect("halo recv");
                 right_ghost = Some(v);
             }
             if rank > 0 {
                 let (v, _) = self
                     .comm
-                    .recv::<f64>(comm::Src::Rank(rank - 1), HALO_TAG)
+                    .recv::<f64>(comm::Src::Rank(rank - 1), halo_tag)
                     .expect("halo recv");
                 left_ghost = Some(v);
             }

@@ -1,8 +1,10 @@
 //! Whole-program trace capture and dataflow optimization (DESIGN §14).
 //!
-//! A [`Program`] records multi-statement lazy computations — expression
-//! assignments, reductions, redistributes — into an interned dataflow
-//! graph instead of executing them eagerly. [`Program::run`] then
+//! A [`Program`] records lazy computations — expression assignments,
+//! reductions, redistributes — into an interned dataflow graph instead of
+//! executing them eagerly. Statements are ordinary [`Expr`] trees; a
+//! later statement names an earlier one through its [`Traced`] /
+//! [`TracedScalar`] handle (`Expr::from(handle)`). [`Program::run`] then
 //! optimizes across statements before touching the workers:
 //!
 //! - **cross-statement fusion**: producer/consumer elementwise statements
@@ -13,195 +15,63 @@
 //!   compiles and runs once,
 //! - **DSE**: statements whose results are never read and never requested
 //!   as outputs don't launch at all,
-//! - **communication-avoiding scheduling**: the eager per-expression leaf
-//!   redistribute done inside `Expr::eval` is deferred and pooled, so a
-//!   non-conformable operand consumed by N statements moves at most once
-//!   per target distribution (through the same cached-route redistribute
-//!   machinery).
+//! - **communication-avoiding scheduling**: operand alignment is pooled,
+//!   so a non-conformable operand consumed by N statements moves at most
+//!   once per target distribution (through the same cached-route
+//!   redistribute machinery).
 //!
-//! Execution stays **bitwise-identical** to statement-at-a-time
-//! [`Expr::eval`](crate::lazy::Expr::eval): fused kernels reuse the exact
-//! same `Lowerer` emitters (same FP operation order per statement), and
-//! fusing across a non-F64 intermediate inserts the materialize/stage
-//! round-trip cast the eager path would have performed. The one
-//! documented divergence: a reduction result consumed via
-//! [`Program::reduce`] + [`PExpr::from`] is typed `F64`, while pasting
-//! the same value back in as an integral `Expr::Scalar` literal would
-//! infer `I64`.
+//! This is the crate's only lowering: [`Expr::eval`] and [`Expr::reduce`]
+//! are one-statement programs. A fused multi-statement run stays
+//! **bitwise-identical** to running its statements one at a time — the
+//! same `Lowerer` emitters fix the FP operation order per statement,
+//! and fusing across a non-F64 intermediate inserts the materialize/stage
+//! round-trip cast the separate launches would have performed. The one
+//! documented divergence: a reduction result consumed through its
+//! [`TracedScalar`] handle is typed `F64`, while pasting the same value
+//! back in as an integral `Expr::Scalar` literal would infer `I64`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::array::DistArray;
 use crate::buffer::{binary_result_dtype, unary_result_dtype, DType};
 use crate::context::OdinContext;
-use crate::lazy::{powic_exponent, Lowerer};
+use crate::lazy::{powic_exponent, Expr, Lowerer, NO_ARRAY_OPERAND};
 use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
 use seamless::bytecode::{CompiledFunc, Instr, Reg, RegFile};
 use seamless::Type;
 
+pub(crate) const FOREIGN_HANDLE: &str = "Traced handle used outside the Program that created it";
+
+/// Source of per-trace ids: every handle is stamped with the id of the
+/// [`Program`] that issued it, so it cannot index another trace's
+/// statements.
+static NEXT_TRACE: AtomicU64 = AtomicU64::new(0);
+
 /// Handle to a traced array statement (an assignment or redistribute);
-/// feed it back into expressions via [`PExpr::from`], or request it as a
+/// feed it back into expressions via `Expr::from`, or request it as a
 /// program output in [`Program::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Traced {
+    trace: u64,
     stmt: usize,
 }
 
 /// Handle to a traced reduction; read its value from
 /// [`ProgramRun::scalar`], or feed it into later statements via
-/// [`PExpr::from`] (it becomes an f64 scalar parameter of the fused
-/// kernel, resolved from the earlier launch's reply).
+/// `Expr::from` (it becomes an f64 scalar parameter of the fused kernel,
+/// resolved from the earlier launch's reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracedScalar {
+    trace: u64,
     stmt: usize,
 }
 
-/// A lazy expression inside a [`Program`] trace: the owned counterpart of
-/// [`Expr`](crate::lazy::Expr), extended with references to earlier
-/// traced statements ([`Traced`]) and reductions ([`TracedScalar`]).
-#[derive(Debug, Clone)]
-pub struct PExpr {
-    node: PNode,
-}
-
-#[derive(Debug, Clone)]
-enum PNode {
-    /// Index into the program's leaf table.
-    Leaf(usize),
-    Scalar(f64),
-    /// Value of an earlier array statement.
-    Ref(usize),
-    /// Value of an earlier reduction statement.
-    ScalarRef(usize),
-    Unary(UnaryOp, Box<PNode>),
-    Binary(BinOp, Box<PNode>, Box<PNode>),
-}
-
-impl PExpr {
-    /// Wrap a constant.
-    pub fn scalar(v: f64) -> Self {
-        PExpr {
-            node: PNode::Scalar(v),
-        }
-    }
-
-    fn un(self, op: UnaryOp) -> Self {
-        PExpr {
-            node: PNode::Unary(op, Box::new(self.node)),
-        }
-    }
-
-    /// Square root node.
-    pub fn sqrt(self) -> Self {
-        self.un(UnaryOp::Sqrt)
-    }
-    /// Sine node.
-    pub fn sin(self) -> Self {
-        self.un(UnaryOp::Sin)
-    }
-    /// Cosine node.
-    pub fn cos(self) -> Self {
-        self.un(UnaryOp::Cos)
-    }
-    /// Exponential node.
-    pub fn exp(self) -> Self {
-        self.un(UnaryOp::Exp)
-    }
-    /// Absolute-value node.
-    pub fn abs(self) -> Self {
-        self.un(UnaryOp::Abs)
-    }
-    /// Tangent node.
-    pub fn tan(self) -> Self {
-        self.un(UnaryOp::Tan)
-    }
-    /// Natural-logarithm node.
-    pub fn ln(self) -> Self {
-        self.un(UnaryOp::Log)
-    }
-    /// Floor node.
-    pub fn floor(self) -> Self {
-        self.un(UnaryOp::Floor)
-    }
-    /// Ceiling node.
-    pub fn ceil(self) -> Self {
-        self.un(UnaryOp::Ceil)
-    }
-    /// Power with a scalar exponent (small integral exponents
-    /// strength-reduce exactly like the single-expression planes).
-    pub fn pow(self, e: f64) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Pow, Box::new(self.node), Box::new(PNode::Scalar(e))),
-        }
-    }
-    /// Elementwise maximum.
-    pub fn max_with(self, rhs: PExpr) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Max, Box::new(self.node), Box::new(rhs.node)),
-        }
-    }
-    /// Elementwise minimum.
-    pub fn min_with(self, rhs: PExpr) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Min, Box::new(self.node), Box::new(rhs.node)),
-        }
-    }
-}
-
-impl From<Traced> for PExpr {
-    fn from(t: Traced) -> Self {
-        PExpr {
-            node: PNode::Ref(t.stmt),
-        }
-    }
-}
-
-impl From<TracedScalar> for PExpr {
-    fn from(s: TracedScalar) -> Self {
-        PExpr {
-            node: PNode::ScalarRef(s.stmt),
-        }
-    }
-}
-
-impl From<f64> for PExpr {
-    fn from(v: f64) -> Self {
-        PExpr::scalar(v)
-    }
-}
-
-macro_rules! pexpr_binop {
-    ($trait:ident, $method:ident, $op:expr) => {
-        impl std::ops::$trait for PExpr {
-            type Output = PExpr;
-            fn $method(self, rhs: PExpr) -> PExpr {
-                PExpr {
-                    node: PNode::Binary($op, Box::new(self.node), Box::new(rhs.node)),
-                }
-            }
-        }
-        impl std::ops::$trait<f64> for PExpr {
-            type Output = PExpr;
-            fn $method(self, rhs: f64) -> PExpr {
-                PExpr {
-                    node: PNode::Binary($op, Box::new(self.node), Box::new(PNode::Scalar(rhs))),
-                }
-            }
-        }
-    };
-}
-
-pexpr_binop!(Add, add, BinOp::Add);
-pexpr_binop!(Sub, sub, BinOp::Sub);
-pexpr_binop!(Mul, mul, BinOp::Mul);
-pexpr_binop!(Div, div, BinOp::Div);
-pexpr_binop!(Rem, rem, BinOp::Mod);
-
-impl std::ops::Neg for PExpr {
-    type Output = PExpr;
-    fn neg(self) -> PExpr {
-        self.un(UnaryOp::Neg)
-    }
+/// The statement a handle names inside trace `trace`; a handle stamped by
+/// any other trace is refused.
+fn owned(trace: u64, handle_trace: u64, stmt: usize) -> usize {
+    assert_eq!(handle_trace, trace, "{FOREIGN_HANDLE}");
+    stmt
 }
 
 /// Structural identity of an interned dataflow node. Two statements that
@@ -209,36 +79,68 @@ impl std::ops::Neg for PExpr {
 /// the CSE pass, paid at trace time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum NodeKey {
+    /// Index into the program's leaf table.
     Leaf(usize),
     Scalar(u64),
+    /// Value of an earlier array statement.
     Ref(usize),
+    /// Value of an earlier reduction statement.
     ScalarRef(usize),
     Unary(UnaryOp, usize),
     Binary(BinOp, usize, usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     key: NodeKey,
     dtype: DType,
-    /// Node id of the leftmost array operand below (or at) this node —
-    /// the statement-template rule `Expr::eval` uses, propagated.
-    tref: Option<usize>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum StmtKind {
     Eval { root: usize },
     Reduce { root: usize, kind: ReduceKind },
     Redistribute { src: usize },
 }
 
-#[derive(Debug, Clone)]
+/// Which array feeds a fused-kernel parameter: a program leaf or the
+/// materialized output of an earlier statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ArrayInput {
+    Leaf(usize),
+    Ref(usize),
+}
+
+/// Distinct operands of one statement, in first-seen left-to-right order
+/// (the parameter-binding order of its kernel). The first array is the
+/// statement's template: its geometry is the result's.
+#[derive(Debug, Default)]
+struct StmtInputs {
+    arrays: Vec<ArrayInput>,
+    /// Reduction statements whose values this statement reads.
+    scalars: Vec<usize>,
+}
+
+impl StmtInputs {
+    /// Earlier statements this one reads.
+    fn deps(&self) -> impl Iterator<Item = usize> + '_ {
+        let refs = self.arrays.iter().filter_map(|a| match a {
+            ArrayInput::Ref(d) => Some(*d),
+            ArrayInput::Leaf(_) => None,
+        });
+        refs.chain(self.scalars.iter().copied())
+    }
+}
+
+#[derive(Debug)]
 struct Stmt {
     kind: StmtKind,
     /// Output meta: template geometry with the statement's result dtype
     /// (for reductions: the template geometry the fold runs at).
     out_meta: ArrayMeta,
+    /// Computed once when the statement is recorded; every pass of
+    /// [`Program::run`] reads it.
+    inputs: StmtInputs,
 }
 
 /// Optimization decisions of one [`Program::run`], also mirrored into the
@@ -277,8 +179,11 @@ pub struct ProgramStats {
 /// Results of one [`Program::run`]: the requested arrays, every traced
 /// reduction value, and the optimizer's [`ProgramStats`].
 pub struct ProgramRun<'c> {
-    arrays: HashMap<usize, DistArray<'c>>,
-    scalars: HashMap<usize, f64>,
+    trace: u64,
+    /// Per statement: its array, if requested and not yet taken.
+    arrays: Vec<Option<DistArray<'c>>>,
+    /// Per statement: its value, if it is a reduction.
+    scalars: Vec<Option<f64>>,
     stats: ProgramStats,
 }
 
@@ -286,35 +191,20 @@ impl<'c> ProgramRun<'c> {
     /// Take ownership of a requested output array. Panics if `t` wasn't
     /// in the `outputs` of [`Program::run`] or was already taken.
     pub fn array(&mut self, t: Traced) -> DistArray<'c> {
-        self.arrays
-            .remove(&t.stmt)
+        self.arrays[owned(self.trace, t.trace, t.stmt)]
+            .take()
             .expect("statement was not requested as an output (or already taken)")
     }
 
     /// Value of a traced reduction.
     pub fn scalar(&self, s: TracedScalar) -> f64 {
-        *self.scalars.get(&s.stmt).expect("unknown traced reduction")
+        self.scalars[owned(self.trace, s.trace, s.stmt)].expect("every traced reduction runs")
     }
 
     /// The optimizer's decisions for this run.
     pub fn stats(&self) -> ProgramStats {
         self.stats
     }
-}
-
-/// Which array feeds a fused-kernel parameter: a program leaf or the
-/// materialized output of an earlier statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ArrayInput {
-    Leaf(usize),
-    Ref(usize),
-}
-
-/// Distinct operands of one statement, in first-seen left-to-right order
-/// (the parameter-binding order `Expr::lower` uses).
-struct StmtInputs {
-    arrays: Vec<ArrayInput>,
-    scalars: Vec<usize>,
 }
 
 struct Group {
@@ -328,21 +218,34 @@ enum Step {
     Redistribute(usize),
 }
 
+/// One fused group as bytecode, with what its parameters and outputs bind.
 struct LoweredGroup {
     program: seamless::bytecode::Program,
+    /// External operands in parameter order: arrays first, then the
+    /// reduction statements whose values arrive as scalars.
     array_inputs: Vec<ArrayInput>,
     scalar_inputs: Vec<usize>,
     /// `(stmt, register)` per harvested output, in statement order.
     outs: Vec<(usize, Reg)>,
 }
 
-/// A recording scope for multi-statement lazy computation over one
-/// [`OdinContext`]; create with [`OdinContext::trace`], execute with
-/// [`Program::run`].
+/// Registers assigned so far while one group is being lowered.
+struct Emitted {
+    lw: Lowerer,
+    /// Per interned node: the register holding it (CSE at the register
+    /// level — a node shared by several statements is emitted once).
+    node: Vec<Option<Reg>>,
+    /// Per statement of this group lowered so far: its root's register.
+    stmt_root: Vec<Option<Reg>>,
+}
+
+/// A recording scope for lazy computation over one [`OdinContext`];
+/// create with [`OdinContext::trace`], execute with [`Program::run`].
 pub struct Program<'x, 'c> {
     ctx: &'c OdinContext,
-    leaves: Vec<&'x DistArray<'c>>,
-    leaf_slots: HashMap<u64, usize>,
+    id: u64,
+    /// Distinct array operands with their metas, in first-use order.
+    leaves: Vec<(&'x DistArray<'c>, ArrayMeta)>,
     nodes: Vec<Node>,
     interned: HashMap<NodeKey, usize>,
     stmts: Vec<Stmt>,
@@ -356,8 +259,8 @@ impl OdinContext {
     pub fn trace<'x>(&self) -> Program<'x, '_> {
         Program {
             ctx: self,
+            id: NEXT_TRACE.fetch_add(1, Ordering::Relaxed),
             leaves: Vec::new(),
-            leaf_slots: HashMap::new(),
             nodes: Vec::new(),
             interned: HashMap::new(),
             stmts: Vec::new(),
@@ -367,95 +270,77 @@ impl OdinContext {
 }
 
 impl<'x, 'c> Program<'x, 'c> {
-    /// Wrap an array operand (registered once per distinct array).
-    pub fn leaf(&mut self, a: &'x DistArray<'c>) -> PExpr {
-        let slot = match self.leaf_slots.get(&a.id()) {
-            Some(&s) => s,
-            None => {
-                self.leaves.push(a);
-                self.leaf_slots.insert(a.id(), self.leaves.len() - 1);
-                self.leaves.len() - 1
-            }
-        };
-        PExpr {
-            node: PNode::Leaf(slot),
-        }
+    /// Record an elementwise assignment; the result is usable in later
+    /// statements via `Expr::from` and requestable as an output.
+    pub fn assign(&mut self, e: impl Into<Expr<'x, 'c>>) -> Traced {
+        self.assign_ref(&e.into())
     }
 
-    /// Record an elementwise assignment; the result is usable in later
-    /// statements via [`PExpr::from`] and requestable as an output.
-    pub fn assign(&mut self, e: impl Into<PExpr>) -> Traced {
-        let root = self.intern(&e.into().node);
-        let out_meta = self.stmt_meta(root);
-        self.stmts.push(Stmt {
-            kind: StmtKind::Eval { root },
-            out_meta,
-        });
+    pub(crate) fn assign_ref(&mut self, e: &Expr<'x, 'c>) -> Traced {
         Traced {
-            stmt: self.stmts.len() - 1,
+            trace: self.id,
+            stmt: self.record(e, None),
         }
     }
 
     /// Record a whole-array reduction over an expression (fused into the
     /// same kernel pass as the statements around it when possible).
-    pub fn reduce(&mut self, e: impl Into<PExpr>, kind: ReduceKind) -> TracedScalar {
-        let root = self.intern(&e.into().node);
-        let mut out_meta = self.stmt_meta(root);
-        out_meta.dtype = DType::F64;
-        self.stmts.push(Stmt {
-            kind: StmtKind::Reduce { root, kind },
-            out_meta,
-        });
+    pub fn reduce(&mut self, e: impl Into<Expr<'x, 'c>>, kind: ReduceKind) -> TracedScalar {
+        self.reduce_ref(&e.into(), kind)
+    }
+
+    pub(crate) fn reduce_ref(&mut self, e: &Expr<'x, 'c>, kind: ReduceKind) -> TracedScalar {
         TracedScalar {
-            stmt: self.stmts.len() - 1,
+            trace: self.id,
+            stmt: self.record(e, Some(kind)),
         }
     }
 
     /// Traced sum reduction.
-    pub fn sum(&mut self, e: impl Into<PExpr>) -> TracedScalar {
+    pub fn sum(&mut self, e: impl Into<Expr<'x, 'c>>) -> TracedScalar {
         self.reduce(e, ReduceKind::Sum)
     }
 
     /// Traced max reduction.
-    pub fn max(&mut self, e: impl Into<PExpr>) -> TracedScalar {
+    pub fn max(&mut self, e: impl Into<Expr<'x, 'c>>) -> TracedScalar {
         self.reduce(e, ReduceKind::Max)
     }
 
     /// Traced min reduction.
-    pub fn min(&mut self, e: impl Into<PExpr>) -> TracedScalar {
+    pub fn min(&mut self, e: impl Into<Expr<'x, 'c>>) -> TracedScalar {
         self.reduce(e, ReduceKind::Min)
     }
 
     /// Record an explicit redistribute of an earlier statement's result.
     pub fn redistribute(&mut self, t: Traced, dist: Dist) -> Traced {
-        let src = &self.stmts[t.stmt];
-        assert!(
-            !matches!(src.kind, StmtKind::Reduce { .. }),
-            "cannot redistribute a reduction"
-        );
+        let src = owned(self.id, t.trace, t.stmt);
         let out_meta = ArrayMeta {
             dist,
-            ..src.out_meta.clone()
+            ..self.stmts[src].out_meta.clone()
         };
         self.stmts.push(Stmt {
-            kind: StmtKind::Redistribute { src: t.stmt },
+            kind: StmtKind::Redistribute { src },
             out_meta,
+            inputs: StmtInputs {
+                arrays: vec![ArrayInput::Ref(src)],
+                scalars: Vec::new(),
+            },
         });
         Traced {
+            trace: self.id,
             stmt: self.stmts.len() - 1,
         }
     }
 
-    /// Template meta for a statement rooted at `root`: the leftmost array
-    /// operand's geometry with the expression's result dtype — exactly
-    /// the rule `Expr::eval` applies per statement.
-    fn stmt_meta(&self, root: usize) -> ArrayMeta {
-        let t = self.nodes[root]
-            .tref
-            .expect("traced statement needs at least one array operand");
-        let t_meta = self.operand_meta(t);
-        // Mirror Expr::align's shape assertion for every array operand.
+    /// Intern `e` and push it as a statement (a reduction when `reduce`
+    /// is set); returns the statement index. The statement runs at its
+    /// leftmost array operand's geometry and every other array operand
+    /// must share that shape.
+    fn record(&mut self, e: &Expr<'x, 'c>, reduce: Option<ReduceKind>) -> usize {
+        let root = self.intern(e);
         let inputs = self.node_inputs(root);
+        let template = *inputs.arrays.first().expect(NO_ARRAY_OPERAND);
+        let t_meta = self.input_meta(template);
         for a in &inputs.arrays {
             assert_eq!(
                 self.input_meta(*a).shape,
@@ -463,72 +348,74 @@ impl<'x, 'c> Program<'x, 'c> {
                 "fused operands must share a shape"
             );
         }
-        ArrayMeta {
-            dtype: self.nodes[root].dtype,
-            ..t_meta
-        }
+        let (kind, dtype) = match reduce {
+            Some(kind) => (StmtKind::Reduce { root, kind }, DType::F64),
+            None => (StmtKind::Eval { root }, self.nodes[root].dtype),
+        };
+        let out_meta = ArrayMeta {
+            dtype,
+            ..t_meta.clone()
+        };
+        self.stmts.push(Stmt {
+            kind,
+            out_meta,
+            inputs,
+        });
+        self.stmts.len() - 1
     }
 
-    fn operand_meta(&self, node: usize) -> ArrayMeta {
-        match self.nodes[node].key {
-            NodeKey::Leaf(slot) => self.leaves[slot].meta(),
-            NodeKey::Ref(s) => self.stmts[s].out_meta.clone(),
-            _ => unreachable!("template node must be an array operand"),
-        }
-    }
-
-    fn input_meta(&self, input: ArrayInput) -> ArrayMeta {
+    fn input_meta(&self, input: ArrayInput) -> &ArrayMeta {
         match input {
-            ArrayInput::Leaf(slot) => self.leaves[slot].meta(),
-            ArrayInput::Ref(s) => self.stmts[s].out_meta.clone(),
+            ArrayInput::Leaf(slot) => &self.leaves[slot].1,
+            ArrayInput::Ref(s) => &self.stmts[s].out_meta,
         }
     }
 
-    /// Intern one owned AST node into the shared graph, returning its id.
-    /// Repeated operation nodes count as CSE hits.
-    fn intern(&mut self, n: &PNode) -> usize {
-        let (key, dtype, tref_child) = match n {
-            PNode::Leaf(slot) => (NodeKey::Leaf(*slot), self.leaves[*slot].dtype(), None),
-            PNode::Scalar(v) => {
+    /// Intern one expression tree into the shared graph, returning its
+    /// node id; array leaves are keyed by array id. Repeated operation
+    /// nodes count as CSE hits.
+    fn intern(&mut self, e: &Expr<'x, 'c>) -> usize {
+        let (key, dtype) = match e {
+            Expr::Leaf(a) => {
+                let known = self.leaves.iter().position(|(l, _)| l.id() == a.id());
+                let slot = known.unwrap_or_else(|| {
+                    self.leaves.push((a, a.meta()));
+                    self.leaves.len() - 1
+                });
+                (NodeKey::Leaf(slot), self.leaves[slot].1.dtype)
+            }
+            Expr::Scalar(v) => {
                 let dt = if v.fract() == 0.0 {
                     DType::I64
                 } else {
                     DType::F64
                 };
-                (NodeKey::Scalar(v.to_bits()), dt, None)
+                (NodeKey::Scalar(v.to_bits()), dt)
             }
-            PNode::Ref(s) => {
-                assert!(
-                    !matches!(self.stmts[*s].kind, StmtKind::Reduce { .. }),
-                    "PExpr::from(Traced) requires an array statement"
-                );
-                (NodeKey::Ref(*s), self.stmts[*s].out_meta.dtype, None)
+            Expr::Stmt(t) => {
+                let s = owned(self.id, t.trace, t.stmt);
+                (NodeKey::Ref(s), self.stmts[s].out_meta.dtype)
             }
             // Reductions resolve to f64 scalars on the master; see the
             // module docs for the (documented) dtype divergence from
             // pasting the value back in as an integral literal.
-            PNode::ScalarRef(s) => {
-                assert!(
-                    matches!(self.stmts[*s].kind, StmtKind::Reduce { .. }),
-                    "PExpr::from(TracedScalar) requires a reduction statement"
-                );
-                (NodeKey::ScalarRef(*s), DType::F64, None)
-            }
-            PNode::Unary(op, e) => {
+            Expr::ScalarStmt(r) => (
+                NodeKey::ScalarRef(owned(self.id, r.trace, r.stmt)),
+                DType::F64,
+            ),
+            Expr::Unary(op, e) => {
                 let c = self.intern(e);
                 (
                     NodeKey::Unary(*op, c),
                     unary_result_dtype(*op, self.nodes[c].dtype),
-                    self.nodes[c].tref,
                 )
             }
-            PNode::Binary(op, a, b) => {
+            Expr::Binary(op, a, b) => {
                 let ca = self.intern(a);
                 let cb = self.intern(b);
                 (
                     NodeKey::Binary(*op, ca, cb),
                     binary_result_dtype(*op, self.nodes[ca].dtype, self.nodes[cb].dtype),
-                    self.nodes[ca].tref.or(self.nodes[cb].tref),
                 )
             }
         };
@@ -538,60 +425,35 @@ impl<'x, 'c> Program<'x, 'c> {
             }
             return id;
         }
-        let id = self.nodes.len();
-        let tref = match key {
-            NodeKey::Leaf(_) | NodeKey::Ref(_) => Some(id),
-            _ => tref_child,
-        };
-        self.nodes.push(Node { key, dtype, tref });
-        self.interned.insert(key, id);
-        id
+        self.nodes.push(Node { key, dtype });
+        self.interned.insert(key, self.nodes.len() - 1);
+        self.nodes.len() - 1
     }
 
     /// Distinct array/scalar operands reachable from `root`, first-seen
-    /// left-to-right (DFS matching `Lowerer::go`'s emission order).
+    /// left-to-right (the emission order of [`Self::emit_node`]). Operand
+    /// nodes are interned, so visiting each node once also visits each
+    /// operand once.
     fn node_inputs(&self, root: usize) -> StmtInputs {
-        let mut arrays = Vec::new();
-        let mut scalars = Vec::new();
-        let mut seen_arr = HashSet::new();
-        let mut seen_sc = HashSet::new();
-        let mut visited = HashSet::new();
-        self.walk_inputs(
-            root,
-            &mut visited,
-            &mut |inp| {
-                if seen_arr.insert(inp) {
-                    arrays.push(inp);
-                }
-            },
-            &mut |s| {
-                if seen_sc.insert(s) {
-                    scalars.push(s);
-                }
-            },
-        );
-        StmtInputs { arrays, scalars }
+        let mut inputs = StmtInputs::default();
+        let mut visited = vec![false; root + 1];
+        self.walk_inputs(root, &mut visited, &mut inputs);
+        inputs
     }
 
-    fn walk_inputs(
-        &self,
-        node: usize,
-        visited: &mut HashSet<usize>,
-        on_array: &mut impl FnMut(ArrayInput),
-        on_scalar: &mut impl FnMut(usize),
-    ) {
-        if !visited.insert(node) {
+    fn walk_inputs(&self, node: usize, visited: &mut [bool], out: &mut StmtInputs) {
+        if std::mem::replace(&mut visited[node], true) {
             return;
         }
         match self.nodes[node].key {
-            NodeKey::Leaf(slot) => on_array(ArrayInput::Leaf(slot)),
-            NodeKey::Ref(s) => on_array(ArrayInput::Ref(s)),
-            NodeKey::ScalarRef(s) => on_scalar(s),
+            NodeKey::Leaf(slot) => out.arrays.push(ArrayInput::Leaf(slot)),
+            NodeKey::Ref(s) => out.arrays.push(ArrayInput::Ref(s)),
+            NodeKey::ScalarRef(s) => out.scalars.push(s),
             NodeKey::Scalar(_) => {}
-            NodeKey::Unary(_, c) => self.walk_inputs(c, visited, on_array, on_scalar),
+            NodeKey::Unary(_, c) => self.walk_inputs(c, visited, out),
             NodeKey::Binary(_, a, b) => {
-                self.walk_inputs(a, visited, on_array, on_scalar);
-                self.walk_inputs(b, visited, on_array, on_scalar);
+                self.walk_inputs(a, visited, out);
+                self.walk_inputs(b, visited, out);
             }
         }
     }
@@ -600,128 +462,87 @@ impl<'x, 'c> Program<'x, 'c> {
     /// wants materialized and returned; every traced reduction is always
     /// computed. Consumes the program (a trace runs once).
     pub fn run(self, outputs: &[Traced]) -> ProgramRun<'c> {
-        let requested: HashSet<usize> = outputs.iter().map(|t| t.stmt).collect();
-        for &s in &requested {
-            assert!(
-                !matches!(self.stmts[s].kind, StmtKind::Reduce { .. }),
-                "reductions are read via ProgramRun::scalar, not as array outputs"
-            );
+        let n = self.stmts.len();
+        let mut requested = vec![false; n];
+        for t in outputs {
+            requested[owned(self.id, t.trace, t.stmt)] = true;
         }
 
         // ---- Liveness (DSE) --------------------------------------------
-        let mut live = vec![false; self.stmts.len()];
-        let mut stack: Vec<usize> = (0..self.stmts.len())
-            .filter(|&i| {
-                requested.contains(&i) || matches!(self.stmts[i].kind, StmtKind::Reduce { .. })
-            })
+        let mut live = vec![false; n];
+        let mut stack: Vec<usize> = (0..n)
+            .filter(|&s| requested[s] || matches!(self.stmts[s].kind, StmtKind::Reduce { .. }))
             .collect();
         while let Some(s) = stack.pop() {
-            if std::mem::replace(&mut live[s], true) {
-                continue;
-            }
-            match self.stmts[s].kind {
-                StmtKind::Eval { root } | StmtKind::Reduce { root, .. } => {
-                    let inputs = self.node_inputs(root);
-                    for a in inputs.arrays {
-                        if let ArrayInput::Ref(d) = a {
-                            stack.push(d);
-                        }
-                    }
-                    for d in inputs.scalars {
-                        stack.push(d);
-                    }
-                }
-                StmtKind::Redistribute { src } => stack.push(src),
+            if !std::mem::replace(&mut live[s], true) {
+                stack.extend(self.stmts[s].inputs.deps());
             }
         }
         let dse_eliminated = live.iter().filter(|&&l| !l).count() as u64;
 
         // ---- Grouping (cross-statement fusion) -------------------------
+        // `stmt_step` / `stmt_group` are read only for live dependencies,
+        // which precede their consumers and so are already placed.
         let mut steps: Vec<Step> = Vec::new();
         let mut groups: Vec<Group> = Vec::new();
-        let mut stmt_step: HashMap<usize, usize> = HashMap::new();
-        let mut stmt_group: HashMap<usize, usize> = HashMap::new();
-        for (s, alive) in live.iter().enumerate() {
-            if !alive {
+        let mut stmt_step = vec![0usize; n];
+        let mut stmt_group: Vec<Option<usize>> = vec![None; n];
+        for s in (0..n).filter(|&s| live[s]) {
+            let stmt = &self.stmts[s];
+            if let StmtKind::Redistribute { .. } = stmt.kind {
+                steps.push(Step::Redistribute(s));
+                stmt_step[s] = steps.len() - 1;
                 continue;
             }
-            match self.stmts[s].kind {
-                StmtKind::Redistribute { .. } => {
-                    steps.push(Step::Redistribute(s));
-                    stmt_step.insert(s, steps.len() - 1);
-                }
-                StmtKind::Eval { root } | StmtKind::Reduce { root, .. } => {
-                    let sig = sig_of(&self.stmts[s].out_meta);
-                    let inputs = self.node_inputs(root);
-                    let mut min_step = 0usize;
-                    for a in &inputs.arrays {
-                        if let ArrayInput::Ref(d) = a {
-                            let dstep = stmt_step[d];
-                            let same_group = matches!(self.stmts[*d].kind, StmtKind::Eval { .. })
-                                && sig_of(&self.stmts[*d].out_meta) == sig;
-                            min_step = min_step.max(if same_group { dstep } else { dstep + 1 });
-                        }
-                    }
-                    for d in &inputs.scalars {
-                        min_step = min_step.max(stmt_step[d] + 1);
-                    }
-                    // Join the latest compatible kernel group at or after
-                    // min_step, else open a new one. Arrays are SSA, so
-                    // any group not before a dependency is safe.
-                    let mut joined = None;
-                    for idx in (min_step..steps.len()).rev() {
-                        if let Step::Kernel(g) = steps[idx] {
-                            if sig_of(&groups[g].t_meta) == sig {
-                                joined = Some((idx, g));
-                                break;
-                            }
-                        }
-                    }
-                    let (step_idx, g) = match joined {
-                        Some((idx, g)) => {
-                            groups[g].stmts.push(s);
-                            (idx, g)
-                        }
-                        None => {
-                            groups.push(Group {
-                                t_meta: ArrayMeta {
-                                    dtype: DType::F64,
-                                    ..self.stmts[s].out_meta.clone()
-                                },
-                                stmts: vec![s],
-                            });
-                            steps.push(Step::Kernel(groups.len() - 1));
-                            (steps.len() - 1, groups.len() - 1)
-                        }
-                    };
-                    stmt_step.insert(s, step_idx);
-                    stmt_group.insert(s, g);
+            let mut min_step = 0usize;
+            for a in &stmt.inputs.arrays {
+                if let ArrayInput::Ref(d) = *a {
+                    let same_group = matches!(self.stmts[d].kind, StmtKind::Eval { .. })
+                        && self.stmts[d].out_meta.conformable(&stmt.out_meta);
+                    min_step = min_step.max(stmt_step[d] + usize::from(!same_group));
                 }
             }
+            for &d in &stmt.inputs.scalars {
+                min_step = min_step.max(stmt_step[d] + 1);
+            }
+            // Join the latest compatible kernel group at or after
+            // min_step, else open a new one. Arrays are SSA, so any group
+            // not before a dependency is safe.
+            let joined = (min_step..steps.len())
+                .rev()
+                .find_map(|idx| match steps[idx] {
+                    Step::Kernel(g) if groups[g].t_meta.conformable(&stmt.out_meta) => {
+                        Some((idx, g))
+                    }
+                    _ => None,
+                });
+            let (step_idx, g) = joined.unwrap_or_else(|| {
+                groups.push(Group {
+                    t_meta: ArrayMeta {
+                        dtype: DType::F64,
+                        ..stmt.out_meta.clone()
+                    },
+                    stmts: Vec::new(),
+                });
+                steps.push(Step::Kernel(groups.len() - 1));
+                (steps.len() - 1, groups.len() - 1)
+            });
+            groups[g].stmts.push(s);
+            stmt_step[s] = step_idx;
+            stmt_group[s] = Some(g);
         }
 
         // ---- Materialization decisions ---------------------------------
-        // An eval statement becomes a worker array iff something outside
-        // its own fused kernel reads it: a requested output, a
-        // redistribute, or a consumer in a different group.
-        let mut mat_needed: HashSet<usize> = requested.clone();
-        for (s, alive) in live.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            match self.stmts[s].kind {
-                StmtKind::Redistribute { src } => {
-                    mat_needed.insert(src);
-                }
-                StmtKind::Eval { root } | StmtKind::Reduce { root, .. } => {
-                    for a in self.node_inputs(root).arrays {
-                        if let ArrayInput::Ref(d) = a {
-                            if stmt_group.get(&d) != stmt_group.get(&s)
-                                || matches!(self.stmts[d].kind, StmtKind::Redistribute { .. })
-                            {
-                                mat_needed.insert(d);
-                            }
-                        }
+        // A statement's result becomes a worker array iff something
+        // outside its own fused kernel reads it: a requested output, a
+        // redistribute (either side of it), or a consumer in a different
+        // group.
+        let mut mat_needed = requested.clone();
+        for s in (0..n).filter(|&s| live[s]) {
+            for a in &self.stmts[s].inputs.arrays {
+                if let ArrayInput::Ref(d) = *a {
+                    if stmt_group[d] != stmt_group[s] || stmt_group[d].is_none() {
+                        mat_needed[d] = true;
                     }
                 }
             }
@@ -730,31 +551,25 @@ impl<'x, 'c> Program<'x, 'c> {
         // ---- Baseline accounting (what statement-at-a-time would do) ---
         let mut baseline_launches = 0u64;
         let mut baseline_redistributes = 0u64;
-        for s in 0..self.stmts.len() {
-            if let StmtKind::Eval { root } | StmtKind::Reduce { root, .. } = self.stmts[s].kind {
+        for stmt in &self.stmts {
+            if !matches!(stmt.kind, StmtKind::Redistribute { .. }) {
                 baseline_launches += 1;
-                let t_meta = &self.stmts[s].out_meta;
-                for a in self.node_inputs(root).arrays {
-                    if !self.input_meta(a).conformable(t_meta) {
-                        baseline_redistributes += 1;
-                    }
-                }
+                baseline_redistributes += stmt
+                    .inputs
+                    .arrays
+                    .iter()
+                    .filter(|&&a| !self.input_meta(a).conformable(&stmt.out_meta))
+                    .count() as u64;
             }
         }
 
-        // ---- Lower each group to one fused kernel ----------------------
-        let lowered: Vec<LoweredGroup> = groups
-            .iter()
-            .map(|g| self.lower_group(g, &stmt_group, &mat_needed))
-            .collect();
-
         // ---- Execute ---------------------------------------------------
         let ctx = self.ctx;
-        let mut mat: HashMap<usize, DistArray<'c>> = HashMap::new();
+        // Per statement: the worker array holding its result, once made.
+        let mut mat: Vec<Option<DistArray<'c>>> = (0..n).map(|_| None).collect();
         let mut aligned: HashMap<(ArrayInput, Dist), DistArray<'c>> = HashMap::new();
-        let mut scalar_vals: HashMap<usize, f64> = HashMap::new();
-        let mut pendings: VecDeque<(crate::reply::Pending<'c, Vec<f64>>, Vec<usize>)> =
-            VecDeque::new();
+        let mut scalar_vals: Vec<Option<f64>> = vec![None; n];
+        let mut pendings: VecDeque<ReduceReply<'c>> = VecDeque::new();
         let mut redistributes_issued = 0u64;
         let mut elems_moved = 0u64;
         let mut kernel_launches = 0u64;
@@ -765,79 +580,68 @@ impl<'x, 'c> Program<'x, 'c> {
                     let StmtKind::Redistribute { src } = self.stmts[s].kind else {
                         unreachable!()
                     };
-                    let out = mat[&src].redistribute(self.stmts[s].out_meta.dist);
-                    mat.insert(s, out);
+                    let out = made(&mat, src).redistribute(self.stmts[s].out_meta.dist);
+                    mat[s] = Some(out);
                 }
                 Step::Kernel(g) => {
-                    let lg = &lowered[g];
                     let group = &groups[g];
+                    // Each group is lowered where it launches, so its
+                    // program moves into the registry without a copy.
+                    let lg = self.lower_group(group, &stmt_group, &mat_needed);
                     // Pooled alignment: each (operand, distribution) pair
                     // moves at most once for the whole program.
                     let mut input_ids: Vec<u64> = Vec::with_capacity(lg.array_inputs.len());
                     for &inp in &lg.array_inputs {
+                        let src_arr: &DistArray<'c> = match inp {
+                            ArrayInput::Leaf(slot) => self.leaves[slot].0,
+                            ArrayInput::Ref(d) => made(&mat, d),
+                        };
                         let src_meta = self.input_meta(inp);
                         if src_meta.conformable(&group.t_meta) {
-                            input_ids.push(match inp {
-                                ArrayInput::Leaf(slot) => self.leaves[slot].id(),
-                                ArrayInput::Ref(d) => mat[&d].id(),
-                            });
-                        } else {
-                            let key = (inp, group.t_meta.dist);
-                            if let Some(copy) = aligned.get(&key) {
-                                input_ids.push(copy.id());
-                            } else {
-                                let src_arr: &DistArray<'c> = match inp {
-                                    ArrayInput::Leaf(slot) => self.leaves[slot],
-                                    ArrayInput::Ref(d) => &mat[&d],
-                                };
-                                let copy = src_arr.redistribute(group.t_meta.dist);
-                                redistributes_issued += 1;
-                                elems_moved +=
-                                    moved_elems(&src_meta, group.t_meta.dist, ctx.n_workers());
-                                input_ids.push(copy.id());
-                                aligned.insert(key, copy);
-                            }
+                            input_ids.push(src_arr.id());
+                            continue;
                         }
+                        let dist = group.t_meta.dist;
+                        let copy = aligned.entry((inp, dist)).or_insert_with(|| {
+                            redistributes_issued += 1;
+                            elems_moved += moved_elems(src_meta, dist, ctx.n_workers());
+                            src_arr.redistribute(dist)
+                        });
+                        input_ids.push(copy.id());
                     }
                     // Resolve scalar parameters, draining earlier replies
                     // in order until each value is known.
                     let mut scalars: Vec<f64> = Vec::with_capacity(lg.scalar_inputs.len());
                     for &d in &lg.scalar_inputs {
-                        while !scalar_vals.contains_key(&d) {
-                            let (p, idxs) = pendings
+                        scalars.push(loop {
+                            if let Some(v) = scalar_vals[d] {
+                                break v;
+                            }
+                            let reply = pendings
                                 .pop_front()
                                 .expect("scheduler ordered a scalar before its reduction");
-                            let vals = p.wait();
-                            for (i, stmt) in idxs.into_iter().enumerate() {
-                                scalar_vals.insert(stmt, vals[i]);
-                            }
-                        }
-                        scalars.push(scalar_vals[&d]);
+                            settle(reply, &mut scalar_vals);
+                        });
                     }
-                    let kernel = ctx.register_kernel_program(lg.program.clone());
+                    let kernel = ctx.register_kernel_program(lg.program);
                     let template = input_ids[0];
                     let mut outs: Vec<KernelOut> = Vec::with_capacity(lg.outs.len());
                     let mut reduce_stmts: Vec<usize> = Vec::new();
                     for &(s, reg) in &lg.outs {
-                        match self.stmts[s].kind {
-                            StmtKind::Reduce { kind, .. } => {
-                                reduce_stmts.push(s);
-                                outs.push(KernelOut::Reduce {
-                                    kind,
-                                    reg: (RegFile::F, reg),
-                                });
-                            }
-                            StmtKind::Eval { .. } => {
-                                let id = ctx.alloc_id();
-                                ctx.record_meta(id, self.stmts[s].out_meta.clone());
-                                mat.insert(s, DistArray::from_id(ctx, id));
-                                outs.push(KernelOut::Array {
-                                    id,
-                                    dtype: self.stmts[s].out_meta.dtype,
-                                    reg: (RegFile::F, reg),
-                                });
-                            }
-                            StmtKind::Redistribute { .. } => unreachable!(),
+                        let reg = (RegFile::F, reg);
+                        if let StmtKind::Reduce { kind, .. } = self.stmts[s].kind {
+                            reduce_stmts.push(s);
+                            outs.push(KernelOut::Reduce { kind, reg });
+                        } else {
+                            let id = ctx.alloc_id();
+                            let out_meta = &self.stmts[s].out_meta;
+                            ctx.record_meta(id, out_meta.clone());
+                            mat[s] = Some(DistArray::from_id(ctx, id));
+                            outs.push(KernelOut::Array {
+                                id,
+                                dtype: out_meta.dtype,
+                                reg,
+                            });
                         }
                     }
                     let cmd = Cmd::EvalKernel {
@@ -846,9 +650,11 @@ impl<'x, 'c> Program<'x, 'c> {
                         inputs: input_ids,
                         scalars,
                         outs,
-                        // Fused groups compute in f64; workers tier up to
-                        // the probed native body when the compile plane
-                        // is available.
+                        // Lowered expressions compute in f64 whatever
+                        // their result dtype; workers tier up to the
+                        // probed native body when the compile plane is
+                        // available (the first worker to arrive compiles,
+                        // the rest hit the process-global cache).
                         dtype: DType::F64,
                         native: true,
                     };
@@ -862,15 +668,12 @@ impl<'x, 'c> Program<'x, 'c> {
                 }
             }
         }
-        while let Some((p, idxs)) = pendings.pop_front() {
-            let vals = p.wait();
-            for (i, stmt) in idxs.into_iter().enumerate() {
-                scalar_vals.insert(stmt, vals[i]);
-            }
+        for reply in pendings {
+            settle(reply, &mut scalar_vals);
         }
 
         let stats = ProgramStats {
-            statements: self.stmts.len() as u64,
+            statements: n as u64,
             kernel_launches,
             baseline_launches,
             cse_hits: self.cse_hits,
@@ -893,50 +696,43 @@ impl<'x, 'c> Program<'x, 'c> {
         // Keep only the requested arrays; everything else (fused
         // intermediates, aligned copies) frees now — after every command
         // has been issued, so the FIFO worker queues stay consistent.
-        let arrays: HashMap<usize, DistArray<'c>> = requested
-            .iter()
-            .map(|&s| (s, mat.remove(&s).expect("requested output not produced")))
-            .collect();
-        drop(mat);
+        for s in (0..n).filter(|&s| !requested[s]) {
+            mat[s] = None;
+        }
         drop(aligned);
         ProgramRun {
-            arrays,
+            trace: self.id,
+            arrays: mat,
             scalars: scalar_vals,
             stats,
         }
     }
 
     /// Lower one fused group to straight-line bytecode through the shared
-    /// [`Lowerer`] emitters — per statement, exactly the instructions
-    /// `Expr::lower` would emit, with shared subexpressions emitted once
-    /// and cross-statement refs either read from the producer's register
+    /// [`Lowerer`] emitters — the only place an expression becomes a
+    /// kernel. Parameters bind the group's external operands in
+    /// first-seen order; shared subexpressions are emitted once, and a
+    /// cross-statement ref is either read from the producer's register
     /// (plus the materialize/stage cast when its dtype isn't F64) or
-    /// bound as parameters.
+    /// bound as a parameter.
     fn lower_group(
         &self,
         group: &Group,
-        stmt_group: &HashMap<usize, usize>,
-        mat_needed: &HashSet<usize>,
+        stmt_group: &[Option<usize>],
+        mat_needed: &[bool],
     ) -> LoweredGroup {
-        let this_group = stmt_group[&group.stmts[0]];
+        let this_group = stmt_group[group.stmts[0]];
         let mut array_inputs: Vec<ArrayInput> = Vec::new();
-        let mut seen_arr: HashSet<ArrayInput> = HashSet::new();
         let mut scalar_inputs: Vec<usize> = Vec::new();
-        let mut seen_sc: HashSet<usize> = HashSet::new();
-        let internal = |inp: &ArrayInput| matches!(inp, ArrayInput::Ref(d) if stmt_group.get(d) == Some(&this_group));
         for &s in &group.stmts {
-            let (StmtKind::Eval { root } | StmtKind::Reduce { root, .. }) = self.stmts[s].kind
-            else {
-                unreachable!()
-            };
-            let inputs = self.node_inputs(root);
-            for a in inputs.arrays {
-                if !internal(&a) && seen_arr.insert(a) {
+            for &a in &self.stmts[s].inputs.arrays {
+                let internal = matches!(a, ArrayInput::Ref(d) if stmt_group[d] == this_group);
+                if !internal && !array_inputs.contains(&a) {
                     array_inputs.push(a);
                 }
             }
-            for d in inputs.scalars {
-                if seen_sc.insert(d) {
+            for &d in &self.stmts[s].inputs.scalars {
+                if !scalar_inputs.contains(&d) {
                     scalar_inputs.push(d);
                 }
             }
@@ -945,48 +741,34 @@ impl<'x, 'c> Program<'x, 'c> {
             !array_inputs.is_empty(),
             "a fused group needs at least one external array operand"
         );
-        let n_arr = array_inputs.len();
-        let n_params = n_arr + scalar_inputs.len();
-        let arr_reg: HashMap<ArrayInput, Reg> = array_inputs
-            .iter()
-            .enumerate()
-            .map(|(k, &a)| (a, k as Reg))
-            .collect();
-        let sc_reg: HashMap<usize, Reg> = scalar_inputs
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| (d, (n_arr + k) as Reg))
-            .collect();
-        let mut lw = Lowerer::with_params(HashMap::new(), n_params);
-        let mut memo: HashMap<usize, Reg> = HashMap::new();
-        let mut root_regs: HashMap<usize, Reg> = HashMap::new();
-        for &s in &group.stmts {
-            let (StmtKind::Eval { root } | StmtKind::Reduce { root, .. }) = self.stmts[s].kind
-            else {
-                unreachable!()
-            };
-            let r = self.emit_node(root, &mut lw, &mut memo, &arr_reg, &sc_reg, &root_regs);
-            root_regs.insert(s, r);
-        }
+        let n_params = array_inputs.len() + scalar_inputs.len();
+        let mut em = Emitted {
+            lw: Lowerer::with_params(n_params),
+            node: vec![None; self.nodes.len()],
+            stmt_root: vec![None; self.stmts.len()],
+        };
         // Harvested outputs: materialized evals + reductions, statement
         // order. Fully fused intermediates ship no output at all.
         let mut outs: Vec<(usize, Reg)> = Vec::new();
         for &s in &group.stmts {
-            let keep = match self.stmts[s].kind {
-                StmtKind::Reduce { .. } => true,
-                StmtKind::Eval { .. } => mat_needed.contains(&s),
-                StmtKind::Redistribute { .. } => unreachable!(),
+            let (root, keep) = match self.stmts[s].kind {
+                StmtKind::Eval { root } => (root, mat_needed[s]),
+                StmtKind::Reduce { root, .. } => (root, true),
+                StmtKind::Redistribute { .. } => unreachable!("redistributes are never grouped"),
             };
+            let r = self.emit_node(root, &mut em, &array_inputs, &scalar_inputs);
+            em.stmt_root[s] = Some(r);
             if keep {
-                outs.push((s, root_regs[&s]));
+                outs.push((s, r));
             }
         }
-        assert!(!outs.is_empty(), "fused group produced nothing observable");
-        let ret = outs.last().expect("non-empty").1;
+        let ret = outs
+            .last()
+            .expect("fused group produced nothing observable")
+            .1;
+        let mut lw = em.lw;
         lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
         let f = CompiledFunc {
-            // Same name as Expr::lower: a single-statement group produces
-            // byte-identical code and re-uses its kernel registration.
             name: "expr".into(),
             params: (0..n_params).map(|k| (RegFile::F, k as Reg)).collect(),
             param_types: vec![Type::Float; n_params],
@@ -1005,61 +787,79 @@ impl<'x, 'c> Program<'x, 'c> {
         }
     }
 
-    /// Emit one interned node (memoized — CSE at the register level);
-    /// returns the F register holding its value.
+    /// Emit one interned node unless it already sits in a register;
+    /// returns the F register holding its value. `arrays` then `scalars`
+    /// are the group's external operands in parameter-register order.
     fn emit_node(
         &self,
         node: usize,
-        lw: &mut Lowerer,
-        memo: &mut HashMap<usize, Reg>,
-        arr_reg: &HashMap<ArrayInput, Reg>,
-        sc_reg: &HashMap<usize, Reg>,
-        root_regs: &HashMap<usize, Reg>,
+        em: &mut Emitted,
+        arrays: &[ArrayInput],
+        scalars: &[usize],
     ) -> Reg {
-        if let Some(&r) = memo.get(&node) {
+        if let Some(r) = em.node[node] {
             return r;
         }
+        const COLLECTED: &str = "operand was collected as a group input";
+        let array_param =
+            |a: ArrayInput| arrays.iter().position(|x| *x == a).expect(COLLECTED) as Reg;
         let r = match self.nodes[node].key {
-            NodeKey::Leaf(slot) => arr_reg[&ArrayInput::Leaf(slot)],
-            NodeKey::Scalar(bits) => lw.emit_const(f64::from_bits(bits)),
-            NodeKey::ScalarRef(d) => sc_reg[&d],
-            NodeKey::Ref(d) => match root_regs.get(&d) {
+            NodeKey::Leaf(slot) => array_param(ArrayInput::Leaf(slot)),
+            NodeKey::Scalar(bits) => em.lw.emit_const(f64::from_bits(bits)),
+            NodeKey::ScalarRef(d) => {
+                let k = scalars.iter().position(|x| *x == d).expect(COLLECTED);
+                (arrays.len() + k) as Reg
+            }
+            NodeKey::Ref(d) => match em.stmt_root[d] {
                 // Producer fused into this very kernel: read its root
                 // register through the materialize/stage cast so the
-                // value matches the eager materialize-then-stage route.
-                Some(&src) => lw.emit_materialize_cast(src, self.stmts[d].out_meta.dtype),
-                None => arr_reg[&ArrayInput::Ref(d)],
+                // value matches the materialize-then-stage route.
+                Some(src) => em
+                    .lw
+                    .emit_materialize_cast(src, self.stmts[d].out_meta.dtype),
+                None => array_param(ArrayInput::Ref(d)),
             },
             NodeKey::Unary(op, c) => {
-                let s = self.emit_node(c, lw, memo, arr_reg, sc_reg, root_regs);
-                lw.emit_unary(op, s)
+                let s = self.emit_node(c, em, arrays, scalars);
+                em.lw.emit_unary(op, s)
             }
             NodeKey::Binary(op, a, b) => {
-                let pow_const = if op == BinOp::Pow {
-                    match self.nodes[b].key {
-                        NodeKey::Scalar(bits) => powic_exponent(f64::from_bits(bits)),
-                        _ => None,
-                    }
-                } else {
-                    None
+                let ar = self.emit_node(a, em, arrays, scalars);
+                // `x ** c` with a small integral constant exponent:
+                // strength-reduce to powi without materializing the rhs,
+                // exactly as the eager scalar-broadcast ufunc does.
+                let pow_const = match (op, self.nodes[b].key) {
+                    (BinOp::Pow, NodeKey::Scalar(bits)) => powic_exponent(f64::from_bits(bits)),
+                    _ => None,
                 };
-                if let Some(e) = pow_const {
-                    let ar = self.emit_node(a, lw, memo, arr_reg, sc_reg, root_regs);
-                    lw.emit_pow_const(ar, e)
-                } else {
-                    let ar = self.emit_node(a, lw, memo, arr_reg, sc_reg, root_regs);
-                    let br = self.emit_node(b, lw, memo, arr_reg, sc_reg, root_regs);
-                    lw.emit_binary(op, ar, br)
+                match pow_const {
+                    Some(e) => em.lw.emit_pow_const(ar, e),
+                    None => {
+                        let br = self.emit_node(b, em, arrays, scalars);
+                        em.lw.emit_binary(op, ar, br)
+                    }
                 }
             }
         };
-        memo.insert(node, r);
+        em.node[node] = Some(r);
         r
     }
 }
 
-fn sig_of(meta: &ArrayMeta) -> (Vec<usize>, usize, Dist) {
-    (meta.shape.clone(), meta.axis, meta.dist)
+/// One launch's outstanding reduction values and the statements they
+/// belong to, in output order.
+type ReduceReply<'c> = (crate::reply::Pending<'c, Vec<f64>>, Vec<usize>);
+
+/// Wait for a launch's reduction values and file each under its statement.
+fn settle((pending, stmts): ReduceReply<'_>, scalar_vals: &mut [Option<f64>]) {
+    for (s, v) in stmts.into_iter().zip(pending.wait()) {
+        scalar_vals[s] = Some(v);
+    }
+}
+
+/// The worker array holding statement `d`'s result.
+fn made<'a, 'c>(mat: &'a [Option<DistArray<'c>>], d: usize) -> &'a DistArray<'c> {
+    mat[d].as_ref().expect("a producer runs before its readers")
 }
 
 /// Elements a redistribute of `src_meta` to `dist` must move, measured
@@ -1083,62 +883,54 @@ fn dist_map(d: Dist, n: usize, p: usize) -> dmap::DistMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lazy::Expr;
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn traced_single_statement_matches_expr_eval_bitwise() {
+    fn a_lone_expression_is_one_launch_and_matches_the_eager_oracle() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.linspace(0.0, 2.0, 101);
         let y = ctx.linspace(1.0, 3.0, 101);
-        let eager = ((Expr::leaf(&x).pow(2.0) + Expr::leaf(&y).pow(2.0)).sqrt() * 0.5).eval();
+        let make = || (Expr::leaf(&x).pow(2.0) + Expr::leaf(&y).pow(2.0)).sqrt() * 0.5;
+        let oracle = make().eval_unfused();
 
         let mut p = ctx.trace();
-        let (xl, yl) = (p.leaf(&x), p.leaf(&y));
-        let t = p.assign((xl.pow(2.0) + yl.pow(2.0)).sqrt() * 0.5);
+        let t = p.assign(make());
         let mut run = p.run(&[t]);
-        let traced = run.array(t);
-        assert_eq!(bits(&traced.to_vec()), bits(&eager.to_vec()));
-        // Single-statement groups lower to byte-identical kernels, so the
-        // second plane re-used the first plane's registration.
+        assert_eq!(bits(&run.array(t).to_vec()), bits(&oracle.to_vec()));
+        assert_eq!(bits(&make().eval().to_vec()), bits(&oracle.to_vec()));
         assert_eq!(run.stats().kernel_launches, 1);
     }
 
     #[test]
-    fn single_statement_group_reuses_the_expr_kernel_registration() {
+    fn structurally_identical_statements_share_one_registration() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(0.0, 1.0, 64);
         let _warm = (Expr::leaf(&x) * 2.0 + 1.0).eval();
         ctx.reset_stats();
         let mut p = ctx.trace();
-        let xl = p.leaf(&x);
-        let t = p.assign(xl * 2.0 + 1.0);
+        let t = p.assign(Expr::leaf(&x) * 2.0 + 1.0);
         let mut run = p.run(&[t]);
         let _a = run.array(t);
-        // One EvalKernel broadcast and nothing else: the bytecode
-        // matched the already-registered Expr kernel.
+        // One EvalKernel broadcast under 100 B per worker and nothing
+        // else: the bytecode matched the already-registered kernel.
         let st = ctx.stats();
         assert_eq!(st.ctrl_msgs, 2, "re-registration happened");
+        assert!(st.ctrl_bytes / st.ctrl_msgs < 100);
     }
 
     #[test]
     fn cse_and_dse_are_counted_and_results_match() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(0.25, 4.0, 53);
-        let eager = {
-            let shared = || Expr::leaf(&x).sqrt() * 2.0;
-            ((shared() + 1.0).eval(), (shared() * 3.0).eval())
-        };
+        let shared = || Expr::leaf(&x).sqrt() * 2.0;
+        let eager = ((shared() + 1.0).eval(), (shared() * 3.0).eval());
         let mut p = ctx.trace();
-        let xl = p.leaf(&x);
-        let shared = xl.clone().sqrt() * 2.0;
-        let a = p.assign(shared.clone() + 1.0);
-        let b = p.assign(shared * 3.0);
-        let dead = p.assign(xl * 123.0); // never read, never requested
-        let _ = dead;
+        let a = p.assign(shared() + 1.0);
+        let b = p.assign(shared() * 3.0);
+        let _dead = p.assign(Expr::leaf(&x) * 123.0); // never read, never requested
         let mut run = p.run(&[a, b]);
         assert_eq!(bits(&run.array(a).to_vec()), bits(&eager.0.to_vec()));
         assert_eq!(bits(&run.array(b).to_vec()), bits(&eager.1.to_vec()));
@@ -1159,9 +951,8 @@ mod tests {
         let e2 = (Expr::leaf(&x) * Expr::leaf(&c)).sum();
 
         let mut p = ctx.trace();
-        let (xl, cl) = (p.leaf(&x), p.leaf(&c));
-        let t1 = p.assign(xl.clone() + cl.clone());
-        let r2 = p.sum(xl * cl);
+        let t1 = p.assign(Expr::leaf(&x) + Expr::leaf(&c));
+        let r2 = p.sum(Expr::leaf(&x) * Expr::leaf(&c));
         let mut run = p.run(&[t1]);
         assert_eq!(bits(&run.array(t1).to_vec()), bits(&e1.to_vec()));
         assert_eq!(run.scalar(r2).to_bits(), e2.to_bits());
@@ -1184,11 +975,10 @@ mod tests {
         let eager = (Expr::leaf(&r) - Expr::leaf(&pvec) * alpha).eval();
 
         let mut p = ctx.trace();
-        let (rl, pl) = (p.leaf(&r), p.leaf(&pvec));
-        let rr_t = p.sum(rl.clone() * rl.clone());
-        let pp_t = p.sum(pl.clone() * pl.clone());
-        let alpha_e = PExpr::from(rr_t) / PExpr::from(pp_t);
-        let y = p.assign(rl - pl * alpha_e);
+        let rr_t = p.sum(Expr::leaf(&r) * Expr::leaf(&r));
+        let pp_t = p.sum(Expr::leaf(&pvec) * Expr::leaf(&pvec));
+        let alpha_e = Expr::from(rr_t) / Expr::from(pp_t);
+        let y = p.assign(Expr::leaf(&r) - Expr::leaf(&pvec) * alpha_e);
         let mut run = p.run(&[y]);
         assert_eq!(run.scalar(rr_t).to_bits(), rr.to_bits());
         assert_eq!(run.scalar(pp_t).to_bits(), pp.to_bits());
@@ -1203,10 +993,9 @@ mod tests {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.arange_f64(0.0, 1.0, 18, Dist::Block);
         let mut p = ctx.trace();
-        let xl = p.leaf(&x);
-        let t = p.assign(xl * 2.0);
+        let t = p.assign(Expr::leaf(&x) * 2.0);
         let moved = p.redistribute(t, Dist::Cyclic);
-        let back = p.assign(PExpr::from(moved) + 1.0);
+        let back = p.assign(Expr::from(moved) + 1.0);
         let mut run = p.run(&[moved, back]);
         let m = run.array(moved);
         assert_eq!(m.meta().dist, Dist::Cyclic);
@@ -1227,12 +1016,68 @@ mod tests {
         let eager = (Expr::leaf(&eager_mid) * 0.5 + 0.25).eval();
 
         let mut p = ctx.trace();
-        let xl = p.leaf(&x);
-        let mid = p.assign(xl * 3.0);
-        let out = p.assign(PExpr::from(mid) * 0.5 + 0.25);
+        let mid = p.assign(Expr::leaf(&x) * 3.0);
+        let out = p.assign(Expr::from(mid) * 0.5 + 0.25);
         let mut run = p.run(&[out]);
         assert_eq!(bits(&run.array(out).to_vec()), bits(&eager.to_vec()));
         // Both statements still fused into one launch.
         assert_eq!(run.stats().kernel_launches, 1);
+    }
+
+    #[test]
+    fn neg_and_elementwise_min_max_match_the_eager_oracle() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.linspace(-1.0, 1.0, 33);
+        let y = ctx.linspace(0.5, -0.5, 33);
+        let make =
+            || (-Expr::leaf(&x)).max_with(Expr::leaf(&y)) - Expr::leaf(&x).min_with(0.25.into());
+        assert_eq!(
+            bits(&make().eval().to_vec()),
+            bits(&make().eval_unfused().to_vec())
+        );
+    }
+
+    /// A handle stamped by one trace, smuggled into `use_it` through a
+    /// fresh trace (or none at all), must be refused by name.
+    fn assert_refuses_foreign_handle(use_it: impl FnOnce(&OdinContext, &DistArray, Traced)) {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.linspace(0.0, 1.0, 16);
+        let mut other = ctx.trace();
+        other.assign(Expr::leaf(&x) + 1.0);
+        let foreign = other.assign(Expr::leaf(&x) * 2.0); // stmt 1: out of bounds elsewhere
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| use_it(&ctx, &x, foreign)))
+                .expect_err("a foreign handle was accepted");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains(FOREIGN_HANDLE), "unclear panic: {msg:?}");
+    }
+
+    #[test]
+    fn foreign_traced_handles_are_refused_with_a_clear_message() {
+        // Parent commit: index-out-of-bounds panic, or silently the wrong
+        // statement when the index happens to exist.
+        assert_refuses_foreign_handle(|ctx, x, t| {
+            ctx.trace().assign(Expr::leaf(x) + Expr::from(t));
+        });
+        assert_refuses_foreign_handle(|ctx, _, t| {
+            ctx.trace().redistribute(t, Dist::Cyclic);
+        });
+        assert_refuses_foreign_handle(|ctx, x, t| {
+            let mut p = ctx.trace();
+            p.assign(Expr::leaf(x) * 3.0);
+            p.run(&[t]);
+        });
+        // Evaluated directly, with and without an array operand in front.
+        assert_refuses_foreign_handle(|_, x, t| drop((Expr::leaf(x) + Expr::from(t)).eval()));
+        assert_refuses_foreign_handle(|_, _, t| {
+            (Expr::from(t) * 2.0).sum();
+        });
+        assert_refuses_foreign_handle(|_, x, t| {
+            drop((Expr::leaf(x) + Expr::from(t)).eval_unfused())
+        });
     }
 }

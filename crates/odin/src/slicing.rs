@@ -16,11 +16,6 @@ use dmap::runs::{push_index, Run};
 use crate::buffer::Buffer;
 use crate::protocol::{ArrayMeta, Dist};
 
-/// Reserved tag for the route exchange below. Safe as a fixed tag:
-/// workers execute commands in SPMD order and channels are FIFO, so two
-/// exchanges can never have messages in flight that would cross-match.
-const XCHG_TAG: comm::Tag = 0x2FFF_0002;
-
 /// Row-routing plan for slices and redistributions, as strided runs per
 /// peer. Sender and receiver both enumerate the rows they exchange in
 /// increasing global order, so each side derives its half from the two
@@ -45,22 +40,28 @@ impl RoutePlan {
     /// flight, then place incoming segments in arrival order. Segments at
     /// or above the comm's zero-copy threshold transfer as region handles
     /// (ownership move, no encode/decode round-trip).
+    ///
+    /// Each execution draws its own tag from the comm's SPMD-ordered
+    /// sequence. A fixed tag is not enough: reliable delivery retransmits
+    /// around a dropped segment, so two back-to-back exchanges (two
+    /// operands aligned for one kernel) can arrive out of order and a
+    /// shared tag would hand the second exchange's segment to the first.
     fn execute(&self, comm: &Comm, data: &Buffer, out: &mut Buffer) {
+        let tag = comm.next_spmd_tag();
         let me = comm.rank();
         let mut peers: Vec<usize> = (0..comm.size()).filter(|&peer| peer != me).collect();
         let sreqs: Vec<comm::Request> = peers
             .iter()
             .map(|&peer| {
                 let segment = data.gather_runs(&self.send[peer], self.width);
-                comm.isend_zc(peer, XCHG_TAG, segment)
-                    .expect("exchange isend")
+                comm.isend_zc(peer, tag, segment).expect("exchange isend")
             })
             .collect();
         out.copy_runs(&self.recv[me], data, &self.send[me], self.width);
         let mut rreqs: Vec<comm::Request> = peers
             .iter()
             .map(|&peer| {
-                comm.irecv(comm::Src::Rank(peer), XCHG_TAG)
+                comm.irecv(comm::Src::Rank(peer), tag)
                     .expect("exchange irecv")
             })
             .collect();

@@ -283,6 +283,60 @@ impl CompiledFunc {
             _ => None,
         })
     }
+
+    /// The body of a straight-line kernel — every instruction before the
+    /// final scalar `Ret` — or `None` when the function is anything else.
+    /// This is the one definition of the class both fast tiers accept
+    /// (the VM's register-vectorized chunk pass and the native C
+    /// emitter): infallible scalar instructions over the `F`/`I` files,
+    /// no jumps, calls or array accesses, ending in `Ret(Some(F | I))`.
+    /// `compile_program`'s trailing `Ret(None)` epilogue is stripped
+    /// first; with no jumps admitted it was unreachable.
+    pub(crate) fn straight_line_body(&self) -> Option<&[Instr]> {
+        let mut n = self.instrs.len();
+        while n > 1 && matches!(self.instrs[n - 1], Instr::Ret(None)) {
+            n -= 1;
+        }
+        let (last, body) = self.instrs[..n].split_last()?;
+        let straight = matches!(last, Instr::Ret(Some((RegFile::F | RegFile::I, _))))
+            && body.iter().all(|ins| {
+                matches!(
+                    ins,
+                    Instr::ConstF(..)
+                        | Instr::ConstI(..)
+                        | Instr::MovF(..)
+                        | Instr::MovI(..)
+                        | Instr::IToF(..)
+                        | Instr::FToI(..)
+                        | Instr::AddF(..)
+                        | Instr::SubF(..)
+                        | Instr::MulF(..)
+                        | Instr::DivF(..)
+                        | Instr::ModF(..)
+                        | Instr::PowF(..)
+                        | Instr::NegF(..)
+                        | Instr::AddI(..)
+                        | Instr::SubI(..)
+                        | Instr::MulI(..)
+                        | Instr::NegI(..)
+                        | Instr::CmpF(..)
+                        | Instr::CmpI(..)
+                        | Instr::AndI(..)
+                        | Instr::OrI(..)
+                        | Instr::NotI(..)
+                        | Instr::Math1(..)
+                        | Instr::Math2(..)
+                        | Instr::PowIC(..)
+                        | Instr::RemF(..)
+                        | Instr::AbsI(..)
+                        | Instr::MinF(..)
+                        | Instr::MaxF(..)
+                        | Instr::MinI(..)
+                        | Instr::MaxI(..)
+                )
+            });
+        straight.then_some(body)
+    }
 }
 
 /// A compiled program: the entry function plus everything it calls,

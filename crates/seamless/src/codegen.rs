@@ -142,75 +142,16 @@ pub fn native_available() -> bool {
     !vm_forced() && cmodule::system_cc().is_some()
 }
 
-/// A compiled function's body with the compiler's trailing `Ret(None)`
-/// epilogue stripped: `compile_program` appends one after every function
-/// body, so real kernels end `[…, Ret(Some(r)), Ret(None)]`. The strip is
-/// only observable when the remaining tail is a scalar `Ret` — and the
-/// whitelist below admits no jumps, so the stripped instructions were
-/// unreachable.
-fn effective_instrs(f: &CompiledFunc) -> &[Instr] {
-    let mut n = f.instrs.len();
-    while n > 1 && matches!(f.instrs[n - 1], Instr::Ret(None)) {
-        n -= 1;
-    }
-    &f.instrs[..n]
-}
-
-/// Instruction classes the C emitter handles: straight-line, infallible,
-/// scalar-only bodies ending in a scalar `Ret` — the same class as the
-/// VM's vectorized chunk path, minus its register-ordering requirement
-/// (C locals don't alias rows).
+/// Whether the C emitter handles the entry function: a
+/// [`CompiledFunc::straight_line_body`] with no foreign calls — the same
+/// class as the VM's vectorized chunk path, minus its register-ordering
+/// requirement (C locals don't alias rows).
 fn native_compilable(program: &Program) -> bool {
-    if !program.externs.is_empty() || program.funcs.is_empty() {
-        return false;
-    }
-    let f = &program.funcs[0];
-    let instrs = effective_instrs(f);
-    let n = instrs.len();
-    if n == 0
-        || !matches!(
-            instrs[n - 1],
-            Instr::Ret(Some((RegFile::F | RegFile::I, _)))
-        )
-    {
-        return false;
-    }
-    instrs[..n - 1].iter().all(|ins| {
-        matches!(
-            ins,
-            Instr::ConstF(..)
-                | Instr::ConstI(..)
-                | Instr::MovF(..)
-                | Instr::MovI(..)
-                | Instr::IToF(..)
-                | Instr::FToI(..)
-                | Instr::AddF(..)
-                | Instr::SubF(..)
-                | Instr::MulF(..)
-                | Instr::DivF(..)
-                | Instr::ModF(..)
-                | Instr::PowF(..)
-                | Instr::NegF(..)
-                | Instr::AddI(..)
-                | Instr::SubI(..)
-                | Instr::MulI(..)
-                | Instr::NegI(..)
-                | Instr::CmpF(..)
-                | Instr::CmpI(..)
-                | Instr::AndI(..)
-                | Instr::OrI(..)
-                | Instr::NotI(..)
-                | Instr::Math1(..)
-                | Instr::Math2(..)
-                | Instr::PowIC(..)
-                | Instr::RemF(..)
-                | Instr::AbsI(..)
-                | Instr::MinF(..)
-                | Instr::MaxF(..)
-                | Instr::MinI(..)
-                | Instr::MaxI(..)
-        )
-    })
+    program.externs.is_empty()
+        && program
+            .funcs
+            .first()
+            .is_some_and(|f| f.straight_line_body().is_some())
 }
 
 fn program_hash(program: &Program) -> u64 {
@@ -403,8 +344,7 @@ fn emit_c(
         }
         src.push_str(&format!("        {own}{reg} = in[{k}][lane];\n"));
     }
-    let instrs = effective_instrs(f);
-    for ins in &instrs[..instrs.len() - 1] {
+    for ins in f.straight_line_body()? {
         src.push_str("        ");
         src.push_str(&emit_instr(ins)?);
         src.push('\n');

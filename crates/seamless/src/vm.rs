@@ -206,7 +206,7 @@ impl<'p> Vm<'p> {
         if len == 0 {
             return Ok(());
         }
-        if chunk_vectorizable(f) {
+        if let Some(body) = chunk_vectorizable(f) {
             // Row stride = len rounded away from a multiple of the
             // cache-line count: callers hand over power-of-two chunks
             // (4096 lanes), and exactly power-of-two row spacing lands
@@ -216,12 +216,26 @@ impl<'p> Vm<'p> {
             let stride = len + 8;
             let mut lanes = self.lanes.borrow_mut();
             let Lanes { f: fl, i: il } = &mut *lanes;
-            vector_pass(f, inputs, len, stride, fl, il);
+            vector_pass(f, body, inputs, len, stride, fl, il);
             for (&(file, r), o) in out_regs.iter().zip(outs.iter_mut()) {
                 L::read_row(fl, il, file, r as usize * stride, o);
             }
             return Ok(());
         }
+        self.run_lanes(func, inputs, out_regs, outs)
+    }
+
+    /// The per-lane path of [`Vm::run_chunk`] (arguments already
+    /// validated there): the frame interpreter once per lane, on a
+    /// zeroed frame.
+    fn run_lanes<L: Lane>(
+        &self,
+        func: usize,
+        inputs: &[&[L]],
+        out_regs: &[(RegFile, Reg)],
+        outs: &mut [&mut [L]],
+    ) -> Result<(), SeamlessError> {
+        let f = &self.program.funcs[func];
         let ret = f.ret_reg();
         let mut frame = Frame {
             f: vec![0.0; f.reg_counts[0]],
@@ -229,7 +243,7 @@ impl<'p> Vm<'p> {
             af: vec![Vec::new(); f.reg_counts[2]],
             ai: vec![Vec::new(); f.reg_counts[3]],
         };
-        for lane in 0..len {
+        for lane in 0..outs.first().map_or(0, |o| o.len()) {
             // An empty file skips the call: a zero-length `fill` still
             // reaches libc's memset, which measured ~100 ns per lane.
             if !frame.f.is_empty() {
@@ -335,14 +349,15 @@ impl Lane for i64 {
 }
 
 /// Lane-major instruction pass of the vectorized chunk path: stages the
-/// parameters into their register rows, then runs every instruction
-/// except the trailing `Ret`. Only reached when [`chunk_vectorizable`]
-/// accepted the function, which guarantees straight-line infallible
-/// instructions and, per instruction, a destination register strictly
-/// above its same-file sources (so the row splits below never alias).
-/// The caller reads whichever result rows it needs out of `fl`/`il`.
+/// parameters into their register rows, then runs `body` — the
+/// instructions [`chunk_vectorizable`] accepted, which guarantees
+/// straight-line infallible instructions and, per instruction, a
+/// destination register strictly above its same-file sources (so the row
+/// splits below never alias). The caller reads whichever result rows it
+/// needs out of `fl`/`il`.
 fn vector_pass<L: Lane>(
     f: &CompiledFunc,
+    body: &[Instr],
     inputs: &[&[L]],
     len: usize,
     stride: usize,
@@ -396,7 +411,7 @@ fn vector_pass<L: Lane>(
                 }
             }};
         }
-        for ins in &f.instrs[..f.instrs.len() - 1] {
+        for ins in body {
             match ins {
                 Instr::ConstF(d, v) => fl[*d as usize * stride..][..len].fill(*v),
                 Instr::ConstI(d, v) => il[*d as usize * stride..][..len].fill(*v),
@@ -774,33 +789,23 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Accept a function for the register-vectorized chunk path: a single
-/// straight-line block of infallible scalar instructions ending in a
-/// scalar `Ret`, where every destination register is strictly above its
-/// same-file source registers (fresh-register codegen, which both the
-/// pyish compiler's expression bodies and `Expr::lower` produce). The
+/// Accept a function for the register-vectorized chunk path and return
+/// the instructions to run: a [`CompiledFunc::straight_line_body`] where
+/// every destination register is strictly above its same-file source
+/// registers (fresh-register codegen, which both the pyish compiler's
+/// expression bodies and ODIN's expression lowering produce). The
 /// ordering is what lets each instruction split the lane buffer at the
 /// destination row and borrow its sources from below without aliasing.
-fn chunk_vectorizable(f: &CompiledFunc) -> bool {
-    let n = f.instrs.len();
-    if n == 0
-        || !matches!(
-            f.instrs[n - 1],
-            Instr::Ret(Some((RegFile::F | RegFile::I, _)))
-        )
-    {
-        return false;
-    }
-    fn above(d: &crate::bytecode::Reg, srcs: &[&crate::bytecode::Reg]) -> bool {
-        srcs.iter().all(|s| *d > **s)
-    }
-    f.instrs[..n - 1].iter().all(|ins| match ins {
-        Instr::ConstF(..) | Instr::ConstI(..) => true,
-        // cross-file: the two register files never alias
-        Instr::IToF(..) | Instr::FToI(..) | Instr::CmpF(..) => true,
-        Instr::MovF(d, s) | Instr::NegF(d, s) | Instr::Math1(_, d, s) | Instr::PowIC(d, s, _) => {
-            above(d, &[s])
-        }
+fn chunk_vectorizable(f: &CompiledFunc) -> Option<&[Instr]> {
+    let ordered = |ins: &Instr| match ins {
+        Instr::MovF(d, s)
+        | Instr::NegF(d, s)
+        | Instr::Math1(_, d, s)
+        | Instr::PowIC(d, s, _)
+        | Instr::MovI(d, s)
+        | Instr::NegI(d, s)
+        | Instr::AbsI(d, s)
+        | Instr::NotI(d, s) => d > s,
         Instr::AddF(d, a, b)
         | Instr::SubF(d, a, b)
         | Instr::MulF(d, a, b)
@@ -810,20 +815,27 @@ fn chunk_vectorizable(f: &CompiledFunc) -> bool {
         | Instr::RemF(d, a, b)
         | Instr::MinF(d, a, b)
         | Instr::MaxF(d, a, b)
-        | Instr::Math2(_, d, a, b) => above(d, &[a, b]),
-        Instr::MovI(d, s) | Instr::NegI(d, s) | Instr::AbsI(d, s) | Instr::NotI(d, s) => {
-            above(d, &[s])
-        }
-        Instr::AddI(d, a, b)
+        | Instr::Math2(_, d, a, b)
+        | Instr::AddI(d, a, b)
         | Instr::SubI(d, a, b)
         | Instr::MulI(d, a, b)
         | Instr::AndI(d, a, b)
         | Instr::OrI(d, a, b)
         | Instr::MinI(d, a, b)
         | Instr::MaxI(d, a, b)
-        | Instr::CmpI(_, d, a, b) => above(d, &[a, b]),
+        | Instr::CmpI(_, d, a, b) => d > a && d > b,
+        // constants have no source; the rest cross files, and the two
+        // register files never alias
+        Instr::ConstF(..)
+        | Instr::ConstI(..)
+        | Instr::IToF(..)
+        | Instr::FToI(..)
+        | Instr::CmpF(..) => true,
+        // straight-line, but nothing `vector_pass` has a loop for
         _ => false,
-    })
+    };
+    f.straight_line_body()
+        .filter(|body| body.iter().all(ordered))
 }
 
 fn cmp_f(c: Cmp, x: f64, y: f64) -> bool {
@@ -1040,7 +1052,7 @@ def f(x, y):
             funcs: vec![func],
             externs: vec![],
         };
-        assert!(chunk_vectorizable(&p.funcs[0]));
+        assert!(chunk_vectorizable(&p.funcs[0]).is_some());
         let vm = Vm::new(&p);
         let xs = [1.5, -2.0, 0.25, 7.0];
         let ys = [0.5, 3.0, -1.25, 2.0];
@@ -1069,6 +1081,34 @@ def f(x, y):
             )
             .unwrap_err();
         assert!(matches!(err, SeamlessError::Runtime(_)));
+    }
+
+    #[test]
+    fn compiled_straight_line_source_takes_the_vectorized_pass() {
+        // `compile_program` ends every body `[…, Ret(Some(r)), Ret(None)]`.
+        // Before the epilogue strip moved into `straight_line_body`, only
+        // the native tier looked past it and a kernel like this one,
+        // pinned to the VM, ran the frame interpreter per lane.
+        let src = "def e(x, y):\n    return (x * 2.0 + y) * (x - y * 0.5) + abs(x - y) * (x + 2.0) - x ** 2 * 0.125 + (y * y - x * 0.5) * (x * 1.3 + 0.1) + min(x, y) * 0.0625\n";
+        let m = parse_module(src).unwrap();
+        let p = compile_program(&m, "e", &[Type::Float, Type::Float]).unwrap();
+        let f = &p.funcs[0];
+        assert!(matches!(f.instrs.last(), Some(Instr::Ret(None))));
+        assert!(chunk_vectorizable(f).is_some(), "{}", p.disassemble());
+        let vm = Vm::new(&p);
+        let ret = [f.ret_reg().unwrap()];
+        for len in (1..=8).chain([4097]) {
+            let xs: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+            let ys: Vec<f64> = (0..len).map(|i| 1.5 - i as f64 * 0.011).collect();
+            let (mut chunk, mut lanes) = (vec![0.0; len], vec![0.0; len]);
+            vm.run_chunk(0, &[&xs[..], &ys[..]], &ret, &mut [&mut chunk[..]])
+                .unwrap();
+            vm.run_lanes(0, &[&xs[..], &ys[..]], &ret, &mut [&mut lanes[..]])
+                .unwrap();
+            for i in 0..len {
+                assert_eq!(chunk[i].to_bits(), lanes[i].to_bits(), "len {len} lane {i}");
+            }
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod prelude {
     };
     pub use odin::{
         DType, Dist, DistArray, DistTable, Expr, FieldType, FieldValue, Kernel, KernelSpec,
-        OdinConfig, OdinContext, OdinError, PExpr, Program, ProgramRun, ProgramStats, Record,
-        ReduceKind, Schema, Tier, Traced, TracedScalar,
+        OdinConfig, OdinContext, OdinError, Program, ProgramRun, ProgramStats, Record, ReduceKind,
+        Schema, Tier, Traced, TracedScalar,
     };
     pub use seamless::{compile_kernel, jit, CompiledKernel, SeamlessError, Type, Value};
     // serve::Session stays un-globbed (hpc_core::Session has the name);

@@ -4,15 +4,20 @@
 //! redistributed to every other layout and sliced with positive, negative,
 //! stepped and empty bounds, at 1–8 workers and sizes around the worker
 //! count and the block size, 1-D and 2-D, in all three dtypes — and each
-//! result is compared lane for lane with a serial `Vec` computation. Both
-//! payload arms run, clean and under a seeded fault schedule healed by
-//! reliable delivery (`HPC_FAULT_SEED`, swept by ci.sh).
+//! result is compared lane for lane with a serial `Vec` computation. At
+//! every point of the same layout × worker × size grid, the operand
+//! aligners get the same treatment: a lazy `Expr` (array and
+//! Sum/Max/Min tails), an eager `binary` under each `BinaryStrategy`, a
+//! pyish `Kernel` and a multi-statement `Program`, each with its operands
+//! on three different layouts. Both payload arms run, clean and under a
+//! seeded fault schedule healed by reliable delivery (`HPC_FAULT_SEED`,
+//! swept by ci.sh).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan};
-use hpc_framework::odin::{Buffer, SliceSpec};
+use hpc_framework::odin::{set_binary_strategy, BinOp, BinaryStrategy, Buffer, SliceSpec};
 use hpc_framework::prelude::*;
 use obs::SplitMix64;
 
@@ -121,11 +126,120 @@ fn check(what: &str, got: &DistArray<'_>, want_shape: &[usize], want: &Buffer, c
     assert_eq!(&lanes, want, "{what}: lanes, {case}");
 }
 
+/// `(a·2 + b)·c − |b|`, the body every compute row evaluates.
+const BODY: &str = "def body(a, b, c):\n    return (a * 2.0 + b) * c - abs(b)\n";
+
+fn body(a: f64, b: f64, c: f64) -> f64 {
+    (a * 2.0 + b) * c - b.abs()
+}
+
+/// Multiples of 1/8 in [-4, 4]: every product and every partial sum the
+/// compute rows form is exact in f64, so a distributed fold must equal
+/// the serial one whatever order the workers combine in.
+fn dyadic_lanes(rng: &mut SplitMix64, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|_| (rng.gen_index(65) as f64 - 32.0) / 8.0)
+        .collect()
+}
+
+/// Non-conformable operands through every aligner: `x`, `y`, `z` sit on
+/// three different layouts and each result must land on its template's
+/// layout with the serial lanes.
+fn compute_rows(ctx: &OdinContext, kernel: &Kernel<'_>, shape: &[usize], rng: &mut SplitMix64) {
+    let len: usize = shape.iter().product();
+    let [xs, ys, zs] = [(); 3].map(|_| dyadic_lanes(rng, len));
+    let lanes = |f: &dyn Fn(usize) -> f64| Buffer::F64((0..len).map(f).collect());
+    let full = lanes(&|i| body(xs[i], ys[i], zs[i]));
+    let Buffer::F64(serial) = &full else {
+        unreachable!()
+    };
+    // Folds over an empty array are left to the reduction's own tests.
+    let folds = [
+        (ReduceKind::Sum, serial.iter().sum::<f64>()),
+        (
+            ReduceKind::Max,
+            serial.iter().copied().fold(f64::MIN, f64::max),
+        ),
+        (
+            ReduceKind::Min,
+            serial.iter().copied().fold(f64::MAX, f64::min),
+        ),
+    ];
+    let folds = &folds[..if len == 0 { 0 } else { 3 }];
+    for (k, la) in LAYOUTS.into_iter().enumerate() {
+        let (lb, lc) = (LAYOUTS[(k + 1) % 5], LAYOUTS[(k + 2) % 5]);
+        let case = format!(
+            "p={} shape={shape:?} on {la:?}, {lb:?}, {lc:?}",
+            ctx.n_workers()
+        );
+        let x = scatter(ctx, &Buffer::F64(xs.clone()), shape, la);
+        let y = scatter(ctx, &Buffer::F64(ys.clone()), shape, lb);
+        let z = scatter(ctx, &Buffer::F64(zs.clone()), shape, lc);
+
+        let e = || (Expr::leaf(&x) * 2.0 + Expr::leaf(&y)) * Expr::leaf(&z) - Expr::leaf(&y).abs();
+        let r = e().eval();
+        assert_eq!(r.dist(), la, "Expr::eval: layout, {case}");
+        check("Expr::eval", &r, shape, &full, &case);
+        let k_map = kernel.map(&[&x, &y, &z]);
+        assert_eq!(k_map.dist(), la, "Kernel::map: layout, {case}");
+        check("Kernel::map", &k_map, shape, &full, &case);
+        for &(kind, want) in folds {
+            assert_eq!(e().reduce(kind), want, "Expr::reduce {kind:?}, {case}");
+            let got = kernel.map_reduce(&[&x, &y, &z], kind);
+            assert_eq!(got, want, "Kernel::map_reduce {kind:?}, {case}");
+        }
+
+        // Eager binary: the strategy picks which side moves, never the lanes.
+        let auto = if la == Dist::Block || lb != Dist::Block {
+            la
+        } else {
+            lb
+        };
+        for (strategy, op, want_dist) in [
+            (BinaryStrategy::RedistRight, BinOp::Add, la),
+            (BinaryStrategy::RedistLeft, BinOp::Sub, lb),
+            (BinaryStrategy::Auto, BinOp::Mul, auto),
+        ] {
+            set_binary_strategy(strategy);
+            let r = x.binary(&y, op);
+            set_binary_strategy(BinaryStrategy::Auto);
+            assert_eq!(r.dist(), want_dist, "binary {strategy:?}: layout, {case}");
+            let want = lanes(&|i| match op {
+                BinOp::Add => xs[i] + ys[i],
+                BinOp::Sub => xs[i] - ys[i],
+                _ => xs[i] * ys[i],
+            });
+            check("binary", &r, shape, &want, &format!("{strategy:?} {case}"));
+        }
+
+        // The same body as three statements: `t1` runs at x's layout, is
+        // moved to z's for `t2`, and `t3` with the folds fuses onto it.
+        let mut p = ctx.trace();
+        let t1 = p.assign(Expr::leaf(&x) * 2.0 + Expr::leaf(&y));
+        let t2 = p.assign(Expr::leaf(&z) * Expr::from(t1));
+        let t3 = p.assign(Expr::from(t2) - Expr::leaf(&y).abs());
+        let tails = folds.iter().map(|&(kind, _)| p.reduce(t3, kind));
+        let tails: Vec<TracedScalar> = tails.collect();
+        let mut run = p.run(&[t1, t3]);
+        let (r1, r3) = (run.array(t1), run.array(t3));
+        assert_eq!((r1.dist(), r3.dist()), (la, lc), "Program: layouts, {case}");
+        let want1 = lanes(&|i| xs[i] * 2.0 + ys[i]);
+        check("Program t1", &r1, shape, &want1, &case);
+        check("Program t3", &r3, shape, &full, &case);
+        for (tail, &(kind, want)) in tails.iter().zip(folds) {
+            assert_eq!(run.scalar(*tail), want, "Program {kind:?}, {case}");
+        }
+    }
+}
+
 /// One context's share of the grid: every layout pair, slice, dtype and
 /// dimensionality at each row count in `ns`.
 fn run_grid(ctx: &OdinContext, ns: &[usize], rng: &mut SplitMix64) {
     let p = ctx.n_workers();
+    let kernel = ctx.compile_kernel(BODY, "body").unwrap();
     for &n in ns {
+        compute_rows(ctx, &kernel, &[n], rng);
+        compute_rows(ctx, &kernel, &[n, COLS], rng);
         for (slab, dtype) in [1, COLS].into_iter().flat_map(|s| DTYPES.map(|d| (s, d))) {
             let shape = if slab == 1 { vec![n] } else { vec![n, slab] };
             let vals = random_lanes(rng, dtype, n * slab);

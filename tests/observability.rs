@@ -21,7 +21,7 @@ use hpc_framework::comm::{
 };
 use hpc_framework::hpc_core::bridge::{solve_with_odin_rhs, SolveMethod};
 use hpc_framework::obs;
-use hpc_framework::odin::OdinContext;
+use hpc_framework::odin::{Expr, OdinContext};
 use hpc_framework::solvers::KrylovConfig;
 
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -493,28 +493,30 @@ fn fusion_counters_reconcile_exactly_with_program_stats() {
     let x = ctx.arange_f64(0.0, 1.0, 48, hpc_framework::odin::Dist::Block);
     let c = ctx.arange_f64(0.5, 0.25, 48, hpc_framework::odin::Dist::Cyclic);
     let mut p = ctx.trace();
-    let (xl, cl) = (p.leaf(&x), p.leaf(&c));
     // Repeated fragment (CSE), a dead store (DSE), the cyclic operand
     // used by two statements (merged redistribute), and a fused tail.
-    let shared = xl.clone() * cl.clone();
+    let shared = Expr::leaf(&x) * Expr::leaf(&c);
     let a = p.assign(shared.clone() + 1.0);
-    let _dead = p.assign(xl.clone() * 9.0);
-    let b = p.assign(shared * 2.0 + cl);
-    let _s = p.sum(hpc_framework::odin::PExpr::from(a) + hpc_framework::odin::PExpr::from(b));
+    let _dead = p.assign(Expr::leaf(&x) * 9.0);
+    let b = p.assign(shared.clone() * 2.0 + Expr::leaf(&c));
+    let _s = p.sum(Expr::from(a) + Expr::from(b));
     let mut run = p.run(&[a, b]);
     let (_aa, _bb) = (run.array(a), run.array(b));
     let st = run.stats();
+    // A lone `Expr::eval` is a one-statement program and lands in the
+    // same counters: `x·c` twice is exactly one CSE hit, nothing else.
+    let _lone = (shared.clone() - shared).eval();
     obs::set_enabled(false);
 
     assert!(st.cse_hits >= 1, "{st:?}");
     assert_eq!(st.dse_eliminated, 1, "{st:?}");
     assert!(st.redistributes_merged >= 1, "{st:?}");
     assert!(st.launches_saved >= 1, "{st:?}");
-    // Exact one-for-one mirror: each ProgramStats field equals its
-    // registry counter (one run() happened since reset, so no sums).
+    // Exact mirror: each registry counter is the traced run's
+    // ProgramStats field plus the lone eval's contribution.
     let g = obs::global();
     for (key, want) in [
-        ("fusion.cse_hits", st.cse_hits),
+        ("fusion.cse_hits", st.cse_hits + 1),
         ("fusion.dse_eliminated", st.dse_eliminated),
         ("fusion.redistributes_merged", st.redistributes_merged),
         ("fusion.launches_saved", st.launches_saved),

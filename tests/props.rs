@@ -9,7 +9,7 @@ use obs::SplitMix64;
 
 use hpc_framework::comm::{decode_from_slice, encode_to_vec};
 use hpc_framework::dmap::DistMap;
-use hpc_framework::odin::{Dist, OdinContext, PExpr, SliceSpec};
+use hpc_framework::odin::{Dist, OdinContext, SliceSpec};
 use hpc_framework::seamless;
 
 // ---- wire codec -------------------------------------------------------------
@@ -1002,15 +1002,15 @@ fn vm_matches_interpreter_on_integer_loops() {
 
 // ---- whole-program traces vs statement-at-a-time (DESIGN §14) ---------------
 
-/// Random expression plan interpretable both as a traced [`PExpr`] and as
-/// an eager [`Expr`] tree — the mirror pair the parity property runs on.
+/// Random expression plan, built once and turned into an `Expr` tree per
+/// arm: `Ref(j)` is statement `j`'s materialized array when the
+/// statements run one at a time, and its `Traced` handle inside a trace.
 enum PlanNode {
     Leaf(usize),
     Ref(usize),
     Unary(u8, Box<PlanNode>),
     Binary(u8, Box<PlanNode>, Box<PlanNode>),
-    /// Binary with an f64 literal on the right (the only scalar position
-    /// both builders share).
+    /// Binary with an f64 literal on the right.
     BinScalar(u8, Box<PlanNode>, f64),
     Pow(Box<PlanNode>, f64),
 }
@@ -1062,60 +1062,15 @@ fn gen_plan(rng: &mut SplitMix64, depth: usize, n_leaves: usize, n_prev: usize) 
     }
 }
 
-fn plan_to_pexpr<'x, 'c>(
-    plan: &PlanNode,
-    p: &mut hpc_framework::odin::Program<'x, 'c>,
-    leaves: &'x [hpc_framework::odin::DistArray<'c>],
-    prev: &[hpc_framework::odin::Traced],
-) -> PExpr {
-    match plan {
-        PlanNode::Leaf(i) => p.leaf(&leaves[*i]),
-        PlanNode::Ref(j) => PExpr::from(prev[*j]),
-        PlanNode::Unary(op, a) => {
-            let a = plan_to_pexpr(a, p, leaves, prev);
-            match op {
-                0 => a.sqrt(),
-                1 => a.sin(),
-                2 => a.cos(),
-                3 => a.exp(),
-                4 => a.abs(),
-                _ => a.floor(),
-            }
-        }
-        PlanNode::Binary(op, a, b) => {
-            let a = plan_to_pexpr(a, p, leaves, prev);
-            let b = plan_to_pexpr(b, p, leaves, prev);
-            match op {
-                0 => a + b,
-                1 => a - b,
-                2 => a * b,
-                3 => a / b,
-                _ => a % b,
-            }
-        }
-        PlanNode::BinScalar(op, a, s) => {
-            let a = plan_to_pexpr(a, p, leaves, prev);
-            match op {
-                0 => a + *s,
-                1 => a - *s,
-                2 => a * *s,
-                3 => a / *s,
-                _ => a % *s,
-            }
-        }
-        PlanNode::Pow(a, e) => plan_to_pexpr(a, p, leaves, prev).pow(*e),
-    }
-}
-
 fn plan_to_expr<'x, 'c>(
     plan: &PlanNode,
     leaves: &'x [hpc_framework::odin::DistArray<'c>],
-    prev: &'x [hpc_framework::odin::DistArray<'c>],
+    prev: &dyn Fn(usize) -> hpc_framework::odin::Expr<'x, 'c>,
 ) -> hpc_framework::odin::Expr<'x, 'c> {
     use hpc_framework::odin::Expr;
     match plan {
         PlanNode::Leaf(i) => Expr::leaf(&leaves[*i]),
-        PlanNode::Ref(j) => Expr::leaf(&prev[*j]),
+        PlanNode::Ref(j) => prev(*j),
         PlanNode::Unary(op, a) => {
             let a = plan_to_expr(a, leaves, prev);
             match op {
@@ -1154,7 +1109,7 @@ fn plan_to_expr<'x, 'c>(
 
 #[test]
 fn traced_program_bitwise_matches_statement_at_a_time() {
-    use hpc_framework::odin::ReduceKind;
+    use hpc_framework::odin::{Expr, ReduceKind};
     let mut rng = SplitMix64::new(0x7ace);
     for case in 0..10 {
         let workers = 1 + rng.gen_index(4);
@@ -1183,7 +1138,7 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         let mut eager: Vec<hpc_framework::odin::DistArray> = Vec::new();
         for plan in &stmt_plans {
             let (fused, unfused) = {
-                let e = plan_to_expr(plan, &leaves, &eager);
+                let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&eager[j]));
                 (e.eval(), e.eval_unfused())
             };
             assert_eq!(
@@ -1195,21 +1150,25 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         }
         let eager_reds: Vec<f64> = reduce_plans
             .iter()
-            .map(|(plan, kind)| plan_to_expr(plan, &leaves, &eager).reduce(*kind))
+            .map(|(plan, kind)| {
+                plan_to_expr(plan, &leaves, &|j| Expr::leaf(&eager[j])).reduce(*kind)
+            })
             .collect();
 
-        // Traced twin.
+        // The same plans as one fused multi-statement trace.
         let mut p = ctx.trace();
         let mut traced: Vec<hpc_framework::odin::Traced> = Vec::new();
         for plan in &stmt_plans {
-            let e = plan_to_pexpr(plan, &mut p, &leaves, &traced);
+            let e = plan_to_expr(plan, &leaves, &|j| Expr::from(traced[j]));
             traced.push(p.assign(e));
         }
         let traced_reds: Vec<hpc_framework::odin::TracedScalar> = reduce_plans
             .iter()
             .map(|(plan, kind)| {
-                let e = plan_to_pexpr(plan, &mut p, &leaves, &traced);
-                p.reduce(e, *kind)
+                p.reduce(
+                    plan_to_expr(plan, &leaves, &|j| Expr::from(traced[j])),
+                    *kind,
+                )
             })
             .collect();
         let mut run = p.run(&traced);

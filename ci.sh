@@ -73,6 +73,7 @@ for seed in 42 1009 777216; do
   HPC_FAULT_SEED=$seed cargo test -q --offline --test serve_plane
   HPC_FAULT_SEED=$seed cargo test -q --offline --test observability zerocopy_region
   HPC_FAULT_SEED=$seed cargo test -q --offline --test layout_grid chaos
+  HPC_FAULT_SEED=$seed cargo test -q --offline --test solver_stack
 done
 
 echo "== E19 autotune gate (Auto vs fixed collectives, alloc counting)"

@@ -193,11 +193,23 @@ fn pick(op: CollOp, p: usize, n: usize, m: &NetworkModel) -> (CollectiveAlgo, f6
     best
 }
 
+/// The collective-plane tag for sequence number `seq`.
+fn coll_tag(seq: u64) -> Tag {
+    MAX_USER_TAG + ((seq as u32) & (MAX_USER_TAG - 1))
+}
+
 impl Comm {
     fn next_coll_tag(&self) -> Tag {
+        coll_tag(self.reserve_coll_seq(1))
+    }
+
+    /// Advance the collective sequence by `n` and return its old value:
+    /// `coll_tag(s)`, …, `coll_tag(s + n − 1)` are the tags `n` successive
+    /// [`Comm::next_coll_tag`] calls would have produced.
+    fn reserve_coll_seq(&self, n: u64) -> u64 {
         let s = self.coll_seq.get();
-        self.coll_seq.set(s.wrapping_add(1));
-        MAX_USER_TAG + ((s as u32) & (MAX_USER_TAG - 1))
+        self.coll_seq.set(s.wrapping_add(n));
+        s
     }
 
     /// Allocate a tag from the same SPMD-ordered sequence the collectives
@@ -272,21 +284,11 @@ impl Comm {
         .record((predicted_s * 1e9) as u64);
     }
 
-    /// Encoded size of `value`, measured through a pooled scratch buffer.
-    /// Only the autotuner pays this; fixed algorithms never encode twice.
-    fn payload_bytes<T: Wire>(&self, value: &T) -> usize {
-        let mut buf = self.take_buf();
-        value.encode(&mut buf);
-        let n = buf.len();
-        self.put_buf(buf);
-        n
-    }
-
     /// Payload size for resolving a symmetric (payload-aware) collective;
     /// 0 unless `Auto` is configured.
     fn auto_bytes<T: Wire>(&self, value: &T) -> usize {
         if self.algo() == CollectiveAlgo::Auto {
-            self.payload_bytes(value)
+            value.wire_size()
         } else {
             0
         }
@@ -518,7 +520,7 @@ impl Comm {
                 self.bcast_as(algo, 0, reduced)
             }
             CollectiveAlgo::RecursiveDoubling => {
-                // Allocate every tag up front, identically on every rank:
+                // Reserve every tag up front, identically on every rank:
                 // ranks folded away (≥ p2) skip the hypercube rounds but
                 // must still advance the collective tag counter, or the
                 // *next* collective deadlocks on mismatched tags.
@@ -526,12 +528,7 @@ impl Comm {
                 let rank = self.rank();
                 let p2 = prev_power_of_two(size);
                 let extra = size - p2;
-                let mut round_tags = Vec::new();
-                let mut m = 1;
-                while m < p2 {
-                    round_tags.push(self.next_coll_tag());
-                    m <<= 1;
-                }
+                let round_seq = self.reserve_coll_seq(u64::from(p2.trailing_zeros()));
                 if rank >= p2 {
                     // Fold this rank onto its partner, then wait for result.
                     let sreq = self.isend(rank - p2, tag, value).expect("allreduce send");
@@ -549,10 +546,10 @@ impl Comm {
                     acc = op(&acc, &v);
                 }
                 let mut mask = 1;
-                let mut round = 0;
                 while mask < p2 {
-                    let round_tag = round_tags[round];
-                    round += 1;
+                    // Round i exchanges across bit i and uses the i-th tag.
+                    let round = u64::from(mask.trailing_zeros());
+                    let round_tag = coll_tag(round_seq.wrapping_add(round));
                     let partner = rank ^ mask;
                     // Post the outgoing block, receive the partner's, then
                     // settle the send: the outgoing serialization overlaps
@@ -1110,6 +1107,21 @@ mod tests {
                     assert_eq!((a, c), pick(op, p, n, &m));
                     assert!(c.is_finite() && a != CollectiveAlgo::Auto);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn auto_allreduce_pick_is_the_same_for_one_scalar_and_a_few() {
+        // `dlinalg`'s fused k-lane dots promise each lane bitwise equal to
+        // the separate one-scalar allreduce. Under `Auto` that needs the
+        // 8-byte and the k·8/k·16-byte payloads to resolve to one
+        // algorithm, i.e. one bracketing of the ranks' partial sums.
+        let m = NetworkModel::default();
+        for p in 2..=300 {
+            let one = pick(CollOp::Allreduce, p, 8, &m).0;
+            for n in [16, 24, 32, 48, 64] {
+                assert_eq!(pick(CollOp::Allreduce, p, n, &m).0, one, "p={p} n={n}");
             }
         }
     }

@@ -195,6 +195,9 @@ impl Wire for Complex64 {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
         Ok(Complex64::new(f64::decode(cur)?, f64::decode(cur)?))
     }
+    fn wire_size(&self) -> usize {
+        16
+    }
 }
 
 impl Scalar for Complex64 {
@@ -282,6 +285,7 @@ mod tests {
         let a = Complex64::new(-1.25, 7.5);
         let bytes = comm::encode_to_vec(&a);
         assert_eq!(bytes.len(), 16);
+        assert_eq!(a.wire_size(), 16);
         let back: Complex64 = comm::decode_from_slice(&bytes).unwrap();
         assert_eq!(back, a);
     }

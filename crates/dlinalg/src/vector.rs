@@ -1,6 +1,6 @@
 //! Distributed vectors (Tpetra `Vector` analog).
 
-use comm::{Comm, ReduceOp};
+use comm::{Comm, CommError, Cursor, ReduceOp, Wire};
 use dmap::{cached_import, DistMap};
 
 use crate::scalar::{RealScalar, Scalar};
@@ -13,6 +13,30 @@ use crate::scalar::{RealScalar, Scalar};
 pub struct DistVector<S: Scalar> {
     map: DistMap,
     data: Vec<S>,
+}
+
+/// The `K` partial sums of one fused reduction as they travel through
+/// `Comm::allreduce`: `K` is part of the type, so there is no length
+/// prefix and encoding, decoding and cloning never touch the heap.
+#[derive(Clone, Copy)]
+struct Lanes<S, const K: usize>([S; K]);
+
+impl<S: Scalar, const K: usize> Wire for Lanes<S, K> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for lane in &self.0 {
+            lane.encode(buf);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
+        let mut lanes = [S::zero(); K];
+        for lane in &mut lanes {
+            *lane = S::decode(cur)?;
+        }
+        Ok(Lanes(lanes))
+    }
+    fn wire_size(&self) -> usize {
+        self.0.iter().map(Wire::wire_size).sum()
+    }
 }
 
 impl<S: Scalar> DistVector<S> {
@@ -111,13 +135,41 @@ impl<S: Scalar> DistVector<S> {
     /// Conjugated dot product `⟨self, other⟩ = Σ conj(selfᵢ)·otherᵢ`.
     /// Collective; accounts `2n` modeled flops on this rank.
     pub fn dot(&self, other: &DistVector<S>, comm: &Comm) -> S {
-        debug_assert!(self.map.same_as(&other.map), "dot maps must match");
-        let mut acc = S::zero();
-        for (&a, &b) in self.data.iter().zip(other.data.iter()) {
-            acc += a.conj() * b;
+        Self::dots([(self, other)], comm)[0]
+    }
+
+    /// `K` conjugated dot products `⟨aₖ, bₖ⟩` over one map, fused: one pass
+    /// over memory with `K` independent accumulators, then **one**
+    /// allreduce of the `K` partial sums. Each lane adds its terms in the
+    /// order [`DistVector::dot`] does and the ranks' partials combine
+    /// lane by lane under the same bracketing, so lane `k` is bitwise
+    /// `aₖ.dot(bₖ)` — what fusing saves is `K − 1` synchronizations. A
+    /// squared norm is the lane `(x, x)`: its real part is bitwise
+    /// `x.norm2()²` before the square root (`conj(x)·x` and `|x|²` round
+    /// identically). Collective; accounts `2n` modeled flops per lane.
+    pub fn dots<const K: usize>(
+        pairs: [(&DistVector<S>, &DistVector<S>); K],
+        comm: &Comm,
+    ) -> [S; K] {
+        let n = pairs.first().map_or(0, |(a, _)| a.data.len());
+        let lanes = pairs.map(|(a, b)| {
+            debug_assert!(
+                a.map.same_as(&b.map) && a.data.len() == n,
+                "dot maps must match"
+            );
+            (&a.data[..n], &b.data[..n])
+        });
+        let mut acc = [S::zero(); K];
+        for i in 0..n {
+            for (sum, (a, b)) in acc.iter_mut().zip(&lanes) {
+                *sum += a[i].conj() * b[i];
+            }
         }
-        comm.advance_compute(2.0 * self.data.len() as f64);
-        comm.allreduce(&acc, |x: &S, y: &S| *x + *y)
+        comm.advance_compute(2.0 * (K * n) as f64);
+        comm.allreduce(&Lanes(acc), |x: &Lanes<S, K>, y: &Lanes<S, K>| {
+            Lanes(std::array::from_fn(|k| x.0[k] + y.0[k]))
+        })
+        .0
     }
 
     /// Euclidean norm. Collective.
@@ -256,6 +308,52 @@ mod tests {
         // ⟨i, i⟩ = conj(i)·i summed over 4 entries = 4
         for v in out {
             assert_eq!(v, crate::scalar::Complex64::new(4.0, 0.0));
+        }
+    }
+
+    /// Every lane of a fused reduction must be bitwise the separate
+    /// `dot` (and, for an `(x, x)` lane, `norm2`) under every collective
+    /// algorithm — non-power-of-two rank counts included, where the
+    /// algorithms bracket the ranks' partial sums differently.
+    #[test]
+    fn fused_lanes_are_bitwise_the_separate_reductions() {
+        use crate::scalar::Complex64;
+        use comm::{CollectiveAlgo, UniverseConfig};
+
+        fn check<S: Scalar>(comm: &Comm, f: impl Fn(usize, f64) -> S) {
+            // Irrational strides: the partial sums do not round trivially.
+            let map = DistMap::block(53, comm.size(), comm.rank());
+            let x = DistVector::from_fn(map.clone(), |g| f(g, 0.7391));
+            let y = DistVector::from_fn(map.clone(), |g| f(g, 1.6180));
+            let z = DistVector::from_fn(map, |g| f(g, 2.2361));
+            let [xx, xy, zy] = DistVector::dots([(&x, &x), (&x, &y), (&z, &y)], comm);
+            assert_eq!(xy, x.dot(&y, comm));
+            assert_eq!(zy, z.dot(&y, comm));
+            assert_eq!(xx, x.dot(&x, comm));
+            assert_eq!(xx.re().sqrt(), x.norm2(comm));
+            let [yx] = DistVector::dots([(&y, &x)], comm);
+            assert_eq!(yx, y.dot(&x, comm));
+            assert_eq!(DistVector::<S>::dots([], comm), []);
+        }
+
+        for algo in [
+            CollectiveAlgo::Linear,
+            CollectiveAlgo::Tree,
+            CollectiveAlgo::RecursiveDoubling,
+            CollectiveAlgo::Auto,
+        ] {
+            for ranks in [1, 2, 3, 4, 5, 6, 7] {
+                let cfg = UniverseConfig {
+                    algo,
+                    ..Default::default()
+                };
+                Universe::run_report(cfg, ranks, |comm| {
+                    check::<f64>(comm, |g, w| (g as f64 * w).sin() / 3.0);
+                    check::<Complex64>(comm, |g, w| {
+                        Complex64::new((g as f64 * w).sin() / 3.0, (g as f64 * w).cos() / 7.0)
+                    });
+                });
+            }
         }
     }
 

@@ -4,6 +4,8 @@
 use comm::Comm;
 use dlinalg::{CsrMatrix, DistVector, RealScalar, Scalar};
 
+use crate::krylov::norm_from_lane;
+
 /// Result of the power method: dominant eigenvalue estimate, eigenvector,
 /// and iterations used.
 pub struct PowerResult<S: Scalar> {
@@ -34,9 +36,11 @@ pub fn power_method<S: Scalar>(
     for it in 1..=max_iter {
         let timer = crate::instrument::iter_start(comm);
         let w = a.matvec(comm, &v);
-        // Rayleigh quotient ⟨v, Av⟩ (v already unit norm)
-        let rq = v.dot(&w, comm).re().to_f64();
-        let wnorm = w.norm2(comm).to_f64();
+        // Rayleigh quotient ⟨v, Av⟩ (v already unit norm) and ‖Av‖² in
+        // one reduction.
+        let [vw, ww] = DistVector::dots([(&v, &w), (&w, &w)], comm);
+        let rq = vw.re().to_f64();
+        let wnorm = norm_from_lane(ww);
         if wnorm == 0.0 {
             crate::instrument::record_solve("power", it, true, 0.0);
             return PowerResult {

@@ -73,6 +73,10 @@ impl KrylovConfig {
 
 /// Preconditioned conjugate gradients for SPD (or Hermitian positive
 /// definite) systems. Solves `A·x = b`, starting from `x`'s current value.
+/// Two collective reductions per iteration. A breakdown — `p·Ap` zero or
+/// non-finite, or a non-finite residual, as an indefinite operator or a
+/// NaN out of the preconditioner produces — ends the solve with
+/// `converged: false` and the history so far.
 pub fn cg<S: Scalar>(
     comm: &Comm,
     a: &CsrMatrix<S>,
@@ -120,7 +124,11 @@ pub fn cg_checkpointed<S: Scalar>(
         let ax = a.matvec(comm, x);
         r = b.clone();
         r.axpy(-S::one(), &ax);
-        r0_norm = r.norm2(comm).to_f64();
+        // The preconditioner runs before the convergence test so that
+        // ‖r₀‖² and r₀·z₀ share one reduction.
+        let z0 = m.apply(comm, &r);
+        let [rr, rz0] = DistVector::dots([(&r, &r), (&r, &z0)], comm);
+        r0_norm = norm_from_lane(rr);
         history = vec![r0_norm];
         if cfg.done(r0_norm, r0_norm) || r0_norm == 0.0 {
             instrument::record_solve("cg", 0, true, r0_norm);
@@ -130,8 +138,7 @@ pub fn cg_checkpointed<S: Scalar>(
                 history,
             };
         }
-        let z0 = m.apply(comm, &r);
-        rz = r.dot(&z0, comm);
+        rz = rz0;
         p = z0;
         start = 1;
     }
@@ -140,6 +147,9 @@ pub fn cg_checkpointed<S: Scalar>(
     history.reserve((cfg.max_iter + 1).saturating_sub(start));
     let mut ap = DistVector::zeros(b.map().clone());
     let mut z = DistVector::zeros(b.map().clone());
+    // Two synchronizations per iteration: p·Ap, then (‖r‖², r·z) fused.
+    // The price is one preconditioner apply on the iteration that
+    // converges, whose z is never used.
     for it in start..=cfg.max_iter {
         if ck.every > 0 && (it - 1) % ck.every == 0 {
             if let Some(sink) = ck.sink {
@@ -157,10 +167,15 @@ pub fn cg_checkpointed<S: Scalar>(
         let timer = instrument::iter_start(comm);
         instrument::phase(comm, "cg.spmv", || a.matvec_into(comm, &p, &mut ap));
         let pap = p.dot(&ap, comm);
+        if !is_usable_divisor(pap) {
+            break; // breakdown: A is not positive definite along p
+        }
         let alpha = rz / pap;
         x.axpy(alpha, &p);
         r.axpy(-alpha, &ap);
-        let rnorm = r.norm2(comm).to_f64();
+        instrument::phase(comm, "cg.precond", || m.apply_into(comm, &r, &mut z));
+        let [rr, rz_new] = DistVector::dots([(&r, &r), (&r, &z)], comm);
+        let rnorm = norm_from_lane(rr);
         history.push(rnorm);
         if let Some(t) = timer {
             instrument::iter_finish(t, comm, "cg.iter", it, rnorm);
@@ -173,20 +188,35 @@ pub fn cg_checkpointed<S: Scalar>(
                 history,
             };
         }
-        instrument::phase(comm, "cg.precond", || m.apply_into(comm, &r, &mut z));
-        let rz_new = r.dot(&z, comm);
+        if !rnorm.is_finite() {
+            break; // a NaN/∞ residual never recovers
+        }
         let beta = rz_new / rz;
         rz = rz_new;
         // p ← z + beta·p
         p.scale(beta);
         p.axpy(S::one(), &z);
     }
-    instrument::record_solve("cg", cfg.max_iter, false, *history.last().unwrap());
+    // Out of budget, or a breakdown left the loop early.
+    let iterations = history.len() - 1;
+    instrument::record_solve("cg", iterations, false, history[iterations]);
     SolveStatus {
         converged: false,
-        iterations: cfg.max_iter,
+        iterations,
         history,
     }
+}
+
+/// The norm `‖x‖` from the `(x, x)` lane of a [`DistVector::dots`] call —
+/// bitwise `x.norm2()`.
+pub(crate) fn norm_from_lane<S: Scalar>(xx: S) -> f64 {
+    xx.re().sqrt().to_f64()
+}
+
+/// Whether a Krylov recurrence may divide by `d`: nonzero and finite.
+fn is_usable_divisor<S: Scalar>(d: S) -> bool {
+    let m = d.abs().to_f64();
+    m != 0.0 && m.is_finite()
 }
 
 /// Preconditioned BiCGStab for general (nonsymmetric) systems.
@@ -201,7 +231,13 @@ pub fn bicgstab<S: Scalar>(
     let ax = a.matvec(comm, x);
     let mut r = b.clone();
     r.axpy(-S::one(), &ax);
-    let r0_norm = r.norm2(comm).to_f64();
+    // Shadow residual r̂ = r₀.
+    let r_hat = r.clone();
+    // Four synchronizations per iteration: each ‖r‖² travels with the
+    // ρ = r̂·r the next iteration opens with (this first pair included),
+    // and t·t with t·s.
+    let [rr, mut rho_new] = DistVector::dots([(&r, &r), (&r_hat, &r)], comm);
+    let r0_norm = norm_from_lane(rr);
     let mut history = vec![r0_norm];
     if cfg.done(r0_norm, r0_norm) || r0_norm == 0.0 {
         instrument::record_solve("bicgstab", 0, true, r0_norm);
@@ -211,7 +247,6 @@ pub fn bicgstab<S: Scalar>(
             history,
         };
     }
-    let r_hat = r.clone(); // shadow residual
     let mut rho = S::one();
     let mut alpha = S::one();
     let mut omega = S::one();
@@ -225,8 +260,7 @@ pub fn bicgstab<S: Scalar>(
     history.reserve(cfg.max_iter);
     for it in 1..=cfg.max_iter {
         let timer = instrument::iter_start(comm);
-        let rho_new = r_hat.dot(&r, comm);
-        if rho_new.abs().to_f64() == 0.0 {
+        if !is_usable_divisor(rho_new) {
             break; // breakdown
         }
         let beta = (rho_new / rho) * (alpha / omega);
@@ -257,18 +291,20 @@ pub fn bicgstab<S: Scalar>(
         }
         m.apply_into(comm, &s, &mut s_hat);
         a.matvec_into(comm, &s_hat, &mut t);
-        let tt = t.dot(&t, comm);
-        if tt.abs().to_f64() == 0.0 {
+        let [tt, ts] = DistVector::dots([(&t, &t), (&t, &s)], comm);
+        if !is_usable_divisor(tt) {
             break;
         }
-        omega = t.dot(&s, comm) / tt;
+        omega = ts / tt;
         // x ← x + α p_hat + ω s_hat
         x.axpy(alpha, &p_hat);
         x.axpy(omega, &s_hat);
         // r = s − ω t (swap keeps both buffers alive for reuse)
         std::mem::swap(&mut r, &mut s);
         r.axpy(-omega, &t);
-        let rnorm = r.norm2(comm).to_f64();
+        let [rr, rho_next] = DistVector::dots([(&r, &r), (&r_hat, &r)], comm);
+        rho_new = rho_next;
+        let rnorm = norm_from_lane(rr);
         history.push(rnorm);
         if let Some(t) = timer {
             instrument::iter_finish(t, comm, "bicgstab.iter", it, rnorm);
@@ -281,19 +317,15 @@ pub fn bicgstab<S: Scalar>(
                 history,
             };
         }
-        if omega.abs().to_f64() == 0.0 {
+        if !is_usable_divisor(omega) {
             break;
         }
     }
-    instrument::record_solve(
-        "bicgstab",
-        history.len() - 1,
-        false,
-        *history.last().unwrap(),
-    );
+    let iterations = history.len() - 1;
+    instrument::record_solve("bicgstab", iterations, false, history[iterations]);
     SolveStatus {
         converged: false,
-        iterations: history.len() - 1,
+        iterations,
         history,
     }
 }
@@ -340,7 +372,10 @@ pub fn gmres(
                 history,
             };
         }
-        // Arnoldi with modified Gram–Schmidt.
+        // Arnoldi with modified Gram–Schmidt: each projection reads the w
+        // the previous one updated, so the j+1 dots of a column cannot
+        // share a reduction. Fusing them is classical Gram–Schmidt — new
+        // numerics, not a reordering — and is deliberately not done here.
         let mut basis: Vec<DistVector<f64>> = Vec::with_capacity(restart + 1);
         let mut v0 = r.clone();
         v0.scale(1.0 / beta);
@@ -681,6 +716,45 @@ mod tests {
             );
             assert!(st.converged);
             assert_eq!(st.iterations, 0);
+        });
+    }
+
+    #[test]
+    fn cg_stops_at_breakdown_instead_of_iterating_nans() {
+        /// A preconditioner that poisons its output.
+        struct NanPrecond;
+        impl Preconditioner<f64> for NanPrecond {
+            fn apply(&self, _comm: &Comm, r: &DistVector<f64>) -> DistVector<f64> {
+                DistVector::constant(r.map().clone(), f64::NAN)
+            }
+            fn name(&self) -> &'static str {
+                "nan"
+            }
+        }
+        Universe::run(2, |comm| {
+            // diag(1, −1, 1, −1, …) is symmetric but indefinite, and with
+            // b = 1 the first search direction has p·Ap = 0 exactly.
+            let n = 12;
+            let m = DistMap::block(n, comm.size(), comm.rank());
+            let a = CsrMatrix::from_row_fn(comm, m.clone(), m, |g| {
+                vec![(g, if g % 2 == 0 { 1.0 } else { -1.0 })]
+            });
+            let b = DistVector::constant(a.domain_map().clone(), 1.0);
+            let r0 = (n as f64).sqrt();
+            let cfg = KrylovConfig::default();
+            let mut x = DistVector::zeros(a.domain_map().clone());
+            let st = cg(comm, &a, &b, &mut x, &IdentityPrecond, &cfg);
+            assert!(!st.converged);
+            assert_eq!(st.iterations, 0);
+            assert_eq!(st.history, vec![r0]);
+            assert!(x.local().iter().all(|&v| v == 0.0), "x must be untouched");
+            // A NaN out of the preconditioner reaches p, then p·Ap.
+            let spd = laplace(comm, n);
+            let st = cg(comm, &spd, &b, &mut x, &NanPrecond, &cfg);
+            assert!(!st.converged);
+            assert_eq!(st.iterations, 0);
+            assert_eq!(st.history, vec![r0]);
+            assert!(x.local().iter().all(|&v| v == 0.0), "x must be untouched");
         });
     }
 

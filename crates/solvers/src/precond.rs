@@ -7,7 +7,9 @@
 //! distributed operator and communicates through its matvecs.
 
 use comm::Comm;
-use dlinalg::{CsrMatrix, DistVector, RealScalar, Scalar};
+use dlinalg::{CsrMatrix, DistVector, Scalar};
+
+use crate::krylov::norm_from_lane;
 
 /// Left preconditioner interface: `z = M⁻¹ r`.
 pub trait Preconditioner<S: Scalar> {
@@ -306,11 +308,12 @@ impl<S: Scalar> ChebyshevPrecond<S> {
         for _ in 0..power_iters {
             let mut w = a.matvec(comm, &v);
             w.pointwise_mul(&inv_diag);
-            let nrm = w.norm2(comm).to_f64();
+            let [ww, vv] = DistVector::dots([(&w, &w), (&v, &v)], comm);
+            let nrm = norm_from_lane(ww);
             if nrm == 0.0 {
                 break;
             }
-            lambda = nrm / v.norm2(comm).to_f64();
+            lambda = nrm / norm_from_lane(vv);
             w.scale(S::from_f64(1.0 / nrm));
             v = w;
         }

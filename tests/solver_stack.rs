@@ -1,15 +1,22 @@
 //! Cross-crate solver-stack integration: galeri problems through every
 //! solver family, with answers cross-checked between independent paths
-//! (iterative vs direct, Lanczos vs analytic, CG vs GMRES).
+//! (iterative vs direct, Lanczos vs analytic, CG vs GMRES), and the
+//! fused-reduction CG/BiCGStab pinned bitwise against one-reduction-per-
+//! dot reference loops that live only here.
 
-use hpc_framework::comm::Universe;
-use hpc_framework::dlinalg::DistVector;
+use std::time::Duration;
+
+use hpc_framework::comm::{encode_to_vec, Comm, Delivery, FaultPlan, Universe, UniverseConfig};
+use hpc_framework::dlinalg::{Complex64, CsrMatrix, DistVector, RealScalar, Scalar};
+use hpc_framework::dmap::DistMap;
 use hpc_framework::galeri::{
     advection_diffusion_1d, anisotropic_laplace_2d, poisson2d_manufactured, random_spd,
 };
+use hpc_framework::solvers::amg::AmgConfig;
 use hpc_framework::solvers::{
-    bicgstab, cg, gmres, lanczos_extreme_eigenvalues, power_method, AmgPreconditioner,
-    DirectSolver, IdentityPrecond, IluPrecond, KrylovConfig,
+    bicgstab, cg, cg_checkpointed, gmres, lanczos_extreme_eigenvalues, power_method,
+    AmgPreconditioner, CgCheckpointing, CheckpointStore, DirectSolver, IdentityPrecond, IluPrecond,
+    JacobiPrecond, KrylovConfig, Preconditioner,
 };
 
 fn residual_ok(rel: f64) {
@@ -175,4 +182,354 @@ fn solution_is_independent_of_rank_count() {
     for (a, b) in x1.iter().zip(&x4) {
         assert!((a - b).abs() < 1e-8, "{a} vs {b}");
     }
+}
+
+// ---- fused reductions: bitwise oracles ------------------------------------
+//
+// `cg` and `bicgstab` fold adjacent dot products into one k-lane
+// allreduce (`DistVector::dots`). That must be a pure change of message
+// count: the loops below are the unfused recurrences, one blocking
+// reduction per dot product and norm, and every iterate of the shipped
+// solvers has to match them bit for bit.
+
+fn done(cfg: &KrylovConfig, r: f64, r0: f64) -> bool {
+    r <= cfg.atol || (r0 > 0.0 && r / r0 <= cfg.rtol)
+}
+
+/// Preconditioned CG with three reductions per iteration (p·Ap, ‖r‖,
+/// r·z). Returns the residual history; `x` holds the iterate.
+fn cg_three_reductions<S: Scalar>(
+    comm: &Comm,
+    a: &CsrMatrix<S>,
+    b: &DistVector<S>,
+    x: &mut DistVector<S>,
+    m: &dyn Preconditioner<S>,
+    cfg: &KrylovConfig,
+) -> Vec<f64> {
+    let mut r = b.clone();
+    r.axpy(-S::one(), &a.matvec(comm, x));
+    let r0 = r.norm2(comm).to_f64();
+    let mut history = vec![r0];
+    if done(cfg, r0, r0) || r0 == 0.0 {
+        return history;
+    }
+    let mut z = m.apply(comm, &r);
+    let mut rz = r.dot(&z, comm);
+    let mut p = z.clone();
+    let mut ap = DistVector::zeros(b.map().clone());
+    for _ in 1..=cfg.max_iter {
+        a.matvec_into(comm, &p, &mut ap);
+        let alpha = rz / p.dot(&ap, comm);
+        x.axpy(alpha, &p);
+        r.axpy(-alpha, &ap);
+        let rnorm = r.norm2(comm).to_f64();
+        history.push(rnorm);
+        if done(cfg, rnorm, r0) {
+            break;
+        }
+        m.apply_into(comm, &r, &mut z);
+        let rz_new = r.dot(&z, comm);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        p.scale(beta);
+        p.axpy(S::one(), &z);
+    }
+    history
+}
+
+/// Preconditioned BiCGStab with six reductions per iteration (ρ, r̂·v,
+/// ‖s‖, t·t, t·s, ‖r‖). Returns the residual history.
+fn bicgstab_six_reductions<S: Scalar>(
+    comm: &Comm,
+    a: &CsrMatrix<S>,
+    b: &DistVector<S>,
+    x: &mut DistVector<S>,
+    m: &dyn Preconditioner<S>,
+    cfg: &KrylovConfig,
+) -> Vec<f64> {
+    let mut r = b.clone();
+    r.axpy(-S::one(), &a.matvec(comm, x));
+    let r0 = r.norm2(comm).to_f64();
+    let mut history = vec![r0];
+    if done(cfg, r0, r0) || r0 == 0.0 {
+        return history;
+    }
+    let r_hat = r.clone();
+    let (mut rho, mut alpha, mut omega) = (S::one(), S::one(), S::one());
+    let mut v = DistVector::zeros(b.map().clone());
+    let mut p = DistVector::zeros(b.map().clone());
+    for _ in 1..=cfg.max_iter {
+        let rho_new = r_hat.dot(&r, comm);
+        if rho_new.abs().to_f64() == 0.0 {
+            break;
+        }
+        let beta = (rho_new / rho) * (alpha / omega);
+        rho = rho_new;
+        p.axpy(-omega, &v);
+        p.scale(beta);
+        p.axpy(S::one(), &r);
+        let p_hat = m.apply(comm, &p);
+        v = a.matvec(comm, &p_hat);
+        alpha = rho / r_hat.dot(&v, comm);
+        let mut s = r.clone();
+        s.axpy(-alpha, &v);
+        let snorm = s.norm2(comm).to_f64();
+        if done(cfg, snorm, r0) {
+            x.axpy(alpha, &p_hat);
+            history.push(snorm);
+            break;
+        }
+        let s_hat = m.apply(comm, &s);
+        let t = a.matvec(comm, &s_hat);
+        let tt = t.dot(&t, comm);
+        if tt.abs().to_f64() == 0.0 {
+            break;
+        }
+        omega = t.dot(&s, comm) / tt;
+        x.axpy(alpha, &p_hat);
+        x.axpy(omega, &s_hat);
+        r = s;
+        r.axpy(-omega, &t);
+        let rnorm = r.norm2(comm).to_f64();
+        history.push(rnorm);
+        if done(cfg, rnorm, r0) || omega.abs().to_f64() == 0.0 {
+            break;
+        }
+    }
+    history
+}
+
+const N: usize = 61;
+
+/// Diagonally dominant band matrix (bands at ±1 and ±5) with a varying
+/// diagonal, so Jacobi, ILU(0) and AMG all do real work. Hermitian
+/// positive definite when `lower == conj(upper)`.
+fn band<S: Scalar>(comm: &Comm, lower: S, upper: S) -> CsrMatrix<S> {
+    let map = DistMap::block(N, comm.size(), comm.rank());
+    let half = S::from_f64(0.5);
+    CsrMatrix::from_row_fn(comm, map.clone(), map, move |g| {
+        let mut row = Vec::new();
+        if g >= 5 {
+            row.push((g - 5, lower * half));
+        }
+        if g >= 1 {
+            row.push((g - 1, lower));
+        }
+        row.push((g, S::from_f64(4.0 + (g % 5) as f64 * 0.5)));
+        if g + 1 < N {
+            row.push((g + 1, upper));
+        }
+        if g + 5 < N {
+            row.push((g + 5, upper * half));
+        }
+        row
+    })
+}
+
+/// Exact bit pattern of a rank's solution segment.
+fn bits<S: Scalar>(x: &DistVector<S>) -> Vec<u8> {
+    encode_to_vec(&x.local().to_vec())
+}
+
+type PrecondBuilder<S> = fn(&Comm, &CsrMatrix<S>) -> Box<dyn Preconditioner<S>>;
+
+fn common_preconds<S: Scalar>() -> Vec<(&'static str, PrecondBuilder<S>)> {
+    vec![
+        ("identity", |_, _| Box::new(IdentityPrecond)),
+        ("jacobi", |_, a| Box::new(JacobiPrecond::new(a))),
+        ("ilu0", |_, a| Box::new(IluPrecond::new(a))),
+    ]
+}
+
+/// One (ranks × preconditioner) sweep for scalar `S`: shipped `cg` and
+/// `bicgstab` against the reference loops, plus a mid-solve checkpoint
+/// resume of `cg`.
+fn fused_solvers_match_references<S: Scalar>(
+    off: S,
+    rhs: fn(usize) -> S,
+    preconds: &[(&'static str, PrecondBuilder<S>)],
+) {
+    let cfg = KrylovConfig::default();
+    for ranks in [1, 2, 3, 4] {
+        for &(name, build) in preconds {
+            let cell = format!("{ranks} ranks, {name}");
+            Universe::run(ranks, |comm| {
+                // --- CG on the Hermitian positive definite band ---
+                let a = band(comm, off.conj(), off);
+                let b = DistVector::from_fn(a.domain_map().clone(), rhs);
+                let m = build(comm, &a);
+                let mut x = DistVector::zeros(b.map().clone());
+                let st = cg(comm, &a, &b, &mut x, m.as_ref(), &cfg);
+                assert!(st.converged && st.iterations >= 3, "{cell}: {st:?}");
+                let mut x_ref = DistVector::zeros(b.map().clone());
+                let h_ref = cg_three_reductions(comm, &a, &b, &mut x_ref, m.as_ref(), &cfg);
+                assert_eq!(st.history, h_ref, "{cell}: cg history");
+                assert_eq!(bits(&x), bits(&x_ref), "{cell}: cg iterate");
+
+                // --- checkpoint every 2nd iteration, resume from the newest ---
+                // (a rank-private store: every snapshot goes under key 0)
+                let store = CheckpointStore::new();
+                let sink = |c| store.record(0, c);
+                let mut x_ck = DistVector::zeros(b.map().clone());
+                let policy = CgCheckpointing {
+                    every: 2,
+                    sink: Some(&sink),
+                    resume: None,
+                };
+                let st_ck = cg_checkpointed(comm, &a, &b, &mut x_ck, m.as_ref(), &cfg, &policy);
+                assert_eq!(st_ck.history, h_ref, "{cell}: checkpointing cg history");
+                let newest = store
+                    .resume_point(1)
+                    .expect("checkpoints recorded")
+                    .remove(0);
+                assert!(newest.iteration > 1, "{cell}: checkpoint is mid-solve");
+                let mut x_res = DistVector::zeros(b.map().clone());
+                let policy = CgCheckpointing {
+                    every: 0,
+                    sink: None,
+                    resume: Some(&newest),
+                };
+                let st_res = cg_checkpointed(comm, &a, &b, &mut x_res, m.as_ref(), &cfg, &policy);
+                assert_eq!(st_res.history, h_ref, "{cell}: resumed cg history");
+                assert_eq!(bits(&x_res), bits(&x_ref), "{cell}: resumed cg iterate");
+
+                // --- BiCGStab on the nonsymmetric band ---
+                let a = band(comm, off.conj() * S::from_f64(1.5), off * S::from_f64(0.5));
+                let m = build(comm, &a);
+                let mut x = DistVector::zeros(b.map().clone());
+                let st = bicgstab(comm, &a, &b, &mut x, m.as_ref(), &cfg);
+                assert!(st.converged && st.iterations >= 3, "{cell}: {st:?}");
+                let mut x_ref = DistVector::zeros(b.map().clone());
+                let h_ref = bicgstab_six_reductions(comm, &a, &b, &mut x_ref, m.as_ref(), &cfg);
+                assert_eq!(st.history, h_ref, "{cell}: bicgstab history");
+                assert_eq!(bits(&x), bits(&x_ref), "{cell}: bicgstab iterate");
+            });
+        }
+    }
+}
+
+#[test]
+fn fused_cg_and_bicgstab_are_bitwise_the_unfused_recurrences_f64() {
+    let mut preconds = common_preconds::<f64>();
+    preconds.push(("amg", |comm, a| {
+        // Coarsen below the 61 rows, or the "hierarchy" is one direct solve.
+        let two_level = AmgConfig {
+            coarse_threshold: 16,
+            ..Default::default()
+        };
+        Box::new(AmgPreconditioner::new(comm, a, two_level))
+    }));
+    fused_solvers_match_references(-1.0, |g| (g as f64 * 0.37).sin() + 0.2, &preconds);
+}
+
+#[test]
+fn fused_cg_and_bicgstab_are_bitwise_the_unfused_recurrences_complex() {
+    fused_solvers_match_references(
+        Complex64::new(-0.6, 0.8),
+        |g| Complex64::new((g as f64 * 0.37).sin() + 0.2, (g as f64 * 0.53).cos()),
+        &common_preconds::<Complex64>(),
+    );
+}
+
+/// Chaos seed, overridable per CI pass (`HPC_FAULT_SEED=1009 cargo test …`).
+fn fault_seed() -> u64 {
+    std::env::var("HPC_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
+
+#[test]
+fn fused_solvers_replay_bitwise_under_the_swept_fault_schedule() {
+    // The two-lane reductions ride the same reliable-delivery envelope as
+    // every other collective: under a seeded drop/dup/delay/corrupt
+    // schedule the solves must still equal the fault-free references.
+    let cfg = KrylovConfig::default();
+    type Out = (Vec<f64>, Vec<u8>, Vec<f64>, Vec<u8>);
+    let solve = |chaos: bool| -> Vec<Out> {
+        let universe = UniverseConfig {
+            stall_timeout: Some(Duration::from_secs(20)),
+            fault: if chaos {
+                FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03)
+            } else {
+                FaultPlan::none()
+            },
+            delivery: Delivery::Reliable,
+            ..Default::default()
+        };
+        let report = Universe::run_report(universe, 3, |comm| {
+            let spd = band(comm, -1.0, -1.0);
+            let b = DistVector::from_fn(spd.domain_map().clone(), |g| (g as f64 * 0.37).sin());
+            let m = JacobiPrecond::new(&spd);
+            let mut x = DistVector::zeros(b.map().clone());
+            let h_cg = if chaos {
+                cg(comm, &spd, &b, &mut x, &m, &cfg).history
+            } else {
+                cg_three_reductions(comm, &spd, &b, &mut x, &m, &cfg)
+            };
+            let nonsym = band(comm, -1.5, -0.5);
+            let m = JacobiPrecond::new(&nonsym);
+            let mut y = DistVector::zeros(b.map().clone());
+            let h_bi = if chaos {
+                bicgstab(comm, &nonsym, &b, &mut y, &m, &cfg).history
+            } else {
+                bicgstab_six_reductions(comm, &nonsym, &b, &mut y, &m, &cfg)
+            };
+            (h_cg, bits(&x), h_bi, bits(&y))
+        });
+        let injected: u64 = report.stats.iter().map(|s| s.faults_dropped).sum();
+        assert_eq!(injected > 0, chaos, "the fault plan must actually bite");
+        report.results
+    };
+    assert_eq!(solve(true), solve(false));
+}
+
+#[test]
+fn reductions_per_iteration_are_pinned_by_message_count() {
+    // At 2 ranks (tree collectives) a halo exchange and an allreduce are
+    // 2 messages each, summed over both ranks. A warm CG solve is one
+    // start-up SpMV + one fused (‖r₀‖², r₀·z₀) = 4 messages, then per
+    // iteration one SpMV + p·Ap + fused (‖r‖², r·z) = 6. BiCGStab opens
+    // the same way and spends 2 SpMVs + 4 reductions = 12 per iteration.
+    // Un-fusing any reduction moves these counts.
+    let sent = Universe::run(2, |comm| {
+        let a = band(comm, -1.0, -1.0);
+        let b = DistVector::from_fn(a.domain_map().clone(), |g| (g as f64 * 0.37).sin());
+        let m = JacobiPrecond::new(&a);
+        let mut x = DistVector::zeros(b.map().clone());
+        let cfg = KrylovConfig::default();
+        let _ = cg(comm, &a, &b, &mut x, &m, &cfg); // warm-up
+        x.fill(0.0);
+        let before = comm.stats().msgs_sent;
+        let st = cg(comm, &a, &b, &mut x, &m, &cfg);
+        let cg_msgs = comm.stats().msgs_sent - before;
+        assert!(st.converged);
+
+        // rtol = atol = 0 never converges: exactly `max_iter` full iterations.
+        let fixed = KrylovConfig::default()
+            .with_rtol(0.0)
+            .with_atol(0.0)
+            .with_max_iter(8);
+        let a = band(comm, -1.5, -0.5);
+        let m = JacobiPrecond::new(&a);
+        x.fill(0.0);
+        let before = comm.stats().msgs_sent;
+        let st_bi = bicgstab(comm, &a, &b, &mut x, &m, &fixed);
+        let bi_msgs = comm.stats().msgs_sent - before;
+        assert!(!st_bi.converged);
+        (
+            st.iterations as u64,
+            cg_msgs,
+            st_bi.iterations as u64,
+            bi_msgs,
+        )
+    });
+    let (cg_iters, bi_iters) = (sent[0].0, sent[0].2);
+    assert_eq!(sent[0].1 + sent[1].1, 6 * cg_iters + 4, "CG messages");
+    assert_eq!(bi_iters, 8);
+    assert_eq!(
+        sent[0].3 + sent[1].3,
+        12 * bi_iters + 4,
+        "BiCGStab messages"
+    );
 }

@@ -76,75 +76,13 @@ for seed in 42 1009 777216; do
   HPC_FAULT_SEED=$seed cargo test -q --offline --test solver_stack
 done
 
-echo "== E19 autotune gate (Auto vs fixed collectives, alloc counting)"
-# Asserts Auto is within 5% of the best fixed algorithm at every swept
-# (ranks, payload) point and that steady-state CG iterations allocate
-# nothing; the metrics registry is emitted as the last stdout line.
-cargo run --release --offline -p bench --bin e19_autotune -- --metrics-json \
-  | tail -n 1 > BENCH_e19.json
-test -s BENCH_e19.json
-
-echo "== E20 kernel-plane gate (jit identity, >=2x vs unfused, wire contract)"
-# Asserts the jitted Expr path is bitwise-equal to eager unfused
-# evaluation on 1e6 lanes and >= 2x faster than it, and that warm invokes
-# are one sub-100-byte control message per worker.
-cargo run --release --offline -p bench --bin e20_jit_kernels -- --metrics-json \
-  | tail -n 1 > BENCH_e20.json
-test -s BENCH_e20.json
-
-echo "== E21 profiling smoke gate (critical path, stragglers, flow trace)"
-# Runs the causal-tracing pipeline end to end: a seeded delay fault on one
-# rank of a 16-rank CG must be named as the dominant straggler with the
-# delay attributed to blocked/wait; the flow-annotated Chrome trace must
-# validate under the repo's own JSON parser; enabled-tracing overhead on
-# the E19-style CG loop must stay within 5% (all asserted in the binary).
-cargo run --release --offline -p bench --bin e21_critpath -- --metrics-json \
-  | tail -n 1 > BENCH_e21.json
-test -s BENCH_e21.json
-
-echo "== E22 zero-copy gate (region >= 5x encode on 8 MiB, bitwise parity)"
-# Asserts the region arm moves 8 MiB point-to-point payloads at >= 5x the
-# encode arm's measured bandwidth and beats it on >= 1 MiB-per-peer plan
-# exchanges, with bitwise-identical results and bitwise-identical modeled
-# makespans on both fixtures (all asserted in the binary).
-cargo run --release --offline -p bench --bin e22_zerocopy -- --metrics-json \
-  | tail -n 1 > BENCH_e22.json
-test -s BENCH_e22.json
-
-echo "== E23 serving-plane gate (open-loop overload + chaos, bitwise parity)"
-# Sweeps pool size x {clean, chaos} with thousands of sessions and a 2x
-# overload burst: no admitted job may fail (each completes bitwise-equal
-# to the fault-free oracle, is shed with a typed error, or expires at its
-# deadline), injected worker kills must be absorbed, every per-config
-# ledger must reconcile exactly, and overload must surface as counted
-# refusals/shedding (all asserted in the binary).
-cargo run --release --offline -p bench --bin e23_serve -- --metrics-json \
-  | tail -n 1 > BENCH_e23.json
-test -s BENCH_e23.json
-
-echo "== E24 whole-program gate (fusion/CSE/DSE/merged moves, bitwise parity)"
-# Asserts a traced multi-statement stencil and a CG-like program run
-# bitwise-identical to statement-at-a-time evaluation (clean and under
-# seeded chaos) with strictly fewer kernel launches and strictly fewer
-# ODIN ctrl/data messages, >= 1 merged redistribute and >= 1 CSE hit on
-# the stencil (all asserted in the binary).
-cargo run --release --offline -p bench --bin e24_program -- --metrics-json \
-  | tail -n 1 > BENCH_e24.json
-test -s BENCH_e24.json
-
-echo "== E25 native-tier gate (cc codegen, parity probe, >=10x vs interpreter)"
-# Asserts the native and VM tiers are bitwise-identical to each other and
-# to the eager oracle on the E20 1e6-lane identity (arrays and fused
-# reductions), that a fused multi-output stencil group matches across
-# tiers, that no parity probe failed, and — when a C compiler is present
-# — that the native tier is >= 10x over the boxed interpreter; prints the
-# compile-cost break-even curve (all asserted in the binary).
-cargo run --release --offline -p bench --bin e25_native -- --metrics-json \
-  | tail -n 1 > BENCH_e25.json
-test -s BENCH_e25.json
-
-echo "== bench artifacts parse and carry their gate fields"
-cargo run --release --offline -p bench --bin bench_check
+echo "== experiments --gate (wall-ratio gates: E20 jit, E21 tracing, E22 zero-copy, E25 native)"
+# The four experiment gates that need release-build timings: jitted Expr
+# >= 2x unfused, enabled tracing within 5% + 25 ms, region arm >= 5x the
+# encode arm on 8 MiB payloads and faster on >= 1 MiB plan exchanges,
+# native tier >= 10x the boxed interpreter (skipped and reported when no
+# C compiler is armed). Every other experiment gate is a tier-1 test.
+cargo run --release --offline -p bench --bin experiments -- --gate
 
 echo "== repo benchmark: harness unit tests + smoke pass of every workload"
 # The five workloads' serial/bitwise oracles (benchmark/README.md) gate

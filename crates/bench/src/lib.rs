@@ -1,46 +1,15 @@
 //! Shared helpers for the experiment harness.
 //!
-//! Every experiment from DESIGN.md §4 has a binary (`e01` … `e16`) that
-//! prints the regenerated table/series; `cargo bench` additionally runs
-//! the Criterion microbenchmarks. Experiments report both *measured* wall
-//! time (this host) and, where scaling shape matters, the *modeled*
-//! LogGP cluster makespan.
+//! `experiments` (one table-driven binary, `--list` / `--only e09,e17` /
+//! `--gate`) regenerates the modeled LogGP tables the paper's scaling
+//! claims need and runs the wall-ratio gates that cannot live in
+//! `cargo test`; every other experiment gate is a tier-1 test (see
+//! EXPERIMENTS.md). Wall-clock measurement belongs to the repo benchmark
+//! (`benchmark/`), not here.
 
 use std::time::Instant;
 
-/// RAII handle from [`obs_init`]; flushes observability output (trace
-/// file, text report, `--metrics-json` dump) when the experiment exits.
-pub struct ObsSession {
-    metrics_json: bool,
-}
-
-/// Initialize observability for an experiment binary. Recognizes the
-/// `--metrics-json` CLI flag — enable recording and print the metrics
-/// registry as JSON on stdout when the run finishes — in addition to the
-/// `HPC_TRACE` / `HPC_METRICS` environment variables honored by
-/// [`obs::init_from_env`]. Call first in `main` and hold the guard:
-///
-/// ```no_run
-/// let _obs = bench::obs_init();
-/// // ... experiment ...
-/// ```
-pub fn obs_init() -> ObsSession {
-    let metrics_json = std::env::args().any(|a| a == "--metrics-json");
-    if metrics_json {
-        obs::set_enabled(true);
-    }
-    obs::init_from_env();
-    ObsSession { metrics_json }
-}
-
-impl Drop for ObsSession {
-    fn drop(&mut self) {
-        if self.metrics_json {
-            println!("{}", obs::report::metrics_json());
-        }
-        obs::finalize();
-    }
-}
+pub mod fixtures;
 
 /// Time a closure, returning (result, seconds).
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {

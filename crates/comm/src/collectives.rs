@@ -121,7 +121,8 @@ fn ceil_log2(p: usize) -> f64 {
 /// per-rank payload under `algo`. Mirrors the simulator's charging rules
 /// — the sender pays `o + n·G` serialized on its NIC, the receiver pays
 /// `L + o` past the departure — closely enough to *rank* the algorithms;
-/// `e19_autotune` validates the ranking against measured makespans.
+/// `tests/model_gates.rs::auto_tracks_the_best_fixed_collective` holds the
+/// ranking to the simulated makespans (`experiments --only e19` prints them).
 fn predict(op: CollOp, algo: CollectiveAlgo, p: usize, n: usize, m: &NetworkModel) -> f64 {
     let o = m.overhead_s;
     let l = m.latency_s;

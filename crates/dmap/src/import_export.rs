@@ -20,16 +20,6 @@ use crate::map::DistMap;
 // executions of identically-shaped plans can never cross-match even when
 // reliable delivery reorders a delayed message.
 
-/// How received values combine with existing target entries in
-/// [`CommPlan::execute_combine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombineMode {
-    /// Overwrite the target entry.
-    Insert,
-    /// Add into the target entry.
-    Add,
-}
-
 /// Requests posted by [`CommPlan::execute_start`], completed by
 /// [`CommPlan::execute_finish`]. Holding one keeps the exchange in flight
 /// while the owner computes.
@@ -173,7 +163,7 @@ impl CommPlan {
         src_data: &[T],
         target: &mut [T],
     ) {
-        self.execute_combine(comm, src_data, target, CombineMode::Insert, |_, v| v)
+        self.execute_combine(comm, src_data, target, |_, v| v)
     }
 
     /// First half of a split-phase execution: post every outgoing payload
@@ -318,16 +308,10 @@ impl CommPlan {
     }
 
     /// Execute with an explicit combine: `combine(old_target_value, incoming)`
-    /// decides what lands in the target. `CombineMode::Add` callers can pass
-    /// `|a, b| a + b`; the mode argument is advisory metadata for readers.
-    pub fn execute_combine<T, F>(
-        &self,
-        comm: &Comm,
-        src_data: &[T],
-        target: &mut [T],
-        _mode: CombineMode,
-        combine: F,
-    ) where
+    /// decides what lands in the target (`|_, v| v` inserts, `|a, b| a + b`
+    /// accumulates).
+    pub fn execute_combine<T, F>(&self, comm: &Comm, src_data: &[T], target: &mut [T], combine: F)
+    where
         T: Wire + Copy + Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
@@ -450,7 +434,7 @@ mod tests {
             let plan = CommPlan::gather(comm, &map, &dir, &needed);
             let src_data: Vec<i64> = map.my_gids().iter().map(|&g| g as i64).collect();
             let mut target = vec![10i64; 2];
-            plan.execute_combine(comm, &src_data, &mut target, CombineMode::Add, |a, b| a + b);
+            plan.execute_combine(comm, &src_data, &mut target, |a, b| a + b);
             assert_eq!(target, vec![10, 13]);
         });
     }

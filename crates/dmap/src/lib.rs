@@ -18,7 +18,7 @@ pub mod plan_cache;
 pub mod runs;
 
 pub use directory::Directory;
-pub use import_export::{CombineMode, CommPlan, PlanInFlight};
+pub use import_export::{CommPlan, PlanInFlight};
 pub use map::{DistMap, Distribution};
 pub use partition::rebalance_block_map;
 pub use plan_cache::{cached_gather, cached_import, clear_plan_cache, plan_cache_len};

@@ -25,7 +25,7 @@
 //! ## Activation
 //!
 //! Programmatic: [`set_enabled`]`(true)`. From the environment (read once
-//! by [`init_from_env`], which the `bench` binaries and `comm::Universe`
+//! by [`init_from_env`], which the `experiments` binary and `comm::Universe`
 //! call):
 //!
 //! * `HPC_TRACE=<path>` — enable and, at [`finalize`], write a Chrome
@@ -33,8 +33,7 @@
 //!   `chrome://tracing`);
 //! * `HPC_METRICS=1` — enable and, at [`finalize`], print the text
 //!   report to stderr; `HPC_METRICS=<path>` instead writes the JSON
-//!   metrics snapshot to `<path>` (parity with the benches'
-//!   `--metrics-json` flag);
+//!   metrics snapshot to `<path>`;
 //! * `HPC_CRITPATH=1` — enable and, at [`finalize`], print the
 //!   [critical-path report](critpath) to stderr; `HPC_CRITPATH=<path>`
 //!   writes the machine-readable JSON profile to `<path>`.

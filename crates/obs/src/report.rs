@@ -9,8 +9,8 @@ use crate::trace::escape_json;
 
 /// Dump the global registry as a JSON object:
 /// `{"counters":{…},"gauges":{…},"histograms":{"k":{"count":…,"sum":…,
-/// "min":…,"max":…,"buckets":[…]}}}`. The `bench` binaries expose this
-/// via `--metrics-json` for trajectory tracking.
+/// "min":…,"max":…,"buckets":[…]}}}`. `HPC_METRICS=<path>` writes this
+/// at [`crate::finalize`].
 pub fn metrics_json() -> String {
     let mut counters = String::new();
     let mut gauges = String::new();

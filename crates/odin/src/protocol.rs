@@ -1090,7 +1090,9 @@ mod tests {
                 },
                 fill: Fill::Random { seed: 42 },
             }),
+            encode_to_vec(&Cmd::Free { id: u64::MAX }),
         ];
+        // Per command, not the mean: every one of them is tens of bytes.
         for bytes in ops {
             assert!(
                 bytes.len() <= 64,

@@ -7,7 +7,7 @@
 //! resuming from a snapshot replays the *identical* floating-point
 //! operation sequence, so a run restarted after a mid-solve failure
 //! converges to a bitwise-identical answer (asserted by
-//! `tests/failure_modes.rs` and swept in `e18_chaos`).
+//! `tests/failure_modes.rs` under the seeded chaos sweep).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -1,0 +1,107 @@
+//! E19's allocation gates: with the plan cache, pooled wire buffers and
+//! hoisted solver workspaces, a steady-state CG iteration allocates
+//! nothing. This is its own test binary with exactly one `#[test]`, so
+//! the counting allocator never sees a sibling test's threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use bench::fixtures::{fixed_iter_cg, laplace_system};
+use hpc_framework::comm::{Comm, Universe};
+use hpc_framework::dlinalg::DistVector;
+use hpc_framework::obs;
+
+/// Counts allocations; sizes are irrelevant — the claim is about the
+/// allocation *count* per iteration.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocs() -> u64 {
+    ALLOCS.load(Relaxed)
+}
+
+/// Double barrier so every rank's counter read happens in a window where
+/// no rank is allocating phase work; the barrier's own messages are a
+/// small constant that cancels between phases.
+fn fence(comm: &Comm) -> u64 {
+    comm.barrier();
+    let c = allocs();
+    comm.barrier();
+    c
+}
+
+#[test]
+fn steady_state_cg_iterations_allocate_nothing() {
+    // String-keyed metric recording allocates by design and the claim is
+    // about the solver path, so recording is off for the measured window
+    // (ci.sh re-runs tier-1 with HPC_METRICS=1; read the environment
+    // now, or the first `Universe::run` would switch recording back on).
+    obs::init_from_env();
+    let obs_was_on = obs::enabled();
+    obs::set_enabled(false);
+
+    // One rank has no channel traffic: a warm 20-iteration and a warm
+    // 80-iteration solve must allocate identically.
+    let (warm20, warm80) = Universe::run(1, |comm| {
+        let (a, b) = laplace_system(comm, 32);
+        let mut x = DistVector::zeros(a.domain_map().clone());
+        // Warm up: scratch workspaces grow to their final size here.
+        fixed_iter_cg(comm, &a, &b, &mut x, 20);
+        let c0 = allocs();
+        fixed_iter_cg(comm, &a, &b, &mut x, 20);
+        let c1 = allocs();
+        fixed_iter_cg(comm, &a, &b, &mut x, 80);
+        (c1 - c0, allocs() - c1)
+    })[0];
+    assert_eq!(
+        warm80, warm20,
+        "60 extra steady-state CG iterations must allocate nothing at 1 rank"
+    );
+
+    // Four ranks: std's mpsc allocates one node per message, so the floor
+    // is not zero; what the caches must still buy is a cheaper rebuild
+    // and a warm solve no dearer than the cold one.
+    let (build_cold, build_cached, solve_cold, solve_warm) = Universe::run(4, |comm| {
+        let c0 = fence(comm);
+        let (a, b) = laplace_system(comm, 48);
+        let c1 = fence(comm);
+        // Same maps, same structure: the communication plan comes from
+        // the cache; only the local CSR assembly is paid again.
+        let rebuilt = laplace_system(comm, 48);
+        let c2 = fence(comm);
+        let mut x = DistVector::zeros(a.domain_map().clone());
+        let c3 = fence(comm);
+        fixed_iter_cg(comm, &a, &b, &mut x, 40);
+        let c4 = fence(comm);
+        fixed_iter_cg(comm, &a, &b, &mut x, 40);
+        let c5 = fence(comm);
+        drop(rebuilt);
+        (c1 - c0, c2 - c1, c4 - c3, c5 - c4)
+    })[0];
+    obs::set_enabled(obs_was_on);
+    assert!(
+        build_cached < build_cold,
+        "a cached-plan rebuild must allocate less than the cold build \
+         ({build_cached} vs {build_cold})"
+    );
+    assert!(
+        solve_warm <= solve_cold,
+        "a warm solve must not allocate more than the cold solve \
+         ({solve_warm} vs {solve_cold})"
+    );
+}

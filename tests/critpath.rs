@@ -193,9 +193,25 @@ fn injected_delay_names_the_victim_rank() {
     let blocked = 2;
     assert_eq!(critpath::CATEGORIES[blocked], "blocked");
     let victim = p.ranks.iter().find(|r| r.rank == VICTIM).unwrap();
+    for r in p.ranks.iter().filter(|r| r.rank != VICTIM) {
+        assert!(
+            victim.residency[blocked] > r.residency[blocked],
+            "victim blocked residency must exceed rank {}'s",
+            r.rank
+        );
+    }
+    // The injected delay lands in blocked/wait, not in wire or compute,
+    // and the hottest edge on the path leaves the delayed sender.
     assert!(
-        victim.residency[blocked] > 0.0,
-        "victim has no blocked residency on the path"
+        p.categories[blocked] >= 0.10 * p.critical_path_s,
+        "injected delay did not surface in blocked/wait ({} of {})",
+        p.categories[blocked],
+        p.critical_path_s
+    );
+    let edge = p.dominant_edge.expect("path crosses rank boundaries");
+    assert_eq!(
+        edge.src, VICTIM,
+        "dominant edge must leave the delayed sender"
     );
     assert!(p
         .text()

@@ -524,6 +524,15 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
             fused_v.to_bits(),
             "f64 fused reduce diverged at {workers} workers"
         );
+        // The E20 39-op identity body arms the same way (Expr kernels
+        // resolve their tier per launch) and must not move a bit either.
+        let wide = || bench::fixtures::wide_expr(&a, &b);
+        let oracle = wide().eval_unfused();
+        assert_eq!(
+            (bits(&wide().eval().to_vec()), wide().sum().to_bits()),
+            (bits(&oracle.to_vec()), oracle.sum().to_bits()),
+            "39-op body diverged from the eager oracle at {workers} workers"
+        );
 
         // i64 plane
         let isrc = "def ibody(a, b):\n    return a * a - b * 3 + min(a, b)\n";
@@ -562,6 +571,9 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
             "bool tiers diverged at {workers} workers"
         );
     }
+    // Every body above either armed native or stayed on the VM; none may
+    // have compiled and then been refused by the bitwise parity probe.
+    assert_eq!(codegen::stats().probe_failed, 0, "a parity probe failed");
 }
 
 #[test]
@@ -667,28 +679,65 @@ fn native_tier_rearms_after_recover_without_recompiling() {
 
 /// Fixed multi-statement traced program exercising the whole-program
 /// optimizer surface: CSE (shared `x·c`), a merged redistribute (the
-/// cyclic operand feeds two statements), a fused reduction, and a
-/// scalar-ref consumed by a later fused kernel.
-fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64) {
+/// cyclic operand feeds three statements), two fused reductions riding
+/// one launch, and a scalar-ref consumed by a later fused kernel. Runs
+/// its statement-at-a-time twin first and holds the traced run to
+/// strictly fewer launches, control messages and data messages.
+fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
     let x = ctx.arange_f64(-1.0, 0.031, 120, Dist::Block);
     let c = ctx.arange_f64(0.4, 0.011, 120, Dist::Cyclic);
+    let shared = || Expr::leaf(&x) * Expr::leaf(&c);
+
+    ctx.reset_stats();
+    let e1 = (shared() + 1.0).eval();
+    let e2 = shared().abs().sqrt().eval();
+    let es = (Expr::leaf(&e1) * Expr::leaf(&e2)).sum();
+    let ee = (shared() * shared()).sum();
+    let e3 = (Expr::leaf(&x) - Expr::leaf(&c) * es).eval();
+    let eager = (
+        bits(&e1.to_vec()),
+        bits(&e2.to_vec()),
+        bits(&e3.to_vec()),
+        es.to_bits(),
+        ee.to_bits(),
+    );
+    let eager_msgs = ctx.stats();
+
+    ctx.reset_stats();
     let mut p = ctx.trace();
-    let shared = Expr::leaf(&x) * Expr::leaf(&c);
-    let t1 = p.assign(shared.clone() + 1.0);
-    let t2 = p.assign(shared.abs().sqrt());
+    let t1 = p.assign(shared() + 1.0);
+    let t2 = p.assign(shared().abs().sqrt());
     let s = p.sum(Expr::from(t1) * Expr::from(t2));
+    let e = p.sum(shared() * shared());
     let t3 = p.assign(Expr::leaf(&x) - Expr::leaf(&c) * Expr::from(s));
     let mut run = p.run(&[t1, t2, t3]);
     let st = run.stats();
-    assert!(st.cse_hits >= 1, "probe lost its CSE hit: {st:?}");
-    assert!(st.redistributes_merged >= 1, "probe lost its merge: {st:?}");
-    assert!(st.launches_saved >= 1, "probe lost its fusion: {st:?}");
-    (
+    let traced = (
         bits(&run.array(t1).to_vec()),
         bits(&run.array(t2).to_vec()),
         bits(&run.array(t3).to_vec()),
         run.scalar(s).to_bits(),
-    )
+        run.scalar(e).to_bits(),
+    );
+    let traced_msgs = ctx.stats();
+
+    assert!(st.cse_hits >= 1, "probe lost its CSE hit: {st:?}");
+    assert!(st.redistributes_merged >= 1, "probe lost its merge: {st:?}");
+    assert!(st.launches_saved >= 1, "probe lost its fusion: {st:?}");
+    assert!(st.kernel_launches < st.baseline_launches, "{st:?}");
+    assert!(
+        traced_msgs.ctrl_msgs < eager_msgs.ctrl_msgs,
+        "tracing saved no control messages: {traced_msgs:?} vs {eager_msgs:?}"
+    );
+    assert!(
+        traced_msgs.data_msgs < eager_msgs.data_msgs,
+        "tracing saved no data messages: {traced_msgs:?} vs {eager_msgs:?}"
+    );
+    assert_eq!(
+        traced, eager,
+        "traced run diverged from statement-at-a-time"
+    );
+    traced
 }
 
 #[test]
@@ -729,7 +778,7 @@ fn recover_replays_fused_program_kernels_into_the_new_pool() {
         fault: FaultPlan {
             seed: fault_seed(),
             kill_rank: Some(1),
-            kill_after_ops: 40,
+            kill_after_ops: 120, // past the probe and its statement-at-a-time twin
             ..FaultPlan::none()
         },
         stall_timeout: Some(Duration::from_secs(5)),

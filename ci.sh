@@ -50,11 +50,14 @@ else
 fi
 
 echo "== tier-1: build + test (offline)"
+# `--workspace`: plain `cargo test` at the root runs only the root
+# package (tests/*.rs and the doctest); the crates' own unit tests
+# (comm, solvers, dlinalg, dmap, ...) are gated here too.
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 echo "== tier-1 tests again with metrics recording on"
-HPC_METRICS=1 cargo test -q --offline
+HPC_METRICS=1 cargo test -q --offline --workspace
 
 echo "== kernel plane again with the native tier pinned off"
 # The VM fallback must stay a first-class execution path, not a

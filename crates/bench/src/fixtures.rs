@@ -64,7 +64,7 @@ pub fn modeled_spmv_cg(ranks: usize, iters: usize, blocking: bool) -> f64 {
         let rows_local = a.row_map().my_count();
         for _ in 0..iters {
             if blocking {
-                a.matvec_into_blocking(comm, &p, &mut y);
+                dlinalg::reference::matvec_into_blocking(&a, comm, &p, &mut y);
             } else {
                 a.matvec_into(comm, &p, &mut y);
             }

@@ -1,13 +1,16 @@
 //! Distributed compressed-sparse-row matrices (Tpetra `CrsMatrix` analog).
 //!
 //! Rows are distributed by a *row map*; the input vector of `y = A·x` is
-//! distributed by a *domain map*. A precomputed [`CommPlan`] gathers the
-//! needed `x` entries — owned and ghost alike — into a contiguous
-//! workspace before each local SpMV, which is exactly Tpetra's
-//! Import-based halo exchange.
+//! distributed by a *domain map*. Local columns are numbered the way
+//! Tpetra numbers them — the domain map's owned entries first, under
+//! their domain-local ids, then the ghost (off-rank) columns in
+//! increasing global order — so the local SpMV reads `x` in place and a
+//! precomputed [`CommPlan`] moves only the ghost entries: exactly
+//! Tpetra's Import-based halo exchange.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use comm::Comm;
 use dmap::{cached_gather, CommPlan, Directory, DistMap};
@@ -20,21 +23,25 @@ use crate::vector::DistVector;
 pub struct CsrMatrix<S: Scalar> {
     row_map: DistMap,
     domain_map: DistMap,
-    /// matrix-local column id → global column id
+    /// matrix-local column id → global column id: the domain map's owned
+    /// gids in local order, then the referenced ghost gids, increasing.
     col_gids: Vec<usize>,
-    rowptr: Vec<usize>,
-    colidx: Vec<usize>,
-    vals: Vec<S>,
-    plan: CommPlan,
-    /// Local rows permuted interior-first: `row_order[..n_interior]` are
-    /// rows whose every column is satisfied locally (computable while the
-    /// halo exchange is in flight), the rest touch ghost entries.
-    row_order: Vec<usize>,
-    n_interior: usize,
+    /// Columns below this are owned: column `c` is `x.local()[c]`.
+    pub(crate) n_owned: usize,
+    pub(crate) rowptr: Vec<usize>,
+    pub(crate) colidx: Vec<u32>,
+    pub(crate) vals: Vec<S>,
+    /// Gathers the ghost columns, in `col_gids[n_owned..]` order.
+    pub(crate) plan: CommPlan,
+    /// Maximal ranges of consecutive local rows whose every column is
+    /// owned (computable while the halo exchange is in flight) …
+    interior: Vec<Range<usize>>,
+    /// … and of rows that touch at least one ghost column.
+    boundary: Vec<Range<usize>>,
     /// Nonzeros in interior rows (for split flop accounting).
     interior_nnz: usize,
-    /// Halo workspace reused across matvecs: sized to `plan.n_target()`
-    /// on first use and fully overwritten by every plan execution, so
+    /// Ghost workspace reused across matvecs: sized to the ghost count on
+    /// first use and fully overwritten by every plan execution, so
     /// steady-state matvecs allocate nothing here.
     scratch: RefCell<Vec<S>>,
 }
@@ -65,65 +72,73 @@ impl<S: Scalar> CsrMatrix<S> {
             row_map.my_count(),
             "one entry-list per local row"
         );
-        // Compress global column ids.
-        let mut sorted_cols: Vec<usize> = rows
-            .iter()
-            .flat_map(|r| r.iter().map(|&(c, _)| c))
-            .collect();
-        sorted_cols.sort_unstable();
-        sorted_cols.dedup();
-        let col_of: HashMap<usize, usize> = sorted_cols
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l))
-            .collect();
+        // Ghost columns: referenced, owned elsewhere; increasing gid order.
+        let mut ghosts = Vec::new();
+        for &(c, _) in rows.iter().flatten() {
+            assert!(
+                c < domain_map.n_global(),
+                "column {c} out of domain size {}",
+                domain_map.n_global()
+            );
+            if domain_map.global_to_local(c).is_none() {
+                ghosts.push(c);
+            }
+        }
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let n_owned = domain_map.my_count();
+        let n_cols = n_owned + ghosts.len();
+        assert!(
+            u32::try_from(n_cols).is_ok(),
+            "{n_cols} local columns ({n_owned} owned + {} ghost) do not fit 32-bit column ids",
+            ghosts.len()
+        );
+        // Compress global column ids and split the rows for the overlapped
+        // SpMV: a row is *interior* when every column it references is
+        // owned, so it can be computed before the halo arrives.
         let nnz: usize = rows.iter().map(|r| r.len()).sum();
         let mut rowptr = Vec::with_capacity(rows.len() + 1);
         let mut colidx = Vec::with_capacity(nnz);
         let mut vals = Vec::with_capacity(nnz);
+        let (mut interior, mut boundary) = (Vec::new(), Vec::new());
+        let mut interior_nnz = 0;
         rowptr.push(0);
-        for row in &rows {
+        for (i, row) in rows.iter().enumerate() {
+            let mut owned_only = true;
             for &(c, v) in row {
-                assert!(
-                    c < domain_map.n_global(),
-                    "column {c} out of domain size {}",
-                    domain_map.n_global()
-                );
-                colidx.push(col_of[&c]);
+                let lc = domain_map.global_to_local(c).unwrap_or_else(|| {
+                    owned_only = false;
+                    n_owned + ghosts.binary_search(&c).expect("ghost was collected")
+                });
+                colidx.push(lc as u32);
                 vals.push(v);
             }
             rowptr.push(colidx.len());
-        }
-        let plan = cached_gather(comm, &domain_map, &sorted_cols);
-        // Partition rows for the overlapped SpMV: a row is *interior* when
-        // every column it references is filled by the plan's local-copy
-        // phase, so it can be computed before the halo arrives.
-        let local_pos = plan.locally_satisfied();
-        let n_rows = rowptr.len() - 1;
-        let mut row_order = Vec::with_capacity(n_rows);
-        let mut boundary = Vec::new();
-        let mut interior_nnz = 0;
-        for i in 0..n_rows {
-            let cols = &colidx[rowptr[i]..rowptr[i + 1]];
-            if cols.iter().all(|&c| local_pos[c]) {
-                row_order.push(i);
-                interior_nnz += cols.len();
+            let class: &mut Vec<Range<usize>> = if owned_only {
+                interior_nnz += row.len();
+                &mut interior
             } else {
-                boundary.push(i);
+                &mut boundary
+            };
+            match class.last_mut() {
+                Some(r) if r.end == i => r.end = i + 1,
+                _ => class.push(i..i + 1),
             }
         }
-        let n_interior = row_order.len();
-        row_order.extend(boundary);
+        let plan = cached_gather(comm, &domain_map, &ghosts);
+        let mut col_gids = domain_map.my_gids();
+        col_gids.extend(ghosts);
         CsrMatrix {
             row_map,
             domain_map,
-            col_gids: sorted_cols,
+            col_gids,
+            n_owned,
             rowptr,
             colidx,
             vals,
             plan,
-            row_order,
-            n_interior,
+            interior,
+            boundary,
             interior_nnz,
             scratch: RefCell::new(Vec::new()),
         }
@@ -195,10 +210,7 @@ impl<S: Scalar> CsrMatrix<S> {
 
     /// Number of ghost (off-rank) columns this rank references.
     pub fn n_ghost_cols(&self) -> usize {
-        self.col_gids
-            .iter()
-            .filter(|&&g| self.domain_map.global_to_local(g).is_none())
-            .count()
+        self.col_gids.len() - self.n_owned
     }
 
     /// Iterate one local row as `(global_col, value)` pairs.
@@ -208,10 +220,11 @@ impl<S: Scalar> CsrMatrix<S> {
         self.colidx[lo..hi]
             .iter()
             .zip(&self.vals[lo..hi])
-            .map(move |(&lc, &v)| (self.col_gids[lc], v))
+            .map(move |(&lc, &v)| (self.col_gids[lc as usize], v))
     }
 
-    /// Global column ids referenced locally, in matrix-local column order.
+    /// Global column id of every matrix-local column: the domain map's
+    /// owned gids in local order, then the ghost gids, increasing.
     pub fn col_gids(&self) -> &[usize] {
         &self.col_gids
     }
@@ -219,7 +232,7 @@ impl<S: Scalar> CsrMatrix<S> {
     /// Local column index of entry `k` of local row `i` (for callers that
     /// iterate the raw CSR structure alongside [`Self::halo_gather`]).
     pub fn entry_local_col(&self, k: usize) -> usize {
-        self.colidx[k]
+        self.colidx[k] as usize
     }
 
     /// Raw CSR row pointer array.
@@ -234,17 +247,20 @@ impl<S: Scalar> CsrMatrix<S> {
 
     /// Gather any per-domain-point data into matrix-local column order
     /// using this matrix's halo-exchange plan: `out[lc]` is the value at
-    /// global point `col_gids()[lc]`. Collective. This is how multigrid
-    /// transfers aggregate ids and how ODIN local kernels see ghost data.
+    /// global point `col_gids()[lc]` — `local` itself, then the ghosts.
+    /// Collective. This is how multigrid transfers aggregate ids and how
+    /// ODIN local kernels see ghost data.
     pub fn halo_gather<T: comm::Wire + Copy + Send + Sync + 'static>(
         &self,
         comm: &Comm,
         local: &[T],
         fill: T,
     ) -> Vec<T> {
-        assert_eq!(local.len(), self.domain_map.my_count());
-        let mut out = vec![fill; self.plan.n_target()];
-        self.plan.execute(comm, local, &mut out);
+        assert_eq!(local.len(), self.n_owned);
+        let mut out = Vec::with_capacity(self.col_gids.len());
+        out.extend_from_slice(local);
+        out.resize(self.col_gids.len(), fill);
+        self.plan.execute(comm, local, &mut out[self.n_owned..]);
         out
     }
 
@@ -258,81 +274,88 @@ impl<S: Scalar> CsrMatrix<S> {
 
     /// `y = A·x` into an existing vector (no allocation of `y`).
     ///
-    /// Overlapped: posts the halo exchange, computes interior rows (those
-    /// referencing only locally-owned columns) while the ghost entries are
-    /// in flight, then waits and computes the boundary rows. Per-row
-    /// arithmetic is identical to [`Self::matvec_into_blocking`], so the
-    /// result is bitwise the same; only the modeled timeline differs.
+    /// Overlapped: posts the ghost exchange, sweeps the interior row
+    /// ranges (owned columns only, read from `x` in place) while the ghost
+    /// entries are in flight, then waits and computes the boundary rows.
+    /// Per-row arithmetic is that of
+    /// [`crate::reference::matvec_into_blocking`], so the result is bitwise
+    /// the same; only the modeled timeline differs.
     pub fn matvec_into(&self, comm: &Comm, x: &DistVector<S>, y: &mut DistVector<S>) {
-        debug_assert!(
-            x.map().same_as(&self.domain_map),
-            "x must use the domain map"
-        );
-        debug_assert!(y.map().same_as(&self.row_map), "y must use the row map");
-        // Reuse the halo workspace: every position read below is freshly
-        // written by the plan's local-copy or scatter phase, so values
-        // surviving from a previous matvec are never observed.
-        let mut ws = self.scratch.borrow_mut();
-        ws.resize(self.plan.n_target(), S::zero());
-        let inflight = self.plan.execute_start(comm, x.local(), &mut ws);
+        self.check_operands(x, y);
+        let xl = x.local();
         let yl = y.local_mut();
-        for &i in &self.row_order[..self.n_interior] {
-            yl[i] = self.row_dot(i, &ws);
+        // Every ghost slot is freshly written by the plan before a
+        // boundary row reads it, so values surviving from a previous
+        // matvec are never observed.
+        let mut ghost = self.scratch.borrow_mut();
+        ghost.resize(self.n_ghost_cols(), S::zero());
+        let inflight = self.plan.execute_start(comm, xl, &mut ghost);
+        for rows in &self.interior {
+            self.sweep(rows.clone(), yl, |c| xl[c]);
         }
         comm.advance_compute(2.0 * self.interior_nnz as f64);
-        self.plan.execute_finish(comm, inflight, &mut ws);
-        for &i in &self.row_order[self.n_interior..] {
-            yl[i] = self.row_dot(i, &ws);
+        self.plan.execute_finish(comm, inflight, &mut ghost);
+        let n_owned = self.n_owned;
+        for rows in &self.boundary {
+            self.sweep(rows.clone(), yl, |c| match c.checked_sub(n_owned) {
+                None => xl[c],
+                Some(g) => ghost[g],
+            });
         }
         comm.advance_compute(2.0 * (self.vals.len() - self.interior_nnz) as f64);
     }
 
-    /// Blocking-reference `y = A·x`: completes the whole halo exchange
-    /// before touching a row. Baseline for the overlap experiments and
-    /// property tests.
-    pub fn matvec_into_blocking(&self, comm: &Comm, x: &DistVector<S>, y: &mut DistVector<S>) {
+    /// The operand shapes `y = A·x` indexes by — `x` by owned column, `y`
+    /// by local row — checked in every build profile.
+    pub(crate) fn check_operands(&self, x: &DistVector<S>, y: &DistVector<S>) {
+        assert_eq!(
+            x.local().len(),
+            self.n_owned,
+            "x must hold one entry per owned column of the domain map"
+        );
+        assert_eq!(
+            y.local().len(),
+            self.rowptr.len() - 1,
+            "y must hold one entry per local row of the row map"
+        );
         debug_assert!(
             x.map().same_as(&self.domain_map),
             "x must use the domain map"
         );
         debug_assert!(y.map().same_as(&self.row_map), "y must use the row map");
-        let mut ws = self.scratch.borrow_mut();
-        ws.resize(self.plan.n_target(), S::zero());
-        self.plan.execute_blocking(comm, x.local(), &mut ws);
-        let yl = y.local_mut();
-        for (i, yi) in yl.iter_mut().enumerate() {
-            *yi = self.row_dot(i, &ws);
-        }
-        comm.advance_compute(2.0 * self.vals.len() as f64);
     }
 
-    /// Blocking-reference convenience wrapper around
-    /// [`Self::matvec_into_blocking`].
-    pub fn matvec_blocking(&self, comm: &Comm, x: &DistVector<S>) -> DistVector<S> {
-        let mut y = DistVector::zeros(self.row_map.clone());
-        self.matvec_into_blocking(comm, x, &mut y);
-        y
-    }
-
+    /// `y[i] = Σ vals[k] · at(colidx[k])` over a range of consecutive rows,
+    /// in stored entry order, walking the row's slices of `colidx` / `vals`
+    /// rather than indexing them.
     #[inline]
-    fn row_dot(&self, i: usize, ws: &[S]) -> S {
-        let mut acc = S::zero();
-        for k in self.rowptr[i]..self.rowptr[i + 1] {
-            acc += self.vals[k] * ws[self.colidx[k]];
+    fn sweep(&self, rows: Range<usize>, y: &mut [S], at: impl Fn(usize) -> S) {
+        let ptr = &self.rowptr[rows.start..=rows.end];
+        let (lo, hi) = (ptr[0], ptr[ptr.len() - 1]);
+        let (mut cols, mut vals) = (&self.colidx[lo..hi], &self.vals[lo..hi]);
+        for (yi, row) in y[rows].iter_mut().zip(ptr.windows(2)) {
+            let (c, c_rest) = cols.split_at(row[1] - row[0]);
+            let (v, v_rest) = vals.split_at(row[1] - row[0]);
+            let mut acc = S::zero();
+            for (&c, &v) in c.iter().zip(v) {
+                acc += v * at(c as usize);
+            }
+            *yi = acc;
+            (cols, vals) = (c_rest, v_rest);
         }
-        acc
     }
 
-    /// Interior rows (local row ids): every referenced column is owned
-    /// locally, so they compute while the halo exchange is in flight.
-    pub fn interior_rows(&self) -> &[usize] {
-        &self.row_order[..self.n_interior]
+    /// Interior rows (local row ids, increasing): every referenced column
+    /// is owned locally, so they compute while the halo exchange is in
+    /// flight.
+    pub fn interior_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.interior.iter().cloned().flatten()
     }
 
-    /// Boundary rows (local row ids): reference at least one ghost column
-    /// and must wait for the halo exchange.
-    pub fn boundary_rows(&self) -> &[usize] {
-        &self.row_order[self.n_interior..]
+    /// Boundary rows (local row ids, increasing): reference at least one
+    /// ghost column and must wait for the halo exchange.
+    pub fn boundary_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.boundary.iter().cloned().flatten()
     }
 
     /// Extract the diagonal (requires a square matrix with matching row and
@@ -344,7 +367,7 @@ impl<S: Scalar> CsrMatrix<S> {
         for (i, di) in dl.iter_mut().enumerate() {
             let g = self.row_map.local_to_global(i);
             for k in self.rowptr[i]..self.rowptr[i + 1] {
-                if self.col_gids[self.colidx[k]] == g {
+                if self.col_gids[self.colidx[k] as usize] == g {
                     *di += self.vals[k];
                 }
             }
@@ -353,19 +376,20 @@ impl<S: Scalar> CsrMatrix<S> {
     }
 
     /// The *local square block*: entries whose column is owned by this rank
-    /// under the domain map, re-indexed to domain-local column ids. This is
-    /// the submatrix block preconditioners (block Jacobi, local ILU, SSOR)
-    /// operate on. Returns `(rowptr, cols, vals)`.
+    /// under the domain map, under their domain-local column ids (which is
+    /// how owned columns are numbered). This is the submatrix block
+    /// preconditioners (block Jacobi, local ILU, SSOR) operate on. Returns
+    /// `(rowptr, cols, vals)`.
     pub fn local_square_block(&self) -> (Vec<usize>, Vec<usize>, Vec<S>) {
         let mut rowptr = Vec::with_capacity(self.rowptr.len());
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         rowptr.push(0);
-        for i in 0..self.rowptr.len() - 1 {
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                let g = self.col_gids[self.colidx[k]];
-                if let Some(dl) = self.domain_map.global_to_local(g) {
-                    cols.push(dl);
+        for row in self.rowptr.windows(2) {
+            for k in row[0]..row[1] {
+                let c = self.colidx[k] as usize;
+                if c < self.n_owned {
+                    cols.push(c);
                     vals.push(self.vals[k]);
                 }
             }
@@ -595,7 +619,7 @@ mod tests {
                 let a = build_laplace(comm, n);
                 let x = DistVector::from_fn(a.domain_map().clone(), |g| (g as f64 * 0.7).sin());
                 let y_over = a.matvec(comm, &x).gather_global(comm);
-                let y_block = a.matvec_blocking(comm, &x).gather_global(comm);
+                let y_block = crate::reference::matvec_blocking(&a, comm, &x).gather_global(comm);
                 (y_over, y_block)
             });
             for (y_over, y_block) in out {
@@ -612,25 +636,81 @@ mod tests {
             let a = build_laplace(comm, 17);
             let n_local = a.row_map().my_count();
             let mut seen = vec![false; n_local];
-            for &i in a.interior_rows().iter().chain(a.boundary_rows()) {
+            for i in a.interior_rows().chain(a.boundary_rows()) {
                 assert!(!seen[i], "row {i} appears twice in the partition");
                 seen[i] = true;
             }
             assert!(seen.iter().all(|&s| s), "partition must cover every row");
             // Interior rows reference only locally-owned columns;
             // boundary rows reference at least one ghost.
-            for &i in a.interior_rows() {
+            for i in a.interior_rows() {
                 for (gc, _) in a.row_entries(i) {
                     assert!(a.domain_map().global_to_local(gc).is_some());
                 }
             }
-            for &i in a.boundary_rows() {
+            for i in a.boundary_rows() {
                 assert!(a
                     .row_entries(i)
                     .any(|(gc, _)| a.domain_map().global_to_local(gc).is_none()));
             }
             // With the 3-point stencil, each rank has at most 2 boundary rows.
-            assert!(a.boundary_rows().len() <= 2);
+            assert!(a.boundary_rows().count() <= 2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "x must hold one entry per owned column")]
+    fn matvec_rejects_a_short_x_in_every_profile() {
+        Universe::run(1, |comm| {
+            let a = build_laplace(comm, 8);
+            let x = DistVector::zeros(DistMap::block(7, 1, 0));
+            let mut y = DistVector::zeros(a.row_map().clone());
+            a.matvec_into(comm, &x, &mut y);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "y must hold one entry per local row")]
+    fn reference_matvec_rejects_a_long_y_in_every_profile() {
+        Universe::run(1, |comm| {
+            let a = build_laplace(comm, 8);
+            let x = DistVector::zeros(a.domain_map().clone());
+            let mut y = DistVector::zeros(DistMap::block(9, 1, 0));
+            crate::reference::matvec_into_blocking(&a, comm, &x, &mut y);
+        });
+    }
+
+    #[test]
+    fn poisoned_ghost_workspace_never_reaches_interior_rows() {
+        Universe::run(3, |comm| {
+            let a = build_laplace(comm, 17);
+            let x = DistVector::from_fn(a.domain_map().clone(), |g| (g as f64 * 0.3).cos());
+            let want = crate::reference::matvec_blocking(&a, comm, &x);
+            // oversized and NaN: `matvec_into` must shrink it to the ghost
+            // count and overwrite every slot before a boundary row reads it
+            *a.scratch.borrow_mut() = vec![f64::NAN; a.col_gids().len() + 5];
+            let got = a.matvec(comm, &x);
+            assert_eq!(a.scratch.borrow().len(), a.n_ghost_cols());
+            let bits = |v: &DistVector<f64>| -> Vec<u64> {
+                v.local().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
+        });
+    }
+
+    #[test]
+    fn columns_are_owned_first_then_ghosts_increasing() {
+        Universe::run(3, |comm| {
+            let a = build_laplace(comm, 17);
+            let dm = a.domain_map();
+            let n_owned = dm.my_count();
+            assert_eq!(a.col_gids()[..n_owned], dm.my_gids()[..]);
+            let ghosts = &a.col_gids()[n_owned..];
+            assert_eq!(ghosts.len(), a.n_ghost_cols());
+            assert!(ghosts.windows(2).all(|w| w[0] < w[1]));
+            assert!(ghosts.iter().all(|&g| dm.global_to_local(g).is_none()));
+            // interior rows are one contiguous range on a block-row stencil
+            assert!(a.interior.len() <= 1 && a.boundary.len() <= 2);
         });
     }
 

@@ -12,6 +12,7 @@
 pub mod csr;
 pub mod io;
 pub mod multivector;
+pub mod reference;
 pub mod scalar;
 pub mod vector;
 

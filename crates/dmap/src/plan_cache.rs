@@ -27,6 +27,14 @@
 //! of ranks (or in rank-divergent order) would deadlock on the miss path
 //! exactly as they would calling [`CommPlan::gather`] directly — the
 //! cache neither adds nor removes that requirement.
+//!
+//! One case SPMD call order does not cover: [`cached_gather`]'s request
+//! list is per rank, so two *different* gathers over one map can share a
+//! key on one rank (say, both request nothing there) and not on another.
+//! The first rank would then replay a plan while its peers build one.
+//! Callers that gather several unrelated patterns over the same map —
+//! matrices with different sparsity on one domain map — call
+//! [`clear_plan_cache`] between them (DESIGN.md §12.2).
 
 use std::cell::RefCell;
 

@@ -274,6 +274,40 @@ mod tests {
         });
     }
 
+    /// Global row count of every level, finest first, coarsest (direct
+    /// solved) last.
+    fn level_sizes(comm: &Comm, a: &CsrMatrix<f64>) -> Vec<usize> {
+        let amg = AmgPreconditioner::new(comm, a, AmgConfig::default());
+        let mut sizes: Vec<usize> = amg.levels.iter().map(|l| l.a.shape().0).collect();
+        sizes.push(
+            amg.levels
+                .last()
+                .map_or(a.shape().0, |l| l.coarse_map.n_global()),
+        );
+        sizes
+    }
+
+    /// Recorded before the owned-first column numbering (PR 19's parent).
+    const PINNED_LEVEL_SIZES: [(usize, &[usize]); 3] = [
+        (1, &[1024, 176, 24]),
+        (2, &[1024, 176, 24]),
+        (3, &[1024, 190, 28]),
+    ];
+
+    #[test]
+    fn hierarchy_level_sizes_are_pinned() {
+        // Aggregation walks the local square block and the coarse operator
+        // is assembled through `halo_gather` + `entry_local_col`, so these
+        // sizes move if the matrix's local column numbering ever breaks
+        // that contract.
+        for (p, want) in PINNED_LEVEL_SIZES {
+            let got = Universe::run(p, |comm| level_sizes(comm, &laplace2d(comm, 32, 32)));
+            for sizes in got {
+                assert_eq!(sizes, want, "p={p}");
+            }
+        }
+    }
+
     #[test]
     fn amg_reduces_cg_iterations_dramatically() {
         Universe::run(2, |comm| {

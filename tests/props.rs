@@ -296,7 +296,7 @@ fn odin_redistribute_preserves_content() {
 // ---- nonblocking overlap: bitwise-identical to the blocking reference --------
 
 use hpc_framework::comm::Universe;
-use hpc_framework::dlinalg::{CsrMatrix, DistVector};
+use hpc_framework::dlinalg::{reference, CsrMatrix, DistVector};
 
 /// Random sparse square-matrix row: a dominant diagonal plus a few
 /// off-diagonal entries anywhere in the domain (so rows land on both
@@ -330,7 +330,7 @@ fn overlapped_spmv_bitwise_matches_blocking() {
                 r.gen_range_f64(-10.0, 10.0)
             });
             let y_over = a.matvec(comm, &x);
-            let y_block = a.matvec_blocking(comm, &x);
+            let y_block = reference::matvec_blocking(&a, comm, &x);
             for (o, b) in y_over.local().iter().zip(y_block.local()) {
                 assert_eq!(o.to_bits(), b.to_bits(), "case {case}: {o} vs {b}");
             }
@@ -355,19 +355,19 @@ fn interior_boundary_partition_invariant() {
             // interior ∪ boundary is a permutation of the local rows
             let rows_local = a.row_map().my_count();
             let mut seen = vec![false; rows_local];
-            for &i in a.interior_rows().iter().chain(a.boundary_rows()) {
+            for i in a.interior_rows().chain(a.boundary_rows()) {
                 assert!(!seen[i], "row {i} listed twice");
                 seen[i] = true;
             }
             assert!(seen.iter().all(|&s| s), "some row unlisted");
             // interior rows reference only locally-owned columns; boundary
             // rows reference at least one ghost column
-            for &i in a.interior_rows() {
+            for i in a.interior_rows() {
                 assert!(a
                     .row_entries(i)
                     .all(|(g, _)| a.domain_map().owner_of(g) == Some(me)));
             }
-            for &i in a.boundary_rows() {
+            for i in a.boundary_rows() {
                 assert!(a
                     .row_entries(i)
                     .any(|(g, _)| a.domain_map().owner_of(g) != Some(me)));

@@ -1,22 +1,24 @@
 //! Precomputed communication plans (Tpetra `Import`/`Export` analog).
 //!
-//! A [`CommPlan`] records, once, which local entries must be sent to which
-//! peers and where received entries land; executing the plan then moves any
+//! A [`CommPlan`] records, once, which local rows must be sent to which
+//! peers and where received rows land; executing the plan then moves any
 //! `Wire`-encodable element type with no further index arithmetic. Every
-//! index list is held as strided [`Run`]s and moved with
-//! [`gather_runs`] / [`copy_runs`], so a stencil halo is one run per peer
-//! and a Block→Cyclic import one strided run per peer. The same mechanism
-//! serves three paper use-cases:
+//! index list is held as strided [`Run`]s of `width`-element rows and
+//! moved with [`gather_runs`] / [`copy_runs`], so a stencil halo is one
+//! run per peer and a Block→Cyclic import one strided run per peer. It is
+//! the only exchange executor outside `comm`, and serves four use-cases:
 //!
 //! * redistribution between two maps (non-conformable binary ufuncs, E4),
 //! * halo/ghost gathers for SpMV and shifted-slice arithmetic (E5),
-//! * reverse "export" with combine modes for accumulating contributions.
+//! * reverse "export" with combine modes for accumulating contributions,
+//! * ODIN array slices, redistributes and concats, which hand
+//!   [`CommPlan::from_runs`] the per-peer rows they worked out locally.
 
 use comm::{Comm, Cursor, Payload, Request, Src, Tag, Wire};
 
 use crate::directory::Directory;
 use crate::map::DistMap;
-use crate::runs::{compress, copy_runs, extend_runs, gather_runs, push_index, run_len, Run};
+use crate::runs::{compress, copy_runs, gather_runs, push_index, run_len, Run};
 
 // Plan traffic is tagged per execution from the comm's SPMD-ordered tag
 // sequence ([`Comm::next_spmd_tag`]): executions are collectively ordered,
@@ -32,28 +34,22 @@ pub struct PlanInFlight {
     recvs: Vec<Request>,
 }
 
-/// `fill` source id of the locally-owned entries.
-const LOCAL: u32 = u32::MAX;
-
-/// A reusable data-movement plan from a source map to a list of requested
-/// global ids (which may overlap across ranks — that is what makes halo
+/// A reusable data-movement plan from source rows to target rows (which
+/// may repeat a source row across ranks — that is what makes halo
 /// exchange expressible).
 #[derive(Debug, Clone)]
 pub struct CommPlan {
-    /// `(peer, source-local ids to send, in peer's request order)`
+    /// `(peer, source rows to send, in the order the peer places them)`
     sends: Vec<(usize, Vec<Run>)>,
-    /// `(peer, target positions to fill, in my request order)`
+    /// `(peer, target rows its payload fills, in payload order)`
     recvs: Vec<(usize, Vec<Run>)>,
-    /// Locally-owned requests: `(source lids, target positions)`, the
-    /// `k`-th lid landing on the `k`-th position.
+    /// Rows that stay on this rank: `(source rows, target rows)`, the
+    /// `k`-th source row landing on the `k`-th target row.
     local: (Vec<Run>, Vec<Run>),
-    /// Number of target positions (= length of the request list).
+    /// Number of target rows the plan fills.
     n_target: usize,
-    /// The target positions in increasing order, as stretches drawn from
-    /// one source: `(LOCAL, source lids)` or `(index into recvs, offsets
-    /// within that payload)`. Lets [`Self::execute_to_vec`] construct the
-    /// output in order without a `Default` pre-fill.
-    fill: Vec<(u32, Vec<Run>)>,
+    /// Elements per row on both sides.
+    width: usize,
 }
 
 /// The indices of a run list, in order.
@@ -62,6 +58,45 @@ fn indices(runs: &[Run]) -> impl Iterator<Item = usize> + '_ {
 }
 
 impl CommPlan {
+    /// Build a plan from rows each rank worked out for itself — no
+    /// communication. `send[r]` lists the source rows shipped to rank `r`
+    /// and `recv[r]` the target rows rank `r`'s shipment fills (entry `me`
+    /// of both is the copy that stays here); a row is `width` elements.
+    /// The two ends of a transfer must enumerate its rows in the same
+    /// order, which they do when both walk them by increasing global id.
+    pub fn from_runs(me: usize, send: Vec<Vec<Run>>, recv: Vec<Vec<Run>>, width: usize) -> Self {
+        assert_eq!(
+            send.len(),
+            recv.len(),
+            "one send and one recv list per rank"
+        );
+        assert_eq!(
+            run_len(&send[me]),
+            run_len(&recv[me]),
+            "local copy length mismatch"
+        );
+        let n_target = recv.iter().map(|r| run_len(r)).sum();
+        let mut local = (Vec::new(), Vec::new());
+        let keep = |lists: Vec<Vec<Run>>, mine: &mut Vec<Run>| {
+            let mut remote = Vec::new();
+            for (peer, runs) in lists.into_iter().enumerate() {
+                if peer == me {
+                    *mine = runs;
+                } else if run_len(&runs) > 0 {
+                    remote.push((peer, runs));
+                }
+            }
+            remote
+        };
+        CommPlan {
+            sends: keep(send, &mut local.0),
+            recvs: keep(recv, &mut local.1),
+            local,
+            n_target,
+            width,
+        }
+    }
+
     /// Build a gather plan: after execution, `target[i]` holds the value of
     /// global id `needed_gids[i]` taken from `src`-distributed data.
     /// Collective over `comm`.
@@ -69,28 +104,20 @@ impl CommPlan {
         let p = comm.size();
         let me = comm.rank();
         let owners = dir.owners_of(comm, needed_gids);
-        // Group requests by owner. `fill` names remote sources by owner
-        // rank until the receive list is known.
+        // Group requests by owner.
         let mut req_gids: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
         let mut req_pos: Vec<Vec<Run>> = (0..p).map(|_| Vec::new()).collect();
         let mut local = (Vec::new(), Vec::new());
-        let mut fill: Vec<(u32, Vec<Run>)> = Vec::new();
         for (pos, (&g, &owner)) in needed_gids.iter().zip(owners.iter()).enumerate() {
-            let (source, idx) = if owner == me {
+            if owner == me {
                 let lid = src.global_to_local(g).unwrap_or_else(|| {
                     panic!("directory says rank {me} owns gid {g}, map disagrees")
                 });
                 push_index(&mut local.0, lid);
                 push_index(&mut local.1, pos);
-                (LOCAL, lid)
             } else {
                 req_gids[owner].push(g);
                 push_index(&mut req_pos[owner], pos);
-                (owner as u32, req_gids[owner].len() - 1)
-            };
-            match fill.last_mut() {
-                Some((s, runs)) if *s == source => push_index(runs, idx),
-                _ => fill.push((source, compress([idx]))),
             }
         }
         // Tell owners what we need; learn what peers need from us.
@@ -106,46 +133,59 @@ impl CommPlan {
             }));
             sends.push((peer, lids));
         }
-        let recvs: Vec<(usize, Vec<Run>)> = req_pos
+        let recvs = req_pos
             .into_iter()
             .enumerate()
             .filter(|(_, v)| !v.is_empty())
             .collect();
-        let mut recv_of = vec![LOCAL; p];
-        for (ri, &(peer, _)) in recvs.iter().enumerate() {
-            recv_of[peer] = ri as u32;
-        }
-        for (source, _) in fill.iter_mut().filter(|(s, _)| *s != LOCAL) {
-            *source = recv_of[*source as usize];
-        }
         CommPlan {
             sends,
             recvs,
             local,
             n_target: needed_gids.len(),
-            fill,
+            width: 1,
         }
     }
 
     /// Build a redistribution plan from `src` to `dst` (an *import*): after
-    /// execution, data laid out by `src` is laid out by `dst`.
+    /// execution, data laid out by `src` is laid out by `dst`. When both
+    /// maps answer owner lookups locally ([`DistMap::has_global_view`])
+    /// the plan is pure index arithmetic — each rank walks its own rows of
+    /// either map in increasing global order — and nothing is sent;
+    /// otherwise collective over `comm` like [`Self::gather`].
     pub fn import(comm: &Comm, src: &DistMap, dst: &DistMap, dir: &Directory) -> CommPlan {
         assert_eq!(
             src.n_global(),
             dst.n_global(),
             "import requires equal global sizes"
         );
-        Self::gather(comm, src, dir, &dst.my_gids())
+        if !(src.has_global_view() && dst.has_global_view()) {
+            return Self::gather(comm, src, dir, &dst.my_gids());
+        }
+        let rows_by_peer = |mine: &DistMap, other: &DistMap| {
+            let mut lists = vec![Vec::new(); comm.size()];
+            for l in 0..mine.my_count() {
+                let peer = other.owner_of(mine.local_to_global(l));
+                push_index(&mut lists[peer.expect("structured map")], l);
+            }
+            lists
+        };
+        Self::from_runs(
+            comm.rank(),
+            rows_by_peer(src, dst),
+            rows_by_peer(dst, src),
+            1,
+        )
     }
 
-    /// Number of entries the target buffer must hold.
+    /// Number of elements the target buffer must hold.
     pub fn n_target(&self) -> usize {
-        self.n_target
+        self.n_target * self.width
     }
 
     /// Total values this rank sends when the plan executes.
     pub fn n_sent(&self) -> usize {
-        self.sends.iter().map(|(_, l)| run_len(l)).sum()
+        self.sends.iter().map(|(_, l)| run_len(l)).sum::<usize>() * self.width
     }
 
     /// Number of peer ranks this rank exchanges data with.
@@ -192,8 +232,12 @@ impl CommPlan {
     ) -> PlanInFlight {
         self.check_target(target);
         let tag = comm.next_spmd_tag();
-        let sends = self.post_sends(comm, src_data, tag);
-        copy_runs(target, &self.local.1, src_data, &self.local.0, 1);
+        let sends = self
+            .sends
+            .iter()
+            .map(|&(peer, ref rows)| self.post_one(comm, src_data, peer, rows, tag))
+            .collect();
+        copy_runs(target, &self.local.1, src_data, &self.local.0, self.width);
         let recvs = self
             .recvs
             .iter()
@@ -204,10 +248,10 @@ impl CommPlan {
 
     fn check_target<T>(&self, target: &[T]) {
         assert!(
-            target.len() >= self.n_target,
+            target.len() >= self.n_target(),
             "target buffer too small: {} < {}",
             target.len(),
-            self.n_target
+            self.n_target()
         );
     }
 
@@ -216,50 +260,44 @@ impl CommPlan {
     /// prefix + elements), so steady-state executions allocate nothing on
     /// the send side; payloads at or above the comm's zero-copy threshold
     /// are gathered once into a `Vec<T>` and handed over as a region —
-    /// no wire encode, no receive-side decode.
+    /// no wire encode, no receive-side decode. The arm is chosen from the
+    /// payload's size, which costs no pass over it: the lanes plans move
+    /// (`Copy` scalars) all encode to as many bytes as the first.
     fn post_one<T: Wire + Copy + Send + Sync + 'static>(
+        &self,
         comm: &Comm,
         src_data: &[T],
         peer: usize,
-        lids: &[Run],
+        rows: &[Run],
         tag: Tag,
     ) -> Request {
-        let n = 8 + indices(lids)
-            .map(|l| src_data[l].wire_size())
-            .sum::<usize>();
+        let w = self.width;
+        let n_elems = run_len(rows) * w;
+        let n = 8 + n_elems * src_data.first().map_or(0, Wire::wire_size);
         if n >= comm.zerocopy_threshold() {
-            let gathered = gather_runs(src_data, lids, 1);
+            let gathered = gather_runs(src_data, rows, w);
             comm.isend_zc(peer, tag, gathered).expect("plan isend")
         } else {
             let mut buf = comm.take_buf();
-            (run_len(lids) as u64).encode(&mut buf);
-            for l in indices(lids) {
-                src_data[l].encode(&mut buf);
+            (n_elems as u64).encode(&mut buf);
+            for row in indices(rows) {
+                for v in &src_data[row * w..(row + 1) * w] {
+                    v.encode(&mut buf);
+                }
             }
+            debug_assert_eq!(buf.len(), n, "plan lanes must be fixed-width on the wire");
             comm.isend_bytes(peer, tag, buf).expect("plan isend")
         }
     }
 
-    /// Post every outgoing payload nonblocking via [`Self::post_one`].
-    fn post_sends<T: Wire + Copy + Send + Sync + 'static>(
-        &self,
-        comm: &Comm,
-        src_data: &[T],
-        tag: Tag,
-    ) -> Vec<Request> {
-        self.sends
-            .iter()
-            .map(|&(peer, ref lids)| Self::post_one(comm, src_data, peer, lids, tag))
-            .collect()
-    }
-
-    /// Scatter one received payload directly into `target` at `positions`:
-    /// inserted as is, or folded in with `combine(old, incoming)`.
-    /// Wire-path payloads decode straight from the pooled buffer (then
-    /// recycle it); region payloads are read in place through the handle,
-    /// an insert being one bulk [`copy_runs`]. Neither arm stages an
-    /// intermediate copy.
+    /// Scatter one received payload directly into `target` at the rows
+    /// `positions`: inserted as is, or folded in with
+    /// `combine(old, incoming)`. Wire-path payloads decode straight from
+    /// the pooled buffer (then recycle it); region payloads are read in
+    /// place through the handle, an insert being one bulk [`copy_runs`].
+    /// Neither arm stages an intermediate copy.
     fn scatter_payload<T, F>(
+        &self,
         comm: &Comm,
         payload: Payload,
         positions: &[Run],
@@ -269,18 +307,22 @@ impl CommPlan {
         T: Wire + Copy + Send + Sync + 'static,
         F: Fn(T, T) -> T,
     {
+        let w = self.width;
         let land = |target: &mut [T], pos: usize, v: T| {
             target[pos] = match combine {
                 Some(f) => f(target[pos], v),
                 None => v,
             }
         };
+        // Element positions of the rows, in payload order.
+        let lanes = || indices(positions).flat_map(|row| row * w..(row + 1) * w);
+        let n_elems = run_len(positions) * w;
         match payload {
             Payload::Bytes(bytes) => {
                 let mut cur = Cursor::new(&bytes);
                 let n = u64::decode(&mut cur).expect("plan payload header") as usize;
-                assert_eq!(n, run_len(positions), "plan payload mismatch");
-                for pos in indices(positions) {
+                assert_eq!(n, n_elems, "plan payload mismatch");
+                for pos in lanes() {
                     land(
                         target,
                         pos,
@@ -294,16 +336,16 @@ impl CommPlan {
                 let vals: &Vec<T> = region
                     .downcast_ref()
                     .expect("plan region payload is not Vec<T>");
-                assert_eq!(vals.len(), run_len(positions), "plan payload mismatch");
+                assert_eq!(vals.len(), n_elems, "plan payload mismatch");
                 if combine.is_none() {
                     let whole = Run {
                         start: 0,
                         step: 1,
-                        n: vals.len(),
+                        n: run_len(positions),
                     };
-                    copy_runs(target, positions, vals, &[whole], 1);
+                    copy_runs(target, positions, vals, &[whole], w);
                 } else {
-                    for (pos, &v) in indices(positions).zip(vals) {
+                    for (pos, &v) in lanes().zip(vals) {
                         land(target, pos, v);
                     }
                 }
@@ -324,7 +366,7 @@ impl CommPlan {
                 .wait(req)
                 .expect("plan recv")
                 .expect("receive completion carries a payload");
-            Self::scatter_payload::<T, fn(T, T) -> T>(comm, payload, positions, target, None);
+            self.scatter_payload::<T, fn(T, T) -> T>(comm, payload, positions, target, None);
         }
         for req in inflight.sends {
             comm.wait(req).expect("plan send wait");
@@ -340,13 +382,16 @@ impl CommPlan {
         F: Fn(T, T) -> T,
     {
         self.check_target(target);
+        let w = self.width;
         let tag = comm.next_spmd_tag();
-        for &(peer, ref lids) in &self.sends {
-            let req = Self::post_one(comm, src_data, peer, lids, tag);
+        for &(peer, ref rows) in &self.sends {
+            let req = self.post_one(comm, src_data, peer, rows, tag);
             comm.wait(req).expect("plan send");
         }
-        for (slid, tpos) in indices(&self.local.0).zip(indices(&self.local.1)) {
-            target[tpos] = combine(target[tpos], src_data[slid]);
+        for (srow, trow) in indices(&self.local.0).zip(indices(&self.local.1)) {
+            for k in 0..w {
+                target[trow * w + k] = combine(target[trow * w + k], src_data[srow * w + k]);
+            }
         }
         for &(peer, ref positions) in &self.recvs {
             let req = comm.irecv(Src::Rank(peer), tag).expect("plan irecv");
@@ -354,43 +399,8 @@ impl CommPlan {
                 .wait(req)
                 .expect("plan recv")
                 .expect("receive completion carries a payload");
-            Self::scatter_payload(comm, payload, positions, target, Some(&combine));
+            self.scatter_payload(comm, payload, positions, target, Some(&combine));
         }
-    }
-
-    /// Convenience: allocate and fill a fresh target buffer. The output
-    /// is constructed in order from the plan's per-stretch source table,
-    /// so no `Default` pre-fill (and no `Default` bound) is needed.
-    pub fn execute_to_vec<T: Wire + Copy + Send + Sync + 'static>(
-        &self,
-        comm: &Comm,
-        src_data: &[T],
-    ) -> Vec<T> {
-        let tag = comm.next_spmd_tag();
-        let sends = self.post_sends(comm, src_data, tag);
-        let payloads: Vec<Vec<T>> = self
-            .recvs
-            .iter()
-            .map(|&(peer, ref positions)| {
-                let req = comm.irecv(Src::Rank(peer), tag).expect("plan irecv");
-                let (payload, _) = comm.wait_recv_zc::<Vec<T>>(req).expect("plan recv");
-                assert_eq!(payload.len(), run_len(positions), "plan payload mismatch");
-                payload
-            })
-            .collect();
-        let mut out = Vec::with_capacity(self.n_target);
-        for &(source, ref runs) in &self.fill {
-            let from = if source == LOCAL {
-                src_data
-            } else {
-                &payloads[source as usize]
-            };
-            extend_runs(&mut out, from, runs, 1);
-        }
-        for req in sends {
-            comm.wait(req).expect("plan send wait");
-        }
-        out
     }
 }
 
@@ -398,6 +408,17 @@ impl CommPlan {
 mod tests {
     use super::*;
     use comm::Universe;
+
+    /// Execute into a freshly allocated target.
+    fn run<T: Wire + Copy + Default + Send + Sync + 'static>(
+        plan: &CommPlan,
+        comm: &Comm,
+        src_data: &[T],
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); plan.n_target()];
+        plan.execute(comm, src_data, &mut out);
+        out
+    }
 
     #[test]
     fn import_block_to_cyclic_roundtrip() {
@@ -409,7 +430,7 @@ mod tests {
             let plan = CommPlan::import(comm, &src, &dst, &dir);
             // data[g] = 100 + g, laid out by the block map
             let src_data: Vec<i64> = src.my_gids().iter().map(|&g| 100 + g as i64).collect();
-            let out = plan.execute_to_vec(comm, &src_data);
+            let out = run(&plan, comm, &src_data);
             let expect: Vec<i64> = dst.my_gids().iter().map(|&g| 100 + g as i64).collect();
             assert_eq!(out, expect);
         });
@@ -425,7 +446,7 @@ mod tests {
             let needed = with_1d_ghosts(&map, n);
             let plan = CommPlan::gather(comm, &map, &dir, &needed);
             let src_data: Vec<f64> = map.my_gids().iter().map(|&g| g as f64 * 0.5).collect();
-            let out = plan.execute_to_vec(comm, &src_data);
+            let out = run(&plan, comm, &src_data);
             let expect: Vec<f64> = needed.iter().map(|&g| g as f64 * 0.5).collect();
             assert_eq!(out, expect);
         });
@@ -457,7 +478,7 @@ mod tests {
             let plan = CommPlan::import(comm, &src, &dst, &dir);
             for round in 0..3i64 {
                 let src_data: Vec<i64> = src.my_gids().iter().map(|&g| g as i64 * round).collect();
-                let out = plan.execute_to_vec(comm, &src_data);
+                let out = run(&plan, comm, &src_data);
                 let expect: Vec<i64> = dst.my_gids().iter().map(|&g| g as i64 * round).collect();
                 assert_eq!(out, expect);
             }
@@ -524,7 +545,7 @@ mod tests {
             let dir = Directory::build(comm, &src);
             let plan = CommPlan::import(comm, &src, &dst, &dir);
             let src_data: Vec<u64> = src.my_gids().iter().map(|&g| g as u64 * 3).collect();
-            let out = plan.execute_to_vec(comm, &src_data);
+            let out = run(&plan, comm, &src_data);
             let expect: Vec<u64> = dst.my_gids().iter().map(|&g| g as u64 * 3).collect();
             assert_eq!(out, expect);
         });
@@ -589,8 +610,6 @@ mod tests {
         sends: Vec<(usize, Vec<usize>)>,
         recvs: Vec<(usize, Vec<usize>)>,
         local: Vec<(usize, usize)>,
-        /// per target position: `(LOCAL, lid)` or `(recv index, offset)`
-        fill: Vec<(u32, usize)>,
     }
 
     fn index_lists(comm: &Comm, src: &DistMap, dir: &Directory, needed: &[usize]) -> IndexLists {
@@ -617,20 +636,10 @@ mod tests {
         let recvs: Vec<(usize, Vec<usize>)> = (req_pos.into_iter().enumerate())
             .filter(|(_, v)| !v.is_empty())
             .collect();
-        let mut fill = vec![(0, 0); needed.len()];
-        for &(lid, pos) in &local {
-            fill[pos] = (LOCAL, lid);
-        }
-        for (ri, (_, positions)) in recvs.iter().enumerate() {
-            for (off, &pos) in positions.iter().enumerate() {
-                fill[pos] = (ri as u32, off);
-            }
-        }
         IndexLists {
             sends,
             recvs,
             local,
-            fill,
         }
     }
 
@@ -654,10 +663,6 @@ mod tests {
                         indices(&plan.local.0).zip(indices(&plan.local.1)).collect();
                     assert_eq!(local, want.local, "{name} p={p}");
                     assert_eq!(run_len(&plan.local.0), run_len(&plan.local.1));
-                    let fill: Vec<(u32, usize)> = (plan.fill.iter())
-                        .flat_map(|(s, runs)| indices(runs).map(|i| (*s, i)))
-                        .collect();
-                    assert_eq!(fill, want.fill, "{name} p={p}");
                     assert_eq!(plan.n_target(), needed.len());
                     let n_sent: usize = want.sends.iter().map(|(_, l)| l.len()).sum();
                     assert_eq!(plan.n_sent(), n_sent);
@@ -677,8 +682,60 @@ mod tests {
                 for (_, runs) in to_cyclic.sends.iter().chain(&to_cyclic.recvs) {
                     assert_eq!(runs.len(), 1, "one strided run per peer");
                 }
-                assert_eq!(to_cyclic.fill.len(), p);
             });
+        }
+    }
+
+    #[test]
+    fn local_import_build_matches_the_collective_one_and_sends_nothing() {
+        let layouts = |n: usize, p: usize, me: usize| {
+            [
+                DistMap::block(n, p, me),
+                DistMap::cyclic(n, p, me),
+                DistMap::block_cyclic(n, 1, p, me),
+                DistMap::block_cyclic(n, 3, p, me),
+                DistMap::block_cyclic(n, 64, p, me),
+            ]
+        };
+        for threshold in [1, usize::MAX] {
+            for p in 1..=5 {
+                let cfg = comm::UniverseConfig::default().with_zerocopy_threshold(threshold);
+                Universe::run_report(cfg, p, |comm| {
+                    let me = comm.rank();
+                    for (n, src, dst) in [3, 203].into_iter().flat_map(|n| {
+                        let pairs = layouts(n, p, me).into_iter().flat_map(move |src| {
+                            layouts(n, p, me).map(|dst| (n, src.clone(), dst))
+                        });
+                        pairs.collect::<Vec<_>>()
+                    }) {
+                        let ctx = format!("{src:?} -> {dst:?} threshold={threshold}");
+                        let dir = Directory::build(comm, &src);
+                        let sent = comm.stats().msgs_sent;
+                        let local = CommPlan::import(comm, &src, &dst, &dir);
+                        assert_eq!(comm.stats().msgs_sent, sent, "built silently: {ctx}");
+                        let collective = CommPlan::gather(comm, &src, &dir, &dst.my_gids());
+                        assert_eq!(expand(&local.sends), expand(&collective.sends), "{ctx}");
+                        assert_eq!(expand(&local.recvs), expand(&collective.recvs), "{ctx}");
+                        assert_eq!(local.n_target, dst.my_count(), "{ctx}");
+                        for width in [1, 3] {
+                            let lanes = |map: &DistMap| -> Vec<u64> {
+                                let gids = map.my_gids().into_iter();
+                                gids.flat_map(|g| (0..width).map(move |k| (g * width + k) as u64))
+                                    .collect()
+                            };
+                            for (how, plan) in [("local", &local), ("collective", &collective)] {
+                                let plan = CommPlan {
+                                    width,
+                                    ..plan.clone()
+                                };
+                                assert_eq!(plan.n_target(), dst.my_count() * width);
+                                let out = run(&plan, comm, &lanes(&src));
+                                assert_eq!(out, lanes(&dst), "{how} width={width}: {ctx} n={n}");
+                            }
+                        }
+                    }
+                });
+            }
         }
     }
 
@@ -716,7 +773,6 @@ mod tests {
                     assert!(runs.len() <= 2, "peer {peer}: {runs:?}");
                 }
                 assert!(plan.local.0.is_empty() && plan.local.1.is_empty());
-                assert_eq!(plan.fill.len(), plan.recvs.len());
             });
         }
     }
@@ -749,12 +805,6 @@ mod tests {
                         let mut out = vec![f64::NAN; needed.len()];
                         plan.execute_blocking(comm, &data, &mut out);
                         assert_eq!(bits(&out), want, "blocking: {ctx}");
-
-                        assert_eq!(
-                            bits(&plan.execute_to_vec(comm, &data)),
-                            want,
-                            "to_vec: {ctx}"
-                        );
 
                         let base = |i: usize| 10.0 * i as f64;
                         let mut out: Vec<f64> = (0..needed.len()).map(base).collect();

@@ -2,14 +2,15 @@
 
 use std::collections::HashMap;
 
-use comm::Comm;
+use comm::{Comm, CommError, Cursor, Wire};
 
 use crate::runs::{compress, Run};
 
 /// The distribution *pattern* of a map — the vocabulary the paper's ODIN
 /// exposes for array creation ("block, cyclic, block-cyclic, or another
-/// arbitrary global-to-local index mapping", §III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// arbitrary global-to-local index mapping", §III-A). Wire-encodable, so
+/// the layers above can ship it inside control messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Distribution {
     /// Contiguous, nearly equal blocks in rank order.
     Block,
@@ -17,6 +18,27 @@ pub enum Distribution {
     Cyclic,
     /// Round-robin by fixed-size blocks.
     BlockCyclic(usize),
+}
+
+impl Wire for Distribution {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Distribution::Block => buf.push(0),
+            Distribution::Cyclic => buf.push(1),
+            Distribution::BlockCyclic(b) => {
+                buf.push(2);
+                b.encode(buf);
+            }
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
+        match u8::decode(cur)? {
+            0 => Ok(Distribution::Block),
+            1 => Ok(Distribution::Cyclic),
+            2 => Ok(Distribution::BlockCyclic(usize::decode(cur)?)),
+            b => Err(CommError::Decode(format!("bad dist byte {b}"))),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -82,12 +82,6 @@ pub fn run_len(runs: &[Run]) -> usize {
 /// `src[i·width .. (i+1)·width]` for every index `i` of `runs`, in order.
 pub fn gather_runs<T: Copy>(src: &[T], runs: &[Run], width: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(run_len(runs) * width);
-    extend_runs(&mut out, src, runs, width);
-    out
-}
-
-/// [`gather_runs`] appended to an existing vector.
-pub(crate) fn extend_runs<T: Copy>(out: &mut Vec<T>, src: &[T], runs: &[Run], width: usize) {
     for r in runs.iter().filter(|r| r.n > 0) {
         if r.step == 1 || r.n == 1 {
             out.extend_from_slice(&src[r.start * width..(r.start + r.n) * width]);
@@ -99,6 +93,7 @@ pub(crate) fn extend_runs<T: Copy>(out: &mut Vec<T>, src: &[T], runs: &[Run], wi
             }
         }
     }
+    out
 }
 
 /// Copy between two run lists of equal total length, in order: the `k`-th

@@ -3,8 +3,8 @@
 //! in the paper; this module is its equivalent for the three numeric
 //! kinds the reproduction supports.
 
-use comm::{CommError, Cursor, Wire};
-use dmap::Run;
+use comm::{Comm, CommError, Cursor, Wire};
+use dmap::{CommPlan, Run};
 
 use crate::protocol::{BinOp, UnaryOp};
 
@@ -169,6 +169,17 @@ impl Buffer {
         };
         assert_eq!(src.len(), whole.n * width, "scatter length mismatch");
         self.copy_runs(runs, src, &[whole], width);
+    }
+
+    /// Fill this buffer from `src` (same dtype) along `plan`. Collective
+    /// over `comm`: [`CommPlan::execute`] on the typed lanes.
+    pub(crate) fn route_from(&mut self, comm: &Comm, plan: &CommPlan, src: &Buffer) {
+        match (self, src) {
+            (Buffer::Bool(d), Buffer::Bool(s)) => plan.execute(comm, s, d),
+            (Buffer::I64(d), Buffer::I64(s)) => plan.execute(comm, s, d),
+            (Buffer::F64(d), Buffer::F64(s)) => plan.execute(comm, s, d),
+            (d, s) => panic!("route of {:?} into {:?}", s.dtype(), d.dtype()),
+        }
     }
 
     /// Concatenate buffers of the same dtype.

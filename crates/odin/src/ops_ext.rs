@@ -264,6 +264,14 @@ mod tests {
             vec![0.0, 1.0, 2.0, 3.0, 4.0, 100.0, 101.0, 102.0]
         );
         assert_eq!(c.dist(), Dist::Block);
+        // mixed dtypes promote before they move
+        let flags = c.gt(&ctx.full(&[8], 3.5, Dist::Cyclic));
+        let mixed = flags.concat(&b.astype(DType::I64));
+        assert_eq!(mixed.dtype(), DType::I64);
+        assert_eq!(
+            mixed.to_vec_i64(),
+            vec![0, 0, 0, 0, 1, 1, 1, 1, 100, 101, 102]
+        );
     }
 
     #[test]

@@ -866,18 +866,9 @@ fn made<'a, 'c>(mat: &'a [Option<DistArray<'c>>], d: usize) -> &'a DistArray<'c>
 /// through `dmap` owner maps (rows whose owner changes × slab size).
 fn moved_elems(src_meta: &ArrayMeta, dist: Dist, n_workers: usize) -> u64 {
     let rows = src_meta.shape[src_meta.axis];
-    let a = dist_map(src_meta.dist, rows, n_workers);
-    let b = dist_map(dist, rows, n_workers);
-    let moved = a.moved_count(&b).unwrap_or(rows);
+    let map = |d: Dist| dmap::DistMap::with_distribution(d, rows, n_workers, 0);
+    let moved = map(src_meta.dist).moved_count(&map(dist)).unwrap_or(rows);
     (moved * src_meta.slab()) as u64
-}
-
-fn dist_map(d: Dist, n: usize, p: usize) -> dmap::DistMap {
-    match d {
-        Dist::Block => dmap::DistMap::block(n, p, 0),
-        Dist::Cyclic => dmap::DistMap::cyclic(n, p, 0),
-        Dist::BlockCyclic(b) => dmap::DistMap::block_cyclic(n, b, p, 0),
-    }
 }
 
 #[cfg(test)]

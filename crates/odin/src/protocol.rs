@@ -11,28 +11,9 @@ use crate::buffer::{Buffer, DType};
 use crate::slicing::SliceSpec;
 use seamless::bytecode::{Reg, RegFile};
 
-/// Distribution of the distributed axis (mirrors [`dmap::Distribution`]
-/// but is wire-encodable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dist {
-    /// Contiguous blocks.
-    Block,
-    /// Round-robin elements.
-    Cyclic,
-    /// Round-robin blocks of the given size.
-    BlockCyclic(usize),
-}
-
-impl Dist {
-    /// Convert to the dmap vocabulary.
-    pub fn to_dmap(self) -> dmap::Distribution {
-        match self {
-            Dist::Block => dmap::Distribution::Block,
-            Dist::Cyclic => dmap::Distribution::Cyclic,
-            Dist::BlockCyclic(b) => dmap::Distribution::BlockCyclic(b),
-        }
-    }
-}
+/// Distribution of the distributed axis: the one vocabulary `dmap` maps,
+/// `dlinalg` vectors and ODIN arrays share (paper §III-E).
+pub use dmap::Distribution as Dist;
 
 /// Metadata describing a distributed array: its global shape, which axis
 /// is distributed, how, and the element dtype.
@@ -72,12 +53,7 @@ impl ArrayMeta {
     /// The [`dmap::DistMap`] of the distributed axis for worker `rank` of
     /// `n_workers`.
     pub fn axis_map(&self, n_workers: usize, rank: usize) -> dmap::DistMap {
-        dmap::DistMap::with_distribution(
-            self.dist.to_dmap(),
-            self.shape[self.axis],
-            n_workers,
-            rank,
-        )
+        dmap::DistMap::with_distribution(self.dist, self.shape[self.axis], n_workers, rank)
     }
 
     /// Local element count on worker `rank`.
@@ -570,27 +546,6 @@ wire_enum_unit!(
     Max = 3,
     CountNonzero = 4
 );
-
-impl Wire for Dist {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Dist::Block => buf.push(0),
-            Dist::Cyclic => buf.push(1),
-            Dist::BlockCyclic(b) => {
-                buf.push(2);
-                b.encode(buf);
-            }
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
-        match u8::decode(cur)? {
-            0 => Ok(Dist::Block),
-            1 => Ok(Dist::Cyclic),
-            2 => Ok(Dist::BlockCyclic(usize::decode(cur)?)),
-            b => Err(CommError::Decode(format!("bad dist byte {b}"))),
-        }
-    }
-}
 
 impl Wire for ArrayMeta {
     fn encode(&self, buf: &mut Vec<u8>) {

@@ -1,138 +1,23 @@
-//! Distributed slicing and redistribution (worker side).
+//! Distributed slicing, redistribution and concatenation (worker side).
 //!
 //! Arrays are distributed along axis 0 (row distribution); a slice along
 //! axis 0 therefore moves whole rows between workers, while slices along
 //! the other axes are purely local strided gathers. This is the machinery
 //! behind the paper's §III-G claim that `dy = y[1:] - y[:-1]` "requires
 //! some small amount of inter-node communication … ODIN performs this
-//! communication automatically".
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! communication automatically". Each worker works out from the two axis
+//! maps alone which rows it ships to and receives from every peer, hands
+//! them to [`CommPlan::from_runs`], and the plan — the same `Import` that
+//! moves `dlinalg` vectors and CSR halos — does the exchange on the
+//! segment's typed lanes; no row list crosses the wire.
 
 use comm::{Comm, CommError, Cursor, Wire};
+use dmap::plan_cache::cached_route;
 use dmap::runs::{push_index, Run};
+use dmap::{CommPlan, DistMap};
 
 use crate::buffer::Buffer;
 use crate::protocol::{ArrayMeta, Dist};
-
-/// Row-routing plan for slices and redistributions, as strided runs per
-/// peer. Sender and receiver both enumerate the rows they exchange in
-/// increasing global order, so each side derives its half from the two
-/// axis maps alone and the message is the bare gathered [`Buffer`] — no
-/// row list crosses the wire. A pure function of the array's shape, its
-/// distribution, and the request (per rank), so cached entries never need
-/// invalidation — an equal key always reproduces an equal route.
-struct RoutePlan {
-    /// Per peer (self included): source positions shipped there.
-    send: Vec<Vec<Run>>,
-    /// Per peer (self included): output positions its shipment fills.
-    recv: Vec<Vec<Run>>,
-    /// Elements per position on both sides: a whole row when rows move
-    /// intact, one when the slice picks columns.
-    width: usize,
-}
-
-impl RoutePlan {
-    /// Move `data` into `out` along this plan. Collective: an all-to-all
-    /// with compute/communication overlap — post a nonblocking send to
-    /// every peer, copy the rows staying here while those payloads are in
-    /// flight, then place incoming segments in arrival order. Segments at
-    /// or above the comm's zero-copy threshold transfer as region handles
-    /// (ownership move, no encode/decode round-trip).
-    ///
-    /// Each execution draws its own tag from the comm's SPMD-ordered
-    /// sequence. A fixed tag is not enough: reliable delivery retransmits
-    /// around a dropped segment, so two back-to-back exchanges (two
-    /// operands aligned for one kernel) can arrive out of order and a
-    /// shared tag would hand the second exchange's segment to the first.
-    fn execute(&self, comm: &Comm, data: &Buffer, out: &mut Buffer) {
-        let tag = comm.next_spmd_tag();
-        let me = comm.rank();
-        let mut peers: Vec<usize> = (0..comm.size()).filter(|&peer| peer != me).collect();
-        let sreqs: Vec<comm::Request> = peers
-            .iter()
-            .map(|&peer| {
-                let segment = data.gather_runs(&self.send[peer], self.width);
-                comm.isend_zc(peer, tag, segment).expect("exchange isend")
-            })
-            .collect();
-        out.copy_runs(&self.recv[me], data, &self.send[me], self.width);
-        let mut rreqs: Vec<comm::Request> = peers
-            .iter()
-            .map(|&peer| {
-                comm.irecv(comm::Src::Rank(peer), tag)
-                    .expect("exchange irecv")
-            })
-            .collect();
-        while !rreqs.is_empty() {
-            let (idx, done) = comm.waitany(&mut rreqs).expect("exchange wait");
-            let peer = peers.remove(idx);
-            let (payload, _) = done.expect("receive completion carries a payload");
-            let segment: Buffer = match payload {
-                comm::Payload::Bytes(bytes) => {
-                    let v = comm::decode_from_slice(&bytes).expect("bad exchange payload");
-                    comm.put_buf(bytes);
-                    v
-                }
-                comm::Payload::Region(region) => region
-                    .take()
-                    .expect("exchange region payload is not a Buffer"),
-            };
-            out.scatter_runs(&self.recv[peer], self.width, &segment);
-        }
-        for req in sreqs {
-            comm.wait(req).expect("exchange send wait");
-        }
-    }
-}
-
-/// Exact cache key for a [`RoutePlan`]. Rank and communicator size are
-/// implicit: the cache is per worker thread.
-#[derive(PartialEq)]
-struct RouteKey {
-    shape: Vec<usize>,
-    dist: Dist,
-    out_dist: Dist,
-    specs: Vec<SliceSpec>,
-}
-
-/// Retained routes per worker; LRU-evicted beyond this.
-const ROUTE_CACHE_MAX: usize = 16;
-
-thread_local! {
-    static ROUTES: RefCell<Vec<(RouteKey, Rc<RoutePlan>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Look up (or build and insert) the route for `key`. Building is purely
-/// local index arithmetic — no communication — so hit/miss asymmetry
-/// across workers is harmless; the counters feed `CommStats::plan_hits`
-/// / `plan_misses` like the `dmap` plan cache.
-fn cached_route(comm: &Comm, key: RouteKey, build: impl FnOnce() -> RoutePlan) -> Rc<RoutePlan> {
-    let hit = ROUTES.with(|c| {
-        let mut c = c.borrow_mut();
-        c.iter().position(|(k, _)| *k == key).map(|i| {
-            let e = c.remove(i);
-            let plan = Rc::clone(&e.1);
-            c.push(e);
-            plan
-        })
-    });
-    if let Some(plan) = hit {
-        comm.record_plan_hit();
-        return plan;
-    }
-    comm.record_plan_miss();
-    let plan = Rc::new(build());
-    ROUTES.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.len() == ROUTE_CACHE_MAX {
-            c.remove(0);
-        }
-        c.push((key, Rc::clone(&plan)));
-    });
-    plan
-}
 
 /// A half-open strided range `start..stop` with positive `step`
 /// (negative indices are resolved by the master-side API before encoding).
@@ -229,7 +114,7 @@ pub fn slab_offsets(dims: &[usize], specs: &[SliceSpec]) -> Vec<usize> {
 
 /// Materialize a slice of a distributed array. Collective over the worker
 /// communicator. `specs` has one entry per dimension of `meta.shape`.
-pub fn slice_worker(
+pub(crate) fn slice_worker(
     comm: &Comm,
     meta: &ArrayMeta,
     data: &Buffer,
@@ -240,7 +125,7 @@ pub fn slice_worker(
 }
 
 /// Redistribute an array to a new distribution along axis 0. Collective.
-pub fn redistribute_worker(
+pub(crate) fn redistribute_worker(
     comm: &Comm,
     meta: &ArrayMeta,
     data: &Buffer,
@@ -250,8 +135,90 @@ pub fn redistribute_worker(
     route_rows(comm, meta, data, &specs, new_dist)
 }
 
-/// The one mover behind both: select `specs` from the array and lay the
-/// result out under `out_dist`.
+/// Join two 1-D arrays end to end into a block-distributed one: each
+/// input is one route onto its stretch of the output. Collective.
+pub(crate) fn concat_worker(
+    comm: &Comm,
+    a: &(ArrayMeta, Buffer),
+    b: &(ArrayMeta, Buffer),
+) -> (ArrayMeta, Buffer) {
+    let (ma, mb) = (&a.0, &b.0);
+    assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
+    assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
+    let (p, rank) = (comm.size(), comm.rank());
+    let out_meta = ArrayMeta {
+        shape: vec![ma.shape[0] + mb.shape[0]],
+        axis: 0,
+        dist: Dist::Block,
+        dtype: ma.dtype.promote(mb.dtype),
+    };
+    let out_map = out_meta.axis_map(p, rank);
+    let mut out = Buffer::zeros(out_meta.dtype, out_map.my_count());
+    for ((meta, data), base) in [(a, 0), (b, ma.shape[0])] {
+        let rows = SliceSpec::full(meta.shape[0]);
+        let plan = row_route(&meta.axis_map(p, rank), &out_map, rows, base, &[0], 1, 1);
+        // Promoted here, so every lane crosses in the output's own type.
+        let promoted;
+        let data = if data.dtype() == out_meta.dtype {
+            data
+        } else {
+            promoted = data.astype(out_meta.dtype);
+            &promoted
+        };
+        out.route_from(comm, &plan, data);
+    }
+    (out_meta, out)
+}
+
+/// The plan that moves the `row_spec` rows of an axis laid out by `src`
+/// onto rows `base..base + row_spec.len()` of one laid out by `out`.
+/// Positions are whole rows (`cols = [0]`, `stride = 1`, `width` the row
+/// length), or single elements when a slice picks columns: source columns
+/// `cols` of each `stride`-wide row fill a `cols.len()`-wide output row.
+///
+/// Both loops walk rows in increasing global order, which is what lets
+/// the two ends of a transfer agree without exchanging row lists.
+fn row_route(
+    src: &DistMap,
+    out: &DistMap,
+    row_spec: SliceSpec,
+    base: usize,
+    cols: &[usize],
+    stride: usize,
+    width: usize,
+) -> CommPlan {
+    let p = src.n_ranks();
+    let mut send: Vec<Vec<Run>> = vec![Vec::new(); p];
+    let mut recv: Vec<Vec<Run>> = vec![Vec::new(); p];
+    for l in 0..src.my_count() {
+        let g = src.local_to_global(l);
+        if !row_spec.contains(g) {
+            continue;
+        }
+        let to = out
+            .owner_of(base + row_spec.position_of(g))
+            .expect("structured map");
+        for &c in cols {
+            push_index(&mut send[to], l * stride + c);
+        }
+    }
+    for l in 0..out.my_count() {
+        let o = out.local_to_global(l);
+        if o < base || o >= base + row_spec.len() {
+            continue;
+        }
+        let from = src
+            .owner_of(row_spec.index_at(o - base))
+            .expect("structured map");
+        for k in l * cols.len()..(l + 1) * cols.len() {
+            push_index(&mut recv[from], k);
+        }
+    }
+    CommPlan::from_runs(src.my_rank(), send, recv, width)
+}
+
+/// The one mover behind slices and redistributes: select `specs` from the
+/// array and lay the result out under `out_dist`.
 fn route_rows(
     comm: &Comm,
     meta: &ArrayMeta,
@@ -270,7 +237,6 @@ fn route_rows(
         dtype: meta.dtype,
     };
     let slab = meta.slab();
-    let out_slab = out_meta.slab();
     // Trailing dims taken whole: rows move as units of `slab` elements.
     let whole_rows = specs[1..]
         .iter()
@@ -306,71 +272,34 @@ fn route_rows(
             }]
         };
         let (src_lo, out_lo) = (src_blocks[rank].0, out_blocks[rank].0);
-        let plan = RoutePlan {
-            send: (0..p)
-                .map(|to| {
-                    let (lo, hi) = overlap(rank, to);
-                    run(lo + row_spec.start, hi + row_spec.start, src_lo)
-                })
-                .collect(),
-            recv: (0..p)
-                .map(|from| {
-                    let (lo, hi) = overlap(from, rank);
-                    run(lo, hi, out_lo)
-                })
-                .collect(),
-            width: slab,
-        };
-        plan.execute(comm, data, &mut out);
+        let send = (0..p).map(|to| {
+            let (lo, hi) = overlap(rank, to);
+            run(lo + row_spec.start, hi + row_spec.start, src_lo)
+        });
+        let recv = (0..p).map(|from| {
+            let (lo, hi) = overlap(from, rank);
+            run(lo, hi, out_lo)
+        });
+        let plan = CommPlan::from_runs(rank, send.collect(), recv.collect(), slab);
+        out.route_from(comm, &plan, data);
         return (out_meta, out);
     }
-    let key = RouteKey {
-        shape: meta.shape.clone(),
-        dist: meta.dist,
-        out_dist,
-        specs: specs.to_vec(),
-    };
-    let plan = cached_route(comm, key, || {
-        let src_map = meta.axis_map(p, rank);
-        let out_map = out_meta.axis_map(p, rank);
-        // Positions are whole rows, or single elements when the slice
-        // picks columns: source columns `cols` of each `stride`-wide row
-        // land on all `out_stride` columns of an output row.
-        let (cols, stride, out_stride) = if whole_rows {
-            (vec![0], 1, 1)
+    // A route is a pure function of the array's shape, its layouts and
+    // the request (per rank), so an equal key always reproduces it.
+    let mut key = Vec::new();
+    (p, rank, meta.dist, out_dist).encode(&mut key);
+    meta.shape.encode(&mut key);
+    specs.iter().for_each(|s| s.encode(&mut key));
+    let plan = cached_route(comm, &key, || {
+        let (src_map, out_map) = (meta.axis_map(p, rank), out_meta.axis_map(p, rank));
+        if whole_rows {
+            row_route(&src_map, &out_map, row_spec, 0, &[0], 1, slab)
         } else {
-            (slab_offsets(&meta.shape[1..], &specs[1..]), slab, out_slab)
-        };
-        let mut send: Vec<Vec<Run>> = vec![Vec::new(); p];
-        let mut recv: Vec<Vec<Run>> = vec![Vec::new(); p];
-        // Both loops walk rows in increasing global order, which is what
-        // lets the two ends of a transfer agree without exchanging rows.
-        for l in 0..src_map.my_count() {
-            let g = src_map.local_to_global(l);
-            if !row_spec.contains(g) {
-                continue;
-            }
-            let to = out_map
-                .owner_of(row_spec.position_of(g))
-                .expect("structured map");
-            for &c in &cols {
-                push_index(&mut send[to], l * stride + c);
-            }
-        }
-        for l in 0..out_map.my_count() {
-            let g = row_spec.index_at(out_map.local_to_global(l));
-            let from = src_map.owner_of(g).expect("structured map");
-            for k in l * out_stride..(l + 1) * out_stride {
-                push_index(&mut recv[from], k);
-            }
-        }
-        RoutePlan {
-            send,
-            recv,
-            width: if whole_rows { slab } else { 1 },
+            let cols = slab_offsets(&meta.shape[1..], &specs[1..]);
+            row_route(&src_map, &out_map, row_spec, 0, &cols, slab, 1)
         }
     });
-    plan.execute(comm, data, &mut out);
+    out.route_from(comm, &plan, data);
     (out_meta, out)
 }
 

@@ -16,7 +16,7 @@ use seamless::vm::Lane;
 
 use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
 use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind, ReplyMsg};
-use crate::slicing::{redistribute_worker, slice_worker};
+use crate::slicing::{concat_worker, redistribute_worker, slice_worker};
 
 /// Signature of a registered local-mode function (the `@odin.local`
 /// decorator analog): it runs on every worker with direct access to the
@@ -520,53 +520,8 @@ fn exec_cmd(
             }
         }
         Cmd::Concat { out, a, b } => {
-            let (ma, _) = &arrays[&a];
-            let (mb, _) = &arrays[&b];
-            assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
-            assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
-            let n1 = ma.shape[0];
-            let n2 = mb.shape[0];
-            let out_dtype = arrays[&a].1.dtype().promote(arrays[&b].1.dtype());
-            let out_meta = ArrayMeta {
-                shape: vec![n1 + n2],
-                axis: 0,
-                dist: Dist::Block,
-                dtype: out_dtype,
-            };
-            let out_map = out_meta.axis_map(p, rank);
-            // route each local element of a and b to its owner in out
-            let mut per_peer_idx: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            let mut per_peer_val: Vec<Vec<f64>> = (0..p).map(|_| Vec::new()).collect();
-            for (src, base) in [(a, 0usize), (b, n1)] {
-                let (m, buf) = &arrays[&src];
-                let map = m.axis_map(p, rank);
-                for l in 0..buf.len() {
-                    let g = map.local_to_global(l) + base;
-                    let owner = out_map.owner_of(g).expect("structured map");
-                    per_peer_idx[owner].push(g);
-                    per_peer_val[owner].push(buf.get_f64(l));
-                }
-            }
-            let outgoing: Vec<Vec<(Vec<usize>, Vec<f64>)>> = per_peer_idx
-                .into_iter()
-                .zip(per_peer_val)
-                .map(|(i, v)| {
-                    if i.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![(i, v)]
-                    }
-                })
-                .collect();
-            let incoming = comm.alltoallv(outgoing);
-            let mut values = vec![0.0f64; out_map.my_count()];
-            for (idx, vals) in incoming.into_iter().flatten() {
-                for (g, v) in idx.into_iter().zip(vals) {
-                    values[out_map.global_to_local(g).expect("routed wrong")] = v;
-                }
-            }
-            let data = Buffer::F64(values).astype(out_dtype);
-            arrays.insert(out, (out_meta, data));
+            let joined = concat_worker(comm, &arrays[&a], &arrays[&b]);
+            arrays.insert(out, joined);
         }
         Cmd::MatMul { out, a, b } => {
             let (ma, ba) = &arrays[&a];

@@ -58,7 +58,8 @@ fn step_global<'c>(u: &DistArray<'c>) -> DistArray<'c> {
         let dir = hpc_framework::dmap::Directory::build(scope.comm, &int_map);
         let plan = hpc_framework::dmap::CommPlan::gather(scope.comm, &int_map, &dir, &needed);
         let src: Vec<f64> = scope.local(int_id).as_f64().to_vec();
-        let vals = plan.execute_to_vec(scope.comm, &src);
+        let mut vals = vec![0.0f64; plan.n_target()];
+        plan.execute(scope.comm, &src, &mut vals);
         let out_buf = scope.local_mut(out_id).as_f64_mut();
         let mut vi = 0;
         for (l, slot) in out_buf.iter_mut().enumerate().take(out_map.my_count()) {

@@ -1,10 +1,11 @@
 //! Layout conformance grid (ROADMAP item 3b, after D2O): every
 //! distribution strategy must obey the same indexing semantics. Every
 //! (Block | Cyclic | BlockCyclic(1, 3, 64)) array is fetched, scattered,
-//! redistributed to every other layout and sliced with positive, negative,
-//! stepped and empty bounds, at 1–8 workers and sizes around the worker
-//! count and the block size, 1-D and 2-D, in all three dtypes — and each
-//! result is compared lane for lane with a serial `Vec` computation. At
+//! redistributed to every other layout, concatenated across layouts and
+//! sliced with positive, negative, stepped and empty bounds, at 1–8
+//! workers and sizes around the worker count and the block size, 1-D and
+//! 2-D, in all three dtypes — and each result is compared lane for lane
+//! with a serial `Vec` computation. At
 //! every point of the same layout × worker × size grid, the operand
 //! aligners get the same treatment: a lazy `Expr` (array and
 //! Sum/Max/Min tails), an eager `binary` under each `BinaryStrategy`, a
@@ -296,6 +297,18 @@ fn run_grid(ctx: &OdinContext, ns: &[usize], rng: &mut SplitMix64) {
                         assert_eq!(back.dist(), src);
                         check("from_vec", &back, &shape, &vals, &case);
                     }
+                    // concat across layouts, typed end to end: the i64 tail
+                    // sits above 2^53, where a detour through f64 rounds it
+                    let mut tail = vals.clone();
+                    if let Buffer::I64(lanes) = &mut tail {
+                        lanes.iter_mut().for_each(|v| *v += 94_906_267 * 94_906_267);
+                    }
+                    let next = LAYOUTS.iter().position(|&l| l == src).unwrap() + 1;
+                    let b = scatter(ctx, &tail, &shape, LAYOUTS[next % LAYOUTS.len()]);
+                    let joined = a.concat(&b);
+                    assert_eq!(joined.dist(), Dist::Block);
+                    let want = Buffer::concat(vec![vals.clone(), tail]);
+                    check("concat", &joined, &[2 * n], &want, &case);
                 }
             }
         }

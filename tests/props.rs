@@ -806,7 +806,8 @@ fn zc_parity_case(
         let dir = Directory::build(comm, &map);
         let plan = CommPlan::import(comm, &map, &dst, &dir);
         let src_data: Vec<f64> = map.my_gids().iter().map(|&g| (g as f64) * 1.25).collect();
-        let redist = plan.execute_to_vec(comm, &src_data);
+        let mut redist = vec![0.0f64; plan.n_target()];
+        plan.execute(comm, &src_data, &mut redist);
 
         // explicit halo gather through the matrix's exchange plan
         let halo = a.halo_gather(comm, x.local(), 0.0);

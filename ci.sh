@@ -101,6 +101,16 @@ echo "== experiments --gate (wall-ratio gates: E20 jit, E21 tracing, E22 zero-co
 # C compiler is armed). Every other experiment gate is a tier-1 test.
 cargo run --release --offline -p bench --bin experiments -- --gate
 
+echo "== modeled tables match the committed baseline (crates/bench/modeled_tables.txt)"
+# The LogGP tables are exact virtual time, reproducible to the printed
+# digit, so a change to them is a diff to review, not prose to trust: a
+# PR that moves a makespan regenerates the file (the command below with
+# `> crates/bench/modeled_tables.txt`) and the old -> new digits show in
+# its diff. E18 stays out: its faulted rows are wall-clock RTO-driven
+# (ROADMAP item 5).
+cargo run --release --offline -p bench --bin experiments -- --only e03,e09,e12,e17,e19 \
+  | diff crates/bench/modeled_tables.txt -
+
 echo "== repo benchmark: harness unit tests + smoke pass of every workload"
 # The five workloads' serial/bitwise oracles (benchmark/README.md) gate
 # every refactor: 1 s per workload, each op checked against its oracle.

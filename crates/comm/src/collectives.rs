@@ -15,25 +15,42 @@ use crate::comm::{Comm, Src, Tag, MAX_USER_TAG};
 use crate::model::NetworkModel;
 use crate::wire::Wire;
 
-/// Algorithm family used by collectives.
+/// Algorithm family used by collectives. [`CollectiveAlgo::Auto`] is the
+/// default; a fixed family is an ablation setting
+/// ([`crate::UniverseConfig::with_algo`]).
+///
+/// **Reduction order.** Every algorithm combines in rank order, so a
+/// merely associative `op` gives the same value everywhere, but the
+/// *bracketing* belongs to the algorithm: `Linear` folds left to right,
+/// `Tree` and `RecursiveDoubling` pair ranks across bit 0, then bit 1, ….
+/// At a power-of-two rank count the binomial tree and the hypercube
+/// bracket identically (`((v0+v1)+(v2+v3))+…`), so a floating-point
+/// allreduce is bitwise the same under `Tree`, `RecursiveDoubling` and
+/// whatever `Auto` resolves small payloads to. At any other rank count
+/// the three families may round differently, and so may `Auto`
+/// (`allreduce_bracketing_across_algorithms` in this module records
+/// where they do).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveAlgo {
     /// Root-centric flat algorithms: O(P) messages through one rank.
     Linear,
-    /// Binomial trees: O(log P) rounds.
-    #[default]
+    /// Binomial trees: O(log P) rounds; allreduce is reduce *then* bcast,
+    /// two dependent sweeps.
     Tree,
-    /// Recursive doubling / ring: O(log P) rounds, no root hotspot.
+    /// Recursive doubling / ring: O(log P) rounds, no root hotspot; an
+    /// allreduce is one sweep of pairwise exchanges.
     RecursiveDoubling,
     /// Model-driven selection: each call picks the cheapest fixed
     /// algorithm for its (ranks, payload bytes) from the LogGP
-    /// parameters. The choice is a pure function of values every rank
-    /// computes identically, so ranks can never disagree on the wire
-    /// pattern. Rooted ops (`bcast`/`scatter`) resolve payload-blind —
-    /// only the root knows the payload; symmetric ops
-    /// (`reduce`/`allreduce`/`allgather`) resolve payload-aware and
-    /// therefore require the SPMD convention that every rank passes a
-    /// same-sized value. Ablated in experiment E19.
+    /// parameters. The choice must be a pure function of values every
+    /// rank computes identically, or ranks disagree on the wire pattern
+    /// and stall. Rooted ops (`bcast`/`scatter`) and `allgatherv`
+    /// resolve payload-blind; `reduce`/`allreduce`/`allgather` resolve
+    /// from the caller's own payload size and therefore require every
+    /// rank to pass a value of the same encoded size (`allgather` checks
+    /// it; rank-varying blocks go through `allgatherv`). Ablated in
+    /// experiment E19.
+    #[default]
     Auto,
 }
 
@@ -609,9 +626,39 @@ impl Comm {
         }
     }
 
-    /// Gather every rank's value to every rank, in rank order.
+    /// Gather every rank's value to every rank, in rank order. Every rank
+    /// must pass a value of the same encoded size (`MPI_Allgather`'s
+    /// contract): `Auto` sizes the wire pattern from the caller's own
+    /// block, so blocks that straddle a crossover would send ranks into
+    /// different algorithms. Blocks whose size depends on the rank go
+    /// through [`Comm::allgatherv`].
+    ///
+    /// # Panics
+    /// If the gathered blocks differ in encoded size — under every
+    /// algorithm, so a violation fails at any size, not only at the ones
+    /// that straddle a crossover.
     pub fn allgather<T: Wire + Clone>(&self, value: &T) -> Vec<T> {
-        let algo = self.resolve_algo(CollOp::Allgather, self.auto_bytes(value));
+        let mine = value.wire_size();
+        let blocks = self.allgather_sized(mine, value);
+        assert!(
+            blocks.iter().all(|b| b.wire_size() == mine),
+            "allgather needs equal-sized blocks (use allgatherv): rank {} holds wire sizes {:?}",
+            self.rank(),
+            blocks.iter().map(Wire::wire_size).collect::<Vec<_>>()
+        );
+        blocks
+    }
+
+    /// [`Comm::allgather`] for blocks whose encoded size may differ from
+    /// rank to rank (`MPI_Allgatherv`). Resolved payload-blind, as
+    /// [`Comm::bcast`] is: no rank knows another's block size.
+    pub fn allgatherv<T: Wire + Clone>(&self, value: &T) -> Vec<T> {
+        self.allgather_sized(0, value)
+    }
+
+    /// Resolve for `bytes`-sized blocks, then run and record one allgather.
+    fn allgather_sized<T: Wire + Clone>(&self, bytes: usize, value: &T) -> Vec<T> {
+        let algo = self.resolve_algo(CollOp::Allgather, bytes);
         let timer = self.coll_span();
         let out = self.allgather_impl(algo, value);
         if let Some(t) = timer {
@@ -839,15 +886,16 @@ mod tests {
         ]
     }
 
+    /// Run under `algo`, with a deadline that turns a wire-pattern
+    /// disagreement into a `Stalled` panic instead of a hung test binary.
     fn run_with_algo<R, F>(size: usize, algo: CollectiveAlgo, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut crate::Comm) -> R + Send + Sync,
     {
-        let cfg = UniverseConfig {
-            algo,
-            ..Default::default()
-        };
+        let cfg = UniverseConfig::default()
+            .with_algo(algo)
+            .with_stall_timeout(std::time::Duration::from_secs(10));
         Universe::run_report(cfg, size, f).results
     }
 
@@ -974,6 +1022,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn allgatherv_takes_rank_varying_blocks_across_a_crossover() {
+        // Four blocks of 62/62/61/61 lanes are 1008/1008/992/992 B of
+        // (gids, values): under the default model they straddle the
+        // payload-aware ring/linear crossover, which is what stalled
+        // `DistVector::gather_global` while it used `allgather`.
+        let m = NetworkModel::default();
+        assert_ne!(
+            pick(CollOp::Allgather, 4, 1008, &m).0,
+            pick(CollOp::Allgather, 4, 992, &m).0,
+            "the sizes below no longer straddle a crossover; pick new ones"
+        );
+        for algo in all_algos() {
+            let out = run_with_algo(4, algo, |comm| {
+                let lanes = if comm.rank() < 2 { 62 } else { 61 };
+                comm.allgatherv(&(vec![comm.rank(); lanes], vec![0.5f64; lanes]))
+            });
+            for blocks in out {
+                for (r, (ids, vals)) in blocks.into_iter().enumerate() {
+                    let lanes = if r < 2 { 62 } else { 61 };
+                    assert_eq!(ids, vec![r; lanes], "{algo:?}");
+                    assert_eq!(vals.len(), lanes, "{algo:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_rejects_unequal_blocks_under_every_algorithm() {
+        // 1 vs 2 lanes straddles nothing, so every rank reaches the
+        // check: the contract fails at any size, not only unlucky ones.
+        for algo in all_algos() {
+            let caught = std::panic::catch_unwind(|| {
+                run_with_algo(2, algo, |comm| comm.allgather(&vec![0u8; comm.rank() + 1]))
+            });
+            let msg = *caught
+                .expect_err("unequal blocks must be refused")
+                .downcast::<String>()
+                .expect("assert message");
+            assert!(
+                msg.contains("use allgatherv") && msg.contains("[9, 10]"),
+                "{algo:?}: {msg}"
+            );
+        }
+    }
+
+    /// Values whose `f64` sum depends on the bracketing at every size
+    /// the test below visits from four ranks up.
+    fn rounding_sensitive(rank: usize) -> f64 {
+        1.0 / (1.1 * rank as f64 + 0.5)
+    }
+
+    fn allreduce_bits(size: usize, cfg: UniverseConfig) -> u64 {
+        let out = Universe::run_report(cfg, size, |comm| {
+            comm.allreduce(&rounding_sensitive(comm.rank()), ReduceOp::sum())
+                .to_bits()
+        })
+        .results;
+        assert!(out.iter().all(|&b| b == out[0]), "ranks disagree at {size}");
+        out[0]
+    }
+
+    #[test]
+    fn allreduce_bracketing_across_algorithms() {
+        let with = |algo| UniverseConfig::default().with_algo(algo);
+        // A revert of the default is a failure here, not a silently
+        // slower two-rank solve (21–29 % on the repo benchmark's CG).
+        assert_eq!(CollectiveAlgo::default(), CollectiveAlgo::Auto);
+        // Power of two: binomial tree and hypercube pair ranks across
+        // bit 0, then bit 1, … — one bracketing, so the flip of the
+        // default from `Tree` moved no floating-point sum.
+        for size in [2, 4, 8, 16] {
+            let tree = allreduce_bits(size, with(CollectiveAlgo::Tree));
+            for cfg in [
+                with(CollectiveAlgo::RecursiveDoubling),
+                with(CollectiveAlgo::Auto),
+                UniverseConfig::default(),
+            ] {
+                assert_eq!(
+                    allreduce_bits(size, cfg),
+                    tree,
+                    "{size} ranks, {:?}",
+                    cfg.algo
+                );
+            }
+            // The values do tell bracketings apart: the left-to-right
+            // fold rounds differently from the tree.
+            if size > 2 {
+                let linear = allreduce_bits(size, with(CollectiveAlgo::Linear));
+                assert_ne!(linear, tree, "{size} ranks");
+            }
+        }
+        // Otherwise recursive doubling folds the ranks above the largest
+        // power of two in first, and `Auto` resolves small payloads to
+        // `Linear`: sums agree to rounding, not to the bit (three ranks
+        // are the exception for tree and linear: both are (v0+v1)+v2).
+        // Recorded as (size, tree == rd, tree == auto) on these values.
+        let seen: Vec<_> = [3, 5, 6, 7]
+            .into_iter()
+            .map(|size| {
+                let tree = allreduce_bits(size, with(CollectiveAlgo::Tree));
+                let rd = allreduce_bits(size, with(CollectiveAlgo::RecursiveDoubling));
+                let auto = allreduce_bits(size, UniverseConfig::default());
+                assert_eq!(auto, allreduce_bits(size, with(CollectiveAlgo::Linear)));
+                (size, tree == rd, tree == auto)
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (3, true, true),
+                (5, true, false),
+                (6, false, false),
+                (7, false, false)
+            ]
+        );
     }
 
     #[test]

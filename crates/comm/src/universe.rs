@@ -1,6 +1,6 @@
 //! Job launcher: spawns one thread per rank and collects results.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use std::sync::mpsc::channel;
@@ -16,7 +16,10 @@ use crate::stats::CommStats;
 pub struct UniverseConfig {
     /// LogGP constants used by every rank's virtual clock.
     pub model: NetworkModel,
-    /// Collective algorithm family (ablated in E12).
+    /// Collective algorithm family. The default, [`CollectiveAlgo::Auto`],
+    /// picks per call from `model`; a fixed family is for ablation (E12,
+    /// E19) and changes wire patterns, modeled time and — away from
+    /// power-of-two rank counts — floating-point bracketing.
     pub algo: CollectiveAlgo,
     /// Encoded-equivalent payload size, in bytes, at or above which the
     /// typed zero-copy send paths ship an `Arc`-backed region handle
@@ -160,6 +163,12 @@ impl Universe {
         }
         let senders = Arc::new(senders);
         let f = &f;
+        // Every rank thread exists before any rank program runs (what
+        // `MPI_Init` guarantees): a message to a rank that has not been
+        // spawned yet would sit unacknowledged for as long as spawning
+        // takes, and reliable delivery would retransmit healthy traffic.
+        let start = Barrier::new(size);
+        let start = &start;
         let t0 = Instant::now();
         let mut outcomes: Vec<Option<(R, CommStats, f64)>> = (0..size).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -169,6 +178,7 @@ impl Universe {
                 handles.push(scope.spawn(move || {
                     let _obs = obs::RankGuard::enter(rank);
                     let mut comm = Comm::new_world(rank, size, senders, rx, &config);
+                    start.wait();
                     let result = f(&mut comm);
                     // Heal any still-unacked reliable sends before the
                     // rank's mailbox goes away.
@@ -275,14 +285,19 @@ impl Universe {
         }
         let senders = Arc::new(senders);
         let f = Arc::new(f);
+        // As in `run_report`: no rank program starts before every rank
+        // thread exists.
+        let start = Arc::new(Barrier::new(size));
         let mut handles = Vec::with_capacity(size);
         for (rank, rx) in receivers.into_iter().enumerate() {
             let senders = Arc::clone(&senders);
             let f = Arc::clone(&f);
+            let start = Arc::clone(&start);
             let seed = seed_fn(rank);
             handles.push(std::thread::spawn(move || {
                 let _obs = obs::RankGuard::enter(rank);
                 let mut comm = Comm::new_world(rank, size, senders, rx, &config);
+                start.wait();
                 let result = f(&mut comm, seed);
                 comm.quiesce();
                 (result, comm.stats(), comm.virtual_time())

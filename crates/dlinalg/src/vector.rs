@@ -233,8 +233,9 @@ impl<S: Scalar> DistVector<S> {
     /// Gather the whole vector (in global order) onto every rank.
     /// Collective; intended for small vectors and tests.
     pub fn gather_global(&self, comm: &Comm) -> Vec<S> {
+        // Block sizes follow the map, i.e. the rank: `allgatherv`.
         let pieces: Vec<(Vec<usize>, Vec<S>)> =
-            comm.allgather(&(self.map.my_gids(), self.data.clone()));
+            comm.allgatherv(&(self.map.my_gids(), self.data.clone()));
         let mut out = vec![S::zero(); self.map.n_global()];
         for (gids, vals) in pieces {
             for (g, v) in gids.into_iter().zip(vals) {
@@ -378,6 +379,25 @@ mod tests {
             let expect: Vec<f64> = (0..7).map(|g| (g * g) as f64).collect();
             assert_eq!(full, expect);
         });
+    }
+
+    #[test]
+    fn gather_global_survives_uneven_blocks_under_auto() {
+        // 246 entries over 4 ranks are 62/62/61/61-entry blocks of 1008
+        // and 992 B: either side of `Auto`'s payload-aware ring/linear
+        // allgather crossover, so sizing the wire pattern from a rank's
+        // own block stalled here while 240 and 248 (even blocks) passed.
+        // The deadline turns a relapse into a `Stalled` panic.
+        let cfg = comm::UniverseConfig::default()
+            .with_algo(comm::CollectiveAlgo::Auto)
+            .with_stall_timeout(std::time::Duration::from_secs(10));
+        for n in [240, 246, 248] {
+            let out = Universe::run_report(cfg, 4, |comm| {
+                block_vec(comm, n, |g| g as f64 * 0.5).gather_global(comm)
+            });
+            let expect: Vec<f64> = (0..n).map(|g| g as f64 * 0.5).collect();
+            assert!(out.results.iter().all(|full| *full == expect), "n = {n}");
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub struct OdinConfig {
     pub n_workers: usize,
     /// Cost model for the worker communicator.
     pub model: comm::NetworkModel,
-    /// Collective algorithm for worker collectives.
+    /// Collective algorithm for worker collectives; forwarded to the
+    /// worker communicator. The default is [`comm::CollectiveAlgo::Auto`]
+    /// (chosen per call from `model`); see [`comm::UniverseConfig::algo`].
     pub algo: comm::CollectiveAlgo,
     /// Seeded fault schedule injected into the worker communicator (E18).
     pub fault: comm::FaultPlan,

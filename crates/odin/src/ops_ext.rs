@@ -276,20 +276,28 @@ mod tests {
 
     #[test]
     fn matmul_matches_serial() {
-        for workers in [1, 3] {
-            let ctx = OdinContext::with_workers(workers);
-            let a = ctx.random(&[7, 4], 1);
-            let b = ctx.random(&[4, 3], 2);
+        // The last case gathers `b` in 62/62/61/61-row blocks of 1008 and
+        // 992 B, either side of `Auto`'s payload-aware allgather
+        // crossover: a gather sized from a worker's own block stalls
+        // there (the deadline makes that an error, not a hang).
+        for (workers, m, k, n) in [(1, 7, 4, 3), (3, 7, 4, 3), (4, 5, 246, 1)] {
+            let ctx = OdinContext::new(
+                crate::OdinConfig::default()
+                    .with_n_workers(workers)
+                    .with_stall_timeout(std::time::Duration::from_secs(10)),
+            );
+            let a = ctx.random(&[m, k], 1);
+            let b = ctx.random(&[k, n], 2);
             let c = a.matmul(&b);
-            assert_eq!(c.shape(), vec![7, 3]);
+            assert_eq!(c.shape(), vec![m, n]);
             let av = a.to_vec();
             let bv = b.to_vec();
             let cv = c.to_vec();
-            for i in 0..7 {
-                for j in 0..3 {
-                    let expect: f64 = (0..4).map(|k| av[i * 4 + k] * bv[k * 3 + j]).sum();
+            for i in 0..m {
+                for j in 0..n {
+                    let expect: f64 = (0..k).map(|l| av[i * k + l] * bv[l * n + j]).sum();
                     assert!(
-                        (cv[i * 3 + j] - expect).abs() < 1e-12,
+                        (cv[i * n + j] - expect).abs() < 1e-12,
                         "c[{i}][{j}] workers={workers}"
                     );
                 }

@@ -531,10 +531,11 @@ fn exec_cmd(
             let (m, ka) = (ma.shape[0], ma.shape[1]);
             let (kb, ncols) = (mb.shape[0], mb.shape[1]);
             assert_eq!(ka, kb, "matmul inner dimensions must agree");
-            // allgather B: each worker contributes (row gids, flat rows)
+            // allgather B: each worker contributes (row gids, flat rows);
+            // row counts follow the rank, hence the `v`
             let b_map = mb.axis_map(p, rank);
             let my_b: Vec<f64> = (0..bb.len()).map(|i| bb.get_f64(i)).collect();
-            let pieces: Vec<(Vec<usize>, Vec<f64>)> = comm.allgather(&(b_map.my_gids(), my_b));
+            let pieces: Vec<(Vec<usize>, Vec<f64>)> = comm.allgatherv(&(b_map.my_gids(), my_b));
             let mut bfull = vec![0.0f64; kb * ncols];
             for (gids, vals) in pieces {
                 for (l, g) in gids.into_iter().enumerate() {

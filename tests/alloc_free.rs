@@ -7,7 +7,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use bench::fixtures::{fixed_iter_cg, laplace_system};
-use hpc_framework::comm::{Comm, Universe};
+use hpc_framework::comm::{CollectiveAlgo, Comm, Universe, UniverseConfig};
 use hpc_framework::dlinalg::DistVector;
 use hpc_framework::obs;
 
@@ -43,6 +43,21 @@ fn fence(comm: &Comm) -> u64 {
     let c = allocs();
     comm.barrier();
     c
+}
+
+/// Allocations of 80 warm two-rank CG iterations minus those of 20.
+fn extra_60_iters(cfg: UniverseConfig) -> i64 {
+    Universe::run_report(cfg, 2, |comm| {
+        let (a, b) = laplace_system(comm, 32);
+        let mut x = DistVector::zeros(a.domain_map().clone());
+        fixed_iter_cg(comm, &a, &b, &mut x, 20);
+        let c0 = fence(comm);
+        fixed_iter_cg(comm, &a, &b, &mut x, 20);
+        let c1 = fence(comm);
+        fixed_iter_cg(comm, &a, &b, &mut x, 80);
+        (fence(comm) - c1) as i64 - (c1 - c0) as i64
+    })
+    .results[0]
 }
 
 #[test]
@@ -93,7 +108,25 @@ fn steady_state_cg_iterations_allocate_nothing() {
         drop(rebuilt);
         (c1 - c0, c2 - c1, c4 - c3, c5 - c4)
     })[0];
+
+    // Two ranks, the repo benchmark's shape: the default resolves every
+    // allreduce through the LogGP model (three `predict`s and a
+    // `wire_size`) where a fixed algorithm passes straight through. That
+    // must cost no allocation: 60 extra steady-state iterations (120
+    // allreduces, ~250 allocations, all of them channel nodes and
+    // payloads) allocate what they do under the algorithm `Auto` resolves
+    // to. The tolerance of 2 is the fence's: its read races the peer's
+    // next barrier send, which moved one reading by 1 or 2 in 8 of 300
+    // runs here; one allocation per resolution would be 120.
+    let auto_extra = extra_60_iters(UniverseConfig::default());
+    let rd_extra =
+        extra_60_iters(UniverseConfig::default().with_algo(CollectiveAlgo::RecursiveDoubling));
     obs::set_enabled(obs_was_on);
+    assert!(
+        (auto_extra - rd_extra).abs() <= 2,
+        "resolving `Auto` must allocate nothing per allreduce at 2 ranks \
+         ({auto_extra} under the default vs {rd_extra} under recursive doubling)"
+    );
     assert!(
         build_cached < build_cold,
         "a cached-plan rebuild must allocate less than the cold build \

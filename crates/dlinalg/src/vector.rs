@@ -1,7 +1,7 @@
 //! Distributed vectors (Tpetra `Vector` analog).
 
 use comm::{Comm, CommError, Cursor, ReduceOp, Wire};
-use dmap::{cached_import, DistMap};
+use dmap::{CommPlan, Directory, DistMap};
 
 use crate::scalar::{RealScalar, Scalar};
 
@@ -216,12 +216,13 @@ impl<S: Scalar> DistVector<S> {
         comm.allreduce(&acc, |x: &S, y: &S| *x + *y)
     }
 
-    /// Redistribute into `new_map` (same global size). Collective. The
-    /// underlying import plan is memoized (see `dmap::plan_cache`), so
-    /// repeated redistributions between the same pair of maps skip plan
-    /// construction entirely.
+    /// Redistribute into `new_map` (same global size). Collective: builds
+    /// the import plan on every call, which every rank enters in program
+    /// order and which sends nothing when both maps are structured; a
+    /// caller that repeats one redistribution holds a [`CommPlan`] itself.
     pub fn redistribute(&self, comm: &Comm, new_map: DistMap) -> DistVector<S> {
-        let plan = cached_import(comm, &self.map, &new_map);
+        let dir = Directory::build(comm, &self.map);
+        let plan = CommPlan::import(comm, &self.map, &new_map, &dir);
         let mut out = vec![S::zero(); new_map.my_count()];
         plan.execute(comm, &self.data, &mut out);
         DistVector {

@@ -21,5 +21,4 @@ pub use directory::Directory;
 pub use import_export::{CommPlan, PlanInFlight};
 pub use map::{DistMap, Distribution};
 pub use partition::rebalance_block_map;
-pub use plan_cache::{cached_gather, cached_import, clear_plan_cache, plan_cache_len};
 pub use runs::{copy_runs, gather_runs, Run};

@@ -349,48 +349,6 @@ impl DistMap {
         !matches!(self.kind, MapKind::Arbitrary { .. })
     }
 
-    /// Snapshot this map's full structural identity for use as a
-    /// plan-cache key. Exact: two maps produce equal keys iff they are
-    /// structurally identical from this rank's point of view.
-    pub(crate) fn to_key(&self) -> MapKey {
-        let kind = match &self.kind {
-            MapKind::Block { offsets } => MapKeyKind::Block {
-                offsets: offsets.clone(),
-            },
-            MapKind::Cyclic => MapKeyKind::Cyclic,
-            MapKind::BlockCyclic { block } => MapKeyKind::BlockCyclic { block: *block },
-            MapKind::Arbitrary { my_gids, .. } => MapKeyKind::Arbitrary {
-                my_gids: my_gids.clone(),
-            },
-        };
-        MapKey {
-            n_global: self.n_global,
-            n_ranks: self.n_ranks,
-            my_rank: self.my_rank,
-            kind,
-        }
-    }
-
-    /// Whether a previously snapshotted [`MapKey`] describes exactly this
-    /// map. Allocation-free (unlike building a fresh key to compare).
-    pub(crate) fn matches_key(&self, key: &MapKey) -> bool {
-        if self.n_global != key.n_global
-            || self.n_ranks != key.n_ranks
-            || self.my_rank != key.my_rank
-        {
-            return false;
-        }
-        match (&self.kind, &key.kind) {
-            (MapKind::Block { offsets }, MapKeyKind::Block { offsets: k }) => offsets == k,
-            (MapKind::Cyclic, MapKeyKind::Cyclic) => true,
-            (MapKind::BlockCyclic { block }, MapKeyKind::BlockCyclic { block: k }) => block == k,
-            (MapKind::Arbitrary { my_gids, .. }, MapKeyKind::Arbitrary { my_gids: k }) => {
-                my_gids == k
-            }
-            _ => false,
-        }
-    }
-
     /// Two maps are *compatible* when every rank owns the same gids in the
     /// same local order — data can be shared with no communication. Only an
     /// approximation is possible locally for arbitrary maps (it compares
@@ -432,24 +390,6 @@ impl DistMap {
                 .count(),
         )
     }
-}
-
-/// Exact structural snapshot of a [`DistMap`] as seen from one rank —
-/// the plan cache's key material (see [`crate::plan_cache`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct MapKey {
-    n_global: usize,
-    n_ranks: usize,
-    my_rank: usize,
-    kind: MapKeyKind,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum MapKeyKind {
-    Block { offsets: Vec<usize> },
-    Cyclic,
-    BlockCyclic { block: usize },
-    Arbitrary { my_gids: Vec<usize> },
 }
 
 fn block_count_cyclic(n: usize, p: usize, r: usize) -> usize {

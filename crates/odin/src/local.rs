@@ -22,10 +22,11 @@
 
 use std::sync::Arc;
 
+use dmap::{CommPlan, Run};
+
 use crate::array::DistArray;
 use crate::buffer::Buffer;
 use crate::context::OdinContext;
-use crate::protocol::ArrayMeta;
 use crate::worker::{LocalFn, WorkerScope};
 
 impl OdinContext {
@@ -66,72 +67,38 @@ impl OdinContext {
 
 /// Helpers local functions commonly need on the worker side.
 impl WorkerScope<'_> {
-    /// The halo exchange the paper's §III-G example needs, hand-written:
-    /// returns `(left_ghost, right_ghost)` of a 1-D block-distributed
-    /// array — each worker trades boundary values with its neighbors
-    /// directly (no master involvement).
+    /// The halo exchange the paper's §III-G example needs: returns
+    /// `(left_ghost, right_ghost)` of a 1-D block-distributed array — each
+    /// worker trades boundary values with its neighbors directly (no
+    /// master involvement). Requires non-empty segments when there is
+    /// more than one worker; the ends of the line get `None`.
     pub fn exchange_boundary_1d(&mut self, id: u64) -> (Option<f64>, Option<f64>) {
-        let meta: ArrayMeta = self.meta(id).clone();
+        let meta = self.meta(id);
         assert_eq!(meta.ndim(), 1);
         assert_eq!(meta.dist, crate::protocol::Dist::Block);
-        let map = self.axis_map(id);
-        let rank = self.rank();
-        let p = self.n_workers();
-        let (first, last) = {
-            let buf = self.local(id);
-            if buf.is_empty() {
-                (None, None)
-            } else {
-                (Some(buf.get_f64(0)), Some(buf.get_f64(buf.len() - 1)))
-            }
-        };
-        // A tag of its own per exchange (every worker runs the helper in
-        // SPMD order): retransmits can reorder two back-to-back halo
-        // exchanges, which a fixed tag would cross-match.
-        let halo_tag = self.comm.next_spmd_tag();
-        // Post both sends nonblocking, then both receives; sends to the
-        // two neighbors overlap with each other and with the receives.
-        // Empty ranks forward nothing; for simplicity this helper
-        // requires non-empty segments when p > 1.
-        let mut left_ghost = None;
-        let mut right_ghost = None;
-        if p > 1 {
-            assert!(
-                map.my_count() > 0,
-                "halo helper requires non-empty segments"
-            );
-            let mut sreqs = Vec::with_capacity(2);
-            if rank > 0 {
-                sreqs.push(
-                    self.comm
-                        .isend(rank - 1, halo_tag, &first.unwrap())
-                        .expect("halo send"),
-                );
-            }
-            if rank + 1 < p {
-                sreqs.push(
-                    self.comm
-                        .isend(rank + 1, halo_tag, &last.unwrap())
-                        .expect("halo send"),
-                );
-            }
-            if rank + 1 < p {
-                let (v, _) = self
-                    .comm
-                    .recv::<f64>(comm::Src::Rank(rank + 1), halo_tag)
-                    .expect("halo recv");
-                right_ghost = Some(v);
-            }
-            if rank > 0 {
-                let (v, _) = self
-                    .comm
-                    .recv::<f64>(comm::Src::Rank(rank - 1), halo_tag)
-                    .expect("halo recv");
-                left_ghost = Some(v);
-            }
-            self.comm.waitall(sreqs).expect("halo send wait");
+        let (rank, p) = (self.rank(), self.n_workers());
+        if p == 1 {
+            return (None, None);
         }
-        (left_ghost, right_ghost)
+        let buf = self.local(id);
+        assert!(!buf.is_empty(), "halo helper requires non-empty segments");
+        // One row each way per neighbour: `edges[0]` goes left and
+        // `edges[1]` right, the answers land in `[left, right]`.
+        let edges = [buf.get_f64(0), buf.get_f64(buf.len() - 1)];
+        let (left, right) = (rank.checked_sub(1), Some(rank + 1).filter(|&r| r < p));
+        let mut rows = vec![Vec::new(); p];
+        for (slot, peer) in [left, right].into_iter().enumerate() {
+            if let Some(peer) = peer {
+                rows[peer] = vec![Run {
+                    start: slot,
+                    step: 1,
+                    n: 1,
+                }];
+            }
+        }
+        let mut ghosts = [0.0; 2];
+        CommPlan::from_runs(rank, rows.clone(), rows, 1).execute(self.comm, &edges, &mut ghosts);
+        (left.map(|_| ghosts[0]), right.map(|_| ghosts[1]))
     }
 
     /// Replace the segment of `out` (which must be conformable with `a`'s

@@ -237,7 +237,8 @@ fn fault_counters_reconcile_exactly_with_comm_stats() {
 #[test]
 fn cache_and_pool_counters_reconcile_exactly_with_comm_stats() {
     use hpc_framework::dlinalg::{CsrMatrix, DistVector};
-    use hpc_framework::dmap::{clear_plan_cache, DistMap};
+    use hpc_framework::dmap::plan_cache::cached_route;
+    use hpc_framework::dmap::{CommPlan, Directory, DistMap};
 
     let _g = obs_lock();
     obs::reset();
@@ -245,7 +246,6 @@ fn cache_and_pool_counters_reconcile_exactly_with_comm_stats() {
     let p = 4;
     let n = 32;
     let report = Universe::run_report(UniverseConfig::default(), p, move |comm| {
-        clear_plan_cache();
         let row = move |g: usize| {
             let mut row = vec![(g, 4.0)];
             if g > 0 {
@@ -258,14 +258,21 @@ fn cache_and_pool_counters_reconcile_exactly_with_comm_stats() {
             row
         };
         let map = DistMap::block(n, comm.size(), comm.rank());
-        // first build misses the plan cache, second hits it; the matvecs
-        // drive the wire-buffer pool through its reuse path
+        // the matvecs drive the wire-buffer pool through its reuse path
         let a = CsrMatrix::from_row_fn(comm, map.clone(), map.clone(), row);
-        let b = CsrMatrix::from_row_fn(comm, map.clone(), map.clone(), row);
-        let x = DistVector::from_fn(map, |g| g as f64 + 1.0);
-        let ya = a.matvec(comm, &x);
-        let yb = b.matvec(comm, &x);
-        ya.local()[0] + yb.local()[0]
+        let x = DistVector::from_fn(map.clone(), |g| g as f64 + 1.0);
+        let y = a.matvec(comm, &a.matvec(comm, &x));
+        // a route, the one kind of plan that is cached: the first request
+        // misses, the second hits
+        let cyclic = DistMap::cyclic(n, comm.size(), comm.rank());
+        let mut moved = vec![0.0; cyclic.my_count()];
+        for _ in 0..2 {
+            let route = cached_route(comm, &[comm.rank() as u8], || {
+                CommPlan::import(comm, &map, &cyclic, &Directory::build(comm, &map))
+            });
+            route.execute(comm, x.local(), &mut moved);
+        }
+        y.local()[0] + moved[0]
     });
     obs::set_enabled(false);
 
@@ -287,14 +294,14 @@ fn cache_and_pool_counters_reconcile_exactly_with_comm_stats() {
         hits += s.plan_hits;
         reuse += s.buffer_reuse;
     }
-    assert!(hits > 0, "the repeated build produced no plan-cache hits");
+    assert!(hits > 0, "the repeated route produced no plan-cache hits");
     assert!(reuse > 0, "the matvecs never recycled a wire buffer");
 }
 
 #[test]
 fn zerocopy_and_eviction_counters_reconcile_exactly_with_comm_stats() {
     use hpc_framework::dlinalg::{CsrMatrix, DistVector};
-    use hpc_framework::dmap::{clear_plan_cache, DistMap};
+    use hpc_framework::dmap::DistMap;
 
     let _g = obs_lock();
     obs::reset();
@@ -305,7 +312,6 @@ fn zerocopy_and_eviction_counters_reconcile_exactly_with_comm_stats() {
     // rank's halo traffic exercises the zero-copy counters.
     let cfg = UniverseConfig::default().with_zerocopy_threshold(1);
     let report = Universe::run_report(cfg, p, move |comm| {
-        clear_plan_cache();
         let row = move |g: usize| {
             let mut row = vec![(g, 4.0)];
             if g > 0 {

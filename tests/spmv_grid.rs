@@ -6,9 +6,11 @@
 //! order and to the blocking reference, and checks the structure the
 //! sweep and AMG rely on.
 
-use hpc_framework::comm::{Comm, Universe};
+use std::time::Duration;
+
+use hpc_framework::comm::{Comm, Delivery, FaultPlan, Universe, UniverseConfig};
 use hpc_framework::dlinalg::{reference, Complex64, CsrMatrix, DistVector, Scalar};
-use hpc_framework::dmap::{clear_plan_cache, DistMap};
+use hpc_framework::dmap::DistMap;
 use obs::SplitMix64;
 
 #[derive(Clone, Copy, Debug)]
@@ -90,10 +92,6 @@ fn check_cell<S: Cell>(comm: &Comm, rows: Layout, cols: Layout, shape: (usize, u
         "p={} rows={rows:?} cols={cols:?} shape={shape:?}",
         comm.size()
     );
-    // Cells share domain maps, and a rank whose ghost list happens to
-    // repeat would replay a cached plan while its peers build one
-    // (`dmap::plan_cache`: hits must be symmetric across ranks).
-    clear_plan_cache();
     let (row_map, dom) = (layout(comm, rows, shape.0), layout(comm, cols, shape.1));
     let a = CsrMatrix::<S>::from_row_fn(comm, row_map.clone(), dom.clone(), |g| {
         row_of(seed, g, shape.1)
@@ -186,6 +184,61 @@ fn matvec_reads_x_in_place_bitwise_on_every_layout_f64() {
 #[test]
 fn matvec_reads_x_in_place_bitwise_on_every_layout_complex() {
     sweep::<Complex64>(0xc0a1);
+}
+
+/// A matrix owns its halo plan and builds it where it is constructed, so
+/// two sparsities on one domain map need nothing between them. `b` is the
+/// 1-D Laplacian `a` plus the entry (3, 0): rank 1 owns row 3 and gains
+/// column 0 as a ghost, rank 0 gains a row to send, and every other
+/// rank's ghost list is the same for both matrices — the case a per-rank
+/// memo of the build got wrong (one rank replaying while its peers
+/// exchange request lists). A regression is a `Stalled` panic, not a hang.
+#[test]
+fn two_sparsities_on_one_domain_map_build_back_to_back() {
+    let row = |extra: bool, n: usize, g: usize| {
+        let mut r = vec![(g, 2.0)];
+        r.extend((g > 0).then(|| (g - 1, -1.0)));
+        r.extend((g + 1 < n).then(|| (g + 1, -1.0)));
+        r.extend((extra && g == 3).then_some((0, 0.5)));
+        r
+    };
+    for p in 2..=5 {
+        // clean, then the three chaos seeds ci.sh sweeps
+        for seed in [None, Some(42), Some(1009), Some(777_216)] {
+            let mut config = UniverseConfig::default().with_stall_timeout(Duration::from_secs(5));
+            if let Some(seed) = seed {
+                config = config
+                    .with_fault(FaultPlan::messages(seed, 0.08, 0.04, 0.04, 0.03))
+                    .with_delivery(Delivery::Reliable);
+            }
+            Universe::run_report(config, p, |comm| {
+                let ctx = format!("p={p} seed={seed:?} rank={}", comm.rank());
+                let n = 3 * p;
+                let map = DistMap::block(n, p, comm.rank());
+                let build = |extra| {
+                    CsrMatrix::<f64>::from_row_fn(comm, map.clone(), map.clone(), |g| {
+                        row(extra, n, g)
+                    })
+                };
+                let (a, b) = (build(false), build(true));
+                let ghosts = |m: &CsrMatrix<f64>| m.col_gids()[map.my_count()..].to_vec();
+                assert_eq!(ghosts(&a) != ghosts(&b), comm.rank() == 1, "{ctx}");
+
+                let x_at = |g: usize| 1.0 + (g * g) as f64;
+                let x = DistVector::from_fn(map.clone(), x_at);
+                for (extra, m) in [(false, &a), (true, &b)] {
+                    let y = m.matvec(comm, &x);
+                    let y_ref = reference::matvec_blocking(m, comm, &x);
+                    for (l, (yl, rl)) in y.local().iter().zip(y_ref.local()).enumerate() {
+                        let g = map.local_to_global(l);
+                        let serial: f64 = row(extra, n, g).iter().map(|&(c, v)| v * x_at(c)).sum();
+                        assert_eq!(yl.to_bits(), serial.to_bits(), "{ctx} row {g} vs serial");
+                        assert_eq!(yl.to_bits(), rl.to_bits(), "{ctx} row {g} vs reference");
+                    }
+                }
+            });
+        }
+    }
 }
 
 /// The ghost exchange of the benchmark's own matrix: one message per

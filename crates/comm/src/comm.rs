@@ -88,7 +88,7 @@ pub(crate) struct RankState {
     pub(crate) nic_free: Cell<f64>,
     /// Wall-clock deadline for blocking receives/waits; `None` blocks
     /// forever (see [`CommError::Stalled`]).
-    pub(crate) stall_timeout: Cell<Option<Duration>>,
+    pub(crate) stall_timeout: Option<Duration>,
     pub(crate) stats: RefCell<CommStats>,
     /// This rank's world (global) id, fixed at universe launch.
     pub(crate) world_rank: usize,
@@ -225,7 +225,7 @@ impl Comm {
                 pending: RefCell::new(Vec::new()),
                 clock: Cell::new(0.0),
                 nic_free: Cell::new(0.0),
-                stall_timeout: Cell::new(config.stall_timeout),
+                stall_timeout: config.stall_timeout,
                 stats: RefCell::new(CommStats::default()),
                 world_rank: rank,
                 delivery: config.delivery,
@@ -275,11 +275,6 @@ impl Comm {
         self.algo
     }
 
-    /// Override the collective algorithm (must be called symmetrically).
-    pub fn set_algo(&mut self, algo: CollectiveAlgo) {
-        self.algo = algo;
-    }
-
     /// Current virtual time of this rank, seconds.
     pub fn virtual_time(&self) -> f64 {
         self.state.clock.get()
@@ -288,13 +283,6 @@ impl Comm {
     /// Advance this rank's virtual clock by a modeled compute phase.
     pub fn advance_compute(&self, flops: f64) {
         let dt = self.model.compute_time(flops);
-        self.state.clock.set(self.state.clock.get() + dt);
-        self.state.stats.borrow_mut().modeled_compute_s += dt;
-    }
-
-    /// Advance this rank's virtual clock by an explicit duration (for
-    /// callers that model compute in seconds rather than flops).
-    pub fn advance_seconds(&self, dt: f64) {
         self.state.clock.set(self.state.clock.get() + dt);
         self.state.stats.borrow_mut().modeled_compute_s += dt;
     }
@@ -396,16 +384,10 @@ impl Comm {
         }
     }
 
-    /// Override the stall deadline for blocking receives and request
-    /// waits on this rank (shared by every derived sub-communicator).
-    pub fn set_stall_timeout(&self, timeout: Option<Duration>) {
-        self.state.stall_timeout.set(timeout);
-    }
-
     /// Send raw bytes to `dest` (communicator-local) with `tag`. Blocking
     /// wrapper over [`Comm::isend_bytes`]: posts the message and settles
     /// the clock immediately, charging the full `o + bytes·G`.
-    pub fn send_bytes(&self, dest: usize, tag: Tag, bytes: Vec<u8>) -> Result<(), CommError> {
+    fn send_bytes(&self, dest: usize, tag: Tag, bytes: Vec<u8>) -> Result<(), CommError> {
         let req = self.isend_bytes_named(dest, tag, bytes, "send")?;
         self.wait(req).map(|_| ())
     }
@@ -465,7 +447,7 @@ impl Comm {
 
     /// Receive raw bytes matching `(src, tag)`; blocks until a match
     /// arrives. Blocking wrapper over [`Comm::irecv`] + [`Comm::wait`].
-    pub fn recv_bytes(&self, src: Src, tag: Tag) -> Result<(Vec<u8>, Status), CommError> {
+    fn recv_bytes(&self, src: Src, tag: Tag) -> Result<(Vec<u8>, Status), CommError> {
         let req = self.irecv_named(src, tag, "recv")?;
         let (payload, status) = self
             .wait(req)?
@@ -553,11 +535,6 @@ impl Comm {
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
         })
-    }
-
-    /// Duplicate the communicator (same group, separate message context).
-    pub fn duplicate(&self) -> Result<Comm, CommError> {
-        self.split(0)
     }
 }
 

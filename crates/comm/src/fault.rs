@@ -128,11 +128,6 @@ impl FaultPlan {
             || self.kill_rank.is_some()
     }
 
-    /// Can this plan lose messages (requiring retransmission)?
-    pub fn lossy(&self) -> bool {
-        self.drop_p > 0.0 || self.corrupt_p > 0.0
-    }
-
     /// Decide the fate of the `idx`-th fresh transmission by global rank
     /// `rank`. Pure and deterministic.
     pub fn action(&self, rank: usize, idx: u64) -> FaultAction {

@@ -12,7 +12,7 @@
 //!
 //! A region still *models* as the bytes it would have occupied on a real
 //! cluster's wire: every region carries its exact encoded-equivalent size
-//! ([`Region::wire_bytes`], computed by [`Wire::wire_size`](crate::Wire)),
+//! (`Region::wire_bytes`, computed by [`Wire::wire_size`](crate::Wire)),
 //! and the LogGP clock, [`Status::bytes`](crate::Status), and the
 //! byte-counting stats all charge that size. Scaling shapes (E2/E9/E17)
 //! are therefore bitwise independent of which arm a message took.
@@ -73,12 +73,6 @@ impl Region {
         self.integrity
     }
 
-    /// The exact number of bytes this value would occupy on the wire —
-    /// what the LogGP clock and byte counters charge for the transfer.
-    pub fn wire_bytes(&self) -> usize {
-        self.wire_bytes
-    }
-
     /// Borrow the transported value, if it is a `T`.
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.data.downcast_ref::<T>()
@@ -126,7 +120,7 @@ impl Payload {
     pub fn wire_len(&self) -> usize {
         match self {
             Payload::Bytes(b) => b.len(),
-            Payload::Region(r) => r.wire_bytes(),
+            Payload::Region(r) => r.wire_bytes,
         }
     }
 
@@ -145,7 +139,7 @@ impl Payload {
             Payload::Region(r) => Err(CommError::Decode(format!(
                 "zero-copy region ({} wire bytes) arrived at a wire-bytes-only receive; \
                  pair region sends with a `_zc` receive",
-                r.wire_bytes()
+                r.wire_bytes
             ))),
         }
     }
@@ -160,7 +154,7 @@ mod tests {
         let v = vec![1.0f64; 1000];
         let ptr = v.as_ptr();
         let r = Region::new(v, 8008);
-        assert_eq!(r.wire_bytes(), 8008);
+        assert_eq!(r.wire_bytes, 8008);
         let back: Vec<f64> = r.take().unwrap();
         // Sole handle: the allocation moved, it was not cloned.
         assert_eq!(back.as_ptr(), ptr);

@@ -8,13 +8,12 @@
 //! work when full, so overload surfaces as a typed error at the admission
 //! edge instead of unbounded memory growth in the middle.
 //!
-//! [`Bounded`] is that primitive: a `Mutex<VecDeque>` + two condvars,
-//! shared by `Arc`. Producers choose their backpressure behavior per call
-//! — [`Bounded::try_push`] (fail fast), [`Bounded::push_timeout`] (block
-//! briefly, then fail) — and every refusal is counted, never silent.
-//! Consumers symmetrically pick [`Bounded::try_pop`],
-//! [`Bounded::pop_timeout`] or the blocking [`Bounded::pop`]. Closing the
-//! queue wakes everyone; items already queued drain normally.
+//! [`Bounded`] is that primitive: a `Mutex<VecDeque>` + one condvar,
+//! shared by `Arc`. Producers never block — [`Bounded::try_push`] fails
+//! fast on a full queue — and every refusal is counted, never silent.
+//! Consumers pick [`Bounded::pop_timeout`] or the blocking
+//! [`Bounded::pop`]. Closing the queue wakes every consumer; items
+//! already queued drain normally.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -25,8 +24,7 @@ use std::time::{Duration, Instant};
 /// push never consumes the value.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at capacity (and stayed there for the whole timeout,
-    /// for [`Bounded::push_timeout`]). This is backpressure, not failure.
+    /// The queue is at capacity. This is backpressure, not failure.
     Full(T),
     /// The queue was closed; no further work is accepted.
     Closed(T),
@@ -44,8 +42,6 @@ impl<T> PushError<T> {
 /// Why a pop returned no item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PopError {
-    /// Nothing queued right now (only from [`Bounded::try_pop`]).
-    Empty,
     /// Nothing arrived within the timeout.
     TimedOut,
     /// The queue is closed *and* drained; no item will ever arrive.
@@ -74,7 +70,6 @@ struct Inner<T> {
 pub struct Bounded<T> {
     cap: usize,
     inner: Mutex<Inner<T>>,
-    not_full: Condvar,
     not_empty: Condvar,
 }
 
@@ -89,7 +84,6 @@ impl<T> Bounded<T> {
                 closed: false,
                 stats: QueueStats::default(),
             }),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
     }
@@ -109,11 +103,6 @@ impl<T> Bounded<T> {
         self.lock().items.is_empty()
     }
 
-    /// Has [`Bounded::close`] been called?
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Snapshot the running totals.
     pub fn stats(&self) -> QueueStats {
         self.lock().stats
@@ -121,64 +110,19 @@ impl<T> Bounded<T> {
 
     /// Enqueue without blocking; a full queue refuses immediately.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        self.push_deadline(item, None)
-    }
-
-    /// Enqueue, blocking up to `timeout` for space. The bounded wait is
-    /// what propagates backpressure upstream without parking a producer
-    /// forever on a wedged consumer.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), PushError<T>> {
-        self.push_deadline(item, Some(timeout))
-    }
-
-    fn push_deadline(&self, item: T, timeout: Option<Duration>) -> Result<(), PushError<T>> {
-        let t0 = Instant::now();
         let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(PushError::Closed(item));
-            }
-            if inner.items.len() < self.cap {
-                inner.items.push_back(item);
-                inner.stats.pushed += 1;
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            let remaining = match timeout {
-                None => {
-                    inner.stats.rejected_full += 1;
-                    return Err(PushError::Full(item));
-                }
-                Some(limit) => match limit.checked_sub(t0.elapsed()) {
-                    Some(rem) if !rem.is_zero() => rem,
-                    _ => {
-                        inner.stats.rejected_full += 1;
-                        return Err(PushError::Full(item));
-                    }
-                },
-            };
-            inner = self
-                .not_full
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
+        if inner.closed {
+            return Err(PushError::Closed(item));
         }
-    }
-
-    /// Dequeue without blocking.
-    pub fn try_pop(&self) -> Result<T, PopError> {
-        let mut inner = self.lock();
-        match inner.items.pop_front() {
-            Some(item) => {
-                inner.stats.popped += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                Ok(item)
-            }
-            None if inner.closed => Err(PopError::Closed),
-            None => Err(PopError::Empty),
+        if inner.items.len() == self.cap {
+            inner.stats.rejected_full += 1;
+            return Err(PushError::Full(item));
         }
+        inner.items.push_back(item);
+        inner.stats.pushed += 1;
+        drop(inner);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Dequeue, blocking up to `timeout` for an item.
@@ -188,8 +132,6 @@ impl<T> Bounded<T> {
         loop {
             if let Some(item) = inner.items.pop_front() {
                 inner.stats.popped += 1;
-                drop(inner);
-                self.not_full.notify_one();
                 return Ok(item);
             }
             if inner.closed {
@@ -214,8 +156,6 @@ impl<T> Bounded<T> {
         loop {
             if let Some(item) = inner.items.pop_front() {
                 inner.stats.popped += 1;
-                drop(inner);
-                self.not_full.notify_one();
                 return Ok(item);
             }
             if inner.closed {
@@ -243,17 +183,14 @@ impl<T> Bounded<T> {
         let item = inner.items.remove(idx);
         if item.is_some() {
             inner.stats.popped += 1;
-            drop(inner);
-            self.not_full.notify_one();
         }
         item
     }
 
     /// Close the queue: further pushes fail with [`PushError::Closed`],
-    /// queued items drain, and every blocked producer/consumer wakes.
+    /// queued items drain, and every blocked consumer wakes.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
@@ -277,35 +214,11 @@ mod tests {
         assert_eq!(q.len(), 2);
         let st = q.stats();
         assert_eq!((st.pushed, st.rejected_full), (2, 1));
-        assert_eq!(q.try_pop(), Ok(1));
+        assert_eq!(q.pop(), Ok(1));
         q.try_push(3).unwrap();
-        assert_eq!(q.try_pop(), Ok(2));
-        assert_eq!(q.try_pop(), Ok(3));
-        assert_eq!(q.try_pop(), Err(PopError::Empty));
-    }
-
-    #[test]
-    fn push_timeout_blocks_until_space_frees() {
-        let q = Arc::new(Bounded::new(1));
-        q.try_push(10u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || {
-            // Frees the slot after a short delay.
-            std::thread::sleep(Duration::from_millis(20));
-            q2.pop().unwrap()
-        });
-        q.push_timeout(11, Duration::from_secs(5)).unwrap();
-        assert_eq!(h.join().unwrap(), 10);
-        assert_eq!(q.pop().unwrap(), 11);
-    }
-
-    #[test]
-    fn push_timeout_gives_up_and_returns_the_item() {
-        let q = Bounded::new(1);
-        q.try_push(1).unwrap();
-        let err = q.push_timeout(2, Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err.into_inner(), 2);
-        assert_eq!(q.stats().rejected_full, 1);
+        assert_eq!(q.pop(), Ok(2));
+        assert_eq!(q.pop(), Ok(3));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -346,8 +259,8 @@ mod tests {
         assert_eq!(q.len(), 3);
         // Shed the *lowest* by inverting the key.
         assert_eq!(q.take_max_by_key(|&v| std::cmp::Reverse(v)), Some(1));
-        assert_eq!(q.try_pop(), Ok(3));
-        assert_eq!(q.try_pop(), Ok(9));
+        assert_eq!(q.pop(), Ok(3));
+        assert_eq!(q.pop(), Ok(9));
         assert!(q.take_max_by_key(|&v| v).is_none());
     }
 
@@ -360,8 +273,11 @@ mod tests {
             let q = Arc::clone(&q);
             producers.push(std::thread::spawn(move || {
                 for i in 0..250u64 {
-                    let v = p * 1000 + i;
-                    q.push_timeout(v, Duration::from_secs(10)).unwrap();
+                    let mut v = p * 1000 + i;
+                    while let Err(full) = q.try_push(v) {
+                        v = full.into_inner();
+                        std::thread::yield_now();
+                    }
                 }
             }));
         }

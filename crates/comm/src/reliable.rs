@@ -96,11 +96,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Has the fault plan killed this rank?
-    pub fn is_killed(&self) -> bool {
-        self.state.killed.get()
-    }
-
     fn killed_error(&self) -> CommError {
         CommError::Killed {
             rank: self.state.world_rank,
@@ -389,7 +384,7 @@ impl Comm {
         if !self.reliable() {
             return;
         }
-        let limit = self.state.stall_timeout.get().unwrap_or(QUIESCE_LIMIT);
+        let limit = self.state.stall_timeout.unwrap_or(QUIESCE_LIMIT);
         let t0 = Instant::now();
         while !self.state.unacked.borrow().is_empty() {
             if t0.elapsed() >= limit {
@@ -516,7 +511,7 @@ mod tests {
                     after_ops: 3
                 }
             );
-            assert!(comm.is_killed());
+            assert!(comm.state.killed.get());
             comm.recv::<u8>(Src::Rank(0), 1).unwrap_err()
         });
         assert_eq!(

@@ -108,7 +108,7 @@ pub struct Request {
 impl Request {
     /// Is this a send request? (Sends are always complete: payloads are
     /// buffered at post time, so `wait` only settles the virtual clock.)
-    pub fn is_send(&self) -> bool {
+    fn is_send(&self) -> bool {
         matches!(self.inner, ReqInner::Send { .. })
     }
 }
@@ -305,7 +305,7 @@ impl Comm {
     /// message for receives, `None` for sends. Honors the universe's stall
     /// deadline (see [`CommError::Stalled`]).
     pub fn wait(&self, req: Request) -> Result<Completion, CommError> {
-        self.wait_deadline(req, self.state.stall_timeout.get())
+        self.wait_deadline(req, self.state.stall_timeout)
     }
 
     /// Complete a receive request and decode its payload. The delivered
@@ -605,7 +605,7 @@ impl Comm {
     pub fn waitany(&self, reqs: &mut Vec<Request>) -> Result<(usize, Completion), CommError> {
         assert!(!reqs.is_empty(), "waitany on an empty request set");
         let t0 = Instant::now();
-        let deadline = self.state.stall_timeout.get();
+        let deadline = self.state.stall_timeout;
         loop {
             for i in 0..reqs.len() {
                 if self.test(&mut reqs[i]) {
@@ -646,24 +646,14 @@ impl Comm {
         tag: Tag,
         timeout: Duration,
     ) -> Result<(T, Status), CommError> {
-        let (bytes, status) = self.recv_bytes_timeout(src, tag, timeout)?;
-        let value = decode_from_slice(&bytes)?;
-        self.put_buf(bytes);
-        Ok((value, status))
-    }
-
-    /// Raw-bytes variant of [`Comm::recv_timeout`].
-    pub fn recv_bytes_timeout(
-        &self,
-        src: Src,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(Vec<u8>, Status), CommError> {
         let req = self.irecv_named(src, tag, "recv")?;
         let (payload, status) = self
             .wait_deadline(req, Some(timeout))?
             .expect("receive completion carries a payload");
-        Ok((payload.into_wire_bytes()?, status))
+        let bytes = payload.into_wire_bytes()?;
+        let value = decode_from_slice(&bytes)?;
+        self.put_buf(bytes);
+        Ok((value, status))
     }
 
     /// Registry labels use the *global* rank so sub-communicator traffic

@@ -96,15 +96,6 @@ impl CommStats {
         self.corrupt_skipped_region += other.corrupt_skipped_region;
         self.region_integrity_checked += other.region_integrity_checked;
     }
-
-    /// Mean payload size of sent messages, or 0.0 if none were sent.
-    pub fn mean_sent_msg_bytes(&self) -> f64 {
-        if self.msgs_sent == 0 {
-            0.0
-        } else {
-            self.bytes_sent as f64 / self.msgs_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,16 +154,5 @@ mod tests {
         assert_eq!(a.zerocopy_bytes, 1800);
         assert_eq!(a.corrupt_skipped_region, 4);
         assert_eq!(a.region_integrity_checked, 10);
-    }
-
-    #[test]
-    fn mean_msg_size_handles_zero() {
-        assert_eq!(CommStats::default().mean_sent_msg_bytes(), 0.0);
-        let s = CommStats {
-            msgs_sent: 4,
-            bytes_sent: 100,
-            ..Default::default()
-        };
-        assert_eq!(s.mean_sent_msg_bytes(), 25.0);
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::collectives::CollectiveAlgo;
 use crate::comm::{Comm, Envelope};
@@ -67,13 +67,6 @@ impl Default for UniverseConfig {
 }
 
 impl UniverseConfig {
-    /// Set the LogGP network cost model.
-    #[must_use]
-    pub fn with_model(mut self, model: NetworkModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Set the collective algorithm family.
     #[must_use]
     pub fn with_algo(mut self, algo: CollectiveAlgo) -> Self {
@@ -152,93 +145,92 @@ impl Universe {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        assert!(size > 0, "a job needs at least one rank");
         obs::init_from_env();
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = channel::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
-        let f = &f;
-        // Every rank thread exists before any rank program runs (what
-        // `MPI_Init` guarantees): a message to a rank that has not been
-        // spawned yet would sit unacknowledged for as long as spawning
-        // takes, and reliable delivery would retransmit healthy traffic.
+        let (senders, receivers) = mailboxes(size);
+        let (f, config) = (&f, &config);
         let start = Barrier::new(size);
         let start = &start;
         let t0 = Instant::now();
-        let mut outcomes: Vec<Option<(R, CommStats, f64)>> = (0..size).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(size);
-            for (rank, rx) in receivers.into_iter().enumerate() {
-                let senders = Arc::clone(&senders);
-                handles.push(scope.spawn(move || {
-                    let _obs = obs::RankGuard::enter(rank);
-                    let mut comm = Comm::new_world(rank, size, senders, rx, &config);
-                    start.wait();
-                    let result = f(&mut comm);
-                    // Heal any still-unacked reliable sends before the
-                    // rank's mailbox goes away.
-                    comm.quiesce();
-                    (result, comm.stats(), comm.virtual_time())
-                }));
-            }
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(out) => outcomes[rank] = Some(out),
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(rank, rx)| {
+                    let senders = Arc::clone(&senders);
+                    scope.spawn(move || rank_body(rank, senders, rx, config, start, f))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let wall_s = t0.elapsed().as_secs_f64();
-        let mut results = Vec::with_capacity(size);
-        let mut stats = Vec::with_capacity(size);
-        let mut makespan_s: f64 = 0.0;
-        for out in outcomes {
-            let (r, st, clock) = out.expect("every rank must produce a result");
-            results.push(r);
-            stats.push(st);
-            makespan_s = makespan_s.max(clock);
-        }
-        RunReport {
-            results,
-            stats,
-            makespan_s,
+        RunReport::assemble(outcomes, t0.elapsed().as_secs_f64())
+    }
+}
+
+type Senders = Arc<Vec<Sender<Envelope>>>;
+type RankOutcome<R> = (R, CommStats, f64);
+
+/// One mailbox per rank: everyone's sending half, shared, and each
+/// rank's own receiving half.
+fn mailboxes(size: usize) -> (Senders, Vec<Receiver<Envelope>>) {
+    assert!(size > 0, "a job needs at least one rank");
+    let (senders, receivers) = (0..size).map(|_| channel::<Envelope>()).unzip();
+    (Arc::new(senders), receivers)
+}
+
+/// What every rank thread does around its program.
+fn rank_body<R>(
+    rank: usize,
+    senders: Senders,
+    rx: Receiver<Envelope>,
+    config: &UniverseConfig,
+    start: &Barrier,
+    program: impl FnOnce(&mut Comm) -> R,
+) -> RankOutcome<R> {
+    let _obs = obs::RankGuard::enter(rank);
+    let mut comm = Comm::new_world(rank, senders.len(), senders, rx, config);
+    // Every rank thread exists before any rank program runs (what
+    // `MPI_Init` guarantees): a message to a rank that has not been
+    // spawned yet would sit unacknowledged for as long as spawning
+    // takes, and reliable delivery would retransmit healthy traffic.
+    start.wait();
+    let result = program(&mut comm);
+    // Heal any still-unacked reliable sends before the rank's mailbox
+    // goes away.
+    comm.quiesce();
+    (result, comm.stats(), comm.virtual_time())
+}
+
+impl<R> RunReport<R> {
+    /// Collect joined ranks in rank order; a rank's panic resumes here.
+    fn assemble(
+        outcomes: impl IntoIterator<Item = std::thread::Result<RankOutcome<R>>>,
+        wall_s: f64,
+    ) -> Self {
+        let mut report = RunReport {
+            results: Vec::new(),
+            stats: Vec::new(),
+            makespan_s: 0.0,
             wall_s,
+        };
+        for out in outcomes {
+            let (r, st, clock) = out.unwrap_or_else(|e| std::panic::resume_unwind(e));
+            report.results.push(r);
+            report.stats.push(st);
+            report.makespan_s = report.makespan_s.max(clock);
         }
+        report
     }
 }
 
 /// A running detached job (see [`Universe::spawn`]).
 pub struct Detached<R> {
-    handles: Vec<std::thread::JoinHandle<(R, CommStats, f64)>>,
+    handles: Vec<std::thread::JoinHandle<RankOutcome<R>>>,
 }
 
 impl<R> Detached<R> {
     /// Wait for every rank and assemble the report.
     pub fn join(self) -> RunReport<R> {
-        let mut results = Vec::with_capacity(self.handles.len());
-        let mut stats = Vec::with_capacity(self.handles.len());
-        let mut makespan_s: f64 = 0.0;
-        for h in self.handles {
-            match h.join() {
-                Ok((r, st, clock)) => {
-                    results.push(r);
-                    stats.push(st);
-                    makespan_s = makespan_s.max(clock);
-                }
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-        RunReport {
-            results,
-            stats,
-            makespan_s,
-            wall_s: 0.0,
-        }
+        RunReport::assemble(self.handles.into_iter().map(|h| h.join()), 0.0)
     }
 
     /// Wait for every rank, swallowing panics instead of resuming them.
@@ -273,36 +265,24 @@ impl Universe {
         F: Fn(&mut Comm, T) -> R + Send + Sync + 'static,
         G: FnMut(usize) -> T,
     {
-        assert!(size > 0, "a job needs at least one rank");
         obs::init_from_env();
         let mut seed_fn = seed_fn;
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = channel::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
+        let (senders, receivers) = mailboxes(size);
         let f = Arc::new(f);
-        // As in `run_report`: no rank program starts before every rank
-        // thread exists.
         let start = Arc::new(Barrier::new(size));
-        let mut handles = Vec::with_capacity(size);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let senders = Arc::clone(&senders);
-            let f = Arc::clone(&f);
-            let start = Arc::clone(&start);
-            let seed = seed_fn(rank);
-            handles.push(std::thread::spawn(move || {
-                let _obs = obs::RankGuard::enter(rank);
-                let mut comm = Comm::new_world(rank, size, senders, rx, &config);
-                start.wait();
-                let result = f(&mut comm, seed);
-                comm.quiesce();
-                (result, comm.stats(), comm.virtual_time())
-            }));
-        }
+        let handles = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(rank, rx)| {
+                let senders = Arc::clone(&senders);
+                let f = Arc::clone(&f);
+                let start = Arc::clone(&start);
+                let seed = seed_fn(rank);
+                std::thread::spawn(move || {
+                    rank_body(rank, senders, rx, &config, &start, |comm| f(comm, seed))
+                })
+            })
+            .collect();
         Detached { handles }
     }
 }

@@ -1,6 +1,6 @@
 //! One-call setup of the whole framework.
 
-use odin::{OdinConfig, OdinContext};
+use odin::OdinContext;
 
 /// A configured framework instance: the ODIN worker pool (which also runs
 /// the solver stack via the bridge) plus convenience constructors. The
@@ -16,14 +16,6 @@ impl Session {
     pub fn new(workers: usize) -> Self {
         Session {
             ctx: OdinContext::with_workers(workers),
-        }
-    }
-
-    /// Start with a full configuration (custom cost model, collective
-    /// algorithm).
-    pub fn with_config(config: OdinConfig) -> Self {
-        Session {
-            ctx: OdinContext::new(config),
         }
     }
 

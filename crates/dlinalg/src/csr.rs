@@ -49,7 +49,7 @@ pub struct CsrMatrix<S: Scalar> {
 impl<S: Scalar> CsrMatrix<S> {
     /// Build from a per-row generator: `row_fn(global_row)` returns the
     /// `(global_col, value)` entries of that row. Collective, as
-    /// [`Self::from_local_rows`].
+    /// `from_local_rows`.
     pub fn from_row_fn(
         comm: &Comm,
         row_map: DistMap,
@@ -65,7 +65,7 @@ impl<S: Scalar> CsrMatrix<S> {
     /// the matrix owns its halo plan and builds it here, one
     /// [`CommPlan::gather`] that every rank enters whether or not it has
     /// ghosts. `clone()` is how a second matrix shares the plan.
-    pub fn from_local_rows(
+    fn from_local_rows(
         comm: &Comm,
         row_map: DistMap,
         domain_map: DistMap,
@@ -152,7 +152,7 @@ impl<S: Scalar> CsrMatrix<S> {
     /// Build from triplets that may live on any rank; entries are routed to
     /// the row's owner and duplicates are *summed* (finite-element assembly
     /// semantics — the Export/Add pattern). Collective: the triplet
-    /// routing, then [`Self::from_local_rows`].
+    /// routing, then `from_local_rows`.
     pub fn from_triplets(
         comm: &Comm,
         row_map: DistMap,

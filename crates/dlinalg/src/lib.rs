@@ -1,6 +1,6 @@
 //! # dlinalg — distributed linear algebra (Tpetra analog)
 //!
-//! Distributed vectors, multivectors and compressed-sparse-row matrices
+//! Distributed vectors and compressed-sparse-row matrices
 //! over the [`dmap`] distribution machinery, generic over a [`Scalar`] type
 //! the way Tpetra is templated on `Scalar` (paper §II-C): `f32`, `f64` and
 //! [`Complex64`] all work, the latter covering the Komplex package's role.
@@ -11,12 +11,10 @@
 
 pub mod csr;
 pub mod io;
-pub mod multivector;
 pub mod reference;
 pub mod scalar;
 pub mod vector;
 
 pub use csr::CsrMatrix;
-pub use multivector::DistMultiVector;
 pub use scalar::{Complex64, RealScalar, Scalar};
 pub use vector::DistVector;

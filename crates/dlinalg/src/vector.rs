@@ -88,11 +88,6 @@ impl<S: Scalar> DistVector<S> {
         &mut self.data
     }
 
-    /// Consume into the local buffer.
-    pub fn into_local(self) -> Vec<S> {
-        self.data
-    }
-
     /// Global length.
     pub fn n_global(&self) -> usize {
         self.map.n_global()

@@ -183,16 +183,6 @@ impl CommPlan {
         self.n_target * self.width
     }
 
-    /// Total values this rank sends when the plan executes.
-    pub fn n_sent(&self) -> usize {
-        self.sends.iter().map(|(_, l)| run_len(l)).sum::<usize>() * self.width
-    }
-
-    /// Number of peer ranks this rank exchanges data with.
-    pub fn n_peers(&self) -> usize {
-        self.sends.len() + self.recvs.len()
-    }
-
     /// Execute the plan: fill `target` (length [`Self::n_target`]) from
     /// `src_data` (laid out by the source map). Collective. Implemented as
     /// [`Self::execute_start`] + [`Self::execute_finish`] back-to-back; use
@@ -217,7 +207,17 @@ impl CommPlan {
         src_data: &[T],
         target: &mut [T],
     ) {
-        self.execute_combine(comm, src_data, target, |_, v| v)
+        self.check_target(target);
+        let tag = comm.next_spmd_tag();
+        for &(peer, ref rows) in &self.sends {
+            let req = self.post_one(comm, src_data, peer, rows, tag);
+            comm.wait(req).expect("plan send");
+        }
+        copy_runs(target, &self.local.1, src_data, &self.local.0, self.width);
+        for &(peer, ref positions) in &self.recvs {
+            let req = comm.irecv(Src::Rank(peer), tag).expect("plan irecv");
+            self.land(comm, req, positions, target);
+        }
     }
 
     /// First half of a split-phase execution: post every outgoing payload
@@ -290,44 +290,32 @@ impl CommPlan {
         }
     }
 
-    /// Scatter one received payload directly into `target` at the rows
-    /// `positions`: inserted as is, or folded in with
-    /// `combine(old, incoming)`. Wire-path payloads decode straight from
-    /// the pooled buffer (then recycle it); region payloads are read in
-    /// place through the handle, an insert being one bulk [`copy_runs`].
+    /// Wait for one posted receive and scatter its payload directly into
+    /// `target` at the rows `positions`. Wire-path payloads decode
+    /// straight from the pooled buffer (then recycle it); region payloads
+    /// are read in place through the handle, one bulk [`copy_runs`].
     /// Neither arm stages an intermediate copy.
-    fn scatter_payload<T, F>(
+    fn land<T: Wire + Copy + Send + Sync + 'static>(
         &self,
         comm: &Comm,
-        payload: Payload,
+        req: Request,
         positions: &[Run],
         target: &mut [T],
-        combine: Option<&F>,
-    ) where
-        T: Wire + Copy + Send + Sync + 'static,
-        F: Fn(T, T) -> T,
-    {
+    ) {
+        let (payload, _) = comm
+            .wait(req)
+            .expect("plan recv")
+            .expect("receive completion carries a payload");
         let w = self.width;
-        let land = |target: &mut [T], pos: usize, v: T| {
-            target[pos] = match combine {
-                Some(f) => f(target[pos], v),
-                None => v,
-            }
-        };
-        // Element positions of the rows, in payload order.
-        let lanes = || indices(positions).flat_map(|row| row * w..(row + 1) * w);
         let n_elems = run_len(positions) * w;
         match payload {
             Payload::Bytes(bytes) => {
                 let mut cur = Cursor::new(&bytes);
                 let n = u64::decode(&mut cur).expect("plan payload header") as usize;
                 assert_eq!(n, n_elems, "plan payload mismatch");
-                for pos in lanes() {
-                    land(
-                        target,
-                        pos,
-                        T::decode(&mut cur).expect("plan payload element"),
-                    );
+                // Element positions of the rows, in payload order.
+                for pos in indices(positions).flat_map(|row| row * w..(row + 1) * w) {
+                    target[pos] = T::decode(&mut cur).expect("plan payload element");
                 }
                 assert_eq!(cur.remaining(), 0, "trailing bytes in plan payload");
                 comm.put_buf(bytes);
@@ -337,18 +325,12 @@ impl CommPlan {
                     .downcast_ref()
                     .expect("plan region payload is not Vec<T>");
                 assert_eq!(vals.len(), n_elems, "plan payload mismatch");
-                if combine.is_none() {
-                    let whole = Run {
-                        start: 0,
-                        step: 1,
-                        n: run_len(positions),
-                    };
-                    copy_runs(target, positions, vals, &[whole], w);
-                } else {
-                    for (pos, &v) in lanes().zip(vals) {
-                        land(target, pos, v);
-                    }
-                }
+                let whole = Run {
+                    start: 0,
+                    step: 1,
+                    n: run_len(positions),
+                };
+                copy_runs(target, positions, vals, &[whole], w);
             }
         }
     }
@@ -362,44 +344,10 @@ impl CommPlan {
         target: &mut [T],
     ) {
         for ((_, positions), req) in self.recvs.iter().zip(inflight.recvs) {
-            let (payload, _) = comm
-                .wait(req)
-                .expect("plan recv")
-                .expect("receive completion carries a payload");
-            self.scatter_payload::<T, fn(T, T) -> T>(comm, payload, positions, target, None);
+            self.land(comm, req, positions, target);
         }
         for req in inflight.sends {
             comm.wait(req).expect("plan send wait");
-        }
-    }
-
-    /// Execute with an explicit combine: `combine(old_target_value, incoming)`
-    /// decides what lands in the target (`|_, v| v` inserts, `|a, b| a + b`
-    /// accumulates).
-    pub fn execute_combine<T, F>(&self, comm: &Comm, src_data: &[T], target: &mut [T], combine: F)
-    where
-        T: Wire + Copy + Send + Sync + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.check_target(target);
-        let w = self.width;
-        let tag = comm.next_spmd_tag();
-        for &(peer, ref rows) in &self.sends {
-            let req = self.post_one(comm, src_data, peer, rows, tag);
-            comm.wait(req).expect("plan send");
-        }
-        for (srow, trow) in indices(&self.local.0).zip(indices(&self.local.1)) {
-            for k in 0..w {
-                target[trow * w + k] = combine(target[trow * w + k], src_data[srow * w + k]);
-            }
-        }
-        for &(peer, ref positions) in &self.recvs {
-            let req = comm.irecv(Src::Rank(peer), tag).expect("plan irecv");
-            let (payload, _) = comm
-                .wait(req)
-                .expect("plan recv")
-                .expect("receive completion carries a payload");
-            self.scatter_payload(comm, payload, positions, target, Some(&combine));
         }
     }
 }
@@ -449,22 +397,6 @@ mod tests {
             let out = run(&plan, comm, &src_data);
             let expect: Vec<f64> = needed.iter().map(|&g| g as f64 * 0.5).collect();
             assert_eq!(out, expect);
-        });
-    }
-
-    #[test]
-    fn combine_add_accumulates() {
-        Universe::run(2, |comm| {
-            let n = 4;
-            let map = DistMap::block(n, comm.size(), comm.rank());
-            let dir = Directory::build(comm, &map);
-            // Both ranks request gid 0 and gid 3.
-            let needed = vec![0usize, 3];
-            let plan = CommPlan::gather(comm, &map, &dir, &needed);
-            let src_data: Vec<i64> = map.my_gids().iter().map(|&g| g as i64).collect();
-            let mut target = vec![10i64; 2];
-            plan.execute_combine(comm, &src_data, &mut target, |a, b| a + b);
-            assert_eq!(target, vec![10, 13]);
         });
     }
 
@@ -528,8 +460,7 @@ mod tests {
             let map = DistMap::block(n, comm.size(), comm.rank());
             let dir = Directory::build(comm, &map);
             let plan = CommPlan::import(comm, &map, &map, &dir);
-            assert_eq!(plan.n_sent(), 0);
-            assert_eq!(plan.n_peers(), 0);
+            assert!(plan.sends.is_empty() && plan.recvs.is_empty());
         });
     }
 
@@ -664,8 +595,6 @@ mod tests {
                     assert_eq!(local, want.local, "{name} p={p}");
                     assert_eq!(run_len(&plan.local.0), run_len(&plan.local.1));
                     assert_eq!(plan.n_target(), needed.len());
-                    let n_sent: usize = want.sends.iter().map(|(_, l)| l.len()).sum();
-                    assert_eq!(plan.n_sent(), n_sent);
                 }
             });
         }
@@ -768,7 +697,7 @@ mod tests {
                 let dir = Directory::build(comm, &map);
                 let ghosts = laplace_2d_ghosts(&map, nx);
                 let plan = CommPlan::gather(comm, &map, &dir, &ghosts);
-                assert!(plan.n_peers() > 0);
+                assert!(!plan.sends.is_empty() && !plan.recvs.is_empty());
                 for (peer, runs) in plan.sends.iter().chain(&plan.recvs) {
                     assert!(runs.len() <= 2, "peer {peer}: {runs:?}");
                 }
@@ -805,14 +734,6 @@ mod tests {
                         let mut out = vec![f64::NAN; needed.len()];
                         plan.execute_blocking(comm, &data, &mut out);
                         assert_eq!(bits(&out), want, "blocking: {ctx}");
-
-                        let base = |i: usize| 10.0 * i as f64;
-                        let mut out: Vec<f64> = (0..needed.len()).map(base).collect();
-                        plan.execute_combine(comm, &data, &mut out, |a, b| a + b);
-                        let sum: Vec<f64> = (needed.iter().enumerate())
-                            .map(|(i, &g)| base(i) + value(g))
-                            .collect();
-                        assert_eq!(bits(&out), bits(&sum), "combine(+): {ctx}");
                     }
                 });
             }

@@ -202,7 +202,7 @@ impl DistMap {
     }
 
     /// Number of indices owned by `rank`.
-    pub fn count_on(&self, rank: usize) -> usize {
+    fn count_on(&self, rank: usize) -> usize {
         match &self.kind {
             MapKind::Block { offsets } => offsets[rank + 1] - offsets[rank],
             MapKind::Cyclic => block_count_cyclic(self.n_global, self.n_ranks, rank),

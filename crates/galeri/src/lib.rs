@@ -8,10 +8,9 @@
 pub mod manufactured;
 pub mod maps;
 pub mod matrices;
-pub mod workloads;
 
-pub use manufactured::{poisson1d_manufactured, poisson2d_manufactured, ManufacturedProblem};
+pub use manufactured::{poisson2d_manufactured, ManufacturedProblem};
 pub use matrices::{
     advection_diffusion_1d, anisotropic_laplace_2d, identity, laplace_1d, laplace_2d, laplace_3d,
-    random_spd, tridiag,
+    random_spd,
 };

@@ -6,7 +6,7 @@ use std::f64::consts::PI;
 use comm::Comm;
 use dlinalg::{CsrMatrix, DistVector};
 
-use crate::matrices::{laplace_1d, laplace_2d};
+use crate::matrices::laplace_2d;
 
 /// A linear system with a known exact solution.
 pub struct ManufacturedProblem {
@@ -16,19 +16,6 @@ pub struct ManufacturedProblem {
     pub b: DistVector<f64>,
     /// Exact discrete solution (`a · x_exact == b` to rounding).
     pub x_exact: DistVector<f64>,
-}
-
-/// 1-D Poisson with `u(x) = sin(πx)` on `(0,1)`, Dirichlet boundaries.
-/// The discrete RHS is computed as `A·u_h`, so `u_h` is exactly the
-/// discrete solution (no truncation-error tolerance needed in tests).
-pub fn poisson1d_manufactured(comm: &Comm, n: usize) -> ManufacturedProblem {
-    let a = laplace_1d(comm, n);
-    let h = 1.0 / (n as f64 + 1.0);
-    let x_exact = DistVector::from_fn(a.domain_map().clone(), move |g| {
-        (PI * (g as f64 + 1.0) * h).sin()
-    });
-    let b = a.matvec(comm, &x_exact);
-    ManufacturedProblem { a, b, x_exact }
 }
 
 /// 2-D Poisson with `u(x,y) = sin(πx)·sin(πy)` on the unit square.
@@ -53,15 +40,11 @@ mod tests {
     #[test]
     fn residual_of_exact_solution_is_zero() {
         Universe::run(3, |comm| {
-            for prob in [
-                poisson1d_manufactured(comm, 17),
-                poisson2d_manufactured(comm, 5, 7),
-            ] {
-                let ax = prob.a.matvec(comm, &prob.x_exact);
-                let mut r = prob.b.clone();
-                r.axpy(-1.0, &ax);
-                assert!(r.norm2(comm) < 1e-13);
-            }
+            let prob = poisson2d_manufactured(comm, 5, 7);
+            let ax = prob.a.matvec(comm, &prob.x_exact);
+            let mut r = prob.b.clone();
+            r.axpy(-1.0, &ax);
+            assert!(r.norm2(comm) < 1e-13);
         });
     }
 

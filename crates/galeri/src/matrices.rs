@@ -11,7 +11,7 @@ fn square_maps(comm: &Comm, n: usize) -> (DistMap, DistMap) {
 }
 
 /// General tridiagonal matrix with constant bands `(lower, diag, upper)`.
-pub fn tridiag(comm: &Comm, n: usize, lower: f64, diag: f64, upper: f64) -> CsrMatrix<f64> {
+fn tridiag(comm: &Comm, n: usize, lower: f64, diag: f64, upper: f64) -> CsrMatrix<f64> {
     let (rm, dm) = square_maps(comm, n);
     CsrMatrix::from_row_fn(comm, rm, dm, move |g| {
         let mut row = Vec::with_capacity(3);

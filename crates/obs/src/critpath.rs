@@ -64,7 +64,7 @@ pub struct RankProfile {
 
 impl RankProfile {
     /// Total critical-path seconds attributed to this rank.
-    pub fn residency_total(&self) -> f64 {
+    fn residency_total(&self) -> f64 {
         self.residency.iter().sum()
     }
     /// Straggler score: anomaly categories first (blocked + retransmit).

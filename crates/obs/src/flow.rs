@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const NONE: u64 = 0;
 
 /// Bit marking a control-plane (master → worker) flow.
-pub const CTRL_BIT: u64 = 1 << 63;
+const CTRL_BIT: u64 = 1 << 63;
 
 static NEXT_DOMAIN: AtomicU64 = AtomicU64::new(1);
 static NEXT_CTRL: AtomicU64 = AtomicU64::new(1);
@@ -57,12 +57,6 @@ pub fn data(domain: u64, seq: u64) -> u64 {
 /// Allocate a fresh control-plane flow id (ODIN master dispatches).
 pub fn next_ctrl() -> u64 {
     CTRL_BIT | NEXT_CTRL.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Is this a control-plane flow (cross clock-domain edge)?
-#[inline]
-pub fn is_ctrl(flow: u64) -> bool {
-    flow & CTRL_BIT != 0
 }
 
 /// Argument keys shared between the `comm` instrumentation sites (which
@@ -94,9 +88,9 @@ mod tests {
         let d = next_domain();
         let f = data(d, 1);
         assert_ne!(f, NONE);
-        assert!(!is_ctrl(f));
+        assert_eq!(f & CTRL_BIT, 0);
         let c = next_ctrl();
-        assert!(is_ctrl(c));
+        assert_ne!(c & CTRL_BIT, 0);
         assert_ne!(c, f);
     }
 

@@ -184,14 +184,6 @@ impl Pag {
         self.edges.iter().filter(|e| e.flow != 0)
     }
 
-    /// Producer node matched to this consumer node, if any.
-    pub fn producer_of(&self, consumer: usize) -> Option<usize> {
-        self.edges
-            .iter()
-            .find(|e| e.dst == consumer && e.flow != 0)
-            .map(|e| e.src)
-    }
-
     /// Structural hash of the graph, stable across runs of the same
     /// deterministic program: covers ranks, categories, names, kinds,
     /// virtual times and edge shape — not wall times, not raw flow ids,

@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use registry::{global, Counter, Gauge, Histogram, Registry};
 pub use rng::SplitMix64;
-pub use span::{current_rank, set_rank, RankGuard};
+pub use span::RankGuard;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once, OnceLock};

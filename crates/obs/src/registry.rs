@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Number of log2 buckets: bucket `i` holds values `v` with
 /// `bit_length(v) == i`, i.e. bucket 0 is `v == 0`, bucket 1 is `v == 1`,
 /// bucket 11 is `1024..=2047`, and so on up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Monotone counter handle.
 #[derive(Clone)]
@@ -58,7 +58,7 @@ impl Gauge {
 
 /// Log2-bucketed histogram of `u64` samples (message sizes, iteration
 /// counts…). Records count, sum, min, max and a 65-bucket log2 profile.
-pub struct HistogramInner {
+struct HistogramInner {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -99,7 +99,7 @@ impl Histogram {
 
     /// Bucket index of a value: its bit length.
     #[inline]
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         (64 - v.leading_zeros()) as usize
     }
 
@@ -115,7 +115,7 @@ impl Histogram {
     }
 
     /// Snapshot the histogram.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         let h = &self.0;
         HistogramSnapshot {
             count: h.count.load(Ordering::Relaxed),
@@ -127,16 +127,6 @@ impl Histogram {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-        }
-    }
-
-    /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let s = self.snapshot();
-        if s.count == 0 {
-            0.0
-        } else {
-            s.sum as f64 / s.count as f64
         }
     }
 }
@@ -216,14 +206,6 @@ impl Registry {
     pub fn gauge_value(&self, key: &str) -> Option<f64> {
         match self.slots.lock().unwrap().get(key) {
             Some(Slot::Gauge(g)) => Some(g.get()),
-            _ => None,
-        }
-    }
-
-    /// Snapshot of a histogram if it exists.
-    pub fn histogram_snapshot(&self, key: &str) -> Option<HistogramSnapshot> {
-        match self.slots.lock().unwrap().get(key) {
-            Some(Slot::Histogram(h)) => Some(h.snapshot()),
             _ => None,
         }
     }
@@ -330,7 +312,7 @@ mod tests {
         for v in [0u64, 1, 3, 1024, 1500] {
             h.record(v);
         }
-        let s = r.histogram_snapshot("h").unwrap();
+        let s = h.snapshot();
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 2528);
         assert_eq!(s.min, 0);
@@ -339,7 +321,6 @@ mod tests {
         assert_eq!(s.buckets[1], 1);
         assert_eq!(s.buckets[2], 1);
         assert_eq!(s.buckets[11], 2);
-        assert!((h.mean() - 505.6).abs() < 1e-12);
     }
 
     #[test]

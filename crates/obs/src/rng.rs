@@ -49,13 +49,6 @@ impl SplitMix64 {
         (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
     }
 
-    /// Uniform `usize` in `[lo, hi)`. Panics if `lo >= hi`.
-    #[inline]
-    pub fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "gen_range_usize: empty range");
-        lo + self.gen_index(hi - lo)
-    }
-
     /// Bernoulli draw with probability `p`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
@@ -96,8 +89,6 @@ mod tests {
             let i = rng.gen_index(10);
             assert!(i < 10);
             seen[i] = true;
-            let j = rng.gen_range_usize(3, 7);
-            assert!((3..7).contains(&j));
         }
         assert!(seen.iter().all(|&s| s), "all indices should appear");
     }

@@ -90,15 +90,15 @@ impl SpanEvent {
 }
 
 /// One rank's buffered timeline.
-pub struct Ring {
+struct Ring {
     /// Rank this thread recorded as, `None` for the driver/master thread.
-    pub rank: Option<usize>,
+    rank: Option<usize>,
     events: Vec<SpanEvent>,
     capacity: usize,
     /// Next write position once `events` reached capacity.
     head: usize,
     /// Events overwritten because the ring was full.
-    pub dropped: u64,
+    dropped: u64,
 }
 
 impl Ring {
@@ -136,7 +136,7 @@ impl Ring {
     }
 
     /// Events in arrival order.
-    pub fn events(&self) -> Vec<SpanEvent> {
+    fn events(&self) -> Vec<SpanEvent> {
         let mut out = Vec::with_capacity(self.events.len());
         out.extend_from_slice(&self.events[self.head..]);
         out.extend_from_slice(&self.events[..self.head]);
@@ -168,12 +168,12 @@ fn my_ring() -> Arc<Mutex<Ring>> {
 
 /// Tag the current thread's timeline with a rank id. `comm::Universe`
 /// calls this on every rank thread it spawns.
-pub fn set_rank(rank: Option<usize>) {
+fn set_rank(rank: Option<usize>) {
     my_ring().lock().unwrap().rank = rank;
 }
 
 /// The rank the current thread recorded as, if any.
-pub fn current_rank() -> Option<usize> {
+fn current_rank() -> Option<usize> {
     MY_RING.with(|slot| slot.borrow().as_ref().and_then(|r| r.lock().unwrap().rank))
 }
 

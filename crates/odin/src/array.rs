@@ -38,7 +38,7 @@ pub fn set_binary_strategy(s: BinaryStrategy) {
 }
 
 /// Current alignment strategy.
-pub fn binary_strategy() -> BinaryStrategy {
+fn binary_strategy() -> BinaryStrategy {
     STRATEGY.with(|c| c.get())
 }
 
@@ -274,32 +274,24 @@ impl<'c> DistArray<'c> {
     /// Fetch the whole array to the master as `(shape, global buffer)` —
     /// rows in global order.
     pub fn fetch(&self) -> (Vec<usize>, Buffer) {
-        self.fetch_async().wait()
-    }
-
-    /// Pipelined [`Self::fetch`]: dispatch the gather and return a future,
-    /// so independent commands can overlap with the segment uploads.
-    pub fn fetch_async(&self) -> crate::reply::Pending<'c, (Vec<usize>, Buffer)> {
         let meta = self.meta();
-        let raw = self.ctx.dispatch_all(&Cmd::Fetch { a: self.id });
+        let replies = self.ctx.dispatch_all(&Cmd::Fetch { a: self.id }).wait();
         let p = self.ctx.n_workers();
-        raw.map(move |replies| {
-            let mut out = Buffer::zeros(meta.dtype, meta.n_global());
-            for (w, msg) in replies.into_iter().enumerate() {
-                // Large segments arrive as typed regions (no decode);
-                // small ones on the classic wire path.
-                let seg = match msg {
-                    ReplyMsg::Segment(data) => data,
-                    ReplyMsg::Bytes(bytes) => {
-                        comm::decode_from_slice(&bytes).expect("bad fetch payload")
-                    }
-                };
-                // Replies come in worker order; worker `w` holds the rows
-                // of its axis map, in local order.
-                out.scatter_runs(&meta.axis_map(p, w).local_runs(), meta.slab(), &seg);
-            }
-            (meta.shape, out)
-        })
+        let mut out = Buffer::zeros(meta.dtype, meta.n_global());
+        for (w, msg) in replies.into_iter().enumerate() {
+            // Large segments arrive as typed regions (no decode);
+            // small ones on the classic wire path.
+            let seg = match msg {
+                ReplyMsg::Segment(data) => data,
+                ReplyMsg::Bytes(bytes) => {
+                    comm::decode_from_slice(&bytes).expect("bad fetch payload")
+                }
+            };
+            // Replies come in worker order; worker `w` holds the rows
+            // of its axis map, in local order.
+            out.scatter_runs(&meta.axis_map(p, w).local_runs(), meta.slab(), &seg);
+        }
+        (meta.shape, out)
     }
 
     /// Fetch as a flat `Vec<f64>` (any dtype widens).

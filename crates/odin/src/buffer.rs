@@ -130,14 +130,6 @@ impl Buffer {
         }
     }
 
-    /// Borrow as `bool` slice (panics if not Bool).
-    pub fn as_bool(&self) -> &[bool] {
-        match self {
-            Buffer::Bool(v) => v,
-            other => panic!("expected bool buffer, found {:?}", other.dtype()),
-        }
-    }
-
     /// The elements selected by `runs`, in order; run indices are in units
     /// of `width` elements (see [`dmap::runs`]).
     pub fn gather_runs(&self, runs: &[Run], width: usize) -> Buffer {

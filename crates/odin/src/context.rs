@@ -17,7 +17,7 @@ use std::time::Duration;
 use comm::{Universe, UniverseConfig};
 
 use crate::error::OdinError;
-use crate::protocol::{ArrayMeta, Cmd, KernelOut, ReplyMsg};
+use crate::protocol::{ArrayMeta, Cmd, ReplyMsg};
 use crate::reply::ReplyEngine;
 use crate::worker::{worker_main, LocalFn, ToWorker};
 
@@ -81,13 +81,6 @@ impl OdinConfig {
         self
     }
 
-    /// Set the network cost model.
-    #[must_use]
-    pub fn with_model(mut self, model: comm::NetworkModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Set the collective algorithm family.
     #[must_use]
     pub fn with_algo(mut self, algo: comm::CollectiveAlgo) -> Self {
@@ -113,13 +106,6 @@ impl OdinConfig {
     #[must_use]
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Set how long the master waits on a silent worker's reply.
-    #[must_use]
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = Some(timeout);
         self
     }
 
@@ -192,13 +178,6 @@ pub struct OdinContext {
     pub(crate) stats: RefCell<ContextStats>,
     pub(crate) batch: RefCell<Option<Vec<Vec<u8>>>>,
     pub(crate) engine: RefCell<ReplyEngine>,
-    /// Monotonic dispatch counter (every command gets a sequence number).
-    pub(crate) cmd_seq: Cell<u64>,
-    /// Sequence number of the last command touching each array.
-    pub(crate) array_seq: RefCell<HashMap<u64, u64>>,
-    /// Highest sequence number proven complete per worker (a claimed
-    /// reply proves everything up to its command executed, FIFO).
-    pub(crate) worker_done_seq: RefCell<Vec<u64>>,
 }
 
 /// Spawn a fresh worker pool under `fault` (recovery respawns with the
@@ -266,9 +245,6 @@ impl OdinContext {
                 arrived: vec![0; config.n_workers],
                 ..Default::default()
             }),
-            cmd_seq: Cell::new(0),
-            array_seq: RefCell::new(HashMap::new()),
-            worker_done_seq: RefCell::new(vec![0; config.n_workers]),
         }
     }
 
@@ -466,78 +442,8 @@ impl OdinContext {
         }
     }
 
-    /// Record a command's dispatch: bump the sequence counter and stamp
-    /// every array it touches, so independent commands can be told apart
-    /// while both are in flight.
-    fn note_dispatch(&self, cmd: &Cmd) {
-        let seq = self.cmd_seq.get() + 1;
-        self.cmd_seq.set(seq);
-        let mut touched = self.array_seq.borrow_mut();
-        let mut touch = |id: u64| {
-            touched.insert(id, seq);
-        };
-        match cmd {
-            Cmd::Create { id, .. } | Cmd::SetData { id, .. } => touch(*id),
-            Cmd::Free { id } => {
-                touched.remove(id);
-            }
-            Cmd::Unary { out, a, .. }
-            | Cmd::BinaryScalar { out, a, .. }
-            | Cmd::AsType { out, a, .. }
-            | Cmd::Redistribute { out, a, .. }
-            | Cmd::Slice { out, a, .. }
-            | Cmd::CumSum { out, a } => {
-                touch(*out);
-                touch(*a);
-            }
-            Cmd::Binary { out, a, b, .. }
-            | Cmd::Concat { out, a, b }
-            | Cmd::MatMul { out, a, b } => {
-                touch(*out);
-                touch(*a);
-                touch(*b);
-            }
-            Cmd::Select { out, cond, a, b } => {
-                touch(*out);
-                touch(*cond);
-                touch(*a);
-                touch(*b);
-            }
-            Cmd::Reduce { a, out, axis, .. } => {
-                touch(*a);
-                if axis.is_some() {
-                    touch(*out);
-                }
-            }
-            Cmd::ArgReduce { a, .. } | Cmd::Fetch { a } => touch(*a),
-            Cmd::CallLocal { arrays, .. } => {
-                for &id in arrays {
-                    touch(id);
-                }
-            }
-            Cmd::EvalKernel {
-                template,
-                inputs,
-                outs,
-                ..
-            } => {
-                touch(*template);
-                for &id in inputs {
-                    touch(id);
-                }
-                for o in outs {
-                    if let KernelOut::Array { id, .. } = o {
-                        touch(*id);
-                    }
-                }
-            }
-            Cmd::Ping | Cmd::Shutdown | Cmd::RegisterKernel { .. } => {}
-        }
-    }
-
     /// Broadcast a control command to every worker.
     pub(crate) fn send_cmd(&self, cmd: &Cmd) {
-        self.note_dispatch(cmd);
         let timer = self.obs_timer();
         let mut bytes = comm::encode_to_vec(cmd);
         let n_bytes = bytes.len();
@@ -587,7 +493,6 @@ impl OdinContext {
     /// command order intact.
     pub(crate) fn send_cmd_to(&self, worker: usize, cmd: &Cmd) {
         self.flush_open_batch();
-        self.note_dispatch(cmd);
         let timer = self.obs_timer();
         let bytes = comm::encode_to_vec(cmd);
         let n = bytes.len() as u64;

@@ -39,7 +39,7 @@ pub mod slicing;
 pub mod table;
 pub mod worker;
 
-pub use array::{binary_strategy, set_binary_strategy, BinaryStrategy, DistArray};
+pub use array::{set_binary_strategy, BinaryStrategy, DistArray};
 pub use buffer::{Buffer, DType};
 pub use context::{ContextStats, OdinConfig, OdinContext};
 pub use error::{OdinError, RecoveryReport};

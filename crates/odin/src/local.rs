@@ -56,13 +56,6 @@ impl OdinContext {
         self.call_local(id, &ids, &[]);
         let _ = self.collect_replies_pub();
     }
-
-    /// Create an uninitialized (zeros) array handle whose segments a local
-    /// function will fill — lets local code produce new global arrays.
-    pub fn placeholder_like(&self, like: &DistArray<'_>) -> DistArray<'_> {
-        let meta = like.meta();
-        self.zeros_dist(&meta.shape, meta.dtype, meta.dist)
-    }
 }
 
 /// Helpers local functions commonly need on the worker side.
@@ -200,7 +193,7 @@ mod tests {
         };
         // local version: each worker computes diffs of its segment and
         // the boundary against the right neighbor's first element.
-        let out = ctx.placeholder_like(&y); // one too long; slice below
+        let out = ctx.zeros_dist(&y.shape(), y.dtype(), y.dist()); // one too long; slice below
         ctx.run_spmd(&[&y, &out], |scope, args| {
             let (y_id, out_id) = (args[0], args[1]);
             let (_, right) = scope.exchange_boundary_1d(y_id);

@@ -152,6 +152,18 @@ pub enum ReduceKind {
     CountNonzero,
 }
 
+impl ReduceKind {
+    /// Element type of an axis reduction's output: counts and reduced
+    /// booleans are integers, everything else keeps its input type. The
+    /// master (output meta) and the workers (output data) both ask here.
+    pub(crate) fn output_dtype(self, input: DType) -> DType {
+        match (self, input) {
+            (ReduceKind::CountNonzero, _) | (_, DType::Bool) => DType::I64,
+            (_, d) => d,
+        }
+    }
+}
+
 /// How a freshly created array is filled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fill {

@@ -25,11 +25,6 @@ impl OdinCheckpoint {
     pub fn empty() -> Self {
         OdinCheckpoint { arrays: Vec::new() }
     }
-
-    /// Ids covered by this checkpoint.
-    pub fn array_ids(&self) -> Vec<u64> {
-        self.arrays.iter().map(|&(id, ..)| id).collect()
-    }
 }
 
 impl Default for OdinCheckpoint {
@@ -88,7 +83,6 @@ impl OdinContext {
             eng.buffered.clear();
             eng.abandoned.clear();
         }
-        self.worker_done_seq.borrow_mut().fill(self.cmd_seq.get());
         // Re-seed the pool: local functions and kernel bytecode first,
         // then checkpointed segments.
         for (id, f) in self.local_fns.borrow().iter() {
@@ -166,7 +160,6 @@ impl OdinContext {
             eng.buffered.clear();
             eng.abandoned.clear();
         }
-        *self.worker_done_seq.borrow_mut() = vec![0; n_workers];
         self.recover(ck)
     }
 }

@@ -12,7 +12,7 @@ impl<'c> DistArray<'c> {
     /// Dispatch a full reduction and return a reply future — the master
     /// can keep issuing commands (on this or other arrays) while the
     /// workers compute and the scalar is in flight.
-    pub fn reduce_scalar_async(&self, kind: ReduceKind) -> Pending<'c, f64> {
+    fn reduce_scalar_async(&self, kind: ReduceKind) -> Pending<'c, f64> {
         self.ctx().dispatch_single(&Cmd::Reduce {
             a: self.id(),
             kind,
@@ -61,7 +61,7 @@ impl<'c> DistArray<'c> {
     }
 
     /// Reduce along `axis`, producing an array with that axis removed.
-    pub fn reduce_axis(&self, kind: ReduceKind, axis: usize) -> DistArray<'c> {
+    fn reduce_axis(&self, kind: ReduceKind, axis: usize) -> DistArray<'c> {
         let meta = self.meta();
         assert!(axis < meta.ndim(), "axis out of range");
         assert!(
@@ -75,16 +75,8 @@ impl<'c> DistArray<'c> {
             axis: Some(axis),
             out,
         });
-        // mirror the worker-side output meta computation
         let mut shape = meta.shape.clone();
         shape.remove(axis);
-        let dtype = match kind {
-            ReduceKind::CountNonzero => crate::buffer::DType::I64,
-            _ => match meta.dtype {
-                crate::buffer::DType::Bool => crate::buffer::DType::I64,
-                d => d,
-            },
-        };
         let out_meta = crate::protocol::ArrayMeta {
             shape,
             axis: 0,
@@ -93,7 +85,7 @@ impl<'c> DistArray<'c> {
             } else {
                 meta.dist
             },
-            dtype,
+            dtype: kind.output_dtype(meta.dtype),
         };
         self.ctx().record_meta(out, out_meta);
         DistArray::from_id(self.ctx(), out)

@@ -40,17 +40,11 @@ type Decode<T> = Box<dyn FnOnce(Vec<ReplyMsg>) -> T>;
 pub struct Pending<'c, T> {
     ctx: &'c OdinContext,
     tickets: Vec<(usize, u64)>,
-    seq: u64,
     span_name: &'static str,
     decode: Option<Decode<T>>,
 }
 
 impl<'c, T> Pending<'c, T> {
-    /// Dispatch sequence number of the command this reply answers.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Whether every reply has already arrived (non-blocking).
     pub fn ready(&mut self) -> bool {
         self.ctx.tickets_ready(&self.tickets)
@@ -61,7 +55,7 @@ impl<'c, T> Pending<'c, T> {
     /// if a worker dies; use [`Self::try_wait`] for a typed error.
     pub fn wait(mut self) -> T {
         let tickets = std::mem::take(&mut self.tickets);
-        let replies = self.ctx.await_tickets(&tickets, self.seq, self.span_name);
+        let replies = self.ctx.await_tickets(&tickets, self.span_name);
         (self.decode.take().expect("pending waited twice"))(replies)
     }
 
@@ -70,26 +64,8 @@ impl<'c, T> Pending<'c, T> {
     /// hang.
     pub fn try_wait(mut self) -> Result<T, OdinError> {
         let tickets = std::mem::take(&mut self.tickets);
-        let replies = self
-            .ctx
-            .try_await_tickets(&tickets, self.seq, self.span_name)?;
+        let replies = self.ctx.try_await_tickets(&tickets, self.span_name)?;
         Ok((self.decode.take().expect("pending waited twice"))(replies))
-    }
-
-    /// Post-process the decoded reply once it arrives.
-    pub fn map<U>(mut self, f: impl FnOnce(T) -> U + 'static) -> Pending<'c, U>
-    where
-        T: 'static,
-    {
-        let tickets = std::mem::take(&mut self.tickets);
-        let decode = self.decode.take().expect("pending waited twice");
-        Pending {
-            ctx: self.ctx,
-            tickets,
-            seq: self.seq,
-            span_name: self.span_name,
-            decode: Some(Box::new(move |replies| f(decode(replies)))),
-        }
     }
 }
 
@@ -220,16 +196,10 @@ impl OdinContext {
         }
     }
 
-    /// Claim `tickets` in order and mark dispatch `seq` complete on the
-    /// workers that answered. Panics with the [`OdinError`] diagnostic on
+    /// Claim `tickets` in order. Panics with the [`OdinError`] diagnostic on
     /// worker death; fallible callers use [`Self::try_await_tickets`].
-    fn await_tickets(
-        &self,
-        tickets: &[(usize, u64)],
-        seq: u64,
-        name: &'static str,
-    ) -> Vec<ReplyMsg> {
-        self.try_await_tickets(tickets, seq, name)
+    fn await_tickets(&self, tickets: &[(usize, u64)], name: &'static str) -> Vec<ReplyMsg> {
+        self.try_await_tickets(tickets, name)
             .unwrap_or_else(|e| panic!("odin reply wait failed: {e}"))
     }
 
@@ -238,7 +208,6 @@ impl OdinContext {
     fn try_await_tickets(
         &self,
         tickets: &[(usize, u64)],
-        seq: u64,
         name: &'static str,
     ) -> Result<Vec<ReplyMsg>, OdinError> {
         self.flush_open_batch();
@@ -259,14 +228,6 @@ impl OdinContext {
                 }
             }
         }
-        {
-            let mut done = self.worker_done_seq.borrow_mut();
-            for &(w, _) in tickets {
-                if done[w] < seq {
-                    done[w] = seq;
-                }
-            }
-        }
         if let Some(t) = timer {
             self.obs_data(name, tickets.len() as u64, reply_bytes, t, 0);
         }
@@ -279,7 +240,6 @@ impl OdinContext {
         Pending {
             ctx: self,
             tickets,
-            seq: self.cmd_seq.get(),
             span_name,
             decode: Some(Box::new(|replies| replies)),
         }
@@ -291,7 +251,6 @@ impl OdinContext {
         Pending {
             ctx: self,
             tickets,
-            seq: self.cmd_seq.get(),
             span_name,
             decode: Some(Box::new(|mut replies| {
                 replies.pop().expect("single reply present").into_bytes()
@@ -305,7 +264,6 @@ impl OdinContext {
         Pending {
             ctx: self,
             tickets,
-            seq: self.cmd_seq.get(),
             span_name,
             decode: Some(Box::new(|mut replies| {
                 let bytes = replies.pop().expect("single reply present").into_bytes();
@@ -327,29 +285,6 @@ impl OdinContext {
     pub(crate) fn dispatch_single<T: Wire>(&self, cmd: &Cmd) -> Pending<'_, T> {
         self.send_cmd(cmd);
         self.pending_single("collect_single_reply")
-    }
-
-    /// Highest dispatch sequence number issued so far.
-    pub fn dispatch_seq(&self) -> u64 {
-        self.cmd_seq.get()
-    }
-
-    /// Highest sequence number proven complete on **every** worker.
-    pub fn completed_seq(&self) -> u64 {
-        self.worker_done_seq
-            .borrow()
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Whether a command touching array `id` may still be in flight.
-    pub fn array_in_flight(&self, id: u64) -> bool {
-        self.array_seq
-            .borrow()
-            .get(&id)
-            .is_some_and(|&s| s > self.completed_seq())
     }
 
     /// Replies reserved by in-flight futures but not yet consumed.
@@ -384,7 +319,7 @@ impl OdinContext {
             .flat_map(|w| std::iter::repeat_n(w, per))
             .map(|w| self.issue_ticket(w))
             .collect();
-        let _ = self.await_tickets(&tickets, self.cmd_seq.get(), "drain_replies");
+        let _ = self.await_tickets(&tickets, "drain_replies");
     }
 
     /// Receive a single reply (commands where only worker 0 replies).
@@ -405,10 +340,6 @@ mod tests {
         // dispatch two reductions without waiting for either
         let px = x.sum_async();
         let py = y.sum_async();
-        assert!(
-            px.seq() < py.seq(),
-            "independent commands get distinct seqs"
-        );
         assert_eq!(ctx.outstanding_replies(), 2, "both replies in flight");
         // claim out of dispatch order: the engine buffers the early reply
         assert!((py.wait() - 55.0).abs() < 1e-9);
@@ -438,17 +369,5 @@ mod tests {
         assert!((y.sum() - 20.0).abs() < 1e-12);
         ctx.barrier();
         assert_eq!(ctx.outstanding_replies(), 0);
-    }
-
-    #[test]
-    fn array_sequence_tracking_clears_after_barrier() {
-        let ctx = OdinContext::with_workers(2);
-        let x = ctx.ones(&[6], crate::buffer::DType::F64);
-        let y = &x + 1.0; // in flight: no reply claimed yet
-        assert!(ctx.array_in_flight(y.id()));
-        assert!(ctx.dispatch_seq() > ctx.completed_seq());
-        ctx.barrier(); // proves everything up to the Ping executed
-        assert!(!ctx.array_in_flight(y.id()));
-        assert_eq!(ctx.dispatch_seq(), ctx.completed_seq());
     }
 }

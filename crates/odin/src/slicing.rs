@@ -64,13 +64,13 @@ impl SliceSpec {
     }
 
     /// Output position of selected index `i`.
-    pub fn position_of(&self, i: usize) -> usize {
+    fn position_of(&self, i: usize) -> usize {
         debug_assert!(self.contains(i));
         (i - self.start) / self.step
     }
 
     /// The `k`-th selected index.
-    pub fn index_at(&self, k: usize) -> usize {
+    fn index_at(&self, k: usize) -> usize {
         self.start + k * self.step
     }
 }
@@ -92,7 +92,7 @@ impl Wire for SliceSpec {
 
 /// Within-row (slab) offsets selected by `specs` over trailing dims
 /// `dims` (`specs.len() == dims.len()`), in output order.
-pub fn slab_offsets(dims: &[usize], specs: &[SliceSpec]) -> Vec<usize> {
+fn slab_offsets(dims: &[usize], specs: &[SliceSpec]) -> Vec<usize> {
     assert_eq!(dims.len(), specs.len());
     // strides of the slab, row-major
     let mut strides = vec![1usize; dims.len()];

@@ -32,7 +32,7 @@ pub enum FieldValue {
 
 impl FieldValue {
     /// The value's type.
-    pub fn field_type(&self) -> FieldType {
+    fn field_type(&self) -> FieldType {
         match self {
             FieldValue::I64(_) => FieldType::I64,
             FieldValue::F64(_) => FieldType::F64,

@@ -124,11 +124,6 @@ impl<'a> WorkerScope<'a> {
         self.tables.get(&id).expect("unknown table on worker")
     }
 
-    /// Mutable table segment access.
-    pub fn table_mut(&mut self, id: u64) -> &mut crate::table::TableSeg {
-        self.tables.get_mut(&id).expect("unknown table on worker")
-    }
-
     /// Insert (or replace) a table segment.
     pub fn insert_table(&mut self, id: u64, seg: crate::table::TableSeg) {
         self.tables.insert(id, seg);
@@ -947,7 +942,7 @@ fn exec_reduce(
                 shape: out_shape,
                 axis: 0,
                 dist: Dist::Block,
-                dtype: reduce_output_dtype(kind, meta.dtype),
+                dtype: kind.output_dtype(meta.dtype),
             };
             let out_map = out_meta.axis_map(p, rank);
             let out_slab = out_meta.slab();
@@ -1017,21 +1012,11 @@ fn exec_reduce(
                 shape: out_shape,
                 axis: 0,
                 dist: meta.dist,
-                dtype: reduce_output_dtype(kind, meta.dtype),
+                dtype: kind.output_dtype(meta.dtype),
             };
             let data = Buffer::F64(values).astype(out_meta.dtype);
             arrays.insert(out, (out_meta, data));
         }
-    }
-}
-
-fn reduce_output_dtype(kind: ReduceKind, input: DType) -> DType {
-    match kind {
-        ReduceKind::CountNonzero => DType::I64,
-        _ => match input {
-            DType::Bool => DType::I64,
-            d => d,
-        },
     }
 }
 

@@ -63,7 +63,7 @@ pub struct CSignature {
 
 /// Parse C-style declarations from header text. Handles comments,
 /// multi-line declarations, parameter names, and `void` parameter lists.
-pub fn parse_header(text: &str) -> Result<Vec<CSignature>, SeamlessError> {
+fn parse_header(text: &str) -> Result<Vec<CSignature>, SeamlessError> {
     // strip // and /* */ comments
     let mut clean = String::with_capacity(text.len());
     let mut chars = text.chars().peekable();
@@ -188,7 +188,7 @@ fn libm_symbols() -> HashMap<String, NativeFn> {
 }
 
 /// The default math.h-like header text used by [`CModule::load_system`].
-pub const MATH_H: &str = "
+const MATH_H: &str = "
 /* a math.h excerpt */
 double sin(double x);
 double cos(double x);
@@ -348,11 +348,11 @@ mod dl {
     //! crate dependency is needed.
     use std::os::raw::{c_char, c_int, c_void};
     extern "C" {
-        pub fn dlopen(filename: *const c_char, flags: c_int) -> *mut c_void;
-        pub fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
-        pub fn dlerror() -> *mut c_char;
+        pub(super) fn dlopen(filename: *const c_char, flags: c_int) -> *mut c_void;
+        pub(super) fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
+        pub(super) fn dlerror() -> *mut c_char;
     }
-    pub const RTLD_NOW: c_int = 2;
+    pub(super) const RTLD_NOW: c_int = 2;
 }
 
 /// Compile `c_source` with the system C compiler into a shared object in

@@ -46,11 +46,6 @@ impl CompiledKernel {
         &self.arg_types
     }
 
-    /// The return type.
-    pub fn ret_type(&self) -> Type {
-        self.program.funcs[0].ret
-    }
-
     /// Bytecode listing (debugging / documentation).
     pub fn disassemble(&self) -> String {
         self.program.disassemble()
@@ -187,7 +182,6 @@ def sum(it):
             k1.call(args.clone()).unwrap().ret,
             k2.call(args).unwrap().ret
         );
-        assert_eq!(k1.ret_type(), Type::Float);
         assert_eq!(k1.name(), "sum");
         assert_eq!(k1.arg_types(), &[Type::ArrF]);
     }

@@ -35,14 +35,6 @@ impl Interpreter {
         })
     }
 
-    /// Wrap an existing module.
-    pub fn from_module(module: Module) -> Self {
-        Interpreter {
-            module,
-            externs: None,
-        }
-    }
-
     /// Resolve otherwise-unknown calls through a loaded foreign library.
     pub fn with_externs(mut self, lib: crate::cmodule::CModule) -> Self {
         self.externs = Some(lib);

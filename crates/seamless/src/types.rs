@@ -30,7 +30,7 @@ pub enum Type {
 
 impl Type {
     /// From a source annotation.
-    pub fn from_ann(a: TypeAnn) -> Type {
+    fn from_ann(a: TypeAnn) -> Type {
         match a {
             TypeAnn::Int => Type::Int,
             TypeAnn::Float => Type::Float,
@@ -61,7 +61,7 @@ impl Type {
     }
 
     /// Whether the type is a number (or bool, which coerces).
-    pub fn is_numeric(self) -> bool {
+    fn is_numeric(self) -> bool {
         matches!(self, Type::Int | Type::Float | Type::Bool)
     }
 }
@@ -83,18 +83,9 @@ struct Inferencer<'m> {
     cache: HashMap<(String, Vec<Type>), FuncTypes>,
 }
 
-/// Infer types for `fname` called with `arg_types`. Checks the whole
-/// reachable call graph.
-pub fn infer_function(
-    module: &Module,
-    fname: &str,
-    arg_types: &[Type],
-) -> Result<FuncTypes, SeamlessError> {
-    infer_function_with_externs(module, fname, arg_types, None)
-}
-
-/// As [`infer_function`], with a foreign library whose discovered
-/// signatures type otherwise-unknown calls.
+/// Infer types for `fname` called with `arg_types`, checking the whole
+/// reachable call graph. A foreign library's discovered signatures type
+/// otherwise-unknown calls.
 pub fn infer_function_with_externs(
     module: &Module,
     fname: &str,
@@ -522,7 +513,7 @@ mod tests {
 
     fn infer(src: &str, f: &str, args: &[Type]) -> Result<FuncTypes, SeamlessError> {
         let m = parse_module(src).unwrap();
-        infer_function(&m, f, args)
+        infer_function_with_externs(&m, f, args, None)
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl<'p> Vm<'p> {
     }
 
     /// Call any function in the table.
-    pub fn call_func(&self, func: usize, args: Vec<Value>) -> Result<CallOutput, SeamlessError> {
+    fn call_func(&self, func: usize, args: Vec<Value>) -> Result<CallOutput, SeamlessError> {
         let f = &self.program.funcs[func];
         if args.len() != f.params.len() {
             return Err(SeamlessError::Runtime(format!(

@@ -363,11 +363,6 @@ impl ServePlane {
         *self.shared.lock_stats()
     }
 
-    /// Jobs admitted but not yet resolved.
-    pub fn outstanding(&self) -> u64 {
-        self.shared.outstanding.load(Ordering::SeqCst)
-    }
-
     /// Block until every admitted job has resolved.
     pub fn drain(&self) {
         let mut g = self

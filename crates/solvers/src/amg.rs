@@ -165,7 +165,7 @@ impl AmgPreconditioner {
     }
 
     /// Number of levels (including the direct-solved coarsest one).
-    pub fn n_levels(&self) -> usize {
+    fn n_levels(&self) -> usize {
         self.levels.len() + 1
     }
 

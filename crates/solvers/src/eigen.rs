@@ -125,7 +125,7 @@ pub fn lanczos_extreme_eigenvalues(comm: &Comm, a: &CsrMatrix<f64>, k: usize) ->
 /// Eigenvalues of a symmetric tridiagonal matrix via the implicit QL
 /// algorithm with Wilkinson shifts (the classic `tql1` routine,
 /// eigenvalues only).
-pub fn tridiag_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
+fn tridiag_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
     let n = diag.len();
     if n == 0 {
         return Vec::new();

@@ -59,13 +59,6 @@ impl KrylovConfig {
         self
     }
 
-    /// Set the GMRES restart length.
-    #[must_use]
-    pub fn with_restart(mut self, restart: usize) -> Self {
-        self.restart = restart;
-        self
-    }
-
     fn done(&self, r: f64, r0: f64) -> bool {
         r <= self.atol || (r0 > 0.0 && r / r0 <= self.rtol)
     }

@@ -18,24 +18,6 @@ impl SolveStatus {
     pub fn final_residual(&self) -> f64 {
         *self.history.last().unwrap_or(&f64::NAN)
     }
-
-    /// Average convergence factor `(r_final / r_0)^(1/k)` where `k` is
-    /// the number of residual *reductions* actually recorded. The history
-    /// is the source of truth: solvers that restart (GMRES) or record at a
-    /// different granularity can have `iterations != history.len() - 1`,
-    /// and using `iterations` would mis-scale the factor.
-    pub fn convergence_factor(&self) -> f64 {
-        if self.history.len() < 2 {
-            return 1.0;
-        }
-        let steps = self.history.len() - 1;
-        let r0 = self.history[0];
-        let rf = self.final_residual();
-        if r0 <= 0.0 {
-            return 0.0;
-        }
-        (rf / r0).powf(1.0 / steps as f64)
-    }
 }
 
 #[cfg(test)]
@@ -43,28 +25,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn final_residual_and_factor() {
+    fn final_residual_is_the_last_entry() {
         let s = SolveStatus {
             converged: true,
             iterations: 2,
             history: vec![1.0, 0.1, 0.01],
         };
         assert_eq!(s.final_residual(), 0.01);
-        assert!((s.convergence_factor() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn factor_uses_history_length_when_it_disagrees_with_iterations() {
-        // Two recorded reductions (1.0 → 0.01) but an `iterations` count
-        // of 4, as a restarted solver might report. The per-step factor
-        // must come from the history: (0.01)^(1/2) = 0.1, not
-        // (0.01)^(1/4) ≈ 0.316.
-        let s = SolveStatus {
-            converged: true,
-            iterations: 4,
-            history: vec![1.0, 0.1, 0.01],
-        };
-        assert!((s.convergence_factor() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -75,6 +42,5 @@ mod tests {
             history: vec![],
         };
         assert!(s.final_residual().is_nan());
-        assert_eq!(s.convergence_factor(), 1.0);
     }
 }

@@ -8,9 +8,10 @@
 //! with a serial `Vec` computation. At
 //! every point of the same layout × worker × size grid, the operand
 //! aligners get the same treatment: a lazy `Expr` (array and
-//! Sum/Max/Min tails), an eager `binary` under each `BinaryStrategy`, a
-//! pyish `Kernel` and a multi-statement `Program`, each with its operands
-//! on three different layouts. Both payload arms run, clean and under a
+//! Sum/Max/Min tails), an eager `binary` under each `BinaryStrategy`,
+//! `lt`/`select`/`maximum`/`minimum` and the 2-D axis folds, a pyish
+//! `Kernel` and a multi-statement `Program`, each with its operands on
+//! three different layouts. Both payload arms run, clean and under a
 //! seeded fault schedule healed by reliable delivery (`HPC_FAULT_SEED`,
 //! swept by ci.sh).
 
@@ -211,6 +212,28 @@ fn compute_rows(ctx: &OdinContext, kernel: &Kernel<'_>, shape: &[usize], rng: &m
                 _ => xs[i] * ys[i],
             });
             check("binary", &r, shape, &want, &format!("{strategy:?} {case}"));
+        }
+
+        // The comparison, selection and extremum ufuncs, and the axis
+        // folds of a 2-D operand.
+        let mask = x.lt(&y);
+        let want = Buffer::Bool((0..len).map(|i| xs[i] < ys[i]).collect());
+        check("lt", &mask, shape, &want, &case);
+        let want = lanes(&|i| if xs[i] < ys[i] { ys[i] } else { zs[i] });
+        check("select", &mask.select(&y, &z), shape, &want, &case);
+        let want = lanes(&|i| xs[i].max(ys[i]));
+        check("maximum", &x.maximum(&y), shape, &want, &case);
+        let want = lanes(&|i| xs[i].min(ys[i]));
+        check("minimum", &x.minimum(&y), shape, &want, &case);
+        if let [n, cols] = *shape {
+            let col_sums = (0..cols).map(|c| (0..n).map(|r| xs[r * cols + c]).sum());
+            let want = Buffer::F64(col_sums.collect());
+            check("sum_axis(0)", &x.sum_axis(0), &[cols], &want, &case);
+            let row_max = xs
+                .chunks(cols)
+                .map(|r| r.iter().copied().fold(f64::MIN, f64::max));
+            let want = Buffer::F64(row_max.collect());
+            check("max_axis(1)", &x.max_axis(1), &[n], &want, &case);
         }
 
         // The same body as three statements: `t1` runs at x's layout, is

@@ -255,6 +255,13 @@ fn odin_argmax_matches_serial() {
             .unwrap()
             .0;
         assert_eq!(x.argmax(), serial);
+        let lowest = xs
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .unwrap()
+            .0;
+        assert_eq!(x.argmin(), lowest);
     }
 }
 

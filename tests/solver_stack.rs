@@ -4,6 +4,7 @@
 //! fused-reduction CG/BiCGStab pinned bitwise against one-reduction-per-
 //! dot reference loops that live only here.
 
+use std::f64::consts::PI;
 use std::time::Duration;
 
 use hpc_framework::comm::{
@@ -12,7 +13,8 @@ use hpc_framework::comm::{
 use hpc_framework::dlinalg::{Complex64, CsrMatrix, DistVector, RealScalar, Scalar};
 use hpc_framework::dmap::DistMap;
 use hpc_framework::galeri::{
-    advection_diffusion_1d, anisotropic_laplace_2d, poisson2d_manufactured, random_spd,
+    advection_diffusion_1d, anisotropic_laplace_2d, laplace_1d, laplace_3d, poisson2d_manufactured,
+    random_spd,
 };
 use hpc_framework::solvers::amg::AmgConfig;
 use hpc_framework::solvers::{
@@ -121,6 +123,20 @@ fn eigen_estimates_match_between_methods() {
         );
         // SPD: all Ritz values positive
         assert!(ritz.iter().all(|&l| l > 0.0));
+        // Lanczos vs analytic: a Dirichlet Laplacian's largest eigenvalue
+        // is the sum over its dimensions of 2 − 2cos(nπ/(n+1)).
+        let lam = |n: usize| 2.0 - 2.0 * (n as f64 * PI / (n as f64 + 1.0)).cos();
+        for (a, want) in [
+            (laplace_1d(comm, 24), lam(24)),
+            (laplace_3d(comm, 3, 4, 2), lam(3) + lam(4) + lam(2)),
+        ] {
+            let ritz = lanczos_extreme_eigenvalues(comm, &a, 24);
+            let got = *ritz.last().unwrap();
+            assert!(
+                (got - want).abs() < 1e-8,
+                "lanczos {got} vs analytic {want}"
+            );
+        }
     });
 }
 

@@ -1,6 +1,7 @@
 //! Point-to-point messaging: ranks, mailboxes, tag matching, sub-communicators.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -13,6 +14,7 @@ use crate::model::NetworkModel;
 use crate::payload::Payload;
 use crate::reliable::Retx;
 use crate::stats::CommStats;
+use crate::universe::HostTx;
 use crate::wire::{decode_from_slice, Wire};
 
 /// Message tag. User tags must be below [`MAX_USER_TAG`]; higher values are
@@ -44,11 +46,16 @@ pub struct Status {
     pub depart: f64,
 }
 
-/// Payload class of an envelope: user data, or a reliable-delivery ack.
+/// Payload class of an envelope: user data, a reliable-delivery ack, or
+/// traffic from the job's [`Host`](crate::Host) — which travels outside
+/// the fault plan, the seq/ack layer, the virtual clock and the stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EnvKind {
     Data,
     Ack,
+    Host,
+    /// The host endpoint was dropped: nothing more will be posted.
+    HostClosed,
 }
 
 /// One message in flight.
@@ -77,11 +84,37 @@ pub(crate) struct Envelope {
     pub(crate) flow: u64,
 }
 
+impl Envelope {
+    /// An envelope outside tag matching (ack or host traffic): only the
+    /// kind, payload and flow id mean anything.
+    pub(crate) fn control(kind: EnvKind, payload: Payload, flow: u64) -> Envelope {
+        Envelope {
+            ctx: 0,
+            src: 0,
+            tag: 0,
+            depart: 0.0,
+            payload,
+            gsrc: 0,
+            seq: 0,
+            checksum: 0,
+            kind,
+            corrupt: false,
+            flow,
+        }
+    }
+}
+
 /// State shared between a rank's thread and every sub-communicator it
 /// derives (they all drain the same physical mailbox).
 pub(crate) struct RankState {
     pub(crate) rx: Receiver<Envelope>,
     pub(crate) pending: RefCell<Vec<Envelope>>,
+    /// Where this rank answers the host; `None` in a hostless job.
+    pub(crate) host_tx: Option<HostTx>,
+    /// Host posts in arrival order, beside (never inside) `pending`.
+    pub(crate) host_inbox: RefCell<VecDeque<(Payload, u64)>>,
+    /// Latched by the host's closing envelope; a hostless job starts closed.
+    pub(crate) host_closed: Cell<bool>,
     pub(crate) clock: Cell<f64>,
     /// Virtual time at which the NIC finishes serializing every send
     /// posted so far (posted sends queue back-to-back on the wire).
@@ -213,6 +246,7 @@ impl Comm {
         size: usize,
         senders: Arc<Vec<Sender<Envelope>>>,
         rx: Receiver<Envelope>,
+        host_tx: Option<HostTx>,
         config: &crate::universe::UniverseConfig,
     ) -> Self {
         Comm {
@@ -223,6 +257,9 @@ impl Comm {
             state: Rc::new(RankState {
                 rx,
                 pending: RefCell::new(Vec::new()),
+                host_closed: Cell::new(host_tx.is_none()),
+                host_tx,
+                host_inbox: RefCell::new(VecDeque::new()),
                 clock: Cell::new(0.0),
                 nic_free: Cell::new(0.0),
                 stall_timeout: config.stall_timeout,
@@ -462,18 +499,6 @@ impl Comm {
         let value = decode_from_slice(&bytes)?;
         self.put_buf(bytes);
         Ok((value, status))
-    }
-
-    /// Drive reliability progress without receiving: drain the mailbox
-    /// (acking arrivals) and retransmit overdue unacked sends. Every
-    /// *blocked* receive already does this; an idle rank — e.g. a worker
-    /// parked at its command queue after finishing a collective whose
-    /// final copy to a peer was dropped — must call it periodically, or
-    /// that peer starves with no retransmit ever coming. No-op outside
-    /// reliable mode.
-    pub fn pump(&self) {
-        self.drain_mailbox();
-        self.pump_retransmits();
     }
 
     /// Non-blocking check: is a matching message already available?

@@ -7,7 +7,8 @@ use std::fmt;
 pub enum CommError {
     /// A payload could not be decoded into the requested type.
     Decode(String),
-    /// The peer's mailbox is gone (its thread panicked or exited early).
+    /// The peer's mailbox is gone (its thread panicked or exited early),
+    /// or the other end of the job's [`Host`](crate::Host) is.
     Disconnected,
     /// A rank argument was outside `0..size`.
     InvalidRank { rank: usize, size: usize },

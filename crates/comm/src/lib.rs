@@ -49,5 +49,5 @@ pub use payload::{Payload, Region, DEFAULT_ZEROCOPY_THRESHOLD};
 pub use queue::{Bounded, PopError, PushError, QueueStats};
 pub use request::{Completion, Request};
 pub use stats::CommStats;
-pub use universe::{RunReport, Universe, UniverseConfig};
+pub use universe::{Host, HostEvent, RunReport, Universe, UniverseConfig};
 pub use wire::{decode_from_slice, encode_to_vec, Cursor, Wire};

@@ -11,8 +11,9 @@
 //! * **retransmit** — unacked envelopes are re-sent with exponential
 //!   backoff. Blocking waits poll on a short tick while the rank has
 //!   unacked sends, so a blocked sender still drives its own
-//!   retransmissions; [`Comm::quiesce`](crate::comm::Comm) runs the same
-//!   pump at the end of a rank's program;
+//!   retransmissions — a rank idle in [`Comm::recv_host`] parks in that
+//!   same loop; [`Comm::quiesce`](crate::comm::Comm) runs the same pump
+//!   at the end of a rank's program;
 //! * **dup suppression** — the receiver remembers delivered sequence
 //!   numbers per source and discards repeats (injected duplicates and
 //!   spurious retransmits alike);
@@ -226,15 +227,28 @@ impl Comm {
 
     /// Route one arrived envelope through the reliability layer. Returns
     /// the envelope if it should enter tag matching, `None` if it was
-    /// consumed here (an ack, a suppressed duplicate, or a discarded
-    /// corrupt arrival).
+    /// consumed here (an ack, a suppressed duplicate, a discarded corrupt
+    /// arrival, or host traffic, which queues in its own FIFO).
     pub(crate) fn intake(&self, mut env: Envelope) -> Option<Envelope> {
         let st = &self.state;
-        if env.kind == EnvKind::Ack {
-            st.unacked
-                .borrow_mut()
-                .retain(|r| !(r.gdest == env.gsrc && r.seq == env.seq));
-            return None;
+        match env.kind {
+            EnvKind::Data => {}
+            EnvKind::Ack => {
+                st.unacked
+                    .borrow_mut()
+                    .retain(|r| !(r.gdest == env.gsrc && r.seq == env.seq));
+                return None;
+            }
+            EnvKind::Host => {
+                st.host_inbox
+                    .borrow_mut()
+                    .push_back((env.payload, env.flow));
+                return None;
+            }
+            EnvKind::HostClosed => {
+                st.host_closed.set(true);
+                return None;
+            }
         }
         let verify = st.delivery == Delivery::Reliable || st.fault.is_active();
         // Verification is wire-path-only: region arrivals always pass
@@ -286,17 +300,10 @@ impl Comm {
         st.stats.borrow_mut().modeled_comm_s += o;
         // Best effort: the original sender may already be gone.
         let _ = self.senders[gdest].send(Envelope {
-            ctx: 0,
-            src: 0,
-            tag: 0,
             depart: st.clock.get(),
-            payload: Payload::Bytes(Vec::new()),
             gsrc: st.world_rank,
             seq,
-            checksum: 0,
-            kind: EnvKind::Ack,
-            corrupt: false,
-            flow: 0,
+            ..Envelope::control(EnvKind::Ack, Payload::Bytes(Vec::new()), 0)
         });
     }
 
@@ -387,19 +394,11 @@ impl Comm {
         let limit = self.state.stall_timeout.unwrap_or(QUIESCE_LIMIT);
         let t0 = Instant::now();
         while !self.state.unacked.borrow().is_empty() {
-            if t0.elapsed() >= limit {
-                return;
-            }
-            self.pump_retransmits();
-            use std::sync::mpsc::RecvTimeoutError;
-            match self.state.rx.recv_timeout(RETX_TICK) {
-                Ok(env) => {
-                    if let Some(env) = self.intake(env) {
-                        self.state.pending.borrow_mut().push(env);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            match self.next_arrival(Some(limit), t0) {
+                Ok(Some(env)) => self.state.pending.borrow_mut().push(env),
+                Ok(None) => {}
+                // Out of time, or every sender is gone.
+                Err(_) => return,
             }
         }
     }
@@ -419,7 +418,7 @@ impl Comm {
 mod tests {
     use crate::fault::{Delivery, FaultPlan};
     use crate::universe::{Universe, UniverseConfig};
-    use crate::{CommError, Src};
+    use crate::{CommError, Payload, Src};
     use std::time::Duration;
 
     fn chaos_cfg(plan: FaultPlan) -> UniverseConfig {
@@ -448,6 +447,34 @@ mod tests {
         assert!(dropped >= 1);
         assert_eq!(total, dropped, "one retransmit heals one drop");
         assert!(report.stats.iter().map(|s| s.retransmit_s).sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn idle_rank_parked_on_the_host_heals_its_own_dropped_send() {
+        // Rank 0's only send is dropped, then it goes idle waiting for
+        // the host — with nobody pumping it from outside. The park loop
+        // itself must tick while the send is unacked, or rank 1 starves.
+        let plan = FaultPlan::messages(1, 1.0, 0.0, 0.0, 0.0);
+        let t0 = std::time::Instant::now();
+        let (host, pool) = Universe::spawn(chaos_cfg(plan), 2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 5, &7u64).unwrap();
+                comm.recv_host().unwrap();
+            } else {
+                let (v, _) = comm.recv::<u64>(Src::Rank(0), 5).unwrap();
+                assert_eq!(v, 7);
+                comm.send_host(Payload::Bytes(Vec::new())).unwrap();
+            }
+        });
+        // Rank 1 reports the delivery; only then is rank 0 released.
+        let (rank, _) = host.recv(None).unwrap().unwrap();
+        assert_eq!(rank, 1);
+        host.post(0, Payload::Bytes(Vec::new()), 0).unwrap();
+        let report = pool.join();
+        assert!(t0.elapsed() < Duration::from_secs(5), "healed on the RTO");
+        assert_eq!(report.stats[0].faults_dropped, 1);
+        assert_eq!(report.stats[0].retransmits, 1, "one retransmit, one drop");
+        assert_eq!(report.stats[1].retransmits, 0);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 use crate::comm::{Comm, Envelope, Src, Status, Tag};
 use crate::error::CommError;
 use crate::payload::{Payload, Region};
+use crate::universe::HostEvent;
 use crate::wire::{decode_from_slice, Wire};
 
 /// Payload of a completed request: `None` for sends, the received message
@@ -453,16 +454,11 @@ impl Comm {
         }
         let t0 = Instant::now();
         loop {
-            self.pump_retransmits();
-            let env = match self.block_recv(deadline, t0) {
+            let env = match self.next_arrival(deadline, t0) {
                 Ok(Some(env)) => env,
-                // Retransmit tick expired; deadline was rechecked.
                 Ok(None) => continue,
                 Err(CommError::Stalled { .. }) => return Err(self.stalled(src, tag, t0.elapsed())),
                 Err(e) => return Err(e),
-            };
-            let Some(env) = self.intake(env) else {
-                continue;
             };
             if self.matches(&env, src, tag) {
                 self.state.stats.borrow_mut().wall_recv_s += t0.elapsed().as_secs_f64();
@@ -470,6 +466,51 @@ impl Comm {
             }
             self.state.pending.borrow_mut().push(env);
         }
+    }
+
+    /// One turn of the loop every parked rank sits in — a blocked
+    /// receive, `waitany`, an idle [`Comm::recv_host`], `quiesce`: send
+    /// what is overdue, wait for one envelope, run it through intake.
+    /// `Ok(None)` means nothing for tag matching came of it (the
+    /// retransmit tick expired, or intake consumed the arrival).
+    pub(crate) fn next_arrival(
+        &self,
+        deadline: Option<Duration>,
+        t0: Instant,
+    ) -> Result<Option<Envelope>, CommError> {
+        self.pump_retransmits();
+        Ok(self
+            .block_recv(deadline, t0)?
+            .and_then(|env| self.intake(env)))
+    }
+
+    /// Next post from the job's [`Host`](crate::Host) with its flow id,
+    /// in posting order. An idle rank parks here with no deadline: it
+    /// acks and queues peer traffic as it arrives, wakes on the
+    /// retransmit tick only while it has unacked sends, and otherwise
+    /// sleeps until mail comes. [`CommError::Disconnected`] once the host
+    /// is dropped and its posts are drained (at once in a hostless job).
+    pub fn recv_host(&self) -> Result<(Payload, u64), CommError> {
+        let t0 = Instant::now();
+        loop {
+            if let Some(post) = self.state.host_inbox.borrow_mut().pop_front() {
+                return Ok(post);
+            }
+            if self.state.host_closed.get() {
+                return Err(CommError::Disconnected);
+            }
+            if let Some(env) = self.next_arrival(None, t0)? {
+                self.state.pending.borrow_mut().push(env);
+            }
+        }
+    }
+
+    /// Answer the host. Like its posts this is outside the model: no
+    /// clock charge, no fault roll, no stats.
+    pub fn send_host(&self, payload: Payload) -> Result<(), CommError> {
+        let tx = self.state.host_tx.as_ref().ok_or(CommError::Disconnected)?;
+        tx.send((self.state.world_rank, HostEvent::Msg(payload)))
+            .map_err(|_| CommError::Disconnected)
     }
 
     /// One bounded mailbox wait: blocks up to the stall deadline, capped
@@ -615,15 +656,11 @@ impl Comm {
             }
             // All are unmatched receives: block for the next envelope and
             // rescan. Mismatches park in pending exactly like `recv`.
-            self.pump_retransmits();
-            let env = match self.block_recv(deadline, t0) {
-                Ok(Some(env)) => env,
-                Ok(None) => continue,
+            match self.next_arrival(deadline, t0) {
+                Ok(Some(env)) => self.state.pending.borrow_mut().push(env),
+                Ok(None) => {}
                 Err(CommError::Stalled { .. }) => return Err(self.stalled_any(reqs, t0.elapsed())),
                 Err(e) => return Err(e),
-            };
-            if let Some(env) = self.intake(env) {
-                self.state.pending.borrow_mut().push(env);
             }
         }
     }

@@ -1,14 +1,15 @@
 //! Job launcher: spawns one thread per rank and collects results.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
-
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::{Duration, Instant};
 
 use crate::collectives::CollectiveAlgo;
-use crate::comm::{Comm, Envelope};
+use crate::comm::{Comm, EnvKind, Envelope};
+use crate::error::CommError;
 use crate::fault::{Delivery, FaultPlan};
 use crate::model::NetworkModel;
+use crate::payload::Payload;
 use crate::stats::CommStats;
 
 /// Configuration for a run: the cost model and collective algorithm.
@@ -157,7 +158,7 @@ impl Universe {
                 .enumerate()
                 .map(|(rank, rx)| {
                     let senders = Arc::clone(&senders);
-                    scope.spawn(move || rank_body(rank, senders, rx, config, start, f))
+                    scope.spawn(move || rank_body(rank, senders, rx, None, config, start, f))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
@@ -177,23 +178,46 @@ fn mailboxes(size: usize) -> (Senders, Vec<Receiver<Envelope>>) {
     (Arc::new(senders), receivers)
 }
 
+/// Tells the host its rank's program is over, however it ended.
+struct GoneNotice {
+    rank: usize,
+    host: Option<HostTx>,
+}
+
+impl Drop for GoneNotice {
+    fn drop(&mut self) {
+        if let Some(host) = &self.host {
+            // Best effort: the host may be gone first.
+            let _ = host.send((self.rank, HostEvent::Gone));
+        }
+    }
+}
+
 /// What every rank thread does around its program.
 fn rank_body<R>(
     rank: usize,
     senders: Senders,
     rx: Receiver<Envelope>,
+    host: Option<HostTx>,
     config: &UniverseConfig,
     start: &Barrier,
     program: impl FnOnce(&mut Comm) -> R,
 ) -> RankOutcome<R> {
     let _obs = obs::RankGuard::enter(rank);
-    let mut comm = Comm::new_world(rank, senders.len(), senders, rx, config);
+    let mut comm = Comm::new_world(rank, senders.len(), senders, rx, host.clone(), config);
     // Every rank thread exists before any rank program runs (what
     // `MPI_Init` guarantees): a message to a rank that has not been
     // spawned yet would sit unacknowledged for as long as spawning
     // takes, and reliable delivery would retransmit healthy traffic.
     start.wait();
-    let result = program(&mut comm);
+    let result = {
+        // Posted when the program returns or unwinds, and before
+        // `quiesce`, which can keep a killed rank's mailbox open for
+        // seconds: a supervisor learns of the death as an event, after
+        // the rank's last answer (one sender, one FIFO).
+        let _gone = GoneNotice { rank, host };
+        program(&mut comm)
+    };
     // Heal any still-unacked reliable sends before the rank's mailbox
     // goes away.
     comm.quiesce();
@@ -253,21 +277,86 @@ impl<R> Detached<R> {
     }
 }
 
+/// What a rank put in the host's mailbox.
+#[derive(Debug)]
+pub enum HostEvent {
+    /// A payload from [`Comm::send_host`].
+    Msg(Payload),
+    /// The rank's program returned or unwound; it sends nothing more.
+    Gone,
+}
+
+pub(crate) type HostTx = Sender<(usize, HostEvent)>;
+
+/// The spawning thread's endpoint into a detached job (see
+/// [`Universe::spawn`]): it posts payloads into the ranks' own mailboxes
+/// and owns one mailbox the ranks answer into. Host traffic is control
+/// plane — outside the fault plan, the seq/ack layer, the virtual clock
+/// and [`CommStats`]. Dropping the host closes it: every rank's
+/// [`Comm::recv_host`] fails once it has drained what was posted.
+pub struct Host {
+    senders: Senders,
+    /// Only ranks hold senders to this, so it disconnects when the last
+    /// rank thread is gone.
+    rx: Receiver<(usize, HostEvent)>,
+}
+
+impl Host {
+    /// Post `payload` (and the `obs` flow id of the dispatch, 0 for
+    /// none) to `rank`. Fails only once that rank's thread has exited.
+    pub fn post(&self, rank: usize, payload: Payload, flow: u64) -> Result<(), CommError> {
+        self.senders[rank]
+            .send(Envelope::control(EnvKind::Host, payload, flow))
+            .map_err(|_| CommError::Disconnected)
+    }
+
+    /// Next event from any rank, as `(rank, event)`; one rank's events
+    /// arrive in the order it sent them, its [`HostEvent::Gone`] last.
+    /// Blocks up to `limit` (`None`: indefinitely) and returns `Ok(None)`
+    /// when it expires; [`CommError::Disconnected`] once every rank
+    /// thread has exited and the mailbox is drained.
+    pub fn recv(&self, limit: Option<Duration>) -> Result<Option<(usize, HostEvent)>, CommError> {
+        match limit {
+            None => self
+                .rx
+                .recv()
+                .map(Some)
+                .map_err(|_| CommError::Disconnected),
+            Some(limit) => match self.rx.recv_timeout(limit) {
+                Ok(event) => Ok(Some(event)),
+                Err(RecvTimeoutError::Timeout) => Ok(None),
+                Err(RecvTimeoutError::Disconnected) => Err(CommError::Disconnected),
+            },
+        }
+    }
+}
+
+impl Drop for Host {
+    fn drop(&mut self) {
+        // A rank's mailbox never disconnects while its peers hold
+        // senders, so closing is an envelope too.
+        for tx in self.senders.iter() {
+            let _ = tx.send(Envelope::control(
+                EnvKind::HostClosed,
+                Payload::Bytes(Vec::new()),
+                0,
+            ));
+        }
+    }
+}
+
 impl Universe {
     /// Spawn a job whose ranks outlive the caller (a persistent worker
-    /// pool — the shape of ODIN's worker processes). The closure receives
-    /// `(comm, rank)`; per-rank inputs should be moved in via `seed_fn`,
-    /// which is called once per rank on the spawning thread.
-    pub fn spawn<R, T, F, G>(config: UniverseConfig, size: usize, seed_fn: G, f: F) -> Detached<R>
+    /// pool — the shape of ODIN's worker processes), and the [`Host`]
+    /// endpoint through which the caller feeds and hears them.
+    pub fn spawn<R, F>(config: UniverseConfig, size: usize, f: F) -> (Host, Detached<R>)
     where
         R: Send + 'static,
-        T: Send + 'static,
-        F: Fn(&mut Comm, T) -> R + Send + Sync + 'static,
-        G: FnMut(usize) -> T,
+        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
         obs::init_from_env();
-        let mut seed_fn = seed_fn;
         let (senders, receivers) = mailboxes(size);
+        let (host_tx, host_rx) = channel();
         let f = Arc::new(f);
         let start = Arc::new(Barrier::new(size));
         let handles = receivers
@@ -275,22 +364,26 @@ impl Universe {
             .enumerate()
             .map(|(rank, rx)| {
                 let senders = Arc::clone(&senders);
+                let host_tx = Some(host_tx.clone());
                 let f = Arc::clone(&f);
                 let start = Arc::clone(&start);
-                let seed = seed_fn(rank);
                 std::thread::spawn(move || {
-                    rank_body(rank, senders, rx, &config, &start, |comm| f(comm, seed))
+                    rank_body(rank, senders, rx, host_tx, &config, &start, &*f)
                 })
             })
             .collect();
-        Detached { handles }
+        let host = Host {
+            senders,
+            rx: host_rx,
+        };
+        (host, Detached { handles })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReduceOp;
+    use crate::{ReduceOp, Src};
 
     #[test]
     fn results_come_back_in_rank_order() {
@@ -341,29 +434,112 @@ mod tests {
         assert!(result.is_err());
     }
 
-    #[test]
-    fn spawn_runs_detached_pool() {
-        use std::sync::mpsc::channel as chan;
-        let mut inboxes = Vec::new();
-        let detached = Universe::spawn(
-            UniverseConfig::default(),
-            3,
-            |_rank| {
-                let (tx, rx) = chan::<u64>();
-                inboxes.push(tx);
-                rx
-            },
-            |comm, rx| {
-                // wait for a value from the spawner, then allreduce it
-                let v = rx.recv().unwrap();
-                comm.allreduce(&v, ReduceOp::sum())
-            },
-        );
-        for (i, tx) in inboxes.iter().enumerate() {
-            tx.send(i as u64 + 1).unwrap();
+    fn bytes_of(event: HostEvent) -> Vec<u8> {
+        match event {
+            HostEvent::Msg(payload) => payload.into_wire_bytes().unwrap(),
+            HostEvent::Gone => panic!("rank gone before it answered"),
         }
-        let report = detached.join();
-        assert_eq!(report.results, vec![6, 6, 6]);
+    }
+
+    #[test]
+    fn spawn_round_trips_through_the_host() {
+        let (host, pool) = Universe::spawn(UniverseConfig::default(), 3, |comm| {
+            // wait for a value from the host, allreduce it, answer
+            let (payload, flow) = comm.recv_host().unwrap();
+            assert_eq!(flow, 7);
+            let v = u64::from(payload.into_wire_bytes().unwrap()[0]);
+            let sum = comm.allreduce(&v, ReduceOp::sum());
+            comm.send_host(Payload::Bytes(vec![sum as u8])).unwrap();
+            sum
+        });
+        for rank in 0..3 {
+            host.post(rank, Payload::Bytes(vec![rank as u8 + 1]), 7)
+                .unwrap();
+        }
+        // Per rank: its answer, then the notice that its program ended.
+        let mut answered = [false; 3];
+        let mut gone = 0;
+        while gone < 3 {
+            match host.recv(None).unwrap().unwrap() {
+                (rank, HostEvent::Gone) => {
+                    assert!(answered[rank], "the notice follows the last answer");
+                    gone += 1;
+                }
+                (rank, event) => {
+                    assert_eq!(bytes_of(event), vec![6]);
+                    answered[rank] = true;
+                }
+            }
+        }
+        assert_eq!(pool.join().results, vec![6, 6, 6]);
+        // The host holds no sender to its own mailbox: with every rank
+        // thread gone it reads as disconnected, not as silence.
+        assert_eq!(host.recv(None).unwrap_err(), CommError::Disconnected);
+    }
+
+    #[test]
+    fn dropping_the_host_closes_recv_host_after_the_backlog() {
+        let (host, pool) = Universe::spawn(UniverseConfig::default(), 2, |comm| {
+            let mut seen = Vec::new();
+            loop {
+                match comm.recv_host() {
+                    Ok((payload, _)) => seen.extend(payload.into_wire_bytes().unwrap()),
+                    Err(e) => return (seen, e),
+                }
+            }
+        });
+        host.post(1, Payload::Bytes(vec![1]), 0).unwrap();
+        host.post(1, Payload::Bytes(vec![2]), 0).unwrap();
+        drop(host);
+        let out = pool.join().results;
+        assert_eq!(out[0], (vec![], CommError::Disconnected));
+        assert_eq!(out[1], (vec![1, 2], CommError::Disconnected));
+        // A job launched without a host is closed from the start.
+        let hostless = Universe::run(1, |comm| comm.recv_host().map(|_| ()).unwrap_err());
+        assert_eq!(hostless, vec![CommError::Disconnected]);
+    }
+
+    #[test]
+    fn host_posts_queue_beside_tag_matching_and_keep_their_order() {
+        const POSTS: usize = 10_000;
+        let cfg = UniverseConfig::default().with_stall_timeout(Duration::from_secs(20));
+        let (host, pool) = Universe::spawn(cfg, 2, |comm| {
+            if comm.rank() == 1 {
+                // Hold rank 0 inside the allreduce until its backlog is in.
+                comm.recv_host().unwrap();
+            }
+            let sum = comm.allreduce(&1u64, ReduceOp::sum());
+            assert_eq!(sum, 2);
+            if comm.rank() == 1 {
+                return;
+            }
+            // Every post reached this rank's mailbox ahead of rank 1's
+            // half of the allreduce, so intake has seen them all: none
+            // may sit in the tag-matched list a failed receive reports.
+            let stalled = comm
+                .recv_timeout::<u8>(Src::Any, 9, Duration::from_millis(10))
+                .unwrap_err();
+            assert!(
+                matches!(stalled, CommError::Stalled { queued: 0, .. }),
+                "{stalled}"
+            );
+            for i in 0..POSTS {
+                let (payload, flow) = comm.recv_host().unwrap();
+                assert_eq!(flow, i as u64);
+                assert_eq!(payload.wire_len(), i % 7);
+            }
+        });
+        for i in 0..POSTS {
+            host.post(0, Payload::Bytes(vec![0; i % 7]), i as u64)
+                .unwrap();
+        }
+        host.post(1, Payload::Bytes(Vec::new()), 0).unwrap();
+        let report = pool.join();
+        // Host traffic is invisible to the model and the counters: two
+        // ranks exchanged one allreduce message each, nothing else.
+        for st in &report.stats {
+            assert_eq!((st.msgs_sent, st.msgs_recv), (1, 1));
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 
 use std::cell::Cell;
 
+use comm::Payload;
+
 use crate::buffer::{Buffer, DType};
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, ReplyMsg, UnaryOp};
+use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, UnaryOp};
 use crate::slicing::SliceSpec;
 
 /// How non-conformable binary operands are aligned.
@@ -281,12 +283,11 @@ impl<'c> DistArray<'c> {
         for (w, msg) in replies.into_iter().enumerate() {
             // Large segments arrive as typed regions (no decode);
             // small ones on the classic wire path.
-            let seg = match msg {
-                ReplyMsg::Segment(data) => data,
-                ReplyMsg::Bytes(bytes) => {
-                    comm::decode_from_slice(&bytes).expect("bad fetch payload")
-                }
-            };
+            let seg: Buffer = match msg {
+                Payload::Region(region) => region.take(),
+                Payload::Bytes(bytes) => comm::decode_from_slice(&bytes).ok(),
+            }
+            .expect("bad fetch payload");
             // Replies come in worker order; worker `w` holds the rows
             // of its axis map, in local order.
             out.scatter_runs(&meta.axis_map(p, w).local_runs(), meta.slab(), &seg);

@@ -10,117 +10,39 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use comm::{Universe, UniverseConfig};
+use comm::{Payload, Universe, UniverseConfig};
 
 use crate::error::OdinError;
-use crate::protocol::{ArrayMeta, Cmd, ReplyMsg};
+use crate::protocol::{ArrayMeta, Cmd};
 use crate::reply::ReplyEngine;
-use crate::worker::{worker_main, LocalFn, ToWorker};
+use crate::worker::{worker_main, LocalFn};
 
 /// Configuration of an ODIN context.
 #[derive(Debug, Clone, Copy)]
 pub struct OdinConfig {
     /// Number of workers.
     pub n_workers: usize,
-    /// Cost model for the worker communicator.
-    pub model: comm::NetworkModel,
-    /// Collective algorithm for worker collectives; forwarded to the
-    /// worker communicator. The default is [`comm::CollectiveAlgo::Auto`]
-    /// (chosen per call from `model`); see [`comm::UniverseConfig::algo`].
-    pub algo: comm::CollectiveAlgo,
-    /// Seeded fault schedule injected into the worker communicator (E18).
-    pub fault: comm::FaultPlan,
-    /// Delivery mode of worker↔worker messages; [`comm::Delivery::Reliable`]
-    /// heals injected drop/dup/corrupt faults transparently.
-    pub delivery: comm::Delivery,
-    /// Deadline for worker-side blocking communication, so a worker whose
-    /// peer was killed errors out instead of deadlocking. Set this
-    /// whenever the fault plan can kill a rank.
-    pub stall_timeout: Option<Duration>,
     /// How long the master waits on a reply from a *live but silent*
-    /// worker before declaring it dead. A worker whose channels closed is
-    /// detected within milliseconds regardless of this setting.
+    /// worker before declaring it dead. A worker whose program ended says
+    /// so itself, and is reported at once regardless of this setting.
     pub reply_timeout: Option<Duration>,
-    /// Payload-size cutoff (encoded bytes) above which worker↔worker and
-    /// worker→master payloads move as zero-copy regions instead of wire
-    /// bytes. Forwarded to the worker communicator; `usize::MAX` forces
-    /// every payload onto the encode path.
-    pub zerocopy_threshold: usize,
-    /// Forwarded to the worker communicator: stamp zero-copy regions
-    /// with an FNV digest of their wire encoding and verify it at typed
-    /// receives (see [`comm::UniverseConfig::region_integrity`]). Off by
-    /// default.
-    pub region_integrity: bool,
+    /// The worker communicator's configuration, passed through whole.
+    /// Set [`UniverseConfig::stall_timeout`] whenever the fault plan can
+    /// kill a rank, so a worker whose peer died errors out instead of
+    /// deadlocking.
+    pub universe: UniverseConfig,
 }
 
 impl Default for OdinConfig {
     fn default() -> Self {
         OdinConfig {
             n_workers: 4,
-            model: comm::NetworkModel::default(),
-            algo: comm::CollectiveAlgo::default(),
-            fault: comm::FaultPlan::none(),
-            delivery: comm::Delivery::Raw,
-            stall_timeout: None,
             reply_timeout: None,
-            zerocopy_threshold: comm::DEFAULT_ZEROCOPY_THRESHOLD,
-            region_integrity: false,
+            universe: UniverseConfig::default(),
         }
-    }
-}
-
-impl OdinConfig {
-    /// Set the worker count.
-    #[must_use]
-    pub fn with_n_workers(mut self, n: usize) -> Self {
-        self.n_workers = n;
-        self
-    }
-
-    /// Set the collective algorithm family.
-    #[must_use]
-    pub fn with_algo(mut self, algo: comm::CollectiveAlgo) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Set the injected fault schedule.
-    #[must_use]
-    pub fn with_fault(mut self, fault: comm::FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Set the delivery mode of worker↔worker messages.
-    #[must_use]
-    pub fn with_delivery(mut self, delivery: comm::Delivery) -> Self {
-        self.delivery = delivery;
-        self
-    }
-
-    /// Set the worker-side blocking-communication deadline.
-    #[must_use]
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the zero-copy payload threshold (encoded bytes).
-    #[must_use]
-    pub fn with_zerocopy_threshold(mut self, bytes: usize) -> Self {
-        self.zerocopy_threshold = bytes;
-        self
-    }
-
-    /// Enable the FNV integrity check on worker zero-copy regions.
-    #[must_use]
-    pub fn with_region_integrity(mut self, on: bool) -> Self {
-        self.region_integrity = on;
-        self
     }
 }
 
@@ -155,10 +77,11 @@ impl ContextStats {
 pub struct OdinContext {
     pub(crate) n_workers: usize,
     pub(crate) config: OdinConfig,
-    pub(crate) to_workers: RefCell<Vec<Sender<ToWorker>>>,
-    pub(crate) from_workers: RefCell<Receiver<(usize, ReplyMsg)>>,
+    /// The master's end of the pool's mailboxes.
+    pub(crate) host: RefCell<comm::Host>,
     pub(crate) pool: RefCell<Option<comm::universe::Detached<()>>>,
-    /// Workers whose command channel was found closed (thread exited).
+    /// Workers known to be gone: they posted their notice, or a post to
+    /// them found the thread exited.
     pub(crate) dead: RefCell<Vec<bool>>,
     /// Arrays whose segments died with a respawned pool (no checkpoint).
     pub(crate) lost: RefCell<HashSet<u64>>,
@@ -182,52 +105,26 @@ pub struct OdinContext {
 
 /// Spawn a fresh worker pool under `fault` (recovery respawns with the
 /// plan cleared so the same kill does not fire again).
-#[allow(clippy::type_complexity)]
 pub(crate) fn spawn_pool(
     config: &OdinConfig,
     fault: comm::FaultPlan,
-) -> (
-    Vec<Sender<ToWorker>>,
-    Receiver<(usize, ReplyMsg)>,
-    comm::universe::Detached<()>,
-) {
-    let (reply_tx, reply_rx) = channel::<(usize, ReplyMsg)>();
-    let mut to_workers = Vec::with_capacity(config.n_workers);
-    type WorkerSeed = (Receiver<ToWorker>, Sender<(usize, ReplyMsg)>);
-    let mut seeds: Vec<Option<WorkerSeed>> = Vec::with_capacity(config.n_workers);
-    for _ in 0..config.n_workers {
-        let (tx, rx) = channel::<ToWorker>();
-        to_workers.push(tx);
-        seeds.push(Some((rx, reply_tx.clone())));
-    }
-    let ucfg = UniverseConfig {
-        model: config.model,
-        algo: config.algo,
-        stall_timeout: config.stall_timeout,
+) -> (comm::Host, comm::universe::Detached<()>) {
+    let universe = UniverseConfig {
         fault,
-        delivery: config.delivery,
-        zerocopy_threshold: config.zerocopy_threshold,
-        region_integrity: config.region_integrity,
+        ..config.universe
     };
-    let pool = Universe::spawn(
-        ucfg,
-        config.n_workers,
-        move |rank| seeds[rank].take().expect("seed used once"),
-        |comm, (rx, reply)| worker_main(comm, rx, reply),
-    );
-    (to_workers, reply_rx, pool)
+    Universe::spawn(universe, config.n_workers, worker_main)
 }
 
 impl OdinContext {
     /// Spawn the worker pool.
     pub fn new(config: OdinConfig) -> Self {
         assert!(config.n_workers > 0);
-        let (to_workers, reply_rx, pool) = spawn_pool(&config, config.fault);
+        let (host, pool) = spawn_pool(&config, config.universe.fault);
         OdinContext {
             n_workers: config.n_workers,
             config,
-            to_workers: RefCell::new(to_workers),
-            from_workers: RefCell::new(reply_rx),
+            host: RefCell::new(host),
             pool: RefCell::new(Some(pool)),
             dead: RefCell::new(vec![false; config.n_workers]),
             lost: RefCell::new(HashSet::new()),
@@ -386,30 +283,32 @@ impl OdinContext {
         *b = Some((0..self.n_workers).map(|_| Vec::new()).collect());
     }
 
-    /// Best-effort send to one worker. A closed channel means the worker
+    /// Best-effort post to one worker. A refused post means the worker
     /// thread exited (killed, panicked, or shut down); instead of
     /// panicking, the death is recorded and surfaces as a typed
     /// [`OdinError::WorkerDead`] at the next reply wait or
     /// [`Self::health_check`].
-    pub(crate) fn worker_send(&self, worker: usize, msg: ToWorker) {
-        if self.to_workers.borrow()[worker].send(msg).is_err() {
+    pub(crate) fn worker_send(&self, worker: usize, payload: Payload, flow: u64) {
+        if self.host.borrow().post(worker, payload, flow).is_err() {
             self.dead.borrow_mut()[worker] = true;
         }
     }
 
-    /// Liveness probe: an empty command block is a no-op on a live worker
-    /// but fails to send if its thread has exited.
-    pub(crate) fn probe_worker(&self, worker: usize) {
-        self.worker_send(
-            worker,
-            ToWorker::Bytes {
-                bytes: Vec::new(),
-                flow: 0,
-            },
-        );
+    /// Post one block of encoded commands to every worker under one flow
+    /// id. The last worker takes ownership of the block; only the first
+    /// n−1 posts pay for a copy.
+    fn broadcast(&self, mut bytes: Vec<u8>, flow: u64) {
+        for w in 0..self.n_workers {
+            let block = if w + 1 == self.n_workers {
+                std::mem::take(&mut bytes)
+            } else {
+                bytes.clone()
+            };
+            self.worker_send(w, Payload::Bytes(block), flow);
+        }
     }
 
-    /// Send all buffered commands, one channel message per worker.
+    /// Send all buffered commands, one post per worker.
     pub fn flush_batch(&self) {
         let timer = self.obs_timer();
         let flow = Self::ctrl_flow(&timer);
@@ -424,7 +323,7 @@ impl OdinContext {
                 }
                 sends += 1;
                 flushed_bytes += bytes.len() as u64;
-                self.worker_send(w, ToWorker::Bytes { bytes, flow });
+                self.worker_send(w, Payload::Bytes(bytes), flow);
             }
         }
         if let Some(t) = timer {
@@ -445,7 +344,7 @@ impl OdinContext {
     /// Broadcast a control command to every worker.
     pub(crate) fn send_cmd(&self, cmd: &Cmd) {
         let timer = self.obs_timer();
-        let mut bytes = comm::encode_to_vec(cmd);
+        let bytes = comm::encode_to_vec(cmd);
         let n_bytes = bytes.len();
         {
             let mut st = self.stats.borrow_mut();
@@ -467,22 +366,7 @@ impl OdinContext {
         drop(batch);
         let flow = Self::ctrl_flow(&timer);
         self.stats.borrow_mut().channel_sends += self.n_workers as u64;
-        // The last worker takes ownership of the encoded command; only
-        // the first n−1 sends pay for a copy.
-        for w in 0..self.n_workers {
-            let payload = if w + 1 == self.n_workers {
-                std::mem::take(&mut bytes)
-            } else {
-                bytes.clone()
-            };
-            self.worker_send(
-                w,
-                ToWorker::Bytes {
-                    bytes: payload,
-                    flow,
-                },
-            );
-        }
+        self.broadcast(bytes, flow);
         if let Some(t) = timer {
             self.obs_ctrl(n_bytes, false, t, flow);
         }
@@ -503,7 +387,7 @@ impl OdinContext {
             st.channel_sends += 1;
         }
         let flow = Self::ctrl_flow(&timer);
-        self.worker_send(worker, ToWorker::Bytes { bytes, flow });
+        self.worker_send(worker, Payload::Bytes(bytes), flow);
         if let Some(t) = timer {
             self.obs_data("send_data", 1, n, t, flow);
         }
@@ -514,17 +398,20 @@ impl OdinContext {
     pub fn register_local(&self, f: LocalFn) -> u64 {
         let id = self.next_fn.get();
         self.next_fn.set(id + 1);
-        for w in 0..self.n_workers {
-            self.worker_send(
-                w,
-                ToWorker::Register {
-                    id,
-                    f: Arc::clone(&f),
-                },
-            );
-        }
+        self.send_local_fn(id, &f);
         self.local_fns.borrow_mut().push((id, f));
         id
+    }
+
+    /// Broadcast a local-mode function object (the paper's decorator
+    /// "broadcasts the resulting function object to all worker nodes"):
+    /// the one post that rides the region arm, since a native closure has
+    /// no wire encoding.
+    pub(crate) fn send_local_fn(&self, id: u64, f: &LocalFn) {
+        for w in 0..self.n_workers {
+            let region = comm::Region::new((id, Arc::clone(f)), 0);
+            self.worker_send(w, Payload::Region(region), 0);
+        }
     }
 
     /// Invoke a registered local function on every worker (global-mode
@@ -540,7 +427,7 @@ impl OdinContext {
     /// Ship compiled Seamless bytecode to every worker and return the
     /// kernel id [`Cmd::EvalKernel`] invokes reference. Bitwise-identical
     /// programs are deduplicated through a structural cache, so each
-    /// distinct kernel's code crosses the channel exactly once per pool;
+    /// distinct kernel's code crosses to the workers exactly once per pool;
     /// the program is also remembered for re-registration after
     /// [`Self::recover`] respawns the pool.
     pub(crate) fn register_kernel_program(&self, program: seamless::bytecode::Program) -> u64 {
@@ -603,13 +490,12 @@ impl OdinContext {
         self.pending_all("barrier").try_wait().map(|_| ())
     }
 
-    /// Heartbeat: probe every worker's command channel and round-trip a
-    /// Ping. Returns the first dead worker as [`OdinError::WorkerDead`] —
-    /// always in bounded time, never a hang.
+    /// Heartbeat: take in whatever the workers have posted — a dead one
+    /// has posted its notice — and round-trip a Ping. Returns the first
+    /// dead worker as [`OdinError::WorkerDead`] — always in bounded time,
+    /// never a hang.
     pub fn health_check(&self) -> Result<(), OdinError> {
-        for w in 0..self.n_workers {
-            self.probe_worker(w);
-        }
+        self.poll_arrivals();
         if let Some(w) = self.dead.borrow().iter().position(|&d| d) {
             return Err(OdinError::WorkerDead {
                 worker: w,
@@ -633,24 +519,11 @@ impl OdinContext {
 impl Drop for OdinContext {
     fn drop(&mut self) {
         // Best-effort shutdown; workers may already be gone in panic paths.
-        let mut bytes = comm::encode_to_vec(&Cmd::Shutdown);
-        for w in 0..self.n_workers {
-            let payload = if w + 1 == self.n_workers {
-                std::mem::take(&mut bytes)
-            } else {
-                bytes.clone()
-            };
-            self.worker_send(
-                w,
-                ToWorker::Bytes {
-                    bytes: payload,
-                    flow: 0,
-                },
-            );
-        }
+        self.broadcast(comm::encode_to_vec(&Cmd::Shutdown), 0);
         if let Some(pool) = self.pool.borrow_mut().take() {
-            let faulty = self.config.fault.is_active() || self.dead.borrow().iter().any(|&d| d);
-            if faulty && self.config.stall_timeout.is_none() {
+            let universe = &self.config.universe;
+            let faulty = universe.fault.is_active() || self.dead.borrow().iter().any(|&d| d);
+            if faulty && universe.stall_timeout.is_none() {
                 // A killed worker's peers may be blocked forever in a
                 // collective; without a bounded worker-side wait the only
                 // hang-free teardown is to detach them.
@@ -734,14 +607,14 @@ pub(crate) mod tests {
     ) -> OdinConfig {
         OdinConfig {
             n_workers,
-            fault: comm::FaultPlan {
-                kill_rank: Some(kill_rank),
-                kill_after_ops,
-                ..comm::FaultPlan::none()
-            },
-            stall_timeout: Some(Duration::from_secs(10)),
+            universe: UniverseConfig::default()
+                .with_fault(comm::FaultPlan {
+                    kill_rank: Some(kill_rank),
+                    kill_after_ops,
+                    ..comm::FaultPlan::none()
+                })
+                .with_stall_timeout(Duration::from_secs(10)),
             reply_timeout: Some(Duration::from_secs(10)),
-            ..Default::default()
         }
     }
 
@@ -764,5 +637,37 @@ pub(crate) mod tests {
         // the heartbeat agrees, without issuing new replies
         assert!(ctx.health_check().is_err());
         assert_eq!(ctx.dead_workers(), vec![1]);
+    }
+
+    #[test]
+    fn killed_worker_with_unacked_sends_is_reported_before_it_quiesces() {
+        // Worker 0 sends worker 1 a message that worker 1 — held inside a
+        // local function by `gate` — does not read, so under reliable
+        // delivery it stays unacked; worker 0 is then killed at its next
+        // command. The dying rank spends up to its stall window trying to
+        // heal that send before its mailbox closes: the master must hear
+        // of the death before that, not after.
+        let mut cfg = chaos_config(2, 0, 3);
+        cfg.universe.delivery = comm::Delivery::Reliable;
+        let ctx = OdinContext::new(cfg);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let held = Arc::clone(&gate);
+        let f = ctx.register_local(Arc::new(move |scope, _, _| {
+            if scope.rank() == 0 {
+                scope.comm.send(1, 1, &7u64).unwrap(); // comm op 2
+            } else {
+                held.wait();
+            }
+        }));
+        ctx.call_local(f, &[], &[]); // command 1
+        let t0 = Instant::now();
+        let outcome = ctx.try_barrier(); // op 3: kills worker 0
+        let waited = t0.elapsed();
+        gate.wait(); // let worker 1 go first, so teardown can join it
+        assert!(
+            matches!(outcome, Err(OdinError::WorkerDead { worker: 0, .. })),
+            "{outcome:?}"
+        );
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
     }
 }

@@ -1,10 +1,11 @@
 //! Typed errors for the master↔worker control plane.
 //!
-//! The master's channels to a worker close when the worker thread exits —
-//! killed by an injected fault ([`comm::FaultPlan::kill_rank`]), panicked
-//! mid-command, or torn down by a peer's death. Every dispatch and
-//! reply-wait path in [`crate::OdinContext`] detects that condition and
-//! surfaces one of these errors instead of aborting or hanging, so a
+//! A worker whose program ends — killed by an injected fault
+//! ([`comm::FaultPlan::kill_rank`]), panicked mid-command, or torn down
+//! by a peer's death — posts a notice into the master's mailbox behind
+//! its last reply. Every reply-wait path in [`crate::OdinContext`] reads
+//! that notice as the death it is and surfaces one of these errors
+//! instead of aborting or hanging, so a
 //! supervisor can diagnose the failure and decide whether to fail fast or
 //! recover from a checkpoint ([`crate::OdinContext::recover`]).
 
@@ -13,15 +14,16 @@ use std::time::Duration;
 /// A control-plane failure observed by the ODIN master.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OdinError {
-    /// A worker stopped answering: its command channel is closed (the
-    /// thread exited) or no reply arrived within the reply timeout.
+    /// A worker stopped answering: it posted its gone-notice (the
+    /// program ended) or no reply arrived within the reply timeout.
     WorkerDead {
         /// Rank of the dead worker.
         worker: usize,
         /// How long the master waited before declaring it dead.
         waited: Duration,
     },
-    /// Every worker's reply sender is gone — the whole pool exited.
+    /// Every worker thread is gone and the master's mailbox is drained —
+    /// the whole pool exited.
     PoolDown,
     /// An array's segments were on a respawned pool and no checkpoint
     /// covered it, so its data is unrecoverable.
@@ -48,7 +50,7 @@ impl std::fmt::Display for OdinError {
                 "worker {worker} is dead (no reply after {:.1} ms)",
                 waited.as_secs_f64() * 1e3
             ),
-            OdinError::PoolDown => write!(f, "worker pool is down (all reply channels closed)"),
+            OdinError::PoolDown => write!(f, "worker pool is down (every worker thread exited)"),
             OdinError::SegmentsLost { arrays } => write!(
                 f,
                 "segments of {} array(s) lost in pool respawn (ids {arrays:?})",

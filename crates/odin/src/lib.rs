@@ -47,7 +47,7 @@ pub use io::remove_saved;
 pub use kernel::{Kernel, KernelSpec, Tier};
 pub use lazy::Expr;
 pub use program::{Program, ProgramRun, ProgramStats, Traced, TracedScalar};
-pub use protocol::{ArrayMeta, BinOp, Dist, KernelOut, ReduceKind, ReplyMsg, UnaryOp};
+pub use protocol::{ArrayMeta, BinOp, Dist, KernelOut, ReduceKind, UnaryOp};
 pub use recover::OdinCheckpoint;
 pub use reply::Pending;
 pub use slicing::SliceSpec;

@@ -281,11 +281,12 @@ mod tests {
         // crossover: a gather sized from a worker's own block stalls
         // there (the deadline makes that an error, not a hang).
         for (workers, m, k, n) in [(1, 7, 4, 3), (3, 7, 4, 3), (4, 5, 246, 1)] {
-            let ctx = OdinContext::new(
-                crate::OdinConfig::default()
-                    .with_n_workers(workers)
+            let ctx = OdinContext::new(crate::OdinConfig {
+                n_workers: workers,
+                universe: comm::UniverseConfig::default()
                     .with_stall_timeout(std::time::Duration::from_secs(10)),
-            );
+                ..Default::default()
+            });
             let a = ctx.random(&[m, k], 1);
             let b = ctx.random(&[k, n], 2);
             let c = a.matmul(&b);

@@ -196,45 +196,6 @@ pub enum Fill {
     },
 }
 
-/// One worker→master reply. Control replies and small results travel as
-/// encoded wire bytes; whole array segments (the `Fetch` gather — the
-/// heaviest master-bound mover) at or above the comm's zero-copy
-/// threshold travel as a typed segment whose [`Buffer`] is *moved*
-/// through the reply channel — no encode on the worker, no decode on the
-/// master. [`ReplyMsg::wire_len`] reports the encoded-equivalent size
-/// either way, so master-side byte accounting is arm-independent.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplyMsg {
-    /// Encoded reply payload (the classic wire path).
-    Bytes(Vec<u8>),
-    /// A worker's array segment in local order, moved (not serialized)
-    /// to the master, which knows the rows it holds from the array's
-    /// axis map.
-    Segment(Buffer),
-}
-
-impl ReplyMsg {
-    /// Encoded-equivalent size in bytes: what this reply would occupy on
-    /// the wire. Used for master-side traffic accounting so stats do not
-    /// depend on which arm a reply took.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            ReplyMsg::Bytes(b) => b.len(),
-            ReplyMsg::Segment(data) => data.wire_size(),
-        }
-    }
-
-    /// Collapse to encoded bytes. Free for the `Bytes` arm; a `Segment`
-    /// is encoded as the encode path would have sent it, for consumers
-    /// that only understand bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            ReplyMsg::Bytes(b) => b,
-            ReplyMsg::Segment(data) => comm::encode_to_vec(&data),
-        }
-    }
-}
-
 /// A control command broadcast from the master to every worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cmd {

@@ -2,13 +2,10 @@
 //! checkpoints ([`OdinCheckpoint`]) and the respawn-and-replay paths
 //! ([`OdinContext::recover`], [`OdinContext::resize`]).
 
-use std::sync::Arc;
-
 use crate::buffer::Buffer;
 use crate::context::{spawn_pool, OdinContext};
 use crate::error::RecoveryReport;
 use crate::protocol::{ArrayMeta, Cmd};
-use crate::worker::ToWorker;
 
 /// A master-side snapshot of selected arrays: id, metadata and the full
 /// gathered data, taken with [`OdinContext::checkpoint`] and replayed by
@@ -56,16 +53,15 @@ impl OdinContext {
     /// naming the respawn. Replies that were in flight at recovery time
     /// are discarded.
     pub fn recover(&self, ck: &OdinCheckpoint) -> RecoveryReport {
-        // Fresh channels and threads first: swapping the senders in drops
-        // the old ones, so surviving old workers see a closed channel and
-        // exit their command loop.
-        let (to_workers, reply_rx, pool) = spawn_pool(&self.config, comm::FaultPlan::none());
+        // Fresh mailboxes and threads first: swapping the host in drops
+        // the old one, whose closing envelope sends surviving old workers
+        // out of their command loop.
+        let (host, pool) = spawn_pool(&self.config, comm::FaultPlan::none());
         let old_pool = self.pool.borrow_mut().replace(pool);
-        *self.to_workers.borrow_mut() = to_workers;
-        *self.from_workers.borrow_mut() = reply_rx;
+        drop(self.host.replace(host));
         self.dead.borrow_mut().fill(false);
         if let Some(old) = old_pool {
-            if self.config.stall_timeout.is_some() {
+            if self.config.universe.stall_timeout.is_some() {
                 // Worker-side waits are bounded, so the join is too.
                 let _ = old.join_quiet();
             } else {
@@ -86,15 +82,7 @@ impl OdinContext {
         // Re-seed the pool: local functions and kernel bytecode first,
         // then checkpointed segments.
         for (id, f) in self.local_fns.borrow().iter() {
-            for w in 0..self.n_workers {
-                self.worker_send(
-                    w,
-                    ToWorker::Register {
-                        id: *id,
-                        f: Arc::clone(f),
-                    },
-                );
-            }
+            self.send_local_fn(*id, f);
         }
         for (id, program) in self.kernels.borrow().iter() {
             self.send_cmd(&Cmd::RegisterKernel {
@@ -178,7 +166,12 @@ mod tests {
         let ck = ctx.checkpoint(&[&x]); // command 3 (Fetch)
         let err = ctx.try_barrier().unwrap_err(); // command 4: kills worker 0
         assert!(matches!(err, OdinError::WorkerDead { worker: 0, .. }));
+        // Worker 1 survived and sits idle with no deadline: recover joins
+        // the old pool, so it returns only because dropping the old host
+        // sent that worker out of its command loop.
+        let t0 = std::time::Instant::now();
         let report = ctx.recover(&ck);
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
         assert_eq!(report.respawned, 2);
         assert_eq!(report.restored, vec![x.id()]);
         assert_eq!(report.lost, vec![orphan.id()]);

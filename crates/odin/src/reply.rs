@@ -1,15 +1,15 @@
 //! The master's pipelined reply engine: reply *tickets*, the [`Pending`]
-//! reply future, and the bounded, liveness-probing waits behind it.
+//! reply future, and the bounded waits behind it. Replies and death
+//! notices arrive in one mailbox ([`comm::Host::recv`]).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
-use comm::Wire;
+use comm::{HostEvent, Payload, Wire};
 
 use crate::context::OdinContext;
 use crate::error::OdinError;
-use crate::protocol::{Cmd, ReplyMsg};
+use crate::protocol::Cmd;
 
 /// Demultiplexer for worker replies. Workers execute commands in FIFO
 /// order, so the `k`-th reply to arrive from a worker always answers the
@@ -21,16 +21,16 @@ use crate::protocol::{Cmd, ReplyMsg};
 pub(crate) struct ReplyEngine {
     /// Tickets issued per worker (reply-bearing commands dispatched).
     pub(crate) issued: Vec<u64>,
-    /// Replies consumed from the channel per worker.
+    /// Replies taken off the host mailbox per worker.
     pub(crate) arrived: Vec<u64>,
     /// Arrived but not yet claimed, keyed by `(worker, ticket)`.
-    pub(crate) buffered: HashMap<(usize, u64), ReplyMsg>,
+    pub(crate) buffered: HashMap<(usize, u64), Payload>,
     /// Tickets whose `Pending` was dropped before the reply arrived.
     pub(crate) abandoned: HashSet<(usize, u64)>,
 }
 
 /// Decoder applied to the raw replies when a [`Pending`] is waited.
-type Decode<T> = Box<dyn FnOnce(Vec<ReplyMsg>) -> T>;
+type Decode<T> = Box<dyn FnOnce(Vec<Payload>) -> T>;
 
 /// A reply future: the handle returned by pipelined dispatch. Dropping it
 /// abandons the reply (the engine discards it on arrival); [`Pending::wait`]
@@ -75,9 +75,6 @@ impl<T> Drop for Pending<'_, T> {
     }
 }
 
-/// Interval at which a blocked reply wait probes worker liveness.
-const PROBE_TICK: Duration = Duration::from_millis(20);
-
 impl OdinContext {
     /// Reserve the next reply ticket from `worker`.
     fn issue_ticket(&self, worker: usize) -> (usize, u64) {
@@ -87,9 +84,14 @@ impl OdinContext {
         (worker, t)
     }
 
-    /// Account one reply pulled off the channel and assign its ticket.
-    /// Returns `None` when the ticket was abandoned (reply discarded).
-    fn admit_arrival(&self, rank: usize, msg: ReplyMsg) -> Option<((usize, u64), ReplyMsg)> {
+    /// Take one event off the host mailbox: a death notice latches
+    /// `dead`; a reply is accounted, given its ticket and buffered —
+    /// unless the ticket was abandoned (reply discarded).
+    fn admit_arrival(&self, rank: usize, event: HostEvent) {
+        let HostEvent::Msg(msg) = event else {
+            self.dead.borrow_mut()[rank] = true;
+            return;
+        };
         {
             let mut st = self.stats.borrow_mut();
             st.data_msgs += 1;
@@ -101,77 +103,50 @@ impl OdinContext {
         let t = eng.arrived[rank];
         eng.arrived[rank] += 1;
         let key = (rank, t);
-        if eng.abandoned.remove(&key) {
-            return None;
+        if !eng.abandoned.remove(&key) {
+            eng.buffered.insert(key, msg);
         }
-        Some((key, msg))
     }
 
     /// Block until the reply for `want` arrives, buffering any replies
     /// that belong to other in-flight tickets. Bounded: a worker whose
-    /// thread exited is detected by the liveness probe within
-    /// [`PROBE_TICK`], and a live-but-silent worker trips
-    /// [`OdinConfig::reply_timeout`] when one is set — either way the
-    /// wait ends with a typed [`OdinError`], never a hang.
-    fn try_claim_ticket(&self, want: (usize, u64)) -> Result<ReplyMsg, OdinError> {
-        if let Some(msg) = self.engine.borrow_mut().buffered.remove(&want) {
-            return Ok(msg);
-        }
+    /// program ended posts a notice behind its last reply, so its death
+    /// is an arrival like any other, and a live-but-silent worker trips
+    /// [`OdinConfig::reply_timeout`](crate::OdinConfig) when one is set —
+    /// either way the wait ends with a typed [`OdinError`], never a hang.
+    fn try_claim_ticket(&self, want: (usize, u64)) -> Result<Payload, OdinError> {
         let t0 = Instant::now();
+        let worker_dead = || OdinError::WorkerDead {
+            worker: want.0,
+            waited: t0.elapsed(),
+        };
         loop {
-            let tick = match self.config.reply_timeout {
-                Some(limit) => match limit.checked_sub(t0.elapsed()) {
-                    None | Some(Duration::ZERO) => {
-                        return Err(OdinError::WorkerDead {
-                            worker: want.0,
-                            waited: t0.elapsed(),
-                        })
-                    }
-                    Some(left) => left.min(PROBE_TICK),
-                },
-                None => PROBE_TICK,
+            if let Some(msg) = self.engine.borrow_mut().buffered.remove(&want) {
+                return Ok(msg);
+            }
+            if self.dead.borrow()[want.0] {
+                return Err(worker_dead());
+            }
+            let left = match self.config.reply_timeout {
+                Some(limit) => Some(limit.checked_sub(t0.elapsed()).ok_or_else(worker_dead)?),
+                None => None,
             };
-            let received = self.from_workers.borrow().recv_timeout(tick);
-            match received {
-                Ok((rank, msg)) => {
-                    if let Some((key, msg)) = self.admit_arrival(rank, msg) {
-                        if key == want {
-                            return Ok(msg);
-                        }
-                        self.engine.borrow_mut().buffered.insert(key, msg);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.probe_worker(want.0);
-                    if self.dead.borrow()[want.0] {
-                        // Drain stragglers in case the worker replied just
-                        // before dying, then give up with a diagnostic.
-                        self.poll_arrivals();
-                        if let Some(msg) = self.engine.borrow_mut().buffered.remove(&want) {
-                            return Ok(msg);
-                        }
-                        return Err(OdinError::WorkerDead {
-                            worker: want.0,
-                            waited: t0.elapsed(),
-                        });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(OdinError::PoolDown),
+            let arrival = self.host.borrow().recv(left);
+            match arrival {
+                Ok(Some((rank, event))) => self.admit_arrival(rank, event),
+                Ok(None) => return Err(worker_dead()),
+                Err(_) => return Err(OdinError::PoolDown),
             }
         }
     }
 
-    /// Pull every already-arrived reply into the buffer (non-blocking).
-    fn poll_arrivals(&self) {
+    /// Take in every event already in the mailbox (non-blocking).
+    pub(crate) fn poll_arrivals(&self) {
         loop {
-            let received = self.from_workers.borrow().try_recv();
-            match received {
-                Ok((rank, msg)) => {
-                    if let Some((key, msg)) = self.admit_arrival(rank, msg) {
-                        self.engine.borrow_mut().buffered.insert(key, msg);
-                    }
-                }
-                Err(_) => break,
+            let arrival = self.host.borrow().recv(Some(Duration::ZERO));
+            match arrival {
+                Ok(Some((rank, event))) => self.admit_arrival(rank, event),
+                _ => break,
             }
         }
     }
@@ -198,7 +173,7 @@ impl OdinContext {
 
     /// Claim `tickets` in order. Panics with the [`OdinError`] diagnostic on
     /// worker death; fallible callers use [`Self::try_await_tickets`].
-    fn await_tickets(&self, tickets: &[(usize, u64)], name: &'static str) -> Vec<ReplyMsg> {
+    fn await_tickets(&self, tickets: &[(usize, u64)], name: &'static str) -> Vec<Payload> {
         self.try_await_tickets(tickets, name)
             .unwrap_or_else(|e| panic!("odin reply wait failed: {e}"))
     }
@@ -209,7 +184,7 @@ impl OdinContext {
         &self,
         tickets: &[(usize, u64)],
         name: &'static str,
-    ) -> Result<Vec<ReplyMsg>, OdinError> {
+    ) -> Result<Vec<Payload>, OdinError> {
         self.flush_open_batch();
         let timer = self.obs_timer();
         let mut out = Vec::with_capacity(tickets.len());
@@ -235,26 +210,13 @@ impl OdinContext {
     }
 
     /// Reply future for one reply from every worker (worker order).
-    pub(crate) fn pending_all(&self, span_name: &'static str) -> Pending<'_, Vec<ReplyMsg>> {
+    pub(crate) fn pending_all(&self, span_name: &'static str) -> Pending<'_, Vec<Payload>> {
         let tickets = (0..self.n_workers).map(|w| self.issue_ticket(w)).collect();
         Pending {
             ctx: self,
             tickets,
             span_name,
             decode: Some(Box::new(|replies| replies)),
-        }
-    }
-
-    /// Reply future for a single worker-0 reply, raw bytes.
-    pub(crate) fn pending_single_raw(&self, span_name: &'static str) -> Pending<'_, Vec<u8>> {
-        let tickets = vec![self.issue_ticket(0)];
-        Pending {
-            ctx: self,
-            tickets,
-            span_name,
-            decode: Some(Box::new(|mut replies| {
-                replies.pop().expect("single reply present").into_bytes()
-            })),
         }
     }
 
@@ -265,9 +227,14 @@ impl OdinContext {
             ctx: self,
             tickets,
             span_name,
-            decode: Some(Box::new(|mut replies| {
-                let bytes = replies.pop().expect("single reply present").into_bytes();
-                comm::decode_from_slice(&bytes).expect("bad reply encoding")
+            decode: Some(Box::new(|replies| {
+                replies
+                    .into_iter()
+                    .next()
+                    .ok_or(comm::CommError::Disconnected)
+                    .and_then(Payload::into_wire_bytes)
+                    .and_then(|bytes| comm::decode_from_slice(&bytes))
+                    .expect("bad reply encoding")
             })),
         }
     }
@@ -275,7 +242,7 @@ impl OdinContext {
     /// Broadcast a command and return a future for one reply per worker —
     /// the pipelined dispatch primitive: the master keeps issuing commands
     /// while replies are still in flight.
-    pub(crate) fn dispatch_all(&self, cmd: &Cmd) -> Pending<'_, Vec<ReplyMsg>> {
+    pub(crate) fn dispatch_all(&self, cmd: &Cmd) -> Pending<'_, Vec<Payload>> {
         self.send_cmd(cmd);
         self.pending_all("collect_replies")
     }
@@ -295,14 +262,13 @@ impl OdinContext {
         issued - arrived
     }
 
-    /// Receive one reply from each worker, returned in worker order,
-    /// collapsed to encoded bytes (reduction-style replies are always on
-    /// the `Bytes` arm, so the collapse is free).
+    /// Receive one reply from each worker, returned in worker order, as
+    /// encoded bytes (only a `Fetch` reply ever rides the region arm).
     pub(crate) fn collect_replies(&self) -> Vec<Vec<u8>> {
         self.pending_all("collect_replies")
             .wait()
             .into_iter()
-            .map(ReplyMsg::into_bytes)
+            .map(|reply| reply.into_wire_bytes().expect("a wire-bytes reply"))
             .collect()
     }
 
@@ -320,11 +286,6 @@ impl OdinContext {
             .map(|w| self.issue_ticket(w))
             .collect();
         let _ = self.await_tickets(&tickets, "drain_replies");
-    }
-
-    /// Receive a single reply (commands where only worker 0 replies).
-    pub(crate) fn collect_single_reply(&self) -> Vec<u8> {
-        self.pending_single_raw("collect_single_reply").wait()
     }
 }
 

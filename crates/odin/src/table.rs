@@ -251,8 +251,7 @@ impl OdinContext {
         let fid = self.register_local(wrapped);
         let ids: Vec<u64> = arrays.iter().map(|a| a.id()).collect();
         self.call_local(fid, &ids, &[]);
-        let bytes = self.collect_single_reply();
-        comm::decode_from_slice(&bytes).expect("bad spmd reply")
+        self.pending_single("collect_single_reply").wait()
     }
 
     pub(crate) fn send_collect(&self, table_id: u64) -> Vec<Record> {

@@ -6,33 +6,21 @@
 //! redistributions, slicing, reductions and local-mode functions.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use comm::{Comm, Cursor, Wire};
+use comm::{Comm, Cursor, Payload, Wire};
 use dlinalg::DistVector;
 use seamless::bytecode::{Reg, RegFile};
 use seamless::vm::Lane;
 
 use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
-use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind, ReplyMsg};
+use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind};
 use crate::slicing::{concat_worker, redistribute_worker, slice_worker};
 
 /// Signature of a registered local-mode function (the `@odin.local`
 /// decorator analog): it runs on every worker with direct access to the
 /// worker's scope and the call's array/scalar arguments.
 pub type LocalFn = Arc<dyn Fn(&mut WorkerScope<'_>, &[u64], &[f64]) + Send + Sync>;
-
-pub(crate) enum ToWorker {
-    /// One or more concatenated Wire-encoded commands. `flow` is the
-    /// control-plane flow id of the dispatch (`obs::flow`, 0 when tracing
-    /// is off) — the worker's execution span consumes it, which is what
-    /// draws master→worker arrows in the trace.
-    Bytes { bytes: Vec<u8>, flow: u64 },
-    /// Broadcast a local-mode function object (the paper's decorator
-    /// "broadcasts the resulting function object to all worker nodes").
-    Register { id: u64, f: LocalFn },
-}
 
 /// What a local-mode function sees on each worker: the worker
 /// communicator (for direct worker↔worker communication), the segment
@@ -42,7 +30,6 @@ pub struct WorkerScope<'a> {
     pub comm: &'a Comm,
     arrays: &'a mut HashMap<u64, (ArrayMeta, Buffer)>,
     tables: &'a mut HashMap<u64, crate::table::TableSeg>,
-    reply: &'a Sender<(usize, ReplyMsg)>,
 }
 
 impl<'a> WorkerScope<'a> {
@@ -111,12 +98,9 @@ impl<'a> WorkerScope<'a> {
     }
 
     /// Send a reply payload to the master (used by reduction-style local
-    /// functions; usually only worker 0 should reply). Best-effort: a
-    /// master mid-teardown (its reply channel closed) is not an error the
-    /// worker can act on, so the payload is silently discarded and the
-    /// worker exits at its next command-channel receive.
+    /// functions; usually only worker 0 should reply).
     pub fn reply(&self, bytes: Vec<u8>) {
-        let _ = self.reply.send((self.rank(), ReplyMsg::Bytes(bytes)));
+        reply(self.comm, bytes);
     }
 
     /// This worker's segment of a distributed table.
@@ -208,87 +192,82 @@ struct WorkerScratch {
     i64_rows: Vec<Vec<i64>>,
 }
 
-pub(crate) fn worker_main(
-    comm: &mut Comm,
-    rx: Receiver<ToWorker>,
-    reply: Sender<(usize, ReplyMsg)>,
-) {
+/// Answer the master on the wire arm. Best-effort: a master mid-teardown
+/// (its mailbox gone) is not an error the worker can act on, so the
+/// payload is discarded and the worker exits at its next `recv_host`.
+fn reply(comm: &Comm, bytes: Vec<u8>) {
+    let _ = comm.send_host(Payload::Bytes(bytes));
+}
+
+pub(crate) fn worker_main(comm: &mut Comm) {
     let mut arrays: HashMap<u64, (ArrayMeta, Buffer)> = HashMap::new();
     let mut tables: HashMap<u64, crate::table::TableSeg> = HashMap::new();
     let mut fns: HashMap<u64, LocalFn> = HashMap::new();
     let mut kernels: HashMap<u64, seamless::bytecode::Program> = HashMap::new();
     let mut scratch = WorkerScratch::default();
-    'outer: loop {
-        // Idle-wait with a periodic reliability pump: a worker parked
-        // here can still owe retransmits for the final sends of its last
-        // collective (a peer may be blocked on one of them), and nothing
-        // else on this rank would ever resend. See `Comm::pump`.
-        let msg = loop {
-            match rx.recv_timeout(std::time::Duration::from_millis(10)) {
-                Ok(m) => break m,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => comm.pump(),
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break 'outer,
+    // Idle in the rank's own mailbox: parked there the worker still acks
+    // peers and resends what it owes them. The wait ends in an error once
+    // the master has dropped its end.
+    'outer: while let Ok((post, flow)) = comm.recv_host() {
+        let bytes = match post {
+            // One or more concatenated Wire-encoded commands.
+            Payload::Bytes(bytes) => bytes,
+            // The master's one region post: a local-mode function object.
+            Payload::Region(region) => {
+                if let Some((id, f)) = region.take::<(u64, LocalFn)>() {
+                    fns.insert(id, f);
+                }
+                continue;
             }
         };
-        match msg {
-            ToWorker::Register { id, f } => {
-                fns.insert(id, f);
+        // Execution span consuming the dispatch's control flow
+        // (`obs::flow`, 0 when tracing is off): cross-clock-domain, so it
+        // annotates the trace (arrow from the master) without entering
+        // the critical path.
+        let timer = if flow != 0 && obs::enabled() {
+            Some(obs::span::span_start(comm.virtual_time()))
+        } else {
+            None
+        };
+        let mut cur = Cursor::new(&bytes);
+        while cur.remaining() > 0 {
+            let cmd = Cmd::decode(&mut cur).expect("bad command encoding");
+            // Fault-injection hook: a killed worker stops executing and
+            // exits; the master hears of it from the rank's gone-notice.
+            if comm.fault_tick().is_err() {
+                break 'outer;
             }
-            ToWorker::Bytes { bytes, flow } => {
-                // Execution span consuming the dispatch's control flow:
-                // cross-clock-domain, so it annotates the trace (arrow
-                // from the master) without entering the critical path.
-                let timer = if flow != 0 && obs::enabled() {
-                    Some(obs::span::span_start(comm.virtual_time()))
-                } else {
-                    None
-                };
-                let n_bytes = bytes.len();
-                let mut cur = Cursor::new(&bytes);
-                while cur.remaining() > 0 {
-                    let cmd = Cmd::decode(&mut cur).expect("bad command encoding");
-                    // Fault-injection hook: a killed worker stops executing
-                    // and exits, dropping its channels so the master's
-                    // liveness probe discovers the death.
-                    if comm.fault_tick().is_err() {
-                        break 'outer;
-                    }
-                    if !exec_cmd(
-                        comm,
-                        &reply,
-                        &mut arrays,
-                        &mut tables,
-                        &fns,
-                        &mut kernels,
-                        &mut scratch,
-                        cmd,
-                    ) {
-                        break 'outer;
-                    }
-                }
-                if let Some(t) = timer {
-                    t.finish_meta(
-                        "odin",
-                        "exec",
-                        comm.virtual_time(),
-                        &[("cmd_bytes", n_bytes as f64)],
-                        obs::span::SpanMeta {
-                            kind: obs::span::SpanKind::Other,
-                            flow_out: 0,
-                            flow_in: flow,
-                        },
-                    );
-                }
+            if !exec_cmd(
+                comm,
+                &mut arrays,
+                &mut tables,
+                &fns,
+                &mut kernels,
+                &mut scratch,
+                cmd,
+            ) {
+                break 'outer;
             }
+        }
+        if let Some(t) = timer {
+            t.finish_meta(
+                "odin",
+                "exec",
+                comm.virtual_time(),
+                &[("cmd_bytes", bytes.len() as f64)],
+                obs::span::SpanMeta {
+                    kind: obs::span::SpanKind::Other,
+                    flow_out: 0,
+                    flow_in: flow,
+                },
+            );
         }
     }
 }
 
 /// Execute one command; returns false on shutdown.
-#[allow(clippy::too_many_arguments)]
 fn exec_cmd(
     comm: &Comm,
-    reply: &Sender<(usize, ReplyMsg)>,
     arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
     tables: &mut HashMap<u64, crate::table::TableSeg>,
     fns: &HashMap<u64, LocalFn>,
@@ -370,7 +349,7 @@ fn exec_cmd(
             arrays.insert(out, (out_meta, out_buf));
         }
         Cmd::Reduce { a, kind, axis, out } => {
-            exec_reduce(comm, reply, arrays, a, kind, axis, out);
+            exec_reduce(comm, arrays, a, kind, axis, out);
         }
         Cmd::Fetch { a } => {
             let (_, buf) = &arrays[&a];
@@ -378,12 +357,13 @@ fn exec_cmd(
             // regions (the Buffer clone is unavoidable here — the worker
             // keeps its segment — but the encode/decode round-trip is
             // not). Small segments take the classic wire path.
-            let msg = if buf.wire_size() >= comm.zerocopy_threshold() {
-                ReplyMsg::Segment(buf.clone())
+            let n = buf.wire_size();
+            let msg = if n >= comm.zerocopy_threshold() {
+                Payload::Region(comm::Region::new(buf.clone(), n))
             } else {
-                ReplyMsg::Bytes(comm::encode_to_vec(buf))
+                Payload::Bytes(comm::encode_to_vec(buf))
             };
-            let _ = reply.send((rank, msg));
+            let _ = comm.send_host(msg);
         }
         Cmd::CallLocal {
             fn_id,
@@ -395,7 +375,6 @@ fn exec_cmd(
                 comm,
                 arrays,
                 tables,
-                reply,
             };
             f(&mut scope, &arg_arrays, &scalars);
         }
@@ -403,7 +382,7 @@ fn exec_cmd(
             arrays.remove(&id);
         }
         Cmd::Ping => {
-            let _ = reply.send((rank, ReplyMsg::Bytes(Vec::new())));
+            reply(comm, Vec::new());
         }
         Cmd::Shutdown => return false,
         Cmd::Select { out, cond, a, b } => {
@@ -511,7 +490,7 @@ fn exec_cmd(
                 }
             });
             if rank == 0 {
-                let _ = reply.send((rank, ReplyMsg::Bytes(comm::encode_to_vec(&winner))));
+                reply(comm, comm::encode_to_vec(&winner));
             }
         }
         Cmd::Concat { out, a, b } => {
@@ -582,12 +561,10 @@ fn exec_cmd(
             native,
         } => match dtype {
             DType::F64 => exec_kernel::<f64>(
-                comm, reply, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs,
-                native,
+                comm, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs, native,
             ),
             DType::I64 | DType::Bool => exec_kernel::<i64>(
-                comm, reply, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs,
-                native,
+                comm, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs, native,
             ),
         },
     }
@@ -696,7 +673,6 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel<L: KernelLane>(
     comm: &Comm,
-    reply: &Sender<(usize, ReplyMsg)>,
     arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
     kernels: &HashMap<u64, seamless::bytecode::Program>,
     scratch: &mut WorkerScratch,
@@ -862,7 +838,7 @@ fn exec_kernel<L: KernelLane>(
         }
     }
     if !totals.is_empty() && comm.rank() == 0 {
-        let _ = reply.send((comm.rank(), ReplyMsg::Bytes(comm::encode_to_vec(&totals))));
+        reply(comm, comm::encode_to_vec(&totals));
     }
 }
 
@@ -893,7 +869,6 @@ fn reduce_element(kind: ReduceKind, x: f64) -> f64 {
 
 fn exec_reduce(
     comm: &Comm,
-    reply: &Sender<(usize, ReplyMsg)>,
     arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
     a: u64,
     kind: ReduceKind,
@@ -914,7 +889,7 @@ fn exec_reduce(
             comm.advance_compute(buf.len() as f64);
             let total = comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
             if rank == 0 {
-                let _ = reply.send((rank, ReplyMsg::Bytes(comm::encode_to_vec(&total))));
+                reply(comm, comm::encode_to_vec(&total));
             }
         }
         Some(0) => {

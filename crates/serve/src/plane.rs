@@ -93,8 +93,9 @@ pub struct ServeConfig {
     /// Initial workers per pool.
     pub workers_per_pool: usize,
     /// Template for each pool's ODIN master (`n_workers` is overridden
-    /// per pool). Set `stall_timeout`/`reply_timeout` whenever the fault
-    /// plan can kill a worker, exactly as for a bare [`odin::OdinContext`].
+    /// per pool). Set `universe.stall_timeout` and `reply_timeout` whenever
+    /// the fault plan can kill a worker, exactly as for a bare
+    /// [`odin::OdinContext`].
     pub odin: OdinConfig,
     /// Registered tenants: `(name, quota)`.
     pub tenants: Vec<(String, TenantQuota)>,

@@ -279,15 +279,17 @@ fn killed_odin_worker_is_a_typed_error_not_a_hang() {
     // OdinError naming the dead worker, never a hang.
     let ctx = OdinContext::new(OdinConfig {
         n_workers: 3,
-        fault: FaultPlan {
-            seed: fault_seed(),
-            kill_rank: Some(1),
-            kill_after_ops: 2,
-            ..FaultPlan::none()
+        universe: UniverseConfig {
+            fault: FaultPlan {
+                seed: fault_seed(),
+                kill_rank: Some(1),
+                kill_after_ops: 2,
+                ..FaultPlan::none()
+            },
+            stall_timeout: Some(Duration::from_secs(5)),
+            ..Default::default()
         },
-        stall_timeout: Some(Duration::from_secs(5)),
         reply_timeout: Some(Duration::from_secs(5)),
-        ..Default::default()
     });
     let _a = ctx.zeros(&[12], DType::F64); // command 1 on every worker
     let t0 = Instant::now();

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use hpc_framework::comm::{Delivery, FaultPlan};
+use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
 use hpc_framework::odin::{BinOp, OdinError};
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
@@ -32,6 +32,36 @@ fn fault_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42)
+}
+
+/// Four workers whose worker-to-worker messages are dropped, duplicated,
+/// delayed and corrupted per the seed, healed by reliable delivery.
+fn message_chaos() -> OdinConfig {
+    OdinConfig {
+        n_workers: 4,
+        universe: UniverseConfig::default()
+            .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
+            .with_delivery(Delivery::Reliable)
+            .with_stall_timeout(Duration::from_secs(10)),
+        ..Default::default()
+    }
+}
+
+/// Three workers; worker 1 dies at its `ops`-th operation. Every wait
+/// is bounded, on the workers and on the master.
+fn kill_worker_1_after(ops: u64) -> OdinConfig {
+    OdinConfig {
+        n_workers: 3,
+        universe: UniverseConfig::default()
+            .with_fault(FaultPlan {
+                seed: fault_seed(),
+                kill_rank: Some(1),
+                kill_after_ops: ops,
+                ..FaultPlan::none()
+            })
+            .with_stall_timeout(Duration::from_secs(5)),
+        reply_timeout: Some(Duration::from_secs(5)),
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -124,13 +154,7 @@ fn kernel_plane_is_deterministic_under_seeded_chaos() {
         let sum = probe_expr(&x, &y).sum().to_bits();
         (arr, sum)
     };
-    let ctx = OdinContext::new(
-        OdinConfig::default()
-            .with_n_workers(4)
-            .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
-            .with_delivery(Delivery::Reliable)
-            .with_stall_timeout(Duration::from_secs(10)),
-    );
+    let ctx = OdinContext::new(message_chaos());
     let x = ctx.linspace(-1.0, 1.0, 401);
     let y = ctx.linspace(0.5, 2.5, 401);
     assert_eq!(
@@ -154,18 +178,7 @@ fn recover_replays_registered_kernels_into_the_new_pool() {
     // *same* Kernel handle again: recover() must have re-registered the
     // bytecode on the fresh pool (code ships once per pool, so the new
     // workers have never seen it unless replay happened).
-    let ctx = OdinContext::new(OdinConfig {
-        n_workers: 3,
-        fault: FaultPlan {
-            seed: fault_seed(),
-            kill_rank: Some(1),
-            kill_after_ops: 40,
-            ..FaultPlan::none()
-        },
-        stall_timeout: Some(Duration::from_secs(5)),
-        reply_timeout: Some(Duration::from_secs(5)),
-        ..Default::default()
-    });
+    let ctx = OdinContext::new(kill_worker_1_after(40));
     let clip = ctx
         .compile_kernel(
             "def clip(a):\n    if a > 1.0:\n        return 1.0\n    if a < 0.0 - 1.0:\n        return 0.0 - 1.0\n    return a\n",
@@ -263,18 +276,7 @@ fn mid_batch_kill_is_absorbed_by_recover_without_recompiling() {
             .collect()
     };
 
-    let ctx = OdinContext::new(OdinConfig {
-        n_workers: 3,
-        fault: FaultPlan {
-            seed: fault_seed(),
-            kill_rank: Some(1),
-            kill_after_ops: 25, // lands inside the batch, not before it
-            ..FaultPlan::none()
-        },
-        stall_timeout: Some(Duration::from_secs(5)),
-        reply_timeout: Some(Duration::from_secs(5)),
-        ..Default::default()
-    });
+    let ctx = OdinContext::new(kill_worker_1_after(25)); // lands inside the batch, not before it
     let mix = ctx.compile_kernel(SRC, "mix").unwrap();
     let w = ctx.linspace(0.25, 4.0, N);
     let ck = ctx.checkpoint(&[&w]);
@@ -592,13 +594,7 @@ fn native_tier_is_deterministic_under_seeded_chaos() {
         let sum = k.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits();
         (arr, sum)
     };
-    let ctx = OdinContext::new(
-        OdinConfig::default()
-            .with_n_workers(4)
-            .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
-            .with_delivery(Delivery::Reliable)
-            .with_stall_timeout(Duration::from_secs(10)),
-    );
+    let ctx = OdinContext::new(message_chaos());
     let k = ctx.kernel(F64_BODY, "body").build().unwrap();
     let a = ctx.linspace(-1.5, 2.5, 311);
     let b = ctx.linspace(0.2, 3.0, 311);
@@ -623,18 +619,7 @@ fn native_tier_rearms_after_recover_without_recompiling() {
     // the native symbol must still dispatch (the codegen cache is
     // process-global — ranks are threads — so the respawned pool re-arms
     // with ZERO new compiles) and the bits must not move.
-    let ctx = OdinContext::new(OdinConfig {
-        n_workers: 3,
-        fault: FaultPlan {
-            seed: fault_seed(),
-            kill_rank: Some(1),
-            kill_after_ops: 40,
-            ..FaultPlan::none()
-        },
-        stall_timeout: Some(Duration::from_secs(5)),
-        reply_timeout: Some(Duration::from_secs(5)),
-        ..Default::default()
-    });
+    let ctx = OdinContext::new(kill_worker_1_after(40));
     let k = ctx.kernel(F64_BODY, "body").build().unwrap();
     if codegen::native_available() {
         assert_eq!(k.tier(), Tier::Native, "native failed to arm");
@@ -750,13 +735,7 @@ fn traced_program_is_deterministic_under_seeded_chaos() {
         let ctx = OdinContext::with_workers(4);
         run_traced_probe(&ctx)
     };
-    let ctx = OdinContext::new(
-        OdinConfig::default()
-            .with_n_workers(4)
-            .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
-            .with_delivery(Delivery::Reliable)
-            .with_stall_timeout(Duration::from_secs(10)),
-    );
+    let ctx = OdinContext::new(message_chaos());
     assert_eq!(
         run_traced_probe(&ctx),
         healthy,
@@ -773,18 +752,7 @@ fn recover_replays_fused_program_kernels_into_the_new_pool() {
     // trace again: the master's kernel cache makes the second run skip
     // registration, so it only works if recover() replayed the fused
     // bytecode into the respawned pool — and the bits must not move.
-    let ctx = OdinContext::new(OdinConfig {
-        n_workers: 3,
-        fault: FaultPlan {
-            seed: fault_seed(),
-            kill_rank: Some(1),
-            kill_after_ops: 120, // past the probe and its statement-at-a-time twin
-            ..FaultPlan::none()
-        },
-        stall_timeout: Some(Duration::from_secs(5)),
-        reply_timeout: Some(Duration::from_secs(5)),
-        ..Default::default()
-    });
+    let ctx = OdinContext::new(kill_worker_1_after(120)); // past the probe and its statement-at-a-time twin
     let baseline = run_traced_probe(&ctx);
     let anchor = ctx.linspace(0.0, 1.0, 30);
     let ck = ctx.checkpoint(&[&anchor]);

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpc_framework::comm::{Delivery, FaultPlan};
+use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
 use hpc_framework::odin::{set_binary_strategy, BinOp, BinaryStrategy, Buffer, SliceSpec};
 use hpc_framework::prelude::*;
 use obs::SplitMix64;
@@ -341,11 +341,11 @@ fn run_grid(ctx: &OdinContext, ns: &[usize], rng: &mut SplitMix64) {
 fn clean_grid(threshold: usize) {
     let mut rng = SplitMix64::new(0x1a70_0713);
     for p in 1..=8 {
-        let ctx = OdinContext::new(
-            OdinConfig::default()
-                .with_n_workers(p)
-                .with_zerocopy_threshold(threshold),
-        );
+        let ctx = OdinContext::new(OdinConfig {
+            n_workers: p,
+            universe: UniverseConfig::default().with_zerocopy_threshold(threshold),
+            ..Default::default()
+        });
         run_grid(&ctx, &sizes(p), &mut rng);
     }
 }
@@ -369,14 +369,15 @@ fn layouts_hold_under_seeded_chaos_on_both_arms() {
     let mut rng = SplitMix64::new(fault_seed());
     for threshold in [1, usize::MAX] {
         for (p, n) in [(2, 65), (3, 2), (5, 65)] {
-            let ctx = OdinContext::new(
-                OdinConfig::default()
-                    .with_n_workers(p)
+            let ctx = OdinContext::new(OdinConfig {
+                n_workers: p,
+                universe: UniverseConfig::default()
                     .with_zerocopy_threshold(threshold)
                     .with_fault(FaultPlan::messages(fault_seed(), 0.08, 0.04, 0.04, 0.03))
                     .with_delivery(Delivery::Reliable)
                     .with_stall_timeout(Duration::from_secs(10)),
-            );
+                ..Default::default()
+            });
             run_grid(&ctx, &[n], &mut rng);
         }
     }

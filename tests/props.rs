@@ -895,11 +895,11 @@ fn zerocopy_and_encode_paths_are_bitwise_identical() {
 fn odin_slicing_and_fetch_are_identical_across_payload_arms() {
     use hpc_framework::odin::OdinConfig;
     let run = |threshold: usize| {
-        let ctx = OdinContext::new(
-            OdinConfig::default()
-                .with_n_workers(3)
-                .with_zerocopy_threshold(threshold),
-        );
+        let ctx = OdinContext::new(OdinConfig {
+            n_workers: 3,
+            universe: UniverseConfig::default().with_zerocopy_threshold(threshold),
+            ..Default::default()
+        });
         let n = 257;
         let y = ctx.linspace(0.0, 1.0, n).sin();
         let dy = &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1);

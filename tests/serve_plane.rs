@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hpc_framework::comm::FaultPlan;
+use hpc_framework::comm::{FaultPlan, UniverseConfig};
 use hpc_framework::odin::OdinConfig;
 use hpc_framework::serve::{
     reference_result, JobOutcome, JobRequest, JobSpec, Priority, ServeConfig, ServeError,
@@ -290,8 +290,9 @@ fn chaos_kill_straggler_overload_absorbed_without_failures() {
         n_pools: 2,
         workers_per_pool: 3,
         odin: OdinConfig {
-            fault,
-            stall_timeout: Some(Duration::from_secs(2)),
+            universe: UniverseConfig::default()
+                .with_fault(fault)
+                .with_stall_timeout(Duration::from_secs(2)),
             reply_timeout: Some(Duration::from_secs(2)),
             ..OdinConfig::default()
         },

@@ -250,8 +250,8 @@ fn cg_iterations(ranks: usize, grid: usize) -> usize {
 
 /// CG's communication structure on the virtual clock: rows split by
 /// block rows of the grid; per iteration one SpMV (5-point: one grid row
-/// to and from each neighbor), the two allreduces `solvers::cg` issues
-/// (scalar p·Ap, fused two-lane ‖r‖², r·z) and ~20 flops/row.
+/// to and from each neighbor), the one allreduce `solvers::cg` issues
+/// (three lanes: ‖r‖², r·u, u·w) and ~20 flops/row.
 fn modeled_cg(ranks: usize, grid_rows: usize, cols: usize, iters: usize) -> f64 {
     const HALO_TAG: comm::Tag = 77;
     Universe::run_report(UniverseConfig::default(), ranks, move |comm| {
@@ -273,8 +273,9 @@ fn modeled_cg(ranks: usize, grid_rows: usize, cols: usize, iters: usize) -> f64 
                     .expect("halo recv");
             }
             comm.advance_compute(flops_per_iter);
-            let _ = comm.allreduce(&1.0f64, ReduceOp::sum());
-            let _ = comm.allreduce(&(1.0f64, 1.0f64), |a, b| (a.0 + b.0, a.1 + b.1));
+            let _ = comm.allreduce(&(1.0f64, 1.0f64, 1.0f64), |a, b| {
+                (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+            });
         }
     })
     .makespan_s
@@ -324,7 +325,7 @@ fn e09_cg_scaling() -> Outcome {
         );
     }
     println!("shape: strong scaling stays efficient while per-rank work dominates the");
-    println!("2 allreduce latencies per iteration, then rolls off — the");
+    println!("one allreduce latency per iteration, then rolls off — the");
     println!("communication-bound regime every distributed CG hits.");
     Outcome::Table
 }

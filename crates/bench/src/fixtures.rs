@@ -52,10 +52,10 @@ def wide_sum(x, y):
 ";
 
 /// E17: `iters` CG-shaped iterations on a 512x512 Laplacian — one SpMV,
-/// the two allreduces `solvers::cg` issues (a scalar and the fused
-/// two-lane pair) and ~10 flops/row of vector updates — with the
-/// overlapped split-phase matvec or the blocking reference. Arithmetic is
-/// identical; only the modeled timeline differs. Returns the makespan.
+/// the one three-lane allreduce `solvers::cg` issues and ~10 flops/row of
+/// vector updates — with the overlapped split-phase matvec or the
+/// blocking reference. Arithmetic is identical; only the modeled timeline
+/// differs. Returns the makespan.
 pub fn modeled_spmv_cg(ranks: usize, iters: usize, blocking: bool) -> f64 {
     Universe::run_report(UniverseConfig::default(), ranks, move |comm| {
         let a = laplace_2d(comm, 512, 512);
@@ -68,8 +68,9 @@ pub fn modeled_spmv_cg(ranks: usize, iters: usize, blocking: bool) -> f64 {
             } else {
                 a.matvec_into(comm, &p, &mut y);
             }
-            let _ = comm.allreduce(&1.0f64, ReduceOp::sum());
-            let _ = comm.allreduce(&(1.0f64, 1.0f64), |a, b| (a.0 + b.0, a.1 + b.1));
+            let _ = comm.allreduce(&(1.0f64, 1.0f64, 1.0f64), |a, b| {
+                (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+            });
             comm.advance_compute(10.0 * rows_local as f64);
             std::mem::swap(&mut p, &mut y);
         }

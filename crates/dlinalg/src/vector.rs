@@ -127,6 +127,49 @@ impl<S: Scalar> DistVector<S> {
         }
     }
 
+    /// The vector work of one single-reduction (Chronopoulos–Gear) CG
+    /// iteration, in one pass over memory: `p ← u + β·p`, `s ← w + β·s`,
+    /// `x ← x + α·p`, `r ← r − α·s`, then `u ← d∘r` when a pointwise
+    /// multiplier `d` is given (`u` is left alone otherwise). `beta: None`
+    /// is the first iteration, which copies (`p = u`, `s = w`) instead of
+    /// scaling a zero direction — `0·β + (−0.0)` would be `+0.0`. Every
+    /// element sees the operations, in the operand order, of `p.scale(β);
+    /// p.axpy(1, u)`, the same for `s`, `x.axpy(α, p)`, `r.axpy(−α, s)`
+    /// and a copy of `r` then `pointwise_mul(d)`, so the sweep is bitwise
+    /// those calls made one after another. Local; no modeled flops (the
+    /// `axpy`s it replaces account none).
+    pub fn cg_sweep(
+        [p, s, x, r]: [&mut DistVector<S>; 4],
+        u: &mut DistVector<S>,
+        w: &DistVector<S>,
+        d: Option<&DistVector<S>>,
+        beta: Option<S>,
+        alpha: S,
+    ) {
+        let n = u.data.len();
+        debug_assert!(
+            [&*p, &*s, &*x, &*r, w]
+                .into_iter()
+                .chain(d)
+                .all(|v| v.map.same_as(&u.map) && v.data.len() == n),
+            "cg_sweep maps must match"
+        );
+        let v = [
+            &mut p.data,
+            &mut s.data,
+            &mut x.data,
+            &mut r.data,
+            &mut u.data,
+        ];
+        let (w, dd) = (&w.data[..], d.map_or(&[][..], |d| &d.data[..]));
+        match (beta, d.is_some()) {
+            (None, false) => sweep_rows::<S, true, false>(v, w, dd, S::zero(), alpha),
+            (None, true) => sweep_rows::<S, true, true>(v, w, dd, S::zero(), alpha),
+            (Some(b), false) => sweep_rows::<S, false, false>(v, w, dd, b, alpha),
+            (Some(b), true) => sweep_rows::<S, false, true>(v, w, dd, b, alpha),
+        }
+    }
+
     /// Conjugated dot product `⟨self, other⟩ = Σ conj(selfᵢ)·otherᵢ`.
     /// Collective; accounts `2n` modeled flops on this rank.
     pub fn dot(&self, other: &DistVector<S>, comm: &Comm) -> S {
@@ -242,6 +285,53 @@ impl<S: Scalar> DistVector<S> {
     }
 }
 
+/// [`DistVector::cg_sweep`]'s loop, monomorphised per (copy iteration,
+/// pointwise multiplier) so neither branch is taken per element. Kept out
+/// of line: inlined into `solvers::cg`'s loop body the same loop made the
+/// repo benchmark's `cg_poisson2d` solve ~10 % slower (20.2–21.1 → 22.8–23.6
+/// ms in alternating runs), a code-generation effect of the host function
+/// rather than of this one.
+#[inline(never)]
+fn sweep_rows<S: Scalar, const FIRST: bool, const POINTWISE: bool>(
+    [p, s, x, r, u]: [&mut Vec<S>; 5],
+    w: &[S],
+    d: &[S],
+    beta: S,
+    alpha: S,
+) {
+    let n = u.len();
+    let (p, s, x, r, u, w) = (
+        &mut p[..n],
+        &mut s[..n],
+        &mut x[..n],
+        &mut r[..n],
+        &mut u[..n],
+        &w[..n],
+    );
+    let d = if POINTWISE { &d[..n] } else { d };
+    let neg_alpha = -alpha;
+    // Each element is loaded and stored once; the locals carry it
+    // through the same operations the separate calls apply.
+    for i in 0..n {
+        let (mut pi, mut si) = if FIRST { (u[i], w[i]) } else { (p[i], s[i]) };
+        if !FIRST {
+            pi *= beta;
+            pi += S::one() * u[i];
+            si *= beta;
+            si += S::one() * w[i];
+        }
+        let mut ri = r[i];
+        ri += neg_alpha * si;
+        (p[i], s[i], r[i]) = (pi, si, ri);
+        x[i] += alpha * pi;
+        if POINTWISE {
+            let mut ui = ri;
+            ui *= d[i];
+            u[i] = ui;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +442,78 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// `cg_sweep` is bitwise the separate `scale`/`axpy`/copy/
+    /// `pointwise_mul` calls it fuses — both scalar kinds, with and without
+    /// a multiplier, on the copy iteration and after it — and the copy
+    /// iteration keeps a `-0.0` in `u` that `0·β + u` would turn into `+0.0`.
+    #[test]
+    fn cg_sweep_is_bitwise_the_separate_calls() {
+        use crate::scalar::Complex64;
+        use comm::encode_to_vec;
+
+        fn check<S: Scalar>(f: impl Fn(usize, f64) -> S, neg_zero: S) {
+            let map = DistMap::block(23, 1, 0);
+            let vec = |k: f64| DistVector::from_fn(map.clone(), |g| f(g, k));
+            let bits = |v: &DistVector<S>| encode_to_vec(&v.local().to_vec());
+            let mut u = vec(0.7391);
+            u.local_mut()[3] = neg_zero;
+            let (w, d) = (vec(1.6180), vec(2.2361));
+            let (alpha, beta) = (f(5, 0.31), f(7, 0.43));
+            for first in [true, false] {
+                for mult in [None, Some(&d)] {
+                    let [mut p, mut s, mut x, mut r] = [0.11, 0.23, 0.37, 0.53].map(vec);
+                    let [mut p2, mut s2, mut x2, mut r2, mut u2] =
+                        [&p, &s, &x, &r, &u].map(DistVector::clone);
+                    if first {
+                        p2.local_mut().copy_from_slice(u.local());
+                        s2.local_mut().copy_from_slice(w.local());
+                    } else {
+                        p2.scale(beta);
+                        p2.axpy(S::one(), &u);
+                        s2.scale(beta);
+                        s2.axpy(S::one(), &w);
+                    }
+                    x2.axpy(alpha, &p2);
+                    r2.axpy(-alpha, &s2);
+                    if let Some(d) = mult {
+                        u2.local_mut().copy_from_slice(r2.local());
+                        u2.pointwise_mul(d);
+                    }
+                    let mut u1 = u.clone();
+                    let b = (!first).then_some(beta);
+                    DistVector::cg_sweep(
+                        [&mut p, &mut s, &mut x, &mut r],
+                        &mut u1,
+                        &w,
+                        mult,
+                        b,
+                        alpha,
+                    );
+                    let cell = format!("first {first}, multiplier {}", mult.is_some());
+                    for (name, got, want) in [
+                        ("p", &p, &p2),
+                        ("s", &s, &s2),
+                        ("x", &x, &x2),
+                        ("r", &r, &r2),
+                        ("u", &u1, &u2),
+                    ] {
+                        assert_eq!(bits(got), bits(want), "{cell}: {name}");
+                    }
+                    if first {
+                        let sign = encode_to_vec(&p.local()[3]);
+                        assert_eq!(sign, encode_to_vec(&neg_zero), "{cell}: -0.0 copied");
+                    }
+                }
+            }
+        }
+
+        check::<f64>(|g, k| (g as f64 * k).sin() / 3.0, -0.0);
+        check::<Complex64>(
+            |g, k| Complex64::new((g as f64 * k).sin() / 3.0, (g as f64 * k).cos() / 7.0),
+            Complex64::new(-0.0, -0.0),
+        );
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Checkpoint/restart for the Krylov solvers (the recovery half of the
 //! E18 chaos experiments).
 //!
-//! A CG iteration's live state at the top of the loop is exactly
-//! `{x, r, p, ρ = rᵀz, ‖r₀‖, history}` — everything else is recomputed
-//! inside the body. [`CgCheckpoint`] snapshots that state per rank;
-//! resuming from a snapshot replays the *identical* floating-point
-//! operation sequence, so a run restarted after a mid-solve failure
-//! converges to a bitwise-identical answer (asserted by
-//! `tests/failure_modes.rs` under the seeded chaos sweep).
+//! The single-reduction CG loop's state at the top of an iteration is
+//! `{x, r, p, s = A·p, γ = rᵀu, α, β, ‖r₀‖, history}` plus `u = M⁻¹r` and
+//! `w = A·u`. [`CgCheckpoint`] snapshots the first set per rank and
+//! leaves `u` and `w` out: a resume rebuilds them with one
+//! `apply_into` and one `matvec_into`, the very calls (or, for a
+//! pointwise preconditioner, the bitwise equal sweep) that produced them.
+//! Resuming from a snapshot therefore replays the *identical*
+//! floating-point operation sequence, so a run restarted after a
+//! mid-solve failure converges to a bitwise-identical answer (asserted
+//! by `tests/failure_modes.rs` under the seeded chaos sweep).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -25,8 +28,15 @@ pub struct CgCheckpoint<S> {
     pub r: Vec<S>,
     /// Local segment of the search direction `p`.
     pub p: Vec<S>,
-    /// The inner product `rᵀz` carried across iterations.
-    pub rz: S,
+    /// Local segment of `s = A·p`, carried by the recurrence.
+    pub s: Vec<S>,
+    /// The inner product `γ = rᵀu`, `u = M⁻¹r`.
+    pub gamma: S,
+    /// The step length this iteration's sweep applies.
+    pub alpha: S,
+    /// The direction update this iteration's sweep applies (unused at
+    /// iteration 1, which copies).
+    pub beta: S,
     /// Initial residual norm (convergence tests are relative to it).
     pub r0_norm: f64,
     /// Residual history up to (excluding) `iteration`.
@@ -128,7 +138,10 @@ mod tests {
             x: vec![iteration as f64],
             r: vec![0.0],
             p: vec![0.0],
-            rz: 1.0,
+            s: vec![0.0],
+            gamma: 1.0,
+            alpha: 1.0,
+            beta: 0.0,
             r0_norm: 1.0,
             history: vec![1.0],
         }

@@ -66,10 +66,17 @@ impl KrylovConfig {
 
 /// Preconditioned conjugate gradients for SPD (or Hermitian positive
 /// definite) systems. Solves `A·x = b`, starting from `x`'s current value.
-/// Two collective reductions per iteration. A breakdown — `p·Ap` zero or
-/// non-finite, or a non-finite residual, as an indefinite operator or a
-/// NaN out of the preconditioner produces — ends the solve with
-/// `converged: false` and the history so far.
+///
+/// Single-reduction (Chronopoulos–Gear) form: with `u = M⁻¹r` and
+/// `w = A·u`, an iteration is one vector sweep, one SpMV and **one**
+/// collective reduction — `(r,r)`, `(r,u)` and `(u,w)` in one three-lane
+/// allreduce — from which `p·Ap` follows by recurrence; start-up costs one
+/// SpMV more than classic PCG. Same Krylov iterates in exact arithmetic,
+/// different rounding: classic PCG is kept as a test oracle, not shipped.
+/// A breakdown — `p·Ap` (`u·Au` at start-up) zero or non-finite, or a
+/// non-finite residual, as an indefinite operator or a NaN out of the
+/// preconditioner produces — ends the solve with `converged: false` and
+/// the history so far.
 pub fn cg<S: Scalar>(
     comm: &Comm,
     a: &CsrMatrix<S>,
@@ -94,9 +101,13 @@ pub fn cg_checkpointed<S: Scalar>(
     cfg: &KrylovConfig,
     ck: &CgCheckpointing<'_, S>,
 ) -> SolveStatus {
-    let mut r;
-    let mut p;
-    let mut rz;
+    let map = b.map();
+    // Workspaces reused across iterations: the loop below performs no
+    // heap allocation besides the (pre-reserved) history push.
+    let mut u = DistVector::zeros(map.clone());
+    let mut w = DistVector::zeros(map.clone());
+    let (mut r, mut p, mut s);
+    let (mut gamma, mut alpha, mut beta);
     let r0_norm;
     let mut history;
     let start;
@@ -107,42 +118,39 @@ pub fn cg_checkpointed<S: Scalar>(
             "resume checkpoint does not match this rank's segment"
         );
         x.local_mut().copy_from_slice(&c.x);
-        r = DistVector::from_local(b.map().clone(), c.r.clone());
-        p = DistVector::from_local(b.map().clone(), c.p.clone());
-        rz = c.rz;
+        [r, p, s] = [&c.r, &c.p, &c.s].map(|v| DistVector::from_local(map.clone(), v.clone()));
+        (gamma, alpha, beta) = (c.gamma, c.alpha, c.beta);
         r0_norm = c.r0_norm;
         history = c.history.clone();
         start = c.iteration;
+        // u and w are not checkpointed: the calls that made them remake them.
+        m.apply_into(comm, &r, &mut u);
+        a.matvec_into(comm, &u, &mut w);
     } else {
-        let ax = a.matvec(comm, x);
         r = b.clone();
-        r.axpy(-S::one(), &ax);
-        // The preconditioner runs before the convergence test so that
-        // ‖r₀‖² and r₀·z₀ share one reduction.
-        let z0 = m.apply(comm, &r);
-        let [rr, rz0] = DistVector::dots([(&r, &r), (&r, &z0)], comm);
+        r.axpy(-S::one(), &a.matvec(comm, x));
+        m.apply_into(comm, &r, &mut u);
+        a.matvec_into(comm, &u, &mut w);
+        let [rr, ru, uw] = DistVector::dots([(&r, &r), (&r, &u), (&u, &w)], comm);
         r0_norm = norm_from_lane(rr);
         history = vec![r0_norm];
         if cfg.done(r0_norm, r0_norm) || r0_norm == 0.0 {
-            instrument::record_solve("cg", 0, true, r0_norm);
-            return SolveStatus {
-                converged: true,
-                iterations: 0,
-                history,
-            };
+            return cg_status(history, true);
         }
-        rz = rz0;
-        p = z0;
+        if !is_usable_divisor(uw) {
+            // breakdown: A is not positive definite along the first direction
+            return cg_status(history, false);
+        }
+        (gamma, alpha, beta) = (ru, ru / uw, S::zero());
+        p = DistVector::zeros(map.clone());
+        s = DistVector::zeros(map.clone());
         start = 1;
     }
-    // Workspaces reused across iterations: the inner loop below performs
-    // no heap allocation besides the (pre-reserved) history push.
     history.reserve((cfg.max_iter + 1).saturating_sub(start));
-    let mut ap = DistVector::zeros(b.map().clone());
-    let mut z = DistVector::zeros(b.map().clone());
-    // Two synchronizations per iteration: p·Ap, then (‖r‖², r·z) fused.
-    // The price is one preconditioner apply on the iteration that
-    // converges, whose z is never used.
+    let d = m.pointwise_multiplier();
+    // One synchronization per iteration. The price is one preconditioner
+    // apply and one SpMV on the iteration that converges, whose u and w
+    // are never used.
     for it in start..=cfg.max_iter {
         if ck.every > 0 && (it - 1) % ck.every == 0 {
             if let Some(sink) = ck.sink {
@@ -151,50 +159,58 @@ pub fn cg_checkpointed<S: Scalar>(
                     x: x.local().to_vec(),
                     r: r.local().to_vec(),
                     p: p.local().to_vec(),
-                    rz,
+                    s: s.local().to_vec(),
+                    gamma,
+                    alpha,
+                    beta,
                     r0_norm,
                     history: history.clone(),
                 });
             }
         }
         let timer = instrument::iter_start(comm);
-        instrument::phase(comm, "cg.spmv", || a.matvec_into(comm, &p, &mut ap));
-        let pap = p.dot(&ap, comm);
-        if !is_usable_divisor(pap) {
-            break; // breakdown: A is not positive definite along p
+        // p ← u + β·p, s ← w + β·s (copies on the first iteration),
+        // x ← x + α·p, r ← r − α·s, and u ← M⁻¹r if M is pointwise.
+        let sweep_beta = (it > 1).then_some(beta);
+        instrument::phase(comm, "cg.sweep", || {
+            let v = [&mut p, &mut s, &mut *x, &mut r];
+            DistVector::cg_sweep(v, &mut u, &w, d, sweep_beta, alpha);
+        });
+        if d.is_none() {
+            instrument::phase(comm, "cg.precond", || m.apply_into(comm, &r, &mut u));
         }
-        let alpha = rz / pap;
-        x.axpy(alpha, &p);
-        r.axpy(-alpha, &ap);
-        instrument::phase(comm, "cg.precond", || m.apply_into(comm, &r, &mut z));
-        let [rr, rz_new] = DistVector::dots([(&r, &r), (&r, &z)], comm);
+        instrument::phase(comm, "cg.spmv", || a.matvec_into(comm, &u, &mut w));
+        let [rr, gamma_new, delta] = DistVector::dots([(&r, &r), (&r, &u), (&u, &w)], comm);
         let rnorm = norm_from_lane(rr);
         history.push(rnorm);
         if let Some(t) = timer {
             instrument::iter_finish(t, comm, "cg.iter", it, rnorm);
         }
         if cfg.done(rnorm, r0_norm) {
-            instrument::record_solve("cg", it, true, rnorm);
-            return SolveStatus {
-                converged: true,
-                iterations: it,
-                history,
-            };
+            return cg_status(history, true);
         }
         if !rnorm.is_finite() {
             break; // a NaN/∞ residual never recovers
         }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        // p ← z + beta·p
-        p.scale(beta);
-        p.axpy(S::one(), &z);
+        beta = gamma_new / gamma;
+        // η = p·Ap of the next direction, from this one reduction
+        let eta = delta - beta * gamma_new / alpha;
+        if !is_usable_divisor(eta) {
+            break; // breakdown: A is not positive definite along p
+        }
+        alpha = gamma_new / eta;
+        gamma = gamma_new;
     }
     // Out of budget, or a breakdown left the loop early.
+    cg_status(history, false)
+}
+
+/// A CG solve's status from its residual history, recorded for `obs`.
+fn cg_status(history: Vec<f64>, converged: bool) -> SolveStatus {
     let iterations = history.len() - 1;
-    instrument::record_solve("cg", iterations, false, history[iterations]);
+    instrument::record_solve("cg", iterations, converged, history[iterations]);
     SolveStatus {
-        converged: false,
+        converged,
         iterations,
         history,
     }

@@ -23,6 +23,14 @@ pub trait Preconditioner<S: Scalar> {
     fn apply_into(&self, comm: &Comm, r: &DistVector<S>, z: &mut DistVector<S>) {
         *z = self.apply(comm, r);
     }
+    /// The vector `d` when this preconditioner is the pointwise product
+    /// `z = r∘d`, so a solver can fold the apply into its own vector sweep
+    /// ([`DistVector::cg_sweep`]); `None` (the default) means call
+    /// [`Self::apply_into`]. Where `Some`, `apply_into` must be bitwise a
+    /// copy of `r` followed by `pointwise_mul(d)`.
+    fn pointwise_multiplier(&self) -> Option<&DistVector<S>> {
+        None
+    }
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
 }
@@ -68,6 +76,9 @@ impl<S: Scalar> Preconditioner<S> for JacobiPrecond<S> {
     fn apply_into(&self, _comm: &Comm, r: &DistVector<S>, z: &mut DistVector<S>) {
         z.local_mut().copy_from_slice(r.local());
         z.pointwise_mul(&self.inv_diag);
+    }
+    fn pointwise_multiplier(&self) -> Option<&DistVector<S>> {
+        Some(&self.inv_diag)
     }
     fn name(&self) -> &'static str {
         "jacobi"

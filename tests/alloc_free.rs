@@ -104,12 +104,13 @@ fn steady_state_cg_iterations_allocate_nothing() {
     // Two ranks, the repo benchmark's shape: the default resolves every
     // allreduce through the LogGP model (three `predict`s and a
     // `wire_size`) where a fixed algorithm passes straight through. That
-    // must cost no allocation: 60 extra steady-state iterations (120
-    // allreduces, ~250 allocations, all of them channel nodes and
-    // payloads) allocate what they do under the algorithm `Auto` resolves
-    // to. The tolerance of 2 is the fence's: its read races the peer's
-    // next barrier send, which moved one reading by 1 or 2 in 8 of 300
-    // runs here; one allocation per resolution would be 120.
+    // must cost no allocation: 60 extra steady-state iterations (60
+    // allreduces — single-reduction CG — and 60 halo exchanges, all their
+    // allocations channel nodes and payloads) allocate what they do under
+    // the algorithm `Auto` resolves to. The tolerance of 2 is the fence's:
+    // its read races the peer's next barrier send, which moved one reading
+    // by 1 or 2 in 8 of 300 runs here; one allocation per resolution would
+    // be 60.
     let auto_extra = extra_60_iters(UniverseConfig::default());
     let rd_extra =
         extra_60_iters(UniverseConfig::default().with_algo(CollectiveAlgo::RecursiveDoubling));

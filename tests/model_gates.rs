@@ -49,10 +49,11 @@ fn auto_tracks_the_best_fixed_collective() {
     // E19: `CollectiveAlgo::Auto` within 5% of the best fixed algorithm
     // at every swept (op, ranks, payload) point, and strictly better than
     // the worst at half of them or more. `Auto` is the default (asserted
-    // in comm), and E9 and E17 were re-baselined on the one-lane allreduce
-    // rows: there, and at the 128 and 256 ranks those tables reach, it
-    // costs exactly what the cheapest fixed algorithm costs and strictly
-    // less than the reduce-then-bcast tree that used to be the default.
+    // in comm), and E9 and E17 replay CG's one latency-bound (24-byte)
+    // allreduce per iteration, for which the one-lane rows stand in:
+    // there, and at the 128 and 256 ranks those tables reach, it costs
+    // exactly what the cheapest fixed algorithm costs and strictly less
+    // than the reduce-then-bcast tree that used to be the default.
     let mut points = autotune_points();
     points.extend([("allreduce", 128, 1), ("allreduce", 256, 1)]);
     let mut beats_worst = 0;

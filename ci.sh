@@ -116,8 +116,9 @@ echo "== experiments --gate (wall-ratio gates: E20 jit, E21 tracing, E22 zero-co
 # The four experiment gates that need release-build timings: jitted Expr
 # >= 2x unfused, enabled tracing within 5% + 25 ms, region arm >= 5x the
 # encode arm on 8 MiB payloads and faster on >= 1 MiB plan exchanges,
-# native tier >= 10x the boxed interpreter (skipped and reported when no
-# C compiler is armed). Every other experiment gate is a tier-1 test.
+# native tier >= 10x the boxed interpreter and >= 4x the VM, with a fresh
+# native invoke <= 2x its VM invoke (skipped and reported when no C
+# compiler is armed). Every other experiment gate is a tier-1 test.
 cargo run --release --offline -p bench --bin experiments -- --gate
 
 echo "== modeled tables match the committed baseline (crates/bench/modeled_tables.txt)"

@@ -309,8 +309,8 @@ impl CModule {
 // Tempdir compile-and-load: the real dynamic-loader half of the CModule
 // plane, used by the tiered kernel JIT (`codegen`). Where `CModule::load`
 // serves a *registry* of Rust-implemented symbols, this path shells out to
-// the system C compiler, builds a shared object in a per-process temp
-// directory, and resolves the symbol with `dlopen`/`dlsym`.
+// the system C compiler, builds a shared object in the temp directory, and
+// resolves the symbol with `dlopen`/`dlsym`.
 // ---------------------------------------------------------------------------
 
 /// Locate a working system C compiler, probing `$CC`, then `cc`, `gcc`,
@@ -355,41 +355,81 @@ mod dl {
     pub(super) const RTLD_NOW: c_int = 2;
 }
 
+/// The prefix of the `<prefix>k<n>.c` / `<prefix>k<n>.so` pairs
+/// [`compile_and_load`] writes straight into the temp directory; each
+/// pair is unlinked before the call returns, so nothing is left behind.
+#[cfg(unix)]
+fn scratch_prefix() -> String {
+    format!("seamless-native-{}-", std::process::id())
+}
+
+/// Unlinks the files it names when dropped, so every return path of
+/// [`compile_and_load`] cleans up. A `dlopen`ed mapping outlives its file.
+#[cfg(unix)]
+struct Unlink<'a>([&'a std::path::Path; 2]);
+
+#[cfg(unix)]
+impl Drop for Unlink<'_> {
+    fn drop(&mut self) {
+        for path in self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// Compile `c_source` with the system C compiler into a shared object in
-/// a per-process temp directory, `dlopen` it, and return the address of
-/// `symbol`. The library handle is deliberately leaked so the returned
-/// address stays valid for the life of the process (the JIT caches one
-/// entry per monomorphization, so the leak is bounded by distinct
-/// kernels).
+/// the temp directory, `dlopen` it, and return the address of `symbol`.
+/// The source and the object are unlinked before returning, on success
+/// and failure alike. The library handle is deliberately leaked so the
+/// returned address stays valid for the life of the process (the JIT
+/// caches one entry per monomorphization, so the leak is bounded by
+/// distinct kernels).
 ///
-/// Flags: `-O2 -fPIC -shared -ffp-contract=off -lm`. Contraction is
-/// disabled because the native tier is gated on *bitwise* parity with the
-/// VM — a fused multiply-add would round differently than the
-/// interpreter's separate multiply and add.
+/// Flags: `-O2 -ftree-vectorize -fPIC -shared -ffp-contract=off -nostdlib
+/// [-mavx2] -lm`.
+/// - `-ftree-vectorize`: GCC's `-O2` cost model alone refuses any loop
+///   that needs a remainder, which is every lane loop. Vectorizing cannot
+///   move a bit: each emitted op is an elementwise IEEE operation that
+///   rounds the same at any width, and no reduction runs in C.
+/// - `-ffp-contract=off`: the native tier is gated on *bitwise* parity
+///   with the VM, and a fused multiply-add would round differently than
+///   the interpreter's separate multiply and add.
+/// - `-mavx2` when the CPU reports AVX2 (detected here rather than
+///   `-march=native`, whose host probe costs every `cc` call 10–14 ms).
+///   Stay at `-O2`: at `-O1` GCC 12 emits no `vzeroupper`, so an AVX
+///   kernel returns with the upper YMM state dirty and the SSE code that
+///   runs next on the thread crawls.
+/// - `-nostdlib ... -lm`: no C runtime objects are linked, which shortens
+///   every call; libm stays the one dependency, and its symbols resolve
+///   at `dlopen` against the libm every Rust binary already maps.
 #[cfg(unix)]
 pub fn compile_and_load(c_source: &str, symbol: &str) -> Result<usize, SeamlessError> {
-    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let cc = system_cc()
         .ok_or_else(|| SeamlessError::Ffi("no system C compiler (cc/gcc/clang)".into()))?;
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("seamless-native-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| SeamlessError::Ffi(format!("native tempdir: {e}")))?;
-    let c_path = dir.join(format!("k{n}.c"));
-    let so_path = dir.join(format!("k{n}.so"));
-    let mut f = std::fs::File::create(&c_path)
+    let stem = std::env::temp_dir().join(format!("{}k{n}", scratch_prefix()));
+    let c_path = stem.with_extension("c");
+    let so_path = stem.with_extension("so");
+    let _unlink = Unlink([&c_path, &so_path]);
+    std::fs::write(&c_path, c_source)
         .map_err(|e| SeamlessError::Ffi(format!("write {}: {e}", c_path.display())))?;
-    f.write_all(c_source.as_bytes())
-        .map_err(|e| SeamlessError::Ffi(format!("write {}: {e}", c_path.display())))?;
-    drop(f);
-    let out = std::process::Command::new(cc)
-        .arg("-O2")
-        .arg("-fPIC")
-        .arg("-shared")
-        .arg("-ffp-contract=off")
+    let mut cmd = std::process::Command::new(cc);
+    cmd.args([
+        "-O2",
+        "-ftree-vectorize",
+        "-fPIC",
+        "-shared",
+        "-ffp-contract=off",
+        "-nostdlib",
+    ]);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        cmd.arg("-mavx2");
+    }
+    let out = cmd
         .arg("-o")
         .arg(&so_path)
         .arg(&c_path)
@@ -523,6 +563,7 @@ double multi(
     #[cfg(unix)]
     #[test]
     fn compile_and_load_resolves_a_symbol() {
+        let _g = crate::test_lock();
         if system_cc().is_none() {
             return; // bare machine: the VM-only fallback covers this
         }
@@ -538,9 +579,49 @@ double multi(
     #[cfg(unix)]
     #[test]
     fn compile_errors_are_reported_not_fatal() {
+        let _g = crate::test_lock();
         if system_cc().is_none() {
             return;
         }
         assert!(compile_and_load("this is not C", "nope").is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn compiles_leave_no_scratch_files_behind() {
+        let _g = crate::test_lock();
+        if system_cc().is_none() {
+            return;
+        }
+        let leftovers = || -> Vec<String> {
+            std::fs::read_dir(std::env::temp_dir())
+                .expect("temp dir lists")
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|name| name.starts_with(&scratch_prefix()))
+                .collect()
+        };
+        // a published symbol keeps working after its object is unlinked
+        let addr = compile_and_load(
+            "double twice$f64(double x) { return x * 2.0; }\n",
+            "twice$f64",
+        )
+        .expect("trivial kernel compiles");
+        assert_eq!(
+            leftovers(),
+            Vec::<String>::new(),
+            "after a successful compile"
+        );
+        let f: extern "C" fn(f64) -> f64 = unsafe { std::mem::transmute(addr) };
+        assert_eq!(f(21.0), 42.0);
+        // the three failure paths: cc rejects the source, dlsym misses, and
+        // dlopen refuses an object with an unresolvable symbol
+        assert!(compile_and_load("this is not C", "nope").is_err());
+        assert!(compile_and_load("double one(void) { return 1.0; }\n", "two").is_err());
+        assert!(compile_and_load(
+            "double no_such_fn_anywhere(double);\ndouble f(double x) { return no_such_fn_anywhere(x); }\n",
+            "f"
+        )
+        .is_err());
+        assert_eq!(leftovers(), Vec::<String>::new(), "after failed compiles");
     }
 }

@@ -188,13 +188,21 @@ fn mangle(name: &str, lane: RegFile, hash: u64, n_out: usize) -> String {
 // C emission
 // ---------------------------------------------------------------------------
 
-const C_PRELUDE: &str = r#"#include <math.h>
-#include <stddef.h>
-#include <string.h>
+/// Includes no header: parsing `<math.h>` and friends was a quarter of a
+/// small body's `cc` time. The libm functions the emitter calls are
+/// declared with their standard prototypes, which is what lets GCC and
+/// clang still treat them as builtins (`fabs`, `floor`, `sqrt` inline).
+const C_PRELUDE: &str = r#"typedef __SIZE_TYPE__ size_t;
 typedef long long sl_i64;
 typedef unsigned long long sl_u64;
+double sqrt(double); double sin(double); double cos(double);
+double tan(double); double exp(double); double log(double);
+double fabs(double); double floor(double); double ceil(double);
+double pow(double, double); double fmod(double, double);
+double fmin(double, double); double fmax(double, double);
+double hypot(double, double); double atan2(double, double);
 /* exact f64 constants: bit pattern in, double out */
-static double sl_db(sl_u64 u) { double d; memcpy(&d, &u, 8); return d; }
+static double sl_db(sl_u64 u) { double d; __builtin_memcpy(&d, &u, 8); return d; }
 /* float -> int with Rust `as` semantics: saturate, NaN -> 0 */
 static sl_i64 sl_f2i(double x) {
     if (x != x) return 0;
@@ -314,6 +322,12 @@ fn emit_instr(ins: &Instr) -> Option<String> {
 /// load from the `lane` file's input rows, every `out_regs` entry stores
 /// to its own output row (integer registers widen into `double` rows).
 /// Returns `None` when any instruction falls outside the emitter's class.
+///
+/// Every row pointer is read into a local before the lane loop, so the
+/// loop body indexes rows only (`inK[lane]` / `outJ[lane]`) and the
+/// vectorizer's runtime overlap check covers the rows, not the `in` /
+/// `out` pointer arrays as well. No `restrict`: GCC versions the loop on
+/// that check instead, a few compares per call.
 fn emit_c(
     f: &CompiledFunc,
     symbol: &str,
@@ -329,6 +343,12 @@ fn emit_c(
     src.push_str(&format!(
         "void {symbol}(const {c_ty}* const* in, {c_ty}* const* out, size_t n) {{\n"
     ));
+    for k in 0..f.params.len() {
+        src.push_str(&format!("    const {c_ty}* in{k} = in[{k}];\n"));
+    }
+    for j in 0..out_regs.len() {
+        src.push_str(&format!("    {c_ty}* out{j} = out[{j}];\n"));
+    }
     src.push_str("    for (size_t lane = 0; lane < n; ++lane) {\n");
     // registers zero-initialized per lane, matching the VM's fallback
     // frame discipline (and the vectorized path's zeroed rows)
@@ -342,7 +362,7 @@ fn emit_c(
         if file != lane {
             return None;
         }
-        src.push_str(&format!("        {own}{reg} = in[{k}][lane];\n"));
+        src.push_str(&format!("        {own}{reg} = in{k}[lane];\n"));
     }
     for ins in f.straight_line_body()? {
         src.push_str("        ");
@@ -351,9 +371,9 @@ fn emit_c(
     }
     for (j, &(file, r)) in out_regs.iter().enumerate() {
         src.push_str(&match (lane, file) {
-            (RegFile::F, RegFile::F) => format!("        out[{j}][lane] = f{r};\n"),
-            (RegFile::F, RegFile::I) => format!("        out[{j}][lane] = (double)i{r};\n"),
-            (RegFile::I, RegFile::I) => format!("        out[{j}][lane] = i{r};\n"),
+            (RegFile::F, RegFile::F) => format!("        out{j}[lane] = f{r};\n"),
+            (RegFile::F, RegFile::I) => format!("        out{j}[lane] = (double)i{r};\n"),
+            (RegFile::I, RegFile::I) => format!("        out{j}[lane] = i{r};\n"),
             _ => return None,
         });
     }
@@ -373,9 +393,11 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Probe widths: every width 1–8 (the satellite parity matrix) plus one
-/// chunk big enough to push the VM onto its vectorized path.
-const PROBE_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 256];
+/// Probe widths: every width 1–8 (the satellite parity matrix), one chunk
+/// big enough to push the VM onto its vectorized path, and three widths
+/// that are not a multiple of 4 above the C vectorizer's threshold, so
+/// the vector loop and both of its epilogues run in one call.
+const PROBE_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 256, 257, 259, 1027];
 
 fn probe_inputs<L: Lane>(arity: usize, width: usize, seed: u64) -> Vec<Vec<L>> {
     let mut state = seed;
@@ -511,13 +533,6 @@ mod tests {
     use super::*;
     use crate::types::Type;
 
-    // HPC_KERNEL_TIER is process-global; serialize every test that reads
-    // or writes it so the env-flip test can't race the probe tests.
-    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn f64_program(instrs: Vec<Instr>, arity: usize, n_f: usize, n_i: usize) -> Program {
         Program {
             funcs: vec![CompiledFunc {
@@ -580,7 +595,7 @@ mod tests {
 
     #[test]
     fn native_matches_vm_bitwise_on_a_nontrivial_body() {
-        let _g = env_lock();
+        let _g = crate::test_lock();
         if !native_available() {
             return; // bare machine: VM-only fallback
         }
@@ -628,7 +643,7 @@ mod tests {
 
     #[test]
     fn i64_native_matches_vm() {
-        let _g = env_lock();
+        let _g = crate::test_lock();
         if !native_available() {
             return;
         }
@@ -666,8 +681,86 @@ mod tests {
     }
 
     #[test]
+    fn every_opcode_class_arms_under_the_link_line() {
+        let _g = crate::test_lock();
+        if !native_available() {
+            return;
+        }
+        // The object links no C runtime, so a symbol the emitter calls and
+        // libm does not export would fail at dlopen and leave the body on
+        // the VM without a word. Each class must compile, load and pass
+        // the probe: one body per libm function, i64 lanes, `sl_f2i`,
+        // `sl_powi` and a compare/select body.
+        let arm = |what: &str, p: &Program, out: (RegFile, Reg)| {
+            let before = stats();
+            let armed = if p.funcs[0].params[0].0 == RegFile::F {
+                native::<f64>(p, &[out]).is_some()
+            } else {
+                native::<i64>(p, &[out]).is_some()
+            };
+            let after = stats();
+            assert!(armed, "{what} stayed on the VM");
+            assert_eq!(
+                (after.compiled, after.refused, after.probe_failed),
+                (before.compiled + 1, before.refused, before.probe_failed),
+                "{what}"
+            );
+        };
+        let ret = |file, r| Instr::Ret(Some((file, r)));
+        use MathFn::*;
+        for m in [Sqrt, Sin, Cos, Tan, Exp, Log, Floor, Ceil, Abs] {
+            let p = f64_program(vec![Instr::Math1(m, 1, 0), ret(RegFile::F, 1)], 1, 2, 0);
+            arm(math1_fn(m), &p, (RegFile::F, 1));
+        }
+        for (what, ins) in [
+            ("pow", Instr::PowF(2, 0, 1)),
+            ("fmod", Instr::RemF(2, 0, 1)),
+            ("fmin", Instr::MinF(2, 0, 1)),
+            ("fmax", Instr::MaxF(2, 0, 1)),
+            ("hypot", Instr::Math2(Math2Fn::Hypot, 2, 0, 1)),
+            ("atan2", Instr::Math2(Math2Fn::Atan2, 2, 0, 1)),
+            ("sl_powi", Instr::PowIC(2, 0, 7)),
+        ] {
+            let p = f64_program(vec![ins, ret(RegFile::F, 2)], 2, 3, 0);
+            arm(what, &p, (RegFile::F, 2));
+        }
+        let f2i = f64_program(vec![Instr::FToI(0, 0), ret(RegFile::I, 0)], 1, 1, 1);
+        arm("sl_f2i", &f2i, (RegFile::I, 0));
+        let select = f64_program(
+            vec![
+                Instr::CmpF(Cmp::Lt, 0, 0, 1),
+                Instr::CmpF(Cmp::Ge, 1, 1, 0),
+                Instr::OrI(2, 0, 1),
+                Instr::MaxI(3, 0, 2),
+                ret(RegFile::I, 3),
+            ],
+            2,
+            2,
+            4,
+        );
+        arm("compare/select", &select, (RegFile::I, 3));
+        let i64_lanes = Program {
+            funcs: vec![CompiledFunc {
+                name: "ilanes".into(),
+                params: vec![(RegFile::I, 0), (RegFile::I, 1)],
+                param_types: vec![Type::Int; 2],
+                ret: Type::Int,
+                reg_counts: [0, 5, 0, 0],
+                instrs: vec![
+                    Instr::MulI(2, 0, 1),
+                    Instr::NegI(3, 2),
+                    Instr::AddI(4, 3, 0),
+                    ret(RegFile::I, 4),
+                ],
+            }],
+            externs: Vec::new(),
+        };
+        arm("i64 lanes", &i64_lanes, (RegFile::I, 4));
+    }
+
+    #[test]
     fn vm_forced_pins_the_tier_off() {
-        let _g = env_lock();
+        let _g = crate::test_lock();
         let p = f64_program(
             vec![Instr::MulF(1, 0, 0), Instr::Ret(Some((RegFile::F, 1)))],
             1,

@@ -85,3 +85,12 @@ impl std::fmt::Display for SeamlessError {
 }
 
 impl std::error::Error for SeamlessError {}
+
+/// Serializes the unit tests that flip `HPC_KERNEL_TIER` (process-global)
+/// or run the C compiler (one of them asserts that no compile leaves a
+/// file behind in the temp directory).
+#[cfg(test)]
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -502,7 +502,11 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
     // native monomorphization must agree with the Tier::Vm build bit for
     // bit — for f64, i64, and bool compute. On machines without a C
     // compiler (or under HPC_KERNEL_TIER=vm) both builds resolve to the
-    // VM and the matrix still holds trivially.
+    // VM and the matrix still holds trivially. Besides 67 lanes, the f64
+    // and i64 planes run 257, 259 and 1027 lanes: not multiples of 4 and
+    // above the C vectorizer's threshold, so a single-worker call runs the
+    // vector loop and both of its epilogues.
+    const LANES: [usize; 4] = [67, 257, 259, 1027];
     for workers in 1..=8usize {
         let ctx = OdinContext::with_workers(workers);
 
@@ -512,29 +516,31 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
         if codegen::native_available() {
             assert_eq!(auto.tier(), Tier::Native, "f64 native failed to arm");
         }
-        let a = ctx.linspace(-2.0, 3.0, 67);
-        let b = ctx.linspace(0.1, 4.0, 67);
-        assert_eq!(
-            bits(&auto.map(&[&a, &b]).to_vec()),
-            bits(&vm.map(&[&a, &b]).to_vec()),
-            "f64 tiers diverged at {workers} workers"
-        );
-        let fused_n = auto.map_reduce(&[&a, &b], ReduceKind::Sum);
-        let fused_v = vm.map_reduce(&[&a, &b], ReduceKind::Sum);
-        assert_eq!(
-            fused_n.to_bits(),
-            fused_v.to_bits(),
-            "f64 fused reduce diverged at {workers} workers"
-        );
-        // The E20 39-op identity body arms the same way (Expr kernels
-        // resolve their tier per launch) and must not move a bit either.
-        let wide = || bench::fixtures::wide_expr(&a, &b);
-        let oracle = wide().eval_unfused();
-        assert_eq!(
-            (bits(&wide().eval().to_vec()), wide().sum().to_bits()),
-            (bits(&oracle.to_vec()), oracle.sum().to_bits()),
-            "39-op body diverged from the eager oracle at {workers} workers"
-        );
+        for n in LANES {
+            let a = ctx.linspace(-2.0, 3.0, n);
+            let b = ctx.linspace(0.1, 4.0, n);
+            assert_eq!(
+                bits(&auto.map(&[&a, &b]).to_vec()),
+                bits(&vm.map(&[&a, &b]).to_vec()),
+                "f64 tiers diverged at {workers} workers, {n} lanes"
+            );
+            let fused_n = auto.map_reduce(&[&a, &b], ReduceKind::Sum);
+            let fused_v = vm.map_reduce(&[&a, &b], ReduceKind::Sum);
+            assert_eq!(
+                fused_n.to_bits(),
+                fused_v.to_bits(),
+                "f64 fused reduce diverged at {workers} workers, {n} lanes"
+            );
+            // The E20 39-op identity body arms the same way (Expr kernels
+            // resolve their tier per launch) and must not move a bit either.
+            let wide = || bench::fixtures::wide_expr(&a, &b);
+            let oracle = wide().eval_unfused();
+            assert_eq!(
+                (bits(&wide().eval().to_vec()), wide().sum().to_bits()),
+                (bits(&oracle.to_vec()), oracle.sum().to_bits()),
+                "39-op body diverged from the eager oracle at {workers} workers, {n} lanes"
+            );
+        }
 
         // i64 plane
         let isrc = "def ibody(a, b):\n    return a * a - b * 3 + min(a, b)\n";
@@ -548,13 +554,15 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
         if codegen::native_available() {
             assert_eq!(iauto.tier(), Tier::Native, "i64 native failed to arm");
         }
-        let xi = ctx.arange(67);
-        let yi = ctx.arange(67);
-        assert_eq!(
-            iauto.map(&[&xi, &yi]).to_vec_i64(),
-            ivm.map(&[&xi, &yi]).to_vec_i64(),
-            "i64 tiers diverged at {workers} workers"
-        );
+        for n in LANES {
+            let xi = ctx.arange(n);
+            let yi = ctx.arange(n);
+            assert_eq!(
+                iauto.map(&[&xi, &yi]).to_vec_i64(),
+                ivm.map(&[&xi, &yi]).to_vec_i64(),
+                "i64 tiers diverged at {workers} workers, {n} lanes"
+            );
+        }
 
         // bool plane (i64 ABI with 0/1 rows)
         let bsrc = "def same(a, b):\n    return a == b\n";

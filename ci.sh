@@ -26,7 +26,7 @@ panic_sites() {
   done
   echo "$n"
 }
-for entry in comm:46 odin:49 seamless:43; do
+for entry in comm:46 odin:48 seamless:43; do
   crate=${entry%%:*} ceiling=${entry##*:}
   sites=$(panic_sites "$crate")
   echo "-- $crate: $sites panic sites (ceiling $ceiling)"
@@ -69,6 +69,28 @@ for f in crates/odin/src/*.rs; do
   fi
 done
 
+echo "== one elementwise executor (workers run every ufunc as a kernel)"
+# Eager ufuncs are one-op kernels through `exec_kernel`; the per-op
+# buffer loops live on only as the master-side serial oracle
+# (`odin::reference`). One of them on the worker is the second
+# elementwise path growing back.
+if awk '/#\[cfg\(test\)\]/{exit} {print}' crates/odin/src/worker.rs \
+    | grep -nE 'apply_unary|apply_binary|binop_'; then
+  echo "elementwise gate: crates/odin/src/worker.rs computes ufuncs outside exec_kernel" >&2
+  exit 1
+fi
+
+echo "== CHANGES entry size (one line per PR, at most 1200 bytes)"
+# The newest entry says what changed, what was measured and where the
+# detail lives; the detail itself belongs in DESIGN, EXPERIMENTS or the
+# PR.
+newest=$(tail -n 1 CHANGES.md | wc -c)
+echo "-- newest CHANGES entry: $newest bytes"
+if [ "$newest" -gt 1200 ]; then
+  echo "CHANGES gate: the newest entry is $newest bytes, the cap is 1200" >&2
+  exit 1
+fi
+
 echo "== native kernel tier: C compiler detection"
 # The tiered kernel plane lowers straight-line bodies to C and compiles
 # them with the system compiler (DESIGN.md §15). Without one, every
@@ -94,9 +116,10 @@ HPC_METRICS=1 cargo test -q --offline --workspace
 
 echo "== kernel plane again with the native tier pinned off"
 # The VM fallback must stay a first-class execution path, not a
-# degraded one: the full kernel-plane suite (parity, chaos, recover)
-# re-runs with every kernel forced onto the typed-register VM.
-HPC_KERNEL_TIER=vm cargo test -q --offline --test kernel_plane
+# degraded one: the full kernel-plane suite (parity, chaos, recover) and
+# the eager ufunc grid re-run with every kernel forced onto the
+# typed-register VM.
+HPC_KERNEL_TIER=vm cargo test -q --offline --test kernel_plane --test eager_grid
 
 echo "== chaos pass: seeded fault sweep"
 # Every fault decision is a pure function of HPC_FAULT_SEED, so each

@@ -163,12 +163,14 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
         let n = u64::decode(cur)? as usize;
-        // Guard against corrupt length prefixes: each element needs ≥1 byte
-        // unless T is zero-sized (e.g. unit), which we cap separately.
-        if std::mem::size_of::<T>() > 0 && n > cur.remaining().max(1) * 8 {
+        // Guard against corrupt length prefixes before allocating anything:
+        // each element of a non-zero-sized T takes at least one byte, so a
+        // prefix past the remaining bytes is refused, and the capacity is
+        // bounded by the bytes actually present.
+        if std::mem::size_of::<T>() > 0 && n > cur.remaining() {
             return Err(CommError::Decode(format!("implausible vec length {n}")));
         }
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let mut out = Vec::with_capacity(n.min(cur.remaining()));
         for _ in 0..n {
             out.push(T::decode(cur)?);
         }
@@ -324,6 +326,14 @@ mod tests {
         // Length prefix claims 2^60 elements with a 0-byte body.
         let bytes = encode_to_vec(&(1u64 << 60));
         assert!(decode_from_slice::<Vec<u64>>(&bytes).is_err());
+        // One element more than there are bytes left is refused by the
+        // guard itself, before any allocation, not by a later truncation.
+        let mut bytes = encode_to_vec(&5u64);
+        bytes.extend_from_slice(&[1, 2, 3, 4]);
+        match decode_from_slice::<Vec<u8>>(&bytes) {
+            Err(CommError::Decode(msg)) => assert!(msg.contains("implausible"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

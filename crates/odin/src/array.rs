@@ -1,7 +1,9 @@
 //! Master-side array handles and the NumPy-like global-mode API.
 //!
 //! A [`DistArray`] is a lightweight handle: the data lives on the workers.
-//! Every method broadcasts a small control command; binary operations on
+//! Every method broadcasts a small control command — an elementwise ufunc
+//! is a one-op kernel launch, the same [`Cmd::EvalKernel`] a fused
+//! expression sends; binary operations on
 //! non-conformable operands insert a redistribution automatically, with a
 //! selectable strategy (§III-D: "ODIN will choose a strategy that will
 //! minimize communication, while allowing the knowledgeable user to
@@ -11,9 +13,12 @@ use std::cell::Cell;
 
 use comm::Payload;
 
-use crate::buffer::{Buffer, DType};
+use seamless::bytecode::{Reg, RegFile};
+
+use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, Buffer, DType};
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, UnaryOp};
+use crate::lazy::{powic_exponent, Lowerer};
+use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, KernelOut, UnaryOp};
 use crate::slicing::SliceSpec;
 
 /// How non-conformable binary operands are aligned.
@@ -114,17 +119,54 @@ impl<'c> DistArray<'c> {
         self.meta().dist
     }
 
-    fn unary(&self, op: UnaryOp) -> DistArray<'c> {
+    /// One eager elementwise op as a one-op kernel with `self` as its
+    /// template: `lower` emits the body over parameter registers 0, 1, …
+    /// (`self`, then `rhs`, then `scalar`), the structural registry ships
+    /// it once per pool, and one [`Cmd::EvalKernel`] materializes the
+    /// result as `dtype`. An `I64` result runs on i64 lanes, every other
+    /// on f64 lanes — how the serial oracle ([`crate::reference`])
+    /// computes it.
+    fn one_op(
+        &self,
+        rhs: Option<u64>,
+        scalar: Option<f64>,
+        dtype: DType,
+        lower: impl FnOnce(&mut Lowerer) -> Reg,
+    ) -> DistArray<'c> {
+        let (lane, file) = match dtype {
+            DType::I64 => (DType::I64, RegFile::I),
+            _ => (DType::F64, RegFile::F),
+        };
+        let inputs: Vec<u64> = std::iter::once(self.id).chain(rhs).collect();
+        let mut lw = Lowerer::with_params(file, inputs.len() + usize::from(scalar.is_some()));
+        let ret = lower(&mut lw);
+        let kernel = self.ctx.register_kernel_program(lw.finish(ret));
         let out = self.ctx.alloc_id();
-        let mut meta = self.meta();
-        meta.dtype = crate::buffer::unary_result_dtype(op, meta.dtype);
-        self.ctx.send_cmd(&Cmd::Unary {
-            out,
-            a: self.id,
-            op,
+        self.ctx.send_cmd(&Cmd::EvalKernel {
+            kernel,
+            template: self.id,
+            inputs,
+            scalars: scalar.into_iter().collect(),
+            outs: vec![KernelOut::Array {
+                id: out,
+                dtype,
+                reg: (file, ret),
+            }],
+            dtype: lane,
+            native: true,
         });
+        let meta = ArrayMeta {
+            dtype,
+            ..self.meta()
+        };
         self.ctx.record_meta(out, meta);
         DistArray::from_id(self.ctx, out)
+    }
+
+    /// Elementwise unary ufunc.
+    pub fn unary(&self, op: UnaryOp) -> DistArray<'c> {
+        let dtype = unary_result_dtype(op, self.dtype());
+        self.one_op(None, None, dtype, |lw| lw.emit_unary(op, 0))
     }
 
     /// Elementwise binary ufunc with automatic alignment.
@@ -132,8 +174,10 @@ impl<'c> DistArray<'c> {
         let ma = self.meta();
         let mb = other.meta();
         assert_eq!(ma.shape, mb.shape, "binary ufunc shape mismatch");
+        let dtype = binary_result_dtype(op, ma.dtype, mb.dtype);
+        let lower = |lw: &mut Lowerer| lw.emit_binary(op, 0, 1);
         if ma.conformable(&mb) {
-            return self.binary_conformable(other.id, &ma, &mb, op);
+            return self.one_op(Some(other.id), None, dtype, lower);
         }
         // Non-conformable: align per the strategy.
         let strategy = binary_strategy();
@@ -151,69 +195,30 @@ impl<'c> DistArray<'c> {
         };
         if redistribute_right {
             let aligned = other.redistribute(ma.dist);
-            let m2 = aligned.meta();
-            self.binary_conformable(aligned.id, &ma, &m2, op)
+            self.one_op(Some(aligned.id), None, dtype, lower)
         } else {
             let aligned = self.redistribute(mb.dist);
-            let m1 = aligned.meta();
-            aligned.binary_conformable(other.id, &m1, &mb, op)
+            aligned.one_op(Some(other.id), None, dtype, lower)
         }
     }
 
-    fn binary_conformable(
-        &self,
-        rhs_id: u64,
-        ma: &ArrayMeta,
-        mb: &ArrayMeta,
-        op: BinOp,
-    ) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        let mut meta = ma.clone();
-        meta.dtype = crate::buffer::binary_result_dtype(op, ma.dtype, mb.dtype);
-        self.ctx.send_cmd(&Cmd::Binary {
-            out,
-            a: self.id,
-            b: rhs_id,
-            op,
-        });
-        self.ctx.record_meta(out, meta);
-        DistArray::from_id(self.ctx, out)
-    }
-
-    /// Binary ufunc against a broadcast scalar.
+    /// Binary ufunc against a broadcast scalar. The literal rides in the
+    /// launch as a kernel parameter, so a fresh value reuses the
+    /// registered body; only `x ** c` with a small integral `c` bakes the
+    /// exponent in (as `powi`, at most 17 bodies).
     pub fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        let ma = self.meta();
-        let scalar_dtype = if scalar.fract() == 0.0 {
-            DType::I64
-        } else {
-            DType::F64
-        };
-        let mut meta = ma.clone();
-        meta.dtype = crate::buffer::binary_result_dtype(op, ma.dtype, scalar_dtype);
-        self.ctx.send_cmd(&Cmd::BinaryScalar {
-            out,
-            a: self.id,
-            scalar,
-            op,
-            scalar_left,
-        });
-        self.ctx.record_meta(out, meta);
-        DistArray::from_id(self.ctx, out)
+        let dtype = binary_result_dtype(op, self.dtype(), scalar_dtype(scalar));
+        if let (BinOp::Pow, false, Some(e)) = (op, scalar_left, powic_exponent(scalar)) {
+            return self.one_op(None, None, dtype, |lw| lw.emit_pow_const(0, e));
+        }
+        let (a, b) = if scalar_left { (1, 0) } else { (0, 1) };
+        self.one_op(None, Some(scalar), dtype, |lw| lw.emit_binary(op, a, b))
     }
 
-    /// Cast to another dtype.
+    /// Cast to another dtype: the identity body, with the launch's output
+    /// dtype doing the cast.
     pub fn astype(&self, dtype: DType) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        let mut meta = self.meta();
-        meta.dtype = dtype;
-        self.ctx.send_cmd(&Cmd::AsType {
-            out,
-            a: self.id,
-            dtype,
-        });
-        self.ctx.record_meta(out, meta);
-        DistArray::from_id(self.ctx, out)
+        self.one_op(None, None, dtype, |_| 0)
     }
 
     /// Materialize under a new distribution.
@@ -348,10 +353,6 @@ impl<'c> DistArray<'c> {
     /// Elementwise ceiling.
     pub fn ceil(&self) -> DistArray<'c> {
         self.unary(UnaryOp::Ceil)
-    }
-    /// Elementwise logical not.
-    pub fn logical_not(&self) -> DistArray<'c> {
-        self.unary(UnaryOp::Not)
     }
     /// Elementwise power with a scalar exponent.
     pub fn powf(&self, e: f64) -> DistArray<'c> {

@@ -195,23 +195,23 @@ impl Buffer {
 pub fn unary_result_dtype(op: UnaryOp, d: DType) -> DType {
     use UnaryOp::*;
     match op {
-        Neg => {
-            if d == DType::Bool {
-                DType::I64
-            } else {
-                d
-            }
-        }
-        Abs => {
-            if d == DType::Bool {
-                DType::I64
-            } else {
-                d
-            }
-        }
+        Neg | Abs if d == DType::Bool => DType::I64,
+        Neg | Abs => d,
         Not => DType::Bool,
         // transcendental ufuncs always produce floats, as in NumPy
         Sin | Cos | Tan | Exp | Log | Sqrt | Floor | Ceil => DType::F64,
+    }
+}
+
+/// The dtype a broadcast scalar takes in a binary op: integral values
+/// exactly representable in f64's 53-bit mantissa are `I64`, everything
+/// else (fractions, `±1e20`, NaN, ±inf) is `F64`. The master records
+/// results by this rule and the kernel it launches computes by it.
+pub(crate) fn scalar_dtype(v: f64) -> DType {
+    if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
+        DType::I64
+    } else {
+        DType::F64
     }
 }
 
@@ -219,7 +219,7 @@ pub fn unary_result_dtype(op: UnaryOp, d: DType) -> DType {
 pub fn binary_result_dtype(op: BinOp, a: DType, b: DType) -> DType {
     use BinOp::*;
     match op {
-        Add | Sub | Mul | Max | Min => {
+        Add | Sub | Mul | Max | Min | Mod => {
             let p = a.promote(b);
             if p == DType::Bool {
                 DType::I64
@@ -228,193 +228,7 @@ pub fn binary_result_dtype(op: BinOp, a: DType, b: DType) -> DType {
             }
         }
         Div | Pow | Hypot | Atan2 => DType::F64,
-        Mod => a.promote(b),
         Eq | Ne | Lt | Le | Gt | Ge | And | Or => DType::Bool,
-    }
-}
-
-/// Apply a unary ufunc elementwise.
-pub fn apply_unary(op: UnaryOp, a: &Buffer) -> Buffer {
-    use UnaryOp::*;
-    let out_dtype = unary_result_dtype(op, a.dtype());
-    match op {
-        Neg => match a {
-            Buffer::F64(v) => Buffer::F64(v.iter().map(|x| -x).collect()),
-            _ => Buffer::I64((0..a.len()).map(|i| -a.get_i64(i)).collect()),
-        },
-        Abs => match a {
-            Buffer::F64(v) => Buffer::F64(v.iter().map(|x| x.abs()).collect()),
-            _ => Buffer::I64((0..a.len()).map(|i| a.get_i64(i).abs()).collect()),
-        },
-        Not => Buffer::Bool((0..a.len()).map(|i| a.get_f64(i) == 0.0).collect()),
-        _ => {
-            let f: fn(f64) -> f64 = match op {
-                Sin => f64::sin,
-                Cos => f64::cos,
-                Tan => f64::tan,
-                Exp => f64::exp,
-                Log => f64::ln,
-                Sqrt => f64::sqrt,
-                Floor => f64::floor,
-                Ceil => f64::ceil,
-                _ => unreachable!(),
-            };
-            debug_assert_eq!(out_dtype, DType::F64);
-            Buffer::F64((0..a.len()).map(|i| f(a.get_f64(i))).collect())
-        }
-    }
-}
-
-/// Evaluate one binary op on two f64 operands.
-pub fn binop_f64(op: BinOp, x: f64, y: f64) -> f64 {
-    use BinOp::*;
-    match op {
-        Add => x + y,
-        Sub => x - y,
-        Mul => x * y,
-        Div => x / y,
-        Pow => x.powf(y),
-        Mod => x % y,
-        Max => x.max(y),
-        Min => x.min(y),
-        Hypot => x.hypot(y),
-        Atan2 => x.atan2(y),
-        _ => unreachable!("comparison handled separately"),
-    }
-}
-
-fn binop_i64(op: BinOp, x: i64, y: i64) -> i64 {
-    use BinOp::*;
-    match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        Mod => {
-            if y == 0 {
-                0
-            } else {
-                x.rem_euclid(y)
-            }
-        }
-        Max => x.max(y),
-        Min => x.min(y),
-        _ => unreachable!(),
-    }
-}
-
-fn binop_cmp(op: BinOp, x: f64, y: f64) -> bool {
-    use BinOp::*;
-    match op {
-        Eq => x == y,
-        Ne => x != y,
-        Lt => x < y,
-        Le => x <= y,
-        Gt => x > y,
-        Ge => x >= y,
-        And => x != 0.0 && y != 0.0,
-        Or => x != 0.0 || y != 0.0,
-        _ => unreachable!(),
-    }
-}
-
-/// Apply a binary ufunc elementwise to equal-length buffers, with
-/// promotion.
-pub fn apply_binary(op: BinOp, a: &Buffer, b: &Buffer) -> Buffer {
-    assert_eq!(a.len(), b.len(), "binary ufunc length mismatch");
-    let out = binary_result_dtype(op, a.dtype(), b.dtype());
-    let n = a.len();
-    // fast monomorphic loops for the dominant f64∘f64 arithmetic cases
-    if let (Buffer::F64(x), Buffer::F64(y)) = (a, b) {
-        let zip = |f: fn(f64, f64) -> f64| -> Buffer {
-            Buffer::F64(x.iter().zip(y.iter()).map(|(&u, &v)| f(u, v)).collect())
-        };
-        match op {
-            BinOp::Add => return zip(|u, v| u + v),
-            BinOp::Sub => return zip(|u, v| u - v),
-            BinOp::Mul => return zip(|u, v| u * v),
-            BinOp::Div => return zip(|u, v| u / v),
-            BinOp::Max => return zip(f64::max),
-            BinOp::Min => return zip(f64::min),
-            BinOp::Hypot => return zip(f64::hypot),
-            _ => {}
-        }
-    }
-    match out {
-        DType::F64 => Buffer::F64(
-            (0..n)
-                .map(|i| binop_f64(op, a.get_f64(i), b.get_f64(i)))
-                .collect(),
-        ),
-        DType::I64 => Buffer::I64(
-            (0..n)
-                .map(|i| binop_i64(op, a.get_i64(i), b.get_i64(i)))
-                .collect(),
-        ),
-        DType::Bool => Buffer::Bool(
-            (0..n)
-                .map(|i| binop_cmp(op, a.get_f64(i), b.get_f64(i)))
-                .collect(),
-        ),
-    }
-}
-
-/// Apply a binary ufunc between a buffer and a broadcast scalar.
-pub fn apply_binary_scalar(op: BinOp, a: &Buffer, scalar: f64, scalar_left: bool) -> Buffer {
-    // Scalars arrive as f64 on the wire; integer identity is preserved
-    // when both the buffer and the scalar are integral.
-    let scalar_dtype = if scalar.fract() == 0.0 && scalar.abs() < 2f64.powi(53) {
-        DType::I64
-    } else {
-        DType::F64
-    };
-    let out = binary_result_dtype(op, a.dtype(), scalar_dtype);
-    let n = a.len();
-    // strength reduction: x ** small-integer runs as powi
-    if op == BinOp::Pow
-        && !scalar_left
-        && out == DType::F64
-        && scalar.fract() == 0.0
-        && scalar.abs() <= 8.0
-    {
-        let e = scalar as i32;
-        return Buffer::F64((0..n).map(|i| a.get_f64(i).powi(e)).collect());
-    }
-    let pick = |x: f64| {
-        if scalar_left {
-            (scalar, x)
-        } else {
-            (x, scalar)
-        }
-    };
-    match out {
-        DType::F64 => Buffer::F64(
-            (0..n)
-                .map(|i| {
-                    let (x, y) = pick(a.get_f64(i));
-                    binop_f64(op, x, y)
-                })
-                .collect(),
-        ),
-        DType::I64 => Buffer::I64(
-            (0..n)
-                .map(|i| {
-                    let (x, y) = if scalar_left {
-                        (scalar as i64, a.get_i64(i))
-                    } else {
-                        (a.get_i64(i), scalar as i64)
-                    };
-                    binop_i64(op, x, y)
-                })
-                .collect(),
-        ),
-        DType::Bool => Buffer::Bool(
-            (0..n)
-                .map(|i| {
-                    let (x, y) = pick(a.get_f64(i));
-                    binop_cmp(op, x, y)
-                })
-                .collect(),
-        ),
     }
 }
 
@@ -479,84 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn unary_ops() {
-        let a = Buffer::F64(vec![0.0, 1.0, 4.0]);
-        assert_eq!(
-            apply_unary(UnaryOp::Sqrt, &a),
-            Buffer::F64(vec![0.0, 1.0, 2.0])
-        );
-        let b = Buffer::I64(vec![-2, 3]);
-        assert_eq!(apply_unary(UnaryOp::Neg, &b), Buffer::I64(vec![2, -3]));
-        assert_eq!(apply_unary(UnaryOp::Abs, &b), Buffer::I64(vec![2, 3]));
-        // sin of ints promotes to float
-        let c = Buffer::I64(vec![0]);
-        assert_eq!(apply_unary(UnaryOp::Sin, &c), Buffer::F64(vec![0.0]));
-        // logical not
-        let d = Buffer::Bool(vec![true, false]);
-        assert_eq!(
-            apply_unary(UnaryOp::Not, &d),
-            Buffer::Bool(vec![false, true])
-        );
-    }
-
-    #[test]
-    fn binary_promotion() {
-        let i = Buffer::I64(vec![1, 2, 3]);
-        let f = Buffer::F64(vec![0.5, 0.5, 0.5]);
-        assert_eq!(
-            apply_binary(BinOp::Add, &i, &f),
-            Buffer::F64(vec![1.5, 2.5, 3.5])
-        );
-        assert_eq!(apply_binary(BinOp::Add, &i, &i), Buffer::I64(vec![2, 4, 6]));
-        // int/int division is float (true division, like NumPy / Python 3)
-        assert_eq!(
-            apply_binary(BinOp::Div, &i, &i),
-            Buffer::F64(vec![1.0, 1.0, 1.0])
-        );
-        // bool + bool promotes to int
-        let b = Buffer::Bool(vec![true, true, false]);
-        assert_eq!(apply_binary(BinOp::Add, &b, &b), Buffer::I64(vec![2, 2, 0]));
-    }
-
-    #[test]
-    fn comparisons_yield_bool() {
-        let a = Buffer::F64(vec![1.0, 2.0, 3.0]);
-        let b = Buffer::F64(vec![2.0, 2.0, 2.0]);
-        assert_eq!(
-            apply_binary(BinOp::Lt, &a, &b),
-            Buffer::Bool(vec![true, false, false])
-        );
-        assert_eq!(
-            apply_binary(BinOp::Ge, &a, &b),
-            Buffer::Bool(vec![false, true, true])
-        );
-    }
-
-    #[test]
-    fn scalar_broadcast_both_sides() {
-        let a = Buffer::F64(vec![1.0, 2.0]);
-        assert_eq!(
-            apply_binary_scalar(BinOp::Sub, &a, 1.0, false),
-            Buffer::F64(vec![0.0, 1.0])
-        );
-        assert_eq!(
-            apply_binary_scalar(BinOp::Sub, &a, 1.0, true),
-            Buffer::F64(vec![0.0, -1.0])
-        );
-        // integer scalar keeps integer arrays integral
-        let i = Buffer::I64(vec![3, 4]);
-        assert_eq!(
-            apply_binary_scalar(BinOp::Mul, &i, 2.0, false),
-            Buffer::I64(vec![6, 8])
-        );
-        // fractional scalar promotes
-        assert_eq!(
-            apply_binary_scalar(BinOp::Mul, &i, 0.5, false),
-            Buffer::F64(vec![1.5, 2.0])
-        );
-    }
-
-    #[test]
     fn astype_conversions() {
         let f = Buffer::F64(vec![0.0, 1.7, -2.3]);
         assert_eq!(f.astype(DType::I64), Buffer::I64(vec![0, 1, -2]));
@@ -577,15 +313,6 @@ mod tests {
             let back: Buffer = comm::decode_from_slice(&bytes).unwrap();
             assert_eq!(back, buf);
         }
-    }
-
-    #[test]
-    fn hypot_and_atan2() {
-        let a = Buffer::F64(vec![3.0]);
-        let b = Buffer::F64(vec![4.0]);
-        assert_eq!(apply_binary(BinOp::Hypot, &a, &b), Buffer::F64(vec![5.0]));
-        let t = apply_binary(BinOp::Atan2, &b, &a);
-        assert!((t.as_f64()[0] - (4.0f64).atan2(3.0)).abs() < 1e-15);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! worker's segment — no intermediate arrays, and each invoke after the
 //! first is a tens-of-bytes control message.
 //! [`Expr::eval_unfused`] materializes every node through the eager
-//! [`DistArray`] operators instead — what eager evaluation does, and the
-//! independent bitwise reference the fused path is tested against
-//! (experiments E6/E20 measure the difference). [`Expr::sum`] /
+//! [`DistArray`] operators instead — one one-op launch per node, the
+//! fusion-off baseline experiments E6/E20 measure against; the bitwise
+//! oracle both are tested against is [`crate::reference::eval`]. [`Expr::sum`] /
 //! [`Expr::max`] / [`Expr::min`] fuse the reduction into the same pass —
 //! map and fold without ever materializing the mapped array.
 
@@ -22,7 +22,9 @@ use crate::buffer::DType;
 use crate::context::OdinContext;
 use crate::program::{Program, Traced, TracedScalar, FOREIGN_HANDLE};
 use crate::protocol::{BinOp, ReduceKind, UnaryOp};
-use seamless::bytecode::{Cmp, Instr, Math2Fn, MathFn, Reg};
+use crate::reference;
+use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Reg, RegFile};
+use seamless::Type;
 
 pub(crate) const NO_ARRAY_OPERAND: &str = "expression needs at least one array operand";
 
@@ -168,7 +170,7 @@ impl<'x, 'c> Expr<'x, 'c> {
     /// identical expression reuses the registration), then one unboxed
     /// fused pass per worker segment. One small control message per
     /// invoke, no temporaries, bitwise-identical to
-    /// [`Expr::eval_unfused`] over f64 operands.
+    /// [`crate::reference::eval`] over f64 operands.
     pub fn eval(&self) -> DistArray<'c> {
         let mut p = self.trace();
         let t = p.assign_ref(self);
@@ -201,64 +203,105 @@ impl<'x, 'c> Expr<'x, 'c> {
     }
 
     /// Evaluate eagerly, materializing every intermediate node through
-    /// the `buffer.rs` ufuncs — the fusion-OFF baseline for experiment E6
-    /// and the independent oracle the kernel plane's parity tests and
-    /// benches (E20/E25) compare against.
+    /// the eager [`DistArray`] ufuncs — one one-op kernel launch per node,
+    /// the fusion-OFF baseline of experiments E6 and E20.
     pub fn eval_unfused(&self) -> DistArray<'c> {
-        match self.eval_node() {
-            NodeVal::Arr(a) => a,
-            NodeVal::Borrowed(a) => {
-                // force a copy so the caller owns the result
-                a.astype(a.dtype())
-            }
-            NodeVal::Scalar(_) => panic!("{NO_ARRAY_OPERAND}"),
+        match self.walk(&Held::Leaf) {
+            Node::Arr(Held::Owned(a)) => a,
+            // force a copy so the caller owns the result
+            Node::Arr(Held::Leaf(a)) => a.astype(a.dtype()),
+            Node::Scalar(_) => panic!("{NO_ARRAY_OPERAND}"),
         }
     }
 
-    fn eval_node(&self) -> NodeVal<'x, 'c> {
+    /// Node-at-a-time evaluation: constants fold on the master, every
+    /// other node applies one [`Ufuncs`] op to arrays `leaf` provides.
+    pub(crate) fn walk<A: Ufuncs>(
+        &self,
+        leaf: &impl Fn(&'x DistArray<'c>) -> Held<'x, A>,
+    ) -> Node<'x, A> {
+        use Node::{Arr, Scalar};
         match self {
-            Expr::Leaf(a) => NodeVal::Borrowed(a),
-            Expr::Scalar(v) => NodeVal::Scalar(*v),
+            Expr::Leaf(a) => Arr(leaf(a)),
+            Expr::Scalar(v) => Scalar(*v),
             Expr::Stmt(_) | Expr::ScalarStmt(_) => panic!("{FOREIGN_HANDLE}"),
-            Expr::Unary(op, e) => match e.eval_node() {
-                NodeVal::Scalar(v) => NodeVal::Scalar(scalar_unary(*op, v)),
-                NodeVal::Borrowed(a) => NodeVal::Arr(unary_of(a, *op)),
-                NodeVal::Arr(a) => NodeVal::Arr(unary_of(&a, *op)),
+            Expr::Unary(op, e) => match e.walk(leaf) {
+                Scalar(v) => Scalar(reference::scalar_unary(*op, v)),
+                Arr(a) => Arr(Held::Owned(a.unary(*op))),
             },
-            Expr::Binary(op, l, r) => {
-                let lv = l.eval_node();
-                let rv = r.eval_node();
-                match (lv, rv) {
-                    (NodeVal::Scalar(a), NodeVal::Scalar(b)) => {
-                        NodeVal::Scalar(crate::buffer::binop_f64(*op, a, b))
-                    }
-                    (NodeVal::Scalar(s), rv) => {
-                        NodeVal::Arr(rv.as_ref().binary_scalar(s, *op, true))
-                    }
-                    (lv, NodeVal::Scalar(s)) => {
-                        NodeVal::Arr(lv.as_ref().binary_scalar(s, *op, false))
-                    }
-                    (lv, rv) => NodeVal::Arr(lv.as_ref().binary(rv.as_ref(), *op)),
-                }
-            }
+            Expr::Binary(op, l, r) => Arr(Held::Owned(match (l.walk(leaf), r.walk(leaf)) {
+                (Scalar(x), Scalar(y)) => return Scalar(reference::scalar_binary(*op, x, y)),
+                (Scalar(s), Arr(b)) => b.binary_scalar(s, *op, true),
+                (Arr(a), Scalar(s)) => a.binary_scalar(s, *op, false),
+                (Arr(a), Arr(b)) => a.binary(&b, *op),
+            })),
+        }
+    }
+}
+
+/// The elementwise ops [`Expr::walk`] applies: worker-resident
+/// [`DistArray`]s for [`Expr::eval_unfused`], master-resident
+/// [`crate::Buffer`]s for [`crate::reference::eval`].
+pub(crate) trait Ufuncs: Sized {
+    fn unary(&self, op: UnaryOp) -> Self;
+    fn binary(&self, rhs: &Self, op: BinOp) -> Self;
+    fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> Self;
+}
+
+impl<'c> Ufuncs for DistArray<'c> {
+    fn unary(&self, op: UnaryOp) -> Self {
+        DistArray::unary(self, op)
+    }
+    fn binary(&self, rhs: &Self, op: BinOp) -> Self {
+        DistArray::binary(self, rhs, op)
+    }
+    fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> Self {
+        DistArray::binary_scalar(self, scalar, op, scalar_left)
+    }
+}
+
+/// A node's value in [`Expr::walk`].
+pub(crate) enum Node<'x, A> {
+    /// A constant subtree, folded.
+    Scalar(f64),
+    /// An array.
+    Arr(Held<'x, A>),
+}
+
+/// An array operand as a walk holds it: a leaf's own, or a computed one.
+pub(crate) enum Held<'x, A> {
+    Leaf(&'x A),
+    Owned(A),
+}
+
+impl<A> std::ops::Deref for Held<'_, A> {
+    type Target = A;
+    fn deref(&self) -> &A {
+        match self {
+            Held::Leaf(a) => a,
+            Held::Owned(a) => a,
         }
     }
 }
 
 /// Expression → Seamless bytecode lowering state.
 ///
-/// Produces straight-line code over the F/I register files. Every opcode
-/// choice mirrors the eager ufuncs' f64 arithmetic exactly (`apply_unary`
-/// / `apply_binary` / `apply_binary_scalar` in `buffer.rs`) so fused and
-/// eager evaluation stay bitwise-identical: comparisons and logic ops
-/// produce 0.0/1.0 through integer compares, `Mod` uses Rust `%`
+/// Produces straight-line code over the F/I register files, with the
+/// parameters in the lane's file. Every f64 opcode choice mirrors the
+/// serial oracle's arithmetic ([`crate::reference`]) exactly, so kernels
+/// and oracle stay bitwise-identical: comparisons and logic ops produce
+/// 0.0/1.0 through integer compares, `Mod` uses Rust `%`
 /// ([`Instr::RemF`], not the VM's Python-modulo `ModF`), and `x ** c` for
-/// small integral constants strength-reduces to [`Instr::PowIC`] just
-/// like `apply_binary_scalar` does.
+/// small integral constants strength-reduces to [`Instr::PowIC`]. The i64
+/// emitters cover the ops whose eager result is `I64`, in wrapping
+/// arithmetic.
 pub(crate) struct Lowerer {
-    pub(crate) instrs: Vec<Instr>,
-    pub(crate) n_f: Reg,
-    pub(crate) n_i: Reg,
+    instrs: Vec<Instr>,
+    n_f: Reg,
+    n_i: Reg,
+    /// The file the parameters live in: `F` for f64 lanes, `I` for i64.
+    lane: RegFile,
+    n_params: usize,
 }
 
 /// `x ** c` strength-reduction eligibility: small integral exponents
@@ -272,13 +315,40 @@ pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
 }
 
 impl Lowerer {
-    /// Fresh lowering state with the first `n_params` F registers bound
-    /// to parameters (the caller owns the operand → register map).
-    pub(crate) fn with_params(n_params: usize) -> Self {
+    /// Fresh lowering state with the first `n_params` registers of the
+    /// `lane` file bound to parameters (the caller owns the operand →
+    /// register map).
+    pub(crate) fn with_params(lane: RegFile, n_params: usize) -> Self {
+        let bound = |file| if lane == file { n_params as Reg } else { 0 };
         Lowerer {
             instrs: Vec::new(),
-            n_f: n_params as Reg,
-            n_i: 0,
+            n_f: bound(RegFile::F),
+            n_i: bound(RegFile::I),
+            lane,
+            n_params,
+        }
+    }
+
+    /// Close the body with `ret` (a lane-file register) as its result:
+    /// the one-function program a kernel registration ships.
+    pub(crate) fn finish(mut self, ret: Reg) -> seamless::bytecode::Program {
+        self.instrs.push(Instr::Ret(Some((self.lane, ret))));
+        let ty = if self.lane == RegFile::F {
+            Type::Float
+        } else {
+            Type::Int
+        };
+        let f = CompiledFunc {
+            name: "expr".into(),
+            params: (0..self.n_params).map(|k| (self.lane, k as Reg)).collect(),
+            param_types: vec![ty; self.n_params],
+            ret: ty,
+            reg_counts: [self.n_f as usize, self.n_i as usize, 0, 0],
+            instrs: self.instrs,
+        };
+        seamless::bytecode::Program {
+            funcs: vec![f],
+            externs: Vec::new(),
         }
     }
 
@@ -316,9 +386,13 @@ impl Lowerer {
         d
     }
 
-    /// Emit one unary op over `s`; returns the result's F register.
+    /// Emit one unary op over `s` in the lane's file; returns the
+    /// result's register.
     pub(crate) fn emit_unary(&mut self, op: UnaryOp, s: Reg) -> Reg {
         use UnaryOp::*;
+        if self.lane == RegFile::I {
+            return self.emit_unary_i(op, s);
+        }
         let m1 = |f: MathFn, lw: &mut Self| {
             let d = lw.fresh_f();
             lw.instrs.push(Instr::Math1(f, d, s));
@@ -357,9 +431,13 @@ impl Lowerer {
         d
     }
 
-    /// Emit one binary op over `a`, `b`; returns the result's F register.
+    /// Emit one binary op over `a`, `b` in the lane's file; returns the
+    /// result's register.
     pub(crate) fn emit_binary(&mut self, op: BinOp, a: Reg, b: Reg) -> Reg {
         use BinOp::*;
+        if self.lane == RegFile::I {
+            return self.emit_binary_i(op, a, b);
+        }
         let bin = |mk: fn(Reg, Reg, Reg) -> Instr, lw: &mut Self| {
             let d = lw.fresh_f();
             lw.instrs.push(mk(d, a, b));
@@ -405,6 +483,47 @@ impl Lowerer {
         }
     }
 
+    /// Emit `Neg`/`Abs` over an i64 register — the unary ops with an
+    /// `I64` result — in wrapping arithmetic.
+    fn emit_unary_i(&mut self, op: UnaryOp, s: Reg) -> Reg {
+        let d = self.fresh_i();
+        self.instrs.push(match op {
+            UnaryOp::Neg => Instr::NegI(d, s),
+            UnaryOp::Abs => Instr::AbsI(d, s),
+            _ => unreachable!("{op:?} has no integer result"),
+        });
+        d
+    }
+
+    /// Emit one binary op with an `I64` result over i64 registers, in
+    /// wrapping arithmetic. `Mod` divides by `b + (b == 0)`: the eager
+    /// rule `x % 0 == 0` as straight-line code.
+    fn emit_binary_i(&mut self, op: BinOp, a: Reg, b: Reg) -> Reg {
+        use BinOp::*;
+        let b = if op == Mod {
+            let z = self.fresh_i();
+            self.instrs.push(Instr::ConstI(z, 0));
+            let is_zero = self.fresh_i();
+            self.instrs.push(Instr::CmpI(Cmp::Eq, is_zero, b, z));
+            let nonzero = self.fresh_i();
+            self.instrs.push(Instr::AddI(nonzero, b, is_zero));
+            nonzero
+        } else {
+            b
+        };
+        let d = self.fresh_i();
+        self.instrs.push(match op {
+            Add => Instr::AddI(d, a, b),
+            Sub => Instr::SubI(d, a, b),
+            Mul => Instr::MulI(d, a, b),
+            Mod => Instr::ModI(d, a, b),
+            Max => Instr::MaxI(d, a, b),
+            Min => Instr::MinI(d, a, b),
+            _ => unreachable!("{op:?} has no integer result"),
+        });
+        d
+    }
+
     /// Emit the value a consumer would observe if the register were
     /// materialized as an array of `dtype` and then staged back as f64
     /// for the next kernel — a multi-statement program uses this to fuse
@@ -427,56 +546,6 @@ impl Lowerer {
                 self.bool_to_f(i)
             }
         }
-    }
-}
-
-enum NodeVal<'x, 'c> {
-    Borrowed(&'x DistArray<'c>),
-    Arr(DistArray<'c>),
-    Scalar(f64),
-}
-
-impl<'x, 'c> NodeVal<'x, 'c> {
-    fn as_ref(&self) -> &DistArray<'c> {
-        match self {
-            NodeVal::Borrowed(a) => a,
-            NodeVal::Arr(a) => a,
-            NodeVal::Scalar(_) => panic!("scalar where array expected"),
-        }
-    }
-}
-
-fn unary_of<'c>(a: &DistArray<'c>, op: UnaryOp) -> DistArray<'c> {
-    use UnaryOp::*;
-    match op {
-        Neg => -a,
-        Abs => a.abs(),
-        Not => a.logical_not(),
-        Sin => a.sin(),
-        Cos => a.cos(),
-        Tan => a.tan(),
-        Exp => a.exp(),
-        Log => a.ln(),
-        Sqrt => a.sqrt(),
-        Floor => a.floor(),
-        Ceil => a.ceil(),
-    }
-}
-
-fn scalar_unary(op: UnaryOp, v: f64) -> f64 {
-    use UnaryOp::*;
-    match op {
-        Neg => -v,
-        Abs => v.abs(),
-        Not => f64::from(u8::from(v == 0.0)),
-        Sin => v.sin(),
-        Cos => v.cos(),
-        Tan => v.tan(),
-        Exp => v.exp(),
-        Log => v.ln(),
-        Sqrt => v.sqrt(),
-        Floor => v.floor(),
-        Ceil => v.ceil(),
     }
 }
 
@@ -575,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn jitted_matches_eager_oracle_bitwise() {
+    fn jitted_matches_the_serial_oracle_bitwise() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.linspace(0.0, 2.0, 103);
         let y = ctx.linspace(1.0, 3.0, 103);
@@ -587,9 +656,9 @@ mod tests {
                 + (Expr::leaf(&y) % 0.7)
         };
         let jit = make().eval().to_vec();
-        let eager = make().eval_unfused().to_vec();
-        for i in 0..jit.len() {
-            assert_eq!(jit[i].to_bits(), eager[i].to_bits(), "lane {i}");
+        let oracle = crate::reference::eval(&make()).unwrap();
+        for (i, (j, o)) in jit.iter().zip(oracle.as_f64()).enumerate() {
+            assert_eq!(j.to_bits(), o.to_bits(), "lane {i}");
         }
     }
 

@@ -34,6 +34,7 @@ pub mod program;
 pub mod protocol;
 pub mod recover;
 pub mod reduce;
+pub mod reference;
 pub mod reply;
 pub mod slicing;
 pub mod table;

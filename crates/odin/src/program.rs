@@ -34,12 +34,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::array::DistArray;
-use crate::buffer::{binary_result_dtype, unary_result_dtype, DType};
+use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, DType};
 use crate::context::OdinContext;
 use crate::lazy::{powic_exponent, Expr, Lowerer, NO_ARRAY_OPERAND};
 use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
-use seamless::bytecode::{CompiledFunc, Instr, Reg, RegFile};
-use seamless::Type;
+use seamless::bytecode::{Reg, RegFile};
 
 pub(crate) const FOREIGN_HANDLE: &str = "Traced handle used outside the Program that created it";
 
@@ -384,14 +383,7 @@ impl<'x, 'c> Program<'x, 'c> {
                 });
                 (NodeKey::Leaf(slot), self.leaves[slot].1.dtype)
             }
-            Expr::Scalar(v) => {
-                let dt = if v.fract() == 0.0 {
-                    DType::I64
-                } else {
-                    DType::F64
-                };
-                (NodeKey::Scalar(v.to_bits()), dt)
-            }
+            Expr::Scalar(v) => (NodeKey::Scalar(v.to_bits()), scalar_dtype(*v)),
             Expr::Stmt(t) => {
                 let s = owned(self.id, t.trace, t.stmt);
                 (NodeKey::Ref(s), self.stmts[s].out_meta.dtype)
@@ -743,7 +735,7 @@ impl<'x, 'c> Program<'x, 'c> {
         );
         let n_params = array_inputs.len() + scalar_inputs.len();
         let mut em = Emitted {
-            lw: Lowerer::with_params(n_params),
+            lw: Lowerer::with_params(RegFile::F, n_params),
             node: vec![None; self.nodes.len()],
             stmt_root: vec![None; self.stmts.len()],
         };
@@ -766,21 +758,8 @@ impl<'x, 'c> Program<'x, 'c> {
             .last()
             .expect("fused group produced nothing observable")
             .1;
-        let mut lw = em.lw;
-        lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
-        let f = CompiledFunc {
-            name: "expr".into(),
-            params: (0..n_params).map(|k| (RegFile::F, k as Reg)).collect(),
-            param_types: vec![Type::Float; n_params],
-            ret: Type::Float,
-            reg_counts: [lw.n_f as usize, lw.n_i as usize, 0, 0],
-            instrs: lw.instrs,
-        };
         LoweredGroup {
-            program: seamless::bytecode::Program {
-                funcs: vec![f],
-                externs: Vec::new(),
-            },
+            program: em.lw.finish(ret),
             array_inputs,
             scalar_inputs,
             outs,
@@ -880,18 +859,18 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_expression_is_one_launch_and_matches_the_eager_oracle() {
+    fn a_lone_expression_is_one_launch_and_matches_the_serial_oracle() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.linspace(0.0, 2.0, 101);
         let y = ctx.linspace(1.0, 3.0, 101);
         let make = || (Expr::leaf(&x).pow(2.0) + Expr::leaf(&y).pow(2.0)).sqrt() * 0.5;
-        let oracle = make().eval_unfused();
+        let oracle = bits(crate::reference::eval(&make()).unwrap().as_f64());
 
         let mut p = ctx.trace();
         let t = p.assign(make());
         let mut run = p.run(&[t]);
-        assert_eq!(bits(&run.array(t).to_vec()), bits(&oracle.to_vec()));
-        assert_eq!(bits(&make().eval().to_vec()), bits(&oracle.to_vec()));
+        assert_eq!(bits(&run.array(t).to_vec()), oracle);
+        assert_eq!(bits(&make().eval().to_vec()), oracle);
         assert_eq!(run.stats().kernel_launches, 1);
     }
 
@@ -1016,16 +995,14 @@ mod tests {
     }
 
     #[test]
-    fn neg_and_elementwise_min_max_match_the_eager_oracle() {
+    fn neg_and_elementwise_min_max_match_the_serial_oracle() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(-1.0, 1.0, 33);
         let y = ctx.linspace(0.5, -0.5, 33);
         let make =
             || (-Expr::leaf(&x)).max_with(Expr::leaf(&y)) - Expr::leaf(&x).min_with(0.25.into());
-        assert_eq!(
-            bits(&make().eval().to_vec()),
-            bits(&make().eval_unfused().to_vec())
-        );
+        let oracle = crate::reference::eval(&make()).unwrap();
+        assert_eq!(bits(&make().eval().to_vec()), bits(oracle.as_f64()));
     }
 
     /// A handle stamped by one trace, smuggled into `use_it` through a

@@ -217,49 +217,6 @@ pub enum Cmd {
         /// This worker's segment (each worker receives its own copy).
         data: Buffer,
     },
-    /// `out = op(a)` elementwise.
-    Unary {
-        /// Output id.
-        out: u64,
-        /// Input id.
-        a: u64,
-        /// Operation.
-        op: UnaryOp,
-    },
-    /// `out = a op b` elementwise (operands must be conformable — the
-    /// master inserts redistributions beforehand when they are not).
-    Binary {
-        /// Output id.
-        out: u64,
-        /// Left input id.
-        a: u64,
-        /// Right input id.
-        b: u64,
-        /// Operation.
-        op: BinOp,
-    },
-    /// `out = a op scalar` (or `scalar op a`).
-    BinaryScalar {
-        /// Output id.
-        out: u64,
-        /// Array input id.
-        a: u64,
-        /// Broadcast scalar.
-        scalar: f64,
-        /// Operation.
-        op: BinOp,
-        /// Whether the scalar is the left operand.
-        scalar_left: bool,
-    },
-    /// `out = a.astype(dtype)`.
-    AsType {
-        /// Output id.
-        out: u64,
-        /// Input id.
-        a: u64,
-        /// Target dtype.
-        dtype: DType,
-    },
     /// Materialize `a` under a new distribution (workers alltoallv).
     Redistribute {
         /// Output id.
@@ -596,39 +553,6 @@ impl Wire for Cmd {
                 meta.encode(buf);
                 data.encode(buf);
             }
-            Cmd::Unary { out, a, op } => {
-                buf.push(2);
-                out.encode(buf);
-                a.encode(buf);
-                op.encode(buf);
-            }
-            Cmd::Binary { out, a, b, op } => {
-                buf.push(3);
-                out.encode(buf);
-                a.encode(buf);
-                b.encode(buf);
-                op.encode(buf);
-            }
-            Cmd::BinaryScalar {
-                out,
-                a,
-                scalar,
-                op,
-                scalar_left,
-            } => {
-                buf.push(4);
-                out.encode(buf);
-                a.encode(buf);
-                scalar.encode(buf);
-                op.encode(buf);
-                scalar_left.encode(buf);
-            }
-            Cmd::AsType { out, a, dtype } => {
-                buf.push(5);
-                out.encode(buf);
-                a.encode(buf);
-                dtype.encode(buf);
-            }
             Cmd::Redistribute { out, a, dist, axis } => {
                 buf.push(6);
                 out.encode(buf);
@@ -736,29 +660,6 @@ impl Wire for Cmd {
                 meta: ArrayMeta::decode(cur)?,
                 data: Buffer::decode(cur)?,
             }),
-            2 => Ok(Cmd::Unary {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                op: UnaryOp::decode(cur)?,
-            }),
-            3 => Ok(Cmd::Binary {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                b: u64::decode(cur)?,
-                op: BinOp::decode(cur)?,
-            }),
-            4 => Ok(Cmd::BinaryScalar {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                scalar: f64::decode(cur)?,
-                op: BinOp::decode(cur)?,
-                scalar_left: bool::decode(cur)?,
-            }),
-            5 => Ok(Cmd::AsType {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                dtype: DType::decode(cur)?,
-            }),
             6 => Ok(Cmd::Redistribute {
                 out: u64::decode(cur)?,
                 a: u64::decode(cur)?,
@@ -826,11 +727,13 @@ impl Wire for Cmd {
                 dtype: DType::decode(cur)?,
                 native: bool::decode(cur)?,
             }),
-            // Tags 8 (the interpreted RPN plane) and 22 (the separate
-            // multi-output launch, folded into 21) are retired and must
-            // never be reassigned: an old peer's bytes fail typed here
-            // instead of mis-parsing as another command.
-            b @ (8 | 22) => Err(CommError::Decode(format!("retired cmd byte {b}"))),
+            // Retired tags, never to be reassigned: 2–5 (the eager
+            // Unary/Binary/BinaryScalar/AsType commands, now one-op
+            // kernels on 21), 8 (the interpreted RPN plane) and 22 (the
+            // separate multi-output launch, folded into 21). An old peer's
+            // bytes fail typed here instead of mis-parsing as another
+            // command.
+            b @ (2..=5 | 8 | 22) => Err(CommError::Decode(format!("retired cmd byte {b}"))),
             b => Err(CommError::Decode(format!("bad cmd byte {b}"))),
         }
     }
@@ -890,24 +793,6 @@ mod tests {
                     stop: 1.0,
                 },
             },
-            Cmd::Unary {
-                out: 8,
-                a: 7,
-                op: UnaryOp::Sqrt,
-            },
-            Cmd::Binary {
-                out: 9,
-                a: 7,
-                b: 8,
-                op: BinOp::Hypot,
-            },
-            Cmd::BinaryScalar {
-                out: 10,
-                a: 9,
-                scalar: 2.5,
-                op: BinOp::Pow,
-                scalar_left: false,
-            },
             Cmd::Redistribute {
                 out: 11,
                 a: 10,
@@ -944,11 +829,6 @@ mod tests {
                 id: 20,
                 meta: meta(),
                 data: Buffer::F64(vec![1.0, 2.0]),
-            },
-            Cmd::AsType {
-                out: 21,
-                a: 20,
-                dtype: DType::I64,
             },
             Cmd::RegisterKernel {
                 id: 1,
@@ -991,17 +871,13 @@ mod tests {
     fn control_commands_are_small() {
         // The paper's claim: control messages are "at most tens of bytes".
         let ops = vec![
-            encode_to_vec(&Cmd::Unary {
+            encode_to_vec(&Cmd::Select {
                 out: u64::MAX,
-                a: u64::MAX - 1,
-                op: UnaryOp::Sqrt,
-            }),
-            encode_to_vec(&Cmd::Binary {
-                out: 1,
+                cond: u64::MAX - 1,
                 a: 2,
                 b: 3,
-                op: BinOp::Add,
             }),
+            encode_to_vec(&Cmd::CumSum { out: 1, a: 2 }),
             encode_to_vec(&Cmd::Reduce {
                 a: 1,
                 kind: ReduceKind::Sum,
@@ -1093,10 +969,19 @@ mod tests {
 
     #[test]
     fn retired_tags_decode_to_a_typed_error() {
-        // Tag 8 was the interpreted RPN plane's command, tag 22 the
+        // Tags 2–5 were the eager Unary/Binary/BinaryScalar/AsType
+        // commands, tag 8 the interpreted RPN plane's command, tag 22 the
         // separate multi-output launch. Bytes that once parsed as those
         // commands — and any truncation of them — must fail typed, never
         // panic or come back as a different command.
+        let mut eager: Vec<Vec<u8>> = Vec::new();
+        for tag in 2u8..=5 {
+            let mut old = vec![tag];
+            9u64.encode(&mut old); // out
+            7u64.encode(&mut old); // a
+            old.push(3); // op / dtype byte
+            eager.push(old);
+        }
         let mut fused = vec![8u8];
         13u64.encode(&mut fused); // out
         7u64.encode(&mut fused); // template
@@ -1106,12 +991,67 @@ mod tests {
         9u64.encode(&mut multi); // template
         vec![10u64, 11].encode(&mut multi);
         vec![0.5f64].encode(&mut multi);
-        for old in [fused, multi] {
+        for old in eager.into_iter().chain([fused, multi]) {
             for cut in 1..=old.len() {
                 match decode_from_slice::<Cmd>(&old[..cut]) {
                     Err(CommError::Decode(msg)) => assert!(msg.contains("retired"), "{msg}"),
                     other => panic!("retired tag decoded as {other:?}"),
                 }
+            }
+        }
+    }
+
+    fn eval_kernel() -> Cmd {
+        Cmd::EvalKernel {
+            kernel: 3,
+            template: 40,
+            inputs: vec![40, 41],
+            scalars: vec![-0.5],
+            outs: vec![
+                KernelOut::Array {
+                    id: 42,
+                    dtype: DType::I64,
+                    reg: (RegFile::I, 5),
+                },
+                KernelOut::Reduce {
+                    kind: ReduceKind::Max,
+                    reg: (RegFile::I, 5),
+                },
+            ],
+            dtype: DType::I64,
+            native: true,
+        }
+    }
+
+    #[test]
+    fn every_truncated_eval_kernel_is_a_typed_error() {
+        let bytes = encode_to_vec(&eval_kernel());
+        assert_eq!(decode_from_slice::<Cmd>(&bytes).unwrap(), eval_kernel());
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    decode_from_slice::<Cmd>(&bytes[..cut]),
+                    Err(CommError::Decode(_))
+                ),
+                "prefix of {cut} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_past_the_end_is_refused_before_allocating() {
+        // Overwrite the `inputs` length prefix (after the tag, kernel and
+        // template) with one element more than there are bytes left, and
+        // with an absurd count: both fail at the guard, which runs before
+        // any capacity is reserved.
+        let bytes = encode_to_vec(&eval_kernel());
+        let at = 1 + 8 + 8;
+        for n in [(bytes.len() - at - 8 + 1) as u64, u64::MAX >> 1] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            match decode_from_slice::<Cmd>(&bad) {
+                Err(CommError::Decode(msg)) => assert!(msg.contains("implausible"), "{msg}"),
+                other => panic!("length {n} decoded as {other:?}"),
             }
         }
     }

@@ -13,7 +13,7 @@ use dlinalg::DistVector;
 use seamless::bytecode::{Reg, RegFile};
 use seamless::vm::Lane;
 
-use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
+use crate::buffer::{Buffer, DType};
 use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind};
 use crate::slicing::{concat_worker, redistribute_worker, slice_worker};
 
@@ -286,56 +286,6 @@ fn exec_cmd(
         Cmd::SetData { id, meta, data } => {
             assert_eq!(data.len(), meta.local_len(p, rank), "bad segment length");
             arrays.insert(id, (meta, data));
-        }
-        Cmd::Unary { out, a, op } => {
-            let (meta, buf) = &arrays[&a];
-            let result = apply_unary(op, buf);
-            comm.advance_compute(buf.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Cmd::Binary { out, a, b, op } => {
-            let (ma, ba) = &arrays[&a];
-            let (mb, bb) = &arrays[&b];
-            assert!(
-                ma.conformable(mb),
-                "binary ufunc on non-conformable arrays (master should have redistributed)"
-            );
-            let result = apply_binary(op, ba, bb);
-            comm.advance_compute(ba.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..ma.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Cmd::BinaryScalar {
-            out,
-            a,
-            scalar,
-            op,
-            scalar_left,
-        } => {
-            let (meta, buf) = &arrays[&a];
-            let result = apply_binary_scalar(op, buf, scalar, scalar_left);
-            comm.advance_compute(buf.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Cmd::AsType { out, a, dtype } => {
-            let (meta, buf) = &arrays[&a];
-            let result = buf.astype(dtype);
-            let out_meta = ArrayMeta {
-                dtype,
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, result));
         }
         Cmd::Redistribute { out, a, dist, axis } => {
             assert_eq!(axis, 0, "arrays are distributed along axis 0");

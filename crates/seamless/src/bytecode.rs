@@ -151,7 +151,11 @@ pub enum Instr {
     MulI(Reg, Reg, Reg),
     /// Euclidean int floor-division (errors on zero).
     FloorDivI(Reg, Reg, Reg),
-    /// Euclidean int modulo (errors on zero).
+    /// Euclidean int modulo (wrapping: `i64::MIN % -1` is 0). A zero
+    /// divisor is an error on the per-lane interpreter and 0 on the
+    /// straight-line tiers, which only ever see divisors the lowering
+    /// made nonzero: the pyish compiler guards its `%` with
+    /// [`Instr::ErrIfFalse`], ODIN's lowering divides by `y + (y == 0)`.
     ModI(Reg, Reg, Reg),
     /// Int power (errors on negative exponent).
     PowI(Reg, Reg, Reg),
@@ -319,6 +323,7 @@ impl CompiledFunc {
                         | Instr::SubI(..)
                         | Instr::MulI(..)
                         | Instr::NegI(..)
+                        | Instr::ModI(..)
                         | Instr::CmpF(..)
                         | Instr::CmpI(..)
                         | Instr::AndI(..)

@@ -199,7 +199,6 @@ double sqrt(double); double sin(double); double cos(double);
 double tan(double); double exp(double); double log(double);
 double fabs(double); double floor(double); double ceil(double);
 double pow(double, double); double fmod(double, double);
-double fmin(double, double); double fmax(double, double);
 double hypot(double, double); double atan2(double, double);
 /* exact f64 constants: bit pattern in, double out */
 static double sl_db(sl_u64 u) { double d; __builtin_memcpy(&d, &u, 8); return d; }
@@ -209,6 +208,12 @@ static sl_i64 sl_f2i(double x) {
     if (x >= 9223372036854775808.0) return 9223372036854775807LL;
     if (x < -9223372036854775808.0) return -9223372036854775807LL - 1;
     return (sl_i64)x;
+}
+/* Rust's `checked_rem_euclid(b).unwrap_or(0)`: no C division by 0 or -1 */
+static sl_i64 sl_modi(sl_i64 a, sl_i64 b) {
+    if (b == 0 || b == -1) return 0;
+    sl_i64 r = a % b;
+    return r < 0 ? (sl_i64)((sl_u64)r + (b < 0 ? 0ULL - (sl_u64)b : (sl_u64)b)) : r;
 }
 /* __powidf2's exact multiply order (also LLVM's inline powi expansion) */
 static double sl_powi(double a, sl_i64 b) {
@@ -287,6 +292,7 @@ fn emit_instr(ins: &Instr) -> Option<String> {
         Instr::SubI(d, a, b) => format!("i{d} = (sl_i64)((sl_u64)i{a} - (sl_u64)i{b});"),
         Instr::MulI(d, a, b) => format!("i{d} = (sl_i64)((sl_u64)i{a} * (sl_u64)i{b});"),
         Instr::NegI(d, s) => format!("i{d} = (sl_i64)(0ULL - (sl_u64)i{s});"),
+        Instr::ModI(d, a, b) => format!("i{d} = sl_modi(i{a}, i{b});"),
         Instr::AbsI(d, s) => {
             format!("i{d} = i{s} < 0 ? (sl_i64)(0ULL - (sl_u64)i{s}) : i{s};")
         }
@@ -310,8 +316,14 @@ fn emit_instr(ins: &Instr) -> Option<String> {
             e => format!("f{d} = sl_powi(f{a}, {e}LL);"),
         },
         Instr::RemF(d, a, b) => format!("f{d} = fmod(f{a}, f{b});"),
-        Instr::MinF(d, a, b) => format!("f{d} = fmin(f{a}, f{b});"),
-        Instr::MaxF(d, a, b) => format!("f{d} = fmax(f{a}, f{b});"),
+        // Rust's `min`/`max` (the VM's `min_f`/`max_f`), not libm's
+        // `fmin`/`fmax`, which order `-0.0` below `0.0`
+        Instr::MinF(d, a, b) => {
+            format!("f{d} = (f{b} < f{a} || f{a} != f{a}) ? f{b} : f{a};")
+        }
+        Instr::MaxF(d, a, b) => {
+            format!("f{d} = (f{a} < f{b} || f{a} != f{a}) ? f{b} : f{a};")
+        }
         Instr::MinI(d, a, b) => format!("i{d} = i{a} < i{b} ? i{a} : i{b};"),
         Instr::MaxI(d, a, b) => format!("i{d} = i{a} > i{b} ? i{a} : i{b};"),
         _ => return None,
@@ -715,8 +727,8 @@ mod tests {
         for (what, ins) in [
             ("pow", Instr::PowF(2, 0, 1)),
             ("fmod", Instr::RemF(2, 0, 1)),
-            ("fmin", Instr::MinF(2, 0, 1)),
-            ("fmax", Instr::MaxF(2, 0, 1)),
+            ("min select", Instr::MinF(2, 0, 1)),
+            ("max select", Instr::MaxF(2, 0, 1)),
             ("hypot", Instr::Math2(Math2Fn::Hypot, 2, 0, 1)),
             ("atan2", Instr::Math2(Math2Fn::Atan2, 2, 0, 1)),
             ("sl_powi", Instr::PowIC(2, 0, 7)),
@@ -756,6 +768,19 @@ mod tests {
             externs: Vec::new(),
         };
         arm("i64 lanes", &i64_lanes, (RegFile::I, 4));
+        // the probe's fixed inputs divide by 0, and `i64::MIN` by -1
+        let modi = Program {
+            funcs: vec![CompiledFunc {
+                name: "imod".into(),
+                params: vec![(RegFile::I, 0), (RegFile::I, 1)],
+                param_types: vec![Type::Int; 2],
+                ret: Type::Int,
+                reg_counts: [0, 3, 0, 0],
+                instrs: vec![Instr::ModI(2, 0, 1), ret(RegFile::I, 2)],
+            }],
+            externs: Vec::new(),
+        };
+        arm("sl_modi", &modi, (RegFile::I, 2));
     }
 
     #[test]

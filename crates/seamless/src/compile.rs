@@ -614,7 +614,17 @@ impl<'a, 'm> FnCompiler<'a, 'm> {
                     BinOp::Sub => Instr::SubI(dst, ra, rb),
                     BinOp::Mul => Instr::MulI(dst, ra, rb),
                     BinOp::FloorDiv => Instr::FloorDivI(dst, ra, rb),
-                    BinOp::Mod => Instr::ModI(dst, ra, rb),
+                    BinOp::Mod => {
+                        // Python raises on `x % 0`; the guard also keeps
+                        // the body off the straight-line tiers, where
+                        // `ModI` by zero yields 0.
+                        let zero = self.alloc(RegFile::I);
+                        self.emit(Instr::ConstI(zero, 0));
+                        let ok = self.alloc(RegFile::I);
+                        self.emit(Instr::CmpI(Cmp::Ne, ok, rb, zero));
+                        self.emit(Instr::ErrIfFalse(ok, "integer modulo by zero".into()));
+                        Instr::ModI(dst, ra, rb)
+                    }
                     BinOp::Pow => Instr::PowI(dst, ra, rb),
                     other => return Err(SeamlessError::Type(format!("bad int op {other:?}"))),
                 };

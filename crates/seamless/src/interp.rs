@@ -374,7 +374,7 @@ pub(crate) fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, SeamlessErro
             if yi == 0 {
                 return Err(SeamlessError::Runtime("integer modulo by zero".into()));
             }
-            Value::Int(xi.rem_euclid(yi))
+            Value::Int(xi.wrapping_rem_euclid(yi))
         }
         Mod => Value::Float(x - y * (x / y).floor()),
         Pow if int_int => {

@@ -297,7 +297,9 @@ pub trait Lane: Copy {
 
 impl Lane for f64 {
     const FILE: RegFile = RegFile::F;
-    const PROBE_FIXED: [f64; 8] = [0.0, 1.0, -1.0, 0.5, -2.0, 3.25, 0.125, -0.75];
+    /// Lanes 0, 3 and 6 pair entries 0–1, 3–4 and 6–7 across two
+    /// parameters: both orders of a signed-zero tie are probed.
+    const PROBE_FIXED: [f64; 8] = [-0.0, 0.0, -1.0, 0.0, -0.0, 3.25, -2.0, 0.5];
     fn probe_random(bits: u64) -> f64 {
         let x = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         (x - 0.5) * 8.0
@@ -328,7 +330,8 @@ impl Lane for f64 {
 
 impl Lane for i64 {
     const FILE: RegFile = RegFile::I;
-    const PROBE_FIXED: [i64; 8] = [0, 1, -1, 2, -3, 5, -8, 13];
+    /// Paired as for `f64`: a zero divisor and `i64::MIN / -1`.
+    const PROBE_FIXED: [i64; 8] = [7, 0, 1, i64::MIN, -1, -3, 5, -8];
     fn probe_random(bits: u64) -> i64 {
         (bits as i64) % 1000
     }
@@ -444,7 +447,12 @@ fn vector_pass<L: Lane>(
                 Instr::SubI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.wrapping_sub(y)),
                 Instr::MulI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.wrapping_mul(y)),
                 Instr::NegI(d, s) => ii1!(d, s, |x: i64| x.wrapping_neg()),
-                Instr::AbsI(d, s) => ii1!(d, s, |x: i64| x.abs()),
+                Instr::AbsI(d, s) => ii1!(d, s, |x: i64| x.wrapping_abs()),
+                Instr::ModI(d, a, b) => {
+                    ii2!(d, a, b, |x: i64, y: i64| x
+                        .checked_rem_euclid(y)
+                        .unwrap_or(0))
+                }
                 Instr::CmpF(c, d, a, b) => {
                     let dst = &mut il[*d as usize * stride..][..len];
                     let a = &fl[*a as usize * stride..][..len];
@@ -506,8 +514,8 @@ fn vector_pass<L: Lane>(
                     e => ff1!(d, a, |x: f64| x.powi(e)),
                 },
                 Instr::RemF(d, a, b) => ff2!(d, a, b, |x: f64, y: f64| x % y),
-                Instr::MinF(d, a, b) => ff2!(d, a, b, |x: f64, y: f64| x.min(y)),
-                Instr::MaxF(d, a, b) => ff2!(d, a, b, |x: f64, y: f64| x.max(y)),
+                Instr::MinF(d, a, b) => ff2!(d, a, b, min_f),
+                Instr::MaxF(d, a, b) => ff2!(d, a, b, max_f),
                 Instr::MinI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.min(y)),
                 Instr::MaxI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.max(y)),
                 // chunk_vectorizable admits nothing else
@@ -585,7 +593,7 @@ impl<'p> Vm<'p> {
                     if y == 0 {
                         return Err(SeamlessError::Runtime("integer modulo by zero".into()));
                     }
-                    fr.i[*d as usize] = fr.i[*a as usize].rem_euclid(y);
+                    fr.i[*d as usize] = fr.i[*a as usize].wrapping_rem_euclid(y);
                 }
                 Instr::PowI(d, a, b) => {
                     let e = fr.i[*b as usize];
@@ -597,7 +605,7 @@ impl<'p> Vm<'p> {
                     fr.i[*d as usize] =
                         fr.i[*a as usize].wrapping_pow(e.min(u32::MAX as i64) as u32);
                 }
-                Instr::NegI(d, s) => fr.i[*d as usize] = -fr.i[*s as usize],
+                Instr::NegI(d, s) => fr.i[*d as usize] = fr.i[*s as usize].wrapping_neg(),
                 Instr::CmpF(c, d, a, b) => {
                     let (x, y) = (fr.f[*a as usize], fr.f[*b as usize]);
                     fr.i[*d as usize] = i64::from(cmp_f(*c, x, y));
@@ -665,12 +673,12 @@ impl<'p> Vm<'p> {
                 }
                 Instr::PowIC(d, a, e) => fr.f[*d as usize] = fr.f[*a as usize].powi(*e),
                 Instr::RemF(d, a, b) => fr.f[*d as usize] = fr.f[*a as usize] % fr.f[*b as usize],
-                Instr::AbsI(d, s) => fr.i[*d as usize] = fr.i[*s as usize].abs(),
+                Instr::AbsI(d, s) => fr.i[*d as usize] = fr.i[*s as usize].wrapping_abs(),
                 Instr::MinF(d, a, b) => {
-                    fr.f[*d as usize] = fr.f[*a as usize].min(fr.f[*b as usize])
+                    fr.f[*d as usize] = min_f(fr.f[*a as usize], fr.f[*b as usize])
                 }
                 Instr::MaxF(d, a, b) => {
-                    fr.f[*d as usize] = fr.f[*a as usize].max(fr.f[*b as usize])
+                    fr.f[*d as usize] = max_f(fr.f[*a as usize], fr.f[*b as usize])
                 }
                 Instr::MinI(d, a, b) => {
                     fr.i[*d as usize] = fr.i[*a as usize].min(fr.i[*b as usize])
@@ -819,6 +827,7 @@ fn chunk_vectorizable(f: &CompiledFunc) -> Option<&[Instr]> {
         | Instr::AddI(d, a, b)
         | Instr::SubI(d, a, b)
         | Instr::MulI(d, a, b)
+        | Instr::ModI(d, a, b)
         | Instr::AndI(d, a, b)
         | Instr::OrI(d, a, b)
         | Instr::MinI(d, a, b)
@@ -836,6 +845,28 @@ fn chunk_vectorizable(f: &CompiledFunc) -> Option<&[Instr]> {
     };
     f.straight_line_body()
         .filter(|body| body.iter().all(ordered))
+}
+
+/// `f64::max` with its rules spelled out: a NaN operand loses, and on a
+/// tie — `-0.0` against `0.0` — the first operand wins. The native tier
+/// emits the same expression; libm's `fmax` orders the zeros instead.
+#[inline]
+fn max_f(x: f64, y: f64) -> f64 {
+    if x < y || x.is_nan() {
+        y
+    } else {
+        x
+    }
+}
+
+/// `f64::min`, spelled out like [`max_f`].
+#[inline]
+fn min_f(x: f64, y: f64) -> f64 {
+    if y < x || x.is_nan() {
+        y
+    } else {
+        x
+    }
 }
 
 fn cmp_f(c: Cmp, x: f64, y: f64) -> bool {
@@ -1126,6 +1157,48 @@ def f(x, y):
         for i in 0..9 {
             assert_eq!(out[i], xs[i] * xs[i] - ys[i] * 3 + xs[i].min(ys[i]));
         }
+    }
+
+    #[test]
+    fn integer_modulo_guards_zero_and_wraps_the_overflow_case() {
+        // The compiled `%` keeps Python's error on a zero divisor, which
+        // also keeps the body off the straight-line tiers.
+        let src = "def m(a, b):\n    return a % b\n";
+        let m = parse_module(src).unwrap();
+        let p = compile_program(&m, "m", &[Type::Int, Type::Int]).unwrap();
+        assert!(chunk_vectorizable(&p.funcs[0]).is_none());
+        let vm = Vm::new(&p);
+        let err = vm.call(vec![Value::Int(7), Value::Int(0)]).unwrap_err();
+        assert!(matches!(err, SeamlessError::Runtime(_)));
+        let out = vm.call(vec![Value::Int(i64::MIN), Value::Int(-1)]).unwrap();
+        assert_eq!(out.ret, Value::Int(0));
+        // A bare `ModI` is straight-line: the vectorized pass yields 0 for
+        // a zero divisor and the Euclidean remainder otherwise.
+        let func = CompiledFunc {
+            name: "bare".into(),
+            params: vec![(RegFile::I, 0), (RegFile::I, 1)],
+            param_types: vec![Type::Int; 2],
+            ret: Type::Int,
+            reg_counts: [0, 3, 0, 0],
+            instrs: vec![Instr::ModI(2, 0, 1), Instr::Ret(Some((RegFile::I, 2)))],
+        };
+        let p = Program {
+            funcs: vec![func],
+            externs: vec![],
+        };
+        assert!(chunk_vectorizable(&p.funcs[0]).is_some());
+        let xs = [7, -7, 7, i64::MIN, i64::MIN, 5];
+        let ys = [3, 3, 0, -1, i64::MIN, i64::MIN];
+        let mut out = [9i64; 6];
+        Vm::new(&p)
+            .run_chunk(
+                0,
+                &[&xs[..], &ys[..]],
+                &[(RegFile::I, 2)],
+                &mut [&mut out[..]],
+            )
+            .unwrap();
+        assert_eq!(out, [1, 2, 0, 0, 0, 5]);
     }
 
     #[test]

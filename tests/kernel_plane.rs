@@ -1,13 +1,13 @@
 //! Kernel-plane determinism: the Seamless-JIT path (`Expr::eval`,
-//! `Kernel::map`) must be bitwise-identical to the eager oracle
-//! (`Expr::eval_unfused`) at every pool width and segment length, on
+//! `Kernel::map`) must be bitwise-identical to the serial oracle
+//! (`odin::reference::eval`) at every pool width and segment length, on
 //! both tiers, under seeded chaos, and across a checkpoint/recover cycle
 //! that respawns the whole worker pool.
 
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
-use hpc_framework::odin::{BinOp, OdinError};
+use hpc_framework::odin::{reference, BinOp, Buffer, OdinError};
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
 
@@ -68,6 +68,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `e` evaluated by the serial oracle, on the master.
+fn oracle(e: &Expr) -> Buffer {
+    reference::eval(e).expect("an expression over arrays")
+}
+
 /// One moderately gnarly expression covering the lowering surface:
 /// pow strength-reduction, `%` → RemF, chained unary math. Every lane
 /// stays finite so bitwise comparison is meaningful.
@@ -88,11 +93,10 @@ fn jitted_matches_eager_oracle_at_every_pool_width() {
         let x = ctx.linspace(-2.0, 3.0, 257);
         let y = ctx.linspace(0.1, 4.0, 257);
         let jit = probe_expr(&x, &y).eval().to_vec();
-        let eager = probe_expr(&x, &y).eval_unfused().to_vec();
         assert_eq!(
             bits(&jit),
-            bits(&eager),
-            "jit vs eager oracle diverged at {workers} workers"
+            bits(oracle(&probe_expr(&x, &y)).as_f64()),
+            "jit vs serial oracle diverged at {workers} workers"
         );
         match &reference {
             None => reference = Some(bits(&jit)),
@@ -101,7 +105,7 @@ fn jitted_matches_eager_oracle_at_every_pool_width() {
         // Fused reduction tail vs the two-pass (materialize, then reduce)
         // route, at the same widths.
         let fused = probe_expr(&x, &y).sum();
-        let two_pass = probe_expr(&x, &y).eval_unfused().sum();
+        let two_pass = probe_expr(&x, &y).eval().sum();
         assert_eq!(
             fused.to_bits(),
             two_pass.to_bits(),
@@ -357,19 +361,22 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
             // f64 lanes: (F64, F64) borrows both inputs, (I64, F64) and
             // (Bool, F64) stage the first.
             for a in [&xf, &xi, &xb] {
-                let oracle = ((Expr::leaf(a) * 2.0 + Expr::leaf(&yf)).abs().sqrt()
-                    + Expr::leaf(a) * 0.25)
-                    .eval_unfused();
-                assert_eq!(oracle.dtype(), DType::F64);
+                let want = oracle(
+                    &((Expr::leaf(a) * 2.0 + Expr::leaf(&yf)).abs().sqrt() + Expr::leaf(a) * 0.25),
+                );
+                assert_eq!(want.dtype(), DType::F64);
+                let got = fk.map(&[a, &yf]);
                 assert_eq!(
-                    bits(&fk.map(&[a, &yf]).to_vec()),
-                    bits(&oracle.to_vec()),
+                    bits(&got.to_vec()),
+                    bits(want.as_f64()),
                     "f64 map, first input {:?}, {tag}",
                     a.dtype()
                 );
+                // The fused tail against the two-pass route over the map
+                // just held to the oracle.
                 assert_eq!(
                     fk.map_reduce(&[a, &yf], ReduceKind::Sum).to_bits(),
-                    oracle.sum().to_bits(),
+                    got.sum().to_bits(),
                     "f64 reduce tail, first input {:?}, {tag}",
                     a.dtype()
                 );
@@ -379,15 +386,16 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
                     continue;
                 }
                 let make = || (Expr::leaf(a) * 2.0 + Expr::leaf(&yf)).abs().sqrt();
+                let got = make().eval();
                 assert_eq!(
-                    bits(&make().eval().to_vec()),
-                    bits(&make().eval_unfused().to_vec()),
+                    bits(&got.to_vec()),
+                    bits(oracle(&make()).as_f64()),
                     "Expr::eval, first input {:?}, {tag}",
                     a.dtype()
                 );
                 assert_eq!(
                     make().max().to_bits(),
-                    make().eval_unfused().max().to_bits(),
+                    got.max().to_bits(),
                     "Expr::max, first input {:?}, {tag}",
                     a.dtype()
                 );
@@ -397,25 +405,26 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
             // stage (floats truncate like astype).
             for a in [&xi, &xb, &xf] {
                 let ai = a.astype(DType::I64);
-                let oracle = (Expr::leaf(&ai) * Expr::leaf(&ai) - Expr::leaf(&yi) * 3.0
-                    + Expr::Binary(
-                        BinOp::Min,
-                        Box::new(Expr::leaf(&ai)),
-                        Box::new(Expr::leaf(&yi)),
-                    ))
-                .eval_unfused();
-                assert_eq!(oracle.dtype(), DType::I64);
+                let want = oracle(
+                    &(Expr::leaf(&ai) * Expr::leaf(&ai) - Expr::leaf(&yi) * 3.0
+                        + Expr::Binary(
+                            BinOp::Min,
+                            Box::new(Expr::leaf(&ai)),
+                            Box::new(Expr::leaf(&yi)),
+                        )),
+                );
+                assert_eq!(want.dtype(), DType::I64);
                 let got = ik.map(&[a, &yi]);
                 assert_eq!(got.dtype(), DType::I64);
                 assert_eq!(
                     got.to_vec_i64(),
-                    oracle.to_vec_i64(),
+                    want.as_i64(),
                     "i64 map, first input {:?}, {tag}",
                     a.dtype()
                 );
                 assert_eq!(
                     ik.map_reduce(&[a, &yi], ReduceKind::Sum).to_bits(),
-                    oracle.sum().to_bits(),
+                    got.sum().to_bits(),
                     "i64 reduce tail, first input {:?}, {tag}",
                     a.dtype()
                 );
@@ -425,19 +434,19 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
             // both inputs, (I64, Bool) borrows the first.
             for a in [&xb, &xi] {
                 let ab = a.astype(DType::Bool);
-                let oracle = Expr::Binary(
+                let want = oracle(&Expr::Binary(
                     BinOp::Eq,
                     Box::new(Expr::leaf(&ab)),
                     Box::new(Expr::leaf(&yb)),
-                )
-                .eval_unfused();
-                assert_eq!(oracle.dtype(), DType::Bool);
+                ));
+                assert_eq!(want.dtype(), DType::Bool);
                 let got = bk.map(&[&ab, &yb]);
                 assert_eq!(got.dtype(), DType::Bool);
-                assert_eq!(got.to_vec_i64(), oracle.to_vec_i64(), "bool map, {tag}");
+                let want: Vec<i64> = (0..want.len()).map(|i| want.get_i64(i)).collect();
+                assert_eq!(got.to_vec_i64(), want, "bool map, {tag}");
                 assert_eq!(
                     bk.map_reduce(&[&ab, &yb], ReduceKind::CountNonzero),
-                    oracle.count_nonzero() as f64,
+                    got.count_nonzero() as f64,
                     "bool reduce tail, {tag}"
                 );
             }
@@ -457,11 +466,11 @@ fn a_lone_expression_keeps_its_wire_contract() {
     let x = ctx.linspace(0.25, 4.0, 300);
     let y = ctx.linspace(1.0, 2.0, 300);
     let make = || Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5;
-    let oracle = make().eval_unfused();
+    let oracle = bits(oracle(&make()).as_f64());
     let cold = make().eval(); // registers
     let cold_sum = make().sum(); // same body, reduce tail
-    assert_eq!(bits(&cold.to_vec()), bits(&oracle.to_vec()));
-    assert_eq!(cold_sum.to_bits(), oracle.sum().to_bits());
+    assert_eq!(bits(&cold.to_vec()), oracle);
+    assert_eq!(cold_sum.to_bits(), cold.sum().to_bits());
 
     let warm = |what: &str, launch: &mut dyn FnMut()| {
         ctx.reset_stats();
@@ -478,7 +487,7 @@ fn a_lone_expression_keeps_its_wire_contract() {
         out.push(p.run(&[t]).array(t));
     });
     for a in &out {
-        assert_eq!(bits(&a.to_vec()), bits(&oracle.to_vec()));
+        assert_eq!(bits(&a.to_vec()), oracle);
     }
     warm("Expr::sum", &mut || {
         assert_eq!(make().sum().to_bits(), cold_sum.to_bits())
@@ -534,11 +543,11 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
             // The E20 39-op identity body arms the same way (Expr kernels
             // resolve their tier per launch) and must not move a bit either.
             let wide = || bench::fixtures::wide_expr(&a, &b);
-            let oracle = wide().eval_unfused();
+            let got = wide().eval();
             assert_eq!(
-                (bits(&wide().eval().to_vec()), wide().sum().to_bits()),
-                (bits(&oracle.to_vec()), oracle.sum().to_bits()),
-                "39-op body diverged from the eager oracle at {workers} workers, {n} lanes"
+                (bits(&got.to_vec()), wide().sum().to_bits()),
+                (bits(oracle(&wide()).as_f64()), got.sum().to_bits()),
+                "39-op body diverged from the serial oracle at {workers} workers, {n} lanes"
             );
         }
 

@@ -474,26 +474,49 @@ fn e20_jit() -> Outcome {
     let y = ctx.linspace(1.0, 3.0, LANES);
     // Dispatch is async; barrier inside the closure so each sample covers
     // the workers actually finishing the pass, not just the broadcast.
-    let t_jit = best_of(5, || {
+    let jit = || {
         std::hint::black_box(wide_expr(&x, &y).eval());
         ctx.barrier();
-    });
+    };
+    let reduce = || std::hint::black_box(wide_expr(&x, &y).sum());
+    // The two single-pass arms take turns sample by sample, so a host
+    // whose speed drifts during the row moves both of them.
+    let (mut t_jit, mut t_reduce) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..15 {
+        t_jit = t_jit.min(timed(jit).1);
+        t_reduce = t_reduce.min(timed(reduce).1);
+    }
     let t_unfused = best_of(5, || {
         std::hint::black_box(wide_expr(&x, &y).eval_unfused());
         ctx.barrier();
     });
-    let t_reduce = best_of(5, || std::hint::black_box(wide_expr(&x, &y).sum()));
     let ops = wide_expr(&x, &y).n_ops();
-    println!("{LANES} lanes x {ops} ops, {WORKERS} workers (best of 5):");
+    println!("{LANES} lanes x {ops} ops, {WORKERS} workers (best of 5 unfused, 15 jitted):");
     println!("  unfused (1 temp per AST node) : {}", fmt_s(t_unfused));
     println!("  jitted bytecode               : {}", fmt_s(t_jit));
     println!("  jitted fused reduction        : {}", fmt_s(t_reduce));
     let ratio = t_unfused / t_jit;
     println!("  -> jit is {ratio:.1}x faster than unfused");
-    verdict(&[(
-        ratio >= 2.0,
-        format!("jitted eval must be >= 2x faster than unfused ({ratio:.2}x)"),
-    )])
+    verdict(&[
+        (
+            ratio >= 2.0,
+            format!("jitted eval must be >= 2x faster than unfused ({ratio:.2}x)"),
+        ),
+        // Four workers on a two-CPU host put both arms at parity (the
+        // kernel dominates, and the reduction's allreduce costs about what
+        // the map's output writes do), so the clause allows 10 %. What it
+        // guards against, a reduction row as long as the segment, measured
+        // 1.65–1.9x the map there.
+        (
+            t_reduce <= 1.1 * t_jit,
+            format!(
+                "a fused reduction must cost no more than the materialized map, \
+                 within 10 % ({} vs {})",
+                fmt_s(t_reduce),
+                fmt_s(t_jit)
+            ),
+        ),
+    ])
 }
 
 fn e21_trace_overhead() -> Outcome {

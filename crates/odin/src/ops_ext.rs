@@ -82,12 +82,14 @@ impl<'c> DistArray<'c> {
         (idx, v)
     }
 
-    /// Global flat index of the maximum element (ties → lowest index).
+    /// Global flat index of the maximum element (ties → lowest index). As
+    /// in NumPy, the first NaN wins over every number.
     pub fn argmax(&self) -> usize {
         self.arg_reduce(true).0
     }
 
-    /// Global flat index of the minimum element.
+    /// Global flat index of the minimum element, by [`Self::argmax`]'s
+    /// tie and NaN rules.
     pub fn argmin(&self) -> usize {
         self.arg_reduce(false).0
     }

@@ -1,4 +1,5 @@
-//! The serial oracle for ODIN's elementwise ufuncs.
+//! The serial oracles for ODIN's elementwise ufuncs and whole-array
+//! reductions.
 //!
 //! Workers evaluate every elementwise op as a kernel
 //! (`worker::exec_kernel` over the VM or native tier). This module
@@ -6,11 +7,12 @@
 //! fetched whole arrays in global order, with plain Rust arithmetic: it
 //! shares no worker, segment, route or tier with the code it checks. The
 //! eager `DistArray` ufuncs and the lazy [`Expr`] plane are held to it bit
-//! for bit, dtype included.
+//! for bit, dtype included. [`fold`] does the same for the order in which
+//! the workers fold a reduction.
 
 use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, Buffer, DType};
 use crate::lazy::{powic_exponent, Expr, Held, Node, Ufuncs};
-use crate::protocol::{BinOp, UnaryOp};
+use crate::protocol::{BinOp, ReduceKind, UnaryOp};
 
 /// Evaluate `e` serially on the master: every leaf is fetched and every
 /// node applied as the eager ufunc of the same name defines it. Returns
@@ -22,6 +24,58 @@ pub fn eval(e: &Expr<'_, '_>) -> Option<Buffer> {
         Node::Arr(Held::Leaf(b)) => Some(b.clone()),
         Node::Scalar(_) => None,
     }
+}
+
+/// A whole-array reduction of `kind` over `segments` (worker `r`'s
+/// segment at index `r`, each element widened to f64), in the order every
+/// worker-side reduction path folds: element `i` of a segment goes into
+/// stripe `i mod 8`, each stripe starting at the identity; a segment's
+/// partial is `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`; the partials then
+/// combine in rank order, bracketed as comm's binomial tree
+/// (`(p0∘p1)∘(p2∘p3)` at four ranks, `(p0∘p1)∘p2` at three), which is
+/// what the pool's small `allreduce` computes at one to four workers.
+pub fn fold(kind: ReduceKind, segments: &[Buffer]) -> f64 {
+    let op = |a: f64, b: f64| match kind {
+        ReduceKind::Sum | ReduceKind::CountNonzero => a + b,
+        ReduceKind::Prod => a * b,
+        ReduceKind::Min => a.min(b),
+        ReduceKind::Max => a.max(b),
+    };
+    let identity = match kind {
+        ReduceKind::Sum | ReduceKind::CountNonzero => 0.0,
+        ReduceKind::Prod => 1.0,
+        ReduceKind::Min => f64::INFINITY,
+        ReduceKind::Max => f64::NEG_INFINITY,
+    };
+    let partials: Vec<f64> = segments
+        .iter()
+        .map(|seg| {
+            let mut s = [identity; 8];
+            for i in 0..seg.len() {
+                let x = seg.get_f64(i);
+                let x = match kind {
+                    ReduceKind::CountNonzero => f64::from(u8::from(x != 0.0)),
+                    _ => x,
+                };
+                s[i % 8] = op(s[i % 8], x);
+            }
+            op(
+                op(op(s[0], s[1]), op(s[2], s[3])),
+                op(op(s[4], s[5]), op(s[6], s[7])),
+            )
+        })
+        .collect();
+    fn tree(op: &dyn Fn(f64, f64) -> f64, p: &[f64]) -> f64 {
+        match p {
+            [] => unreachable!("a pool has at least one worker"),
+            [only] => *only,
+            _ => {
+                let half = p.len().next_power_of_two() / 2;
+                op(tree(op, &p[..half]), tree(op, &p[half..]))
+            }
+        }
+    }
+    tree(&op, &partials)
 }
 
 impl Ufuncs for Buffer {

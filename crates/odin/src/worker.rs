@@ -400,45 +400,29 @@ fn exec_cmd(
         Cmd::ArgReduce { a, is_max } => {
             let (meta, buf) = &arrays[&a];
             let map = meta.axis_map(p, rank);
-            let slab = meta.slab();
-            let mut best: Option<(f64, usize)> = None;
-            for i in 0..buf.len() {
-                let v = buf.get_f64(i);
-                let better = match best {
-                    None => true,
-                    Some((bv, _)) => {
-                        if is_max {
-                            v > bv
-                        } else {
-                            v < bv
-                        }
-                    }
-                };
-                if better {
-                    let gid = map.local_to_global(i / slab.max(1)) * slab.max(1) + i % slab.max(1);
-                    best = Some((v, gid));
+            let slab = meta.slab().max(1);
+            // The local scan and the allreduce pick by the same rule, so
+            // the winner does not depend on where the segments split.
+            let pick = |x: (f64, usize), y: (f64, usize)| {
+                if arg_wins(is_max, x, y) {
+                    x
+                } else {
+                    y
                 }
-            }
-            comm.advance_compute(buf.len() as f64);
-            // combine keeping the smallest global index on ties
+            };
             let sentinel = if is_max {
                 (f64::NEG_INFINITY, usize::MAX)
             } else {
                 (f64::INFINITY, usize::MAX)
             };
-            let mine = best.unwrap_or(sentinel);
-            let winner = comm.allreduce(&mine, |x: &(f64, usize), y: &(f64, usize)| {
-                let x_wins = if is_max {
-                    x.0 > y.0 || (x.0 == y.0 && x.1 <= y.1)
-                } else {
-                    x.0 < y.0 || (x.0 == y.0 && x.1 <= y.1)
-                };
-                if x_wins {
-                    *x
-                } else {
-                    *y
-                }
-            });
+            let mine = (0..buf.len())
+                .map(|i| {
+                    let gid = map.local_to_global(i / slab) * slab + i % slab;
+                    (buf.get_f64(i), gid)
+                })
+                .fold(sentinel, |best, x| pick(x, best));
+            comm.advance_compute(buf.len() as f64);
+            let winner = comm.allreduce(&mine, |x: &(f64, usize), y: &(f64, usize)| pick(*x, *y));
             if rank == 0 {
                 reply(comm, comm::encode_to_vec(&winner));
             }
@@ -589,6 +573,20 @@ impl KernelLane for i64 {
     }
 }
 
+/// Lanes per kernel invoke, on either tier.
+const CHUNK: usize = 4096;
+
+// Every chunk starts on a stripe boundary, so chunk lane `j` of a
+// segment's fold lands in stripe `j mod STRIPES`.
+const _: () = assert!(CHUNK.is_multiple_of(STRIPES));
+
+/// One output of a kernel invoke: a result segment written in place, or
+/// a recycled chunk row folded as each chunk completes.
+enum Harvest<L> {
+    Array { row: Vec<L>, id: u64, dtype: DType },
+    Reduce { row: Vec<L>, fold: Fold },
+}
+
 /// A recycled row of `len` copies of `fill`.
 fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
     let mut row = pool.pop().unwrap_or_default();
@@ -606,20 +604,19 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 ///
 /// Inputs already stored as `L` rows are borrowed in place; the others
 /// are staged through the recycled scratch pool, and scalar parameters
-/// become constant rows, so the bytecode sees ordinary lane inputs. The
-/// VM tier streams `CHUNK`-lane chunks; with `native` set, the probed C
-/// monomorphization (DESIGN §15) runs the whole segment as one chunk —
-/// the compiled loop *is* the chunk loop. Either tier writes array rows
-/// straight into the result segment. The probe gate makes the tiers
-/// bitwise-interchangeable, and the modeled compute advance is
-/// tier-independent, so chaos/critical-path results do not depend on
-/// which tier ran.
+/// become constant rows, so the bytecode sees ordinary lane inputs.
+/// Either tier — the VM, or with `native` set the probed C
+/// monomorphization (DESIGN §15) — runs [`CHUNK`]-lane chunks, so staged
+/// inputs, scalar rows and reduction rows stay L1-sized whatever the
+/// segment length, and array rows are written straight into the result
+/// segment. The probe gate makes the tiers bitwise-interchangeable, and
+/// the modeled compute advance is tier-independent, so chaos/critical-path
+/// results do not depend on which tier ran.
 ///
-/// The reduce tail mirrors `exec_reduce` with `axis: None` exactly —
-/// sequential element-order local fold (widened to f64), then one
-/// `allreduce` per reduction in `outs` order, then a rank-0 reply with
-/// the scalar vector — so fused reductions are bitwise-identical to
-/// `map(...)` + `Reduce`.
+/// The reduce tail is `exec_reduce` with `axis: None` exactly — the same
+/// [`Fold`] over the rows widened to f64, then one `allreduce` per
+/// reduction in `outs` order, then a rank-0 reply with the scalar vector
+/// — so fused reductions are bitwise-identical to `map(...)` + `Reduce`.
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel<L: KernelLane>(
     comm: &Comm,
@@ -633,7 +630,6 @@ fn exec_kernel<L: KernelLane>(
     outs: &[KernelOut],
     native: bool,
 ) {
-    const CHUNK: usize = 4096;
     let program = kernels.get(&kernel).expect("unknown kernel");
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
     let t_meta = arrays[&template].0.clone();
@@ -663,22 +659,22 @@ fn exec_kernel<L: KernelLane>(
         None
     };
     let vm = seamless::vm::Vm::new(program);
-    let step = if native_fn.is_some() { n } else { CHUNK.min(n) };
+    let step = CHUNK.min(n);
     let pool = L::pool(scratch);
     // Array rows are written in place at their final length; reduction
     // rows are one recycled chunk, folded as each chunk completes.
-    let mut rows: Vec<Vec<L>> = outs
+    let mut harvests: Vec<Harvest<L>> = outs
         .iter()
-        .map(|o| match o {
-            KernelOut::Array { .. } => vec![L::default(); n],
-            KernelOut::Reduce { .. } => take_row(pool, step, L::default()),
-        })
-        .collect();
-    let mut accs: Vec<f64> = outs
-        .iter()
-        .map(|o| match o {
-            KernelOut::Reduce { kind, .. } => reduce_identity(*kind),
-            KernelOut::Array { .. } => 0.0,
+        .map(|o| match *o {
+            KernelOut::Array { id, dtype, .. } => Harvest::Array {
+                row: vec![L::default(); n],
+                id,
+                dtype,
+            },
+            KernelOut::Reduce { kind, .. } => Harvest::Reduce {
+                row: take_row(pool, step, L::default()),
+                fold: Fold::new(kind),
+            },
         })
         .collect();
     let mut staged: Vec<Option<Vec<L>>> = inputs
@@ -716,12 +712,11 @@ fn exec_kernel<L: KernelLane>(
             .collect();
         refs.extend(scalar_rows.iter().map(|r| &r[..len]));
         {
-            let mut dst: Vec<&mut [L]> = rows
+            let mut dst: Vec<&mut [L]> = harvests
                 .iter_mut()
-                .zip(outs)
-                .map(|(row, o)| match o {
-                    KernelOut::Array { .. } => &mut row[start..end],
-                    KernelOut::Reduce { .. } => &mut row[..len],
+                .map(|h| match h {
+                    Harvest::Array { row, .. } => &mut row[start..end],
+                    Harvest::Reduce { row, .. } => &mut row[..len],
                 })
                 .collect();
             match &native_fn {
@@ -731,13 +726,9 @@ fn exec_kernel<L: KernelLane>(
                     .expect("kernel failed on a worker segment"),
             }
         }
-        // Sequential element-order fold, chunk after chunk: the same
-        // order on either tier, so reductions stay bitwise equal.
-        for ((row, o), acc) in rows.iter().zip(outs).zip(&mut accs) {
-            if let KernelOut::Reduce { kind, .. } = o {
-                for &v in &row[..len] {
-                    *acc = reduce_combine(*kind, *acc, reduce_element(*kind, v.to_f64()));
-                }
+        for h in &mut harvests {
+            if let Harvest::Reduce { row, fold } = h {
+                fold.push(&row[..len], L::to_f64);
             }
         }
         start = end;
@@ -764,31 +755,42 @@ fn exec_kernel<L: KernelLane>(
         );
     }
     let mut totals: Vec<f64> = Vec::new();
-    for ((row, o), acc) in rows.into_iter().zip(outs).zip(accs) {
-        match o {
-            KernelOut::Array { id, dtype, .. } => {
+    for h in harvests {
+        match h {
+            Harvest::Array { row, id, dtype } => {
                 let raw = L::wrap(row);
-                let data = if raw.dtype() == *dtype {
+                let data = if raw.dtype() == dtype {
                     raw
                 } else {
-                    raw.astype(*dtype)
+                    raw.astype(dtype)
                 };
                 let out_meta = ArrayMeta {
-                    dtype: *dtype,
+                    dtype,
                     ..t_meta.clone()
                 };
-                arrays.insert(*id, (out_meta, data));
+                arrays.insert(id, (out_meta, data));
             }
-            KernelOut::Reduce { kind, .. } => {
+            Harvest::Reduce { row, fold } => {
                 pool.push(row);
-                // Collective: runs on every rank even with an empty segment,
-                // one allreduce per reduction, in declaration order.
-                totals.push(comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(*kind, *x, *y)));
+                // One allreduce per reduction, in declaration order.
+                totals.push(fold.allreduce(comm));
             }
         }
     }
     if !totals.is_empty() && comm.rank() == 0 {
         reply(comm, comm::encode_to_vec(&totals));
+    }
+}
+
+/// Whether candidate `x = (value, global index)` beats `y` in an
+/// `argmax` (`is_max`) or `argmin`, by NumPy's rule: any NaN beats every
+/// number, then the larger (smaller) value wins, and ties — two NaNs
+/// included — go to the lower index.
+fn arg_wins(is_max: bool, x: (f64, usize), y: (f64, usize)) -> bool {
+    match (x.0.is_nan(), y.0.is_nan()) {
+        (true, true) => x.1 < y.1,
+        (x_nan, y_nan) if x_nan != y_nan => x_nan,
+        _ => (if is_max { x.0 > y.0 } else { x.0 < y.0 }) || (x.0 == y.0 && x.1 < y.1),
     }
 }
 
@@ -807,6 +809,78 @@ fn reduce_combine(kind: ReduceKind, a: f64, b: f64) -> f64 {
         ReduceKind::Prod => a * b,
         ReduceKind::Min => a.min(b),
         ReduceKind::Max => a.max(b),
+    }
+}
+
+/// Independent partials of a whole-segment reduction (NumPy's
+/// pairwise-sum block keeps eight).
+const STRIPES: usize = 8;
+
+/// The one per-element fold of a whole-segment reduction, shared by
+/// `exec_kernel`'s reduce tails and `exec_reduce` with `axis: None`.
+/// Lane `i` of the segment, counted in element order, folds into stripe
+/// `i mod 8`; [`Fold::finish`] combines the stripes as
+/// `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`, and [`Fold::allreduce`] the
+/// workers' partials. Eight independent chains instead of one dependent
+/// chain, and the same order on every path and tier, so every path agrees
+/// bit for bit (`odin::reference::fold` is the serial oracle).
+struct Fold {
+    kind: ReduceKind,
+    stripes: [f64; STRIPES],
+}
+
+impl Fold {
+    fn new(kind: ReduceKind) -> Self {
+        Fold {
+            kind,
+            stripes: [reduce_identity(kind); STRIPES],
+        }
+    }
+
+    /// Fold `row`, whose first lane sits a multiple of [`STRIPES`] into
+    /// the segment, each element widened by `widen`. The kind is matched
+    /// once per row, so every lane loop is monomorphic.
+    fn push<T: Copy>(&mut self, row: &[T], widen: impl Fn(T) -> f64) {
+        let s = &mut self.stripes;
+        match self.kind {
+            ReduceKind::Sum => stripe(s, row, |a, x| a + widen(x)),
+            ReduceKind::CountNonzero => {
+                stripe(s, row, |a, x| a + f64::from(u8::from(widen(x) != 0.0)))
+            }
+            ReduceKind::Prod => stripe(s, row, |a, x| a * widen(x)),
+            ReduceKind::Min => stripe(s, row, |a, x| a.min(widen(x))),
+            ReduceKind::Max => stripe(s, row, |a, x| a.max(widen(x))),
+        }
+    }
+
+    /// This worker's partial.
+    fn finish(&self) -> f64 {
+        let [s0, s1, s2, s3, s4, s5, s6, s7] = self.stripes;
+        let c = |a, b| reduce_combine(self.kind, a, b);
+        c(c(c(s0, s1), c(s2, s3)), c(c(s4, s5), c(s6, s7)))
+    }
+
+    /// The pool-wide result. Collective: every rank calls it, even with
+    /// an empty segment.
+    fn allreduce(&self, comm: &Comm) -> f64 {
+        let kind = self.kind;
+        comm.allreduce(&self.finish(), |x: &f64, y: &f64| {
+            reduce_combine(kind, *x, *y)
+        })
+    }
+}
+
+/// `s[j mod 8] = f(s[j mod 8], row[j])` for every lane `j` of `row`.
+#[inline(always)]
+fn stripe<T: Copy>(s: &mut [f64; STRIPES], row: &[T], f: impl Fn(f64, T) -> f64) {
+    let (blocks, rest) = row.as_chunks::<STRIPES>();
+    for block in blocks {
+        for (a, &x) in s.iter_mut().zip(block) {
+            *a = f(*a, x);
+        }
+    }
+    for (a, &x) in s.iter_mut().zip(rest) {
+        *a = f(*a, x);
     }
 }
 
@@ -832,12 +906,14 @@ fn exec_reduce(
     let (meta, buf) = &arrays[&a];
     match axis {
         None => {
-            let mut acc = reduce_identity(kind);
-            for i in 0..buf.len() {
-                acc = reduce_combine(kind, acc, reduce_element(kind, buf.get_f64(i)));
+            let mut fold = Fold::new(kind);
+            match buf {
+                Buffer::F64(v) => fold.push(v, |x| x),
+                Buffer::I64(v) => fold.push(v, |x| x as f64),
+                Buffer::Bool(v) => fold.push(v, |x| f64::from(u8::from(x))),
             }
             comm.advance_compute(buf.len() as f64);
-            let total = comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
+            let total = fold.allreduce(comm);
             if rank == 0 {
                 reply(comm, comm::encode_to_vec(&total));
             }

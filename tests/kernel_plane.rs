@@ -4,10 +4,11 @@
 //! both tiers, under seeded chaos, and across a checkpoint/recover cycle
 //! that respawns the whole worker pool.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
-use hpc_framework::odin::{reference, BinOp, Buffer, OdinError};
+use hpc_framework::odin::{reference, BinOp, Buffer, LocalFn, OdinError};
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
 
@@ -324,9 +325,9 @@ fn mid_batch_kill_is_absorbed_by_recover_without_recompiling() {
 #[test]
 fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
     let _g = stats_read();
-    // The executor streams 4096-lane chunks on the VM tier and one
-    // whole-segment chunk on the native tier. Pin both, in both lane
-    // types, at segment lengths on and around the chunk boundary (a
+    // The executor streams 4096-lane chunks on either tier. Pin both
+    // tiers, in both lane types, at segment lengths on and around the
+    // chunk boundary (a
     // 1-worker pool makes segment length == array length), with inputs
     // that are borrowed in place and inputs that are staged, for array
     // outputs and fused reduce tails.
@@ -449,6 +450,115 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
                     got.count_nonzero() as f64,
                     "bool reduce tail, {tag}"
                 );
+            }
+        }
+    }
+}
+
+/// A block-distributed array holding exactly `data`, written segment by
+/// segment by a local-mode function (no ufunc touches the values).
+fn array_of<'c>(ctx: &'c OdinContext, data: Buffer) -> DistArray<'c> {
+    let a = ctx.arange(data.len()).astype(data.dtype());
+    let fill: LocalFn = Arc::new(move |scope, ids, _| {
+        let runs = scope.axis_map(ids[0]).local_runs();
+        *scope.local_mut(ids[0]) = data.gather_runs(&runs, 1);
+    });
+    let f = ctx.register_local(fill);
+    ctx.call_local(f, &[a.id()], &[]);
+    a
+}
+
+#[test]
+fn every_reduction_path_folds_in_the_reference_order() {
+    let _g = stats_read();
+    // Workers fold a whole-array reduction in eight stripes per segment
+    // and combine the partials over the pool (DESIGN §10). Every path —
+    // eager reductions over typed segments, fused `Expr` reductions,
+    // `Kernel::map_reduce` in its own lane type on both tiers, and a
+    // traced program folding five reductions in one launch — must equal
+    // `reference::fold` over the same segments bit for bit. Segment
+    // lengths straddle the stripe width and the 4096-lane chunk; the
+    // values are chosen so that sums and products round differently in
+    // any other order.
+    const KINDS: [ReduceKind; 5] = [
+        ReduceKind::Sum,
+        ReduceKind::Prod,
+        ReduceKind::Min,
+        ReduceKind::Max,
+        ReduceKind::CountNonzero,
+    ];
+    fn mix(i: u64) -> u64 {
+        let z = (i + 1).wrapping_mul(0x9e3779b97f4a7c15);
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+    let values = |dtype: DType, n: usize| match dtype {
+        // near 1, so products neither overflow nor underflow
+        DType::F64 => Buffer::F64(
+            (0..n as u64)
+                .map(|i| 1.0 + ((mix(i) >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e-3)
+                .collect(),
+        ),
+        // past 2^53, so widening and summing both round
+        DType::I64 => Buffer::I64(
+            (0..n as u64)
+                .map(|i| (mix(i) >> 8) as i64 - (1 << 55))
+                .collect(),
+        ),
+        DType::Bool => Buffer::Bool((0..n as u64).map(|i| !mix(i).is_multiple_of(4)).collect()),
+    };
+    let eager = |a: &DistArray, kind| match kind {
+        ReduceKind::Sum => a.sum(),
+        ReduceKind::Prod => a.prod(),
+        ReduceKind::Min => a.min(),
+        ReduceKind::Max => a.max(),
+        ReduceKind::CountNonzero => a.count_nonzero() as f64,
+    };
+    for workers in 1..=4usize {
+        let ctx = OdinContext::with_workers(workers);
+        let kernels: Vec<(Kernel, Kernel)> = [Tier::Vm, Tier::Auto]
+            .into_iter()
+            .map(|tier| {
+                let f = ctx.kernel("def f(x):\n    return x * 1.0\n", "f");
+                let i = ctx.kernel("def i(x):\n    return x * 1\n", "i");
+                (
+                    f.tier(tier).build().unwrap(),
+                    i.dtype(DType::I64).tier(tier).build().unwrap(),
+                )
+            })
+            .collect();
+        for len in [0usize, 1, 7, 8, 9, 4095, 4096, 4097, 8199] {
+            for dtype in [DType::F64, DType::I64, DType::Bool] {
+                let data = values(dtype, workers * len);
+                let segments: Vec<Buffer> = (0..workers)
+                    .map(|r| {
+                        let seg = r * len..(r + 1) * len;
+                        match &data {
+                            Buffer::F64(v) => Buffer::F64(v[seg].to_vec()),
+                            Buffer::I64(v) => Buffer::I64(v[seg].to_vec()),
+                            Buffer::Bool(v) => Buffer::Bool(v[seg].to_vec()),
+                        }
+                    })
+                    .collect();
+                let a = array_of(&ctx, data);
+                let mut p = ctx.trace();
+                let traced: Vec<_> = KINDS.map(|kind| p.reduce(Expr::leaf(&a), kind)).into();
+                let run = p.run(&[]);
+                for (kind, s) in KINDS.into_iter().zip(traced) {
+                    let want = reference::fold(kind, &segments).to_bits();
+                    let case = format!("{kind:?} of {dtype:?}, {workers} x {len} lanes");
+                    assert_eq!(eager(&a, kind).to_bits(), want, "eager {case}");
+                    let fused = Expr::leaf(&a).reduce(kind);
+                    assert_eq!(fused.to_bits(), want, "Expr::reduce {case}");
+                    assert_eq!(run.scalar(s).to_bits(), want, "traced {case}");
+                    for (fk, ik) in &kernels {
+                        let k = if dtype == DType::F64 { fk } else { ik };
+                        let got = k.map_reduce(&[&a], kind);
+                        let tier = k.tier();
+                        assert_eq!(got.to_bits(), want, "map_reduce on {tier:?}, {case}");
+                    }
+                }
             }
         }
     }

@@ -237,6 +237,26 @@ fn odin_cumsum_matches_serial() {
     }
 }
 
+/// NumPy's `argmax` (`is_max`) / `argmin`: the first NaN if there is one,
+/// else the first extreme.
+fn serial_arg(xs: &[f64], is_max: bool) -> usize {
+    if let Some(i) = xs.iter().position(|v| v.is_nan()) {
+        return i;
+    }
+    (0..xs.len()).fold(0, |best, i| {
+        let better = if is_max {
+            xs[i] > xs[best]
+        } else {
+            xs[i] < xs[best]
+        };
+        if better {
+            i
+        } else {
+            best
+        }
+    })
+}
+
 #[test]
 fn odin_argmax_matches_serial() {
     let mut rng = SplitMix64::new(0xa27);
@@ -248,20 +268,30 @@ fn odin_argmax_matches_serial() {
         let ctx = OdinContext::with_workers(workers);
         let x = ctx.random_dist(&[n], seed, d);
         let xs = x.to_vec();
-        let serial = xs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(x.argmax(), serial);
-        let lowest = xs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(x.argmin(), lowest);
+        assert_eq!(x.argmax(), serial_arg(&xs, true));
+        assert_eq!(x.argmin(), serial_arg(&xs, false));
+    }
+    // NaNs at every position, alone and in pairs, so every segment start
+    // and end of a 1–4 worker block split holds one: the first NaN wins
+    // whatever the worker count (NumPy's rule).
+    let base = [1.0, 3.0, -2.0, 3.0, 0.5, -2.0, 2.0];
+    for workers in 1..=4 {
+        let ctx = OdinContext::with_workers(workers);
+        let mut cases = vec![vec![f64::NAN, 1.0, 3.0], vec![3.0, 1.0, f64::NAN]];
+        for i in 0..base.len() {
+            for j in i..base.len() {
+                let mut xs = base.to_vec();
+                xs[i] = f64::NAN;
+                xs[j] = f64::NAN;
+                cases.push(xs);
+            }
+        }
+        for xs in cases {
+            let x = ctx.from_vec(&xs, Dist::Block);
+            let case = format!("{xs:?} on {workers} workers");
+            assert_eq!(x.argmax(), serial_arg(&xs, true), "argmax {case}");
+            assert_eq!(x.argmin(), serial_arg(&xs, false), "argmin {case}");
+        }
     }
 }
 

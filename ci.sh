@@ -69,14 +69,21 @@ for f in crates/odin/src/*.rs; do
   fi
 done
 
-echo "== one elementwise executor (workers run every ufunc as a kernel)"
-# Eager ufuncs are one-op kernels through `exec_kernel`; the per-op
-# buffer loops live on only as the master-side serial oracle
-# (`odin::reference`). One of them on the worker is the second
-# elementwise path growing back.
-if awk '/#\[cfg\(test\)\]/{exit} {print}' crates/odin/src/worker.rs \
-    | grep -nE 'apply_unary|apply_binary|binop_'; then
-  echo "elementwise gate: crates/odin/src/worker.rs computes ufuncs outside exec_kernel" >&2
+echo "== one elementwise executor (workers run every ufunc, where and full fold as a kernel)"
+# Eager ufuncs and `where` are one-op kernels through `exec_kernel`, and
+# eager full reductions are identity kernels with a fold tail; the
+# per-op buffer loops live on only as the master-side serial oracle
+# (`odin::reference`). One of them on the worker — or a second
+# `Fold::new` site — is the second whole-array path growing back.
+worker_code=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/odin/src/worker.rs)
+if grep -nE 'apply_unary|apply_binary|binop_|Select' <<<"$worker_code"; then
+  echo "elementwise gate: crates/odin/src/worker.rs computes ufuncs or selects outside exec_kernel" >&2
+  exit 1
+fi
+folds=$(grep -c 'Fold::new' <<<"$worker_code" || true)
+echo "-- Fold::new sites in worker.rs: $folds"
+if [ "$folds" -ne 1 ]; then
+  echo "elementwise gate: crates/odin/src/worker.rs folds in $folds places, expected exactly 1" >&2
   exit 1
 fi
 

@@ -240,13 +240,7 @@ fn scan(path: &Path, root: &Path) -> Source {
             continue;
         }
         if HEADS.iter().any(|h| t.starts_with(h)) {
-            let mut sig = t.trim_end();
-            for stop in [" {", " where"] {
-                if let Some(i) = sig.find(stop) {
-                    sig = &sig[..i];
-                }
-            }
-            sigs.push(sig.trim_end_matches(';').trim_end().to_string());
+            sigs.push(signature(t).to_string());
         }
     }
     let rel = path.strip_prefix(root).unwrap_or(path).display();
@@ -256,6 +250,25 @@ fn scan(path: &Path, root: &Path) -> Source {
         code,
         cut,
     }
+}
+
+/// An item's signature line without its trailing body or `where` clause:
+/// the ` where` keyword, not a name that starts with it (`where_`).
+fn signature(line: &str) -> &str {
+    let mut sig = line.trim_end();
+    if let Some(i) = sig.find(" {") {
+        sig = &sig[..i];
+    }
+    let clause = sig.match_indices(" where").find(|&(i, w)| {
+        sig[i + w.len()..]
+            .chars()
+            .next()
+            .is_none_or(char::is_whitespace)
+    });
+    if let Some((i, _)) = clause {
+        sig = &sig[..i];
+    }
+    sig.trim_end_matches(';').trim_end()
 }
 
 /// Every `.rs` file a public name could be used from.
@@ -440,6 +453,28 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn signatures_stop_at_the_where_keyword_not_at_a_name() {
+        let cases = [
+            (
+                "pub fn where_<'c>(&'c self) -> D<'c> {",
+                "pub fn where_<'c>(&'c self) -> D<'c>",
+            ),
+            (
+                "pub fn f<T>(x: T) -> T where T: Copy {",
+                "pub fn f<T>(x: T) -> T",
+            ),
+            ("pub fn g<T>(x: T) -> T where", "pub fn g<T>(x: T) -> T"),
+            (
+                "pub fn wherever(&self) -> usize;",
+                "pub fn wherever(&self) -> usize",
+            ),
+        ];
+        for (line, sig) in cases {
+            assert_eq!(signature(line), sig);
+        }
+    }
 
     #[test]
     fn strip_blanks_prose_and_literals_but_keeps_code_and_lines() {

@@ -119,42 +119,23 @@ impl<'c> DistArray<'c> {
         self.meta().dist
     }
 
-    /// One eager elementwise op as a one-op kernel with `self` as its
-    /// template: `lower` emits the body over parameter registers 0, 1, …
-    /// (`self`, then `rhs`, then `scalar`), the structural registry ships
-    /// it once per pool, and one [`Cmd::EvalKernel`] materializes the
-    /// result as `dtype`. An `I64` result runs on i64 lanes, every other
-    /// on f64 lanes — how the serial oracle ([`crate::reference`])
-    /// computes it.
-    fn one_op(
+    /// One eager elementwise op as a one-op kernel (see [`Self::launch`]),
+    /// materialized as a new array of `dtype` and computed on its lanes.
+    pub(crate) fn one_op(
         &self,
-        rhs: Option<u64>,
+        extra: &[u64],
         scalar: Option<f64>,
         dtype: DType,
         lower: impl FnOnce(&mut Lowerer) -> Reg,
     ) -> DistArray<'c> {
-        let (lane, file) = match dtype {
-            DType::I64 => (DType::I64, RegFile::I),
-            _ => (DType::F64, RegFile::F),
-        };
-        let inputs: Vec<u64> = std::iter::once(self.id).chain(rhs).collect();
-        let mut lw = Lowerer::with_params(file, inputs.len() + usize::from(scalar.is_some()));
-        let ret = lower(&mut lw);
-        let kernel = self.ctx.register_kernel_program(lw.finish(ret));
         let out = self.ctx.alloc_id();
-        self.ctx.send_cmd(&Cmd::EvalKernel {
-            kernel,
-            template: self.id,
-            inputs,
-            scalars: scalar.into_iter().collect(),
-            outs: vec![KernelOut::Array {
-                id: out,
-                dtype,
-                reg: (file, ret),
-            }],
-            dtype: lane,
-            native: true,
-        });
+        let array = |reg| KernelOut::Array {
+            id: out,
+            dtype,
+            reg,
+        };
+        self.ctx
+            .send_cmd(&self.launch(dtype, extra, scalar, lower, array));
         let meta = ArrayMeta {
             dtype,
             ..self.meta()
@@ -163,10 +144,43 @@ impl<'c> DistArray<'c> {
         DistArray::from_id(self.ctx, out)
     }
 
+    /// A one-op kernel launch with template `self`: `lower` emits the body
+    /// over parameters 0, 1, … (`self`, `extra`, `scalar`), registered
+    /// once per pool; `out` harvests it. Values of `lane` dtype `I64` run
+    /// on i64 lanes, every other on f64 lanes — how the serial oracle
+    /// ([`crate::reference`]) computes them.
+    pub(crate) fn launch(
+        &self,
+        lane: DType,
+        extra: &[u64],
+        scalar: Option<f64>,
+        lower: impl FnOnce(&mut Lowerer) -> Reg,
+        out: impl FnOnce((RegFile, Reg)) -> KernelOut,
+    ) -> Cmd {
+        let (lane, file) = match lane {
+            DType::I64 => (DType::I64, RegFile::I),
+            _ => (DType::F64, RegFile::F),
+        };
+        let inputs: Vec<u64> = std::iter::once(self.id)
+            .chain(extra.iter().copied())
+            .collect();
+        let mut lw = Lowerer::with_params(file, inputs.len() + usize::from(scalar.is_some()));
+        let ret = lower(&mut lw);
+        Cmd::EvalKernel {
+            kernel: self.ctx.register_kernel_program(lw.finish(ret)),
+            template: self.id,
+            inputs,
+            scalars: scalar.into_iter().collect(),
+            outs: vec![out((file, ret))],
+            dtype: lane,
+            native: true,
+        }
+    }
+
     /// Elementwise unary ufunc.
     pub fn unary(&self, op: UnaryOp) -> DistArray<'c> {
         let dtype = unary_result_dtype(op, self.dtype());
-        self.one_op(None, None, dtype, |lw| lw.emit_unary(op, 0))
+        self.one_op(&[], None, dtype, |lw| lw.emit_unary(op, 0))
     }
 
     /// Elementwise binary ufunc with automatic alignment.
@@ -177,7 +191,7 @@ impl<'c> DistArray<'c> {
         let dtype = binary_result_dtype(op, ma.dtype, mb.dtype);
         let lower = |lw: &mut Lowerer| lw.emit_binary(op, 0, 1);
         if ma.conformable(&mb) {
-            return self.one_op(Some(other.id), None, dtype, lower);
+            return self.one_op(&[other.id], None, dtype, lower);
         }
         // Non-conformable: align per the strategy.
         let strategy = binary_strategy();
@@ -195,10 +209,10 @@ impl<'c> DistArray<'c> {
         };
         if redistribute_right {
             let aligned = other.redistribute(ma.dist);
-            self.one_op(Some(aligned.id), None, dtype, lower)
+            self.one_op(&[aligned.id], None, dtype, lower)
         } else {
             let aligned = self.redistribute(mb.dist);
-            aligned.one_op(Some(other.id), None, dtype, lower)
+            aligned.one_op(&[other.id], None, dtype, lower)
         }
     }
 
@@ -209,16 +223,16 @@ impl<'c> DistArray<'c> {
     pub fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> DistArray<'c> {
         let dtype = binary_result_dtype(op, self.dtype(), scalar_dtype(scalar));
         if let (BinOp::Pow, false, Some(e)) = (op, scalar_left, powic_exponent(scalar)) {
-            return self.one_op(None, None, dtype, |lw| lw.emit_pow_const(0, e));
+            return self.one_op(&[], None, dtype, |lw| lw.emit_pow_const(0, e));
         }
         let (a, b) = if scalar_left { (1, 0) } else { (0, 1) };
-        self.one_op(None, Some(scalar), dtype, |lw| lw.emit_binary(op, a, b))
+        self.one_op(&[], Some(scalar), dtype, |lw| lw.emit_binary(op, a, b))
     }
 
     /// Cast to another dtype: the identity body, with the launch's output
     /// dtype doing the cast.
     pub fn astype(&self, dtype: DType) -> DistArray<'c> {
-        self.one_op(None, None, dtype, |_| 0)
+        self.one_op(&[], None, dtype, |_| 0)
     }
 
     /// Materialize under a new distribution.

@@ -571,7 +571,7 @@ pub(crate) mod tests {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.ones(&[8], crate::buffer::DType::F64);
         ctx.begin_batch();
-        // sum() buffers Cmd::Reduce into the batch; wait() must flush it
+        // sum() buffers its EvalKernel into the batch; wait() must flush it
         assert!((x.sum() - 8.0).abs() < 1e-12);
         // the batch was consumed: opening a fresh one must not panic
         ctx.begin_batch();

@@ -17,7 +17,7 @@
 //! register file), and [`KernelSpec::tier`] picks the execution tier —
 //! the bytecode VM, or the native C-compiled chunk function that
 //! `seamless::codegen` arms after a bitwise-parity probe (DESIGN §15).
-//! [`OdinContext::compile_kernel`] remains as the f64/auto shorthand.
+//! [`OdinContext::compile_kernel`] remains as the f64/native shorthand.
 //!
 //! ```
 //! use odin::context::OdinContext;
@@ -27,7 +27,7 @@
 //! let k = ctx
 //!     .kernel("def wave(x, t):\n    return sin(x) * exp(-t)\n", "wave")
 //!     .dtype(odin::DType::F64)
-//!     .tier(Tier::Auto)
+//!     .tier(Tier::Native)
 //!     .build()
 //!     .unwrap();
 //! let x = ctx.linspace(0.0, 1.0, 16);
@@ -52,11 +52,8 @@ pub enum Tier {
     /// only dispatched after it passes the bitwise-parity probe; bodies
     /// the emitter cannot compile (loops, arrays) or machines without a
     /// C compiler fall back to the VM — correctness never depends on the
-    /// tier.
+    /// tier. This is the default.
     Native,
-    /// Let the runtime decide (today: same arming attempt as `Native`).
-    /// This is the default.
-    Auto,
 }
 
 /// Builder for a dtype-generic kernel: source + entry name, then
@@ -90,26 +87,26 @@ pub struct Kernel<'c> {
     ret_reg: (RegFile, Reg),
     /// Compute dtype: the monomorphization workers execute.
     dtype: DType,
-    /// Resolved tier after the arming attempt (never `Auto`).
+    /// Resolved tier after the arming attempt.
     tier: Tier,
 }
 
 impl OdinContext {
     /// Start building a kernel from pyish source. `fname` names the entry
     /// function inside `src`. Defaults: `DType::F64` compute,
-    /// [`Tier::Auto`].
+    /// [`Tier::Native`].
     pub fn kernel(&self, src: &str, fname: &str) -> KernelSpec<'_> {
         KernelSpec {
             ctx: self,
             src: src.to_string(),
             fname: fname.to_string(),
             dtype: DType::F64,
-            tier: Tier::Auto,
+            tier: Tier::Native,
         }
     }
 
     /// Compile a Seamless (pyish) function to bytecode and register it
-    /// with every worker — the f64/auto shorthand for
+    /// with every worker — the f64/native shorthand for
     /// `self.kernel(src, fname).build()`.
     ///
     /// Fails with a typed [`SeamlessError`] when the source does not
@@ -131,7 +128,7 @@ impl<'c> KernelSpec<'c> {
         self
     }
 
-    /// Execution tier request (default [`Tier::Auto`]).
+    /// Execution tier request (default [`Tier::Native`]).
     pub fn tier(mut self, tier: Tier) -> Self {
         self.tier = tier;
         self
@@ -206,7 +203,7 @@ impl<'c> KernelSpec<'c> {
         // populates the same codegen cache the workers will hit.
         let native = match tier {
             Tier::Vm => false,
-            Tier::Native | Tier::Auto => {
+            Tier::Native => {
                 let armed = match dtype {
                     DType::F64 => seamless::codegen::native::<f64>(&program, &[ret_reg]).is_some(),
                     DType::I64 | DType::Bool => {
@@ -274,7 +271,7 @@ impl<'c> Kernel<'c> {
 
     /// The tier that actually armed: [`Tier::Native`] iff the C
     /// monomorphization compiled and passed the bitwise-parity probe,
-    /// otherwise [`Tier::Vm`]. Never [`Tier::Auto`].
+    /// otherwise [`Tier::Vm`].
     pub fn tier(&self) -> Tier {
         self.tier
     }

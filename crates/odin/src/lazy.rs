@@ -483,6 +483,22 @@ impl Lowerer {
         }
     }
 
+    /// Emit `np.where(c, a, b)` in the lane's file; on f64 lanes `c` is
+    /// compared with 0.0 first (a NaN condition is true).
+    pub(crate) fn emit_select(&mut self, c: Reg, a: Reg, b: Reg) -> Reg {
+        if self.lane == RegFile::I {
+            let d = self.fresh_i();
+            self.instrs.push(Instr::SelectI(d, c, a, b));
+            return d;
+        }
+        let z = self.zero_f();
+        let t = self.fresh_i();
+        self.instrs.push(Instr::CmpF(Cmp::Ne, t, c, z));
+        let d = self.fresh_f();
+        self.instrs.push(Instr::SelectF(d, t, a, b));
+        d
+    }
+
     /// Emit `Neg`/`Abs` over an i64 register — the unary ops with an
     /// `I64` result — in wrapping arithmetic.
     fn emit_unary_i(&mut self, op: UnaryOp, s: Reg) -> Reg {

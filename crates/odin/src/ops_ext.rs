@@ -5,47 +5,27 @@
 
 use crate::array::DistArray;
 use crate::buffer::DType;
-use crate::context::OdinContext;
 use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist};
 
 impl<'c> DistArray<'c> {
-    /// `np.where(self, a, b)`: elementwise `self ? a : b`. `self` is the
-    /// condition (any dtype; nonzero = true).
+    /// `np.where(self, a, b)`: elementwise `self ? a : b`, typed
+    /// `a.promote(b)`, in the layout of the condition `self` (nonzero and
+    /// NaN are true). An `I64` result runs on i64 lanes, exactly.
     pub fn select(&self, a: &DistArray<'c>, b: &DistArray<'c>) -> DistArray<'c> {
         let mc = self.meta();
-        let ma = a.meta();
-        let mb = b.meta();
-        assert_eq!(mc.shape, ma.shape, "where: shape mismatch");
-        assert_eq!(mc.shape, mb.shape, "where: shape mismatch");
-        // align both branches (and the condition) to the condition's
-        // layout using the redistribution machinery
-        let a_al;
-        let a_ref = if ma.conformable(&mc) {
-            a
-        } else {
-            a_al = a.redistribute(mc.dist);
-            &a_al
-        };
-        let b_al;
-        let b_ref = if mb.conformable(&mc) {
-            b
-        } else {
-            b_al = b.redistribute(mc.dist);
-            &b_al
-        };
-        let out = self.ctx().alloc_id();
-        let out_meta = ArrayMeta {
-            dtype: a_ref.dtype().promote(b_ref.dtype()),
-            ..mc.clone()
-        };
-        self.ctx().send_cmd(&Cmd::Select {
-            out,
-            cond: self.id(),
-            a: a_ref.id(),
-            b: b_ref.id(),
-        });
-        self.ctx().record_meta(out, out_meta);
-        DistArray::from_id(self.ctx(), out)
+        assert_eq!(mc.shape, a.meta().shape, "where: shape mismatch");
+        assert_eq!(mc.shape, b.meta().shape, "where: shape mismatch");
+        // align both branches to the condition's layout
+        let align =
+            |x: &DistArray<'c>| (!x.meta().conformable(&mc)).then(|| x.redistribute(mc.dist));
+        let (a_al, b_al) = (align(a), align(b));
+        let (a, b) = (a_al.as_ref().unwrap_or(a), b_al.as_ref().unwrap_or(b));
+        let dtype = a.dtype().promote(b.dtype());
+        // i64 lanes would truncate a 0.5 condition to 0: test it first
+        let test = dtype == DType::I64 && mc.dtype == DType::F64;
+        let cond = test.then(|| self.binary_scalar(0.0, BinOp::Ne, false));
+        let cond = cond.as_ref().unwrap_or(self);
+        cond.one_op(&[a.id(), b.id()], None, dtype, |lw| lw.emit_select(0, 1, 2))
     }
 
     /// Inclusive prefix sum (`np.cumsum`) of a 1-D array; a distributed
@@ -71,27 +51,26 @@ impl<'c> DistArray<'c> {
         DistArray::from_id(self.ctx(), out)
     }
 
-    fn arg_reduce(&self, is_max: bool) -> (usize, f64) {
+    fn arg_reduce(&self, is_max: bool) -> usize {
         assert!(!self.is_empty(), "arg reduction of an empty array");
-        let pending: crate::reply::Pending<'_, (f64, usize)> =
-            self.ctx().dispatch_single(&Cmd::ArgReduce {
+        self.ctx()
+            .dispatch_single(&Cmd::ArgReduce {
                 a: self.id(),
                 is_max,
-            });
-        let (v, idx) = pending.wait();
-        (idx, v)
+            })
+            .wait()
     }
 
     /// Global flat index of the maximum element (ties → lowest index). As
     /// in NumPy, the first NaN wins over every number.
     pub fn argmax(&self) -> usize {
-        self.arg_reduce(true).0
+        self.arg_reduce(true)
     }
 
     /// Global flat index of the minimum element, by [`Self::argmax`]'s
     /// tie and NaN rules.
     pub fn argmin(&self) -> usize {
-        self.arg_reduce(false).0
+        self.arg_reduce(false)
     }
 
     /// Clamp every element into `[lo, hi]` (`np.clip`).
@@ -154,21 +133,10 @@ impl<'c> DistArray<'c> {
     }
 }
 
-impl OdinContext {
-    /// `np.where` as a free function on the context.
-    pub fn where_<'c>(
-        &'c self,
-        cond: &DistArray<'c>,
-        a: &DistArray<'c>,
-        b: &DistArray<'c>,
-    ) -> DistArray<'c> {
-        cond.select(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::OdinContext;
     use crate::protocol::Dist;
 
     #[test]
@@ -332,15 +300,5 @@ mod tests {
         });
         let c = a.matmul(&eye);
         assert_eq!(c.to_vec(), a.to_vec());
-    }
-
-    #[test]
-    fn where_free_function() {
-        let ctx = OdinContext::with_workers(2);
-        let x = ctx.arange(6).astype(DType::F64);
-        let mask = x.binary_scalar(2.5, BinOp::Gt, false);
-        let y = ctx.full(&[6], -1.0, Dist::Block);
-        let r = ctx.where_(&mask, &x, &y);
-        assert_eq!(r.to_vec(), vec![-1.0, -1.0, -1.0, 3.0, 4.0, 5.0]);
     }
 }

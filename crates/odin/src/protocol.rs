@@ -237,16 +237,17 @@ pub enum Cmd {
         /// Per-dimension slice specs.
         specs: Vec<SliceSpec>,
     },
-    /// Reduce `a`; worker 0 replies with the scalar (axis `None`) or the
-    /// workers cooperatively build array `out` (axis `Some`).
+    /// Reduce `a` along `axis`: the workers cooperatively build array
+    /// `out`. A whole-array reduction is an identity [`Cmd::EvalKernel`]
+    /// with a [`KernelOut::Reduce`] tail.
     Reduce {
         /// Input id.
         a: u64,
         /// Reduction.
         kind: ReduceKind,
-        /// Axis to reduce over, or `None` for a full reduction.
-        axis: Option<usize>,
-        /// Output id when `axis` is `Some`.
+        /// Axis to reduce over.
+        axis: usize,
+        /// Output id.
         out: u64,
     },
     /// Every worker sends its segment (with axis gids) to the master.
@@ -272,17 +273,6 @@ pub enum Cmd {
     Ping,
     /// Stop the worker loop.
     Shutdown,
-    /// `out[i] = cond[i] ? a[i] : b[i]` (all conformable) — `np.where`.
-    Select {
-        /// Output id.
-        out: u64,
-        /// Condition array id.
-        cond: u64,
-        /// Taken where cond is true.
-        a: u64,
-        /// Taken where cond is false.
-        b: u64,
-    },
     /// Inclusive prefix sum along a 1-D array (distributed scan).
     CumSum {
         /// Output id.
@@ -290,7 +280,7 @@ pub enum Cmd {
         /// Input id.
         a: u64,
     },
-    /// Index of the extreme element; worker 0 replies `(index, value)`.
+    /// Index of the extreme element; worker 0 replies the global index.
     ArgReduce {
         /// Input id.
         a: u64,
@@ -570,7 +560,7 @@ impl Wire for Cmd {
                 buf.push(9);
                 a.encode(buf);
                 kind.encode(buf);
-                axis.map(|x| x as u64).encode(buf);
+                axis.encode(buf);
                 out.encode(buf);
             }
             Cmd::Fetch { a } => {
@@ -593,13 +583,6 @@ impl Wire for Cmd {
             }
             Cmd::Ping => buf.push(13),
             Cmd::Shutdown => buf.push(14),
-            Cmd::Select { out, cond, a, b } => {
-                buf.push(15);
-                out.encode(buf);
-                cond.encode(buf);
-                a.encode(buf);
-                b.encode(buf);
-            }
             Cmd::CumSum { out, a } => {
                 buf.push(16);
                 out.encode(buf);
@@ -674,7 +657,7 @@ impl Wire for Cmd {
             9 => Ok(Cmd::Reduce {
                 a: u64::decode(cur)?,
                 kind: ReduceKind::decode(cur)?,
-                axis: Option::<u64>::decode(cur)?.map(|x| x as usize),
+                axis: usize::decode(cur)?,
                 out: u64::decode(cur)?,
             }),
             10 => Ok(Cmd::Fetch {
@@ -690,12 +673,6 @@ impl Wire for Cmd {
             }),
             13 => Ok(Cmd::Ping),
             14 => Ok(Cmd::Shutdown),
-            15 => Ok(Cmd::Select {
-                out: u64::decode(cur)?,
-                cond: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                b: u64::decode(cur)?,
-            }),
             16 => Ok(Cmd::CumSum {
                 out: u64::decode(cur)?,
                 a: u64::decode(cur)?,
@@ -728,12 +705,12 @@ impl Wire for Cmd {
                 native: bool::decode(cur)?,
             }),
             // Retired tags, never to be reassigned: 2–5 (the eager
-            // Unary/Binary/BinaryScalar/AsType commands, now one-op
-            // kernels on 21), 8 (the interpreted RPN plane) and 22 (the
-            // separate multi-output launch, folded into 21). An old peer's
-            // bytes fail typed here instead of mis-parsing as another
-            // command.
-            b @ (2..=5 | 8 | 22) => Err(CommError::Decode(format!("retired cmd byte {b}"))),
+            // Unary/Binary/BinaryScalar/AsType commands) and 15 (`where`),
+            // now one-op kernels on 21, 8 (the interpreted RPN plane) and
+            // 22 (the separate multi-output launch, folded into 21). An old
+            // peer's bytes fail typed here instead of mis-parsing as
+            // another command.
+            b @ (2..=5 | 8 | 15 | 22) => Err(CommError::Decode(format!("retired cmd byte {b}"))),
             b => Err(CommError::Decode(format!("bad cmd byte {b}"))),
         }
     }
@@ -807,14 +784,8 @@ mod tests {
             Cmd::Reduce {
                 a: 13,
                 kind: ReduceKind::Sum,
-                axis: Some(1),
+                axis: 1,
                 out: 14,
-            },
-            Cmd::Reduce {
-                a: 13,
-                kind: ReduceKind::Max,
-                axis: None,
-                out: 0,
             },
             Cmd::Fetch { a: 14 },
             Cmd::CallLocal {
@@ -871,18 +842,15 @@ mod tests {
     fn control_commands_are_small() {
         // The paper's claim: control messages are "at most tens of bytes".
         let ops = vec![
-            encode_to_vec(&Cmd::Select {
+            encode_to_vec(&Cmd::CumSum {
                 out: u64::MAX,
-                cond: u64::MAX - 1,
-                a: 2,
-                b: 3,
+                a: u64::MAX - 1,
             }),
-            encode_to_vec(&Cmd::CumSum { out: 1, a: 2 }),
             encode_to_vec(&Cmd::Reduce {
                 a: 1,
                 kind: ReduceKind::Sum,
-                axis: None,
-                out: 0,
+                axis: 2,
+                out: u64::MAX,
             }),
             encode_to_vec(&Cmd::Create {
                 id: 1,
@@ -970,10 +938,10 @@ mod tests {
     #[test]
     fn retired_tags_decode_to_a_typed_error() {
         // Tags 2–5 were the eager Unary/Binary/BinaryScalar/AsType
-        // commands, tag 8 the interpreted RPN plane's command, tag 22 the
-        // separate multi-output launch. Bytes that once parsed as those
-        // commands — and any truncation of them — must fail typed, never
-        // panic or come back as a different command.
+        // commands, tag 8 the interpreted RPN plane's command, tag 15
+        // `where`, tag 22 the separate multi-output launch. Bytes that once
+        // parsed as those commands — and any truncation of them — must
+        // fail typed, never panic or come back as a different command.
         let mut eager: Vec<Vec<u8>> = Vec::new();
         for tag in 2u8..=5 {
             let mut old = vec![tag];
@@ -991,7 +959,11 @@ mod tests {
         9u64.encode(&mut multi); // template
         vec![10u64, 11].encode(&mut multi);
         vec![0.5f64].encode(&mut multi);
-        for old in eager.into_iter().chain([fused, multi]) {
+        let mut select = vec![15u8];
+        for id in [9u64, 6, 7, 8] {
+            id.encode(&mut select); // out, cond, a, b
+        }
+        for old in eager.into_iter().chain([fused, multi, select]) {
             for cut in 1..=old.len() {
                 match decode_from_slice::<Cmd>(&old[..cut]) {
                     Err(CommError::Decode(msg)) => assert!(msg.contains("retired"), "{msg}"),

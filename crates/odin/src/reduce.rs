@@ -5,20 +5,19 @@
 //! from worker 0, so it never becomes a bottleneck (paper Fig. 1 caption).
 
 use crate::array::DistArray;
-use crate::protocol::{Cmd, ReduceKind};
+use crate::protocol::{Cmd, KernelOut, ReduceKind};
 use crate::reply::Pending;
 
 impl<'c> DistArray<'c> {
-    /// Dispatch a full reduction and return a reply future — the master
-    /// can keep issuing commands (on this or other arrays) while the
-    /// workers compute and the scalar is in flight.
+    /// Dispatch a full reduction — the identity kernel with a
+    /// [`KernelOut::Reduce`] tail — and return a reply future: the master
+    /// keeps issuing commands while the scalar is in flight.
     fn reduce_scalar_async(&self, kind: ReduceKind) -> Pending<'c, f64> {
-        self.ctx().dispatch_single(&Cmd::Reduce {
-            a: self.id(),
-            kind,
-            axis: None,
-            out: 0,
-        })
+        let reduce = |reg| KernelOut::Reduce { kind, reg };
+        let cmd = self.launch(self.dtype(), &[], None, |_| 0, reduce);
+        self.ctx()
+            .dispatch_single::<Vec<f64>>(&cmd)
+            .map(|totals| totals[0])
     }
 
     fn reduce_scalar(&self, kind: ReduceKind) -> f64 {
@@ -72,7 +71,7 @@ impl<'c> DistArray<'c> {
         self.ctx().send_cmd(&Cmd::Reduce {
             a: self.id(),
             kind,
-            axis: Some(axis),
+            axis,
             out,
         });
         let mut shape = meta.shape.clone();

@@ -7,8 +7,8 @@
 //! fetched whole arrays in global order, with plain Rust arithmetic: it
 //! shares no worker, segment, route or tier with the code it checks. The
 //! eager `DistArray` ufuncs and the lazy [`Expr`] plane are held to it bit
-//! for bit, dtype included. [`fold`] does the same for the order in which
-//! the workers fold a reduction.
+//! for bit, dtype included, and `DistArray::select` to [`select`]. [`fold`]
+//! does the same for the order in which the workers fold a reduction.
 
 use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, Buffer, DType};
 use crate::lazy::{powic_exponent, Expr, Held, Node, Ufuncs};
@@ -76,6 +76,18 @@ pub fn fold(kind: ReduceKind, segments: &[Buffer]) -> f64 {
         }
     }
     tree(&op, &partials)
+}
+
+/// `np.where(cond, a, b)`, typed `a.promote(b)`: `a[i]` where `cond[i]`
+/// is nonzero (a NaN is), else `b[i]`, read in the result's own type.
+pub fn select(cond: &Buffer, a: &Buffer, b: &Buffer) -> Buffer {
+    let n = cond.len();
+    let take = |i: usize| if cond.get_f64(i) != 0.0 { a } else { b };
+    match a.dtype().promote(b.dtype()) {
+        DType::F64 => Buffer::F64((0..n).map(|i| take(i).get_f64(i)).collect()),
+        DType::I64 => Buffer::I64((0..n).map(|i| take(i).get_i64(i)).collect()),
+        DType::Bool => Buffer::Bool((0..n).map(|i| take(i).get_i64(i) != 0).collect()),
+    }
 }
 
 impl Ufuncs for Buffer {

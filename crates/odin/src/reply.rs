@@ -69,6 +69,19 @@ impl<'c, T> Pending<'c, T> {
     }
 }
 
+impl<'c, T: 'static> Pending<'c, T> {
+    /// The same reply, passed through `f` once decoded.
+    pub(crate) fn map<U>(mut self, f: impl FnOnce(T) -> U + 'static) -> Pending<'c, U> {
+        let decode = self.decode.take();
+        Pending {
+            ctx: self.ctx,
+            tickets: std::mem::take(&mut self.tickets),
+            span_name: self.span_name,
+            decode: decode.map(|d| Box::new(move |replies| f(d(replies))) as Decode<U>),
+        }
+    }
+}
+
 impl<T> Drop for Pending<'_, T> {
     fn drop(&mut self) {
         self.ctx.abandon_tickets(&self.tickets);

@@ -335,35 +335,6 @@ fn exec_cmd(
             reply(comm, Vec::new());
         }
         Cmd::Shutdown => return false,
-        Cmd::Select { out, cond, a, b } => {
-            let (mc, bc) = &arrays[&cond];
-            let (ma, ba) = &arrays[&a];
-            let (mb, bb) = &arrays[&b];
-            assert!(
-                mc.conformable(ma) && ma.conformable(mb),
-                "select operands must be conformable"
-            );
-            let n = bc.len();
-            let out_dtype = ba.dtype().promote(bb.dtype());
-            let values = Buffer::F64(
-                (0..n)
-                    .map(|i| {
-                        if bc.get_f64(i) != 0.0 {
-                            ba.get_f64(i)
-                        } else {
-                            bb.get_f64(i)
-                        }
-                    })
-                    .collect(),
-            )
-            .astype(out_dtype);
-            comm.advance_compute(n as f64);
-            let out_meta = ArrayMeta {
-                dtype: out_dtype,
-                ..ma.clone()
-            };
-            arrays.insert(out, (out_meta, values));
-        }
         Cmd::CumSum { out, a } => {
             let (meta, buf) = &arrays[&a];
             assert_eq!(meta.ndim(), 1, "cumsum supports 1-D arrays");
@@ -372,57 +343,33 @@ fn exec_cmd(
                 Dist::Block,
                 "cumsum needs contiguous segments (master redistributes first)"
             );
-            // local prefix, then shift by the exscan of local totals —
-            // the classic distributed scan.
-            let n = buf.len();
-            let mut local = Vec::with_capacity(n);
-            let mut acc = 0.0f64;
-            for i in 0..n {
-                acc += buf.get_f64(i);
-                local.push(acc);
-            }
-            comm.advance_compute(n as f64);
-            let offset = comm.exscan(&acc, 0.0, |x: &f64, y: &f64| x + y);
-            for v in &mut local {
-                *v += offset;
-            }
-            let out_dtype = match meta.dtype {
-                DType::Bool => DType::I64,
-                d => d,
+            comm.advance_compute(buf.len() as f64);
+            // In the segment's own type (integers and bools in wrapping
+            // i64, like NumPy), so no sum rounds through f64.
+            let data = match buf {
+                Buffer::F64(v) => Buffer::F64(scan(comm, v.clone(), |x, y| x + y)),
+                other => {
+                    let v = (0..other.len()).map(|i| other.get_i64(i)).collect();
+                    Buffer::I64(scan(comm, v, i64::wrapping_add))
+                }
             };
             let out_meta = ArrayMeta {
-                dtype: out_dtype,
+                dtype: data.dtype(),
                 ..meta.clone()
             };
-            let data = Buffer::F64(local).astype(out_dtype);
             arrays.insert(out, (out_meta, data));
         }
         Cmd::ArgReduce { a, is_max } => {
             let (meta, buf) = &arrays[&a];
             let map = meta.axis_map(p, rank);
             let slab = meta.slab().max(1);
-            // The local scan and the allreduce pick by the same rule, so
-            // the winner does not depend on where the segments split.
-            let pick = |x: (f64, usize), y: (f64, usize)| {
-                if arg_wins(is_max, x, y) {
-                    x
-                } else {
-                    y
-                }
+            let gid = |i: usize| map.local_to_global(i / slab) * slab + i % slab;
+            let winner = match buf {
+                Buffer::F64(v) => arg_reduce(comm, v, is_max, gid),
+                Buffer::I64(v) => arg_reduce(comm, v, is_max, gid),
+                Buffer::Bool(v) => arg_reduce(comm, v, is_max, gid),
             };
-            let sentinel = if is_max {
-                (f64::NEG_INFINITY, usize::MAX)
-            } else {
-                (f64::INFINITY, usize::MAX)
-            };
-            let mine = (0..buf.len())
-                .map(|i| {
-                    let gid = map.local_to_global(i / slab) * slab + i % slab;
-                    (buf.get_f64(i), gid)
-                })
-                .fold(sentinel, |best, x| pick(x, best));
             comm.advance_compute(buf.len() as f64);
-            let winner = comm.allreduce(&mine, |x: &(f64, usize), y: &(f64, usize)| pick(*x, *y));
             if rank == 0 {
                 reply(comm, comm::encode_to_vec(&winner));
             }
@@ -613,10 +560,10 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 /// the modeled compute advance is tier-independent, so chaos/critical-path
 /// results do not depend on which tier ran.
 ///
-/// The reduce tail is `exec_reduce` with `axis: None` exactly — the same
-/// [`Fold`] over the rows widened to f64, then one `allreduce` per
-/// reduction in `outs` order, then a rank-0 reply with the scalar vector
-/// — so fused reductions are bitwise-identical to `map(...)` + `Reduce`.
+/// The reduce tail is the one [`Fold`] over the rows widened to f64, then
+/// one `allreduce` per reduction in `outs` order, then a rank-0 reply with
+/// the scalar vector — so a fused reduction is bitwise `map(...)` followed
+/// by the eager reduction (the identity body with the same tail).
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel<L: KernelLane>(
     comm: &Comm,
@@ -782,16 +729,50 @@ fn exec_kernel<L: KernelLane>(
     }
 }
 
-/// Whether candidate `x = (value, global index)` beats `y` in an
-/// `argmax` (`is_max`) or `argmin`, by NumPy's rule: any NaN beats every
-/// number, then the larger (smaller) value wins, and ties — two NaNs
-/// included — go to the lower index.
-fn arg_wins(is_max: bool, x: (f64, usize), y: (f64, usize)) -> bool {
-    match (x.0.is_nan(), y.0.is_nan()) {
-        (true, true) => x.1 < y.1,
-        (x_nan, y_nan) if x_nan != y_nan => x_nan,
-        _ => (if is_max { x.0 > y.0 } else { x.0 < y.0 }) || (x.0 == y.0 && x.1 < y.1),
+/// The inclusive prefix sum of this worker's `xs`, shifted by the exscan
+/// of the lower ranks' totals — the classic distributed scan.
+fn scan<T: Wire + Copy + Default>(comm: &Comm, mut xs: Vec<T>, add: fn(T, T) -> T) -> Vec<T> {
+    let mut acc = T::default();
+    for x in &mut xs {
+        acc = add(acc, *x);
+        *x = acc;
     }
+    let offset = comm.exscan(&acc, T::default(), |x: &T, y: &T| add(*x, *y));
+    for x in &mut xs {
+        *x = add(*x, offset);
+    }
+    xs
+}
+
+/// The global index of the pool's `argmax` (`is_max`) or `argmin`, values
+/// compared in their own type; `gid(i)` is local element `i`'s. The local
+/// scan and the allreduce pick alike, whatever the segments' split.
+fn arg_reduce<T: Wire + Copy + Default + PartialOrd>(
+    comm: &Comm,
+    vals: &[T],
+    is_max: bool,
+    gid: impl Fn(usize) -> usize,
+) -> usize {
+    // NumPy's rule: a NaN (unordered against itself, so only an f64)
+    // beats every number, then the larger (smaller) value wins, ties —
+    // two NaNs too — go to the lower index; an empty candidate loses.
+    let pick = |x: &(T, usize), y: &(T, usize)| {
+        let nan = |v: &T| v.partial_cmp(v).is_none();
+        let x_wins = match (nan(&x.0), nan(&y.0)) {
+            _ if x.1 == usize::MAX || y.1 == usize::MAX => x.1 < y.1,
+            (true, true) => x.1 < y.1,
+            (x_nan, y_nan) if x_nan != y_nan => x_nan,
+            _ => (if is_max { x.0 > y.0 } else { x.0 < y.0 }) || (x.0 == y.0 && x.1 < y.1),
+        };
+        if x_wins {
+            *x
+        } else {
+            *y
+        }
+    };
+    let candidates = vals.iter().enumerate().map(|(i, &v)| (v, gid(i)));
+    let mine = candidates.fold((T::default(), usize::MAX), |best, x| pick(&x, &best));
+    comm.allreduce(&mine, pick).1
 }
 
 fn reduce_identity(kind: ReduceKind) -> f64 {
@@ -816,8 +797,8 @@ fn reduce_combine(kind: ReduceKind, a: f64, b: f64) -> f64 {
 /// pairwise-sum block keeps eight).
 const STRIPES: usize = 8;
 
-/// The one per-element fold of a whole-segment reduction, shared by
-/// `exec_kernel`'s reduce tails and `exec_reduce` with `axis: None`.
+/// The one per-element fold of a whole-segment reduction: every
+/// `exec_kernel` reduce tail, eager reductions' identity kernels included.
 /// Lane `i` of the segment, counted in element order, folds into stripe
 /// `i mod 8`; [`Fold::finish`] combines the stripes as
 /// `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`, and [`Fold::allreduce`] the
@@ -896,7 +877,7 @@ fn exec_reduce(
     arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
     a: u64,
     kind: ReduceKind,
-    axis: Option<usize>,
+    axis: usize,
     out: u64,
 ) {
     let p = comm.size();
@@ -905,20 +886,7 @@ fn exec_reduce(
     // segment comes before its `arrays.insert`.
     let (meta, buf) = &arrays[&a];
     match axis {
-        None => {
-            let mut fold = Fold::new(kind);
-            match buf {
-                Buffer::F64(v) => fold.push(v, |x| x),
-                Buffer::I64(v) => fold.push(v, |x| x as f64),
-                Buffer::Bool(v) => fold.push(v, |x| f64::from(u8::from(x))),
-            }
-            comm.advance_compute(buf.len() as f64);
-            let total = fold.allreduce(comm);
-            if rank == 0 {
-                reply(comm, comm::encode_to_vec(&total));
-            }
-        }
-        Some(0) => {
+        0 => {
             assert!(meta.ndim() >= 2, "axis-0 reduce needs ndim ≥ 2");
             let slab = meta.slab();
             let map = meta.axis_map(p, rank);
@@ -957,7 +925,7 @@ fn exec_reduce(
             let data = Buffer::F64(mine).astype(out_meta.dtype);
             arrays.insert(out, (out_meta, data));
         }
-        Some(ax) => {
+        ax => {
             assert!(ax < meta.ndim(), "reduce axis out of range");
             let map = meta.axis_map(p, rank);
             let dims = &meta.shape[1..];

@@ -212,6 +212,10 @@ pub enum Instr {
     MinI(Reg, Reg, Reg),
     /// Int max.
     MaxI(Reg, Reg, Reg),
+    /// `F[d] = if I[c] != 0 { F[a] } else { F[b] }`: moves bits, so tiers agree.
+    SelectF(Reg, Reg, Reg, Reg),
+    /// `I[d] = if I[c] != 0 { I[a] } else { I[b] }`.
+    SelectI(Reg, Reg, Reg, Reg),
     /// Call a compiled function: move `args` in, run, move arrays back,
     /// store the return value (if any) into `dst`.
     Call {
@@ -338,6 +342,8 @@ impl CompiledFunc {
                         | Instr::MaxF(..)
                         | Instr::MinI(..)
                         | Instr::MaxI(..)
+                        | Instr::SelectF(..)
+                        | Instr::SelectI(..)
                 )
             });
         straight.then_some(body)

@@ -326,6 +326,8 @@ fn emit_instr(ins: &Instr) -> Option<String> {
         }
         Instr::MinI(d, a, b) => format!("i{d} = i{a} < i{b} ? i{a} : i{b};"),
         Instr::MaxI(d, a, b) => format!("i{d} = i{a} > i{b} ? i{a} : i{b};"),
+        Instr::SelectF(d, c, a, b) => format!("f{d} = i{c} != 0 ? f{a} : f{b};"),
+        Instr::SelectI(d, c, a, b) => format!("i{d} = i{c} != 0 ? i{a} : i{b};"),
         _ => return None,
     })
 }
@@ -690,6 +692,85 @@ mod tests {
         assert_eq!(vm_out, native_out);
         // an integer lane cannot harvest a float register
         assert!(native::<i64>(&p, &[(RegFile::F, 0)]).is_none());
+    }
+
+    #[test]
+    fn selects_move_bits_alike_on_the_vm_and_native_tiers() {
+        let _g = crate::test_lock();
+        // `x != y ? x : y` over NaN payloads and both zeros, then the same
+        // shape in the integer file past 2^53; `x == y` keeps `y`, so the
+        // `-0.0`/`0.0` lanes show which operand moved.
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0001);
+        let xs = [quiet, -0.0, 0.0, -0.0, 1.5, f64::NAN, f64::INFINITY];
+        let ys = [0.0, 0.0, -0.0, -0.0, -f64::NAN, -1.0, f64::INFINITY];
+        let want = [quiet, 0.0, -0.0, -0.0, 1.5, f64::NAN, f64::INFINITY];
+        let fp = f64_program(
+            vec![
+                Instr::CmpF(Cmp::Ne, 0, 0, 1),
+                Instr::SelectF(2, 0, 0, 1),
+                Instr::Ret(Some((RegFile::F, 2))),
+            ],
+            2,
+            3,
+            1,
+        );
+        let big = (1i64 << 53) + 1;
+        let is = [big, 0, -1, i64::MIN];
+        let js = [1, big, -1, i64::MAX];
+        let ip = Program {
+            funcs: vec![CompiledFunc {
+                name: "isel".into(),
+                params: vec![(RegFile::I, 0), (RegFile::I, 1)],
+                param_types: vec![Type::Int; 2],
+                ret: Type::Int,
+                reg_counts: [0, 4, 0, 0],
+                instrs: vec![
+                    Instr::CmpI(Cmp::Lt, 2, 0, 1),
+                    Instr::SelectI(3, 2, 1, 0),
+                    Instr::Ret(Some((RegFile::I, 3))),
+                ],
+            }],
+            externs: Vec::new(),
+        };
+        let mut vm_f = [0.0; 7];
+        let mut vm_i = [0i64; 4];
+        Vm::new(&fp)
+            .run_chunk(
+                0,
+                &[&xs[..], &ys[..]],
+                &[(RegFile::F, 2)],
+                &mut [&mut vm_f[..]],
+            )
+            .unwrap();
+        Vm::new(&ip)
+            .run_chunk(
+                0,
+                &[&is[..], &js[..]],
+                &[(RegFile::I, 3)],
+                &mut [&mut vm_i[..]],
+            )
+            .unwrap();
+        assert_eq!(bits(&vm_f), bits(&want));
+        assert_eq!(vm_i, [big, big, -1, i64::MAX]);
+        // the per-lane interpreter's arm agrees with the vectorized pass
+        for (k, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
+            let args = vec![crate::Value::Float(x), crate::Value::Float(y)];
+            match Vm::new(&fp).call(args).unwrap().ret {
+                crate::Value::Float(v) => assert_eq!(v.to_bits(), want[k].to_bits(), "lane {k}"),
+                other => panic!("lane {k}: {other:?}"),
+            }
+        }
+        if !native_available() {
+            return;
+        }
+        let nf = native::<f64>(&fp, &[(RegFile::F, 2)]).expect("SelectF arms");
+        let mut native_f = [0.0; 7];
+        nf.run(&[&xs, &ys], &mut [&mut native_f[..]], xs.len());
+        assert_eq!(bits(&native_f), bits(&want));
+        let ni = native::<i64>(&ip, &[(RegFile::I, 3)]).expect("SelectI arms");
+        let mut native_i = [0i64; 4];
+        ni.run(&[&is, &js], &mut [&mut native_i[..]], is.len());
+        assert_eq!(native_i, vm_i);
     }
 
     #[test]

@@ -518,6 +518,16 @@ fn vector_pass<L: Lane>(
                 Instr::MaxF(d, a, b) => ff2!(d, a, b, max_f),
                 Instr::MinI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.min(y)),
                 Instr::MaxI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.max(y)),
+                Instr::SelectF(d, c, a, b) => {
+                    let (lo, hi) = fl.split_at_mut(*d as usize * stride);
+                    let row = |r: &Reg| &lo[*r as usize * stride..][..len];
+                    select_rows(&mut hi[..len], &il[*c as usize * stride..], row(a), row(b));
+                }
+                Instr::SelectI(d, c, a, b) => {
+                    let (lo, hi) = il.split_at_mut(*d as usize * stride);
+                    let row = |r: &Reg| &lo[*r as usize * stride..][..len];
+                    select_rows(&mut hi[..len], row(c), row(a), row(b));
+                }
                 // chunk_vectorizable admits nothing else
                 other => unreachable!("non-vectorizable instruction {other:?}"),
             }
@@ -686,6 +696,14 @@ impl<'p> Vm<'p> {
                 Instr::MaxI(d, a, b) => {
                     fr.i[*d as usize] = fr.i[*a as usize].max(fr.i[*b as usize])
                 }
+                Instr::SelectF(d, c, a, b) => {
+                    let picked = if fr.i[*c as usize] != 0 { a } else { b };
+                    fr.f[*d as usize] = fr.f[*picked as usize];
+                }
+                Instr::SelectI(d, c, a, b) => {
+                    let picked = if fr.i[*c as usize] != 0 { a } else { b };
+                    fr.i[*d as usize] = fr.i[*picked as usize];
+                }
                 Instr::CallExtern { ext, dst, args } => {
                     let decl = &self.program.externs[*ext];
                     let mut raw = Vec::with_capacity(args.len());
@@ -832,7 +850,9 @@ fn chunk_vectorizable(f: &CompiledFunc) -> Option<&[Instr]> {
         | Instr::OrI(d, a, b)
         | Instr::MinI(d, a, b)
         | Instr::MaxI(d, a, b)
-        | Instr::CmpI(_, d, a, b) => d > a && d > b,
+        | Instr::CmpI(_, d, a, b)
+        | Instr::SelectF(d, _, a, b) => d > a && d > b,
+        Instr::SelectI(d, c, a, b) => d > c && d > a && d > b,
         // constants have no source; the rest cross files, and the two
         // register files never alias
         Instr::ConstF(..)
@@ -845,6 +865,13 @@ fn chunk_vectorizable(f: &CompiledFunc) -> Option<&[Instr]> {
     };
     f.straight_line_body()
         .filter(|body| body.iter().all(ordered))
+}
+
+/// `o[k] = if c[k] != 0 { a[k] } else { b[k] }` over the row `o`.
+fn select_rows<T: Copy>(o: &mut [T], c: &[i64], a: &[T], b: &[T]) {
+    for (((o, &c), &x), &y) in o.iter_mut().zip(c).zip(a).zip(b) {
+        *o = if c != 0 { x } else { y };
+    }
 }
 
 /// `f64::max` with its rules spelled out: a NaN operand loses, and on a

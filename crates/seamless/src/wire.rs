@@ -108,6 +108,8 @@ impl Wire for Instr {
             Instr::Call { func, dst, args } => put!(46, func, dst, args),
             Instr::Ret(r) => put!(47, r),
             Instr::ErrIfFalse(c, msg) => put!(48, c, msg),
+            Instr::SelectF(d, c, a, b) => put!(49, d, c, a, b),
+            Instr::SelectI(d, c, a, b) => put!(50, d, c, a, b),
             Instr::CallExtern { .. } => {
                 panic!("CallExtern is not wire-encodable (native fn pointer)")
             }
@@ -175,6 +177,8 @@ impl Wire for Instr {
             }),
             47 => Ok(Instr::Ret(Option::<(RegFile, Reg)>::decode(cur)?)),
             48 => Ok(Instr::ErrIfFalse(Reg::decode(cur)?, String::decode(cur)?)),
+            49 => get!(Instr::SelectF; Reg, Reg, Reg, Reg),
+            50 => get!(Instr::SelectI; Reg, Reg, Reg, Reg),
             b => Err(CommError::Decode(format!("invalid Instr tag {b}"))),
         }
     }
@@ -262,6 +266,32 @@ def k(x, y):
             .call(vec![Value::Float(1.25), Value::Float(-0.5)])
             .unwrap();
         assert_eq!(a.ret, b.ret);
+    }
+
+    #[test]
+    fn select_opcodes_roundtrip() {
+        use crate::bytecode::{CompiledFunc, Instr, Program, RegFile};
+        let p = Program {
+            funcs: vec![CompiledFunc {
+                name: "sel".into(),
+                params: vec![(RegFile::F, 0), (RegFile::F, 1)],
+                param_types: vec![Type::Float; 2],
+                ret: Type::Float,
+                reg_counts: [3, 3, 0, 0],
+                instrs: vec![
+                    Instr::CmpF(crate::bytecode::Cmp::Ne, 0, 0, 1),
+                    Instr::SelectI(2, 0, 0, 1),
+                    Instr::SelectF(2, 2, 0, 1),
+                    Instr::Ret(Some((RegFile::F, 2))),
+                ],
+            }],
+            externs: Vec::new(),
+        };
+        let bytes = encode_to_vec(&p);
+        assert_eq!(
+            decode_from_slice::<crate::bytecode::Program>(&bytes).unwrap(),
+            p
+        );
     }
 
     #[test]

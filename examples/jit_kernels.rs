@@ -113,17 +113,17 @@ def newton_sqrt(x: float):
     println!("\n== distributed kernel plane ==");
     let ctx = OdinContext::with_workers(4);
     // The KernelSpec builder picks the compute dtype and execution tier;
-    // Tier::Auto arms the probed native C monomorphization when a system
-    // C compiler is present and falls back to the typed-register VM
-    // otherwise (`ctx.compile_kernel(src, name)` is shorthand for the
-    // defaults: f64, Auto).
+    // Tier::Native arms the probed native C monomorphization when a
+    // system C compiler is present and falls back to the typed-register
+    // VM otherwise (`ctx.compile_kernel(src, name)` is shorthand for the
+    // defaults: f64, Native).
     let decay = ctx
         .kernel(
             "def decay(v, t):\n    return v * exp(-t) + hypot(v, t) * 0.01\n",
             "decay",
         )
         .dtype(DType::F64)
-        .tier(Tier::Auto)
+        .tier(Tier::Native)
         .build()
         .unwrap();
     println!(

@@ -1,10 +1,10 @@
 //! The eager ufuncs against the serial oracle: every `UnaryOp` and
 //! `BinOp` over every operand dtype, as array∘array and with a scalar on
-//! either side, plus every `astype`. Each eager result runs as a one-op
-//! kernel on the workers; `odin::reference::eval` computes the same node
-//! over whole fetched arrays on the master. They must agree in dtype and
-//! bit for bit. Run it on both kernel tiers: `cargo test --test
-//! eager_grid`, then again with `HPC_KERNEL_TIER=vm`.
+//! either side, every `astype`, and `where` over every dtype triple. Each
+//! eager result runs as a one-op kernel on the workers; `odin::reference`
+//! computes the same node over whole fetched arrays on the master. They
+//! must agree in dtype and bit for bit. Run it on both kernel tiers:
+//! `cargo test --test eager_grid`, then again with `HPC_KERNEL_TIER=vm`.
 
 use std::sync::Arc;
 
@@ -199,4 +199,72 @@ fn an_integral_literal_past_2_pow_53_makes_an_f64_result() {
     let z = &x + 9007199254740991.0; // 2^53 - 1 keeps the array integral
     assert_eq!(z.dtype(), DType::I64);
     assert_eq!(z.to_vec_i64()[7], 9007199254740998);
+}
+
+#[test]
+fn where_matches_the_serial_oracle_over_every_dtype_triple() {
+    // Conditions include a fraction (0.5 is true), NaN (true), `-0.0`
+    // (false) and i64 zeros; branches include NaN payloads, signed zeros
+    // and i64 values past 2^53. Every condition entry meets every `a`
+    // entry, each time with a `b` entry other than `a`'s.
+    let ctx = OdinContext::with_workers(3);
+    let n = N * N;
+    let conds: Vec<DistArray> = DTYPES
+        .iter()
+        .map(|&d| array(&ctx, values(d, n, |k| k / N)))
+        .collect();
+    let branches: Vec<(DistArray, DistArray)> = DTYPES
+        .iter()
+        .map(|&d| {
+            let a = array(&ctx, values(d, n, |k| k % N));
+            let b = array(&ctx, values(d, n, |k| (k * 7 + 3) % N));
+            (a, b)
+        })
+        .collect();
+    for c in &conds {
+        for (a, _) in &branches {
+            for (_, b) in &branches {
+                let case = format!("where({:?}, {:?}, {:?})", c.dtype(), a.dtype(), b.dtype());
+                let want = reference::select(&c.fetch().1, &a.fetch().1, &b.fetch().1);
+                check(&case, &c.select(a, b), want);
+            }
+        }
+    }
+}
+
+const BIG: i64 = 1 << 53;
+
+#[test]
+fn i64_cumsum_stays_exact_past_2_pow_53() {
+    let ctx = OdinContext::with_workers(2);
+    let x = array(&ctx, Buffer::I64(vec![BIG, 1, 1, 1]));
+    let c = x.cumsum();
+    assert_eq!(c.dtype(), DType::I64);
+    assert_eq!(c.to_vec_i64(), vec![BIG, BIG + 1, BIG + 2, BIG + 3]);
+    // wrapping, like NumPy's int64
+    let w = array(&ctx, Buffer::I64(vec![i64::MAX, 1, 1]));
+    assert_eq!(
+        w.cumsum().to_vec_i64(),
+        vec![i64::MAX, i64::MIN, i64::MIN + 1]
+    );
+}
+
+#[test]
+fn i64_argmax_and_argmin_compare_exactly_past_2_pow_53() {
+    let ctx = OdinContext::with_workers(2);
+    let x = array(&ctx, Buffer::I64(vec![BIG, BIG + 1, 0, 0]));
+    assert_eq!(x.argmax(), 1);
+    let y = array(&ctx, Buffer::I64(vec![0, 0, -BIG - 1, -BIG]));
+    assert_eq!(y.argmin(), 2);
+}
+
+#[test]
+fn i64_where_stays_exact_past_2_pow_53() {
+    let ctx = OdinContext::with_workers(2);
+    let c = array(&ctx, Buffer::Bool(vec![true, false, true, false]));
+    let a = array(&ctx, Buffer::I64(vec![BIG + 1; 4]));
+    let b = array(&ctx, Buffer::I64(vec![-BIG - 3; 4]));
+    let r = c.select(&a, &b);
+    assert_eq!(r.dtype(), DType::I64);
+    assert_eq!(r.to_vec_i64(), vec![BIG + 1, -BIG - 3, BIG + 1, -BIG - 3]);
 }

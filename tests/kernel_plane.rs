@@ -335,7 +335,7 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
     let fsrc = "def fk(a, b):\n    return sqrt(abs(a * 2.0 + b)) + a * 0.25\n";
     let isrc = "def ik(a, b):\n    return a * a - b * 3 + min(a, b)\n";
     let bsrc = "def bk(a, b):\n    return a == b\n";
-    for tier in [Tier::Vm, Tier::Auto] {
+    for tier in [Tier::Vm, Tier::Native] {
         let fk = ctx.kernel(fsrc, "fk").tier(tier).build().unwrap();
         let ik = ctx
             .kernel(isrc, "ik")
@@ -517,7 +517,7 @@ fn every_reduction_path_folds_in_the_reference_order() {
     };
     for workers in 1..=4usize {
         let ctx = OdinContext::with_workers(workers);
-        let kernels: Vec<(Kernel, Kernel)> = [Tier::Vm, Tier::Auto]
+        let kernels: Vec<(Kernel, Kernel)> = [Tier::Vm, Tier::Native]
             .into_iter()
             .map(|tier| {
                 let f = ctx.kernel("def f(x):\n    return x * 1.0\n", "f");

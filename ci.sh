@@ -87,6 +87,37 @@ if [ "$folds" -ne 1 ]; then
   exit 1
 fi
 
+echo "== one result rule (Cmd::results decides every output layout)"
+# The master records, and each worker stores, every array a command makes
+# under the meta `Cmd::results` gives; the one worker insert site asserts
+# each segment fits it. An `ArrayMeta` built by a master method or a worker
+# executor is a second rule that can drift from the first.
+odin_code() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
+# `ArrayMeta { … }` struct literals, not signatures returning one.
+meta_literals() { odin_code "$1" | grep 'ArrayMeta {' | grep -v -- '-> &\?ArrayMeta {' || true; }
+recorders=$(for f in crates/odin/src/*.rs; do
+  if odin_code "$f" | grep 'record_meta(' >/dev/null; then echo "$f"; fi; done | tr '\n' ' ')
+echo "-- record_meta callers: $recorders"
+if [ "$recorders" != "crates/odin/src/context.rs " ]; then
+  echo "result-rule gate: record_meta( outside crates/odin/src/context.rs" >&2
+  exit 1
+fi
+if [ -n "$(meta_literals crates/odin/src/slicing.rs)" ]; then
+  echo "result-rule gate: crates/odin/src/slicing.rs builds an output meta" >&2
+  exit 1
+fi
+# The one literal left in worker.rs is `store_dist_vector`'s (local mode).
+metas=$(meta_literals crates/odin/src/worker.rs | grep -c . || true)
+echo "-- ArrayMeta literals in worker.rs: $metas"
+if [ "$metas" -ne 1 ]; then
+  echo "result-rule gate: crates/odin/src/worker.rs builds $metas metas, expected 1" >&2
+  exit 1
+fi
+if grep -n 'pub axis' crates/odin/src/protocol.rs; then
+  echo "result-rule gate: arrays are split along axis 0 only; no axis field" >&2
+  exit 1
+fi
+
 echo "== CHANGES entry size (one line per PR, at most 1200 bytes)"
 # The newest entry says what changed, what was measured and where the
 # detail lives; the detail itself belongs in DESIGN, EXPERIMENTS or the

@@ -136,11 +136,6 @@ impl<'c> DistArray<'c> {
         };
         self.ctx
             .send_cmd(&self.launch(dtype, extra, scalar, lower, array));
-        let meta = ArrayMeta {
-            dtype,
-            ..self.meta()
-        };
-        self.ctx.record_meta(out, meta);
         DistArray::from_id(self.ctx, out)
     }
 
@@ -238,15 +233,11 @@ impl<'c> DistArray<'c> {
     /// Materialize under a new distribution.
     pub fn redistribute(&self, dist: Dist) -> DistArray<'c> {
         let out = self.ctx.alloc_id();
-        let mut meta = self.meta();
-        meta.dist = dist;
         self.ctx.send_cmd(&Cmd::Redistribute {
             out,
             a: self.id,
             dist,
-            axis: 0,
         });
-        self.ctx.record_meta(out, meta);
         DistArray::from_id(self.ctx, out)
     }
 
@@ -261,18 +252,11 @@ impl<'c> DistArray<'c> {
             );
         }
         let out = self.ctx.alloc_id();
-        let out_meta = ArrayMeta {
-            shape: specs.iter().map(|s| s.len()).collect(),
-            axis: 0,
-            dist: meta.dist,
-            dtype: meta.dtype,
-        };
         self.ctx.send_cmd(&Cmd::Slice {
             out,
             a: self.id,
             specs: specs.to_vec(),
         });
-        self.ctx.record_meta(out, out_meta);
         DistArray::from_id(self.ctx, out)
     }
 
@@ -400,18 +384,8 @@ impl<'c> DistArray<'c> {
 impl OdinContext {
     fn create(&self, shape: Vec<usize>, dtype: DType, dist: Dist, fill: Fill) -> DistArray<'_> {
         let id = self.alloc_id();
-        let meta = ArrayMeta {
-            shape,
-            axis: 0,
-            dist,
-            dtype,
-        };
-        self.send_cmd(&Cmd::Create {
-            id,
-            meta: meta.clone(),
-            fill,
-        });
-        self.record_meta(id, meta);
+        let meta = ArrayMeta { shape, dist, dtype };
+        self.send_cmd(&Cmd::Create { id, meta, fill });
         DistArray::from_id(self, id)
     }
 
@@ -488,7 +462,6 @@ impl OdinContext {
         let id = self.alloc_id();
         let meta = ArrayMeta {
             shape: vec![values.len()],
-            axis: 0,
             dist,
             dtype: DType::F64,
         };
@@ -504,7 +477,6 @@ impl OdinContext {
                 },
             );
         }
-        self.record_meta(id, meta);
         DistArray::from_id(self, id)
     }
 }

@@ -189,8 +189,11 @@ impl OdinContext {
             .clone()
     }
 
-    pub(crate) fn record_meta(&self, id: u64, meta: ArrayMeta) {
-        self.metas.borrow_mut().insert(id, meta);
+    /// Record the handles `cmd` makes ([`Cmd::results`]), the same metas
+    /// the workers store their segments under.
+    fn record_meta(&self, cmd: &Cmd) {
+        let made = cmd.results(|id| self.meta_of(id));
+        self.metas.borrow_mut().extend(made);
     }
 
     pub(crate) fn forget_meta(&self, id: u64) {
@@ -343,6 +346,7 @@ impl OdinContext {
 
     /// Broadcast a control command to every worker.
     pub(crate) fn send_cmd(&self, cmd: &Cmd) {
+        self.record_meta(cmd);
         let timer = self.obs_timer();
         let bytes = comm::encode_to_vec(cmd);
         let n_bytes = bytes.len();
@@ -377,6 +381,7 @@ impl OdinContext {
     /// command order intact.
     pub(crate) fn send_cmd_to(&self, worker: usize, cmd: &Cmd) {
         self.flush_open_batch();
+        self.record_meta(cmd);
         let timer = self.obs_timer();
         let bytes = comm::encode_to_vec(cmd);
         let n = bytes.len() as u64;

@@ -39,7 +39,7 @@
 use crate::array::DistArray;
 use crate::buffer::DType;
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, Cmd, KernelOut, ReduceKind};
+use crate::protocol::{Cmd, KernelOut, ReduceKind};
 use seamless::bytecode::{Reg, RegFile};
 use seamless::{SeamlessError, Type};
 
@@ -279,7 +279,7 @@ impl<'c> Kernel<'c> {
     /// Align `args` to the first argument's distribution (redistributing
     /// non-conformable ones) and return the bound input ids plus the
     /// temporaries that must outlive the dispatch.
-    fn bind(&self, args: &[&DistArray<'c>]) -> (ArrayMeta, Vec<u64>, Vec<DistArray<'c>>) {
+    fn bind(&self, args: &[&DistArray<'c>]) -> (Vec<u64>, Vec<DistArray<'c>>) {
         assert_eq!(
             args.len(),
             self.arity,
@@ -302,7 +302,7 @@ impl<'c> Kernel<'c> {
                 temps.push(moved);
             }
         }
-        (t_meta, inputs, temps)
+        (inputs, temps)
     }
 
     /// The launch command harvesting this kernel's return row as `out`.
@@ -321,7 +321,7 @@ impl<'c> Kernel<'c> {
     /// Apply the kernel element-wise: `out[i] = f(args[0][i], …)` over
     /// every worker's segment, one small control message total.
     pub fn map(&self, args: &[&DistArray<'c>]) -> DistArray<'c> {
-        let (t_meta, inputs, temps) = self.bind(args);
+        let (inputs, temps) = self.bind(args);
         let ctx = self.ctx;
         let out = ctx.alloc_id();
         ctx.send_cmd(&self.launch(
@@ -332,11 +332,6 @@ impl<'c> Kernel<'c> {
                 reg: self.ret_reg,
             },
         ));
-        let out_meta = ArrayMeta {
-            dtype: self.ret,
-            ..t_meta
-        };
-        ctx.record_meta(out, out_meta);
         drop(temps);
         DistArray::from_id(ctx, out)
     }
@@ -345,7 +340,7 @@ impl<'c> Kernel<'c> {
     /// pass — the mapped array is never materialized. Bitwise-identical
     /// to `map(args)` followed by the matching whole-array reduction.
     pub fn map_reduce(&self, args: &[&DistArray<'c>], kind: ReduceKind) -> f64 {
-        let (_t_meta, inputs, temps) = self.bind(args);
+        let (inputs, temps) = self.bind(args);
         let reduce = KernelOut::Reduce {
             kind,
             reg: self.ret_reg,

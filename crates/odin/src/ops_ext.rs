@@ -5,7 +5,7 @@
 
 use crate::array::DistArray;
 use crate::buffer::DType;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist};
+use crate::protocol::{BinOp, Cmd, Dist};
 
 impl<'c> DistArray<'c> {
     /// `np.where(self, a, b)`: elementwise `self ? a : b`, typed
@@ -39,15 +39,7 @@ impl<'c> DistArray<'c> {
             return self.redistribute(Dist::Block).cumsum();
         }
         let out = self.ctx().alloc_id();
-        let out_meta = ArrayMeta {
-            dtype: match meta.dtype {
-                DType::Bool => DType::I64,
-                d => d,
-            },
-            ..meta
-        };
         self.ctx().send_cmd(&Cmd::CumSum { out, a: self.id() });
-        self.ctx().record_meta(out, out_meta);
         DistArray::from_id(self.ctx(), out)
     }
 
@@ -95,18 +87,11 @@ impl<'c> DistArray<'c> {
         assert_eq!(mb.ndim(), 2, "matmul takes 2-D arrays");
         assert_eq!(ma.shape[1], mb.shape[0], "matmul inner dims must agree");
         let out = self.ctx().alloc_id();
-        let out_meta = ArrayMeta {
-            shape: vec![ma.shape[0], mb.shape[1]],
-            axis: 0,
-            dist: ma.dist,
-            dtype: DType::F64,
-        };
         self.ctx().send_cmd(&Cmd::MatMul {
             out,
             a: self.id(),
             b: other.id(),
         });
-        self.ctx().record_meta(out, out_meta);
         DistArray::from_id(self.ctx(), out)
     }
 
@@ -117,18 +102,11 @@ impl<'c> DistArray<'c> {
         assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
         assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
         let out = self.ctx().alloc_id();
-        let out_meta = ArrayMeta {
-            shape: vec![ma.shape[0] + mb.shape[0]],
-            axis: 0,
-            dist: Dist::Block,
-            dtype: ma.dtype.promote(mb.dtype),
-        };
         self.ctx().send_cmd(&Cmd::Concat {
             out,
             a: self.id(),
             b: other.id(),
         });
-        self.ctx().record_meta(out, out_meta);
         DistArray::from_id(self.ctx(), out)
     }
 }

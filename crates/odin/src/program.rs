@@ -626,12 +626,10 @@ impl<'x, 'c> Program<'x, 'c> {
                             outs.push(KernelOut::Reduce { kind, reg });
                         } else {
                             let id = ctx.alloc_id();
-                            let out_meta = &self.stmts[s].out_meta;
-                            ctx.record_meta(id, out_meta.clone());
                             mat[s] = Some(DistArray::from_id(ctx, id));
                             outs.push(KernelOut::Array {
                                 id,
-                                dtype: out_meta.dtype,
+                                dtype: self.stmts[s].out_meta.dtype,
                                 reg,
                             });
                         }
@@ -844,7 +842,7 @@ fn made<'a, 'c>(mat: &'a [Option<DistArray<'c>>], d: usize) -> &'a DistArray<'c>
 /// Elements a redistribute of `src_meta` to `dist` must move, measured
 /// through `dmap` owner maps (rows whose owner changes × slab size).
 fn moved_elems(src_meta: &ArrayMeta, dist: Dist, n_workers: usize) -> u64 {
-    let rows = src_meta.shape[src_meta.axis];
+    let rows = src_meta.shape[0];
     let map = |d: Dist| dmap::DistMap::with_distribution(d, rows, n_workers, 0);
     let moved = map(src_meta.dist).moved_count(&map(dist)).unwrap_or(rows);
     (moved * src_meta.slab()) as u64

@@ -15,15 +15,14 @@ use seamless::bytecode::{Reg, RegFile};
 /// `dlinalg` vectors and ODIN arrays share (paper §III-E).
 pub use dmap::Distribution as Dist;
 
-/// Metadata describing a distributed array: its global shape, which axis
-/// is distributed, how, and the element dtype.
+/// Metadata describing a distributed array: its global shape, how its
+/// first axis (the only one ever split) is distributed, and the element
+/// dtype.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayMeta {
     /// Global shape.
     pub shape: Vec<usize>,
-    /// The distributed axis.
-    pub axis: usize,
-    /// Distribution along that axis.
+    /// Distribution along axis 0.
     pub dist: Dist,
     /// Element type.
     pub dtype: DType,
@@ -40,20 +39,14 @@ impl ArrayMeta {
         self.shape.len()
     }
 
-    /// Elements per index of the distributed axis (the "slab" size).
+    /// Elements per index of axis 0 (the "slab" size).
     pub fn slab(&self) -> usize {
-        self.shape
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != self.axis)
-            .map(|(_, &d)| d)
-            .product()
+        self.shape.iter().skip(1).product()
     }
 
-    /// The [`dmap::DistMap`] of the distributed axis for worker `rank` of
-    /// `n_workers`.
+    /// The [`dmap::DistMap`] of axis 0 for worker `rank` of `n_workers`.
     pub fn axis_map(&self, n_workers: usize, rank: usize) -> dmap::DistMap {
-        dmap::DistMap::with_distribution(self.dist, self.shape[self.axis], n_workers, rank)
+        dmap::DistMap::with_distribution(self.dist, self.shape[0], n_workers, rank)
     }
 
     /// Local element count on worker `rank`.
@@ -62,9 +55,9 @@ impl ArrayMeta {
     }
 
     /// Two arrays are conformable when their segments line up with no
-    /// communication: same shape, axis and distribution.
+    /// communication: same shape and distribution.
     pub fn conformable(&self, other: &ArrayMeta) -> bool {
-        self.shape == other.shape && self.axis == other.axis && self.dist == other.dist
+        self.shape == other.shape && self.dist == other.dist
     }
 }
 
@@ -152,18 +145,6 @@ pub enum ReduceKind {
     CountNonzero,
 }
 
-impl ReduceKind {
-    /// Element type of an axis reduction's output: counts and reduced
-    /// booleans are integers, everything else keeps its input type. The
-    /// master (output meta) and the workers (output data) both ask here.
-    pub(crate) fn output_dtype(self, input: DType) -> DType {
-        match (self, input) {
-            (ReduceKind::CountNonzero, _) | (_, DType::Bool) => DType::I64,
-            (_, d) => d,
-        }
-    }
-}
-
 /// How a freshly created array is filled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fill {
@@ -225,8 +206,6 @@ pub enum Cmd {
         a: u64,
         /// New distribution.
         dist: Dist,
-        /// New distributed axis.
-        axis: usize,
     },
     /// Materialize a slice of `a` (one spec per dimension).
     Slice {
@@ -346,6 +325,93 @@ pub enum Cmd {
         /// this invoke (`false` pins the VM, e.g. `Tier::Vm` kernels).
         native: bool,
     },
+}
+
+impl Cmd {
+    /// The arrays this command makes, as `(id, meta)`: the one rule for
+    /// every output layout, given the metas of its inputs (`meta_of`).
+    /// The master records these for its handles and each worker stores
+    /// its segments under them, so the two sides cannot disagree.
+    pub(crate) fn results(&self, meta_of: impl Fn(u64) -> ArrayMeta) -> Vec<(u64, ArrayMeta)> {
+        match self {
+            Cmd::Create { id, meta, .. } | Cmd::SetData { id, meta, .. } => {
+                vec![(*id, meta.clone())]
+            }
+            Cmd::Redistribute { out, a, dist } => vec![(
+                *out,
+                ArrayMeta {
+                    dist: *dist,
+                    ..meta_of(*a)
+                },
+            )],
+            Cmd::Slice { out, a, specs } => vec![(
+                *out,
+                ArrayMeta {
+                    shape: specs.iter().map(|s| s.len()).collect(),
+                    ..meta_of(*a)
+                },
+            )],
+            Cmd::Reduce { a, kind, axis, out } => {
+                let mut m = meta_of(*a);
+                m.shape.remove(*axis);
+                if *axis == 0 {
+                    m.dist = Dist::Block;
+                }
+                // Counts and reduced booleans are integers (NumPy's rule).
+                if *kind == ReduceKind::CountNonzero || m.dtype == DType::Bool {
+                    m.dtype = DType::I64;
+                }
+                vec![(*out, m)]
+            }
+            Cmd::CumSum { out, a } => {
+                let mut m = meta_of(*a);
+                if m.dtype == DType::Bool {
+                    m.dtype = DType::I64;
+                }
+                vec![(*out, m)]
+            }
+            Cmd::Concat { out, a, b } => {
+                let (ma, mb) = (meta_of(*a), meta_of(*b));
+                let meta = ArrayMeta {
+                    shape: vec![ma.shape[0] + mb.shape[0]],
+                    dist: Dist::Block,
+                    dtype: ma.dtype.promote(mb.dtype),
+                };
+                vec![(*out, meta)]
+            }
+            Cmd::MatMul { out, a, b } => {
+                let ma = meta_of(*a);
+                let meta = ArrayMeta {
+                    shape: vec![ma.shape[0], meta_of(*b).shape[1]],
+                    dist: ma.dist,
+                    dtype: DType::F64,
+                };
+                vec![(*out, meta)]
+            }
+            Cmd::EvalKernel { template, outs, .. } => {
+                let t_meta = meta_of(*template);
+                outs.iter()
+                    .filter_map(|o| match *o {
+                        KernelOut::Array { id, dtype, .. } => Some((
+                            id,
+                            ArrayMeta {
+                                dtype,
+                                ..t_meta.clone()
+                            },
+                        )),
+                        KernelOut::Reduce { .. } => None,
+                    })
+                    .collect()
+            }
+            Cmd::Fetch { .. }
+            | Cmd::CallLocal { .. }
+            | Cmd::Free { .. }
+            | Cmd::Ping
+            | Cmd::Shutdown
+            | Cmd::ArgReduce { .. }
+            | Cmd::RegisterKernel { .. } => Vec::new(),
+        }
+    }
 }
 
 /// One harvested output of a kernel launch.
@@ -470,14 +536,12 @@ wire_enum_unit!(
 impl Wire for ArrayMeta {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.shape.encode(buf);
-        self.axis.encode(buf);
         self.dist.encode(buf);
         self.dtype.encode(buf);
     }
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
         Ok(ArrayMeta {
             shape: Vec::decode(cur)?,
-            axis: usize::decode(cur)?,
             dist: Dist::decode(cur)?,
             dtype: DType::decode(cur)?,
         })
@@ -543,12 +607,11 @@ impl Wire for Cmd {
                 meta.encode(buf);
                 data.encode(buf);
             }
-            Cmd::Redistribute { out, a, dist, axis } => {
+            Cmd::Redistribute { out, a, dist } => {
                 buf.push(6);
                 out.encode(buf);
                 a.encode(buf);
                 dist.encode(buf);
-                axis.encode(buf);
             }
             Cmd::Slice { out, a, specs } => {
                 buf.push(7);
@@ -647,7 +710,6 @@ impl Wire for Cmd {
                 out: u64::decode(cur)?,
                 a: u64::decode(cur)?,
                 dist: Dist::decode(cur)?,
-                axis: usize::decode(cur)?,
             }),
             7 => Ok(Cmd::Slice {
                 out: u64::decode(cur)?,
@@ -724,7 +786,6 @@ mod tests {
     fn meta() -> ArrayMeta {
         ArrayMeta {
             shape: vec![100, 4],
-            axis: 0,
             dist: Dist::Block,
             dtype: DType::F64,
         }
@@ -774,7 +835,6 @@ mod tests {
                 out: 11,
                 a: 10,
                 dist: Dist::BlockCyclic(16),
-                axis: 0,
             },
             Cmd::Slice {
                 out: 12,
@@ -856,7 +916,6 @@ mod tests {
                 id: 1,
                 meta: ArrayMeta {
                     shape: vec![1_000_000_000_000],
-                    axis: 0,
                     dist: Dist::Block,
                     dtype: DType::F64,
                 },

@@ -104,7 +104,6 @@ impl OdinContext {
                     },
                 );
             }
-            self.record_meta(*id, meta.clone());
             self.lost.borrow_mut().remove(id);
             restored.push(*id);
         }

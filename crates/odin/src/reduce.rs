@@ -74,19 +74,6 @@ impl<'c> DistArray<'c> {
             axis,
             out,
         });
-        let mut shape = meta.shape.clone();
-        shape.remove(axis);
-        let out_meta = crate::protocol::ArrayMeta {
-            shape,
-            axis: 0,
-            dist: if axis == 0 {
-                crate::protocol::Dist::Block
-            } else {
-                meta.dist
-            },
-            dtype: kind.output_dtype(meta.dtype),
-        };
-        self.ctx().record_meta(out, out_meta);
         DistArray::from_id(self.ctx(), out)
     }
 

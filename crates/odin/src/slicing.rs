@@ -112,46 +112,31 @@ fn slab_offsets(dims: &[usize], specs: &[SliceSpec]) -> Vec<usize> {
     out
 }
 
-/// Materialize a slice of a distributed array. Collective over the worker
-/// communicator. `specs` has one entry per dimension of `meta.shape`.
-pub(crate) fn slice_worker(
-    comm: &Comm,
-    meta: &ArrayMeta,
-    data: &Buffer,
-    specs: &[SliceSpec],
-) -> (ArrayMeta, Buffer) {
-    assert_eq!(specs.len(), meta.ndim(), "one slice spec per dimension");
-    route_rows(comm, meta, data, specs, meta.dist)
-}
-
-/// Redistribute an array to a new distribution along axis 0. Collective.
+/// Redistribute an array to `out_meta`'s distribution along axis 0.
+/// Collective.
 pub(crate) fn redistribute_worker(
     comm: &Comm,
     meta: &ArrayMeta,
     data: &Buffer,
-    new_dist: Dist,
-) -> (ArrayMeta, Buffer) {
+    out_meta: &ArrayMeta,
+) -> Buffer {
     let specs: Vec<SliceSpec> = meta.shape.iter().map(|&n| SliceSpec::full(n)).collect();
-    route_rows(comm, meta, data, &specs, new_dist)
+    slice_worker(comm, meta, data, &specs, out_meta)
 }
 
-/// Join two 1-D arrays end to end into a block-distributed one: each
-/// input is one route onto its stretch of the output. Collective.
+/// Join two 1-D arrays end to end into this worker's segment of the
+/// block-distributed `out_meta`: each input is one route onto its stretch
+/// of the output. Collective.
 pub(crate) fn concat_worker(
     comm: &Comm,
     a: &(ArrayMeta, Buffer),
     b: &(ArrayMeta, Buffer),
-) -> (ArrayMeta, Buffer) {
+    out_meta: &ArrayMeta,
+) -> Buffer {
     let (ma, mb) = (&a.0, &b.0);
     assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
     assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
     let (p, rank) = (comm.size(), comm.rank());
-    let out_meta = ArrayMeta {
-        shape: vec![ma.shape[0] + mb.shape[0]],
-        axis: 0,
-        dist: Dist::Block,
-        dtype: ma.dtype.promote(mb.dtype),
-    };
     let out_map = out_meta.axis_map(p, rank);
     let mut out = Buffer::zeros(out_meta.dtype, out_map.my_count());
     for ((meta, data), base) in [(a, 0), (b, ma.shape[0])] {
@@ -167,7 +152,7 @@ pub(crate) fn concat_worker(
         };
         out.route_from(comm, &plan, data);
     }
-    (out_meta, out)
+    out
 }
 
 /// The plan that moves the `row_spec` rows of an axis laid out by `src`
@@ -217,25 +202,22 @@ fn row_route(
     CommPlan::from_runs(src.my_rank(), send, recv, width)
 }
 
-/// The one mover behind slices and redistributes: select `specs` from the
-/// array and lay the result out under `out_dist`.
-fn route_rows(
+/// Materialize a slice of a distributed array as this worker's segment of
+/// `out_meta` — the one mover behind slices and redistributes. `specs`
+/// has one entry per dimension of `meta.shape`. Collective over the
+/// worker communicator.
+pub(crate) fn slice_worker(
     comm: &Comm,
     meta: &ArrayMeta,
     data: &Buffer,
     specs: &[SliceSpec],
-    out_dist: Dist,
-) -> (ArrayMeta, Buffer) {
-    assert_eq!(meta.axis, 0, "arrays are distributed along axis 0");
+    out_meta: &ArrayMeta,
+) -> Buffer {
+    assert_eq!(specs.len(), meta.ndim(), "one slice spec per dimension");
     let p = comm.size();
     let rank = comm.rank();
     let row_spec = specs[0];
-    let out_meta = ArrayMeta {
-        shape: specs.iter().map(|s| s.len()).collect(),
-        axis: 0,
-        dist: out_dist,
-        dtype: meta.dtype,
-    };
+    let out_dist = out_meta.dist;
     let slab = meta.slab();
     // Trailing dims taken whole: rows move as units of `slab` elements.
     let whole_rows = specs[1..]
@@ -256,7 +238,7 @@ fn route_rows(
                 })
                 .collect()
         };
-        let (src_blocks, out_blocks) = (blocks(meta), blocks(&out_meta));
+        let (src_blocks, out_blocks) = (blocks(meta), blocks(out_meta));
         // Output rows held (as source rows) by `from` and owned by `to`.
         let overlap = |from: usize, to: usize| {
             let ((s_lo, s_hi), (o_lo, o_hi)) = (src_blocks[from], out_blocks[to]);
@@ -282,7 +264,7 @@ fn route_rows(
         });
         let plan = CommPlan::from_runs(rank, send.collect(), recv.collect(), slab);
         out.route_from(comm, &plan, data);
-        return (out_meta, out);
+        return out;
     }
     // A route is a pure function of the array's shape, its layouts and
     // the request (per rank), so an equal key always reproduces it.
@@ -300,7 +282,7 @@ fn route_rows(
         }
     });
     out.route_from(comm, &plan, data);
-    (out_meta, out)
+    out
 }
 
 #[cfg(test)]

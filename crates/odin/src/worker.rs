@@ -90,7 +90,6 @@ impl<'a> WorkerScope<'a> {
     pub fn store_dist_vector(&mut self, id: u64, v: &DistVector<f64>) {
         let meta = ArrayMeta {
             shape: vec![v.n_global()],
-            axis: 0,
             dist: Dist::Block,
             dtype: DType::F64,
         };
@@ -277,29 +276,32 @@ fn exec_cmd(
 ) -> bool {
     let p = comm.size();
     let rank = comm.rank();
-    match cmd {
-        Cmd::Create { id, meta, fill } => {
+    // What the command makes, by the rule the master recorded too; each
+    // array-producing arm returns one segment per entry, in order.
+    let results = cmd.results(|id| arrays[&id].0.clone());
+    let out_meta = || &results[0].1;
+    let made: Vec<Buffer> = match cmd {
+        Cmd::Create { meta, fill, .. } => {
             let data = fill_buffer(&meta, &fill, p, rank);
             comm.advance_compute(data.len() as f64);
-            arrays.insert(id, (meta, data));
+            vec![data]
         }
-        Cmd::SetData { id, meta, data } => {
-            assert_eq!(data.len(), meta.local_len(p, rank), "bad segment length");
-            arrays.insert(id, (meta, data));
-        }
-        Cmd::Redistribute { out, a, dist, axis } => {
-            assert_eq!(axis, 0, "arrays are distributed along axis 0");
+        Cmd::SetData { data, .. } => vec![data],
+        Cmd::Redistribute { a, .. } => {
             let (meta, buf) = &arrays[&a];
-            let (out_meta, out_buf) = redistribute_worker(comm, meta, buf, dist);
-            arrays.insert(out, (out_meta, out_buf));
+            vec![redistribute_worker(comm, meta, buf, out_meta())]
         }
-        Cmd::Slice { out, a, specs } => {
+        Cmd::Slice { a, specs, .. } => {
             let (meta, buf) = &arrays[&a];
-            let (out_meta, out_buf) = slice_worker(comm, meta, buf, &specs);
-            arrays.insert(out, (out_meta, out_buf));
+            vec![slice_worker(comm, meta, buf, &specs, out_meta())]
         }
-        Cmd::Reduce { a, kind, axis, out } => {
-            exec_reduce(comm, arrays, a, kind, axis, out);
+        Cmd::Reduce { a, kind, axis, .. } => {
+            let (meta, buf) = &arrays[&a];
+            let fold = match buf.dtype() {
+                DType::F64 => exec_reduce::<f64>,
+                DType::I64 | DType::Bool => exec_reduce::<i64>,
+            };
+            vec![fold(comm, meta, buf, kind, axis, out_meta())]
         }
         Cmd::Fetch { a } => {
             let (_, buf) = &arrays[&a];
@@ -314,6 +316,7 @@ fn exec_cmd(
                 Payload::Bytes(comm::encode_to_vec(buf))
             };
             let _ = comm.send_host(msg);
+            Vec::new()
         }
         Cmd::CallLocal {
             fn_id,
@@ -327,15 +330,18 @@ fn exec_cmd(
                 tables,
             };
             f(&mut scope, &arg_arrays, &scalars);
+            Vec::new()
         }
         Cmd::Free { id } => {
             arrays.remove(&id);
+            Vec::new()
         }
         Cmd::Ping => {
             reply(comm, Vec::new());
+            Vec::new()
         }
         Cmd::Shutdown => return false,
-        Cmd::CumSum { out, a } => {
+        Cmd::CumSum { a, .. } => {
             let (meta, buf) = &arrays[&a];
             assert_eq!(meta.ndim(), 1, "cumsum supports 1-D arrays");
             assert_eq!(
@@ -346,18 +352,13 @@ fn exec_cmd(
             comm.advance_compute(buf.len() as f64);
             // In the segment's own type (integers and bools in wrapping
             // i64, like NumPy), so no sum rounds through f64.
-            let data = match buf {
+            vec![match buf {
                 Buffer::F64(v) => Buffer::F64(scan(comm, v.clone(), |x, y| x + y)),
                 other => {
                     let v = (0..other.len()).map(|i| other.get_i64(i)).collect();
                     Buffer::I64(scan(comm, v, i64::wrapping_add))
                 }
-            };
-            let out_meta = ArrayMeta {
-                dtype: data.dtype(),
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, data));
+            }]
         }
         Cmd::ArgReduce { a, is_max } => {
             let (meta, buf) = &arrays[&a];
@@ -373,17 +374,17 @@ fn exec_cmd(
             if rank == 0 {
                 reply(comm, comm::encode_to_vec(&winner));
             }
+            Vec::new()
         }
-        Cmd::Concat { out, a, b } => {
-            let joined = concat_worker(comm, &arrays[&a], &arrays[&b]);
-            arrays.insert(out, joined);
+        Cmd::Concat { a, b, .. } => {
+            vec![concat_worker(comm, &arrays[&a], &arrays[&b], out_meta())]
         }
-        Cmd::MatMul { out, a, b } => {
+        Cmd::MatMul { a, b, .. } => {
             let (ma, ba) = &arrays[&a];
             let (mb, bb) = &arrays[&b];
             assert_eq!(ma.ndim(), 2, "matmul takes 2-D arrays");
             assert_eq!(mb.ndim(), 2, "matmul takes 2-D arrays");
-            let (m, ka) = (ma.shape[0], ma.shape[1]);
+            let ka = ma.shape[1];
             let (kb, ncols) = (mb.shape[0], mb.shape[1]);
             assert_eq!(ka, kb, "matmul inner dimensions must agree");
             // allgather B: each worker contributes (row gids, flat rows);
@@ -416,21 +417,11 @@ fn exec_cmd(
                 }
             }
             comm.advance_compute(2.0 * (rows * ka * ncols) as f64);
-            let out_meta = ArrayMeta {
-                shape: vec![m, ncols],
-                axis: 0,
-                dist: ma.dist,
-                dtype: DType::F64,
-            };
-            assert_eq!(
-                out_meta.local_len(p, rank),
-                c.len(),
-                "matmul requires A's row distribution to be block-compatible"
-            );
-            arrays.insert(out, (out_meta, Buffer::F64(c)));
+            vec![Buffer::F64(c)]
         }
         Cmd::RegisterKernel { id, program } => {
             kernels.insert(id, program);
+            Vec::new()
         }
         Cmd::EvalKernel {
             kernel,
@@ -448,13 +439,27 @@ fn exec_cmd(
                 comm, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs, native,
             ),
         },
+    };
+    // The one place a command's segments are stored: each under its
+    // `results` meta, which must describe it exactly — a master/worker
+    // drift fails here, at the command that causes it.
+    assert_eq!(made.len(), results.len(), "one segment per result");
+    for ((id, meta), data) in results.into_iter().zip(made) {
+        assert!(
+            data.dtype() == meta.dtype && data.len() == meta.local_len(p, rank),
+            "array {id}: a {:?} segment of {} lanes does not fit {meta:?}",
+            data.dtype(),
+            data.len()
+        );
+        arrays.insert(id, (meta, data));
     }
     true
 }
 
-/// What the lane-generic kernel executor needs to know about a lane type
-/// beyond [`Lane`]: how it maps onto a worker's [`Buffer`] segments.
-trait KernelLane: Lane + Default {
+/// What the lane-generic executors (kernels and axis reductions) need to
+/// know about a lane type beyond [`Lane`]: how it maps onto a worker's
+/// [`Buffer`] segments, and how it reduces.
+trait KernelLane: Lane + Default + PartialEq + Wire {
     /// This lane's recycled row pool.
     fn pool(scratch: &mut WorkerScratch) -> &mut Vec<Vec<Self>>;
     /// The segment's storage when it already is a row of this lane
@@ -466,10 +471,15 @@ trait KernelLane: Lane + Default {
     /// A resolved scalar parameter as a lane value.
     fn from_scalar(v: f64) -> Self;
     /// Widened per element for the reduction fold, so collective tails
-    /// share `reduce_combine` across lanes.
+    /// share the f64 [`KernelLane::combine`] across lanes.
     fn to_f64(self) -> f64;
     /// A raw output row as a segment of this lane's own dtype.
     fn wrap(row: Vec<Self>) -> Buffer;
+    /// The identity of `kind` in this lane type.
+    fn identity(kind: ReduceKind) -> Self;
+    /// `a ∘ b` under `kind` in this lane type (integer sums and products
+    /// wrap, like NumPy's int64).
+    fn combine(kind: ReduceKind, a: Self, b: Self) -> Self;
 }
 
 impl KernelLane for f64 {
@@ -493,6 +503,22 @@ impl KernelLane for f64 {
     }
     fn wrap(row: Vec<f64>) -> Buffer {
         Buffer::F64(row)
+    }
+    fn identity(kind: ReduceKind) -> f64 {
+        match kind {
+            ReduceKind::Sum | ReduceKind::CountNonzero => 0.0,
+            ReduceKind::Prod => 1.0,
+            ReduceKind::Min => f64::INFINITY,
+            ReduceKind::Max => f64::NEG_INFINITY,
+        }
+    }
+    fn combine(kind: ReduceKind, a: f64, b: f64) -> f64 {
+        match kind {
+            ReduceKind::Sum | ReduceKind::CountNonzero => a + b,
+            ReduceKind::Prod => a * b,
+            ReduceKind::Min => a.min(b),
+            ReduceKind::Max => a.max(b),
+        }
     }
 }
 
@@ -518,6 +544,22 @@ impl KernelLane for i64 {
     fn wrap(row: Vec<i64>) -> Buffer {
         Buffer::I64(row)
     }
+    fn identity(kind: ReduceKind) -> i64 {
+        match kind {
+            ReduceKind::Sum | ReduceKind::CountNonzero => 0,
+            ReduceKind::Prod => 1,
+            ReduceKind::Min => i64::MAX,
+            ReduceKind::Max => i64::MIN,
+        }
+    }
+    fn combine(kind: ReduceKind, a: i64, b: i64) -> i64 {
+        match kind {
+            ReduceKind::Sum | ReduceKind::CountNonzero => a.wrapping_add(b),
+            ReduceKind::Prod => a.wrapping_mul(b),
+            ReduceKind::Min => a.min(b),
+            ReduceKind::Max => a.max(b),
+        }
+    }
 }
 
 /// Lanes per kernel invoke, on either tier.
@@ -530,7 +572,7 @@ const _: () = assert!(CHUNK.is_multiple_of(STRIPES));
 /// One output of a kernel invoke: a result segment written in place, or
 /// a recycled chunk row folded as each chunk completes.
 enum Harvest<L> {
-    Array { row: Vec<L>, id: u64, dtype: DType },
+    Array { row: Vec<L>, dtype: DType },
     Reduce { row: Vec<L>, fold: Fold },
 }
 
@@ -544,8 +586,9 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 
 /// Run a registered Seamless kernel element-wise over this worker's
 /// segment, in lane type `L`, and harvest the register rows named by
-/// `outs`: each [`KernelOut::Array`] materializes its row as a new
-/// segment (one final `astype`), each [`KernelOut::Reduce`] folds its row
+/// `outs`: each [`KernelOut::Array`] materializes its row as a segment of
+/// its dtype (one final `astype`), returned in `outs` order for
+/// [`exec_cmd`] to store, each [`KernelOut::Reduce`] folds its row
 /// straight into a scalar — map and reduce in one pass, no materialized
 /// intermediate.
 ///
@@ -567,7 +610,7 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel<L: KernelLane>(
     comm: &Comm,
-    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
+    arrays: &HashMap<u64, (ArrayMeta, Buffer)>,
     kernels: &HashMap<u64, seamless::bytecode::Program>,
     scratch: &mut WorkerScratch,
     kernel: u64,
@@ -576,11 +619,11 @@ fn exec_kernel<L: KernelLane>(
     scalars: &[f64],
     outs: &[KernelOut],
     native: bool,
-) {
+) -> Vec<Buffer> {
     let program = kernels.get(&kernel).expect("unknown kernel");
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let t_meta = arrays[&template].0.clone();
-    let n = arrays[&template].1.len();
+    let (t_meta, t_buf) = &arrays[&template];
+    let n = t_buf.len();
     // Kernel event span: covers the chunk loop plus its modeled compute
     // advance, closing *before* the collective reduce tail so no comm
     // spans nest inside it (the critical-path walk treats Kernel spans as
@@ -613,9 +656,8 @@ fn exec_kernel<L: KernelLane>(
     let mut harvests: Vec<Harvest<L>> = outs
         .iter()
         .map(|o| match *o {
-            KernelOut::Array { id, dtype, .. } => Harvest::Array {
+            KernelOut::Array { dtype, .. } => Harvest::Array {
                 row: vec![L::default(); n],
-                id,
                 dtype,
             },
             KernelOut::Reduce { kind, .. } => Harvest::Reduce {
@@ -628,7 +670,7 @@ fn exec_kernel<L: KernelLane>(
         .iter()
         .map(|id| {
             let (m, b) = &arrays[id];
-            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
+            debug_assert!(m.conformable(t_meta), "kernel input not conformable");
             L::borrow(b)
                 .is_none()
                 .then(|| take_row(pool, 0, L::default()))
@@ -702,21 +744,10 @@ fn exec_kernel<L: KernelLane>(
         );
     }
     let mut totals: Vec<f64> = Vec::new();
+    let mut made = Vec::new();
     for h in harvests {
         match h {
-            Harvest::Array { row, id, dtype } => {
-                let raw = L::wrap(row);
-                let data = if raw.dtype() == dtype {
-                    raw
-                } else {
-                    raw.astype(dtype)
-                };
-                let out_meta = ArrayMeta {
-                    dtype,
-                    ..t_meta.clone()
-                };
-                arrays.insert(id, (out_meta, data));
-            }
+            Harvest::Array { row, dtype } => made.push(cast(L::wrap(row), dtype)),
             Harvest::Reduce { row, fold } => {
                 pool.push(row);
                 // One allreduce per reduction, in declaration order.
@@ -726,6 +757,16 @@ fn exec_kernel<L: KernelLane>(
     }
     if !totals.is_empty() && comm.rank() == 0 {
         reply(comm, comm::encode_to_vec(&totals));
+    }
+    made
+}
+
+/// `buf` as `dtype`, copied only when the type changes.
+fn cast(buf: Buffer, dtype: DType) -> Buffer {
+    if buf.dtype() == dtype {
+        buf
+    } else {
+        buf.astype(dtype)
     }
 }
 
@@ -775,24 +816,6 @@ fn arg_reduce<T: Wire + Copy + Default + PartialOrd>(
     comm.allreduce(&mine, pick).1
 }
 
-fn reduce_identity(kind: ReduceKind) -> f64 {
-    match kind {
-        ReduceKind::Sum | ReduceKind::CountNonzero => 0.0,
-        ReduceKind::Prod => 1.0,
-        ReduceKind::Min => f64::INFINITY,
-        ReduceKind::Max => f64::NEG_INFINITY,
-    }
-}
-
-fn reduce_combine(kind: ReduceKind, a: f64, b: f64) -> f64 {
-    match kind {
-        ReduceKind::Sum | ReduceKind::CountNonzero => a + b,
-        ReduceKind::Prod => a * b,
-        ReduceKind::Min => a.min(b),
-        ReduceKind::Max => a.max(b),
-    }
-}
-
 /// Independent partials of a whole-segment reduction (NumPy's
 /// pairwise-sum block keeps eight).
 const STRIPES: usize = 8;
@@ -814,7 +837,7 @@ impl Fold {
     fn new(kind: ReduceKind) -> Self {
         Fold {
             kind,
-            stripes: [reduce_identity(kind); STRIPES],
+            stripes: [f64::identity(kind); STRIPES],
         }
     }
 
@@ -837,7 +860,7 @@ impl Fold {
     /// This worker's partial.
     fn finish(&self) -> f64 {
         let [s0, s1, s2, s3, s4, s5, s6, s7] = self.stripes;
-        let c = |a, b| reduce_combine(self.kind, a, b);
+        let c = |a, b| f64::combine(self.kind, a, b);
         c(c(c(s0, s1), c(s2, s3)), c(c(s4, s5), c(s6, s7)))
     }
 
@@ -846,7 +869,7 @@ impl Fold {
     fn allreduce(&self, comm: &Comm) -> f64 {
         let kind = self.kind;
         comm.allreduce(&self.finish(), |x: &f64, y: &f64| {
-            reduce_combine(kind, *x, *y)
+            f64::combine(kind, *x, *y)
         })
     }
 }
@@ -865,128 +888,60 @@ fn stripe<T: Copy>(s: &mut [f64; STRIPES], row: &[T], f: impl Fn(f64, T) -> f64)
     }
 }
 
-fn reduce_element(kind: ReduceKind, x: f64) -> f64 {
-    match kind {
-        ReduceKind::CountNonzero => f64::from(u8::from(x != 0.0)),
-        _ => x,
-    }
-}
-
-fn exec_reduce(
+/// Reduce `kind` along `axis` of this worker's segment into its segment
+/// of `out_meta`, in the segment's own lane type `L` (f64 stays f64; i64
+/// and bools fold as i64), so no integer rounds through f64. The segment
+/// is `(outer, red, inner)` with `axis` as `red`, and each output lane
+/// folds its `red` inputs in index order. Axis 0 is the split one: its
+/// partials combine in one elementwise allreduce, and each worker keeps
+/// its block of the result.
+fn exec_reduce<L: KernelLane>(
     comm: &Comm,
-    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
-    a: u64,
+    meta: &ArrayMeta,
+    buf: &Buffer,
     kind: ReduceKind,
     axis: usize,
-    out: u64,
-) {
-    let p = comm.size();
-    let rank = comm.rank();
-    // Borrowed, not cloned: each axis arm's last read of the input
-    // segment comes before its `arrays.insert`.
-    let (meta, buf) = &arrays[&a];
-    match axis {
-        0 => {
-            assert!(meta.ndim() >= 2, "axis-0 reduce needs ndim ≥ 2");
-            let slab = meta.slab();
-            let map = meta.axis_map(p, rank);
-            let mut partial = vec![reduce_identity(kind); slab];
-            for l in 0..map.my_count() {
-                for (k, pk) in partial.iter_mut().enumerate() {
-                    let x = reduce_element(kind, buf.get_f64(l * slab + k));
-                    *pk = reduce_combine(kind, *pk, x);
-                }
-            }
-            comm.advance_compute(buf.len() as f64);
-            let full = comm.allreduce(&partial, |x: &Vec<f64>, y: &Vec<f64>| {
-                x.iter()
-                    .zip(y.iter())
-                    .map(|(u, v)| reduce_combine(kind, *u, *v))
-                    .collect()
-            });
-            // Output: shape without axis 0, block-distributed along the
-            // (new) axis 0. Each worker keeps its block of the slab.
-            let out_shape: Vec<usize> = meta.shape[1..].to_vec();
-            let out_meta = ArrayMeta {
-                shape: out_shape,
-                axis: 0,
-                dist: Dist::Block,
-                dtype: kind.output_dtype(meta.dtype),
-            };
-            let out_map = out_meta.axis_map(p, rank);
-            let out_slab = out_meta.slab();
-            let mut mine = Vec::with_capacity(out_map.my_count() * out_slab);
-            for l in 0..out_map.my_count() {
-                let g = out_map.local_to_global(l);
-                for k in 0..out_slab {
-                    mine.push(full[g * out_slab + k]);
-                }
-            }
-            let data = Buffer::F64(mine).astype(out_meta.dtype);
-            arrays.insert(out, (out_meta, data));
+    out_meta: &ArrayMeta,
+) -> Buffer {
+    let (p, rank) = (comm.size(), comm.rank());
+    let staged: Vec<L>;
+    let xs = match L::borrow(buf) {
+        Some(xs) => xs,
+        None => {
+            staged = (0..buf.len()).map(|i| L::get(buf, i)).collect();
+            &staged
         }
-        ax => {
-            assert!(ax < meta.ndim(), "reduce axis out of range");
-            let map = meta.axis_map(p, rank);
-            let dims = &meta.shape[1..];
-            // strides within the slab
-            let mut strides = vec![1usize; dims.len()];
-            for i in (0..dims.len().saturating_sub(1)).rev() {
-                strides[i] = strides[i + 1] * dims[i + 1];
+    };
+    let mut local = meta.shape.clone();
+    local[0] = meta.axis_map(p, rank).my_count();
+    let (red, inner) = (local[axis], local[axis + 1..].iter().product::<usize>());
+    let outer: usize = local[..axis].iter().product();
+    let (zero, one) = (L::from_scalar(0.0), L::from_scalar(1.0));
+    let element = |x: L| match kind {
+        ReduceKind::CountNonzero if x != zero => one,
+        ReduceKind::CountNonzero => zero,
+        _ => x,
+    };
+    let mut folded = vec![L::identity(kind); outer * inner];
+    for (o, acc) in folded.chunks_exact_mut(inner.max(1)).enumerate() {
+        for row in xs[o * red * inner..(o + 1) * red * inner].chunks_exact(inner) {
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a = L::combine(kind, *a, element(x));
             }
-            let red_d = ax - 1; // index into slab dims
-            let out_dims: Vec<usize> = dims
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != red_d)
-                .map(|(_, &d)| d)
-                .collect();
-            let out_slab: usize = out_dims.iter().product();
-            // row-major strides of the reduced (output) slab
-            let mut out_strides = vec![1usize; out_dims.len()];
-            for i in (0..out_dims.len().saturating_sub(1)).rev() {
-                out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-            }
-            // source-dim index of each output dim
-            let src_dims: Vec<usize> = (0..dims.len()).filter(|&d| d != red_d).collect();
-            // base offset (reduced dim = 0) of each output slab position
-            let base_offsets: Vec<usize> = (0..out_slab)
-                .map(|o| {
-                    src_dims
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &sd)| ((o / out_strides[i]) % out_dims[i]) * strides[sd])
-                        .sum()
-                })
-                .collect();
-            let slab = meta.slab();
-            let red_len = dims[red_d];
-            let red_stride = strides[red_d];
-            let mut values = Vec::with_capacity(map.my_count() * out_slab);
-            for l in 0..map.my_count() {
-                let row = l * slab;
-                for &base in base_offsets.iter().take(out_slab) {
-                    let mut acc = reduce_identity(kind);
-                    for r in 0..red_len {
-                        let x = reduce_element(kind, buf.get_f64(row + base + r * red_stride));
-                        acc = reduce_combine(kind, acc, x);
-                    }
-                    values.push(acc);
-                }
-            }
-            comm.advance_compute(buf.len() as f64);
-            let mut out_shape = vec![meta.shape[0]];
-            out_shape.extend(out_dims);
-            let out_meta = ArrayMeta {
-                shape: out_shape,
-                axis: 0,
-                dist: meta.dist,
-                dtype: kind.output_dtype(meta.dtype),
-            };
-            let data = Buffer::F64(values).astype(out_meta.dtype);
-            arrays.insert(out, (out_meta, data));
         }
     }
+    comm.advance_compute(buf.len() as f64);
+    if axis == 0 {
+        let full = comm.allreduce(&folded, |x: &Vec<L>, y: &Vec<L>| {
+            x.iter()
+                .zip(y)
+                .map(|(&u, &v)| L::combine(kind, u, v))
+                .collect()
+        });
+        let mine = out_meta.axis_map(p, rank).local_runs();
+        folded = dmap::gather_runs(&full, &mine, out_meta.slab());
+    }
+    cast(L::wrap(folded), out_meta.dtype)
 }
 
 #[cfg(test)]

@@ -268,3 +268,23 @@ fn i64_where_stays_exact_past_2_pow_53() {
     assert_eq!(r.dtype(), DType::I64);
     assert_eq!(r.to_vec_i64(), vec![BIG + 1, -BIG - 3, BIG + 1, -BIG - 3]);
 }
+
+#[test]
+fn i64_axis_reductions_stay_exact_past_2_pow_53() {
+    // Rows [2^53, 1] and [1, 2^53 + 1]: folded on f64 lanes, every sum
+    // and every max here rounds to 2^53.
+    let ctx = OdinContext::with_workers(2);
+    let x = ctx.zeros(&[2, 2], DType::I64);
+    let rows = Buffer::I64(vec![BIG, 1, 1, BIG + 1]);
+    ctx.run_spmd(&[&x], move |scope, ids| {
+        let runs = scope.axis_map(ids[0]).local_runs();
+        *scope.local_mut(ids[0]) = rows.gather_runs(&runs, 2);
+    });
+    for axis in [0, 1] {
+        let sums = x.sum_axis(axis);
+        assert_eq!(sums.dtype(), DType::I64);
+        assert_eq!(sums.to_vec_i64(), [BIG + 1, BIG + 2], "sum_axis({axis})");
+        let maxes = x.max_axis(axis).to_vec_i64();
+        assert_eq!(maxes, [BIG, BIG + 1], "max_axis({axis})");
+    }
+}

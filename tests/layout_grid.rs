@@ -13,13 +13,16 @@
 //! `Kernel` and a multi-statement `Program`, each with its operands on
 //! three different layouts. Both payload arms run, clean and under a
 //! seeded fault schedule healed by reliable delivery (`HPC_FAULT_SEED`,
-//! swept by ci.sh).
+//! swept by ci.sh). Apart from the grid, every kind of command that makes
+//! an array must leave each worker's stored meta equal to the master's.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
-use hpc_framework::odin::{set_binary_strategy, BinOp, BinaryStrategy, Buffer, SliceSpec};
+use hpc_framework::odin::{
+    set_binary_strategy, ArrayMeta, BinOp, BinaryStrategy, Buffer, SliceSpec,
+};
 use hpc_framework::prelude::*;
 use obs::SplitMix64;
 
@@ -379,6 +382,68 @@ fn layouts_hold_under_seeded_chaos_on_both_arms() {
                 ..Default::default()
             });
             run_grid(&ctx, &[n], &mut rng);
+        }
+    }
+}
+
+/// What each worker stored for `a`, in rank order: its meta and its
+/// segment's dtype and length.
+fn stored(ctx: &OdinContext, a: &DistArray<'_>) -> Vec<(ArrayMeta, DType, usize)> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    ctx.run_spmd(&[a], move |scope, ids| {
+        let (meta, seg) = (scope.meta(ids[0]).clone(), scope.local(ids[0]));
+        let row = (scope.rank(), meta, seg.dtype(), seg.len());
+        sink.lock()
+            .expect("a worker panicked holding the sink")
+            .push(row);
+    });
+    let mut seen = seen.lock().expect("workers are done").clone();
+    seen.sort_by_key(|row| row.0);
+    seen.into_iter().map(|(_, m, d, n)| (m, d, n)).collect()
+}
+
+#[test]
+fn master_and_workers_agree_on_every_result() {
+    for p in [1, 3, 4] {
+        let ctx = OdinContext::with_workers(p);
+        let grid = ctx.random_dist(&[7, 3], 5, Dist::Cyclic);
+        let flags = ctx.random_dist(&[7, 3], 6, Dist::BlockCyclic(2)).lt(&grid);
+        let vals: Vec<f64> = (0..10).map(f64::from).collect();
+        let line = ctx.from_vec(&vals, Dist::BlockCyclic(3));
+        let mask = line.binary_scalar(4.5, BinOp::Gt, false);
+        let kernel = ctx.compile_kernel(BODY, "body").expect("BODY compiles");
+        let mut prog = ctx.trace();
+        let t1 = prog.assign(Expr::leaf(&grid) * 2.0 + Expr::leaf(&grid));
+        let t2 = prog.assign(Expr::from(t1) - Expr::leaf(&grid).abs());
+        let mut run = prog.run(&[t1, t2]);
+        assert_eq!(run.stats().kernel_launches, 1, "t1 and t2 fuse");
+        let results = [
+            ("Create", ctx.zeros_dist(&[5, 2], DType::I64, Dist::Cyclic)),
+            ("SetData", ctx.from_vec(&vals, Dist::Cyclic)),
+            ("Redistribute", grid.redistribute(Dist::BlockCyclic(2))),
+            (
+                "Slice",
+                grid.slice(&[SliceSpec::new(1, 7, 2), SliceSpec::new(0, 3, 2)]),
+            ),
+            ("Reduce axis 0", flags.sum_axis(0)),
+            ("Reduce axis 1", grid.max_axis(1)),
+            ("CumSum", mask.cumsum()),
+            ("Concat", mask.concat(&line)),
+            ("MatMul", grid.matmul(&ctx.random(&[3, 2], 7))),
+            ("eager ufunc", flags),
+            ("Kernel::map", kernel.map(&[&grid, &grid, &grid])),
+            ("Program t1", run.array(t1)),
+            ("Program t2", run.array(t2)),
+        ];
+        for (what, a) in &results {
+            let want = a.meta();
+            for (rank, (meta, dtype, len)) in stored(&ctx, a).into_iter().enumerate() {
+                let case = format!("{what}, worker {rank} of {p}");
+                assert_eq!(meta, want, "meta, {case}");
+                assert_eq!(dtype, want.dtype, "segment dtype, {case}");
+                assert_eq!(len, want.local_len(p, rank), "segment length, {case}");
+            }
         }
     }
 }

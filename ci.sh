@@ -118,6 +118,16 @@ if grep -n 'pub axis' crates/odin/src/protocol.rs; then
   exit 1
 fi
 
+echo "== kernels keyed on structure (no literal lowers into a kernel body)"
+# `Program` lowering binds every literal as a kernel scalar parameter, so
+# expressions that differ only in their constants share one registration
+# and one native build. A constant emitted into the body puts a value in
+# the kernel's key, and every fresh constant pays a `cc` build again.
+if odin_code crates/odin/src/program.rs | grep -nE 'emit_const|Const[FI]'; then
+  echo "kernel-key gate: crates/odin/src/program.rs emits a constant into a kernel body" >&2
+  exit 1
+fi
+
 echo "== CHANGES entry size (one line per PR, at most 1200 bytes)"
 # The newest entry says what changed, what was measured and where the
 # detail lives; the detail itself belongs in DESIGN, EXPERIMENTS or the

@@ -48,7 +48,7 @@ const DEF_KEYWORDS: [&str; 8] = [
 /// Paper surface that only its own file exercises (the unit tests beside
 /// it, or one sibling method): name → where the paper asks for it. An
 /// entry that is no longer reported is stale and fails the gate too.
-const KEPT: [(&str, &str); 15] = [
+const KEPT: [(&str, &str); 13] = [
     ("waitall", "Fig. 1, workers' direct MPI: Waitall"),
     ("waitany", "Fig. 1, workers' direct MPI: Waitany"),
     ("norm1", "Table I, Epetra/Tpetra vectors: Norm1"),
@@ -61,8 +61,6 @@ const KEPT: [(&str, &str); 15] = [
     ("cyclic_map", "Table I, Galeri: common maps"),
     ("map_with", "Table I, Galeri: common maps"),
     ("skewed_block_map", "Table I, Galeri: Isorropia's input"),
-    ("begin_batch", "§III-B: batched control messages"),
-    ("flush_batch", "§III-B: batched control messages"),
     ("jit_from_values", "§IV-A: @jit type discovery"),
 ];
 

@@ -3,10 +3,14 @@
 //!
 //! The master owns array *handles* and broadcasts small control commands;
 //! the workers ([`crate::worker`]) own the array *segments* and execute
-//! the commands in order. Control messages can be *batched*
-//! ([`OdinContext::begin_batch`]) "for the frequent case when
-//! communication latency is significant" (§III-B). Reply futures live in
-//! [`crate::reply`], checkpoint/recover/resize in [`crate::recover`].
+//! the commands in order. Control messages are always *batched* "for the
+//! frequent case when communication latency is significant" (§III-B): a
+//! fire-and-forget command is appended to a per-worker buffer, and the
+//! buffer goes out as one post per worker ([`OdinContext::flush_batch`])
+//! when the master dispatches a reply-bearing command, sends a data
+//! command or a local function, calls [`OdinContext::barrier`], or drops
+//! the context. Reply futures live in [`crate::reply`],
+//! checkpoint/recover/resize in [`crate::recover`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -58,7 +62,9 @@ pub struct ContextStats {
     pub data_msgs: u64,
     /// Total data bytes.
     pub data_bytes: u64,
-    /// Physical channel sends (batching reduces this, not ctrl_msgs).
+    /// Physical channel sends: one per worker per flush of the command
+    /// buffer, one per data command (batching reduces this, not
+    /// ctrl_msgs).
     pub channel_sends: u64,
 }
 
@@ -99,7 +105,8 @@ pub struct OdinContext {
     pub(crate) next_kernel: Cell<u64>,
     pub(crate) metas: RefCell<HashMap<u64, ArrayMeta>>,
     pub(crate) stats: RefCell<ContextStats>,
-    pub(crate) batch: RefCell<Option<Vec<Vec<u8>>>>,
+    /// Per worker: encoded commands not yet posted.
+    pub(crate) batch: RefCell<Vec<Vec<u8>>>,
     pub(crate) engine: RefCell<ReplyEngine>,
 }
 
@@ -136,7 +143,7 @@ impl OdinContext {
             next_kernel: Cell::new(1),
             metas: RefCell::new(HashMap::new()),
             stats: RefCell::new(ContextStats::default()),
-            batch: RefCell::new(None),
+            batch: RefCell::new(vec![Vec::new(); config.n_workers]),
             engine: RefCell::new(ReplyEngine {
                 issued: vec![0; config.n_workers],
                 arrived: vec![0; config.n_workers],
@@ -202,26 +209,18 @@ impl OdinContext {
 
     /// The master thread is not a simulated rank, so its spans use wall
     /// time on both axes; §III-J control-vs-data traffic lands in the
-    /// registry under `odin.ctrl_*` / `odin.data_*`.
+    /// registry under `odin.ctrl_*` / `odin.data_*`. A dispatch only
+    /// buffers its command, so the flush that posts it owns the flow.
     #[cold]
-    fn obs_ctrl(&self, cmd_bytes: usize, batched: bool, timer: obs::span::SpanTimer, flow: u64) {
-        timer.finish_meta(
+    fn obs_ctrl(&self, cmd_bytes: usize, timer: obs::span::SpanTimer) {
+        timer.finish(
             "odin",
-            if batched {
-                "dispatch(batched)"
-            } else {
-                "dispatch"
-            },
+            "dispatch",
             obs::span::wall_now_s(),
             &[
                 ("cmd_bytes", cmd_bytes as f64),
                 ("workers", self.n_workers as f64),
             ],
-            obs::span::SpanMeta {
-                kind: obs::span::SpanKind::Other,
-                flow_out: flow,
-                flow_in: 0,
-            },
         );
         let g = obs::global();
         g.counter("odin.ctrl_msgs").add(self.n_workers as u64);
@@ -277,15 +276,6 @@ impl OdinContext {
         }
     }
 
-    /// Begin buffering control commands; nothing is sent until
-    /// [`Self::flush_batch`]. Models the paper's latency-amortizing
-    /// message buffering.
-    pub fn begin_batch(&self) {
-        let mut b = self.batch.borrow_mut();
-        assert!(b.is_none(), "batch already open");
-        *b = Some((0..self.n_workers).map(|_| Vec::new()).collect());
-    }
-
     /// Best-effort post to one worker. A refused post means the worker
     /// thread exited (killed, panicked, or shut down); instead of
     /// panicking, the death is recorded and surfaces as a typed
@@ -297,38 +287,26 @@ impl OdinContext {
         }
     }
 
-    /// Post one block of encoded commands to every worker under one flow
-    /// id. The last worker takes ownership of the block; only the first
-    /// n−1 posts pay for a copy.
-    fn broadcast(&self, mut bytes: Vec<u8>, flow: u64) {
-        for w in 0..self.n_workers {
-            let block = if w + 1 == self.n_workers {
-                std::mem::take(&mut bytes)
-            } else {
-                bytes.clone()
-            };
-            self.worker_send(w, Payload::Bytes(block), flow);
-        }
-    }
-
-    /// Send all buffered commands, one post per worker.
+    /// Post every buffered command: one post per worker whose buffer is
+    /// not empty, none at all when nothing is buffered. The master calls
+    /// this itself wherever the order or a reply depends on it (see the
+    /// module docs); calling it by hand only posts sooner.
     pub fn flush_batch(&self) {
+        if self.batch.borrow().iter().all(Vec::is_empty) {
+            return;
+        }
         let timer = self.obs_timer();
         let flow = Self::ctrl_flow(&timer);
-        let bufs = self.batch.borrow_mut().take().expect("no open batch");
         let mut sends = 0u64;
         let mut flushed_bytes = 0u64;
-        for (w, bytes) in bufs.into_iter().enumerate() {
-            if !bytes.is_empty() {
-                {
-                    let mut st = self.stats.borrow_mut();
-                    st.channel_sends += 1;
-                }
+        for (w, buf) in self.batch.borrow_mut().iter_mut().enumerate() {
+            if !buf.is_empty() {
                 sends += 1;
-                flushed_bytes += bytes.len() as u64;
-                self.worker_send(w, Payload::Bytes(bytes), flow);
+                flushed_bytes += buf.len() as u64;
+                self.worker_send(w, Payload::Bytes(std::mem::take(buf)), flow);
             }
         }
+        self.stats.borrow_mut().channel_sends += sends;
         if let Some(t) = timer {
             t.finish_meta(
                 "odin",
@@ -344,43 +322,37 @@ impl OdinContext {
         }
     }
 
-    /// Broadcast a control command to every worker.
+    /// Broadcast a control command to every worker: append it to every
+    /// worker's buffer. A reply-bearing command is posted at once by the
+    /// ticket its reply future takes.
     pub(crate) fn send_cmd(&self, cmd: &Cmd) {
         self.record_meta(cmd);
         let timer = self.obs_timer();
-        let bytes = comm::encode_to_vec(cmd);
-        let n_bytes = bytes.len();
+        let n_bytes = self.buffer_cmd(cmd);
         {
             let mut st = self.stats.borrow_mut();
             st.ctrl_msgs += self.n_workers as u64;
             st.ctrl_bytes += (n_bytes * self.n_workers) as u64;
         }
-        let mut batch = self.batch.borrow_mut();
-        if let Some(bufs) = batch.as_mut() {
-            for buf in bufs.iter_mut() {
-                buf.extend_from_slice(&bytes);
-            }
-            drop(batch);
-            if let Some(t) = timer {
-                // Batched: nothing sent yet; the flush span owns the flow.
-                self.obs_ctrl(n_bytes, true, t, 0);
-            }
-            return;
-        }
-        drop(batch);
-        let flow = Self::ctrl_flow(&timer);
-        self.stats.borrow_mut().channel_sends += self.n_workers as u64;
-        self.broadcast(bytes, flow);
         if let Some(t) = timer {
-            self.obs_ctrl(n_bytes, false, t, flow);
+            self.obs_ctrl(n_bytes, t);
         }
     }
 
+    /// Append `cmd`'s encoding to every worker's buffer; returns its size.
+    fn buffer_cmd(&self, cmd: &Cmd) -> usize {
+        let bytes = comm::encode_to_vec(cmd);
+        for buf in self.batch.borrow_mut().iter_mut() {
+            buf.extend_from_slice(&bytes);
+        }
+        bytes.len()
+    }
+
     /// Send a worker-specific (data-carrying) command. Data commands
-    /// cannot ride in a batch, so an open batch is flushed first to keep
-    /// command order intact.
+    /// cannot ride in the buffer, so it is flushed first to keep command
+    /// order intact.
     pub(crate) fn send_cmd_to(&self, worker: usize, cmd: &Cmd) {
-        self.flush_open_batch();
+        self.flush_batch();
         self.record_meta(cmd);
         let timer = self.obs_timer();
         let bytes = comm::encode_to_vec(cmd);
@@ -411,8 +383,9 @@ impl OdinContext {
     /// Broadcast a local-mode function object (the paper's decorator
     /// "broadcasts the resulting function object to all worker nodes"):
     /// the one post that rides the region arm, since a native closure has
-    /// no wire encoding.
+    /// no wire encoding. The buffer is flushed first to keep command order.
     pub(crate) fn send_local_fn(&self, id: u64, f: &LocalFn) {
+        self.flush_batch();
         for w in 0..self.n_workers {
             let region = comm::Region::new((id, Arc::clone(f)), 0);
             self.worker_send(w, Payload::Region(region), 0);
@@ -464,18 +437,9 @@ impl OdinContext {
         id
     }
 
-    /// Flush the open batch if there is one (every reply-wait path calls
-    /// this, so waiting on a reply issued inside a batch cannot deadlock).
-    pub(crate) fn flush_open_batch(&self) {
-        if self.batch.borrow().is_some() {
-            self.flush_batch();
-        }
-    }
-
-    /// Synchronize: all queued commands (batched or not) have completed
-    /// when this returns.
+    /// Synchronize: all commands issued so far have completed when this
+    /// returns.
     pub fn barrier(&self) {
-        self.flush_open_batch();
         self.send_cmd(&Cmd::Ping);
         let _ = self.pending_all("barrier").wait();
     }
@@ -490,7 +454,6 @@ impl OdinContext {
     /// Fallible [`Self::barrier`]: a dead worker surfaces as
     /// [`OdinError::WorkerDead`] in bounded time instead of a panic.
     pub fn try_barrier(&self) -> Result<(), OdinError> {
-        self.flush_open_batch();
         self.send_cmd(&Cmd::Ping);
         self.pending_all("barrier").try_wait().map(|_| ())
     }
@@ -523,8 +486,10 @@ impl OdinContext {
 
 impl Drop for OdinContext {
     fn drop(&mut self) {
-        // Best-effort shutdown; workers may already be gone in panic paths.
-        self.broadcast(comm::encode_to_vec(&Cmd::Shutdown), 0);
+        // Best-effort shutdown behind whatever is still buffered; workers
+        // may already be gone in panic paths.
+        self.buffer_cmd(&Cmd::Shutdown);
+        self.flush_batch();
         if let Some(pool) = self.pool.borrow_mut().take() {
             let universe = &self.config.universe;
             let faulty = universe.fault.is_active() || self.dead.borrow().iter().any(|&d| d);
@@ -545,6 +510,8 @@ impl Drop for OdinContext {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::buffer::DType;
+    use crate::protocol::Dist;
     use std::time::Instant;
 
     #[test]
@@ -556,53 +523,74 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn batching_reduces_channel_sends() {
+    fn fire_and_forget_commands_ride_the_next_reply_bearing_post() {
         let ctx = OdinContext::with_workers(2);
+        let x = ctx.ones(&[8], DType::F64);
+        drop(&x + 1.0); // registers the one-op kernel
+        let _ = x.sum(); // and the identity reduction's
         ctx.reset_stats();
-        ctx.begin_batch();
-        for _ in 0..10 {
-            ctx.send_cmd(&Cmd::Ping);
-        }
-        ctx.flush_batch();
+        const K: u64 = 10;
+        let ys: Vec<_> = (0..K).map(|_| &x + 1.0).collect();
+        drop(ys); // K launches and K frees, all buffered
+        assert_eq!(ctx.stats().channel_sends, 0, "nothing posted yet");
+        assert_eq!(x.sum(), 8.0);
         let st = ctx.stats();
-        assert_eq!(st.ctrl_msgs, 20); // 10 commands × 2 workers
-        assert_eq!(st.channel_sends, 2); // but only one physical send each
-                                         // drain the 20 ping replies (they interleave across workers)
-        ctx.drain_replies(20);
+        assert_eq!(st.ctrl_msgs, (2 * K + 1) * 2);
+        assert_eq!(st.channel_sends, 2, "one post per worker for all of it");
     }
 
     #[test]
-    fn reduction_inside_open_batch_flushes_instead_of_deadlocking() {
+    fn data_commands_post_behind_the_buffered_stream() {
         let ctx = OdinContext::with_workers(2);
-        let x = ctx.ones(&[8], crate::buffer::DType::F64);
-        ctx.begin_batch();
-        // sum() buffers its EvalKernel into the batch; wait() must flush it
-        assert!((x.sum() - 8.0).abs() < 1e-12);
-        // the batch was consumed: opening a fresh one must not panic
-        ctx.begin_batch();
-        ctx.flush_batch();
+        let a = ctx.from_vec(&[1.0, 2.0, 3.0, 4.0], Dist::Block);
+        let b = &a * 2.0; // buffered, reads `a`
+        ctx.reset_stats();
+        let c = ctx.from_vec(&[10.0; 4], Dist::Block);
+        let st = ctx.stats();
+        assert_eq!(
+            st.channel_sends,
+            2 + 2,
+            "buffer flush, then one post per segment"
+        );
+        assert_eq!(st.data_msgs, 2);
+        assert_eq!((&b + &c).to_vec(), vec![12.0, 14.0, 16.0, 18.0]);
     }
 
     #[test]
-    fn barrier_flushes_open_batch() {
+    fn barrier_and_drop_post_the_buffer() {
         let ctx = OdinContext::with_workers(2);
-        let x = ctx.ones(&[6], crate::buffer::DType::F64);
-        ctx.begin_batch();
-        let y = &x + 1.0;
-        ctx.barrier(); // must flush the buffered Binary command first
+        let x = ctx.ones(&[6], DType::F64);
+        let y = &x + 1.0; // buffered
+        ctx.barrier();
+        assert!(ctx.batch.borrow().iter().all(Vec::is_empty));
         assert_eq!(y.to_vec(), vec![2.0; 6]);
+        drop(&y * 3.0); // a launch and a free, still buffered at the drop
+        drop((x, y));
+        drop(ctx); // posts them ahead of Shutdown, so the join returns
     }
 
     #[test]
-    fn data_command_flushes_open_batch_preserving_order() {
-        let ctx = OdinContext::with_workers(2);
-        let x = ctx.ones(&[4], crate::buffer::DType::F64);
-        ctx.begin_batch();
-        let doubled = &x * 2.0; // batched
-        let v = ctx.from_vec(&[9.0, 9.0], crate::protocol::Dist::Block); // data cmd
-        ctx.flush_open_batch(); // already flushed by from_vec; must be a no-op path
-        assert_eq!(doubled.to_vec(), vec![2.0; 4]);
-        assert_eq!(v.to_vec(), vec![9.0, 9.0]);
+    fn a_worker_killed_under_buffered_commands_is_a_typed_error_at_the_next_wait() {
+        // Worker 1 dies at its third command; all four commands sit in
+        // the master's buffer until the barrier posts them.
+        let ctx = OdinContext::new(chaos_config(3, 1, 3));
+        let x = ctx.zeros(&[6], DType::F64); // command 1
+        drop(&x + 1.0); // 2: RegisterKernel, 3: EvalKernel (the kill), 4: Free
+        assert_eq!(ctx.stats().channel_sends, 0);
+        let t0 = Instant::now();
+        let err = ctx.try_barrier().unwrap_err();
+        assert!(
+            matches!(err, OdinError::WorkerDead { worker: 1, .. }),
+            "{err}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        // Commands buffered after the death post without a panic, and the
+        // next wait names the same worker.
+        drop(&x * 3.0);
+        assert!(matches!(
+            ctx.try_barrier(),
+            Err(OdinError::WorkerDead { worker: 1, .. })
+        ));
     }
 
     pub(crate) fn chaos_config(
@@ -628,7 +616,7 @@ pub(crate) mod tests {
         // Worker 1 dies at its second command (the Ping below), after
         // replying to nothing — the master must get a typed error, fast.
         let ctx = OdinContext::new(chaos_config(3, 1, 2));
-        let _x = ctx.zeros(&[6], crate::buffer::DType::F64); // command 1
+        let _x = ctx.zeros(&[6], DType::F64); // command 1
         let t0 = Instant::now();
         let err = ctx.try_barrier().unwrap_err(); // command 2: kills worker 1
         match err {

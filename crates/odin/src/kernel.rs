@@ -205,9 +205,11 @@ impl<'c> KernelSpec<'c> {
             Tier::Vm => false,
             Tier::Native => {
                 let armed = match dtype {
-                    DType::F64 => seamless::codegen::native::<f64>(&program, &[ret_reg]).is_some(),
+                    DType::F64 => {
+                        seamless::codegen::native::<f64>(&program, &[ret_reg], 0).is_some()
+                    }
                     DType::I64 | DType::Bool => {
-                        seamless::codegen::native::<i64>(&program, &[ret_reg]).is_some()
+                        seamless::codegen::native::<i64>(&program, &[ret_reg], 0).is_some()
                     }
                 };
                 if obs::enabled() {

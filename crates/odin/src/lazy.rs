@@ -7,7 +7,8 @@
 //! lone expression and a multi-statement trace share one interner, one
 //! operand aligner and one lowering to Seamless bytecode. The kernel is
 //! registered once on every worker (structurally identical expressions
-//! reuse the registration) and executes in one unboxed pass over each
+//! reuse the registration, whatever their literals' values: those travel
+//! as scalar parameters) and executes in one unboxed pass over each
 //! worker's segment — no intermediate arrays, and each invoke after the
 //! first is a tens-of-bytes control message.
 //! [`Expr::eval_unfused`] materializes every node through the eager
@@ -376,13 +377,6 @@ impl Lowerer {
     fn bool_to_f(&mut self, i_src: Reg) -> Reg {
         let d = self.fresh_f();
         self.instrs.push(Instr::IToF(d, i_src));
-        d
-    }
-
-    /// Emit a broadcast constant; returns its F register.
-    pub(crate) fn emit_const(&mut self, v: f64) -> Reg {
-        let d = self.fresh_f();
-        self.instrs.push(Instr::ConstF(d, v));
         d
     }
 

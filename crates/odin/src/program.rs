@@ -110,24 +110,41 @@ enum ArrayInput {
     Ref(usize),
 }
 
+/// Which value feeds a fused-kernel scalar parameter: an earlier
+/// reduction statement's, or a literal of the expression (by its bits).
+/// Every literal travels as a parameter, so a kernel's key is its
+/// structure and dtypes, never the values it was called with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ScalarInput {
+    Reduce(usize),
+    Literal(u64),
+}
+
 /// Distinct operands of one statement, in first-seen left-to-right order
 /// (the parameter-binding order of its kernel). The first array is the
 /// statement's template: its geometry is the result's.
 #[derive(Debug, Default)]
 struct StmtInputs {
     arrays: Vec<ArrayInput>,
-    /// Reduction statements whose values this statement reads.
-    scalars: Vec<usize>,
+    scalars: Vec<ScalarInput>,
 }
 
 impl StmtInputs {
+    /// Reduction statements whose values this statement reads.
+    fn reductions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.scalars.iter().filter_map(|s| match s {
+            ScalarInput::Reduce(d) => Some(*d),
+            ScalarInput::Literal(_) => None,
+        })
+    }
+
     /// Earlier statements this one reads.
     fn deps(&self) -> impl Iterator<Item = usize> + '_ {
         let refs = self.arrays.iter().filter_map(|a| match a {
             ArrayInput::Ref(d) => Some(*d),
             ArrayInput::Leaf(_) => None,
         });
-        refs.chain(self.scalars.iter().copied())
+        refs.chain(self.reductions())
     }
 }
 
@@ -221,9 +238,9 @@ enum Step {
 struct LoweredGroup {
     program: seamless::bytecode::Program,
     /// External operands in parameter order: arrays first, then the
-    /// reduction statements whose values arrive as scalars.
+    /// scalars (reduction values and literals).
     array_inputs: Vec<ArrayInput>,
-    scalar_inputs: Vec<usize>,
+    scalar_inputs: Vec<ScalarInput>,
     /// `(stmt, register)` per harvested output, in statement order.
     outs: Vec<(usize, Reg)>,
 }
@@ -234,7 +251,8 @@ struct Emitted {
     /// Per interned node: the register holding it (CSE at the register
     /// level — a node shared by several statements is emitted once).
     node: Vec<Option<Reg>>,
-    /// Per statement of this group lowered so far: its root's register.
+    /// Per statement of this group lowered so far: the register holding
+    /// its value as its dtype stores it.
     stmt_root: Vec<Option<Reg>>,
 }
 
@@ -425,7 +443,8 @@ impl<'x, 'c> Program<'x, 'c> {
     /// Distinct array/scalar operands reachable from `root`, first-seen
     /// left-to-right (the emission order of [`Self::emit_node`]). Operand
     /// nodes are interned, so visiting each node once also visits each
-    /// operand once.
+    /// operand once. A `powi`-eligible exponent is structure, not an
+    /// operand.
     fn node_inputs(&self, root: usize) -> StmtInputs {
         let mut inputs = StmtInputs::default();
         let mut visited = vec![false; root + 1];
@@ -440,13 +459,25 @@ impl<'x, 'c> Program<'x, 'c> {
         match self.nodes[node].key {
             NodeKey::Leaf(slot) => out.arrays.push(ArrayInput::Leaf(slot)),
             NodeKey::Ref(s) => out.arrays.push(ArrayInput::Ref(s)),
-            NodeKey::ScalarRef(s) => out.scalars.push(s),
-            NodeKey::Scalar(_) => {}
+            NodeKey::ScalarRef(s) => out.scalars.push(ScalarInput::Reduce(s)),
+            NodeKey::Scalar(bits) => out.scalars.push(ScalarInput::Literal(bits)),
             NodeKey::Unary(_, c) => self.walk_inputs(c, visited, out),
-            NodeKey::Binary(_, a, b) => {
+            NodeKey::Binary(op, a, b) => {
                 self.walk_inputs(a, visited, out);
-                self.walk_inputs(b, visited, out);
+                if self.pow_const(op, b).is_none() {
+                    self.walk_inputs(b, visited, out);
+                }
             }
+        }
+    }
+
+    /// `x ** c` with a small integral constant exponent: the exponent
+    /// stays in the body, strength-reduced to powi exactly as the eager
+    /// scalar-broadcast ufunc does.
+    fn pow_const(&self, op: BinOp, rhs: usize) -> Option<i32> {
+        match (op, self.nodes[rhs].key) {
+            (BinOp::Pow, NodeKey::Scalar(bits)) => powic_exponent(f64::from_bits(bits)),
+            _ => None,
         }
     }
 
@@ -494,7 +525,7 @@ impl<'x, 'c> Program<'x, 'c> {
                     min_step = min_step.max(stmt_step[d] + usize::from(!same_group));
                 }
             }
-            for &d in &stmt.inputs.scalars {
+            for d in stmt.inputs.reductions() {
                 min_step = min_step.max(stmt_step[d] + 1);
             }
             // Join the latest compatible kernel group at or after
@@ -602,17 +633,20 @@ impl<'x, 'c> Program<'x, 'c> {
                         input_ids.push(copy.id());
                     }
                     // Resolve scalar parameters, draining earlier replies
-                    // in order until each value is known.
+                    // in order until each reduction value is known.
                     let mut scalars: Vec<f64> = Vec::with_capacity(lg.scalar_inputs.len());
-                    for &d in &lg.scalar_inputs {
-                        scalars.push(loop {
-                            if let Some(v) = scalar_vals[d] {
-                                break v;
-                            }
-                            let reply = pendings
-                                .pop_front()
-                                .expect("scheduler ordered a scalar before its reduction");
-                            settle(reply, &mut scalar_vals);
+                    for &inp in &lg.scalar_inputs {
+                        scalars.push(match inp {
+                            ScalarInput::Literal(bits) => f64::from_bits(bits),
+                            ScalarInput::Reduce(d) => loop {
+                                if let Some(v) = scalar_vals[d] {
+                                    break v;
+                                }
+                                let reply = pendings
+                                    .pop_front()
+                                    .expect("scheduler ordered a scalar before its reduction");
+                                settle(reply, &mut scalar_vals);
+                            },
                         });
                     }
                     let kernel = ctx.register_kernel_program(lg.program);
@@ -701,10 +735,12 @@ impl<'x, 'c> Program<'x, 'c> {
     /// Lower one fused group to straight-line bytecode through the shared
     /// [`Lowerer`] emitters — the only place an expression becomes a
     /// kernel. Parameters bind the group's external operands in
-    /// first-seen order; shared subexpressions are emitted once, and a
-    /// cross-statement ref is either read from the producer's register
-    /// (plus the materialize/stage cast when its dtype isn't F64) or
-    /// bound as a parameter.
+    /// first-seen order, arrays then scalars, literals included, so the
+    /// body holds no value a caller chose. Shared subexpressions are
+    /// emitted once. Each statement's value ends in its materialize/stage
+    /// cast when its dtype isn't F64: a cross-statement ref in the group
+    /// reads that register, the launch harvests it, and the result dtype
+    /// is part of the body.
     fn lower_group(
         &self,
         group: &Group,
@@ -713,7 +749,7 @@ impl<'x, 'c> Program<'x, 'c> {
     ) -> LoweredGroup {
         let this_group = stmt_group[group.stmts[0]];
         let mut array_inputs: Vec<ArrayInput> = Vec::new();
-        let mut scalar_inputs: Vec<usize> = Vec::new();
+        let mut scalar_inputs: Vec<ScalarInput> = Vec::new();
         for &s in &group.stmts {
             for &a in &self.stmts[s].inputs.arrays {
                 let internal = matches!(a, ArrayInput::Ref(d) if stmt_group[d] == this_group);
@@ -721,9 +757,9 @@ impl<'x, 'c> Program<'x, 'c> {
                     array_inputs.push(a);
                 }
             }
-            for &d in &self.stmts[s].inputs.scalars {
-                if !scalar_inputs.contains(&d) {
-                    scalar_inputs.push(d);
+            for &v in &self.stmts[s].inputs.scalars {
+                if !scalar_inputs.contains(&v) {
+                    scalar_inputs.push(v);
                 }
             }
         }
@@ -747,6 +783,7 @@ impl<'x, 'c> Program<'x, 'c> {
                 StmtKind::Redistribute { .. } => unreachable!("redistributes are never grouped"),
             };
             let r = self.emit_node(root, &mut em, &array_inputs, &scalar_inputs);
+            let r = em.lw.emit_materialize_cast(r, self.stmts[s].out_meta.dtype);
             em.stmt_root[s] = Some(r);
             if keep {
                 outs.push((s, r));
@@ -772,7 +809,7 @@ impl<'x, 'c> Program<'x, 'c> {
         node: usize,
         em: &mut Emitted,
         arrays: &[ArrayInput],
-        scalars: &[usize],
+        scalars: &[ScalarInput],
     ) -> Reg {
         if let Some(r) = em.node[node] {
             return r;
@@ -780,36 +817,23 @@ impl<'x, 'c> Program<'x, 'c> {
         const COLLECTED: &str = "operand was collected as a group input";
         let array_param =
             |a: ArrayInput| arrays.iter().position(|x| *x == a).expect(COLLECTED) as Reg;
+        let scalar_param = |v: ScalarInput| {
+            (arrays.len() + scalars.iter().position(|x| *x == v).expect(COLLECTED)) as Reg
+        };
         let r = match self.nodes[node].key {
             NodeKey::Leaf(slot) => array_param(ArrayInput::Leaf(slot)),
-            NodeKey::Scalar(bits) => em.lw.emit_const(f64::from_bits(bits)),
-            NodeKey::ScalarRef(d) => {
-                let k = scalars.iter().position(|x| *x == d).expect(COLLECTED);
-                (arrays.len() + k) as Reg
-            }
-            NodeKey::Ref(d) => match em.stmt_root[d] {
-                // Producer fused into this very kernel: read its root
-                // register through the materialize/stage cast so the
-                // value matches the materialize-then-stage route.
-                Some(src) => em
-                    .lw
-                    .emit_materialize_cast(src, self.stmts[d].out_meta.dtype),
-                None => array_param(ArrayInput::Ref(d)),
-            },
+            NodeKey::Scalar(bits) => scalar_param(ScalarInput::Literal(bits)),
+            NodeKey::ScalarRef(d) => scalar_param(ScalarInput::Reduce(d)),
+            // Producer fused into this very kernel: its register already
+            // holds the materialize-then-stage value.
+            NodeKey::Ref(d) => em.stmt_root[d].unwrap_or_else(|| array_param(ArrayInput::Ref(d))),
             NodeKey::Unary(op, c) => {
                 let s = self.emit_node(c, em, arrays, scalars);
                 em.lw.emit_unary(op, s)
             }
             NodeKey::Binary(op, a, b) => {
                 let ar = self.emit_node(a, em, arrays, scalars);
-                // `x ** c` with a small integral constant exponent:
-                // strength-reduce to powi without materializing the rhs,
-                // exactly as the eager scalar-broadcast ufunc does.
-                let pow_const = match (op, self.nodes[b].key) {
-                    (BinOp::Pow, NodeKey::Scalar(bits)) => powic_exponent(f64::from_bits(bits)),
-                    _ => None,
-                };
-                match pow_const {
+                match self.pow_const(op, b) {
                     Some(e) => em.lw.emit_pow_const(ar, e),
                     None => {
                         let br = self.emit_node(b, em, arrays, scalars);

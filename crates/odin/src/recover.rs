@@ -60,6 +60,8 @@ impl OdinContext {
         let old_pool = self.pool.borrow_mut().replace(pool);
         drop(self.host.replace(host));
         self.dead.borrow_mut().fill(false);
+        // Commands still buffered were meant for the dead pool.
+        self.batch.borrow_mut().iter_mut().for_each(Vec::clear);
         if let Some(old) = old_pool {
             if self.config.universe.stall_timeout.is_some() {
                 // Worker-side waits are bounded, so the join is too.
@@ -140,6 +142,7 @@ impl OdinContext {
         // Re-dimension the per-worker books before recover() `.fill()`s
         // them; stale entries from the old size would misindex.
         *self.dead.borrow_mut() = vec![false; n_workers];
+        *self.batch.borrow_mut() = vec![Vec::new(); n_workers];
         {
             let mut eng = self.engine.borrow_mut();
             eng.issued = vec![0; n_workers];

@@ -33,9 +33,8 @@ pub(crate) struct ReplyEngine {
 type Decode<T> = Box<dyn FnOnce(Vec<Payload>) -> T>;
 
 /// A reply future: the handle returned by pipelined dispatch. Dropping it
-/// abandons the reply (the engine discards it on arrival); [`Pending::wait`]
-/// first flushes any open command batch, so waiting inside a batch can
-/// never deadlock.
+/// abandons the reply (the engine discards it on arrival). Its command was
+/// posted when its tickets were issued, so [`Pending::ready`] can poll it.
 #[must_use = "dropping a Pending abandons its reply; call wait() (or hold it to overlap master-side work with the workers)"]
 pub struct Pending<'c, T> {
     ctx: &'c OdinContext,
@@ -50,9 +49,9 @@ impl<'c, T> Pending<'c, T> {
         self.ctx.tickets_ready(&self.tickets)
     }
 
-    /// Block until every reply arrives and decode the result. Flushes any
-    /// open command batch first. Panics with the [`OdinError`] diagnostic
-    /// if a worker dies; use [`Self::try_wait`] for a typed error.
+    /// Block until every reply arrives and decode the result. Panics with
+    /// the [`OdinError`] diagnostic if a worker dies; use
+    /// [`Self::try_wait`] for a typed error.
     pub fn wait(mut self) -> T {
         let tickets = std::mem::take(&mut self.tickets);
         let replies = self.ctx.await_tickets(&tickets, self.span_name);
@@ -89,8 +88,12 @@ impl<T> Drop for Pending<'_, T> {
 }
 
 impl OdinContext {
-    /// Reserve the next reply ticket from `worker`.
+    /// Reserve the next reply ticket from `worker`. A ticket means a
+    /// reply-bearing command was just dispatched, so the command buffer is
+    /// posted here — at dispatch, not at the wait, so a future that is
+    /// only polled completes too.
     fn issue_ticket(&self, worker: usize) -> (usize, u64) {
+        self.flush_batch();
         let mut eng = self.engine.borrow_mut();
         let t = eng.issued[worker];
         eng.issued[worker] += 1;
@@ -198,7 +201,6 @@ impl OdinContext {
         tickets: &[(usize, u64)],
         name: &'static str,
     ) -> Result<Vec<Payload>, OdinError> {
-        self.flush_open_batch();
         let timer = self.obs_timer();
         let mut out = Vec::with_capacity(tickets.len());
         let mut reply_bytes = 0u64;
@@ -284,22 +286,6 @@ impl OdinContext {
             .map(|reply| reply.into_wire_bytes().expect("a wire-bytes reply"))
             .collect()
     }
-
-    /// Drain `n` replies (used when several reply-bearing commands were
-    /// batched). Broadcast commands produce one reply per worker, so `n`
-    /// must be a multiple of the worker count.
-    pub fn drain_replies(&self, n: usize) {
-        assert!(
-            n.is_multiple_of(self.n_workers),
-            "drain_replies needs one reply per worker per command"
-        );
-        let per = n / self.n_workers;
-        let tickets: Vec<(usize, u64)> = (0..self.n_workers)
-            .flat_map(|w| std::iter::repeat_n(w, per))
-            .map(|w| self.issue_ticket(w))
-            .collect();
-        let _ = self.await_tickets(&tickets, "drain_replies");
-    }
 }
 
 #[cfg(test)]
@@ -325,11 +311,12 @@ mod tests {
     fn pending_ready_polls_without_blocking() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.ones(&[9], crate::buffer::DType::F64);
-        let mut p = x.sum_async();
+        let y = &x * 2.0; // buffered ahead of the reduction
+        let mut p = y.sum_async();
         while !p.ready() {
             std::thread::yield_now();
         }
-        assert!((p.wait() - 9.0).abs() < 1e-12);
+        assert!((p.wait() - 18.0).abs() < 1e-12);
     }
 
     #[test]

@@ -642,9 +642,11 @@ fn exec_kernel<L: KernelLane>(
     // The native cache was warmed master-side at build(), so this lookup
     // never compiles on a worker; a cold cache (a lowered expression's
     // first invoke, a replayed command after recover) compiles once and
-    // probes before use. `out_regs` are part of the cache key.
+    // probes before use. `out_regs` and the scalar count are part of the
+    // cache key: the scalars are the body's trailing parameters, read
+    // once per call as uniforms.
     let native_fn = if native {
-        seamless::codegen::native::<L>(program, &out_regs)
+        seamless::codegen::native::<L>(program, &out_regs, scalars.len())
     } else {
         None
     };
@@ -676,9 +678,16 @@ fn exec_kernel<L: KernelLane>(
                 .then(|| take_row(pool, 0, L::default()))
         })
         .collect();
+    // The VM reads a scalar parameter as a row; the native body reads
+    // lane 0 once per call.
+    let scalar_len = if native_fn.is_some() {
+        step.min(1)
+    } else {
+        step
+    };
     let scalar_rows: Vec<Vec<L>> = scalars
         .iter()
-        .map(|&v| take_row(pool, step, L::from_scalar(v)))
+        .map(|&v| take_row(pool, scalar_len, L::from_scalar(v)))
         .collect();
     let mut start = 0usize;
     while start < n {
@@ -699,7 +708,7 @@ fn exec_kernel<L: KernelLane>(
                 None => &L::borrow(&arrays[id].1).expect("other inputs are staged")[start..end],
             })
             .collect();
-        refs.extend(scalar_rows.iter().map(|r| &r[..len]));
+        refs.extend(scalar_rows.iter().map(|r| &r[..len.min(scalar_len)]));
         {
             let mut dst: Vec<&mut [L]> = harvests
                 .iter_mut()

@@ -9,10 +9,14 @@
 //!
 //! 1. every kernel runs on the VM immediately (tier 0 — always correct);
 //! 2. a straight-line, infallible, scalar body is *monomorphized* per
-//!    (kernel, lane type, output registers) into a C chunk function
+//!    (kernel, lane type, output registers, uniform count) into a C chunk
+//!    function
 //!    `void name$lane$hash(const T* const* in, T* const* out, size_t n)`
 //!    — one input row per parameter, one output row per named register —
-//!    and compiled once per process;
+//!    and compiled once per process. The trailing `n_uniform` parameters
+//!    are *uniforms* (a kernel's scalar arguments): their rows are read
+//!    once, at lane 0, before the lane loop, so a literal lifted out of
+//!    the body costs one load per call, not one row per lane;
 //! 3. the native symbol is swapped in **only after a bitwise-parity
 //!    probe** against the VM on seeded inputs at several widths. Any
 //!    mismatch, compile failure, or unsupported opcode refuses the
@@ -43,23 +47,27 @@ use crate::vm::{Lane, Vm};
 /// callers get slice-checked dispatch instead of raw pointers. The C ABI
 /// is `void f(const L* const* in, L* const* out, size_t n)`: `in` points
 /// at one full-length row per kernel parameter, `out` at one row per
-/// output register, `n` is the lane count.
+/// output register, `n` is the lane count. The last `n_uniform` rows are
+/// read at lane 0 only, so one element each is enough.
 #[derive(Clone, Copy)]
 pub struct NativeFn<L: Lane> {
     f: unsafe extern "C" fn(*const *const L, *const *mut L, usize),
     n_in: usize,
     n_out: usize,
+    n_uniform: usize,
 }
 
 impl<L: Lane> NativeFn<L> {
     /// Run the native body over `n` lanes. Panics (like a slice index
     /// would) if arity or lengths don't line up — callers stage
-    /// full-length rows.
+    /// full-length rows, and at least one lane per uniform.
     pub fn run(&self, inputs: &[&[L]], outs: &mut [&mut [L]], n: usize) {
         assert_eq!(inputs.len(), self.n_in, "native kernel input arity");
         assert_eq!(outs.len(), self.n_out, "native kernel output arity");
+        let n_rows = self.n_in - self.n_uniform;
         assert!(
-            inputs.iter().all(|r| r.len() >= n),
+            inputs[..n_rows].iter().all(|r| r.len() >= n)
+                && inputs[n_rows..].iter().all(|r| r.len() >= n.min(1)),
             "native input rows too short"
         );
         assert!(
@@ -72,8 +80,9 @@ impl<L: Lane> NativeFn<L> {
         let in_ptrs: Vec<*const L> = inputs.iter().map(|r| r.as_ptr()).collect();
         let out_ptrs: Vec<*mut L> = outs.iter_mut().map(|r| r.as_mut_ptr()).collect();
         // SAFETY: the symbol was compiled for exactly n_in/n_out rows, the
-        // rows are ≥ n lanes long, and the parity probe exercised this
-        // pointer protocol before the function was ever published.
+        // rows are ≥ n lanes long (uniforms ≥ 1, read at lane 0 only), and
+        // the parity probe exercised this pointer protocol before the
+        // function was ever published.
         unsafe { (self.f)(in_ptrs.as_ptr(), out_ptrs.as_ptr(), n) }
     }
 }
@@ -90,6 +99,8 @@ struct Key {
     program_hash: u64,
     lane: RegFile,
     out_regs: Vec<(RegFile, Reg)>,
+    /// Trailing parameters read once per call instead of once per lane.
+    n_uniform: usize,
 }
 
 fn cache() -> &'static Mutex<HashMap<Key, Entry>> {
@@ -335,7 +346,9 @@ fn emit_instr(ins: &Instr) -> Option<String> {
 /// Emit the full translation unit for one monomorphization: parameters
 /// load from the `lane` file's input rows, every `out_regs` entry stores
 /// to its own output row (integer registers widen into `double` rows).
-/// Returns `None` when any instruction falls outside the emitter's class.
+/// The last `n_uniform` parameters are uniforms, loaded once into `uK`
+/// before the loop. Returns `None` when any instruction falls outside the
+/// emitter's class.
 ///
 /// Every row pointer is read into a local before the lane loop, so the
 /// loop body indexes rows only (`inK[lane]` / `outJ[lane]`) and the
@@ -347,6 +360,7 @@ fn emit_c(
     symbol: &str,
     lane: RegFile,
     out_regs: &[(RegFile, Reg)],
+    n_uniform: usize,
 ) -> Option<String> {
     let (c_ty, own) = match lane {
         RegFile::F => ("double", 'f'),
@@ -357,8 +371,12 @@ fn emit_c(
     src.push_str(&format!(
         "void {symbol}(const {c_ty}* const* in, {c_ty}* const* out, size_t n) {{\n"
     ));
-    for k in 0..f.params.len() {
+    let n_rows = f.params.len() - n_uniform;
+    for k in 0..n_rows {
         src.push_str(&format!("    const {c_ty}* in{k} = in[{k}];\n"));
+    }
+    for k in n_rows..f.params.len() {
+        src.push_str(&format!("    const {c_ty} u{k} = in[{k}][0];\n"));
     }
     for j in 0..out_regs.len() {
         src.push_str(&format!("    {c_ty}* out{j} = out[{j}];\n"));
@@ -376,7 +394,12 @@ fn emit_c(
         if file != lane {
             return None;
         }
-        src.push_str(&format!("        {own}{reg} = in{k}[lane];\n"));
+        let load = if k < n_rows {
+            format!("in{k}[lane]")
+        } else {
+            format!("u{k}")
+        };
+        src.push_str(&format!("        {own}{reg} = {load};\n"));
     }
     for ins in f.straight_line_body()? {
         src.push_str("        ");
@@ -413,11 +436,14 @@ fn splitmix(state: &mut u64) -> u64 {
 /// the vector loop and both of its epilogues run in one call.
 const PROBE_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 256, 257, 259, 1027];
 
-fn probe_inputs<L: Lane>(arity: usize, width: usize, seed: u64) -> Vec<Vec<L>> {
+/// Seeded probe rows, one per parameter. The last `n_uniform` rows are
+/// constant — each repeats the value its lane `width - 1` would hold — as
+/// a kernel's scalar arguments are.
+fn probe_inputs<L: Lane>(arity: usize, n_uniform: usize, width: usize, seed: u64) -> Vec<Vec<L>> {
     let mut state = seed;
     (0..arity)
         .map(|k| {
-            (0..width)
+            let mut row: Vec<L> = (0..width)
                 .map(|lane| {
                     if lane < L::PROBE_FIXED.len() && (lane + k) % 3 != 2 {
                         L::PROBE_FIXED[(lane + k) % L::PROBE_FIXED.len()]
@@ -425,23 +451,24 @@ fn probe_inputs<L: Lane>(arity: usize, width: usize, seed: u64) -> Vec<Vec<L>> {
                         L::probe_random(splitmix(&mut state))
                     }
                 })
-                .collect()
+                .collect();
+            if k + n_uniform >= arity {
+                let v = row[width - 1];
+                row.fill(v);
+            }
+            row
         })
         .collect()
 }
 
 /// Bitwise-parity probe: the native body must reproduce the VM's output
 /// rows exactly, at every probe width, before it is published.
-fn probe<L: Lane>(
-    program: &Program,
-    nf: NativeFn<L>,
-    out_regs: &[(RegFile, Reg)],
-    seed: u64,
-) -> bool {
+fn probe<L: Lane>(program: &Program, nf: NativeFn<L>, key: &Key, seed: u64) -> bool {
     let arity = program.funcs[0].params.len();
+    let out_regs = &key.out_regs[..];
     let vm = Vm::new(program);
     for &w in PROBE_WIDTHS {
-        let rows = probe_inputs::<L>(arity, w, seed ^ w as u64);
+        let rows = probe_inputs::<L>(arity, key.n_uniform, w, seed ^ w as u64);
         let refs: Vec<&[L]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut vm_rows = vec![vec![L::PROBE_FIXED[0]; w]; out_regs.len()];
         let mut native_rows = vm_rows.clone();
@@ -474,9 +501,10 @@ fn refuse(key: Key) {
 
 /// Fetch (compiling on first use) the native monomorphization of a
 /// program over lane type `L` that writes one output row per `out_regs`
-/// entry. A single-output invoke names [`CompiledFunc::ret_reg`]; fused
-/// trace groups name every harvested register. Bool kernels ride the
-/// `i64` lane as 0/1.
+/// entry and reads its last `n_uniform` parameters as uniforms. A
+/// single-output invoke names [`CompiledFunc::ret_reg`]; fused trace
+/// groups name every harvested register. Bool kernels ride the `i64`
+/// lane as 0/1.
 ///
 /// Returns `None` — and the caller stays on the VM — when the tier is
 /// pinned off (`HPC_KERNEL_TIER=vm`), no C compiler exists, the body
@@ -484,7 +512,11 @@ fn refuse(key: Key) {
 /// outside what `L` can hold, the compile fails, or the bitwise parity
 /// probe fails. Compile and probe failures are cached as permanent
 /// refusals.
-pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option<NativeFn<L>> {
+pub fn native<L: Lane>(
+    program: &Program,
+    out_regs: &[(RegFile, Reg)],
+    n_uniform: usize,
+) -> Option<NativeFn<L>> {
     if vm_forced() || cmodule::system_cc().is_none() {
         return None;
     }
@@ -498,7 +530,7 @@ pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option
     let readable = |&(file, r): &(RegFile, Reg)| {
         L::reads(file) && (r as usize) < f.reg_counts[usize::from(file == RegFile::I)]
     };
-    if out_regs.is_empty() || !out_regs.iter().all(readable) {
+    if out_regs.is_empty() || !out_regs.iter().all(readable) || n_uniform > f.params.len() {
         return None;
     }
     let hash = program_hash(program);
@@ -506,6 +538,7 @@ pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option
         program_hash: hash,
         lane: L::FILE,
         out_regs: out_regs.to_vec(),
+        n_uniform,
     };
     let publish = |addr: usize| NativeFn {
         // SAFETY: `addr` is a symbol this module emitted with exactly
@@ -517,13 +550,14 @@ pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option
         },
         n_in: f.params.len(),
         n_out: out_regs.len(),
+        n_uniform,
     };
     if let Some(entry) = cache().lock().unwrap().get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
         return entry.map(publish);
     }
     let symbol = mangle(&f.name, L::FILE, hash, out_regs.len());
-    let Some(c_src) = emit_c(f, &symbol, L::FILE, out_regs) else {
+    let Some(c_src) = emit_c(f, &symbol, L::FILE, out_regs, n_uniform) else {
         refuse(key);
         return None;
     };
@@ -532,7 +566,7 @@ pub fn native<L: Lane>(program: &Program, out_regs: &[(RegFile, Reg)]) -> Option
         return None;
     };
     let nf = publish(addr);
-    if !probe(program, nf, out_regs, hash) {
+    if !probe(program, nf, &key, hash) {
         PROBE_FAILED.fetch_add(1, Ordering::Relaxed);
         refuse(key);
         return None;
@@ -631,7 +665,7 @@ mod tests {
         // the return row, an intermediate row, and a widened integer row
         let regs = [(RegFile::F, 5), (RegFile::F, 2), (RegFile::I, 0)];
         let before = stats();
-        let nf = native::<f64>(&p, &regs).expect("body compiles and passes the probe");
+        let nf = native::<f64>(&p, &regs, 0).expect("body compiles and passes the probe");
         assert_eq!(stats().compiled, before.compiled + 1);
         // the probe already checked widths 1..=8 and 256; spot-check again
         let xs: Vec<f64> = (0..37).map(|i| (i as f64) * 0.37 - 5.0).collect();
@@ -650,9 +684,78 @@ mod tests {
         }
         // second fetch is a cache hit, not a recompile
         let hits = stats().cache_hits;
-        let _ = native::<f64>(&p, &regs).unwrap();
+        let _ = native::<f64>(&p, &regs, 0).unwrap();
         assert_eq!(stats().cache_hits, hits + 1);
         assert_eq!(stats().compiled, before.compiled + 1);
+    }
+
+    #[test]
+    fn a_body_with_17_uniforms_arms_and_caches_per_uniform_count() {
+        let _g = crate::test_lock();
+        if !native_available() {
+            return;
+        }
+        // E20's shape: two array rows (f0, f1) and 17 scalar arguments
+        // (f2..=f18), each folded into a running value in turn.
+        const N_U: usize = 17;
+        let mut instrs = Vec::new();
+        let (mut next, mut acc): (Reg, Reg) = (2 + N_U as Reg, 0);
+        for k in 0..N_U as Reg {
+            let (row, u, t, a) = (k % 2, 2 + k, next, next + 1);
+            next += 2;
+            instrs.push(match k % 4 {
+                0 => Instr::MulF(t, row, u),
+                1 => Instr::AddF(t, row, u),
+                2 => Instr::SubF(t, u, row),
+                _ => Instr::MaxF(t, row, u),
+            });
+            instrs.push(if k % 3 == 0 {
+                Instr::AddF(a, acc, t)
+            } else {
+                Instr::MulF(a, acc, t)
+            });
+            acc = a;
+        }
+        instrs.push(Instr::Ret(Some((RegFile::F, acc))));
+        let p = f64_program(instrs, 2 + N_U, next as usize, 0);
+        let regs = [(RegFile::F, acc)];
+        let before = stats();
+        let nf = native::<f64>(&p, &regs, N_U).expect("a uniform body arms");
+        assert_eq!(stats().compiled, before.compiled + 1);
+        for &w in PROBE_WIDTHS {
+            let rows = probe_inputs::<f64>(2 + N_U, N_U, w, 0x5eed ^ w as u64);
+            assert!(rows[2..]
+                .iter()
+                .all(|r| r.iter().all(|v| v.bits() == r[0].bits())));
+            let refs: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+            let (mut vm_out, mut native_out) = (vec![0.0; w], vec![0.0; w]);
+            Vm::new(&p)
+                .run_chunk(0, &refs, &regs, &mut [&mut vm_out[..]])
+                .unwrap();
+            nf.run(&refs, &mut [&mut native_out[..]], w);
+            assert_eq!(bits(&vm_out), bits(&native_out), "width {w}");
+            // A worker hands the native body one lane per uniform.
+            let short: Vec<&[f64]> = refs
+                .iter()
+                .enumerate()
+                .map(|(k, r)| if k < 2 { *r } else { &r[..1] })
+                .collect();
+            nf.run(&short, &mut [&mut native_out[..]], w);
+            assert_eq!(
+                bits(&vm_out),
+                bits(&native_out),
+                "width {w}, short uniforms"
+            );
+        }
+        // The uniform count is part of the key: the per-lane body and a
+        // 16-uniform body are separate monomorphizations; the 17 is a hit.
+        assert!(native::<f64>(&p, &regs, 0).is_some());
+        assert!(native::<f64>(&p, &regs, N_U - 1).is_some());
+        assert_eq!(stats().compiled, before.compiled + 3);
+        let hits = stats().cache_hits;
+        assert!(native::<f64>(&p, &regs, N_U).is_some());
+        assert_eq!(stats().cache_hits, hits + 1);
+        assert_eq!(stats().compiled, before.compiled + 3);
     }
 
     #[test]
@@ -680,7 +783,7 @@ mod tests {
             externs: Vec::new(),
         };
         let ret = [p.funcs[0].ret_reg().unwrap()];
-        let nf = native::<i64>(&p, &ret).expect("i64 body compiles");
+        let nf = native::<i64>(&p, &ret, 0).expect("i64 body compiles");
         let xs: Vec<i64> = (-20..20).collect();
         let ys: Vec<i64> = (0..40).map(|i| i * 7 - 100).collect();
         let mut native_out = vec![0i64; xs.len()];
@@ -691,7 +794,7 @@ mod tests {
             .unwrap();
         assert_eq!(vm_out, native_out);
         // an integer lane cannot harvest a float register
-        assert!(native::<i64>(&p, &[(RegFile::F, 0)]).is_none());
+        assert!(native::<i64>(&p, &[(RegFile::F, 0)], 0).is_none());
     }
 
     #[test]
@@ -763,11 +866,11 @@ mod tests {
         if !native_available() {
             return;
         }
-        let nf = native::<f64>(&fp, &[(RegFile::F, 2)]).expect("SelectF arms");
+        let nf = native::<f64>(&fp, &[(RegFile::F, 2)], 0).expect("SelectF arms");
         let mut native_f = [0.0; 7];
         nf.run(&[&xs, &ys], &mut [&mut native_f[..]], xs.len());
         assert_eq!(bits(&native_f), bits(&want));
-        let ni = native::<i64>(&ip, &[(RegFile::I, 3)]).expect("SelectI arms");
+        let ni = native::<i64>(&ip, &[(RegFile::I, 3)], 0).expect("SelectI arms");
         let mut native_i = [0i64; 4];
         ni.run(&[&is, &js], &mut [&mut native_i[..]], is.len());
         assert_eq!(native_i, vm_i);
@@ -787,9 +890,9 @@ mod tests {
         let arm = |what: &str, p: &Program, out: (RegFile, Reg)| {
             let before = stats();
             let armed = if p.funcs[0].params[0].0 == RegFile::F {
-                native::<f64>(p, &[out]).is_some()
+                native::<f64>(p, &[out], 0).is_some()
             } else {
-                native::<i64>(p, &[out]).is_some()
+                native::<i64>(p, &[out], 0).is_some()
             };
             let after = stats();
             assert!(armed, "{what} stayed on the VM");
@@ -874,7 +977,7 @@ mod tests {
             0,
         );
         std::env::set_var("HPC_KERNEL_TIER", "vm");
-        assert!(native::<f64>(&p, &[(RegFile::F, 1)]).is_none());
+        assert!(native::<f64>(&p, &[(RegFile::F, 1)], 0).is_none());
         assert!(!native_available());
         std::env::remove_var("HPC_KERNEL_TIER");
     }

@@ -615,6 +615,76 @@ const F64_BODY: &str =
     "def body(a, b):\n    return sqrt(abs(a * 2.0 + sin(b)) + 1.0) * exp(a * 0.25) + min(a, b) * 0.125\n";
 
 #[test]
+fn a_fresh_literal_per_op_reuses_one_kernel_and_compiles_nothing() {
+    let _g = stats_write();
+    // `odin_chain`'s shape: every op's expression carries a constant the
+    // pool has not seen. Literals travel as kernel parameters, so after
+    // the first op each launch is one EvalKernel per worker (no
+    // registration) and no op compiles, while every result stays bitwise
+    // the serial oracle — on the native tier here, on the VM in ci.sh's
+    // pinned pass — special literals included.
+    const WORKERS: u64 = 3;
+    let ctx = OdinContext::with_workers(WORKERS as usize);
+    let q = ctx.linspace(0.5, 1.5, 301);
+    let mut x = ctx.linspace(-2.0, 3.0, 301);
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e308];
+    let literal = |i: usize| match i.checked_sub(1).and_then(|k| specials.get(k)) {
+        Some(&v) => v,
+        None => 1.0 / (1.5 + i as f64 * 0.37),
+    };
+    let mut compiled = None;
+    for i in 0..200 {
+        let a = literal(i);
+        let make = |x| Expr::leaf(x) + Expr::leaf(&q) * a;
+        ctx.reset_stats();
+        let y = make(&x).eval();
+        if i > 0 {
+            assert_eq!(
+                ctx.stats().ctrl_msgs,
+                WORKERS,
+                "op {i} (literal {a:?}) registered a kernel"
+            );
+        }
+        let got = y.to_vec();
+        assert_eq!(
+            bits(&got),
+            bits(oracle(&make(&x)).as_f64()),
+            "op {i}, literal {a:?}"
+        );
+        // Non-finite results are checked but not chained.
+        if got.iter().all(|v| v.is_finite()) {
+            x = y;
+        }
+        let now = codegen::stats();
+        let before = *compiled.get_or_insert((now.compiled, now.refused));
+        assert_eq!((now.compiled, now.refused), before, "op {i} compiled");
+    }
+
+    // An integral literal on an I64 array keeps the eager dtype rule, and
+    // the result dtype is part of the body: `+ 2.0` (I64) and `+ 2.5`
+    // (F64) register apart, while `+ 7.0` reuses the I64 kernel.
+    let xi = ctx.arange(301);
+    for (c, dtype, registers) in [
+        (2.0, DType::I64, true),
+        (2.5, DType::F64, true),
+        (7.0, DType::I64, false),
+        (0.25, DType::F64, false),
+    ] {
+        let make = || Expr::leaf(&xi) + c;
+        ctx.reset_stats();
+        let got = make().eval();
+        let msgs = ctx.stats().ctrl_msgs;
+        assert_eq!(got.dtype(), dtype, "+ {c}");
+        assert_eq!(msgs, WORKERS * (1 + u64::from(registers)), "+ {c}");
+        let want = oracle(&make());
+        match dtype {
+            DType::I64 => assert_eq!(got.to_vec_i64(), want.as_i64(), "+ {c}"),
+            _ => assert_eq!(bits(&got.to_vec()), bits(want.as_f64()), "+ {c}"),
+        }
+    }
+}
+
+#[test]
 fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
     let _g = stats_read();
     // The satellite parity matrix: at every pool width 1–8, the armed

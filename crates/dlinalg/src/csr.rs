@@ -18,6 +18,12 @@ use dmap::{CommPlan, Directory, DistMap};
 use crate::scalar::Scalar;
 use crate::vector::DistVector;
 
+// The blocking oracle reads the matrix's private structure, so it is a
+// child of this module; `crate::reference` re-exports it. Nothing outside
+// this file can write that structure, which `CsrMatrix::sweep` relies on.
+#[path = "reference.rs"]
+pub mod reference;
+
 /// A distributed sparse matrix in CSR layout.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix<S: Scalar> {
@@ -27,12 +33,12 @@ pub struct CsrMatrix<S: Scalar> {
     /// gids in local order, then the referenced ghost gids, increasing.
     col_gids: Vec<usize>,
     /// Columns below this are owned: column `c` is `x.local()[c]`.
-    pub(crate) n_owned: usize,
-    pub(crate) rowptr: Vec<usize>,
-    pub(crate) colidx: Vec<u32>,
-    pub(crate) vals: Vec<S>,
+    n_owned: usize,
+    rowptr: Vec<usize>,
+    colidx: Vec<u32>,
+    vals: Vec<S>,
     /// Gathers the ghost columns, in `col_gids[n_owned..]` order.
-    pub(crate) plan: CommPlan,
+    plan: CommPlan,
     /// Maximal ranges of consecutive local rows whose every column is
     /// owned (computable while the halo exchange is in flight) …
     interior: Vec<Range<usize>>,
@@ -296,24 +302,16 @@ impl<S: Scalar> CsrMatrix<S> {
         let mut ghost = self.scratch.borrow_mut();
         ghost.resize(self.n_ghost_cols(), S::zero());
         let inflight = self.plan.execute_start(comm, xl, &mut ghost);
-        for rows in &self.interior {
-            self.sweep(rows.clone(), yl, |c| xl[c]);
-        }
+        self.sweep::<false>(yl, xl, &[]);
         comm.advance_compute(2.0 * self.interior_nnz as f64);
         self.plan.execute_finish(comm, inflight, &mut ghost);
-        let n_owned = self.n_owned;
-        for rows in &self.boundary {
-            self.sweep(rows.clone(), yl, |c| match c.checked_sub(n_owned) {
-                None => xl[c],
-                Some(g) => ghost[g],
-            });
-        }
+        self.sweep::<true>(yl, xl, &ghost);
         comm.advance_compute(2.0 * (self.vals.len() - self.interior_nnz) as f64);
     }
 
     /// The operand shapes `y = A·x` indexes by — `x` by owned column, `y`
     /// by local row — checked in every build profile.
-    pub(crate) fn check_operands(&self, x: &DistVector<S>, y: &DistVector<S>) {
+    fn check_operands(&self, x: &DistVector<S>, y: &DistVector<S>) {
         assert_eq!(
             x.local().len(),
             self.n_owned,
@@ -331,23 +329,73 @@ impl<S: Scalar> CsrMatrix<S> {
         debug_assert!(y.map().same_as(&self.row_map), "y must use the row map");
     }
 
-    /// `y[i] = Σ vals[k] · at(colidx[k])` over a range of consecutive rows,
-    /// in stored entry order, walking the row's slices of `colidx` / `vals`
-    /// rather than indexing them.
+    /// `y[i] = Σ vals[k] · x[colidx[k]]` over every interior row
+    /// (`GHOSTS = false`) or every boundary row (`GHOSTS = true`, where a
+    /// column `c >= n_owned` reads `ghost[c - n_owned]`), in stored entry
+    /// order, starting from zero.
+    ///
+    /// The reads of `colidx`, `vals`, `x` and `ghost` are unchecked: the
+    /// matrix proved every index in range when it was built, so checking
+    /// each nonzero again on every call is redundant. The contract:
+    ///
+    /// * `from_local_rows` is the only constructor (`from_row_fn`,
+    ///   `from_triplets`, `transpose` and `clone` all end in it), and no
+    ///   code writes `rowptr`, `colidx`, `vals`, `n_owned`, `col_gids`,
+    ///   `interior` or `boundary` after it returns: the fields are private
+    ///   to this module, no method takes `&mut self`, and the oracle in
+    ///   the child module `reference` only reads them.
+    /// * It stores `rowptr` starting at 0, nondecreasing and ending at
+    ///   `colidx.len() == vals.len()`, and classes every row `0..n_rows`
+    ///   into exactly one `interior` or `boundary` range.
+    /// * It asserts every column `< domain_map.n_global()` and the local
+    ///   column count `<= u32::MAX`, so no id is truncated and each one is
+    ///   either owned (stored as its domain-local id, `< n_owned`) or a
+    ///   collected ghost (stored as `n_owned + i`, `i < n_ghost`): every
+    ///   stored column is `< n_owned + n_ghost`, and a row is interior
+    ///   only if every one of its columns is `< n_owned`.
+    /// * The operand lengths are asserted below in every build profile:
+    ///   `x` holds `n_owned` entries and `ghost` holds `n_ghost` of them
+    ///   (`matvec_into` resizes the workspace before the boundary sweep).
+    ///
+    /// So `k < colidx.len()` for every `k` in a row's `rowptr` window, an
+    /// interior read `x[c]` has `c < n_owned`, and a boundary read is
+    /// `x[c]` with `c < n_owned` or `ghost[c - n_owned]` with
+    /// `c - n_owned < n_ghost`. Each read is also a `debug_assert!`.
     #[inline]
-    fn sweep(&self, rows: Range<usize>, y: &mut [S], at: impl Fn(usize) -> S) {
-        let ptr = &self.rowptr[rows.start..=rows.end];
-        let (lo, hi) = (ptr[0], ptr[ptr.len() - 1]);
-        let (mut cols, mut vals) = (&self.colidx[lo..hi], &self.vals[lo..hi]);
-        for (yi, row) in y[rows].iter_mut().zip(ptr.windows(2)) {
-            let (c, c_rest) = cols.split_at(row[1] - row[0]);
-            let (v, v_rest) = vals.split_at(row[1] - row[0]);
-            let mut acc = S::zero();
-            for (&c, &v) in c.iter().zip(v) {
-                acc += v * at(c as usize);
+    fn sweep<const GHOSTS: bool>(&self, y: &mut [S], x: &[S], ghost: &[S]) {
+        let n_owned = self.n_owned;
+        assert_eq!(x.len(), n_owned, "x must hold one entry per owned column");
+        assert_eq!(
+            ghost.len(),
+            if GHOSTS { self.n_ghost_cols() } else { 0 },
+            "the ghost workspace must hold one entry per ghost column"
+        );
+        let ranges = if GHOSTS {
+            &self.boundary
+        } else {
+            &self.interior
+        };
+        for rows in ranges {
+            let ptr = &self.rowptr[rows.start..=rows.end];
+            for (yi, row) in y[rows.clone()].iter_mut().zip(ptr.windows(2)) {
+                let mut acc = S::zero();
+                for k in row[0]..row[1] {
+                    debug_assert!(k < self.colidx.len() && k < self.vals.len());
+                    // SAFETY: every index is in range by the contract above.
+                    acc += unsafe {
+                        let c = *self.colidx.get_unchecked(k) as usize;
+                        let xc = if GHOSTS && c >= n_owned {
+                            debug_assert!(c - n_owned < ghost.len());
+                            *ghost.get_unchecked(c - n_owned)
+                        } else {
+                            debug_assert!(c < n_owned);
+                            *x.get_unchecked(c)
+                        };
+                        *self.vals.get_unchecked(k) * xc
+                    };
+                }
+                *yi = acc;
             }
-            *yi = acc;
-            (cols, vals) = (c_rest, v_rest);
         }
     }
 
@@ -683,6 +731,19 @@ mod tests {
             let x = DistVector::zeros(a.domain_map().clone());
             let mut y = DistVector::zeros(DistMap::block(9, 1, 0));
             crate::reference::matvec_into_blocking(&a, comm, &x, &mut y);
+        });
+    }
+
+    /// The sweep's unchecked reads rest on this build-time check: a
+    /// column past the domain is refused before any id is stored.
+    #[test]
+    #[should_panic(expected = "column 8 out of domain size 8")]
+    fn an_out_of_domain_column_is_refused_at_build() {
+        Universe::run(1, |comm| {
+            let map = DistMap::block(8, 1, 0);
+            CsrMatrix::<f64>::from_row_fn(comm, map.clone(), map, |g| {
+                vec![(g, 2.0), (g + 1, -1.0)]
+            });
         });
     }
 

@@ -11,10 +11,9 @@
 
 pub mod csr;
 pub mod io;
-pub mod reference;
 pub mod scalar;
 pub mod vector;
 
-pub use csr::CsrMatrix;
+pub use csr::{reference, CsrMatrix};
 pub use scalar::{Complex64, RealScalar, Scalar};
 pub use vector::DistVector;

@@ -1,10 +1,14 @@
 //! SpMV parity grid: `CsrMatrix::matvec_into` reads `x` in place through
 //! an owned-first column numbering and gathers ghosts only, whatever the
-//! row and domain maps look like. Every cell of ranks 1–5 × row map ×
-//! domain map {block, cyclic, scrambled} × shape × scalar type holds the
-//! overlapped product bitwise to a serial per-row sum in stored entry
-//! order and to the blocking reference, and checks the structure the
-//! sweep and AMG rely on.
+//! row and domain maps look like, and whichever constructor built the
+//! matrix. Every cell of ranks 1–5 × row map × domain map {block, cyclic,
+//! scrambled} × shape × build {short rows, long rows, ghost-only rows,
+//! `from_triplets`, `transpose`} × scalar type holds the overlapped product
+//! bitwise to a serial per-row sum in stored entry order and to the
+//! blocking reference, and checks the structure the sweep and AMG rely on.
+//! The sweep reads its operands unchecked, so this grid is also its
+//! bounds proof in practice: run it in release too, where the sweep's
+//! `debug_assert!`s are compiled out.
 
 use std::time::Duration;
 
@@ -24,20 +28,53 @@ enum Layout {
 
 const LAYOUTS: [Layout; 3] = [Layout::Block, Layout::Cyclic, Layout::Scrambled];
 
+/// The gids rank `r` of `p` owns under `kind`, in local order.
+fn gids(kind: Layout, n: usize, p: usize, r: usize) -> Vec<usize> {
+    match kind {
+        Layout::Block => DistMap::block(n, p, r).my_gids(),
+        Layout::Cyclic => DistMap::cyclic(n, p, r).my_gids(),
+        Layout::Scrambled => {
+            let mut gids: Vec<usize> = (0..n).filter(|g| (g * 7 + 3) % p == r).collect();
+            if r % 2 == 1 {
+                gids.reverse();
+            }
+            gids
+        }
+    }
+}
+
 fn layout(comm: &Comm, kind: Layout, n: usize) -> DistMap {
     let (p, me) = (comm.size(), comm.rank());
     match kind {
         Layout::Block => DistMap::block(n, p, me),
         Layout::Cyclic => DistMap::cyclic(n, p, me),
-        Layout::Scrambled => {
-            let mut gids: Vec<usize> = (0..n).filter(|g| (g * 7 + 3) % p == me).collect();
-            if me % 2 == 1 {
-                gids.reverse();
-            }
-            DistMap::from_my_gids(comm, gids)
-        }
+        Layout::Scrambled => DistMap::from_my_gids(comm, gids(kind, n, p, me)),
     }
 }
+
+/// How a cell's matrix is built.
+#[derive(Clone, Copy, Debug)]
+enum Build {
+    /// `from_row_fn` over [`short_row`].
+    Short,
+    /// `from_row_fn` over [`long_row`].
+    Long,
+    /// `from_row_fn` over [`ghost_only_row`].
+    GhostOnly,
+    /// `from_triplets` over [`triplets_of`]: duplicates summed.
+    Triplets,
+    /// `transpose` of a [`long_row`] matrix: repeated columns become
+    /// summed duplicates of the transposed rows.
+    Transpose,
+}
+
+const BUILDS: [Build; 5] = [
+    Build::Short,
+    Build::Long,
+    Build::GhostOnly,
+    Build::Triplets,
+    Build::Transpose,
+];
 
 /// What the grid needs of a scalar beyond `Scalar`: seeded values, a NaN
 /// and its bit pattern.
@@ -73,7 +110,7 @@ impl Cell for Complex64 {
 
 /// Entries of global row `g`: zero to six of them, columns unsorted and
 /// sometimes repeated, every fifth row empty.
-fn row_of<S: Cell>(seed: u64, g: usize, n_cols: usize) -> Vec<(usize, S)> {
+fn short_row<S: Cell>(seed: u64, g: usize, n_cols: usize) -> Vec<(usize, S)> {
     let mut r = SplitMix64::new(seed ^ (g as u64).wrapping_mul(0x9e37_79b9));
     if g % 5 == 2 {
         return Vec::new();
@@ -83,19 +120,161 @@ fn row_of<S: Cell>(seed: u64, g: usize, n_cols: usize) -> Vec<(usize, S)> {
         .collect()
 }
 
+/// Entries of global row `g`: 16 to 24 of them, columns unsorted, about a
+/// quarter repeating an earlier column of the row.
+fn long_row<S: Cell>(seed: u64, g: usize, n_cols: usize) -> Vec<(usize, S)> {
+    let mut r = SplitMix64::new(seed ^ 0x1095 ^ (g as u64).wrapping_mul(0x9e37_79b9));
+    let mut row: Vec<(usize, S)> = Vec::new();
+    for _ in 0..16 + r.gen_index(9) {
+        let c = if !row.is_empty() && r.gen_index(4) == 0 {
+            row[r.gen_index(row.len())].0
+        } else {
+            r.gen_index(n_cols)
+        };
+        row.push((c, S::draw(&mut r)));
+    }
+    row
+}
+
+/// Every even row holds one to five entries, all in columns this rank
+/// does not own (`foreign`, repeats allowed): a boundary row that reads
+/// the ghost workspace only. Odd rows, and every row when nothing is
+/// foreign, are [`short_row`]s.
+fn ghost_only_row<S: Cell>(
+    seed: u64,
+    g: usize,
+    n_cols: usize,
+    foreign: &[usize],
+) -> Vec<(usize, S)> {
+    if g % 2 == 1 || foreign.is_empty() {
+        return short_row(seed, g, n_cols);
+    }
+    let mut r = SplitMix64::new(seed ^ 0x6057 ^ (g as u64).wrapping_mul(0x9e37_79b9));
+    (0..1 + r.gen_index(5))
+        .map(|_| (foreign[r.gen_index(foreign.len())], S::draw(&mut r)))
+        .collect()
+}
+
+/// The `(row, col, value)` triplets rank `r` contributes: every rank
+/// adds to the first rows' diagonals, so ranks collide, and about a third
+/// of the rest repeat an earlier coordinate of the same rank.
+fn triplets_of<S: Cell>(seed: u64, r: usize, shape: (usize, usize)) -> Vec<(usize, usize, S)> {
+    let mut rng = SplitMix64::new(seed ^ 0x7a1 ^ (r as u64).wrapping_mul(0x9e37_79b9));
+    let mut out: Vec<(usize, usize, S)> = (0..shape.0.min(3))
+        .map(|g| (g, g % shape.1, S::draw(&mut rng)))
+        .collect();
+    for _ in 0..2 * shape.0 {
+        let (g, c) = if rng.gen_index(3) == 0 {
+            let t = out[rng.gen_index(out.len())];
+            (t.0, t.1)
+        } else {
+            (rng.gen_index(shape.0), rng.gen_index(shape.1))
+        };
+        out.push((g, c, S::draw(&mut rng)));
+    }
+    out
+}
+
+/// The stored rows of a matrix assembled from `batches` (one per source
+/// rank, in rank order): a coordinate's duplicates summed from zero in
+/// arrival order, each row sorted by column.
+fn summed_rows<S: Cell>(
+    n_rows: usize,
+    batches: impl Iterator<Item = Vec<(usize, usize, S)>>,
+) -> Vec<Vec<(usize, S)>> {
+    let mut rows: Vec<Vec<(usize, S)>> = vec![Vec::new(); n_rows];
+    for (g, c, v) in batches.flatten() {
+        let at = match rows[g].iter().position(|e| e.0 == c) {
+            Some(at) => at,
+            None => {
+                rows[g].push((c, S::zero()));
+                rows[g].len() - 1
+            }
+        };
+        rows[g][at].1 += v;
+    }
+    for row in &mut rows {
+        row.sort_unstable_by_key(|e| e.0);
+    }
+    rows
+}
+
 fn x_at<S: Cell>(seed: u64, g: usize) -> S {
     S::draw(&mut SplitMix64::new(seed ^ 0xabcd ^ g as u64))
 }
 
-fn check_cell<S: Cell>(comm: &Comm, rows: Layout, cols: Layout, shape: (usize, usize), seed: u64) {
+/// The cell's matrix, and the entries each of its local rows must hold,
+/// in stored order.
+fn build_cell<S: Cell>(
+    comm: &Comm,
+    build: Build,
+    rows: Layout,
+    cols: Layout,
+    shape: (usize, usize),
+    seed: u64,
+) -> (CsrMatrix<S>, Vec<Vec<(usize, S)>>) {
+    let p = comm.size();
+    let local = |a: &CsrMatrix<S>, all: Vec<Vec<(usize, S)>>| {
+        let mine = a.row_map().my_gids();
+        mine.into_iter().map(|g| all[g].clone()).collect()
+    };
+    match build {
+        Build::Short | Build::Long | Build::GhostOnly => {
+            let (row_map, dom) = (layout(comm, rows, shape.0), layout(comm, cols, shape.1));
+            let foreign: Vec<usize> = (0..shape.1)
+                .filter(|&c| dom.global_to_local(c).is_none())
+                .collect();
+            let row = |g: usize| match build {
+                Build::Short => short_row(seed, g, shape.1),
+                Build::Long => long_row(seed, g, shape.1),
+                _ => ghost_only_row(seed, g, shape.1, &foreign),
+            };
+            let stored = row_map.my_gids().into_iter().map(row).collect();
+            (CsrMatrix::from_row_fn(comm, row_map, dom, row), stored)
+        }
+        Build::Triplets => {
+            let (row_map, dom) = (layout(comm, rows, shape.0), layout(comm, cols, shape.1));
+            let mine = triplets_of(seed, comm.rank(), shape);
+            let a = CsrMatrix::from_triplets(comm, row_map, dom, mine);
+            let all = summed_rows(shape.0, (0..p).map(|r| triplets_of(seed, r, shape)));
+            let stored = local(&a, all);
+            (a, stored)
+        }
+        Build::Transpose => {
+            // Aᵀ has the cell's row and domain maps, so A has them swapped;
+            // rank r sends A's rows in its local order, entries in stored
+            // order.
+            let (a_rows, a_dom) = (layout(comm, cols, shape.1), layout(comm, rows, shape.0));
+            let a = CsrMatrix::from_row_fn(comm, a_rows, a_dom, |g| long_row(seed, g, shape.0));
+            let at = a.transpose(comm);
+            let batch = |r: usize| -> Vec<(usize, usize, S)> {
+                let row_gids = gids(cols, shape.1, p, r);
+                let entries = |gr: usize| long_row::<S>(seed, gr, shape.0).into_iter();
+                row_gids
+                    .into_iter()
+                    .flat_map(|gr| entries(gr).map(move |(gc, v)| (gc, gr, v)))
+                    .collect()
+            };
+            let stored = local(&at, summed_rows(shape.0, (0..p).map(batch)));
+            (at, stored)
+        }
+    }
+}
+
+fn check_cell<S: Cell>(
+    comm: &Comm,
+    build: Build,
+    rows: Layout,
+    cols: Layout,
+    shape: (usize, usize),
+    seed: u64,
+) {
     let ctx = format!(
-        "p={} rows={rows:?} cols={cols:?} shape={shape:?}",
+        "p={} build={build:?} rows={rows:?} cols={cols:?} shape={shape:?}",
         comm.size()
     );
-    let (row_map, dom) = (layout(comm, rows, shape.0), layout(comm, cols, shape.1));
-    let a = CsrMatrix::<S>::from_row_fn(comm, row_map.clone(), dom.clone(), |g| {
-        row_of(seed, g, shape.1)
-    });
+    let (a, stored) = build_cell::<S>(comm, build, rows, cols, shape, seed);
+    let (row_map, dom) = (a.row_map().clone(), a.domain_map().clone());
     let n_rows = row_map.my_count();
     let n_owned = dom.my_count();
     let is_ghost = |g: usize| dom.global_to_local(g).is_none();
@@ -137,8 +316,11 @@ fn check_cell<S: Cell>(comm: &Comm, rows: Layout, cols: Layout, shape: (usize, u
     let y_ref = reference::matvec_blocking(&a, comm, &x);
     for (l, (yl, rl)) in y.local().iter().zip(y_ref.local()).enumerate() {
         let g = row_map.local_to_global(l);
+        let entries: Vec<_> = a.row_entries(l).map(|(c, v)| (c, v.bits())).collect();
+        let want: Vec<_> = stored[l].iter().map(|&(c, v)| (c, v.bits())).collect();
+        assert_eq!(entries, want, "{ctx} row {g} stored entries");
         let mut acc = S::zero();
-        for (c, v) in row_of::<S>(seed, g, shape.1) {
+        for &(c, v) in &stored[l] {
             acc += v * x_at::<S>(seed, c);
         }
         assert_eq!(yl.bits(), acc.bits(), "{ctx} row {g} vs serial");
@@ -168,7 +350,9 @@ fn sweep<S: Cell>(seed: u64) {
             for rows in LAYOUTS {
                 for cols in LAYOUTS {
                     for (si, &shape) in shapes.iter().enumerate() {
-                        check_cell::<S>(comm, rows, cols, shape, seed + si as u64);
+                        for build in BUILDS {
+                            check_cell::<S>(comm, build, rows, cols, shape, seed + si as u64);
+                        }
                     }
                 }
             }

@@ -69,6 +69,37 @@ for f in crates/odin/src/*.rs; do
   fi
 done
 
+echo "== pools pull (each serve pool driver takes its own work)"
+# A free pool driver takes its next job from the tenant queues under the
+# `sched` lock and parks on `work_cv` until there is one, so `serve` spawns
+# one kind of thread and polls nothing: a second spawn site is a scheduler
+# thread growing back, and a `Bounded` queue, a timed pop or a millisecond
+# constant is a staging queue or a polling tick. The retry backoff in
+# `ServeConfig::default` is the one wall-clock constant left.
+serve_spawns=0
+for f in crates/serve/src/*.rs; do
+  serve_code=$(awk '/#\[cfg\(test\)\]/{exit} {print}' "$f")
+  if grep -nwE 'Bounded|pop_timeout|recv_timeout' <<<"$serve_code"; then
+    echo "pull gate: $f stages or polls work outside the tenant queues" >&2
+    exit 1
+  fi
+  if grep -n 'Duration::from_millis' <<<"$serve_code" \
+      | grep -vE 'backoff_(base|max): Duration::from_millis'; then
+    echo "pull gate: $f has a millisecond constant outside the retry backoff" >&2
+    exit 1
+  fi
+  serve_spawns=$((serve_spawns + $(grep -cE '\.spawn\(|thread::spawn' <<<"$serve_code" || true)))
+done
+echo "-- thread-spawn sites in crates/serve/src: $serve_spawns"
+if [ "$serve_spawns" -ne 1 ]; then
+  echo "pull gate: crates/serve/src spawns threads in $serve_spawns places, expected 1 (the pool driver)" >&2
+  exit 1
+fi
+if [ -e crates/comm/src/queue.rs ]; then
+  echo "pull gate: crates/comm/src/queue.rs is back; serve's queues are the tenant lanes" >&2
+  exit 1
+fi
+
 echo "== one elementwise executor (workers run every ufunc, where and full fold as a kernel)"
 # Eager ufuncs and `where` are one-op kernels through `exec_kernel`, and
 # eager full reductions are identity kernels with a fold tail; the

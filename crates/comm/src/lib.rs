@@ -33,7 +33,6 @@ pub mod error;
 pub mod fault;
 pub mod model;
 pub mod payload;
-pub mod queue;
 pub mod reliable;
 pub mod request;
 pub mod stats;
@@ -46,7 +45,6 @@ pub use error::CommError;
 pub use fault::{Delivery, FaultAction, FaultPlan};
 pub use model::NetworkModel;
 pub use payload::{Payload, Region, DEFAULT_ZEROCOPY_THRESHOLD};
-pub use queue::{Bounded, PopError, PushError, QueueStats};
 pub use request::{Completion, Request};
 pub use stats::CommStats;
 pub use universe::{Host, HostEvent, RunReport, Universe, UniverseConfig};

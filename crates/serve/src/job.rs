@@ -100,7 +100,8 @@ pub struct JobRequest {
 pub enum ExpiredAt {
     /// Still in its tenant queue — never dispatched.
     Queued,
-    /// Popped by a pool driver after the deadline had already passed.
+    /// Taken by a pool driver in time, but past its deadline when the
+    /// driver started it (after growing the pool for it).
     Dispatch,
     /// Mid-execution (checked between retries and at solve checkpoint
     /// boundaries) — the hard cancel.
@@ -197,10 +198,5 @@ impl JobTicket {
     /// Non-blocking poll; `None` while the job is still in flight.
     pub fn try_wait(&self) -> Option<JobOutcome> {
         self.rx.try_recv().ok()
-    }
-
-    /// Bounded wait; `None` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        self.rx.recv_timeout(timeout).ok()
     }
 }

@@ -5,19 +5,23 @@
 //! one worker pool. This crate turns that into a **served** system:
 //! tenants open [`Session`]s against a shared [`ServePlane`], submit
 //! solve/array/kernel [`JobRequest`]s into bounded per-tenant queues,
-//! and a fair-share scheduler multiplexes them onto a small set of
-//! shared, elastically-sized ODIN worker pools.
+//! and each of a small set of shared, elastically-sized ODIN worker
+//! pools pulls its next job from those queues by a fair-share stride
+//! rule. One driver thread per pool is the whole topology: no scheduler
+//! thread, no staging queue, no polling tick.
 //!
 //! The robustness contract, end to end:
 //!
 //! - **Admission control** — per-tenant quotas refuse work synchronously
 //!   with typed [`ServeError`]s instead of queueing unboundedly.
-//! - **Backpressure** — every stage is bounded (tenant lanes by quota,
-//!   pool inboxes by [`ServeConfig::pool_inbox_cap`]); a slow pool
-//!   propagates pressure back to the submitting tenant.
+//! - **Backpressure** — work waits only in the tenant queues, bounded by
+//!   each tenant's quota and by [`ServeConfig::max_queued_total`]; a
+//!   slow pool leaves work queued, so pressure reaches the submitting
+//!   tenant as a refusal.
 //! - **Deadlines** — each job carries a budget; expiry hard-cancels it
-//!   whether queued, at dispatch, or mid-solve (chunk boundaries), and
-//!   the ticket says which ([`ExpiredAt`]).
+//!   whether queued (seen by the next driver to look, or by an idle
+//!   driver waking at the deadline), at dispatch, or mid-solve (chunk
+//!   boundaries), and the ticket says which ([`ExpiredAt`]).
 //! - **Shedding** — sustained overload drops the lowest-priority newest
 //!   queued work, counted in [`ServeStats::shed`] and resolved on the
 //!   ticket — never silently.
@@ -106,6 +110,22 @@ mod tests {
             })
             .unwrap_err(),
             ServeError::ZeroBudget
+        );
+        let t = s
+            .submit(JobRequest {
+                spec: JobSpec::Array { seed: 1, n: 8 },
+                priority: Priority::Normal,
+                budget: Duration::from_secs(10),
+            })
+            .unwrap();
+        assert!(t.wait().data().is_some());
+        // A refusal before admission is counted nowhere, like an unknown
+        // tenant: every counted submission lands in exactly one bucket.
+        let st = plane.shutdown();
+        assert_eq!(
+            st.submitted,
+            st.admitted + st.rejected_quota + st.rejected_closed,
+            "{st:?}"
         );
     }
 

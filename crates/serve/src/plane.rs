@@ -4,35 +4,35 @@
 //! Topology (one [`ServePlane`]):
 //!
 //! ```text
-//! Session::submit ──admission──▶ per-tenant bounded queues (3 lanes)
-//!                                      │ fair-share scheduler thread
-//!                                      ▼
-//!                        per-pool Bounded inboxes (cap ~ a few jobs)
-//!                                      │ one driver thread per pool
-//!                                      ▼
-//!                        OdinContext worker pools (elastic size)
+//! Session::submit ──admission, shedding──▶ per-tenant queues (3 lanes)
+//!                                                   │ a free driver takes the
+//!                                                   │ next job (stride rule)
+//!                                                   ▼
+//!                        one driver thread per pool, owning its
+//!                        OdinContext worker pool (elastic size)
 //! ```
 //!
-//! Backpressure propagates **end to end** through bounded stages: a slow
-//! pool fills its inbox, the scheduler stops draining tenant queues,
-//! tenant queues hit their quotas, and admission refuses with a typed
-//! [`ServeError`] — no stage grows without bound. Under sustained
-//! overload the scheduler additionally sheds the lowest-priority, newest
-//! queued work (counted, resolved on the ticket — never silently
-//! dropped).
+//! There is no scheduler thread and no staging queue: every pool driver
+//! is its own scheduler. When free, it takes the `sched` lock, expires
+//! overdue queued jobs and takes the next job; with nothing eligible it
+//! waits on `work_cv` until new work, a freed inflight slot, shutdown or
+//! the earliest queued deadline. Backpressure lives in the tenant
+//! quotas: a slow pool leaves work queued, the tenant queue reaches its
+//! quota, and admission refuses with a typed [`ServeError`]. Above the
+//! global bound admission also sheds the lowest-priority, newest queued
+//! job (counted, resolved on the ticket — never silently dropped).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use comm::Bounded;
 use odin::OdinConfig;
 
 use crate::error::ServeError;
 use crate::job::{ExpiredAt, JobOutcome, JobRequest, JobSpec, JobTicket, Priority, N_PRIORITIES};
-use crate::pool::{driver_loop, PoolCtl};
+use crate::pool::driver_loop;
 use crate::stats::ServeStats;
 
 /// Per-tenant resource limits and scheduling weight.
@@ -41,10 +41,10 @@ pub struct TenantQuota {
     /// Fair-share weight: a tenant with weight 2 receives twice the
     /// dispatch slots of a weight-1 tenant when both have backlog.
     pub weight: f64,
-    /// Bounded queue depth; submissions beyond it are refused with
+    /// Queue depth cap; submissions beyond it are refused with
     /// [`ServeError::QuotaExceeded`].
     pub max_queued: usize,
-    /// Jobs the tenant may have executing at once across all pools.
+    /// Jobs the tenant may have running at once across all pools.
     pub max_inflight: usize,
 }
 
@@ -58,20 +58,20 @@ impl Default for TenantQuota {
     }
 }
 
-/// Elastic pool sizing policy, evaluated by the scheduler from observed
-/// load. Resizes apply **between** jobs (a pool driver finishes its
-/// current job first), so completed results stay pure functions of
-/// (spec, pool size).
+/// Elastic pool sizing policy, applied by each pool driver to its own
+/// pool. Resizes happen **between** jobs, so completed results stay
+/// pure functions of (spec, pool size).
 #[derive(Debug, Clone)]
 pub struct ElasticPolicy {
     /// Floor for any pool.
     pub min_workers: usize,
     /// Ceiling for any pool.
     pub max_workers: usize,
-    /// Grow one pool when queued + inbox backlog exceeds this.
+    /// A driver grows its pool by one, before running the job it just
+    /// took, while more than this many jobs stay queued.
     pub grow_backlog: usize,
-    /// Shrink one pool after this many consecutive idle scheduler ticks.
-    pub shrink_idle_ticks: u32,
+    /// A driver shrinks its pool by one after idling this long.
+    pub shrink_after: Duration,
 }
 
 impl Default for ElasticPolicy {
@@ -80,7 +80,7 @@ impl Default for ElasticPolicy {
             min_workers: 1,
             max_workers: 8,
             grow_backlog: 8,
-            shrink_idle_ticks: 200,
+            shrink_after: Duration::from_secs(1),
         }
     }
 }
@@ -99,12 +99,8 @@ pub struct ServeConfig {
     pub odin: OdinConfig,
     /// Registered tenants: `(name, quota)`.
     pub tenants: Vec<(String, TenantQuota)>,
-    /// Capacity of each pool's dispatch inbox. Small on purpose: the
-    /// inbox is a staging slot, not a queue — depth lives in the tenant
-    /// queues where quotas and shedding can see it.
-    pub pool_inbox_cap: usize,
-    /// Global queued-job bound; beyond it the shedder drops the
-    /// lowest-priority newest queued work until back under.
+    /// Global queued-job bound; a submission that pushes the queues past
+    /// it sheds the lowest-priority newest queued job.
     pub max_queued_total: usize,
     /// Execution attempts per job before giving up.
     pub max_attempts: u32,
@@ -130,7 +126,6 @@ impl Default for ServeConfig {
             workers_per_pool: 2,
             odin: OdinConfig::default(),
             tenants: Vec::new(),
-            pool_inbox_cap: 4,
             max_queued_total: 128,
             max_attempts: 4,
             backoff_base: Duration::from_millis(1),
@@ -165,8 +160,18 @@ struct TenantState {
     pass: f64,
 }
 
-pub(crate) struct SchedState {
+struct SchedState {
     tenants: Vec<TenantState>,
+    /// The pass of the last dispatch. A tenant whose queue goes from
+    /// empty to non-empty joins at no less than this, so idle time is
+    /// not banked as credit (the stride-scheduling join rule).
+    vtime: f64,
+    /// Admission sequence number of the newest job.
+    last_id: u64,
+    /// Admission refuses new work.
+    closed: bool,
+    /// Drivers resolve everything still queued as failed and exit.
+    stopping: bool,
 }
 
 impl SchedState {
@@ -174,32 +179,87 @@ impl SchedState {
         self.tenants.iter().map(|t| t.queued).sum()
     }
 
-    fn inflight_total(&self) -> usize {
-        self.tenants.iter().map(|t| t.inflight).sum()
+    /// Remove every queued job for which `dead` holds.
+    fn take_where(&mut self, dead: impl Fn(&QueuedJob) -> bool) -> Vec<QueuedJob> {
+        let mut out = Vec::new();
+        for t in &mut self.tenants {
+            for lane in &mut t.lanes {
+                let mut i = 0;
+                while i < lane.len() {
+                    if dead(&lane[i]) {
+                        out.extend(lane.remove(i));
+                        t.queued -= 1;
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The stride rule: the eligible tenant (queued work and a free
+    /// inflight slot) with the lowest pass, its highest non-empty lane,
+    /// the oldest job there.
+    fn take_next(&mut self) -> Option<QueuedJob> {
+        let ti = self
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.queued > 0 && t.inflight < t.quota.max_inflight)
+            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))
+            .map(|(ti, _)| ti)?;
+        let t = &mut self.tenants[ti];
+        let job = t.lanes.iter_mut().rev().find_map(VecDeque::pop_front)?;
+        t.queued -= 1;
+        t.inflight += 1;
+        self.vtime = t.pass;
+        t.pass += 1.0 / t.quota.weight.max(1e-9);
+        Some(job)
+    }
+
+    /// The overload victim: lowest priority first, newest within it.
+    fn take_shed_victim(&mut self) -> Option<QueuedJob> {
+        let (lane, ti) = (0..N_PRIORITIES).find_map(|lane| {
+            let newest = self
+                .tenants
+                .iter()
+                .enumerate()
+                .filter_map(|(ti, t)| t.lanes[lane].back().map(|j| (j.id, ti)));
+            newest.max().map(|(_, ti)| (lane, ti))
+        })?;
+        let t = &mut self.tenants[ti];
+        let job = t.lanes[lane].pop_back()?;
+        t.queued -= 1;
+        Some(job)
     }
 }
 
-/// State shared by sessions, the scheduler, and the pool drivers.
+/// What a free pool driver gets from [`Shared::next_job`].
+pub(crate) enum Pull {
+    /// Run this job; the second field is the queued backlog behind it.
+    Job(QueuedJob, usize),
+    /// The idle deadline passed with nothing to run.
+    Idle,
+    /// The plane is stopping and the queues are swept.
+    Stop,
+}
+
+/// State shared by sessions and the pool drivers.
 pub(crate) struct Shared {
     pub cfg: ServeConfig,
-    pub tenant_names: Vec<String>,
-    pub sched: Mutex<SchedState>,
+    tenant_names: Vec<String>,
+    sched: Mutex<SchedState>,
     /// Paired with `sched`: new work, freed inflight slots, shutdown.
-    pub work_cv: Condvar,
-    pub stats: Mutex<ServeStats>,
-    pub next_id: AtomicU64,
-    pub outstanding: AtomicU64,
-    pub drain_lock: Mutex<()>,
-    pub drain_cv: Condvar,
-    /// Admission refuses new work.
-    pub closed: AtomicBool,
-    /// Drivers/scheduler resolve remaining work as failed and exit.
-    pub stopping: AtomicBool,
-    pub inboxes: Vec<Arc<Bounded<QueuedJob>>>,
+    work_cv: Condvar,
+    stats: Mutex<ServeStats>,
+    outstanding: AtomicU64,
+    drain_lock: Mutex<()>,
+    drain_cv: Condvar,
 }
 
 impl Shared {
-    pub(crate) fn lock_sched(&self) -> MutexGuard<'_, SchedState> {
+    fn lock_sched(&self) -> MutexGuard<'_, SchedState> {
         self.sched.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -207,12 +267,66 @@ impl Shared {
         self.stats.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Release one inflight slot for `tenant` and wake the scheduler.
+    /// Release one inflight slot for `tenant` and wake the drivers.
     pub(crate) fn release_inflight(&self, tenant: usize) {
         let mut s = self.lock_sched();
         s.tenants[tenant].inflight = s.tenants[tenant].inflight.saturating_sub(1);
         drop(s);
         self.work_cv.notify_all();
+    }
+
+    /// Called by a free pool driver: expire overdue queued jobs, then
+    /// take the next job by the stride rule. With nothing eligible, wait
+    /// on `work_cv` until new work, a freed inflight slot, shutdown, the
+    /// earliest queued deadline or `idle_until`, whichever comes first.
+    pub(crate) fn next_job(&self, idle_until: Option<Instant>) -> Pull {
+        let mut s = self.lock_sched();
+        loop {
+            if s.stopping {
+                let leftovers = s.take_where(|_| true);
+                drop(s);
+                for job in leftovers {
+                    let outcome = JobOutcome::Failed {
+                        attempts: 0,
+                        error: "serving plane shut down before the job ran".into(),
+                    };
+                    resolve(self, &job, outcome);
+                }
+                return Pull::Stop;
+            }
+            let now = Instant::now();
+            let expired = s.take_where(|j| j.deadline <= now);
+            if !expired.is_empty() {
+                drop(s);
+                for job in expired {
+                    let after = now.duration_since(job.submitted);
+                    let outcome = JobOutcome::Expired {
+                        at: ExpiredAt::Queued,
+                        after,
+                    };
+                    resolve(self, &job, outcome);
+                }
+                s = self.lock_sched();
+                continue;
+            }
+            if let Some(job) = s.take_next() {
+                return Pull::Job(job, s.queued_total());
+            }
+            if idle_until.is_some_and(|t| t <= now) {
+                return Pull::Idle;
+            }
+            let deadlines = s.tenants.iter().flat_map(|t| t.lanes.iter().flatten());
+            let wake = deadlines.map(|j| j.deadline).chain(idle_until).min();
+            s = match wake {
+                Some(t) => {
+                    let wait = self
+                        .work_cv
+                        .wait_timeout(s, t.saturating_duration_since(now));
+                    wait.unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self.work_cv.wait(s).unwrap_or_else(|p| p.into_inner()),
+            };
+        }
     }
 }
 
@@ -272,9 +386,7 @@ pub(crate) fn resolve(shared: &Shared, job: &QueuedJob, outcome: JobOutcome) {
 /// ledger with [`ServePlane::stats`].
 pub struct ServePlane {
     shared: Arc<Shared>,
-    scheduler: Option<JoinHandle<()>>,
     drivers: Vec<JoinHandle<()>>,
-    joined: bool,
 }
 
 /// A tenant's handle for submitting work.
@@ -284,12 +396,11 @@ pub struct Session<'p> {
 }
 
 impl ServePlane {
-    /// Spawn the scheduler and one driver thread (owning one ODIN worker
-    /// pool) per configured pool.
+    /// Spawn one driver thread (owning one ODIN worker pool) per
+    /// configured pool.
     pub fn new(cfg: ServeConfig) -> Self {
         assert!(cfg.n_pools >= 1, "a plane needs at least one pool");
         assert!(cfg.workers_per_pool >= 1, "a pool needs a worker");
-        assert!(cfg.pool_inbox_cap >= 1, "inboxes need capacity");
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|(n, _)| n.clone()).collect();
         let tenants = cfg
             .tenants
@@ -302,48 +413,32 @@ impl ServePlane {
                 pass: 0.0,
             })
             .collect();
-        let inboxes: Vec<Arc<Bounded<QueuedJob>>> = (0..cfg.n_pools)
-            .map(|_| Arc::new(Bounded::new(cfg.pool_inbox_cap)))
-            .collect();
         let shared = Arc::new(Shared {
             cfg,
             tenant_names,
-            sched: Mutex::new(SchedState { tenants }),
+            sched: Mutex::new(SchedState {
+                tenants,
+                vtime: 0.0,
+                last_id: 0,
+                closed: false,
+                stopping: false,
+            }),
             work_cv: Condvar::new(),
             stats: Mutex::new(ServeStats::default()),
-            next_id: AtomicU64::new(0),
             outstanding: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
-            inboxes,
         });
-        let mut drivers = Vec::with_capacity(shared.cfg.n_pools);
-        let mut ctls = Vec::with_capacity(shared.cfg.n_pools);
-        for pool in 0..shared.cfg.n_pools {
-            let (ctl_tx, ctl_rx) = mpsc::channel();
-            ctls.push(ctl_tx);
-            let sh = Arc::clone(&shared);
-            let inbox = Arc::clone(&shared.inboxes[pool]);
-            drivers.push(
+        let drivers = (0..shared.cfg.n_pools)
+            .map(|pool| {
+                let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-pool-{pool}"))
-                    .spawn(move || driver_loop(sh, pool, inbox, ctl_rx))
-                    .expect("spawn pool driver"),
-            );
-        }
-        let sh = Arc::clone(&shared);
-        let scheduler = std::thread::Builder::new()
-            .name("serve-sched".into())
-            .spawn(move || scheduler_loop(sh, ctls))
-            .expect("spawn scheduler");
-        ServePlane {
-            shared,
-            scheduler: Some(scheduler),
-            drivers,
-            joined: false,
-        }
+                    .spawn(move || driver_loop(sh, pool))
+                    .expect("spawn pool driver")
+            })
+            .collect();
+        ServePlane { shared, drivers }
     }
 
     /// Open a session for a registered tenant.
@@ -375,35 +470,26 @@ impl ServePlane {
             g = self
                 .shared
                 .drain_cv
-                .wait_timeout(g, Duration::from_millis(5))
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
+                .wait(g)
+                .unwrap_or_else(|p| p.into_inner());
         }
     }
 
     /// Close admission, drain every admitted job, stop all threads, and
     /// return the final ledger.
     pub fn shutdown(mut self) -> ServeStats {
-        self.shared.closed.store(true, Ordering::SeqCst);
+        self.shared.lock_sched().closed = true;
         self.drain();
         self.stop_and_join();
         self.stats()
     }
 
     fn stop_and_join(&mut self) {
-        if self.joined {
-            return;
-        }
-        self.joined = true;
-        self.shared.closed.store(true, Ordering::SeqCst);
-        self.shared.stopping.store(true, Ordering::SeqCst);
+        let mut s = self.shared.lock_sched();
+        s.closed = true;
+        s.stopping = true;
         self.shared.work_cv.notify_all();
-        for inbox in &self.shared.inboxes {
-            inbox.close();
-        }
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+        drop(s);
         for h in self.drivers.drain(..) {
             let _ = h.join();
         }
@@ -427,238 +513,123 @@ impl Session<'_> {
     /// Submit a job. Returns a ticket on admission or a typed refusal —
     /// the synchronous backpressure signal.
     pub fn submit(&self, req: JobRequest) -> Result<JobTicket, ServeError> {
-        let shared = &self.plane.shared;
-        shared.lock_stats().submitted += 1;
         if req.budget.is_zero() {
             return Err(ServeError::ZeroBudget);
         }
+        let shared = &self.plane.shared;
         let tenant_name = self.tenant();
-        if shared.closed.load(Ordering::SeqCst) {
-            shared.lock_stats().rejected_closed += 1;
-            return Err(ServeError::Closed);
-        }
         let now = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-        {
-            let mut s = shared.lock_sched();
-            let t = &mut s.tenants[self.tenant];
-            if t.queued >= t.quota.max_queued {
-                let queued = t.queued;
-                let cap = t.quota.max_queued;
-                drop(s);
-                shared.lock_stats().rejected_quota += 1;
+        let mut s = shared.lock_sched();
+        let t = &s.tenants[self.tenant];
+        let refusal = if s.closed {
+            Some(ServeError::Closed)
+        } else if t.queued >= t.quota.max_queued {
+            Some(ServeError::QuotaExceeded {
+                tenant: tenant_name.to_string(),
+                queued: t.queued,
+                cap: t.quota.max_queued,
+            })
+        } else {
+            None
+        };
+        if let Some(err) = refusal {
+            drop(s);
+            let mut st = shared.lock_stats();
+            st.submitted += 1;
+            if err == ServeError::Closed {
+                st.rejected_closed += 1;
+            } else {
+                st.rejected_quota += 1;
+                drop(st);
                 obs_tenant_counter("serve.rejected", tenant_name);
-                return Err(ServeError::QuotaExceeded {
-                    tenant: tenant_name.to_string(),
-                    queued,
-                    cap,
-                });
             }
-            t.lanes[req.priority.lane()].push_back(QueuedJob {
-                id,
-                tenant: self.tenant,
-                spec: req.spec,
-                priority: req.priority,
-                submitted: now,
-                deadline: now + req.budget,
-                tx,
-            });
-            t.queued += 1;
+            return Err(err);
         }
+        let (tx, rx) = mpsc::channel();
+        s.last_id += 1;
+        let id = s.last_id;
+        let vtime = s.vtime;
+        let t = &mut s.tenants[self.tenant];
+        if t.queued == 0 {
+            t.pass = t.pass.max(vtime);
+        }
+        t.lanes[req.priority.lane()].push_back(QueuedJob {
+            id,
+            tenant: self.tenant,
+            spec: req.spec,
+            priority: req.priority,
+            submitted: now,
+            deadline: now + req.budget,
+            tx,
+        });
+        t.queued += 1;
+        let victim = if s.queued_total() > shared.cfg.max_queued_total {
+            s.take_shed_victim()
+        } else {
+            None
+        };
+        // Counted under the lock, so a `drain` after `closed` sees it.
         shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        shared.lock_stats().admitted += 1;
-        obs_tenant_counter("serve.admitted", tenant_name);
+        drop(s);
         shared.work_cv.notify_all();
+        {
+            let mut st = shared.lock_stats();
+            st.submitted += 1;
+            st.admitted += 1;
+        }
+        obs_tenant_counter("serve.admitted", tenant_name);
+        if let Some(job) = victim {
+            let outcome = JobOutcome::Shed {
+                priority: job.priority,
+                queued_for: job.submitted.elapsed(),
+            };
+            resolve(shared, &job, outcome);
+        }
         Ok(JobTicket { id, rx })
     }
 }
 
-// ---- scheduler -------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// One scheduler pass under the lock: expire, shed, dispatch. Returns
-/// jobs to resolve outside the lock plus the load snapshot the elastic
-/// policy needs.
-fn sched_tick(
-    shared: &Shared,
-    s: &mut SchedState,
-    resolved: &mut Vec<(QueuedJob, JobOutcome)>,
-) -> (usize, usize) {
-    let now = Instant::now();
-    // 1. Expire queued jobs whose deadline has passed.
-    for t in s.tenants.iter_mut() {
-        for lane in t.lanes.iter_mut() {
-            let mut i = 0;
-            while i < lane.len() {
-                if lane[i].deadline <= now {
-                    let job = lane.remove(i).expect("indexed job");
-                    t.queued -= 1;
-                    let after = now.duration_since(job.submitted);
-                    resolved.push((
-                        job,
-                        JobOutcome::Expired {
-                            at: ExpiredAt::Queued,
-                            after,
-                        },
-                    ));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    // 2. Shed overload: lowest priority first, newest first within it.
-    while s.queued_total() > shared.cfg.max_queued_total {
-        let mut victim: Option<(usize, usize)> = None; // (tenant, lane)
-        'lanes: for lane_idx in 0..N_PRIORITIES {
-            let mut newest: Option<(usize, u64)> = None;
-            for (ti, t) in s.tenants.iter().enumerate() {
-                if let Some(back) = t.lanes[lane_idx].back() {
-                    if newest.is_none_or(|(_, id)| back.id > id) {
-                        newest = Some((ti, back.id));
-                    }
-                }
-            }
-            if let Some((ti, _)) = newest {
-                victim = Some((ti, lane_idx));
-                break 'lanes;
-            }
-        }
-        let Some((ti, lane_idx)) = victim else { break };
-        let t = &mut s.tenants[ti];
-        let job = t.lanes[lane_idx].pop_back().expect("victim exists");
-        t.queued -= 1;
-        let queued_for = now.duration_since(job.submitted);
-        let priority = job.priority;
-        resolved.push((
-            job,
-            JobOutcome::Shed {
-                priority,
-                queued_for,
-            },
-        ));
-    }
-    // 3. Fair-share dispatch into pool inboxes until backpressure.
-    while let Some(ti) = s
-        .tenants
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.queued > 0 && t.inflight < t.quota.max_inflight)
-        .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))
-        .map(|(ti, _)| ti)
-    {
-        let t = &mut s.tenants[ti];
-        let lane_idx = (0..N_PRIORITIES)
-            .rev()
-            .find(|&l| !t.lanes[l].is_empty())
-            .expect("tenant has queued work");
-        let job = t.lanes[lane_idx].pop_front().expect("lane non-empty");
-        t.queued -= 1;
-        if job.deadline <= now {
-            let after = now.duration_since(job.submitted);
-            resolved.push((
-                job,
-                JobOutcome::Expired {
-                    at: ExpiredAt::Queued,
-                    after,
-                },
-            ));
-            continue;
-        }
-        // Least-loaded inbox; on backpressure put the job back and stop.
-        let pi = (0..shared.inboxes.len())
-            .min_by_key(|&p| shared.inboxes[p].len())
-            .expect("at least one pool");
-        match shared.inboxes[pi].try_push(job) {
-            Ok(()) => {
-                t.inflight += 1;
-                t.pass += 1.0 / t.quota.weight.max(1e-9);
-            }
-            Err(err) => {
-                let job = err.into_inner();
-                t.lanes[lane_idx].push_front(job);
-                t.queued += 1;
-                shared.lock_stats().dispatch_backpressure += 1;
-                break;
-            }
-        }
-    }
-    (s.queued_total(), s.inflight_total())
-}
-
-fn scheduler_loop(shared: Arc<Shared>, ctls: Vec<mpsc::Sender<PoolCtl>>) {
-    let pol = shared.cfg.elastic.clone();
-    let mut targets = vec![shared.cfg.workers_per_pool; shared.cfg.n_pools];
-    let mut idle_ticks = 0u32;
-    let mut cooldown = 0u32;
-    loop {
-        if shared.stopping.load(Ordering::SeqCst) {
-            // Final sweep: everything still queued resolves, counted.
-            let mut leftovers = Vec::new();
-            {
-                let mut s = shared.lock_sched();
-                for t in s.tenants.iter_mut() {
-                    for lane in t.lanes.iter_mut() {
-                        while let Some(job) = lane.pop_front() {
-                            t.queued -= 1;
-                            leftovers.push(job);
-                        }
-                    }
-                }
-            }
-            for job in leftovers {
-                resolve(
-                    &shared,
-                    &job,
-                    JobOutcome::Failed {
-                        attempts: 0,
-                        error: "serving plane shut down before the job ran".into(),
-                    },
-                );
-            }
-            return;
-        }
-        let mut resolved = Vec::new();
-        let (queued, inflight) = {
-            let mut s = shared.lock_sched();
-            sched_tick(&shared, &mut s, &mut resolved)
+    #[test]
+    fn teardown_fails_every_queued_job_and_the_ledger_reconciles() {
+        let mut plane = ServePlane::new(ServeConfig {
+            n_pools: 1,
+            workers_per_pool: 1,
+            tenants: vec![("t0".into(), TenantQuota::default())],
+            ..ServeConfig::default()
+        });
+        let s = plane.session("t0").unwrap();
+        let submit = |n| {
+            s.submit(JobRequest {
+                spec: JobSpec::Array { seed: 3, n },
+                priority: Priority::Normal,
+                budget: Duration::from_secs(60),
+            })
+            .unwrap()
         };
-        for (job, outcome) in resolved {
-            resolve(&shared, &job, outcome);
+        let busy = submit(4_000_000);
+        let queued: Vec<_> = (0..4).map(|_| submit(64)).collect();
+        while plane.stats().attempts == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        if let Some(pol) = &pol {
-            let backlog = queued + shared.inboxes.iter().map(|q| q.len()).sum::<usize>();
-            cooldown = cooldown.saturating_sub(1);
-            if backlog > pol.grow_backlog && cooldown == 0 {
-                if let Some(p) = (0..targets.len())
-                    .filter(|&p| targets[p] < pol.max_workers)
-                    .min_by_key(|&p| targets[p])
-                {
-                    targets[p] += 1;
-                    let _ = ctls[p].send(PoolCtl::Resize(targets[p]));
-                    cooldown = 8;
+        // What `Drop` runs: the driver finishes the job it holds, then
+        // sweeps the queues.
+        plane.stop_and_join();
+        assert!(busy.wait().data().is_some());
+        for t in queued {
+            match t.wait() {
+                JobOutcome::Failed { attempts, error } => {
+                    assert_eq!(attempts, 0);
+                    assert_eq!(error, "serving plane shut down before the job ran");
                 }
-                idle_ticks = 0;
-            } else if backlog == 0 && inflight == 0 {
-                idle_ticks += 1;
-                if idle_ticks >= pol.shrink_idle_ticks {
-                    idle_ticks = 0;
-                    if let Some(p) = (0..targets.len())
-                        .filter(|&p| targets[p] > pol.min_workers)
-                        .max_by_key(|&p| targets[p])
-                    {
-                        targets[p] -= 1;
-                        let _ = ctls[p].send(PoolCtl::Resize(targets[p]));
-                    }
-                }
-            } else {
-                idle_ticks = 0;
+                other => panic!("a job queued at teardown must fail, got {other:?}"),
             }
         }
-        let g = shared.lock_sched();
-        let _ = shared
-            .work_cv
-            .wait_timeout(g, Duration::from_millis(1))
-            .unwrap_or_else(|p| p.into_inner());
+        let st = plane.stats();
+        assert_eq!((st.completed, st.failed), (1, 4), "{st:?}");
+        assert!(st.reconciles(), "{st:?}");
     }
 }

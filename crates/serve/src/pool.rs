@@ -1,5 +1,7 @@
-//! Pool drivers: one thread per ODIN worker pool, executing dispatched
-//! jobs with retry + backoff, deadline hard-cancel, and fault absorption.
+//! Pool drivers: one thread per ODIN worker pool, pulling jobs from the
+//! tenant queues ([`Shared::next_job`]) and executing them with retry +
+//! backoff, deadline hard-cancel, and fault absorption. Each driver also
+//! sizes its own pool under an [`crate::ElasticPolicy`].
 //!
 //! The driver owns its [`OdinContext`] (the master is deliberately
 //! single-threaded), so every fault a pool can throw — a killed worker
@@ -11,12 +13,9 @@
 //! the completed result stays **bitwise identical** to a fault-free run
 //! at the same pool size (the E16 restart-identity contract).
 
-use std::cmp::Reverse;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use comm::{Bounded, PopError};
 use dlinalg::{CsrMatrix, DistVector};
 use odin::{DType, Dist, OdinCheckpoint, OdinContext};
 use solvers::{
@@ -24,15 +23,7 @@ use solvers::{
 };
 
 use crate::job::{ExpiredAt, JobOutcome, JobSpec};
-use crate::plane::{resolve, QueuedJob, ServeConfig, Shared};
-
-/// Scheduler → driver control messages.
-pub(crate) enum PoolCtl {
-    /// Retarget the pool to this many workers (applied between jobs via
-    /// [`OdinContext::resize`] with an empty checkpoint — serve jobs keep
-    /// no cross-job array state).
-    Resize(usize),
-}
+use crate::plane::{resolve, Pull, QueuedJob, ServeConfig, Shared};
 
 /// The Seamless kernel every [`JobSpec::Kernel`] job maps (compiled once
 /// per pool lifetime, replayed across recoveries by the kernel registry).
@@ -49,53 +40,38 @@ fn set_pool_gauge(pool: usize, workers: usize) {
     }
 }
 
-/// Main loop of one pool driver thread.
-pub(crate) fn driver_loop(
-    shared: Arc<Shared>,
-    pool: usize,
-    inbox: Arc<Bounded<QueuedJob>>,
-    ctl: mpsc::Receiver<PoolCtl>,
-) {
+/// Main loop of one pool driver thread: pull the next job, size the pool
+/// for it, run it; shrink the pool when idle; stop with the plane.
+pub(crate) fn driver_loop(shared: Arc<Shared>, pool: usize) {
     let mut odin_cfg = shared.cfg.odin;
     odin_cfg.n_workers = shared.cfg.workers_per_pool;
     let mut ctx = OdinContext::new(odin_cfg);
     set_pool_gauge(pool, ctx.n_workers());
+    let elastic = shared.cfg.elastic.as_ref();
     loop {
-        // Apply pending resizes between jobs: the driver holds no arrays
-        // across jobs, so an empty checkpoint fully describes live state.
-        while let Ok(PoolCtl::Resize(n)) = ctl.try_recv() {
-            if n != ctx.n_workers() && n > 0 {
-                ctx.resize(n, &OdinCheckpoint::empty());
-                shared.lock_stats().resizes += 1;
-                set_pool_gauge(pool, n);
+        let n = ctx.n_workers();
+        let idle_until = elastic
+            .filter(|p| n > p.min_workers.max(1))
+            .map(|p| Instant::now() + p.shrink_after);
+        match shared.next_job(idle_until) {
+            Pull::Job(job, backlog) => {
+                if elastic.is_some_and(|p| backlog > p.grow_backlog && n < p.max_workers) {
+                    resize(&shared, &mut ctx, pool, n + 1);
+                }
+                run_job(&shared, &ctx, job);
             }
+            Pull::Idle => resize(&shared, &mut ctx, pool, n - 1),
+            Pull::Stop => return,
         }
-        // Priority overtaking at the pool edge: take the highest-priority
-        // (oldest within it) staged job, falling back to a short blocking
-        // pop so control messages are still polled regularly.
-        let job = match inbox.take_max_by_key(|j| (j.priority, Reverse(j.id))) {
-            Some(j) => j,
-            None => match inbox.pop_timeout(Duration::from_millis(2)) {
-                Ok(j) => j,
-                Err(PopError::Closed) => break,
-                Err(_) => continue,
-            },
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            let tenant = job.tenant;
-            resolve(
-                &shared,
-                &job,
-                JobOutcome::Failed {
-                    attempts: 0,
-                    error: "serving plane shut down before the job ran".into(),
-                },
-            );
-            shared.release_inflight(tenant);
-            continue;
-        }
-        run_job(&shared, &ctx, job);
     }
+}
+
+/// Resize between jobs: the driver holds no arrays across jobs, so an
+/// empty checkpoint fully describes live state.
+fn resize(shared: &Shared, ctx: &mut OdinContext, pool: usize, n: usize) {
+    ctx.resize(n, &OdinCheckpoint::empty());
+    shared.lock_stats().resizes += 1;
+    set_pool_gauge(pool, n);
 }
 
 fn run_job(shared: &Shared, ctx: &OdinContext, job: QueuedJob) {

@@ -6,7 +6,8 @@
 /// Monotonic counters for one [`crate::ServePlane`] lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Submissions seen (admitted + refused).
+    /// Submissions counted: admitted, or refused for quota or closure.
+    /// A zero budget or an unknown tenant is refused before counting.
     pub submitted: u64,
     /// Jobs accepted into a tenant queue.
     pub admitted: u64,
@@ -34,9 +35,6 @@ pub struct ServeStats {
     pub recoveries: u64,
     /// Elastic pool resizes applied.
     pub resizes: u64,
-    /// Dispatch rounds that stalled because every pool inbox was full —
-    /// the backpressure signal propagating from pools to queues.
-    pub dispatch_backpressure: u64,
 }
 
 impl ServeStats {

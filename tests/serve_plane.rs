@@ -11,8 +11,8 @@ use std::time::Duration;
 use hpc_framework::comm::{FaultPlan, UniverseConfig};
 use hpc_framework::odin::OdinConfig;
 use hpc_framework::serve::{
-    reference_result, JobOutcome, JobRequest, JobSpec, Priority, ServeConfig, ServeError,
-    ServePlane, TenantQuota,
+    reference_result, ExpiredAt, JobOutcome, JobRequest, JobSpec, Priority, ServeConfig,
+    ServeError, ServePlane, ServeStats, TenantQuota,
 };
 
 fn fault_seed() -> u64 {
@@ -58,7 +58,6 @@ fn admission_quota_is_synchronous_backpressure() {
     let plane = ServePlane::new(ServeConfig {
         n_pools: 1,
         workers_per_pool: 1,
-        pool_inbox_cap: 1,
         tenants: vec![(
             "acme".into(),
             TenantQuota {
@@ -114,7 +113,6 @@ fn overload_sheds_lowest_priority_newest_first() {
     let plane = ServePlane::new(ServeConfig {
         n_pools: 1,
         workers_per_pool: 1,
-        pool_inbox_cap: 1,
         max_queued_total: 5,
         tenants: vec![(
             "acme".into(),
@@ -227,7 +225,6 @@ fn fair_share_weights_drive_dispatch_order() {
     let plane = ServePlane::new(ServeConfig {
         n_pools: 1,
         workers_per_pool: 1,
-        pool_inbox_cap: 1,
         tenants: vec![
             (
                 "heavy".into(),
@@ -381,12 +378,11 @@ fn elastic_pool_grows_under_backlog_and_results_stay_exact() {
     let plane = ServePlane::new(ServeConfig {
         n_pools: 1,
         workers_per_pool: 1,
-        pool_inbox_cap: 2,
         elastic: Some(hpc_framework::serve::ElasticPolicy {
             min_workers: 1,
             max_workers: 3,
             grow_backlog: 2,
-            shrink_idle_ticks: 1_000_000, // shrink not under test
+            shrink_after: Duration::from_millis(50),
         }),
         tenants: vec![(
             "acme".into(),
@@ -429,10 +425,147 @@ fn elastic_pool_grows_under_backlog_and_results_stay_exact() {
             other => panic!("expected completion, got {other:?}"),
         }
     }
+    let grown = plane.stats().resizes;
+    assert!(
+        grown >= 1,
+        "a 24-job backlog over grow_backlog=2 must trigger growth: {grown}"
+    );
+    // Idle for 8x `shrink_after`: the driver steps its pool back down to
+    // `min_workers`, one worker per idle period.
+    std::thread::sleep(Duration::from_millis(400));
+    let spec = JobSpec::Solve { seed: 99, n: 40 };
+    let t = s
+        .submit(req(spec.clone(), Priority::Normal, Duration::from_secs(30)))
+        .unwrap();
+    match t.wait() {
+        JobOutcome::Completed { data, workers, .. } => {
+            assert_eq!(workers, 1, "an idle pool shrinks back to min_workers");
+            let want = reference_result(&spec, workers);
+            assert!(
+                data.iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "a shrunk pool's result must match the oracle bitwise"
+            );
+        }
+        other => panic!("expected completion, got {other:?}"),
+    }
     let stats = plane.shutdown();
     assert!(
-        stats.resizes >= 1,
-        "a 24-job backlog over grow_backlog=2 must trigger growth: {stats:?}"
+        stats.resizes > grown,
+        "the idle pool must shrink: {stats:?}"
     );
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// Poll the ledger until `done` holds (the pool has started a job).
+fn wait_for(plane: &ServePlane, done: impl Fn(&ServeStats) -> bool) {
+    while !done(&plane.stats()) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A job big enough to keep a one-worker pool busy for well over 20 ms.
+const BLOCKER: JobSpec = JobSpec::Array {
+    seed: 1,
+    n: 4_000_000,
+};
+
+#[test]
+fn returning_tenant_does_not_bank_idle_time_as_stride_credit() {
+    // `a` runs 20 jobs alone; `b` was idle all along. When both queue 8
+    // jobs behind a busy pool, `b` joins at the current virtual time, so
+    // equal weights alternate instead of `b` taking every slot until its
+    // pass catches up with `a`'s.
+    let plane = ServePlane::new(ServeConfig {
+        n_pools: 1,
+        workers_per_pool: 1,
+        tenants: ["a", "b", "blocker"]
+            .iter()
+            .map(|n| (n.to_string(), TenantQuota::default()))
+            .collect(),
+        ..ServeConfig::default()
+    });
+    let (a, b) = (plane.session("a").unwrap(), plane.session("b").unwrap());
+    let small = |i: u64| JobSpec::Array { seed: i, n: 64 };
+    let warmup: Vec<_> = (0..20u64)
+        .map(|i| {
+            a.submit(req(small(i), Priority::Normal, Duration::from_secs(30)))
+                .unwrap()
+        })
+        .collect();
+    for t in warmup {
+        assert!(t.wait().data().is_some());
+    }
+    let blocker = plane.session("blocker").unwrap();
+    let busy = blocker
+        .submit(req(BLOCKER, Priority::Normal, Duration::from_secs(60)))
+        .unwrap();
+    wait_for(&plane, |st| st.attempts == 21);
+    let mut tickets = Vec::new();
+    for i in 0..8u64 {
+        for (name, s) in [("a", &a), ("b", &b)] {
+            let at = std::time::Instant::now();
+            let t = s
+                .submit(req(
+                    small(100 + i),
+                    Priority::Normal,
+                    Duration::from_secs(60),
+                ))
+                .unwrap();
+            tickets.push((name, at, t));
+        }
+    }
+    assert!(busy.wait().data().is_some());
+    let mut starts: Vec<_> = tickets
+        .into_iter()
+        .map(|(name, at, t)| match t.wait() {
+            JobOutcome::Completed { queue_wait, .. } => (at + queue_wait, name),
+            other => panic!("expected completion, got {other:?}"),
+        })
+        .collect();
+    starts.sort();
+    let first: Vec<&str> = starts[..8].iter().map(|&(_, n)| n).collect();
+    for name in ["a", "b"] {
+        assert!(
+            first.iter().filter(|&&n| n == name).count() >= 4,
+            "tenant {name} got fewer than 4 of the first 8 slots: {first:?}"
+        );
+    }
+    assert!(plane.shutdown().reconciles());
+}
+
+#[test]
+fn queued_job_expires_behind_a_busy_pool() {
+    // The pool is busy with the blocker, so the 20 ms job never leaves
+    // its tenant queue: the driver that comes free expires it there.
+    let plane = ServePlane::new(ServeConfig {
+        n_pools: 1,
+        workers_per_pool: 1,
+        tenants: vec![("acme".into(), TenantQuota::default())],
+        ..ServeConfig::default()
+    });
+    let s = plane.session("acme").unwrap();
+    let busy = s
+        .submit(req(BLOCKER, Priority::Normal, Duration::from_secs(60)))
+        .unwrap();
+    let short = s
+        .submit(req(
+            JobSpec::Array { seed: 2, n: 64 },
+            Priority::Normal,
+            Duration::from_millis(20),
+        ))
+        .unwrap();
+    match short.wait() {
+        JobOutcome::Expired { at, after } => {
+            assert_eq!(at, ExpiredAt::Queued);
+            assert!(after >= Duration::from_millis(20));
+        }
+        other => panic!("a 20 ms job behind a busy pool must expire, got {other:?}"),
+    }
+    assert!(busy.wait().data().is_some());
+    let stats = plane.shutdown();
+    assert_eq!(stats.expired_queued, 1, "{stats:?}");
+    assert_eq!(stats.expired_running, 0, "{stats:?}");
     assert!(stats.reconciles(), "{stats:?}");
 }

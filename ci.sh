@@ -26,7 +26,7 @@ panic_sites() {
   done
   echo "$n"
 }
-for entry in comm:46 odin:48 seamless:43; do
+for entry in comm:46 odin:44 seamless:43; do
   crate=${entry%%:*} ceiling=${entry##*:}
   sites=$(panic_sites "$crate")
   echo "-- $crate: $sites panic sites (ceiling $ceiling)"
@@ -115,6 +115,30 @@ folds=$(grep -c 'Fold::new' <<<"$worker_code" || true)
 echo "-- Fold::new sites in worker.rs: $folds"
 if [ "$folds" -ne 1 ]; then
   echo "elementwise gate: crates/odin/src/worker.rs folds in $folds places, expected exactly 1" >&2
+  exit 1
+fi
+
+echo "== scalar reductions are one round trip (workers reply partials, the master folds)"
+# Every worker replies its whole-array partials and its arg candidate, and
+# the master combines them, so no scalar result waits on a worker
+# collective and no worker answers for the pool. An `allreduce` in the
+# command or kernel executor, `Fold` or `arg_best`, or a `rank == 0`
+# reply, is the three-hop reduction growing back; axis reductions
+# (`exec_reduce`) and `cumsum` (`scan`) keep theirs: their results are
+# arrays. `item_body` prints an item from its first line to its closing `}`.
+item_body() { awk -v head="$1" 'index($0, head) == 1 {on = 1} on {print} on && /^}/ {exit}' <<<"$worker_code"; }
+for item in 'fn exec_cmd' 'fn exec_kernel' 'pub(crate) struct Fold' 'impl Fold' 'pub(crate) fn arg_best'; do
+  if [ -z "$(item_body "$item")" ]; then
+    echo "round-trip gate: '$item' not found in crates/odin/src/worker.rs; update the gate" >&2
+    exit 1
+  fi
+  if item_body "$item" | grep -n 'allreduce'; then
+    echo "round-trip gate: '$item' in crates/odin/src/worker.rs calls a worker collective" >&2
+    exit 1
+  fi
+done
+if grep -nE 'rank\(\) == 0|rank == 0' <<<"$worker_code"; then
+  echo "round-trip gate: crates/odin/src/worker.rs has a worker-0-only reply" >&2
   exit 1
 fi
 

@@ -347,9 +347,7 @@ impl<'c> Kernel<'c> {
             kind,
             reg: self.ret_reg,
         };
-        let pending = self
-            .ctx
-            .dispatch_single::<Vec<f64>>(&self.launch(inputs, reduce));
+        let pending = self.ctx.dispatch_reduce(&self.launch(inputs, reduce));
         let v = pending.wait()[0];
         drop(temps);
         v

@@ -27,6 +27,7 @@ use dmap::{CommPlan, Run};
 use crate::array::DistArray;
 use crate::buffer::Buffer;
 use crate::context::OdinContext;
+use crate::protocol::Cmd;
 use crate::worker::{LocalFn, WorkerScope};
 
 impl OdinContext {
@@ -47,14 +48,28 @@ impl OdinContext {
         arrays: &[&DistArray<'_>],
         f: impl Fn(&mut WorkerScope<'_>, &[u64]) + Send + Sync + 'static,
     ) {
+        self.gather_local(arrays, f);
+    }
+
+    /// Run an SPMD closure on every worker and return each worker's
+    /// result, in worker order: one round trip, like a barrier.
+    pub(crate) fn gather_local<T: comm::Wire + 'static>(
+        &self,
+        arrays: &[&DistArray<'_>],
+        f: impl Fn(&mut WorkerScope<'_>, &[u64]) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
         let wrapped: LocalFn = Arc::new(move |scope, args, _scalars| {
-            f(scope, args);
-            scope.reply(Vec::new());
+            let v = f(scope, args);
+            scope.reply(comm::encode_to_vec(&v));
         });
-        let id = self.register_local(wrapped);
-        let ids: Vec<u64> = arrays.iter().map(|a| a.id()).collect();
-        self.call_local(id, &ids, &[]);
-        let _ = self.collect_replies_pub();
+        let fn_id = self.register_local(wrapped);
+        let arrays = arrays.iter().map(|a| a.id()).collect();
+        let cmd = Cmd::CallLocal {
+            fn_id,
+            arrays,
+            scalars: Vec::new(),
+        };
+        self.dispatch_each(&cmd).wait()
     }
 }
 

@@ -10,10 +10,8 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use crate::table::{DistTable, Record};
-use crate::worker::LocalFn;
 
 fn key_home(key: &str, p: usize) -> usize {
     let mut h = DefaultHasher::new();
@@ -32,7 +30,7 @@ impl<'c> DistTable<'c> {
         reduce_fn: impl Fn(f64, f64) -> f64 + Send + Sync + 'static,
     ) -> Vec<(String, f64)> {
         let table_id = self.id();
-        let f: LocalFn = Arc::new(move |scope, _args, _scalars| {
+        let shares = self.context().gather_local(&[], move |scope, _| {
             let p = scope.n_workers();
             // map + local pre-combine (the classic "combiner" optimization)
             let mut combined: HashMap<String, f64> = HashMap::new();
@@ -60,20 +58,9 @@ impl<'c> DistTable<'c> {
                 }
             }
             // every worker replies with its share
-            let mut pairs: Vec<(String, f64)> = reduced.into_iter().collect();
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            scope.reply(comm::encode_to_vec(&pairs));
+            reduced.into_iter().collect::<Vec<(String, f64)>>()
         });
-        let ctx = self.context();
-        let fid = ctx.register_local(f);
-        ctx.call_local(fid, &[], &[]);
-        let replies = ctx.collect_replies_pub();
-        let mut out: Vec<(String, f64)> = Vec::new();
-        for bytes in replies {
-            let pairs: Vec<(String, f64)> =
-                comm::decode_from_slice(&bytes).expect("bad shuffle reply");
-            out.extend(pairs);
-        }
+        let mut out = shares.concat();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

@@ -3,9 +3,12 @@
 //! that "all NumPy array creation routines \[and\] built-in functions" have
 //! distributed counterparts.
 
+use comm::Wire;
+
 use crate::array::DistArray;
 use crate::buffer::DType;
 use crate::protocol::{BinOp, Cmd, Dist};
+use crate::worker::arg_best;
 
 impl<'c> DistArray<'c> {
     /// `np.where(self, a, b)`: elementwise `self ? a : b`, typed
@@ -45,12 +48,23 @@ impl<'c> DistArray<'c> {
 
     fn arg_reduce(&self, is_max: bool) -> usize {
         assert!(!self.is_empty(), "arg reduction of an empty array");
-        self.ctx()
-            .dispatch_single(&Cmd::ArgReduce {
-                a: self.id(),
-                is_max,
-            })
-            .wait()
+        match self.dtype() {
+            DType::F64 => self.arg_pick::<f64>(is_max),
+            DType::I64 => self.arg_pick::<i64>(is_max),
+            DType::Bool => self.arg_pick::<bool>(is_max),
+        }
+    }
+
+    /// Every worker replies its `(value, global index)` candidate in the
+    /// array's own type, and the master keeps the winner by the rule each
+    /// worker's local scan used ([`arg_best`]).
+    fn arg_pick<T: Wire + Copy + Default + PartialOrd + 'static>(&self, is_max: bool) -> usize {
+        let cmd = Cmd::ArgReduce {
+            a: self.id(),
+            is_max,
+        };
+        let candidates = self.ctx().dispatch_each::<(T, usize)>(&cmd).wait();
+        arg_best(is_max, candidates).1
     }
 
     /// Global flat index of the maximum element (ties → lowest index). As
@@ -251,6 +265,18 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn matmul_carries_nan_and_inf_through_zero_entries() {
+        // NumPy: 0 · NaN and 0 · ∞ are NaN, so a zero row of `a` does not
+        // mask a NaN or ∞ in `b`.
+        let ctx = OdinContext::with_workers(2);
+        let zeros = ctx.zeros(&[2, 2], DType::F64);
+        for v in [f64::NAN, f64::INFINITY] {
+            let c = zeros.matmul(&ctx.full(&[2, 2], v, Dist::Block));
+            assert!(c.to_vec().iter().all(|x| x.is_nan()), "0 · {v}");
         }
     }
 

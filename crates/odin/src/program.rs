@@ -686,7 +686,7 @@ impl<'x, 'c> Program<'x, 'c> {
                     if reduce_stmts.is_empty() {
                         ctx.send_cmd(&cmd);
                     } else {
-                        let pending = ctx.dispatch_single::<Vec<f64>>(&cmd);
+                        let pending = ctx.dispatch_reduce(&cmd);
                         pendings.push_back((pending, reduce_stmts));
                     }
                 }

@@ -259,7 +259,8 @@ pub enum Cmd {
         /// Input id.
         a: u64,
     },
-    /// Index of the extreme element; worker 0 replies the global index.
+    /// Index of the extreme element; every worker replies its typed
+    /// `(value, global index)` candidate and the master picks.
     ArgReduce {
         /// Input id.
         a: u64,
@@ -302,9 +303,9 @@ pub enum Cmd {
     /// fused map+reduce names one [`KernelOut::Reduce`]; the
     /// whole-program optimizer (DESIGN §14) fuses a group of traced
     /// statements into one function and names one out per materialized
-    /// array or folded reduction. Worker 0 replies with the reduction
-    /// scalars (a `Vec<f64>` in `outs` order) iff any
-    /// [`KernelOut::Reduce`] is present.
+    /// array or folded reduction. Every worker replies its reduction
+    /// partials (a `Vec<f64>` in `outs` order) iff any
+    /// [`KernelOut::Reduce`] is present; the master combines them.
     EvalKernel {
         /// Registered kernel id.
         kernel: u64,

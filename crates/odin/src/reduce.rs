@@ -1,23 +1,48 @@
 //! Global reductions: full-array scalars and per-axis reductions.
 //!
-//! Full reductions are computed by the workers with a direct
-//! worker-to-worker allreduce — the master only receives the final scalar
-//! from worker 0, so it never becomes a bottleneck (paper Fig. 1 caption).
+//! A full reduction is one round trip, like a barrier: every worker
+//! replies the partial of its segment and the master combines them in
+//! rank order (`worker::Fold::across`), a few bytes per worker, so it
+//! never becomes a bottleneck (paper Fig. 1 caption). An axis reduction's
+//! result is an array, so its partials meet worker to worker.
 
 use crate::array::DistArray;
+use crate::context::OdinContext;
 use crate::protocol::{Cmd, KernelOut, ReduceKind};
 use crate::reply::Pending;
+use crate::worker::Fold;
+
+impl OdinContext {
+    /// Broadcast a kernel launch with [`KernelOut::Reduce`] tails and
+    /// return a future for its totals, one per tail in `outs` order: each
+    /// worker's partials, combined column by column with [`Fold::across`].
+    pub(crate) fn dispatch_reduce(&self, cmd: &Cmd) -> Pending<'_, Vec<f64>> {
+        let Cmd::EvalKernel { outs, .. } = cmd else {
+            unreachable!("only a kernel launch has reduce tails")
+        };
+        let kinds: Vec<ReduceKind> = outs
+            .iter()
+            .filter_map(|o| match *o {
+                KernelOut::Reduce { kind, .. } => Some(kind),
+                KernelOut::Array { .. } => None,
+            })
+            .collect();
+        self.dispatch_each::<Vec<f64>>(cmd).map(move |partials| {
+            let column = |j: usize| partials.iter().map(|w| w[j]).collect::<Vec<_>>();
+            let total = |(j, &kind)| Fold::across(kind, &column(j));
+            kinds.iter().enumerate().map(total).collect()
+        })
+    }
+}
 
 impl<'c> DistArray<'c> {
     /// Dispatch a full reduction — the identity kernel with a
     /// [`KernelOut::Reduce`] tail — and return a reply future: the master
-    /// keeps issuing commands while the scalar is in flight.
+    /// keeps issuing commands while the partials are in flight.
     fn reduce_scalar_async(&self, kind: ReduceKind) -> Pending<'c, f64> {
         let reduce = |reg| KernelOut::Reduce { kind, reg };
         let cmd = self.launch(self.dtype(), &[], None, |_| 0, reduce);
-        self.ctx()
-            .dispatch_single::<Vec<f64>>(&cmd)
-            .map(|totals| totals[0])
+        self.ctx().dispatch_reduce(&cmd).map(|totals| totals[0])
     }
 
     fn reduce_scalar(&self, kind: ReduceKind) -> f64 {

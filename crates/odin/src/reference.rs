@@ -31,9 +31,9 @@ pub fn eval(e: &Expr<'_, '_>) -> Option<Buffer> {
 /// worker-side reduction path folds: element `i` of a segment goes into
 /// stripe `i mod 8`, each stripe starting at the identity; a segment's
 /// partial is `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`; the partials then
-/// combine in rank order, bracketed as comm's binomial tree
-/// (`(p0∘p1)∘(p2∘p3)` at four ranks, `(p0∘p1)∘p2` at three), which is
-/// what the pool's small `allreduce` computes at one to four workers.
+/// combine in rank order, bracketed as a binomial tree (`(p0∘p1)∘(p2∘p3)`
+/// at four ranks, `(p0∘p1)∘p2` at three, `((p0∘p1)∘(p2∘p3))∘p4` at five),
+/// as the master combines the workers' partials at any pool width.
 pub fn fold(kind: ReduceKind, segments: &[Buffer]) -> f64 {
     let op = |a: f64, b: f64| match kind {
         ReduceKind::Sum | ReduceKind::CountNonzero => a + b,

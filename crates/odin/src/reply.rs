@@ -235,25 +235,6 @@ impl OdinContext {
         }
     }
 
-    /// Reply future for a single worker-0 reply decoded as `T`.
-    pub(crate) fn pending_single<T: Wire>(&self, span_name: &'static str) -> Pending<'_, T> {
-        let tickets = vec![self.issue_ticket(0)];
-        Pending {
-            ctx: self,
-            tickets,
-            span_name,
-            decode: Some(Box::new(|replies| {
-                replies
-                    .into_iter()
-                    .next()
-                    .ok_or(comm::CommError::Disconnected)
-                    .and_then(Payload::into_wire_bytes)
-                    .and_then(|bytes| comm::decode_from_slice(&bytes))
-                    .expect("bad reply encoding")
-            })),
-        }
-    }
-
     /// Broadcast a command and return a future for one reply per worker —
     /// the pipelined dispatch primitive: the master keeps issuing commands
     /// while replies are still in flight.
@@ -262,30 +243,30 @@ impl OdinContext {
         self.pending_all("collect_replies")
     }
 
-    /// Broadcast a command whose protocol says only worker 0 replies and
-    /// return a typed future for that reply.
-    pub(crate) fn dispatch_single<T: Wire>(&self, cmd: &Cmd) -> Pending<'_, T> {
+    /// Broadcast a command every worker answers with one `T` and return
+    /// a typed future for the answers, in worker order.
+    pub(crate) fn dispatch_each<T: Wire + 'static>(&self, cmd: &Cmd) -> Pending<'_, Vec<T>> {
         self.send_cmd(cmd);
-        self.pending_single("collect_single_reply")
+        self.pending_all("collect_replies")
+            .map(|replies| replies.into_iter().map(decode_reply).collect())
     }
 
-    /// Replies reserved by in-flight futures but not yet consumed.
+    /// Replies reserved by in-flight futures but not yet consumed: one per
+    /// worker for every reply-bearing broadcast (a barrier, a reduction).
     pub fn outstanding_replies(&self) -> u64 {
         let eng = self.engine.borrow();
         let issued: u64 = eng.issued.iter().sum();
         let arrived: u64 = eng.arrived.iter().sum();
         issued - arrived
     }
+}
 
-    /// Receive one reply from each worker, returned in worker order, as
-    /// encoded bytes (only a `Fetch` reply ever rides the region arm).
-    pub(crate) fn collect_replies(&self) -> Vec<Vec<u8>> {
-        self.pending_all("collect_replies")
-            .wait()
-            .into_iter()
-            .map(|reply| reply.into_wire_bytes().expect("a wire-bytes reply"))
-            .collect()
-    }
+/// A wire-arm reply decoded as `T`.
+fn decode_reply<T: Wire>(reply: Payload) -> T {
+    reply
+        .into_wire_bytes()
+        .and_then(|bytes| comm::decode_from_slice(&bytes))
+        .expect("bad reply encoding")
 }
 
 #[cfg(test)]
@@ -297,10 +278,11 @@ mod tests {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.full(&[10], 2.0, crate::protocol::Dist::Block);
         let y = ctx.linspace(1.0, 10.0, 10);
-        // dispatch two reductions without waiting for either
+        // dispatch two reductions without waiting for either: each waits
+        // on one partial per worker
         let px = x.sum_async();
         let py = y.sum_async();
-        assert_eq!(ctx.outstanding_replies(), 2, "both replies in flight");
+        assert_eq!(ctx.outstanding_replies(), 4, "both reductions in flight");
         // claim out of dispatch order: the engine buffers the early reply
         assert!((py.wait() - 55.0).abs() < 1e-9);
         assert!((px.wait() - 20.0).abs() < 1e-9);

@@ -135,16 +135,14 @@ impl<'c> DistTable<'c> {
         self.id
     }
 
-    /// Total number of records. Collective.
+    /// Total number of records: each worker replies its count and the
+    /// master adds them.
     pub fn len(&self) -> usize {
         let id = self.id;
-        self.ctx.run_spmd_reply(&[], move |scope, _| {
-            let n = scope.table(id).rows.len();
-            let total = scope.comm.allreduce(&n, comm::ReduceOp::sum());
-            if scope.rank() == 0 {
-                scope.reply(comm::encode_to_vec(&total));
-            }
-        })
+        let counts = self
+            .ctx
+            .gather_local(&[], move |scope, _| scope.table(id).rows.len());
+        counts.into_iter().sum()
     }
 
     /// Whether the table has no records.
@@ -202,7 +200,10 @@ impl<'c> DistTable<'c> {
     /// Gather every record to the master, in worker order.
     pub fn collect(&self) -> Vec<Record> {
         let id = self.id;
-        self.ctx.send_collect(id)
+        let rows = self
+            .ctx
+            .gather_local(&[], move |scope, _| scope.table(id).rows.clone());
+        rows.concat()
     }
 }
 
@@ -237,41 +238,6 @@ impl OdinContext {
             id,
             schema,
         }
-    }
-
-    /// Run an SPMD closure and decode worker 0's single reply.
-    pub(crate) fn run_spmd_reply<T: Wire>(
-        &self,
-        arrays: &[&crate::array::DistArray<'_>],
-        f: impl Fn(&mut crate::worker::WorkerScope<'_>, &[u64]) + Send + Sync + 'static,
-    ) -> T {
-        let wrapped: crate::worker::LocalFn = Arc::new(move |scope, args, _| {
-            f(scope, args);
-        });
-        let fid = self.register_local(wrapped);
-        let ids: Vec<u64> = arrays.iter().map(|a| a.id()).collect();
-        self.call_local(fid, &ids, &[]);
-        self.pending_single("collect_single_reply").wait()
-    }
-
-    pub(crate) fn send_collect(&self, table_id: u64) -> Vec<Record> {
-        let wrapped: crate::worker::LocalFn = Arc::new(move |scope, _, _| {
-            let payload = comm::encode_to_vec(&scope.table(table_id).rows);
-            scope.reply(payload);
-        });
-        let fid = self.register_local(wrapped);
-        self.call_local(fid, &[], &[]);
-        let replies = self.collect_replies_pub();
-        let mut out = Vec::new();
-        for bytes in replies {
-            let rows: Vec<Record> = comm::decode_from_slice(&bytes).expect("bad collect payload");
-            out.extend(rows);
-        }
-        out
-    }
-
-    pub(crate) fn collect_replies_pub(&self) -> Vec<Vec<u8>> {
-        self.collect_replies()
     }
 }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use comm::{Comm, Cursor, Payload, Wire};
+use comm::{encode_to_vec, Comm, Cursor, Payload, Wire};
 use dlinalg::DistVector;
 use seamless::bytecode::{Reg, RegFile};
 use seamless::vm::Lane;
@@ -96,8 +96,8 @@ impl<'a> WorkerScope<'a> {
         self.insert(id, meta, Buffer::F64(v.local().to_vec()));
     }
 
-    /// Send a reply payload to the master (used by reduction-style local
-    /// functions; usually only worker 0 should reply).
+    /// Send a reply payload to the master (used by local functions whose
+    /// caller collects one reply from every worker).
     pub fn reply(&self, bytes: Vec<u8>) {
         reply(self.comm, bytes);
     }
@@ -364,16 +364,16 @@ fn exec_cmd(
             let (meta, buf) = &arrays[&a];
             let map = meta.axis_map(p, rank);
             let slab = meta.slab().max(1);
-            let gid = |i: usize| map.local_to_global(i / slab) * slab + i % slab;
-            let winner = match buf {
-                Buffer::F64(v) => arg_reduce(comm, v, is_max, gid),
-                Buffer::I64(v) => arg_reduce(comm, v, is_max, gid),
-                Buffer::Bool(v) => arg_reduce(comm, v, is_max, gid),
+            let gids = (0..buf.len()).map(|i| map.local_to_global(i / slab) * slab + i % slab);
+            // Every worker replies its candidate, compared in the segment's
+            // own type; the master picks among them by the same rule.
+            let candidate = match buf {
+                Buffer::F64(v) => encode_to_vec(&arg_best(is_max, v.iter().copied().zip(gids))),
+                Buffer::I64(v) => encode_to_vec(&arg_best(is_max, v.iter().copied().zip(gids))),
+                Buffer::Bool(v) => encode_to_vec(&arg_best(is_max, v.iter().copied().zip(gids))),
             };
             comm.advance_compute(buf.len() as f64);
-            if rank == 0 {
-                reply(comm, comm::encode_to_vec(&winner));
-            }
+            reply(comm, candidate);
             Vec::new()
         }
         Cmd::Concat { a, b, .. } => {
@@ -406,9 +406,6 @@ fn exec_cmd(
             for i in 0..rows {
                 for kk in 0..ka {
                     let aik = ba.get_f64(i * ka + kk);
-                    if aik == 0.0 {
-                        continue;
-                    }
                     let brow = &bfull[kk * ncols..(kk + 1) * ncols];
                     let crow = &mut c[i * ncols..(i + 1) * ncols];
                     for (cv, bv) in crow.iter_mut().zip(brow) {
@@ -603,9 +600,10 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 /// the modeled compute advance is tier-independent, so chaos/critical-path
 /// results do not depend on which tier ran.
 ///
-/// The reduce tail is the one [`Fold`] over the rows widened to f64, then
-/// one `allreduce` per reduction in `outs` order, then a rank-0 reply with
-/// the scalar vector — so a fused reduction is bitwise `map(...)` followed
+/// The reduce tail is the one [`Fold`] over the rows widened to f64; every
+/// worker then replies its partials, one per reduction in `outs` order,
+/// and the master combines them with [`Fold::across`] — two hops, no
+/// worker collective. So a fused reduction is bitwise `map(...)` followed
 /// by the eager reduction (the identity body with the same tail).
 #[allow(clippy::too_many_arguments)]
 fn exec_kernel<L: KernelLane>(
@@ -625,8 +623,8 @@ fn exec_kernel<L: KernelLane>(
     let (t_meta, t_buf) = &arrays[&template];
     let n = t_buf.len();
     // Kernel event span: covers the chunk loop plus its modeled compute
-    // advance, closing *before* the collective reduce tail so no comm
-    // spans nest inside it (the critical-path walk treats Kernel spans as
+    // advance, closing *before* the reduce tail's reply so no comm spans
+    // nest inside it (the critical-path walk treats Kernel spans as
     // atomic clock advances).
     let kernel_timer = if obs::enabled() {
         Some(obs::span::span_start(comm.virtual_time()))
@@ -752,20 +750,19 @@ fn exec_kernel<L: KernelLane>(
             },
         );
     }
-    let mut totals: Vec<f64> = Vec::new();
+    let mut partials: Vec<f64> = Vec::new();
     let mut made = Vec::new();
     for h in harvests {
         match h {
             Harvest::Array { row, dtype } => made.push(cast(L::wrap(row), dtype)),
             Harvest::Reduce { row, fold } => {
                 pool.push(row);
-                // One allreduce per reduction, in declaration order.
-                totals.push(fold.allreduce(comm));
+                partials.push(fold.finish());
             }
         }
     }
-    if !totals.is_empty() && comm.rank() == 0 {
-        reply(comm, comm::encode_to_vec(&totals));
+    if !partials.is_empty() {
+        reply(comm, comm::encode_to_vec(&partials));
     }
     made
 }
@@ -794,19 +791,18 @@ fn scan<T: Wire + Copy + Default>(comm: &Comm, mut xs: Vec<T>, add: fn(T, T) -> 
     xs
 }
 
-/// The global index of the pool's `argmax` (`is_max`) or `argmin`, values
-/// compared in their own type; `gid(i)` is local element `i`'s. The local
-/// scan and the allreduce pick alike, whatever the segments' split.
-fn arg_reduce<T: Wire + Copy + Default + PartialOrd>(
-    comm: &Comm,
-    vals: &[T],
+/// The `argmax` (`is_max`) or `argmin` winner among `(value, global
+/// index)` candidates — a worker's local scan and the master's pick among
+/// the workers' candidates alike, so the answer does not depend on the
+/// segments' split. NumPy's rule: a NaN (unordered against itself, so only
+/// an f64) beats every number, then the larger (smaller) value wins, ties
+/// — two NaNs too — go to the lower index; an empty candidate (index
+/// `usize::MAX`, what no candidates yield) loses.
+pub(crate) fn arg_best<T: Copy + Default + PartialOrd>(
     is_max: bool,
-    gid: impl Fn(usize) -> usize,
-) -> usize {
-    // NumPy's rule: a NaN (unordered against itself, so only an f64)
-    // beats every number, then the larger (smaller) value wins, ties —
-    // two NaNs too — go to the lower index; an empty candidate loses.
-    let pick = |x: &(T, usize), y: &(T, usize)| {
+    candidates: impl IntoIterator<Item = (T, usize)>,
+) -> (T, usize) {
+    let pick = |x: (T, usize), y: (T, usize)| {
         let nan = |v: &T| v.partial_cmp(v).is_none();
         let x_wins = match (nan(&x.0), nan(&y.0)) {
             _ if x.1 == usize::MAX || y.1 == usize::MAX => x.1 < y.1,
@@ -815,14 +811,14 @@ fn arg_reduce<T: Wire + Copy + Default + PartialOrd>(
             _ => (if is_max { x.0 > y.0 } else { x.0 < y.0 }) || (x.0 == y.0 && x.1 < y.1),
         };
         if x_wins {
-            *x
+            x
         } else {
-            *y
+            y
         }
     };
-    let candidates = vals.iter().enumerate().map(|(i, &v)| (v, gid(i)));
-    let mine = candidates.fold((T::default(), usize::MAX), |best, x| pick(&x, &best));
-    comm.allreduce(&mine, pick).1
+    candidates
+        .into_iter()
+        .fold((T::default(), usize::MAX), |best, x| pick(x, best))
 }
 
 /// Independent partials of a whole-segment reduction (NumPy's
@@ -833,11 +829,12 @@ const STRIPES: usize = 8;
 /// `exec_kernel` reduce tail, eager reductions' identity kernels included.
 /// Lane `i` of the segment, counted in element order, folds into stripe
 /// `i mod 8`; [`Fold::finish`] combines the stripes as
-/// `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`, and [`Fold::allreduce`] the
-/// workers' partials. Eight independent chains instead of one dependent
-/// chain, and the same order on every path and tier, so every path agrees
-/// bit for bit (`odin::reference::fold` is the serial oracle).
-struct Fold {
+/// `((s0∘s1)∘(s2∘s3))∘((s4∘s5)∘(s6∘s7))`, and the master combines the
+/// workers' partials with [`Fold::across`]. Eight independent chains
+/// instead of one dependent chain, and the same order on every path,
+/// tier and pool width, so every path agrees bit for bit
+/// (`odin::reference::fold` is the serial oracle).
+pub(crate) struct Fold {
     kind: ReduceKind,
     stripes: [f64; STRIPES],
 }
@@ -873,13 +870,19 @@ impl Fold {
         c(c(c(s0, s1), c(s2, s3)), c(c(s4, s5), c(s6, s7)))
     }
 
-    /// The pool-wide result. Collective: every rank calls it, even with
-    /// an empty segment.
-    fn allreduce(&self, comm: &Comm) -> f64 {
-        let kind = self.kind;
-        comm.allreduce(&self.finish(), |x: &f64, y: &f64| {
-            f64::combine(kind, *x, *y)
-        })
+    /// The pool-wide result from the workers' [`Fold::finish`] partials,
+    /// in rank order, bracketed as a binomial tree: `(p0∘p1)∘(p2∘p3)` at
+    /// four workers, `(p0∘p1)∘p2` at three. The master's half of every
+    /// reduce tail.
+    pub(crate) fn across(kind: ReduceKind, partials: &[f64]) -> f64 {
+        match partials {
+            [] => unreachable!("a pool has at least one worker"),
+            [only] => *only,
+            _ => {
+                let (lo, hi) = partials.split_at(partials.len().next_power_of_two() / 2);
+                f64::combine(kind, Self::across(kind, lo), Self::across(kind, hi))
+            }
+        }
     }
 }
 

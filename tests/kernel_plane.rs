@@ -65,6 +65,29 @@ fn kill_worker_1_after(ops: u64) -> OdinConfig {
     }
 }
 
+/// Fault events on the worker↔worker plane so far — messages the plan
+/// dropped or duplicated, and retransmissions — read on every worker.
+/// Master↔worker posts and replies are never faulted, so a chaos test
+/// whose steps all stay master↔worker reads 0 here.
+fn faults_fired(ctx: &OdinContext) -> i64 {
+    let counts = ctx.zeros(&[ctx.n_workers()], DType::I64);
+    let read: LocalFn = Arc::new(|scope, ids, _| {
+        let s = scope.comm.stats();
+        let fired = s.faults_dropped + s.faults_duplicated + s.retransmits;
+        *scope.local_mut(ids[0]) = Buffer::I64(vec![fired as i64]);
+    });
+    ctx.run_local(&[&counts], &[], read);
+    counts.to_vec_i64().iter().sum()
+}
+
+/// Steps whose partials meet worker to worker: axis-0 sums of 2-D arrays,
+/// one elementwise `allreduce` each.
+fn axis0_sums(ctx: &OdinContext) -> Vec<u64> {
+    (0..8u64)
+        .flat_map(|seed| bits(&ctx.random(&[37, 5], seed).sum_axis(0).to_vec()))
+        .collect()
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -148,16 +171,18 @@ fn compiled_kernels_match_a_host_reference_at_every_width() {
 fn kernel_plane_is_deterministic_under_seeded_chaos() {
     let _g = stats_read();
     // The ci.sh chaos sweep reruns this under several HPC_FAULT_SEED
-    // values. Worker↔worker traffic (the fused-reduce allreduce) is
+    // values. Worker↔worker traffic (the axis sums' allreduces) is
     // dropped/duplicated/corrupted/delayed per the seed; reliable
-    // delivery must heal every schedule and leave the answer bit-exact.
+    // delivery must heal every schedule and leave the answers bit-exact.
+    // The fused reduction rides master↔worker replies, which are never
+    // faulted: it checks the kernel, the axis sums check the healing.
     let healthy = {
         let ctx = OdinContext::with_workers(4);
         let x = ctx.linspace(-1.0, 1.0, 401);
         let y = ctx.linspace(0.5, 2.5, 401);
         let arr = bits(&probe_expr(&x, &y).eval().to_vec());
         let sum = probe_expr(&x, &y).sum().to_bits();
-        (arr, sum)
+        (arr, sum, axis0_sums(&ctx))
     };
     let ctx = OdinContext::new(message_chaos());
     let x = ctx.linspace(-1.0, 1.0, 401);
@@ -172,6 +197,17 @@ fn kernel_plane_is_deterministic_under_seeded_chaos() {
         probe_expr(&x, &y).sum().to_bits(),
         healthy.1,
         "chaos changed the fused reduction (seed {})",
+        fault_seed()
+    );
+    assert_eq!(
+        axis0_sums(&ctx),
+        healthy.2,
+        "chaos changed an axis sum (seed {})",
+        fault_seed()
+    );
+    assert!(
+        faults_fired(&ctx) > 0,
+        "the fault plan never fired (seed {})",
         fault_seed()
     );
 }
@@ -472,7 +508,8 @@ fn array_of<'c>(ctx: &'c OdinContext, data: Buffer) -> DistArray<'c> {
 fn every_reduction_path_folds_in_the_reference_order() {
     let _g = stats_read();
     // Workers fold a whole-array reduction in eight stripes per segment
-    // and combine the partials over the pool (DESIGN §10). Every path —
+    // and the master combines their partials (DESIGN §10), in the same
+    // bracketing at every pool width, so the grid runs 1–7 workers. Every path —
     // eager reductions over typed segments, fused `Expr` reductions,
     // `Kernel::map_reduce` in its own lane type on both tiers, and a
     // traced program folding five reductions in one launch — must equal
@@ -515,7 +552,7 @@ fn every_reduction_path_folds_in_the_reference_order() {
         ReduceKind::Max => a.max(),
         ReduceKind::CountNonzero => a.count_nonzero() as f64,
     };
-    for workers in 1..=4usize {
+    for workers in 1..=7usize {
         let ctx = OdinContext::with_workers(workers);
         let kernels: Vec<(Kernel, Kernel)> = [Tier::Vm, Tier::Native]
             .into_iter()
@@ -778,7 +815,7 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
 #[test]
 fn native_tier_is_deterministic_under_seeded_chaos() {
     let _g = stats_read();
-    // Swept over HPC_FAULT_SEED by ci.sh: chaos on the control/collective
+    // Swept over HPC_FAULT_SEED by ci.sh: chaos on the worker↔worker
     // plane must not perturb native-tier results, and the native chaos run
     // must equal the healthy Tier::Vm run bit for bit (tiers are
     // interchangeable even under faults).
@@ -789,7 +826,7 @@ fn native_tier_is_deterministic_under_seeded_chaos() {
         let b = ctx.linspace(0.2, 3.0, 311);
         let arr = bits(&k.map(&[&a, &b]).to_vec());
         let sum = k.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits();
-        (arr, sum)
+        (arr, sum, axis0_sums(&ctx))
     };
     let ctx = OdinContext::new(message_chaos());
     let k = ctx.kernel(F64_BODY, "body").build().unwrap();
@@ -805,6 +842,17 @@ fn native_tier_is_deterministic_under_seeded_chaos() {
         k.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits(),
         healthy_vm.1,
         "native fused reduce under chaos diverged (seed {})",
+        fault_seed()
+    );
+    assert_eq!(
+        axis0_sums(&ctx),
+        healthy_vm.2,
+        "chaos changed an axis sum (seed {})",
+        fault_seed()
+    );
+    assert!(
+        faults_fired(&ctx) > 0,
+        "the fault plan never fired (seed {})",
         fault_seed()
     );
 }
@@ -937,6 +985,13 @@ fn traced_program_is_deterministic_under_seeded_chaos() {
         run_traced_probe(&ctx),
         healthy,
         "chaos changed a traced-program result (seed {})",
+        fault_seed()
+    );
+    // The pooled redistribute of the Cyclic operand is the probe's
+    // worker↔worker traffic.
+    assert!(
+        faults_fired(&ctx) > 0,
+        "the fault plan never fired (seed {})",
         fault_seed()
     );
 }

@@ -293,6 +293,28 @@ fn odin_argmax_matches_serial() {
             assert_eq!(x.argmin(), serial_arg(&xs, false), "argmin {case}");
         }
     }
+    // At 5–7 workers, three lanes each: a tied extreme, a NaN and a NaN
+    // pair placed just across each worker boundary `b`, so the master's
+    // pick among the workers' candidates decides every case.
+    for workers in 5..=7 {
+        let ctx = OdinContext::with_workers(workers);
+        let base: Vec<f64> = (0..3 * workers).map(|i| (i % 5) as f64).collect();
+        for b in (3..3 * workers).step_by(3) {
+            let mut tie = base.clone();
+            (tie[b - 1], tie[b]) = (10.0, 10.0);
+            (tie[b - 2], tie[b + 1]) = (-10.0, -10.0);
+            let mut nan = base.clone();
+            (nan[b - 1], nan[b]) = (10.0, f64::NAN);
+            let mut nans = base.clone();
+            (nans[b - 1], nans[b]) = (f64::NAN, f64::NAN);
+            for xs in [tie, nan, nans] {
+                let x = ctx.from_vec(&xs, Dist::Block);
+                let case = format!("{xs:?} on {workers} workers");
+                assert_eq!(x.argmax(), serial_arg(&xs, true), "argmax {case}");
+                assert_eq!(x.argmin(), serial_arg(&xs, false), "argmin {case}");
+            }
+        }
+    }
 }
 
 #[test]

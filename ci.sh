@@ -26,7 +26,7 @@ panic_sites() {
   done
   echo "$n"
 }
-for entry in comm:46 odin:44 seamless:43; do
+for entry in comm:46 odin:41 seamless:43; do
   crate=${entry%%:*} ceiling=${entry##*:}
   sites=$(panic_sites "$crate")
   echo "-- $crate: $sites panic sites (ceiling $ceiling)"
@@ -142,34 +142,60 @@ if grep -nE 'rank\(\) == 0|rank == 0' <<<"$worker_code"; then
   exit 1
 fi
 
-echo "== one result rule (Cmd::results decides every output layout)"
-# The master records, and each worker stores, every array a command makes
-# under the meta `Cmd::results` gives; the one worker insert site asserts
-# each segment fits it. An `ArrayMeta` built by a master method or a worker
-# executor is a second rule that can drift from the first.
+echo "== one check (Cmd::check decides every output layout and precondition)"
+# The master checks every command before it buffers it, and each worker
+# checks it again before it executes it; both record, and each worker
+# stores, every array a command makes under the meta `Cmd::check` gives.
+# The one worker insert site asserts each segment fits it. An `ArrayMeta`
+# built by a master method or a worker executor is a second rule that can
+# drift from the first, and an assert in a worker arm is a second check
+# that kills a rank instead of refusing the command.
 odin_code() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
 # `ArrayMeta { … }` struct literals, not signatures returning one.
 meta_literals() { odin_code "$1" | grep 'ArrayMeta {' | grep -v -- '-> &\?ArrayMeta {' || true; }
+odin_sites() { odin_code "$1" | { grep -o 'assert\|expect(\|unwrap()\|panic!' || true; } | wc -l; }
+if grep -rn 'fn results\|\.results(' crates/odin/src; then
+  echo "check gate: Cmd::results is back beside Cmd::check" >&2
+  exit 1
+fi
+checkers=$(for f in crates/odin/src/*.rs; do
+  if odin_code "$f" | grep '\.check(' >/dev/null; then echo "$f"; fi; done | tr '\n' ' ')
+echo "-- Cmd::check callers: $checkers"
+if [ "$checkers" != "crates/odin/src/context.rs crates/odin/src/worker.rs " ]; then
+  echo "check gate: .check( outside crates/odin/src/{context,worker}.rs" >&2
+  exit 1
+fi
+protocol_sites=$(odin_sites crates/odin/src/protocol.rs)
+exec_sites=$(( $(odin_sites crates/odin/src/worker.rs) + $(odin_sites crates/odin/src/slicing.rs) ))
+echo "-- assert/expect/unwrap/panic sites: protocol.rs $protocol_sites, worker.rs + slicing.rs $exec_sites (ceiling 19)"
+if [ "$protocol_sites" -ne 0 ]; then
+  echo "check gate: crates/odin/src/protocol.rs panics instead of refusing" >&2
+  exit 1
+fi
+if [ "$exec_sites" -gt 19 ]; then
+  echo "check gate: worker.rs + slicing.rs hold $exec_sites panic sites, ceiling is 19" >&2
+  exit 1
+fi
 recorders=$(for f in crates/odin/src/*.rs; do
   if odin_code "$f" | grep 'record_meta(' >/dev/null; then echo "$f"; fi; done | tr '\n' ' ')
 echo "-- record_meta callers: $recorders"
 if [ "$recorders" != "crates/odin/src/context.rs " ]; then
-  echo "result-rule gate: record_meta( outside crates/odin/src/context.rs" >&2
+  echo "check gate: record_meta( outside crates/odin/src/context.rs" >&2
   exit 1
 fi
 if [ -n "$(meta_literals crates/odin/src/slicing.rs)" ]; then
-  echo "result-rule gate: crates/odin/src/slicing.rs builds an output meta" >&2
+  echo "check gate: crates/odin/src/slicing.rs builds an output meta" >&2
   exit 1
 fi
 # The one literal left in worker.rs is `store_dist_vector`'s (local mode).
 metas=$(meta_literals crates/odin/src/worker.rs | grep -c . || true)
 echo "-- ArrayMeta literals in worker.rs: $metas"
 if [ "$metas" -ne 1 ]; then
-  echo "result-rule gate: crates/odin/src/worker.rs builds $metas metas, expected 1" >&2
+  echo "check gate: crates/odin/src/worker.rs builds $metas metas, expected 1" >&2
   exit 1
 fi
 if grep -n 'pub axis' crates/odin/src/protocol.rs; then
-  echo "result-rule gate: arrays are split along axis 0 only; no axis field" >&2
+  echo "check gate: arrays are split along axis 0 only; no axis field" >&2
   exit 1
 fi
 

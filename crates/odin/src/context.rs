@@ -13,16 +13,17 @@
 //! checkpoint/recover/resize in [`crate::recover`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use comm::{Payload, Universe, UniverseConfig};
 
 use crate::error::OdinError;
-use crate::protocol::{ArrayMeta, Cmd};
+use crate::protocol::{ArrayMeta, Cmd, Holdings};
 use crate::reply::ReplyEngine;
 use crate::worker::{worker_main, LocalFn};
+use seamless::bytecode::Program;
 
 /// Configuration of an ODIN context.
 #[derive(Debug, Clone, Copy)]
@@ -89,25 +90,57 @@ pub struct OdinContext {
     /// Workers known to be gone: they posted their notice, or a post to
     /// them found the thread exited.
     pub(crate) dead: RefCell<Vec<bool>>,
-    /// Arrays whose segments died with a respawned pool (no checkpoint).
-    pub(crate) lost: RefCell<HashSet<u64>>,
-    /// Registered local functions, kept so a respawned pool can be
-    /// re-seeded with them.
-    pub(crate) local_fns: RefCell<Vec<(u64, LocalFn)>>,
-    /// Registered kernel bytecode, kept so a respawned pool can be
-    /// re-registered with it (same ids, same programs).
-    pub(crate) kernels: RefCell<Vec<(u64, seamless::bytecode::Program)>>,
+    /// Array handles and the registries a respawned pool is re-seeded
+    /// from.
+    pub(crate) held: RefCell<MasterHoldings>,
     /// Structural kernel cache: encoded program bytes → registered id, so
     /// re-evaluating the same expression registers nothing twice.
     pub(crate) kernel_cache: RefCell<HashMap<Vec<u8>, u64>>,
     pub(crate) next_id: Cell<u64>,
     pub(crate) next_fn: Cell<u64>,
     pub(crate) next_kernel: Cell<u64>,
-    pub(crate) metas: RefCell<HashMap<u64, ArrayMeta>>,
     pub(crate) stats: RefCell<ContextStats>,
     /// Per worker: encoded commands not yet posted.
     pub(crate) batch: RefCell<Vec<Vec<u8>>>,
     pub(crate) engine: RefCell<ReplyEngine>,
+}
+
+/// What the master holds, as [`Cmd::check`] reads it.
+#[derive(Default)]
+pub(crate) struct MasterHoldings {
+    /// Every live handle's meta.
+    pub(crate) metas: HashMap<u64, ArrayMeta>,
+    /// Arrays whose segments died with a respawned pool (no checkpoint):
+    /// their handles live on, and a command naming one is refused.
+    pub(crate) lost: HashSet<u64>,
+    /// Registered local functions, kept so a respawned pool can be
+    /// re-seeded with them.
+    pub(crate) local_fns: BTreeMap<u64, LocalFn>,
+    /// Registered kernel bytecode, kept so a respawned pool can be
+    /// re-registered with it (same ids, same programs).
+    pub(crate) kernels: BTreeMap<u64, Program>,
+}
+
+impl Holdings for MasterHoldings {
+    fn array(&self, id: u64) -> Result<&ArrayMeta, String> {
+        if self.lost.contains(&id) {
+            return Err(format!(
+                "array {id} was lost when the worker pool was respawned \
+                 without a checkpoint covering it"
+            ));
+        }
+        self.metas
+            .get(&id)
+            .ok_or_else(|| format!("unknown array id {id}"))
+    }
+
+    fn kernel(&self, id: u64) -> Option<&Program> {
+        self.kernels.get(&id)
+    }
+
+    fn has_local_fn(&self, id: u64) -> bool {
+        self.local_fns.contains_key(&id)
+    }
 }
 
 /// Spawn a fresh worker pool under `fault` (recovery respawns with the
@@ -134,14 +167,11 @@ impl OdinContext {
             host: RefCell::new(host),
             pool: RefCell::new(Some(pool)),
             dead: RefCell::new(vec![false; config.n_workers]),
-            lost: RefCell::new(HashSet::new()),
-            local_fns: RefCell::new(Vec::new()),
-            kernels: RefCell::new(Vec::new()),
+            held: RefCell::default(),
             kernel_cache: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
             next_fn: Cell::new(1),
             next_kernel: Cell::new(1),
-            metas: RefCell::new(HashMap::new()),
             stats: RefCell::new(ContextStats::default()),
             batch: RefCell::new(vec![Vec::new(); config.n_workers]),
             engine: RefCell::new(ReplyEngine {
@@ -183,28 +213,26 @@ impl OdinContext {
     }
 
     pub(crate) fn meta_of(&self, id: u64) -> ArrayMeta {
-        if self.lost.borrow().contains(&id) {
-            panic!(
-                "array {id} was lost when the worker pool was respawned \
-                 without a checkpoint covering it"
-            );
-        }
-        self.metas
+        self.held
             .borrow()
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown array id {id}"))
+            .array(id)
+            .unwrap_or_else(|e| panic!("{e}"))
             .clone()
     }
 
-    /// Record the handles `cmd` makes ([`Cmd::results`]), the same metas
-    /// the workers store their segments under.
+    /// Check `cmd` ([`Cmd::check`]) and record the handles it makes, the
+    /// same metas the workers store their segments under. A refused
+    /// command panics here, at the call that built it, before anything
+    /// is buffered or posted.
     fn record_meta(&self, cmd: &Cmd) {
-        let made = cmd.results(|id| self.meta_of(id));
-        self.metas.borrow_mut().extend(made);
+        let made = cmd
+            .check(&*self.held.borrow())
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.held.borrow_mut().metas.extend(made);
     }
 
     pub(crate) fn forget_meta(&self, id: u64) {
-        self.metas.borrow_mut().remove(&id);
+        self.held.borrow_mut().metas.remove(&id);
     }
 
     /// The master thread is not a simulated rank, so its spans use wall
@@ -352,8 +380,8 @@ impl OdinContext {
     /// cannot ride in the buffer, so it is flushed first to keep command
     /// order intact.
     pub(crate) fn send_cmd_to(&self, worker: usize, cmd: &Cmd) {
-        self.flush_batch();
         self.record_meta(cmd);
+        self.flush_batch();
         let timer = self.obs_timer();
         let bytes = comm::encode_to_vec(cmd);
         let n = bytes.len() as u64;
@@ -376,7 +404,7 @@ impl OdinContext {
         let id = self.next_fn.get();
         self.next_fn.set(id + 1);
         self.send_local_fn(id, &f);
-        self.local_fns.borrow_mut().push((id, f));
+        self.held.borrow_mut().local_fns.insert(id, f);
         id
     }
 
@@ -408,7 +436,7 @@ impl OdinContext {
     /// distinct kernel's code crosses to the workers exactly once per pool;
     /// the program is also remembered for re-registration after
     /// [`Self::recover`] respawns the pool.
-    pub(crate) fn register_kernel_program(&self, program: seamless::bytecode::Program) -> u64 {
+    pub(crate) fn register_kernel_program(&self, program: Program) -> u64 {
         assert!(
             program.externs.is_empty(),
             "kernels with foreign functions cannot ship to workers \
@@ -432,7 +460,7 @@ impl OdinContext {
             g.counter("odin.kernel.cache_miss").add(1);
             g.counter("odin.kernel.registered").add(1);
         }
-        self.kernels.borrow_mut().push((id, program));
+        self.held.borrow_mut().kernels.insert(id, program);
         self.kernel_cache.borrow_mut().insert(key, id);
         id
     }
@@ -591,6 +619,242 @@ pub(crate) mod tests {
             ctx.try_barrier(),
             Err(OdinError::WorkerDead { worker: 1, .. })
         ));
+    }
+
+    #[test]
+    fn every_refused_command_panics_at_the_master_and_posts_nothing() {
+        use crate::protocol::{Fill, KernelOut, ReduceKind};
+        use crate::slicing::SliceSpec;
+        use crate::OdinCheckpoint;
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.zeros(&[6], DType::F64);
+        let m = ctx.zeros(&[3, 4], DType::F64);
+        let cyc = x.redistribute(Dist::Cyclic);
+        let empty = ctx.zeros(&[0], DType::F64);
+        let f = ctx.register_local(Arc::new(|_, _, _| {}));
+        drop(&x + 1.0); // registers a kernel of two parameters
+        let k = *ctx.held.borrow().kernels.keys().next().unwrap();
+        let (x, m, cyc, empty) = (x.id(), m.id(), cyc.id(), empty.id());
+        let no_dims = ArrayMeta {
+            shape: vec![],
+            dist: Dist::Block,
+            dtype: DType::F64,
+        };
+        let spec = |start, stop, step| SliceSpec { start, stop, step };
+        let full = SliceSpec::full;
+        let eval = |kernel, template, inputs: Vec<u64>, scalars: Vec<f64>| Cmd::EvalKernel {
+            kernel,
+            template,
+            inputs,
+            scalars,
+            outs: vec![KernelOut::Reduce {
+                kind: ReduceKind::Sum,
+                reg: (seamless::bytecode::RegFile::F, 0),
+            }],
+            dtype: DType::F64,
+            native: false,
+        };
+        let (out, none) = (900, 999);
+        let cases = [
+            (
+                Cmd::Create {
+                    id: out,
+                    meta: no_dims.clone(),
+                    fill: Fill::Zeros,
+                },
+                "one dimension",
+            ),
+            (
+                Cmd::SetData {
+                    id: out,
+                    meta: no_dims,
+                    data: crate::Buffer::F64(vec![1.0]),
+                },
+                "one dimension",
+            ),
+            (
+                Cmd::Create {
+                    id: out,
+                    meta: ArrayMeta {
+                        shape: vec![4],
+                        dist: Dist::BlockCyclic(0),
+                        dtype: DType::I64,
+                    },
+                    fill: Fill::Zeros,
+                },
+                "block size",
+            ),
+            (
+                Cmd::Redistribute {
+                    out,
+                    a: none,
+                    dist: Dist::Block,
+                },
+                "999",
+            ),
+            (
+                Cmd::Redistribute {
+                    out,
+                    a: x,
+                    dist: Dist::BlockCyclic(0),
+                },
+                "block size",
+            ),
+            (
+                Cmd::Slice {
+                    out,
+                    a: none,
+                    specs: vec![full(6)],
+                },
+                "999",
+            ),
+            (
+                Cmd::Slice {
+                    out,
+                    a: m,
+                    specs: vec![full(3)],
+                },
+                "one slice spec per dimension",
+            ),
+            (
+                Cmd::Slice {
+                    out,
+                    a: x,
+                    specs: vec![spec(0, 6, 0)],
+                },
+                "slice beyond",
+            ),
+            (
+                Cmd::Slice {
+                    out,
+                    a: x,
+                    specs: vec![spec(4, 2, 1)],
+                },
+                "slice beyond",
+            ),
+            (
+                Cmd::Slice {
+                    out,
+                    a: m,
+                    specs: vec![full(3), spec(0, 5, 1)],
+                },
+                "slice beyond",
+            ),
+            (
+                Cmd::Reduce {
+                    a: none,
+                    kind: ReduceKind::Sum,
+                    axis: 0,
+                    out,
+                },
+                "999",
+            ),
+            (
+                Cmd::Reduce {
+                    a: m,
+                    kind: ReduceKind::Sum,
+                    axis: 2,
+                    out,
+                },
+                "out of range",
+            ),
+            (
+                Cmd::Reduce {
+                    a: x,
+                    kind: ReduceKind::Max,
+                    axis: 0,
+                    out,
+                },
+                "ndim ≥ 2",
+            ),
+            (Cmd::Fetch { a: none }, "999"),
+            (
+                Cmd::CallLocal {
+                    fn_id: none,
+                    arrays: vec![x],
+                    scalars: vec![],
+                },
+                "unknown local function 999",
+            ),
+            (
+                Cmd::CallLocal {
+                    fn_id: f,
+                    arrays: vec![x, none],
+                    scalars: vec![],
+                },
+                "999",
+            ),
+            (Cmd::CumSum { out, a: none }, "999"),
+            (Cmd::CumSum { out, a: m }, "1-D"),
+            (Cmd::CumSum { out, a: cyc }, "Block"),
+            (
+                Cmd::ArgReduce {
+                    a: none,
+                    is_max: true,
+                },
+                "999",
+            ),
+            (
+                Cmd::ArgReduce {
+                    a: empty,
+                    is_max: false,
+                },
+                "empty",
+            ),
+            (Cmd::Concat { out, a: none, b: x }, "999"),
+            (Cmd::Concat { out, a: x, b: none }, "999"),
+            (Cmd::Concat { out, a: x, b: m }, "1-D"),
+            (Cmd::MatMul { out, a: none, b: m }, "999"),
+            (Cmd::MatMul { out, a: m, b: x }, "2-D"),
+            (Cmd::MatMul { out, a: m, b: m }, "inner dims"),
+            (eval(none, x, vec![x], vec![1.0]), "unknown kernel 999"),
+            (eval(k, none, vec![x], vec![1.0]), "999"),
+            (eval(k, x, vec![none], vec![1.0]), "999"),
+            (eval(k, x, vec![cyc], vec![1.0]), "not conformable"),
+            (eval(k, x, vec![x], vec![]), "2 parameters"),
+            (eval(k, x, vec![x, x], vec![1.0]), "2 parameters"),
+        ];
+        let refuse = |cmd: &Cmd, what: &str| {
+            let want = cmd.check(&*ctx.held.borrow()).unwrap_err();
+            assert!(want.contains(what), "{cmd:?}: {want}");
+            let (stats, batch) = (ctx.stats(), ctx.batch.borrow().clone());
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.send_cmd(cmd)))
+                    .expect_err("the master refuses it");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{cmd:?}");
+            assert_eq!(ctx.stats(), stats, "{cmd:?}");
+            assert_eq!(*ctx.batch.borrow(), batch, "{cmd:?}");
+        };
+        for (cmd, what) in &cases {
+            refuse(cmd, what);
+        }
+        assert!(ctx.dead_workers().is_empty());
+        ctx.recover(&OdinCheckpoint::empty());
+        refuse(&Cmd::Fetch { a: x }, "lost");
+    }
+
+    #[test]
+    fn a_refused_command_that_reaches_the_workers_ends_them_and_recover_serves() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.arange(6);
+        // Buffered raw, past the master's check: each worker's check
+        // refuses the step-0 slice, and the worker exits.
+        ctx.buffer_cmd(&Cmd::Slice {
+            out: ctx.alloc_id(),
+            a: x.id(),
+            specs: vec![crate::slicing::SliceSpec {
+                start: 0,
+                stop: 6,
+                step: 0,
+            }],
+        });
+        assert!(matches!(
+            ctx.try_barrier(),
+            Err(OdinError::WorkerDead { .. })
+        ));
+        ctx.recover(&crate::OdinCheckpoint::empty());
+        assert_eq!(ctx.arange(4).sum(), 6.0);
+        assert!(ctx.health_check().is_ok());
     }
 
     pub(crate) fn chaos_config(

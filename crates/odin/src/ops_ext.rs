@@ -47,7 +47,6 @@ impl<'c> DistArray<'c> {
     }
 
     fn arg_reduce(&self, is_max: bool) -> usize {
-        assert!(!self.is_empty(), "arg reduction of an empty array");
         match self.dtype() {
             DType::F64 => self.arg_pick::<f64>(is_max),
             DType::I64 => self.arg_pick::<i64>(is_max),
@@ -95,11 +94,6 @@ impl<'c> DistArray<'c> {
     /// distributed; `other` `[k,n]` is allgathered to every worker (the
     /// tall-×-skinny pattern). Result is `[m,n]` with `self`'s layout.
     pub fn matmul(&self, other: &DistArray<'c>) -> DistArray<'c> {
-        let ma = self.meta();
-        let mb = other.meta();
-        assert_eq!(ma.ndim(), 2, "matmul takes 2-D arrays");
-        assert_eq!(mb.ndim(), 2, "matmul takes 2-D arrays");
-        assert_eq!(ma.shape[1], mb.shape[0], "matmul inner dims must agree");
         let out = self.ctx().alloc_id();
         self.ctx().send_cmd(&Cmd::MatMul {
             out,
@@ -111,10 +105,6 @@ impl<'c> DistArray<'c> {
 
     /// Concatenate with another 1-D array; result is block-distributed.
     pub fn concat(&self, other: &DistArray<'c>) -> DistArray<'c> {
-        let ma = self.meta();
-        let mb = other.meta();
-        assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
-        assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
         let out = self.ctx().alloc_id();
         self.ctx().send_cmd(&Cmd::Concat {
             out,

@@ -9,7 +9,7 @@ use comm::{CommError, Cursor, Wire};
 
 use crate::buffer::{Buffer, DType};
 use crate::slicing::SliceSpec;
-use seamless::bytecode::{Reg, RegFile};
+use seamless::bytecode::{Program, Reg, RegFile};
 
 /// Distribution of the distributed axis: the one vocabulary `dmap` maps,
 /// `dlinalg` vectors and ODIN arrays share (paper §III-E).
@@ -328,32 +328,76 @@ pub enum Cmd {
     },
 }
 
+/// What one side of the pool holds, as [`Cmd::check`] reads it: the
+/// master's handles and registries, or one worker's segments and
+/// registries.
+pub(crate) trait Holdings {
+    /// The meta of live array `id`, or why there is none.
+    fn array(&self, id: u64) -> Result<&ArrayMeta, String>;
+    /// Registered kernel `id`.
+    fn kernel(&self, id: u64) -> Option<&Program>;
+    /// Whether local function `id` is registered.
+    fn has_local_fn(&self, id: u64) -> bool;
+}
+
+/// Refuse the command with a formatted message unless `$ok` holds.
+macro_rules! ensure {
+    ($ok:expr, $($msg:tt)+) => {
+        if !$ok {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
 impl Cmd {
-    /// The arrays this command makes, as `(id, meta)`: the one rule for
-    /// every output layout, given the metas of its inputs (`meta_of`).
-    /// The master records these for its handles and each worker stores
-    /// its segments under them, so the two sides cannot disagree.
-    pub(crate) fn results(&self, meta_of: impl Fn(u64) -> ArrayMeta) -> Vec<(u64, ArrayMeta)> {
-        match self {
+    /// Check this command against what one side holds and return the
+    /// arrays it makes as `(id, meta)` — the one rule for every output
+    /// layout and every precondition on a command's operands (DESIGN §10).
+    /// The master runs it before it buffers a command and panics with the
+    /// message on a refusal; each worker runs it before it executes one
+    /// and exits on a refusal, which only corrupt or hostile bytes reach.
+    /// So the worker arms execute what this accepts without checking it
+    /// again, and the two sides store the same metas.
+    pub(crate) fn check(&self, held: &impl Holdings) -> Result<Vec<(u64, ArrayMeta)>, String> {
+        let made = match self {
             Cmd::Create { id, meta, .. } | Cmd::SetData { id, meta, .. } => {
+                ensure!(meta.ndim() >= 1, "array {id} needs at least one dimension");
+                ensure!(meta.dist != Dist::BlockCyclic(0), "zero block size");
                 vec![(*id, meta.clone())]
             }
-            Cmd::Redistribute { out, a, dist } => vec![(
-                *out,
-                ArrayMeta {
-                    dist: *dist,
-                    ..meta_of(*a)
-                },
-            )],
-            Cmd::Slice { out, a, specs } => vec![(
-                *out,
-                ArrayMeta {
-                    shape: specs.iter().map(|s| s.len()).collect(),
-                    ..meta_of(*a)
-                },
-            )],
+            Cmd::Redistribute { out, a, dist } => {
+                let m = held.array(*a)?;
+                ensure!(*dist != Dist::BlockCyclic(0), "zero block size");
+                vec![(
+                    *out,
+                    ArrayMeta {
+                        dist: *dist,
+                        ..m.clone()
+                    },
+                )]
+            }
+            Cmd::Slice { out, a, specs } => {
+                let m = held.array(*a)?;
+                ensure!(specs.len() == m.ndim(), "one slice spec per dimension");
+                for (s, &dim) in specs.iter().zip(&m.shape) {
+                    ensure!(
+                        s.step >= 1 && s.start <= s.stop && s.stop <= dim,
+                        "slice beyond dimension ({s:?} vs {dim})"
+                    );
+                }
+                vec![(
+                    *out,
+                    ArrayMeta {
+                        shape: specs.iter().map(SliceSpec::len).collect(),
+                        ..m.clone()
+                    },
+                )]
+            }
             Cmd::Reduce { a, kind, axis, out } => {
-                let mut m = meta_of(*a);
+                let m = held.array(*a)?;
+                ensure!(*axis < m.ndim(), "axis {axis} out of range");
+                ensure!(m.ndim() >= 2, "axis reduction needs ndim ≥ 2");
+                let mut m = m.clone();
                 m.shape.remove(*axis);
                 if *axis == 0 {
                     m.dist = Dist::Block;
@@ -365,14 +409,18 @@ impl Cmd {
                 vec![(*out, m)]
             }
             Cmd::CumSum { out, a } => {
-                let mut m = meta_of(*a);
+                let m = held.array(*a)?;
+                ensure!(m.ndim() == 1, "cumsum supports 1-D arrays");
+                ensure!(m.dist == Dist::Block, "cumsum needs Block segments");
+                let mut m = m.clone();
                 if m.dtype == DType::Bool {
                     m.dtype = DType::I64;
                 }
                 vec![(*out, m)]
             }
             Cmd::Concat { out, a, b } => {
-                let (ma, mb) = (meta_of(*a), meta_of(*b));
+                let (ma, mb) = (held.array(*a)?, held.array(*b)?);
+                ensure!(ma.ndim() == 1 && mb.ndim() == 1, "concat takes 1-D arrays");
                 let meta = ArrayMeta {
                     shape: vec![ma.shape[0] + mb.shape[0]],
                     dist: Dist::Block,
@@ -381,16 +429,41 @@ impl Cmd {
                 vec![(*out, meta)]
             }
             Cmd::MatMul { out, a, b } => {
-                let ma = meta_of(*a);
+                let (ma, mb) = (held.array(*a)?, held.array(*b)?);
+                ensure!(ma.ndim() == 2 && mb.ndim() == 2, "matmul takes 2-D arrays");
+                ensure!(ma.shape[1] == mb.shape[0], "matmul inner dims must agree");
                 let meta = ArrayMeta {
-                    shape: vec![ma.shape[0], meta_of(*b).shape[1]],
+                    shape: vec![ma.shape[0], mb.shape[1]],
                     dist: ma.dist,
                     dtype: DType::F64,
                 };
                 vec![(*out, meta)]
             }
-            Cmd::EvalKernel { template, outs, .. } => {
-                let t_meta = meta_of(*template);
+            Cmd::EvalKernel {
+                kernel,
+                template,
+                inputs,
+                scalars,
+                outs,
+                ..
+            } => {
+                let program = held
+                    .kernel(*kernel)
+                    .ok_or_else(|| format!("unknown kernel {kernel}"))?;
+                let params = program.funcs.first().map_or(0, |f| f.params.len());
+                ensure!(
+                    inputs.len() + scalars.len() == params,
+                    "kernel {kernel} takes {params} parameters, got {} arrays and {} scalars",
+                    inputs.len(),
+                    scalars.len()
+                );
+                let t_meta = held.array(*template)?;
+                for &id in inputs {
+                    ensure!(
+                        held.array(id)?.conformable(t_meta),
+                        "kernel input {id} is not conformable with template {template}"
+                    );
+                }
                 outs.iter()
                     .filter_map(|o| match *o {
                         KernelOut::Array { id, dtype, .. } => Some((
@@ -404,14 +477,25 @@ impl Cmd {
                     })
                     .collect()
             }
-            Cmd::Fetch { .. }
-            | Cmd::CallLocal { .. }
-            | Cmd::Free { .. }
-            | Cmd::Ping
-            | Cmd::Shutdown
-            | Cmd::ArgReduce { .. }
-            | Cmd::RegisterKernel { .. } => Vec::new(),
-        }
+            Cmd::Fetch { a } => {
+                held.array(*a)?;
+                Vec::new()
+            }
+            Cmd::ArgReduce { a, .. } => {
+                let m = held.array(*a)?;
+                ensure!(m.n_global() > 0, "arg reduction of an empty array");
+                Vec::new()
+            }
+            Cmd::CallLocal { fn_id, arrays, .. } => {
+                ensure!(held.has_local_fn(*fn_id), "unknown local function {fn_id}");
+                for &id in arrays {
+                    held.array(id)?;
+                }
+                Vec::new()
+            }
+            Cmd::Free { .. } | Cmd::Ping | Cmd::Shutdown | Cmd::RegisterKernel { .. } => Vec::new(),
+        };
+        Ok(made)
     }
 }
 
@@ -1029,6 +1113,45 @@ mod tests {
                     Err(CommError::Decode(msg)) => assert!(msg.contains("retired"), "{msg}"),
                     other => panic!("retired tag decoded as {other:?}"),
                 }
+            }
+        }
+    }
+
+    /// One live array, id 7 of shape `[100, 4]`; nothing registered.
+    struct OneArray(ArrayMeta);
+
+    impl Holdings for OneArray {
+        fn array(&self, id: u64) -> Result<&ArrayMeta, String> {
+            match id {
+                7 => Ok(&self.0),
+                _ => Err(format!("unknown array id {id}")),
+            }
+        }
+        fn kernel(&self, _: u64) -> Option<&Program> {
+            None
+        }
+        fn has_local_fn(&self, _: u64) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn hostile_slices_decode_and_are_refused_by_the_check() {
+        // `SliceSpec::new` refuses these, but the wire does not: a step of
+        // 0 (which divides by zero in `SliceSpec::len`), a stop past the
+        // dim and an inverted range must come back from `check` as errors.
+        let held = OneArray(meta());
+        for bad in [(0, 10, 0), (0, 101, 1), (5, 4, 1)] {
+            let (start, stop, step) = bad;
+            let bytes = encode_to_vec(&Cmd::Slice {
+                out: 9,
+                a: 7,
+                specs: vec![SliceSpec { start, stop, step }, SliceSpec::full(4)],
+            });
+            let cmd: Cmd = decode_from_slice(&bytes).unwrap();
+            match cmd.check(&held) {
+                Err(msg) => assert!(msg.contains("slice beyond dimension"), "{msg}"),
+                Ok(made) => panic!("{bad:?} accepted as {made:?}"),
             }
         }
     }

@@ -83,14 +83,12 @@ impl OdinContext {
         }
         // Re-seed the pool: local functions and kernel bytecode first,
         // then checkpointed segments.
-        for (id, f) in self.local_fns.borrow().iter() {
+        for (id, f) in &self.held.borrow().local_fns {
             self.send_local_fn(*id, f);
         }
-        for (id, program) in self.kernels.borrow().iter() {
-            self.send_cmd(&Cmd::RegisterKernel {
-                id: *id,
-                program: program.clone(),
-            });
+        let kernels = self.held.borrow().kernels.clone();
+        for (id, program) in kernels {
+            self.send_cmd(&Cmd::RegisterKernel { id, program });
         }
         let mut restored = Vec::with_capacity(ck.arrays.len());
         for (id, meta, data) in &ck.arrays {
@@ -106,21 +104,19 @@ impl OdinContext {
                     },
                 );
             }
-            self.lost.borrow_mut().remove(id);
+            self.held.borrow_mut().lost.remove(id);
             restored.push(*id);
         }
         // Everything else that was live lost its segments with the pool.
-        let lost: Vec<u64> = {
-            let metas = self.metas.borrow();
-            let mut ids: Vec<u64> = metas
-                .keys()
-                .copied()
-                .filter(|id| !restored.contains(id))
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
-        self.lost.borrow_mut().extend(lost.iter().copied());
+        let mut held = self.held.borrow_mut();
+        let mut lost: Vec<u64> = held
+            .metas
+            .keys()
+            .copied()
+            .filter(|id| !restored.contains(id))
+            .collect();
+        lost.sort_unstable();
+        held.lost.extend(lost.iter().copied());
         RecoveryReport {
             respawned: self.n_workers,
             restored,

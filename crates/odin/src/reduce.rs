@@ -86,12 +86,6 @@ impl<'c> DistArray<'c> {
 
     /// Reduce along `axis`, producing an array with that axis removed.
     fn reduce_axis(&self, kind: ReduceKind, axis: usize) -> DistArray<'c> {
-        let meta = self.meta();
-        assert!(axis < meta.ndim(), "axis out of range");
-        assert!(
-            meta.ndim() >= 2,
-            "axis reduction needs ndim ≥ 2; use the scalar reductions for 1-D"
-        );
         let out = self.ctx().alloc_id();
         self.ctx().send_cmd(&Cmd::Reduce {
             a: self.id(),

@@ -93,7 +93,6 @@ impl Wire for SliceSpec {
 /// Within-row (slab) offsets selected by `specs` over trailing dims
 /// `dims` (`specs.len() == dims.len()`), in output order.
 fn slab_offsets(dims: &[usize], specs: &[SliceSpec]) -> Vec<usize> {
-    assert_eq!(dims.len(), specs.len());
     // strides of the slab, row-major
     let mut strides = vec![1usize; dims.len()];
     for i in (0..dims.len().saturating_sub(1)).rev() {
@@ -133,13 +132,10 @@ pub(crate) fn concat_worker(
     b: &(ArrayMeta, Buffer),
     out_meta: &ArrayMeta,
 ) -> Buffer {
-    let (ma, mb) = (&a.0, &b.0);
-    assert_eq!(ma.ndim(), 1, "concat supports 1-D arrays");
-    assert_eq!(mb.ndim(), 1, "concat supports 1-D arrays");
     let (p, rank) = (comm.size(), comm.rank());
     let out_map = out_meta.axis_map(p, rank);
     let mut out = Buffer::zeros(out_meta.dtype, out_map.my_count());
-    for ((meta, data), base) in [(a, 0), (b, ma.shape[0])] {
+    for ((meta, data), base) in [(a, 0), (b, a.0.shape[0])] {
         let rows = SliceSpec::full(meta.shape[0]);
         let plan = row_route(&meta.axis_map(p, rank), &out_map, rows, base, &[0], 1, 1);
         // Promoted here, so every lane crosses in the output's own type.
@@ -213,7 +209,6 @@ pub(crate) fn slice_worker(
     specs: &[SliceSpec],
     out_meta: &ArrayMeta,
 ) -> Buffer {
-    assert_eq!(specs.len(), meta.ndim(), "one slice spec per dimension");
     let p = comm.size();
     let rank = comm.rank();
     let row_spec = specs[0];

@@ -10,11 +10,11 @@ use std::sync::Arc;
 
 use comm::{encode_to_vec, Comm, Cursor, Payload, Wire};
 use dlinalg::DistVector;
-use seamless::bytecode::{Reg, RegFile};
+use seamless::bytecode::{Program, Reg, RegFile};
 use seamless::vm::Lane;
 
 use crate::buffer::{Buffer, DType};
-use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind};
+use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, Holdings, KernelOut, ReduceKind};
 use crate::slicing::{concat_worker, redistribute_worker, slice_worker};
 
 /// Signature of a registered local-mode function (the `@odin.local`
@@ -199,11 +199,7 @@ fn reply(comm: &Comm, bytes: Vec<u8>) {
 }
 
 pub(crate) fn worker_main(comm: &mut Comm) {
-    let mut arrays: HashMap<u64, (ArrayMeta, Buffer)> = HashMap::new();
-    let mut tables: HashMap<u64, crate::table::TableSeg> = HashMap::new();
-    let mut fns: HashMap<u64, LocalFn> = HashMap::new();
-    let mut kernels: HashMap<u64, seamless::bytecode::Program> = HashMap::new();
-    let mut scratch = WorkerScratch::default();
+    let mut worker = Worker::default();
     // Idle in the rank's own mailbox: parked there the worker still acks
     // peers and resends what it owes them. The wait ends in an error once
     // the master has dropped its end.
@@ -214,7 +210,7 @@ pub(crate) fn worker_main(comm: &mut Comm) {
             // The master's one region post: a local-mode function object.
             Payload::Region(region) => {
                 if let Some((id, f)) = region.take::<(u64, LocalFn)>() {
-                    fns.insert(id, f);
+                    worker.fns.insert(id, f);
                 }
                 continue;
             }
@@ -230,21 +226,19 @@ pub(crate) fn worker_main(comm: &mut Comm) {
         };
         let mut cur = Cursor::new(&bytes);
         while cur.remaining() > 0 {
-            let cmd = Cmd::decode(&mut cur).expect("bad command encoding");
+            // Bytes that do not decode end this rank as a kill does, and
+            // so does a command `exec_cmd`'s check refuses: only corrupt
+            // or hostile input gets here, and the master reads the
+            // gone-notice.
+            let Ok(cmd) = Cmd::decode(&mut cur) else {
+                break 'outer;
+            };
             // Fault-injection hook: a killed worker stops executing and
             // exits; the master hears of it from the rank's gone-notice.
             if comm.fault_tick().is_err() {
                 break 'outer;
             }
-            if !exec_cmd(
-                comm,
-                &mut arrays,
-                &mut tables,
-                &fns,
-                &mut kernels,
-                &mut scratch,
-                cmd,
-            ) {
+            if !exec_cmd(comm, &mut worker, cmd) {
                 break 'outer;
             }
         }
@@ -264,21 +258,53 @@ pub(crate) fn worker_main(comm: &mut Comm) {
     }
 }
 
-/// Execute one command; returns false on shutdown.
-fn exec_cmd(
-    comm: &Comm,
-    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
-    tables: &mut HashMap<u64, crate::table::TableSeg>,
-    fns: &HashMap<u64, LocalFn>,
-    kernels: &mut HashMap<u64, seamless::bytecode::Program>,
-    scratch: &mut WorkerScratch,
-    cmd: Cmd,
-) -> bool {
+/// What one worker holds: its segments, tables, local functions, kernels
+/// and scratch rows. [`Cmd::check`] reads the segments' metas and the two
+/// registries.
+#[derive(Default)]
+struct Worker {
+    arrays: HashMap<u64, (ArrayMeta, Buffer)>,
+    tables: HashMap<u64, crate::table::TableSeg>,
+    fns: HashMap<u64, LocalFn>,
+    kernels: HashMap<u64, Program>,
+    scratch: WorkerScratch,
+}
+
+impl Holdings for Worker {
+    fn array(&self, id: u64) -> Result<&ArrayMeta, String> {
+        self.arrays
+            .get(&id)
+            .map(|(meta, _)| meta)
+            .ok_or_else(|| format!("unknown array id {id}"))
+    }
+
+    fn kernel(&self, id: u64) -> Option<&Program> {
+        self.kernels.get(&id)
+    }
+
+    fn has_local_fn(&self, id: u64) -> bool {
+        self.fns.contains_key(&id)
+    }
+}
+
+/// Execute one command; returns false on shutdown and on a command
+/// [`Cmd::check`] refuses.
+fn exec_cmd(comm: &Comm, worker: &mut Worker, cmd: Cmd) -> bool {
     let p = comm.size();
     let rank = comm.rank();
-    // What the command makes, by the rule the master recorded too; each
-    // array-producing arm returns one segment per entry, in order.
-    let results = cmd.results(|id| arrays[&id].0.clone());
+    // What the command makes, by the check the master passed it through
+    // too; each array-producing arm returns one segment per entry, in
+    // order, and no arm checks again what the check proved.
+    let Ok(results) = cmd.check(&*worker) else {
+        return false;
+    };
+    let Worker {
+        arrays,
+        tables,
+        fns,
+        kernels,
+        scratch,
+    } = worker;
     let out_meta = || &results[0].1;
     let made: Vec<Buffer> = match cmd {
         Cmd::Create { meta, fill, .. } => {
@@ -323,7 +349,7 @@ fn exec_cmd(
             arrays: arg_arrays,
             scalars,
         } => {
-            let f = Arc::clone(fns.get(&fn_id).expect("unknown local function"));
+            let f = Arc::clone(&fns[&fn_id]);
             let mut scope = WorkerScope {
                 comm,
                 arrays,
@@ -342,13 +368,7 @@ fn exec_cmd(
         }
         Cmd::Shutdown => return false,
         Cmd::CumSum { a, .. } => {
-            let (meta, buf) = &arrays[&a];
-            assert_eq!(meta.ndim(), 1, "cumsum supports 1-D arrays");
-            assert_eq!(
-                meta.dist,
-                Dist::Block,
-                "cumsum needs contiguous segments (master redistributes first)"
-            );
+            let buf = &arrays[&a].1;
             comm.advance_compute(buf.len() as f64);
             // In the segment's own type (integers and bools in wrapping
             // i64, like NumPy), so no sum rounds through f64.
@@ -382,17 +402,13 @@ fn exec_cmd(
         Cmd::MatMul { a, b, .. } => {
             let (ma, ba) = &arrays[&a];
             let (mb, bb) = &arrays[&b];
-            assert_eq!(ma.ndim(), 2, "matmul takes 2-D arrays");
-            assert_eq!(mb.ndim(), 2, "matmul takes 2-D arrays");
-            let ka = ma.shape[1];
-            let (kb, ncols) = (mb.shape[0], mb.shape[1]);
-            assert_eq!(ka, kb, "matmul inner dimensions must agree");
+            let (ka, ncols) = (ma.shape[1], mb.shape[1]);
             // allgather B: each worker contributes (row gids, flat rows);
             // row counts follow the rank, hence the `v`
             let b_map = mb.axis_map(p, rank);
             let my_b: Vec<f64> = (0..bb.len()).map(|i| bb.get_f64(i)).collect();
             let pieces: Vec<(Vec<usize>, Vec<f64>)> = comm.allgatherv(&(b_map.my_gids(), my_b));
-            let mut bfull = vec![0.0f64; kb * ncols];
+            let mut bfull = vec![0.0f64; ka * ncols];
             for (gids, vals) in pieces {
                 for (l, g) in gids.into_iter().enumerate() {
                     bfull[g * ncols..(g + 1) * ncols]
@@ -609,7 +625,7 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 fn exec_kernel<L: KernelLane>(
     comm: &Comm,
     arrays: &HashMap<u64, (ArrayMeta, Buffer)>,
-    kernels: &HashMap<u64, seamless::bytecode::Program>,
+    kernels: &HashMap<u64, Program>,
     scratch: &mut WorkerScratch,
     kernel: u64,
     template: u64,
@@ -618,10 +634,9 @@ fn exec_kernel<L: KernelLane>(
     outs: &[KernelOut],
     native: bool,
 ) -> Vec<Buffer> {
-    let program = kernels.get(&kernel).expect("unknown kernel");
+    let program = &kernels[&kernel];
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let (t_meta, t_buf) = &arrays[&template];
-    let n = t_buf.len();
+    let n = arrays[&template].1.len();
     // Kernel event span: covers the chunk loop plus its modeled compute
     // advance, closing *before* the reduce tail's reply so no comm spans
     // nest inside it (the critical-path walk treats Kernel spans as
@@ -669,9 +684,7 @@ fn exec_kernel<L: KernelLane>(
     let mut staged: Vec<Option<Vec<L>>> = inputs
         .iter()
         .map(|id| {
-            let (m, b) = &arrays[id];
-            debug_assert!(m.conformable(t_meta), "kernel input not conformable");
-            L::borrow(b)
+            L::borrow(&arrays[id].1)
                 .is_none()
                 .then(|| take_row(pool, 0, L::default()))
         })

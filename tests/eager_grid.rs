@@ -115,6 +115,28 @@ fn array<'c>(ctx: &'c OdinContext, data: Buffer) -> DistArray<'c> {
     a
 }
 
+/// An unknown function or array id is the caller's mistake: the master
+/// refuses the call where it is made, naming the id, and posts nothing,
+/// so the pool keeps serving.
+#[test]
+fn call_local_with_an_unknown_id_panics_at_the_call_site() {
+    let ctx = OdinContext::with_workers(2);
+    let a = ctx.arange(8);
+    let f = ctx.register_local(Arc::new(|_, _, _| {}));
+    for (fn_id, arg, unknown) in [(f + 99, a.id(), f + 99), (f, a.id() + 99, a.id() + 99)] {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.call_local(fn_id, &[arg], &[])
+        }))
+        .expect_err("an unknown id is refused");
+        let msg = refused
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains(&unknown.to_string()), "{msg}");
+    }
+    assert!(ctx.dead_workers().is_empty());
+    assert_eq!(a.sum(), 28.0);
+}
+
 /// Raw bits per element, so NaN payloads and signed zeros compare.
 fn bits(b: &Buffer) -> Vec<u64> {
     (0..b.len())

@@ -26,7 +26,7 @@ panic_sites() {
   done
   echo "$n"
 }
-for entry in comm:46 odin:41 seamless:43; do
+for entry in comm:46 odin:29 seamless:43; do
   crate=${entry%%:*} ceiling=${entry##*:}
   sites=$(panic_sites "$crate")
   echo "-- $crate: $sites panic sites (ceiling $ceiling)"
@@ -101,8 +101,8 @@ if [ -e crates/comm/src/queue.rs ]; then
 fi
 
 echo "== one elementwise executor (workers run every ufunc, where and full fold as a kernel)"
-# Eager ufuncs and `where` are one-op kernels through `exec_kernel`, and
-# eager full reductions are identity kernels with a fold tail; the
+# Eager ufuncs, `where` and full reductions are trace statements that
+# run as kernels (with fold tails) through `exec_kernel`; the
 # per-op buffer loops live on only as the master-side serial oracle
 # (`odin::reference`). One of them on the worker — or a second
 # `Fold::new` site — is the second whole-array path growing back.
@@ -200,12 +200,32 @@ if grep -n 'pub axis' crates/odin/src/protocol.rs; then
 fi
 
 echo "== kernels keyed on structure (no literal lowers into a kernel body)"
-# `Program` lowering binds every literal as a kernel scalar parameter, so
+# The trace's lowering binds every literal as a kernel scalar parameter, so
 # expressions that differ only in their constants share one registration
 # and one native build. A constant emitted into the body puts a value in
 # the kernel's key, and every fresh constant pays a `cc` build again.
 if odin_code crates/odin/src/program.rs | grep -nE 'emit_const|Const[FI]'; then
   echo "kernel-key gate: crates/odin/src/program.rs emits a constant into a kernel body" >&2
+  exit 1
+fi
+
+echo "== one front end (eager ops record; the next observation fuses)"
+# Every elementwise op and full reduction records a statement into the
+# context's trace, and `program.rs` lowers and launches what a flush
+# keeps; `Kernel::map` user kernels are the one other launch. Outside the
+# wire codec and check (`protocol.rs`) and the executor (`worker.rs`),
+# which read the command, an `EvalKernel` built anywhere else is a second
+# front end growing back, and so is a trace handle.
+launchers=$(for f in crates/odin/src/*.rs; do
+  case "$f" in crates/odin/src/protocol.rs | crates/odin/src/worker.rs) continue ;; esac
+  if odin_code "$f" | grep -q 'Cmd::EvalKernel {'; then echo "$f"; fi; done | tr '\n' ' ')
+echo "-- Cmd::EvalKernel built in: $launchers"
+if [ "$launchers" != "crates/odin/src/kernel.rs crates/odin/src/program.rs " ]; then
+  echo "front-end gate: Cmd::EvalKernel { built outside crates/odin/src/{kernel,program}.rs" >&2
+  exit 1
+fi
+if grep -rnE 'fn trace\b|Traced|ProgramRun' crates/odin/src; then
+  echo "front-end gate: a trace-handle front end is back in crates/odin/src" >&2
   exit 1
 fi
 

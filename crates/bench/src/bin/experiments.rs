@@ -25,7 +25,7 @@ use dlinalg::DistVector;
 use dmap::{CommPlan, Directory, DistMap};
 use galeri::laplace_2d;
 use odin::kernel::Tier;
-use odin::OdinContext;
+use odin::{DistArray, OdinContext};
 use seamless::{codegen, Interpreter, Value};
 use solvers::{cg, IdentityPrecond, KrylovConfig};
 
@@ -468,15 +468,67 @@ fn e19_autotune() -> Outcome {
 const LANES: usize = 1_000_000;
 const WORKERS: usize = 4;
 
+/// `wide_expr` written eagerly, one statement per op, with `after` run
+/// after each: `flush_batch` makes it one launch per op (E20's
+/// fusion-off baseline); a no-op leaves the trace to fuse it into one.
+fn wide_eager<'c>(x: &DistArray<'c>, y: &DistArray<'c>, after: &dyn Fn()) -> DistArray<'c> {
+    let st = |a: DistArray<'c>| {
+        after();
+        a
+    };
+    let t = st(x * 2.0);
+    let t = st(&t + y);
+    let u = st(y * 0.5);
+    let u = st(x - &u);
+    let acc = st(&t * &u);
+    let t = st(x * y);
+    let t = st(&t + 3.0);
+    let acc = st(&acc + &t);
+    let t = st(x.abs());
+    let t = st(&t * 0.25);
+    let acc = st(&acc - &t);
+    let t = st(y * 0.7);
+    let u = st(x * 0.3);
+    let t = st(&t - &u);
+    let acc = st(&acc + &t);
+    let t = st(x + 1.5);
+    let u = st(y - 0.25);
+    let t = st(&t * &u);
+    let acc = st(&acc + &t);
+    let t = st(x.powf(2.0));
+    let t = st(&t * 0.125);
+    let acc = st(&acc - &t);
+    let t = st(y * y);
+    let u = st(x * 0.5);
+    let t = st(&t - &u);
+    let u = st(x * 1.3);
+    let u = st(&u + 0.1);
+    let t = st(&t * &u);
+    let acc = st(&acc + &t);
+    let t = st(y.powf(3.0));
+    let u = st(x * 1.25);
+    let t = st(&t + &u);
+    let t = st(&t * 0.0625);
+    let acc = st(&acc + &t);
+    let t = st(x - y);
+    let t = st(t.abs());
+    let u = st(x + 2.0);
+    let t = st(&t * &u);
+    st(&acc - &t)
+}
+
 fn e20_jit() -> Outcome {
     let ctx = OdinContext::with_workers(WORKERS);
     let x = ctx.linspace(0.0, 1.0, LANES);
     let y = ctx.linspace(1.0, 3.0, LANES);
     // Dispatch is async; barrier inside the closure so each sample covers
     // the workers actually finishing the pass, not just the broadcast.
+    // The result is held across the barrier: a handle dropped before an
+    // observation is a dead store, and its launch never happens.
     let jit = || {
-        std::hint::black_box(wide_expr(&x, &y).eval());
+        let u = wide_expr(&x, &y).eval();
         ctx.barrier();
+        std::hint::black_box(u);
     };
     let reduce = || std::hint::black_box(wide_expr(&x, &y).sum());
     // The two single-pass arms take turns sample by sample, so a host
@@ -486,13 +538,15 @@ fn e20_jit() -> Outcome {
         t_jit = t_jit.min(timed(jit).1);
         t_reduce = t_reduce.min(timed(reduce).1);
     }
+    // The same statements with `flush_batch` after each: one launch and
+    // one temporary per op.
     let t_unfused = best_of(5, || {
-        std::hint::black_box(wide_expr(&x, &y).eval_unfused());
+        std::hint::black_box(wide_eager(&x, &y, &|| ctx.flush_batch()));
         ctx.barrier();
     });
     let ops = wide_expr(&x, &y).n_ops();
     println!("{LANES} lanes x {ops} ops, {WORKERS} workers (best of 5 unfused, 15 jitted):");
-    println!("  unfused (1 temp per AST node) : {}", fmt_s(t_unfused));
+    println!("  flushed per op (1 temp each)  : {}", fmt_s(t_unfused));
     println!("  jitted bytecode               : {}", fmt_s(t_jit));
     println!("  jitted fused reduction        : {}", fmt_s(t_reduce));
     let ratio = t_unfused / t_jit;
@@ -676,10 +730,12 @@ fn e25_native() -> Outcome {
     let ctx = OdinContext::with_workers(WORKERS);
     let x = ctx.linspace(0.0, 1.0, LANES);
     let y = ctx.linspace(1.0, 3.0, LANES);
+    // Held across the barrier, so the map launches (see `e20_jit`).
     let eval_time = || {
         best_of(5, || {
-            std::hint::black_box(wide_expr(&x, &y).eval());
+            let u = wide_expr(&x, &y).eval();
             ctx.barrier();
+            std::hint::black_box(u);
         })
     };
     let t_native = eval_time();

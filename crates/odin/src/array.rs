@@ -1,24 +1,24 @@
 //! Master-side array handles and the NumPy-like global-mode API.
 //!
 //! A [`DistArray`] is a lightweight handle: the data lives on the workers.
-//! Every method broadcasts a small control command — an elementwise ufunc
-//! is a one-op kernel launch, the same [`Cmd::EvalKernel`] a fused
-//! expression sends; binary operations on
+//! An elementwise ufunc records one statement into the context's trace
+//! ([`crate::program`]) and returns the handle of its result at once; the
+//! next observation fuses whatever is pending into kernel launches. Every
+//! other method broadcasts a small control command. Binary operations on
 //! non-conformable operands insert a redistribution automatically, with a
 //! selectable strategy (§III-D: "ODIN will choose a strategy that will
 //! minimize communication, while allowing the knowledgeable user to
-//! modify its behavior").
+//! modify its behavior"): it names the statement's template, the side
+//! whose layout the result takes.
 
 use std::cell::Cell;
 
 use comm::Payload;
 
-use seamless::bytecode::{Reg, RegFile};
-
-use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, Buffer, DType};
+use crate::buffer::{Buffer, DType};
 use crate::context::OdinContext;
-use crate::lazy::{powic_exponent, Lowerer};
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, KernelOut, UnaryOp};
+use crate::program::Op;
+use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, UnaryOp};
 use crate::slicing::SliceSpec;
 
 /// How non-conformable binary operands are aligned.
@@ -68,8 +68,7 @@ impl std::fmt::Debug for DistArray<'_> {
 
 impl Drop for DistArray<'_> {
     fn drop(&mut self) {
-        self.ctx.send_cmd(&Cmd::Free { id: self.id });
-        self.ctx.forget_meta(self.id);
+        self.ctx.release(self.id);
     }
 }
 
@@ -119,96 +118,27 @@ impl<'c> DistArray<'c> {
         self.meta().dist
     }
 
-    /// One eager elementwise op as a one-op kernel (see [`Self::launch`]),
-    /// materialized as a new array of `dtype` and computed on its lanes.
-    pub(crate) fn one_op(
-        &self,
-        extra: &[u64],
-        scalar: Option<f64>,
-        dtype: DType,
-        lower: impl FnOnce(&mut Lowerer) -> Reg,
-    ) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        let array = |reg| KernelOut::Array {
-            id: out,
-            dtype,
-            reg,
-        };
-        self.ctx
-            .send_cmd(&self.launch(dtype, extra, scalar, lower, array));
-        DistArray::from_id(self.ctx, out)
-    }
-
-    /// A one-op kernel launch with template `self`: `lower` emits the body
-    /// over parameters 0, 1, … (`self`, `extra`, `scalar`), registered
-    /// once per pool; `out` harvests it. Values of `lane` dtype `I64` run
-    /// on i64 lanes, every other on f64 lanes — how the serial oracle
-    /// ([`crate::reference`]) computes them.
-    pub(crate) fn launch(
-        &self,
-        lane: DType,
-        extra: &[u64],
-        scalar: Option<f64>,
-        lower: impl FnOnce(&mut Lowerer) -> Reg,
-        out: impl FnOnce((RegFile, Reg)) -> KernelOut,
-    ) -> Cmd {
-        let (lane, file) = match lane {
-            DType::I64 => (DType::I64, RegFile::I),
-            _ => (DType::F64, RegFile::F),
-        };
-        let inputs: Vec<u64> = std::iter::once(self.id)
-            .chain(extra.iter().copied())
-            .collect();
-        let mut lw = Lowerer::with_params(file, inputs.len() + usize::from(scalar.is_some()));
-        let ret = lower(&mut lw);
-        Cmd::EvalKernel {
-            kernel: self.ctx.register_kernel_program(lw.finish(ret)),
-            template: self.id,
-            inputs,
-            scalars: scalar.into_iter().collect(),
-            outs: vec![out((file, ret))],
-            dtype: lane,
-            native: true,
-        }
-    }
-
     /// Elementwise unary ufunc.
     pub fn unary(&self, op: UnaryOp) -> DistArray<'c> {
-        let dtype = unary_result_dtype(op, self.dtype());
-        self.one_op(&[], None, dtype, |lw| lw.emit_unary(op, 0))
+        self.ctx.record(Op::Unary(op), &[self], 0)
     }
 
     /// Elementwise binary ufunc with automatic alignment.
     pub fn binary(&self, other: &DistArray<'c>, op: BinOp) -> DistArray<'c> {
-        let ma = self.meta();
-        let mb = other.meta();
-        assert_eq!(ma.shape, mb.shape, "binary ufunc shape mismatch");
-        let dtype = binary_result_dtype(op, ma.dtype, mb.dtype);
-        let lower = |lw: &mut Lowerer| lw.emit_binary(op, 0, 1);
-        if ma.conformable(&mb) {
-            return self.one_op(&[other.id], None, dtype, lower);
-        }
-        // Non-conformable: align per the strategy.
-        let strategy = binary_strategy();
-        let redistribute_right = match strategy {
+        let left = match binary_strategy() {
             BinaryStrategy::RedistRight => true,
             BinaryStrategy::RedistLeft => false,
-            BinaryStrategy::Auto => {
-                // Prefer the side already in Block layout as the target.
-                if ma.dist == Dist::Block {
-                    true
-                } else {
-                    mb.dist != Dist::Block
-                }
-            }
+            // Prefer the side already in Block layout as the target.
+            BinaryStrategy::Auto => self.dist() == Dist::Block || other.dist() != Dist::Block,
         };
-        if redistribute_right {
-            let aligned = other.redistribute(ma.dist);
-            self.one_op(&[aligned.id], None, dtype, lower)
-        } else {
-            let aligned = self.redistribute(mb.dist);
-            aligned.one_op(&[other.id], None, dtype, lower)
-        }
+        self.binary_at(other, op, left)
+    }
+
+    /// [`Self::binary`] with the result on `self`'s layout when `left`,
+    /// else on `other`'s; the other operand is aligned at the flush.
+    pub(crate) fn binary_at(&self, other: &DistArray<'c>, op: BinOp, left: bool) -> DistArray<'c> {
+        self.ctx
+            .record(Op::Binary(op), &[self, other], usize::from(!left))
     }
 
     /// Binary ufunc against a broadcast scalar. The literal rides in the
@@ -216,18 +146,13 @@ impl<'c> DistArray<'c> {
     /// registered body; only `x ** c` with a small integral `c` bakes the
     /// exponent in (as `powi`, at most 17 bodies).
     pub fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> DistArray<'c> {
-        let dtype = binary_result_dtype(op, self.dtype(), scalar_dtype(scalar));
-        if let (BinOp::Pow, false, Some(e)) = (op, scalar_left, powic_exponent(scalar)) {
-            return self.one_op(&[], None, dtype, |lw| lw.emit_pow_const(0, e));
-        }
-        let (a, b) = if scalar_left { (1, 0) } else { (0, 1) };
-        self.one_op(&[], Some(scalar), dtype, |lw| lw.emit_binary(op, a, b))
+        self.ctx
+            .record(Op::Scalar(op, scalar, scalar_left), &[self], 0)
     }
 
-    /// Cast to another dtype: the identity body, with the launch's output
-    /// dtype doing the cast.
+    /// Cast to another dtype.
     pub fn astype(&self, dtype: DType) -> DistArray<'c> {
-        self.one_op(&[], None, dtype, |_| 0)
+        self.ctx.record(Op::Cast(dtype), &[self], 0)
     }
 
     /// Materialize under a new distribution.

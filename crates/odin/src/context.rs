@@ -3,14 +3,16 @@
 //!
 //! The master owns array *handles* and broadcasts small control commands;
 //! the workers ([`crate::worker`]) own the array *segments* and execute
-//! the commands in order. Control messages are always *batched* "for the
-//! frequent case when communication latency is significant" (§III-B): a
-//! fire-and-forget command is appended to a per-worker buffer, and the
-//! buffer goes out as one post per worker ([`OdinContext::flush_batch`])
-//! when the master dispatches a reply-bearing command, sends a data
-//! command or a local function, calls [`OdinContext::barrier`], or drops
-//! the context. Reply futures live in [`crate::reply`],
-//! checkpoint/recover/resize in [`crate::recover`].
+//! the commands in order. An elementwise op posts nothing: it records a
+//! statement into the context's open trace ([`crate::program`]), and every
+//! other command first flushes the trace. Control messages are always
+//! *batched* "for the frequent case when communication latency is
+//! significant" (§III-B): a fire-and-forget command is appended to a
+//! per-worker buffer, and the buffer goes out as one post per worker
+//! ([`OdinContext::flush_batch`]) when the master dispatches a
+//! reply-bearing command, sends a data command or a local function, calls
+//! [`OdinContext::barrier`], or drops the context. Reply futures live in
+//! [`crate::reply`], checkpoint/recover/resize in [`crate::recover`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -20,8 +22,9 @@ use std::time::Duration;
 use comm::{Payload, Universe, UniverseConfig};
 
 use crate::error::OdinError;
+use crate::program::Trace;
 use crate::protocol::{ArrayMeta, Cmd, Holdings};
-use crate::reply::ReplyEngine;
+use crate::reply::{Folds, ReplyEngine};
 use crate::worker::{worker_main, LocalFn};
 use seamless::bytecode::Program;
 
@@ -52,7 +55,9 @@ impl Default for OdinConfig {
 }
 
 /// Master-side instrumentation (the paper's §III-J bottleneck
-/// instrumentation goal): control vs data traffic, separately.
+/// instrumentation goal): control vs data traffic, separately, and the
+/// decisions of every trace flush (DESIGN §14; the `fusion.*` counters
+/// mirror four of them into the obs registry).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ContextStats {
     /// Control commands issued (each broadcast counts once per worker).
@@ -67,6 +72,29 @@ pub struct ContextStats {
     /// buffer, one per data command (batching reduces this, not
     /// ctrl_msgs).
     pub channel_sends: u64,
+    /// Elementwise statements recorded and flushed.
+    pub statements: u64,
+    /// Fused kernel launches the flushes issued.
+    pub kernel_launches: u64,
+    /// Statements a launch-per-statement run would have issued beyond
+    /// those launches: saved by fusion, CSE and DSE
+    /// (`fusion.launches_saved`).
+    pub launches_saved: u64,
+    /// Repeated operation nodes interned instead of recorded again
+    /// (`fusion.cse_hits`).
+    pub cse_hits: u64,
+    /// Statements dropped before their flush that nothing live read
+    /// (`fusion.dse_eliminated`).
+    pub dse_eliminated: u64,
+    /// Operand alignments (redistributes) the flushes issued.
+    pub redistributes_issued: u64,
+    /// Alignments a per-op run would have issued beyond those, avoided by
+    /// moving each (operand, distribution) pair once per flush
+    /// (`fusion.redistributes_merged`).
+    pub redistributes_merged: u64,
+    /// Elements the issued alignments moved (counted via `dmap` owner
+    /// maps).
+    pub elems_moved: u64,
 }
 
 impl ContextStats {
@@ -96,13 +124,17 @@ pub struct OdinContext {
     /// Structural kernel cache: encoded program bytes → registered id, so
     /// re-evaluating the same expression registers nothing twice.
     pub(crate) kernel_cache: RefCell<HashMap<Vec<u8>, u64>>,
+    /// Ids of arrays, local functions and fold replies.
     pub(crate) next_id: Cell<u64>,
-    pub(crate) next_fn: Cell<u64>,
     pub(crate) next_kernel: Cell<u64>,
     pub(crate) stats: RefCell<ContextStats>,
+    /// Elementwise statements recorded since the last flush.
+    pub(crate) trace: RefCell<Trace>,
     /// Per worker: encoded commands not yet posted.
     pub(crate) batch: RefCell<Vec<Vec<u8>>>,
     pub(crate) engine: RefCell<ReplyEngine>,
+    /// Flushed folds whose values are not yet read.
+    pub(crate) folds: RefCell<Folds>,
 }
 
 /// What the master holds, as [`Cmd::check`] reads it.
@@ -170,15 +202,16 @@ impl OdinContext {
             held: RefCell::default(),
             kernel_cache: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
-            next_fn: Cell::new(1),
             next_kernel: Cell::new(1),
             stats: RefCell::new(ContextStats::default()),
+            trace: RefCell::default(),
             batch: RefCell::new(vec![Vec::new(); config.n_workers]),
             engine: RefCell::new(ReplyEngine {
                 issued: vec![0; config.n_workers],
                 arrived: vec![0; config.n_workers],
                 ..Default::default()
             }),
+            folds: RefCell::default(),
         }
     }
 
@@ -205,7 +238,7 @@ impl OdinContext {
         *self.stats.borrow_mut() = ContextStats::default();
     }
 
-    /// Fresh array id.
+    /// Fresh id for an array, a local function or a fold reply.
     pub(crate) fn alloc_id(&self) -> u64 {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
@@ -221,14 +254,20 @@ impl OdinContext {
     }
 
     /// Check `cmd` ([`Cmd::check`]) and record the handles it makes, the
-    /// same metas the workers store their segments under. A refused
-    /// command panics here, at the call that built it, before anything
-    /// is buffered or posted.
+    /// same metas the workers store their segments under; a `Free` drops
+    /// the array or local function it names. A refused command panics
+    /// here, at the call that built it, before anything is buffered or
+    /// posted.
     fn record_meta(&self, cmd: &Cmd) {
         let made = cmd
             .check(&*self.held.borrow())
             .unwrap_or_else(|e| panic!("{e}"));
-        self.held.borrow_mut().metas.extend(made);
+        let mut held = self.held.borrow_mut();
+        held.metas.extend(made);
+        if let Cmd::Free { id } = cmd {
+            held.metas.remove(id);
+            held.local_fns.remove(id);
+        }
     }
 
     pub(crate) fn forget_meta(&self, id: u64) {
@@ -315,11 +354,14 @@ impl OdinContext {
         }
     }
 
-    /// Post every buffered command: one post per worker whose buffer is
-    /// not empty, none at all when nothing is buffered. The master calls
-    /// this itself wherever the order or a reply depends on it (see the
-    /// module docs); calling it by hand only posts sooner.
+    /// Flush the trace, then post every buffered command: one post per
+    /// worker whose buffer is not empty, none at all when nothing is
+    /// buffered. The master calls this itself wherever the order or a
+    /// reply depends on it (see the module docs); calling it by hand only
+    /// posts sooner — or, after every statement, runs the code
+    /// statement at a time, the baseline a fused run is held to.
     pub fn flush_batch(&self) {
+        self.flush_trace();
         if self.batch.borrow().iter().all(Vec::is_empty) {
             return;
         }
@@ -350,10 +392,17 @@ impl OdinContext {
         }
     }
 
-    /// Broadcast a control command to every worker: append it to every
-    /// worker's buffer. A reply-bearing command is posted at once by the
-    /// ticket its reply future takes.
+    /// Broadcast a control command to every worker behind the flushed
+    /// trace. A reply-bearing command is posted at once by the ticket its
+    /// reply future takes.
     pub(crate) fn send_cmd(&self, cmd: &Cmd) {
+        self.flush_trace();
+        self.post(cmd);
+    }
+
+    /// Append a checked command to every worker's buffer, the trace left
+    /// as it is: what a flush itself sends, and frees.
+    pub(crate) fn post(&self, cmd: &Cmd) {
         self.record_meta(cmd);
         let timer = self.obs_timer();
         let n_bytes = self.buffer_cmd(cmd);
@@ -380,6 +429,7 @@ impl OdinContext {
     /// cannot ride in the buffer, so it is flushed first to keep command
     /// order intact.
     pub(crate) fn send_cmd_to(&self, worker: usize, cmd: &Cmd) {
+        self.flush_trace();
         self.record_meta(cmd);
         self.flush_batch();
         let timer = self.obs_timer();
@@ -401,8 +451,7 @@ impl OdinContext {
     /// Register a local-mode function on every worker; returns its id.
     /// The function is remembered so a respawned pool is re-seeded with it.
     pub fn register_local(&self, f: LocalFn) -> u64 {
-        let id = self.next_fn.get();
-        self.next_fn.set(id + 1);
+        let id = self.alloc_id();
         self.send_local_fn(id, &f);
         self.held.borrow_mut().local_fns.insert(id, f);
         id
@@ -451,7 +500,7 @@ impl OdinContext {
         }
         let id = self.next_kernel.get();
         self.next_kernel.set(id + 1);
-        self.send_cmd(&Cmd::RegisterKernel {
+        self.post(&Cmd::RegisterKernel {
             id,
             program: program.clone(),
         });
@@ -469,7 +518,7 @@ impl OdinContext {
     /// returns.
     pub fn barrier(&self) {
         self.send_cmd(&Cmd::Ping);
-        let _ = self.pending_all("barrier").wait();
+        self.pending_all("barrier", |_| ()).wait();
     }
 
     /// Total modeled virtual time is only available at shutdown (the pool
@@ -483,7 +532,7 @@ impl OdinContext {
     /// [`OdinError::WorkerDead`] in bounded time instead of a panic.
     pub fn try_barrier(&self) -> Result<(), OdinError> {
         self.send_cmd(&Cmd::Ping);
-        self.pending_all("barrier").try_wait().map(|_| ())
+        self.pending_all("barrier", |_| ()).try_wait()
     }
 
     /// Heartbeat: take in whatever the workers have posted — a dead one
@@ -538,6 +587,7 @@ impl Drop for OdinContext {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::array::DistArray;
     use crate::buffer::DType;
     use crate::protocol::Dist;
     use std::time::Instant;
@@ -554,11 +604,16 @@ pub(crate) mod tests {
     fn fire_and_forget_commands_ride_the_next_reply_bearing_post() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.ones(&[8], DType::F64);
-        drop(&x + 1.0); // registers the one-op kernel
+        let launch = || {
+            let y = &x + 1.0;
+            ctx.flush_trace(); // buffers the launch, posts nothing
+            y
+        };
+        drop(launch()); // registers the kernel
         let _ = x.sum(); // and the identity reduction's
         ctx.reset_stats();
         const K: u64 = 10;
-        let ys: Vec<_> = (0..K).map(|_| &x + 1.0).collect();
+        let ys: Vec<_> = (0..K).map(|_| launch()).collect();
         drop(ys); // K launches and K frees, all buffered
         assert_eq!(ctx.stats().channel_sends, 0, "nothing posted yet");
         assert_eq!(x.sum(), 8.0);
@@ -603,7 +658,11 @@ pub(crate) mod tests {
         // the master's buffer until the barrier posts them.
         let ctx = OdinContext::new(chaos_config(3, 1, 3));
         let x = ctx.zeros(&[6], DType::F64); // command 1
-        drop(&x + 1.0); // 2: RegisterKernel, 3: EvalKernel (the kill), 4: Free
+        let launch = |y: DistArray<'_>| {
+            ctx.flush_trace(); // buffers the launch, posts nothing
+            drop(y);
+        };
+        launch(&x + 1.0); // 2: RegisterKernel, 3: EvalKernel (the kill), 4: Free
         assert_eq!(ctx.stats().channel_sends, 0);
         let t0 = Instant::now();
         let err = ctx.try_barrier().unwrap_err();
@@ -614,7 +673,7 @@ pub(crate) mod tests {
         assert!(t0.elapsed() < Duration::from_secs(5));
         // Commands buffered after the death post without a panic, and the
         // next wait names the same worker.
-        drop(&x * 3.0);
+        launch(&x * 3.0);
         assert!(matches!(
             ctx.try_barrier(),
             Err(OdinError::WorkerDead { worker: 1, .. })
@@ -632,7 +691,9 @@ pub(crate) mod tests {
         let cyc = x.redistribute(Dist::Cyclic);
         let empty = ctx.zeros(&[0], DType::F64);
         let f = ctx.register_local(Arc::new(|_, _, _| {}));
-        drop(&x + 1.0); // registers a kernel of two parameters
+        let y = &x + 1.0;
+        ctx.flush_batch(); // registers a kernel of two parameters
+        drop(y);
         let k = *ctx.held.borrow().kernels.keys().next().unwrap();
         let (x, m, cyc, empty) = (x.id(), m.id(), cyc.id(), empty.id());
         let no_dims = ArrayMeta {

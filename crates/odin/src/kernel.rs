@@ -40,6 +40,7 @@ use crate::array::DistArray;
 use crate::buffer::DType;
 use crate::context::OdinContext;
 use crate::protocol::{Cmd, KernelOut, ReduceKind};
+use crate::reply::fold_partials;
 use seamless::bytecode::{Reg, RegFile};
 use seamless::{SeamlessError, Type};
 
@@ -347,8 +348,8 @@ impl<'c> Kernel<'c> {
             kind,
             reg: self.ret_reg,
         };
-        let pending = self.ctx.dispatch_reduce(&self.launch(inputs, reduce));
-        let v = pending.wait()[0];
+        let partials = self.ctx.dispatch_each(&self.launch(inputs, reduce));
+        let v = fold_partials(&[kind], &partials.wait())[0];
         drop(temps);
         v
     }

@@ -1,65 +1,42 @@
 //! Lazy expressions and loop fusion (§III: "ODIN can optimize distributed
 //! array expressions. These optimizations include: loop fusion, …").
 //!
-//! An [`Expr`] is built without touching the workers. It is the one lazy
-//! tree of the crate: [`Expr::eval`] / [`Expr::reduce`] record it as a
-//! one-statement [`Program`] and run that, so a
-//! lone expression and a multi-statement trace share one interner, one
-//! operand aligner and one lowering to Seamless bytecode. The kernel is
-//! registered once on every worker (structurally identical expressions
-//! reuse the registration, whatever their literals' values: those travel
-//! as scalar parameters) and executes in one unboxed pass over each
-//! worker's segment — no intermediate arrays, and each invoke after the
-//! first is a tens-of-bytes control message.
-//! [`Expr::eval_unfused`] materializes every node through the eager
-//! [`DistArray`] operators instead — one one-op launch per node, the
-//! fusion-off baseline experiments E6/E20 measure against; the bitwise
-//! oracle both are tested against is [`crate::reference::eval`]. [`Expr::sum`] /
-//! [`Expr::max`] / [`Expr::min`] fuse the reduction into the same pass —
-//! map and fold without ever materializing the mapped array.
+//! An [`Expr`] is built without touching the workers. It is the statement
+//! language of the crate's one front end: [`Expr::eval`] applies the eager
+//! [`DistArray`] ufuncs node by node (a constant subtree folds on the
+//! master), and each of those records a statement into the context's
+//! trace ([`crate::program`]). The intermediates' handles drop as the
+//! walk returns, so the next observation fuses the whole tree into one
+//! Seamless kernel — registered once on every worker (structurally
+//! identical expressions reuse the registration, whatever their literals'
+//! values: those travel as scalar parameters) and run in one unboxed pass
+//! over each worker's segment, no intermediate arrays, each invoke after
+//! the first a tens-of-bytes control message. The statement runs at its
+//! leftmost array operand's layout. The bitwise oracle is
+//! [`crate::reference::eval`], the same walk over master-side buffers.
+//! [`Expr::sum`] / [`Expr::max`] / [`Expr::min`] fuse the reduction into
+//! the same pass — map and fold without ever materializing the mapped
+//! array.
 
 use crate::array::DistArray;
-use crate::buffer::DType;
-use crate::context::OdinContext;
-use crate::program::{Program, Traced, TracedScalar, FOREIGN_HANDLE};
 use crate::protocol::{BinOp, ReduceKind, UnaryOp};
 use crate::reference;
 use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Reg, RegFile};
 use seamless::Type;
 
-pub(crate) const NO_ARRAY_OPERAND: &str = "expression needs at least one array operand";
+const NO_ARRAY_OPERAND: &str = "expression needs at least one array operand";
 
-/// A lazy elementwise expression over distributed arrays and, inside a
-/// [`Program`] trace, over the results of
-/// earlier statements.
+/// A lazy elementwise expression over distributed arrays.
 #[derive(Clone)]
 pub enum Expr<'x, 'c> {
     /// A distributed array operand.
     Leaf(&'x DistArray<'c>),
     /// A broadcast constant.
     Scalar(f64),
-    /// The array an earlier traced statement produces (`Traced::into`).
-    Stmt(Traced),
-    /// The value an earlier traced reduction produces
-    /// (`TracedScalar::into`); it reaches the kernel as an f64 scalar
-    /// parameter resolved from the earlier launch's reply.
-    ScalarStmt(TracedScalar),
     /// Unary node.
     Unary(UnaryOp, Box<Expr<'x, 'c>>),
     /// Binary node.
     Binary(BinOp, Box<Expr<'x, 'c>>, Box<Expr<'x, 'c>>),
-}
-
-impl From<Traced> for Expr<'_, '_> {
-    fn from(t: Traced) -> Self {
-        Expr::Stmt(t)
-    }
-}
-
-impl From<TracedScalar> for Expr<'_, '_> {
-    fn from(s: TracedScalar) -> Self {
-        Expr::ScalarStmt(s)
-    }
 }
 
 impl From<f64> for Expr<'_, '_> {
@@ -140,42 +117,22 @@ impl<'x, 'c> Expr<'x, 'c> {
     /// Number of operation nodes (for reporting).
     pub fn n_ops(&self) -> usize {
         match self {
-            Expr::Leaf(_) | Expr::Scalar(_) | Expr::Stmt(_) | Expr::ScalarStmt(_) => 0,
+            Expr::Leaf(_) | Expr::Scalar(_) => 0,
             Expr::Unary(_, e) => 1 + e.n_ops(),
             Expr::Binary(_, a, b) => 1 + a.n_ops() + b.n_ops(),
         }
     }
 
-    /// The context of the leftmost array operand — where a directly
-    /// evaluated expression runs. A traced-statement handle can only be
-    /// resolved by the [`Program`] that issued it, never by a direct
-    /// `eval`.
-    fn ctx(&self) -> Option<&'c OdinContext> {
-        match self {
-            Expr::Leaf(a) => Some(a.ctx()),
-            Expr::Scalar(_) => None,
-            Expr::Stmt(_) | Expr::ScalarStmt(_) => panic!("{FOREIGN_HANDLE}"),
-            Expr::Unary(_, e) => e.ctx(),
-            Expr::Binary(_, a, b) => a.ctx().or_else(|| b.ctx()),
-        }
-    }
-
-    /// A fresh trace on this expression's context.
-    fn trace(&self) -> Program<'x, 'c> {
-        self.ctx().expect(NO_ARRAY_OPERAND).trace()
-    }
-
-    /// Evaluate through the JIT kernel plane as a one-statement
-    /// [`Program`]: lowered once to Seamless
-    /// bytecode, registered on every worker (cached — a structurally
-    /// identical expression reuses the registration), then one unboxed
-    /// fused pass per worker segment. One small control message per
-    /// invoke, no temporaries, bitwise-identical to
-    /// [`crate::reference::eval`] over f64 operands.
+    /// Record the expression node by node through the eager ufuncs and
+    /// return the handle of its value; the next observation fuses it into
+    /// one kernel, bitwise-identical to [`crate::reference::eval`].
     pub fn eval(&self) -> DistArray<'c> {
-        let mut p = self.trace();
-        let t = p.assign_ref(self);
-        p.run(&[t]).array(t)
+        match self.walk(&Held::Leaf) {
+            Node::Arr(Held::Owned(a)) => a,
+            // force a copy so the caller owns the result
+            Node::Arr(Held::Leaf(a)) => a.astype(a.dtype()),
+            Node::Scalar(_) => panic!("{NO_ARRAY_OPERAND}"),
+        }
     }
 
     /// Fused map+reduce: evaluate the expression and fold it to a scalar
@@ -183,9 +140,10 @@ impl<'x, 'c> Expr<'x, 'c> {
     /// materialized. Bitwise-identical to `self.eval()` followed by the
     /// matching array reduction.
     pub fn reduce(&self, kind: ReduceKind) -> f64 {
-        let mut p = self.trace();
-        let s = p.reduce_ref(self, kind);
-        p.run(&[]).scalar(s)
+        let mapped = self.eval();
+        let value = mapped.fold(kind);
+        drop(mapped);
+        value.wait()
     }
 
     /// Sum of the evaluated expression, fused into the map pass.
@@ -203,18 +161,6 @@ impl<'x, 'c> Expr<'x, 'c> {
         self.reduce(ReduceKind::Min)
     }
 
-    /// Evaluate eagerly, materializing every intermediate node through
-    /// the eager [`DistArray`] ufuncs — one one-op kernel launch per node,
-    /// the fusion-OFF baseline of experiments E6 and E20.
-    pub fn eval_unfused(&self) -> DistArray<'c> {
-        match self.walk(&Held::Leaf) {
-            Node::Arr(Held::Owned(a)) => a,
-            // force a copy so the caller owns the result
-            Node::Arr(Held::Leaf(a)) => a.astype(a.dtype()),
-            Node::Scalar(_) => panic!("{NO_ARRAY_OPERAND}"),
-        }
-    }
-
     /// Node-at-a-time evaluation: constants fold on the master, every
     /// other node applies one [`Ufuncs`] op to arrays `leaf` provides.
     pub(crate) fn walk<A: Ufuncs>(
@@ -225,7 +171,6 @@ impl<'x, 'c> Expr<'x, 'c> {
         match self {
             Expr::Leaf(a) => Arr(leaf(a)),
             Expr::Scalar(v) => Scalar(*v),
-            Expr::Stmt(_) | Expr::ScalarStmt(_) => panic!("{FOREIGN_HANDLE}"),
             Expr::Unary(op, e) => match e.walk(leaf) {
                 Scalar(v) => Scalar(reference::scalar_unary(*op, v)),
                 Arr(a) => Arr(Held::Owned(a.unary(*op))),
@@ -241,8 +186,8 @@ impl<'x, 'c> Expr<'x, 'c> {
 }
 
 /// The elementwise ops [`Expr::walk`] applies: worker-resident
-/// [`DistArray`]s for [`Expr::eval_unfused`], master-resident
-/// [`crate::Buffer`]s for [`crate::reference::eval`].
+/// [`DistArray`]s for [`Expr::eval`], master-resident [`crate::Buffer`]s
+/// for [`crate::reference::eval`].
 pub(crate) trait Ufuncs: Sized {
     fn unary(&self, op: UnaryOp) -> Self;
     fn binary(&self, rhs: &Self, op: BinOp) -> Self;
@@ -253,8 +198,9 @@ impl<'c> Ufuncs for DistArray<'c> {
     fn unary(&self, op: UnaryOp) -> Self {
         DistArray::unary(self, op)
     }
+    /// An expression runs at its leftmost array operand's layout.
     fn binary(&self, rhs: &Self, op: BinOp) -> Self {
-        DistArray::binary(self, rhs, op)
+        self.binary_at(rhs, op, true)
     }
     fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> Self {
         DistArray::binary_scalar(self, scalar, op, scalar_left)
@@ -534,28 +480,13 @@ impl Lowerer {
         d
     }
 
-    /// Emit the value a consumer would observe if the register were
-    /// materialized as an array of `dtype` and then staged back as f64
-    /// for the next kernel — a multi-statement program uses this to fuse
-    /// *across* a statement whose dtype is not F64 while staying bitwise
-    /// identical to the materialize-then-stage route: `astype(I64)` is
-    /// `v as i64` and staging is `as f64` (FToI + IToF); `astype(Bool)`
-    /// stores `v != 0.0` and stages as 0.0/1.0 (CmpF-Ne + IToF).
-    pub(crate) fn emit_materialize_cast(&mut self, s: Reg, dtype: DType) -> Reg {
-        match dtype {
-            DType::F64 => s,
-            DType::I64 => {
-                let i = self.fresh_i();
-                self.instrs.push(Instr::FToI(i, s));
-                self.bool_to_f(i)
-            }
-            DType::Bool => {
-                let z = self.zero_f();
-                let i = self.fresh_i();
-                self.instrs.push(Instr::CmpF(Cmp::Ne, i, s, z));
-                self.bool_to_f(i)
-            }
-        }
+    /// Emit `f64::from(s != 0.0)`: an f64-lane value cast to `Bool`, as
+    /// materializing it and staging it back would give.
+    pub(crate) fn emit_nonzero(&mut self, s: Reg) -> Reg {
+        let z = self.zero_f();
+        let i = self.fresh_i();
+        self.instrs.push(Instr::CmpF(Cmp::Ne, i, s, z));
+        self.bool_to_f(i)
     }
 }
 
@@ -603,7 +534,14 @@ mod tests {
         // sqrt(x² + y²) — the paper's hypot
         let make = || (Expr::leaf(&x).pow(2.0) + Expr::leaf(&y).pow(2.0)).sqrt();
         let fused = make().eval();
-        let unfused = make().eval_unfused();
+        // The same statements flushed one at a time: one launch each.
+        let x2 = x.powf(2.0);
+        ctx.flush_batch();
+        let y2 = y.powf(2.0);
+        ctx.flush_batch();
+        let sum = &x2 + &y2;
+        ctx.flush_batch();
+        let unfused = sum.sqrt();
         let xs = x.to_vec();
         let ys = y.to_vec();
         let expect: Vec<f64> = xs.iter().zip(&ys).map(|(a, b)| a.hypot(*b)).collect();
@@ -611,7 +549,7 @@ mod tests {
         let u = unfused.to_vec();
         for i in 0..expect.len() {
             assert!((f[i] - expect[i]).abs() < 1e-12);
-            assert!((u[i] - expect[i]).abs() < 1e-12);
+            assert_eq!(f[i].to_bits(), u[i].to_bits());
         }
     }
 
@@ -623,10 +561,18 @@ mod tests {
         let e = Expr::leaf(&x).pow(2.0) * 3.0 + Expr::leaf(&x) * 2.0 + 1.0;
         assert_eq!(e.n_ops(), 5);
         let _r = e.eval();
+        ctx.flush_batch();
         let fused_msgs = ctx.stats().ctrl_msgs;
         ctx.reset_stats();
-        let e2 = Expr::leaf(&x).pow(2.0) * 3.0 + Expr::leaf(&x) * 2.0 + 1.0;
-        let _r2 = e2.eval_unfused();
+        let step = |a| {
+            ctx.flush_batch();
+            a
+        };
+        let a = step(x.powf(2.0));
+        let a = step(&a * 3.0);
+        let b = step(&x * 2.0);
+        let c = step(&a + &b);
+        let _r2 = step(&c + 1.0);
         let unfused_msgs = ctx.stats().ctrl_msgs;
         assert!(
             fused_msgs < unfused_msgs,
@@ -677,8 +623,10 @@ mod tests {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(0.0, 1.0, 40);
         let a = (Expr::leaf(&x) * 2.0 + 1.0).eval();
+        ctx.flush_batch();
         ctx.reset_stats();
         let b = (Expr::leaf(&x) * 2.0 + 1.0).eval();
+        ctx.flush_batch();
         // second eval reuses the registered kernel: one EvalKernel
         // broadcast only, well under 100 bytes
         let s = ctx.stats();
@@ -707,12 +655,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_folding_in_unfused_path() {
+    fn constant_subtrees_fold_on_the_master() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(0.0, 1.0, 5);
-        // (2 + 3) * x → constant folded on the master in the eager path
+        // (2 + 3) * x → one statement over the folded literal 5
         let e = (Expr::scalar(2.0) + Expr::scalar(3.0)) * Expr::leaf(&x);
-        let r = e.eval_unfused();
+        let r = e.eval();
         assert_eq!(r.to_vec(), vec![0.0, 1.25, 2.5, 3.75, 5.0]);
+        assert_eq!(ctx.stats().statements, 1);
     }
 }

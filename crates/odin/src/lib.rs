@@ -47,7 +47,6 @@ pub use error::{OdinError, RecoveryReport};
 pub use io::remove_saved;
 pub use kernel::{Kernel, KernelSpec, Tier};
 pub use lazy::Expr;
-pub use program::{Program, ProgramRun, ProgramStats, Traced, TracedScalar};
 pub use protocol::{ArrayMeta, BinOp, Dist, KernelOut, ReduceKind, UnaryOp};
 pub use recover::OdinCheckpoint;
 pub use reply::Pending;

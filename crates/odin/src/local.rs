@@ -33,10 +33,13 @@ use crate::worker::{LocalFn, WorkerScope};
 impl OdinContext {
     /// Register and immediately invoke a local function once — the common
     /// "run this on every segment now" pattern.
+    /// The function is freed behind the call, on the master and on every
+    /// worker.
     pub fn run_local(&self, arrays: &[&DistArray<'_>], scalars: &[f64], f: LocalFn) {
         let id = self.register_local(f);
         let ids: Vec<u64> = arrays.iter().map(|a| a.id()).collect();
         self.call_local(id, &ids, scalars);
+        self.post(&Cmd::Free { id });
     }
 
     /// Run an SPMD closure across the worker pool with full access to the
@@ -52,7 +55,8 @@ impl OdinContext {
     }
 
     /// Run an SPMD closure on every worker and return each worker's
-    /// result, in worker order: one round trip, like a barrier.
+    /// result, in worker order: one round trip, like a barrier. The
+    /// closure is registered for this call only and freed behind it.
     pub(crate) fn gather_local<T: comm::Wire + 'static>(
         &self,
         arrays: &[&DistArray<'_>],
@@ -69,7 +73,9 @@ impl OdinContext {
             arrays,
             scalars: Vec::new(),
         };
-        self.dispatch_each(&cmd).wait()
+        let results = self.dispatch_each(&cmd);
+        self.post(&Cmd::Free { id: fn_id });
+        results.wait()
     }
 }
 
@@ -169,6 +175,32 @@ mod tests {
             let total = scope.comm.allreduce(&local_sum, comm::ReduceOp::sum());
             assert_eq!(total, 4.0);
         });
+    }
+
+    #[test]
+    fn one_shot_local_functions_are_freed_and_not_replayed() {
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.ones(&[4], DType::F64);
+        let kept = ctx.register_local(Arc::new(|scope, args, _| {
+            for v in scope.local_mut(args[0]).as_f64_mut() {
+                *v += 1.0;
+            }
+        }));
+        for _ in 0..5 {
+            ctx.run_spmd(&[&x], |scope, args| {
+                assert_eq!(scope.local(args[0]).len(), 2)
+            });
+        }
+        ctx.run_local(&[&x], &[], Arc::new(|_, _, _| {}));
+        let registered = |ctx: &OdinContext| -> Vec<u64> {
+            ctx.held.borrow().local_fns.keys().copied().collect()
+        };
+        assert_eq!(registered(&ctx), vec![kept]);
+        let ck = ctx.checkpoint(&[&x]);
+        ctx.recover(&ck);
+        assert_eq!(registered(&ctx), vec![kept], "recover re-posts only it");
+        ctx.call_local(kept, &[x.id()], &[]);
+        assert_eq!(x.to_vec(), vec![2.0; 4]);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use comm::Wire;
 
 use crate::array::DistArray;
 use crate::buffer::DType;
+use crate::program::Op;
 use crate::protocol::{BinOp, Cmd, Dist};
 use crate::worker::arg_best;
 
@@ -15,20 +16,11 @@ impl<'c> DistArray<'c> {
     /// `a.promote(b)`, in the layout of the condition `self` (nonzero and
     /// NaN are true). An `I64` result runs on i64 lanes, exactly.
     pub fn select(&self, a: &DistArray<'c>, b: &DistArray<'c>) -> DistArray<'c> {
-        let mc = self.meta();
-        assert_eq!(mc.shape, a.meta().shape, "where: shape mismatch");
-        assert_eq!(mc.shape, b.meta().shape, "where: shape mismatch");
-        // align both branches to the condition's layout
-        let align =
-            |x: &DistArray<'c>| (!x.meta().conformable(&mc)).then(|| x.redistribute(mc.dist));
-        let (a_al, b_al) = (align(a), align(b));
-        let (a, b) = (a_al.as_ref().unwrap_or(a), b_al.as_ref().unwrap_or(b));
-        let dtype = a.dtype().promote(b.dtype());
         // i64 lanes would truncate a 0.5 condition to 0: test it first
-        let test = dtype == DType::I64 && mc.dtype == DType::F64;
+        let test = a.dtype().promote(b.dtype()) == DType::I64 && self.dtype() == DType::F64;
         let cond = test.then(|| self.binary_scalar(0.0, BinOp::Ne, false));
         let cond = cond.as_ref().unwrap_or(self);
-        cond.one_op(&[a.id(), b.id()], None, dtype, |lw| lw.emit_select(0, 1, 2))
+        self.ctx().record(Op::Select, &[cond, a, b], 0)
     }
 
     /// Inclusive prefix sum (`np.cumsum`) of a 1-D array; a distributed

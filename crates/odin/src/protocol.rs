@@ -217,8 +217,8 @@ pub enum Cmd {
         specs: Vec<SliceSpec>,
     },
     /// Reduce `a` along `axis`: the workers cooperatively build array
-    /// `out`. A whole-array reduction is an identity [`Cmd::EvalKernel`]
-    /// with a [`KernelOut::Reduce`] tail.
+    /// `out`. A whole-array reduction is a [`KernelOut::Reduce`] tail of a
+    /// [`Cmd::EvalKernel`].
     Reduce {
         /// Input id.
         a: u64,
@@ -300,10 +300,9 @@ pub enum Cmd {
     /// harvest one or more register rows — tens of bytes of control
     /// traffic per invoke, like every other command. A plain map names
     /// one [`KernelOut::Array`] reading the function's return register; a
-    /// fused map+reduce names one [`KernelOut::Reduce`]; the
-    /// whole-program optimizer (DESIGN §14) fuses a group of traced
-    /// statements into one function and names one out per materialized
-    /// array or folded reduction. Every worker replies its reduction
+    /// fused map+reduce names one [`KernelOut::Reduce`]; a trace flush
+    /// (DESIGN §14) fuses a group of statements into one function and
+    /// names one out per materialized array or folded reduction. Every worker replies its reduction
     /// partials (a `Vec<f64>` in `outs` order) iff any
     /// [`KernelOut::Reduce`] is present; the master combines them.
     EvalKernel {

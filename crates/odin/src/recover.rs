@@ -60,8 +60,11 @@ impl OdinContext {
         let old_pool = self.pool.borrow_mut().replace(pool);
         drop(self.host.replace(host));
         self.dead.borrow_mut().fill(false);
-        // Commands still buffered were meant for the dead pool.
+        // Commands still buffered and statements still pending were meant
+        // for the dead pool, and so were the replies of flushed folds.
         self.batch.borrow_mut().iter_mut().for_each(Vec::clear);
+        self.discard_trace();
+        self.folds.borrow_mut().clear();
         if let Some(old) = old_pool {
             if self.config.universe.stall_timeout.is_some() {
                 // Worker-side waits are bounded, so the join is too.
@@ -88,7 +91,7 @@ impl OdinContext {
         }
         let kernels = self.held.borrow().kernels.clone();
         for (id, program) in kernels {
-            self.send_cmd(&Cmd::RegisterKernel { id, program });
+            self.post(&Cmd::RegisterKernel { id, program });
         }
         let mut restored = Vec::with_capacity(ck.arrays.len());
         for (id, meta, data) in &ck.arrays {

@@ -1,77 +1,49 @@
 //! Global reductions: full-array scalars and per-axis reductions.
 //!
-//! A full reduction is one round trip, like a barrier: every worker
-//! replies the partial of its segment and the master combines them in
-//! rank order (`worker::Fold::across`), a few bytes per worker, so it
-//! never becomes a bottleneck (paper Fig. 1 caption). An axis reduction's
-//! result is an array, so its partials meet worker to worker.
+//! A full reduction records a fold statement into the context's trace
+//! ([`crate::program`]): it rides the launch of the statements around it
+//! that share its geometry and lane, and its value is one round trip,
+//! like a barrier — every worker replies the partial of its segment and
+//! the master combines them in rank order (`worker::Fold::across`), a few
+//! bytes per worker, so it never becomes a bottleneck (paper Fig. 1
+//! caption). An axis reduction's result is an array, so its partials meet
+//! worker to worker.
 
 use crate::array::DistArray;
-use crate::context::OdinContext;
-use crate::protocol::{Cmd, KernelOut, ReduceKind};
+use crate::protocol::{Cmd, ReduceKind};
 use crate::reply::Pending;
-use crate::worker::Fold;
-
-impl OdinContext {
-    /// Broadcast a kernel launch with [`KernelOut::Reduce`] tails and
-    /// return a future for its totals, one per tail in `outs` order: each
-    /// worker's partials, combined column by column with [`Fold::across`].
-    pub(crate) fn dispatch_reduce(&self, cmd: &Cmd) -> Pending<'_, Vec<f64>> {
-        let Cmd::EvalKernel { outs, .. } = cmd else {
-            unreachable!("only a kernel launch has reduce tails")
-        };
-        let kinds: Vec<ReduceKind> = outs
-            .iter()
-            .filter_map(|o| match *o {
-                KernelOut::Reduce { kind, .. } => Some(kind),
-                KernelOut::Array { .. } => None,
-            })
-            .collect();
-        self.dispatch_each::<Vec<f64>>(cmd).map(move |partials| {
-            let column = |j: usize| partials.iter().map(|w| w[j]).collect::<Vec<_>>();
-            let total = |(j, &kind)| Fold::across(kind, &column(j));
-            kinds.iter().enumerate().map(total).collect()
-        })
-    }
-}
 
 impl<'c> DistArray<'c> {
-    /// Dispatch a full reduction — the identity kernel with a
-    /// [`KernelOut::Reduce`] tail — and return a reply future: the master
-    /// keeps issuing commands while the partials are in flight.
-    fn reduce_scalar_async(&self, kind: ReduceKind) -> Pending<'c, f64> {
-        let reduce = |reg| KernelOut::Reduce { kind, reg };
-        let cmd = self.launch(self.dtype(), &[], None, |_| 0, reduce);
-        self.ctx().dispatch_reduce(&cmd).map(|totals| totals[0])
-    }
-
-    fn reduce_scalar(&self, kind: ReduceKind) -> f64 {
-        self.reduce_scalar_async(kind).wait()
+    /// Record a full reduction and return its future: the fold runs at the
+    /// next observation, at the latest the one its `wait` forces.
+    pub(crate) fn fold(&self, kind: ReduceKind) -> Pending<'c, f64> {
+        Pending::fold(self.ctx(), self.ctx().record_fold(self, kind))
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
-        self.reduce_scalar(ReduceKind::Sum)
+        self.fold(ReduceKind::Sum).wait()
     }
 
-    /// Pipelined [`Self::sum`]: returns a future instead of blocking.
+    /// Asynchronous [`Self::sum`]: returns a future instead of blocking,
+    /// so reductions recorded together share a launch.
     pub fn sum_async(&self) -> Pending<'c, f64> {
-        self.reduce_scalar_async(ReduceKind::Sum)
+        self.fold(ReduceKind::Sum)
     }
 
     /// Product of all elements.
     pub fn prod(&self) -> f64 {
-        self.reduce_scalar(ReduceKind::Prod)
+        self.fold(ReduceKind::Prod).wait()
     }
 
     /// Minimum element.
     pub fn min(&self) -> f64 {
-        self.reduce_scalar(ReduceKind::Min)
+        self.fold(ReduceKind::Min).wait()
     }
 
     /// Maximum element.
     pub fn max(&self) -> f64 {
-        self.reduce_scalar(ReduceKind::Max)
+        self.fold(ReduceKind::Max).wait()
     }
 
     /// Arithmetic mean.
@@ -81,7 +53,7 @@ impl<'c> DistArray<'c> {
 
     /// Number of nonzero (true) elements.
     pub fn count_nonzero(&self) -> u64 {
-        self.reduce_scalar(ReduceKind::CountNonzero) as u64
+        self.fold(ReduceKind::CountNonzero).wait() as u64
     }
 
     /// Reduce along `axis`, producing an array with that axis removed.

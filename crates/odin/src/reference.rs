@@ -17,7 +17,7 @@ use crate::protocol::{BinOp, ReduceKind, UnaryOp};
 /// Evaluate `e` serially on the master: every leaf is fetched and every
 /// node applied as the eager ufunc of the same name defines it. Returns
 /// the result in global order, or `None` for an expression without an
-/// array operand. Panics on a traced-statement handle.
+/// array operand.
 pub fn eval(e: &Expr<'_, '_>) -> Option<Buffer> {
     match e.walk(&|a| Held::Owned(a.fetch().1)) {
         Node::Arr(Held::Owned(b)) => Some(b),

@@ -1,15 +1,19 @@
 //! The master's pipelined reply engine: reply *tickets*, the [`Pending`]
-//! reply future, and the bounded waits behind it. Replies and death
-//! notices arrive in one mailbox ([`comm::Host::recv`]).
+//! reply future, the folds a trace flush launched, and the bounded waits
+//! behind them. Replies and death notices arrive in one mailbox
+//! ([`comm::Host::recv`]).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use comm::{HostEvent, Payload, Wire};
 
 use crate::context::OdinContext;
 use crate::error::OdinError;
-use crate::protocol::Cmd;
+use crate::protocol::{Cmd, ReduceKind};
+use crate::worker::Fold;
 
 /// Demultiplexer for worker replies. Workers execute commands in FIFO
 /// order, so the `k`-th reply to arrive from a worker always answers the
@@ -32,59 +36,107 @@ pub(crate) struct ReplyEngine {
 /// Decoder applied to the raw replies when a [`Pending`] is waited.
 type Decode<T> = Box<dyn FnOnce(Vec<Payload>) -> T>;
 
-/// A reply future: the handle returned by pipelined dispatch. Dropping it
-/// abandons the reply (the engine discards it on arrival). Its command was
-/// posted when its tickets were issued, so [`Pending::ready`] can poll it.
+/// A reply future: the handle returned by pipelined dispatch and by an
+/// asynchronous reduction. Dropping it abandons the reply (the engine
+/// discards it on arrival), or, for a reduction the trace still holds,
+/// its statement.
 #[must_use = "dropping a Pending abandons its reply; call wait() (or hold it to overlap master-side work with the workers)"]
 pub struct Pending<'c, T> {
     ctx: &'c OdinContext,
-    tickets: Vec<(usize, u64)>,
-    span_name: &'static str,
-    decode: Option<Decode<T>>,
+    wait: Wait<T>,
 }
 
-impl<'c, T> Pending<'c, T> {
-    /// Whether every reply has already arrived (non-blocking).
+enum Wait<T> {
+    /// Replies to the tickets issued when the command was posted.
+    Replies {
+        tickets: Vec<(usize, u64)>,
+        span_name: &'static str,
+        decode: Option<Decode<T>>,
+    },
+    /// A recorded fold's value: it rides the launch of the flush that
+    /// posts it, at the latest the one the first `ready`/`wait` forces.
+    Fold { key: u64, decode: fn(f64) -> T },
+}
+
+impl<'c> Pending<'c, f64> {
+    /// The future of the fold [`OdinContext::record_fold`] recorded as
+    /// `key`.
+    pub(crate) fn fold(ctx: &'c OdinContext, key: u64) -> Self {
+        Pending {
+            ctx,
+            wait: Wait::Fold { key, decode: |v| v },
+        }
+    }
+}
+
+impl<T> Pending<'_, T> {
+    /// Whether the result has already arrived (non-blocking, but a fold
+    /// still in the trace is flushed first).
     pub fn ready(&mut self) -> bool {
-        self.ctx.tickets_ready(&self.tickets)
+        match &self.wait {
+            Wait::Replies { tickets, .. } => self.ctx.tickets_ready(tickets),
+            Wait::Fold { key, .. } => self.ctx.fold_ready(*key),
+        }
     }
 
     /// Block until every reply arrives and decode the result. Panics with
     /// the [`OdinError`] diagnostic if a worker dies; use
     /// [`Self::try_wait`] for a typed error.
-    pub fn wait(mut self) -> T {
-        let tickets = std::mem::take(&mut self.tickets);
-        let replies = self.ctx.await_tickets(&tickets, self.span_name);
-        (self.decode.take().expect("pending waited twice"))(replies)
+    pub fn wait(self) -> T {
+        self.try_wait()
+            .unwrap_or_else(|e| panic!("odin reply wait failed: {e}"))
     }
 
     /// Fallible [`Self::wait`]: a dead or silent worker yields
     /// [`OdinError::WorkerDead`] in bounded time instead of a panic or a
     /// hang.
     pub fn try_wait(mut self) -> Result<T, OdinError> {
-        let tickets = std::mem::take(&mut self.tickets);
-        let replies = self.ctx.try_await_tickets(&tickets, self.span_name)?;
-        Ok((self.decode.take().expect("pending waited twice"))(replies))
-    }
-}
-
-impl<'c, T: 'static> Pending<'c, T> {
-    /// The same reply, passed through `f` once decoded.
-    pub(crate) fn map<U>(mut self, f: impl FnOnce(T) -> U + 'static) -> Pending<'c, U> {
-        let decode = self.decode.take();
-        Pending {
-            ctx: self.ctx,
-            tickets: std::mem::take(&mut self.tickets),
-            span_name: self.span_name,
-            decode: decode.map(|d| Box::new(move |replies| f(d(replies))) as Decode<U>),
+        match &mut self.wait {
+            Wait::Replies {
+                tickets,
+                span_name,
+                decode,
+            } => {
+                let tickets = std::mem::take(tickets);
+                let replies = self.ctx.try_await_tickets(&tickets, span_name)?;
+                Ok((decode.take().expect("pending waited twice"))(replies))
+            }
+            Wait::Fold { key, decode } => self.ctx.fold_value(*key).map(*decode),
         }
     }
 }
 
 impl<T> Drop for Pending<'_, T> {
     fn drop(&mut self) {
-        self.ctx.abandon_tickets(&self.tickets);
+        match &self.wait {
+            Wait::Replies { tickets, .. } => self.ctx.abandon_tickets(tickets),
+            Wait::Fold { key, .. } => self.ctx.release_fold(*key),
+        }
     }
+}
+
+/// Flushed folds not yet read, by key: the launch each rides and its
+/// column among that launch's reduce tails.
+pub(crate) type Folds = HashMap<u64, (Rc<RefCell<Launch>>, usize)>;
+
+/// One launch with reduce tails: its kinds, and its tickets until the
+/// first reader claims them, then the totals.
+pub(crate) struct Launch {
+    kinds: Vec<ReduceKind>,
+    reply: Reply,
+}
+
+enum Reply {
+    Tickets(Vec<(usize, u64)>),
+    Totals(Result<Vec<f64>, OdinError>),
+}
+
+/// Combine every worker's reduce-tail partials (one `Vec<f64>` per
+/// worker, in tail order) column by column with [`Fold::across`].
+pub(crate) fn fold_partials(kinds: &[ReduceKind], partials: &[Vec<f64>]) -> Vec<f64> {
+    let column = |j: usize| partials.iter().map(|w| w[j]).collect::<Vec<_>>();
+    let total = |(j, &kind)| Fold::across(kind, &column(j));
+    kinds.iter().enumerate().map(total).collect()
 }
 
 impl OdinContext {
@@ -187,15 +239,8 @@ impl OdinContext {
         }
     }
 
-    /// Claim `tickets` in order. Panics with the [`OdinError`] diagnostic on
-    /// worker death; fallible callers use [`Self::try_await_tickets`].
-    fn await_tickets(&self, tickets: &[(usize, u64)], name: &'static str) -> Vec<Payload> {
-        self.try_await_tickets(tickets, name)
-            .unwrap_or_else(|e| panic!("odin reply wait failed: {e}"))
-    }
-
-    /// Fallible [`Self::await_tickets`]: returns a typed error instead of
-    /// panicking when a worker dies or times out.
+    /// Claim `tickets` in order; a typed error when a worker dies or times
+    /// out.
     fn try_await_tickets(
         &self,
         tickets: &[(usize, u64)],
@@ -224,14 +269,25 @@ impl OdinContext {
         Ok(out)
     }
 
-    /// Reply future for one reply from every worker (worker order).
-    pub(crate) fn pending_all(&self, span_name: &'static str) -> Pending<'_, Vec<Payload>> {
-        let tickets = (0..self.n_workers).map(|w| self.issue_ticket(w)).collect();
+    /// One ticket per worker, in worker order.
+    fn tickets_all(&self) -> Vec<(usize, u64)> {
+        (0..self.n_workers).map(|w| self.issue_ticket(w)).collect()
+    }
+
+    /// Reply future for one reply from every worker (worker order),
+    /// passed through `decode`.
+    pub(crate) fn pending_all<T>(
+        &self,
+        span_name: &'static str,
+        decode: impl FnOnce(Vec<Payload>) -> T + 'static,
+    ) -> Pending<'_, T> {
         Pending {
             ctx: self,
-            tickets,
-            span_name,
-            decode: Some(Box::new(|replies| replies)),
+            wait: Wait::Replies {
+                tickets: self.tickets_all(),
+                span_name,
+                decode: Some(Box::new(decode)),
+            },
         }
     }
 
@@ -240,15 +296,90 @@ impl OdinContext {
     /// while replies are still in flight.
     pub(crate) fn dispatch_all(&self, cmd: &Cmd) -> Pending<'_, Vec<Payload>> {
         self.send_cmd(cmd);
-        self.pending_all("collect_replies")
+        self.pending_all("collect_replies", |replies| replies)
     }
 
     /// Broadcast a command every worker answers with one `T` and return
     /// a typed future for the answers, in worker order.
     pub(crate) fn dispatch_each<T: Wire + 'static>(&self, cmd: &Cmd) -> Pending<'_, Vec<T>> {
         self.send_cmd(cmd);
-        self.pending_all("collect_replies")
-            .map(|replies| replies.into_iter().map(decode_reply).collect())
+        self.pending_all("collect_replies", |replies| {
+            replies.into_iter().map(decode_reply).collect()
+        })
+    }
+
+    /// A flush just posted a launch whose reduce tails are the folds
+    /// `keys`, of `kinds`: take its tickets, and file each fold under it.
+    pub(crate) fn launch_folds(&self, keys: &[u64], kinds: Vec<ReduceKind>) {
+        let launch = Rc::new(RefCell::new(Launch {
+            kinds,
+            reply: Reply::Tickets(self.tickets_all()),
+        }));
+        let mut folds = self.folds.borrow_mut();
+        for (col, &key) in keys.iter().enumerate() {
+            folds.insert(key, (Rc::clone(&launch), col));
+        }
+    }
+
+    /// The launch fold `key` rides, flushing the trace first if the fold
+    /// is still in it; `None` once a recover dropped it.
+    fn fold_launch(&self, key: u64) -> Option<(Rc<RefCell<Launch>>, usize)> {
+        if self.is_pending(key) {
+            self.flush_trace();
+        }
+        let folds = self.folds.borrow();
+        folds
+            .get(&key)
+            .map(|(launch, col)| (Rc::clone(launch), *col))
+    }
+
+    fn fold_ready(&self, key: u64) -> bool {
+        let Some((launch, _)) = self.fold_launch(key) else {
+            return true;
+        };
+        let launch = launch.borrow();
+        match &launch.reply {
+            Reply::Tickets(tickets) => self.tickets_ready(tickets),
+            Reply::Totals(_) => true,
+        }
+    }
+
+    /// Fold `key`'s value. Its launch's first reader claims the replies
+    /// and combines every tail's partials; the others read the totals.
+    /// A fold that a recover dropped with its pool is `PoolDown`.
+    fn fold_value(&self, key: u64) -> Result<f64, OdinError> {
+        let (launch, col) = self.fold_launch(key).ok_or(OdinError::PoolDown)?;
+        let mut launch = launch.borrow_mut();
+        let Launch { kinds, reply } = &mut *launch;
+        let totals = match reply {
+            Reply::Totals(totals) => totals.clone(),
+            Reply::Tickets(tickets) => {
+                let totals = self.try_await_tickets(tickets, "fold").map(|replies| {
+                    let partials: Vec<Vec<f64>> = replies.into_iter().map(decode_reply).collect();
+                    fold_partials(kinds, &partials)
+                });
+                *reply = Reply::Totals(totals.clone());
+                totals
+            }
+        };
+        totals.map(|t| t[col])
+    }
+
+    /// Fold `key`'s future was dropped: a fold still in the trace loses its
+    /// handle, and the last reader of a launch abandons its unclaimed
+    /// replies.
+    fn release_fold(&self, key: u64) {
+        if self.unhold(key) {
+            return;
+        }
+        let Some((launch, _)) = self.folds.borrow_mut().remove(&key) else {
+            return;
+        };
+        if let Ok(launch) = Rc::try_unwrap(launch) {
+            if let Reply::Tickets(tickets) = launch.into_inner().reply {
+                self.abandon_tickets(&tickets);
+            }
+        }
     }
 
     /// Replies reserved by in-flight futures but not yet consumed: one per
@@ -278,11 +409,17 @@ mod tests {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.full(&[10], 2.0, crate::protocol::Dist::Block);
         let y = ctx.linspace(1.0, 10.0, 10);
-        // dispatch two reductions without waiting for either: each waits
-        // on one partial per worker
+        // record two reductions without waiting for either: their launch
+        // waits on one reply per worker
         let px = x.sum_async();
         let py = y.sum_async();
-        assert_eq!(ctx.outstanding_replies(), 4, "both reductions in flight");
+        assert_eq!(
+            ctx.outstanding_replies(),
+            0,
+            "both recorded, nothing posted"
+        );
+        ctx.flush_batch();
+        assert_eq!(ctx.outstanding_replies(), 2, "both ride one launch");
         // claim out of dispatch order: the engine buffers the early reply
         assert!((py.wait() - 55.0).abs() < 1e-9);
         assert!((px.wait() - 20.0).abs() < 1e-9);

@@ -360,6 +360,7 @@ fn exec_cmd(comm: &Comm, worker: &mut Worker, cmd: Cmd) -> bool {
         }
         Cmd::Free { id } => {
             arrays.remove(&id);
+            fns.remove(&id);
             Vec::new()
         }
         Cmd::Ping => {

@@ -42,8 +42,7 @@ pub mod prelude {
     };
     pub use odin::{
         DType, Dist, DistArray, DistTable, Expr, FieldType, FieldValue, Kernel, KernelSpec,
-        OdinConfig, OdinContext, OdinError, Program, ProgramRun, ProgramStats, Record, ReduceKind,
-        Schema, Tier, Traced, TracedScalar,
+        OdinConfig, OdinContext, OdinError, Record, ReduceKind, Schema, Tier,
     };
     pub use seamless::{compile_kernel, jit, CompiledKernel, SeamlessError, Type, Value};
     // serve::Session stays un-globbed (hpc_core::Session has the name);

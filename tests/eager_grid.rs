@@ -1,10 +1,14 @@
 //! The eager ufuncs against the serial oracle: every `UnaryOp` and
 //! `BinOp` over every operand dtype, as array∘array and with a scalar on
 //! either side, every `astype`, and `where` over every dtype triple. Each
-//! eager result runs as a one-op kernel on the workers; `odin::reference`
-//! computes the same node over whole fetched arrays on the master. They
-//! must agree in dtype and bit for bit. Run it on both kernel tiers:
-//! `cargo test --test eager_grid`, then again with `HPC_KERNEL_TIER=vm`.
+//! eager result is a recorded statement the observation that fetches it
+//! runs as a kernel on the workers; `odin::reference` computes the same
+//! node over whole fetched arrays on the master. They must agree in dtype
+//! and bit for bit. Run it on both kernel tiers: `cargo test --test
+//! eager_grid`, then again with `HPC_KERNEL_TIER=vm`. The trace's own
+//! rules close the file: an `Expr` keeps the i64 lanes past 2^53, a
+//! dropped temporary fuses into its reader, and a dropped result
+//! launches nothing.
 
 use std::sync::Arc;
 
@@ -309,4 +313,81 @@ fn i64_axis_reductions_stay_exact_past_2_pow_53() {
         let maxes = x.max_axis(axis).to_vec_i64();
         assert_eq!(maxes, [BIG, BIG + 1], "max_axis({axis})");
     }
+}
+
+#[test]
+fn i64_expr_eval_stays_exact_past_2_pow_53() {
+    // An `Expr` over I64 operands runs on i64 lanes like the eager ops it
+    // is made of; on f64 lanes 2^53 + 1 + 1 rounds to 2^53.
+    let ctx = OdinContext::with_workers(2);
+    let x = array(&ctx, Buffer::I64(vec![BIG + 1; 4]));
+    let one = array(&ctx, Buffer::I64(vec![1; 4]));
+    let want = vec![BIG + 2; 4];
+    for e in [
+        Expr::leaf(&x) + Expr::leaf(&one),
+        Expr::leaf(&x) + 1.0,
+        -(-Expr::leaf(&x) - Expr::leaf(&one)),
+    ] {
+        let fused = e.eval();
+        assert_eq!(fused.dtype(), DType::I64);
+        assert_eq!(fused.to_vec_i64(), want, "Expr::eval");
+        assert_eq!(reference::eval(&e).unwrap().as_i64(), want, "oracle");
+    }
+    assert_eq!((&x + &one).to_vec_i64(), want, "eager");
+}
+
+/// Warm-up, then one run of `program` with the master's command counters
+/// reset: what it returns and the stats it left.
+fn measured<T>(ctx: &OdinContext, program: impl Fn() -> T) -> (T, u64) {
+    drop(program());
+    ctx.barrier();
+    ctx.reset_stats();
+    let out = program();
+    (out, ctx.stats().ctrl_msgs)
+}
+
+#[test]
+fn a_dropped_temporary_fuses_into_its_reader_and_the_fold() {
+    // `t` is dropped before anything observes it, so the flush the sum
+    // forces computes it in registers: one EvalKernel broadcast, bit for
+    // bit the run that flushes after every statement.
+    const WORKERS: u64 = 3;
+    let ctx = OdinContext::with_workers(WORKERS as usize);
+    let x = ctx.linspace(0.5, 1.5, 301);
+    let y = ctx.linspace(-1.0, 2.0, 301);
+    let program = |flush: bool| {
+        let flush = || {
+            if flush {
+                ctx.flush_batch();
+            }
+        };
+        let t = &x * &y;
+        flush();
+        let u = &t + 1.0;
+        flush();
+        drop(t);
+        flush();
+        let sum = u.sum();
+        (sum.to_bits(), u)
+    };
+    let ((fused, u), ctrl) = measured(&ctx, || program(false));
+    assert_eq!(ctrl, WORKERS, "one broadcast: the fused launch");
+    let ((stepped, v), stepped_ctrl) = measured(&ctx, || program(true));
+    assert!(stepped_ctrl > ctrl, "{stepped_ctrl} vs {ctrl}");
+    assert_eq!(fused, stepped);
+    let lanes = |a: &DistArray| a.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(lanes(&u), lanes(&v));
+}
+
+#[test]
+fn a_result_dropped_before_any_observation_launches_nothing() {
+    const WORKERS: u64 = 2;
+    let ctx = OdinContext::with_workers(WORKERS as usize);
+    let x = ctx.linspace(0.0, 1.0, 64);
+    let ((), ctrl) = measured(&ctx, || {
+        drop(&x + 1.0);
+        drop((&x * &x).sqrt().sum_async());
+        ctx.barrier();
+    });
+    assert_eq!(ctrl, WORKERS, "only the barrier's ping");
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan, UniverseConfig};
-use hpc_framework::odin::{reference, BinOp, Buffer, LocalFn, OdinError};
+use hpc_framework::odin::{reference, BinOp, Buffer, ContextStats, LocalFn, OdinError};
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
 
@@ -511,8 +511,8 @@ fn every_reduction_path_folds_in_the_reference_order() {
     // and the master combines their partials (DESIGN §10), in the same
     // bracketing at every pool width, so the grid runs 1–7 workers. Every path —
     // eager reductions over typed segments, fused `Expr` reductions,
-    // `Kernel::map_reduce` in its own lane type on both tiers, and a
-    // traced program folding five reductions in one launch — must equal
+    // `Kernel::map_reduce` in its own lane type on both tiers, and two
+    // folds recorded together riding one launch — must equal
     // `reference::fold` over the same segments bit for bit. Segment
     // lengths straddle the stripe width and the 4096-lane chunk; the
     // values are chosen so that sums and products round differently in
@@ -579,16 +579,17 @@ fn every_reduction_path_folds_in_the_reference_order() {
                     })
                     .collect();
                 let a = array_of(&ctx, data);
-                let mut p = ctx.trace();
-                let traced: Vec<_> = KINDS.map(|kind| p.reduce(Expr::leaf(&a), kind)).into();
-                let run = p.run(&[]);
-                for (kind, s) in KINDS.into_iter().zip(traced) {
+                let sum = reference::fold(ReduceKind::Sum, &segments).to_bits();
+                for kind in KINDS {
                     let want = reference::fold(kind, &segments).to_bits();
                     let case = format!("{kind:?} of {dtype:?}, {workers} x {len} lanes");
+                    // Two folds recorded together ride one launch as two
+                    // reduce tails.
+                    let pending = a.sum_async();
                     assert_eq!(eager(&a, kind).to_bits(), want, "eager {case}");
+                    assert_eq!(pending.wait().to_bits(), sum, "second tail, {case}");
                     let fused = Expr::leaf(&a).reduce(kind);
                     assert_eq!(fused.to_bits(), want, "Expr::reduce {case}");
-                    assert_eq!(run.scalar(s).to_bits(), want, "traced {case}");
                     for (fk, ik) in &kernels {
                         let k = if dtype == DType::F64 { fk } else { ik };
                         let got = k.map_reduce(&[&a], kind);
@@ -604,17 +605,18 @@ fn every_reduction_path_folds_in_the_reference_order() {
 #[test]
 fn a_lone_expression_keeps_its_wire_contract() {
     let _g = stats_read();
-    // `Expr::eval`/`sum` are one-statement traces. What callers can
-    // observe: a warm invoke is one EvalKernel per worker under 100 B and
-    // nothing else, and structurally identical expressions — evaluated
-    // directly, recorded on a trace, as an array or a reduce tail — share
-    // one registry entry.
+    // `Expr::eval`/`sum` record their statements like the eager ops they
+    // are made of. What callers can observe: a warm invoke is one
+    // EvalKernel per worker under 100 B and nothing else, and structurally
+    // identical statements — evaluated as an `Expr`, written eagerly, as
+    // an array or a reduce tail — share one registry entry.
     let ctx = OdinContext::with_workers(2);
     let x = ctx.linspace(0.25, 4.0, 300);
     let y = ctx.linspace(1.0, 2.0, 300);
     let make = || Expr::leaf(&x).sqrt() * Expr::leaf(&y) + 0.5;
     let oracle = bits(oracle(&make()).as_f64());
     let cold = make().eval(); // registers
+    ctx.flush_batch();
     let cold_sum = make().sum(); // same body, reduce tail
     assert_eq!(bits(&cold.to_vec()), oracle);
     assert_eq!(cold_sum.to_bits(), cold.sum().to_bits());
@@ -622,16 +624,15 @@ fn a_lone_expression_keeps_its_wire_contract() {
     let warm = |what: &str, launch: &mut dyn FnMut()| {
         ctx.reset_stats();
         launch();
+        ctx.flush_batch();
         let st = ctx.stats();
         assert_eq!(st.ctrl_msgs, 2, "{what}: one broadcast, no registration");
         assert!(st.ctrl_bytes / st.ctrl_msgs < 100, "{what}: {st:?}");
     };
     let mut out = Vec::new();
     warm("Expr::eval", &mut || out.push(make().eval()));
-    warm("one-statement trace", &mut || {
-        let mut p = ctx.trace();
-        let t = p.assign(make());
-        out.push(p.run(&[t]).array(t));
+    warm("eager statements", &mut || {
+        out.push(&(&x.sqrt() * &y) + 0.5)
     });
     for a in &out {
         assert_eq!(bits(&a.to_vec()), oracle);
@@ -639,10 +640,11 @@ fn a_lone_expression_keeps_its_wire_contract() {
     warm("Expr::sum", &mut || {
         assert_eq!(make().sum().to_bits(), cold_sum.to_bits())
     });
-    warm("one-reduction trace", &mut || {
-        let mut p = ctx.trace();
-        let s = p.sum(make());
-        assert_eq!(p.run(&[]).scalar(s).to_bits(), cold_sum.to_bits());
+    warm("eager reduction", &mut || {
+        let mapped = &(&x.sqrt() * &y) + 0.5;
+        let sum = mapped.sum_async();
+        drop(mapped); // a dead store its fold reads: never materialized
+        assert_eq!(sum.wait().to_bits(), cold_sum.to_bits());
     });
 }
 
@@ -675,6 +677,7 @@ fn a_fresh_literal_per_op_reuses_one_kernel_and_compiles_nothing() {
         let make = |x| Expr::leaf(x) + Expr::leaf(&q) * a;
         ctx.reset_stats();
         let y = make(&x).eval();
+        ctx.flush_batch();
         if i > 0 {
             assert_eq!(
                 ctx.stats().ctrl_msgs,
@@ -710,6 +713,7 @@ fn a_fresh_literal_per_op_reuses_one_kernel_and_compiles_nothing() {
         let make = || Expr::leaf(&xi) + c;
         ctx.reset_stats();
         let got = make().eval();
+        ctx.flush_batch();
         let msgs = ctx.stats().ctrl_msgs;
         assert_eq!(got.dtype(), dtype, "+ {c}");
         assert_eq!(msgs, WORKERS * (1 + u64::from(registers)), "+ {c}");
@@ -907,75 +911,161 @@ fn native_tier_rearms_after_recover_without_recompiling() {
     );
 }
 
-/// Fixed multi-statement traced program exercising the whole-program
-/// optimizer surface: CSE (shared `x·c`), a merged redistribute (the
-/// cyclic operand feeds three statements), two fused reductions riding
-/// one launch, and a scalar-ref consumed by a later fused kernel. Runs
-/// its statement-at-a-time twin first and holds the traced run to
-/// strictly fewer launches, control messages and data messages.
+/// Fixed multi-statement eager program exercising the trace optimizer's
+/// surface: CSE (shared `x·c`), a merged redistribute (the cyclic operand
+/// feeds four ops), two reductions recorded together riding one launch,
+/// and a scalar result gating a later statement. Runs its
+/// statement-at-a-time twin — the same code with `flush_batch()` after
+/// every statement — first, and holds the fused run to strictly fewer
+/// launches, control messages and data messages.
 fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
     let x = ctx.arange_f64(-1.0, 0.031, 120, Dist::Block);
     let c = ctx.arange_f64(0.4, 0.011, 120, Dist::Cyclic);
-    let shared = || Expr::leaf(&x) * Expr::leaf(&c);
-
-    ctx.reset_stats();
-    let e1 = (shared() + 1.0).eval();
-    let e2 = shared().abs().sqrt().eval();
-    let es = (Expr::leaf(&e1) * Expr::leaf(&e2)).sum();
-    let ee = (shared() * shared()).sum();
-    let e3 = (Expr::leaf(&x) - Expr::leaf(&c) * es).eval();
-    let eager = (
-        bits(&e1.to_vec()),
-        bits(&e2.to_vec()),
-        bits(&e3.to_vec()),
-        es.to_bits(),
-        ee.to_bits(),
-    );
-    let eager_msgs = ctx.stats();
-
-    ctx.reset_stats();
-    let mut p = ctx.trace();
-    let t1 = p.assign(shared() + 1.0);
-    let t2 = p.assign(shared().abs().sqrt());
-    let s = p.sum(Expr::from(t1) * Expr::from(t2));
-    let e = p.sum(shared() * shared());
-    let t3 = p.assign(Expr::leaf(&x) - Expr::leaf(&c) * Expr::from(s));
-    let mut run = p.run(&[t1, t2, t3]);
-    let st = run.stats();
-    let traced = (
-        bits(&run.array(t1).to_vec()),
-        bits(&run.array(t2).to_vec()),
-        bits(&run.array(t3).to_vec()),
-        run.scalar(s).to_bits(),
-        run.scalar(e).to_bits(),
-    );
-    let traced_msgs = ctx.stats();
+    let program = |twin: bool| {
+        let flush = || {
+            if twin {
+                ctx.flush_batch();
+            }
+        };
+        ctx.reset_stats();
+        let e1 = &(&x * &c) + 1.0;
+        flush();
+        let e2 = (&x * &c).abs().sqrt();
+        flush();
+        let es = (&e1 * &e2).sum_async();
+        flush();
+        let ee = (&(&x * &c) * &(&x * &c)).sum_async();
+        flush();
+        let es = es.wait();
+        let e3 = &x - &(&c * es);
+        flush();
+        let bits = (
+            bits(&e1.to_vec()),
+            bits(&e2.to_vec()),
+            bits(&e3.to_vec()),
+            es.to_bits(),
+            ee.wait().to_bits(),
+        );
+        (bits, ctx.stats())
+    };
+    let (eager, twin) = program(true);
+    let (fused, st) = program(false);
 
     assert!(st.cse_hits >= 1, "probe lost its CSE hit: {st:?}");
     assert!(st.redistributes_merged >= 1, "probe lost its merge: {st:?}");
     assert!(st.launches_saved >= 1, "probe lost its fusion: {st:?}");
-    assert!(st.kernel_launches < st.baseline_launches, "{st:?}");
     assert!(
-        traced_msgs.ctrl_msgs < eager_msgs.ctrl_msgs,
-        "tracing saved no control messages: {traced_msgs:?} vs {eager_msgs:?}"
+        st.kernel_launches < twin.kernel_launches,
+        "{st:?} vs {twin:?}"
     );
     assert!(
-        traced_msgs.data_msgs < eager_msgs.data_msgs,
-        "tracing saved no data messages: {traced_msgs:?} vs {eager_msgs:?}"
+        st.ctrl_msgs < twin.ctrl_msgs,
+        "fusion saved no control messages: {st:?} vs {twin:?}"
     );
-    assert_eq!(
-        traced, eager,
-        "traced run diverged from statement-at-a-time"
+    assert!(
+        st.data_msgs < twin.data_msgs,
+        "fusion saved no data messages: {st:?} vs {twin:?}"
     );
-    traced
+    assert_eq!(fused, eager, "fused run diverged from statement-at-a-time");
+    fused
+}
+
+/// E24's two programs, written eagerly: run as the same code with
+/// `flush_batch()` after every statement, then fused. Returns the result
+/// bits and the stats of each run.
+fn e24_runs<T: PartialEq + std::fmt::Debug>(
+    ctx: &OdinContext,
+    program: impl Fn(&dyn Fn()) -> T,
+) -> (T, ContextStats, ContextStats) {
+    let run = |twin: bool| {
+        ctx.barrier();
+        ctx.reset_stats();
+        let out = program(&|| {
+            if twin {
+                ctx.flush_batch();
+            }
+        });
+        (out, ctx.stats())
+    };
+    let (eager, twin) = run(true);
+    let (fused, st) = run(false);
+    assert_eq!(fused, eager, "fused run diverged from statement-at-a-time");
+    let msgs = |s: &ContextStats| s.ctrl_msgs + s.data_msgs;
+    assert!(msgs(&st) < msgs(&twin), "{st:?} vs {twin:?}");
+    (fused, st, twin)
+}
+
+#[test]
+fn e24_programs_written_eagerly_keep_their_launch_counts() {
+    let _g = stats_read();
+    const N: usize = 4096;
+    let ctx = OdinContext::with_workers(4);
+    // A damped stencil step: a Laplacian, a dead diagnostic store, the
+    // update (repeating `x*c`), and two reductions — five statements.
+    let (xm, x, xp) = (
+        ctx.arange_f64(-0.5, 0.013, N, Dist::Block),
+        ctx.arange_f64(0.25, 0.017, N, Dist::Block),
+        ctx.arange_f64(1.0, -0.011, N, Dist::Block),
+    );
+    let c = ctx.arange_f64(0.4, 0.007, N, Dist::Cyclic);
+    let stencil = |flush: &dyn Fn()| {
+        let lap = &(&xm - &(&x * 2.0)) + &xp;
+        flush();
+        drop(&x * &c);
+        flush();
+        let xnew = &x + &(&(&(&lap * &c) + &(&x * &c)) * 0.1);
+        flush();
+        let resid = (&lap * &lap).sum_async();
+        flush();
+        let energy = (&(&x * &c) * &(&x * &c)).sum_async();
+        flush();
+        let sums = (resid.wait().to_bits(), energy.wait().to_bits());
+        (bits(&xnew.to_vec()), sums)
+    };
+    let (_, st, twin) = e24_runs(&ctx, stencil);
+    assert_eq!(st.kernel_launches, 1, "{st:?}");
+    assert!(st.cse_hits >= 1 && st.dse_eliminated == 1, "{st:?}");
+    assert_eq!(st.redistributes_issued, 1, "{st:?}");
+    assert_eq!(twin.kernel_launches, 4, "the twin drops its dead store too");
+
+    // A CG-like iteration over a diagonal operator: seven statements whose
+    // scalars gate the later updates.
+    let (pv, rv, xv, dv) = (
+        ctx.arange_f64(0.3, 0.003, N, Dist::Block),
+        ctx.arange_f64(0.9, -0.002, N, Dist::Block),
+        ctx.arange_f64(0.0, 0.005, N, Dist::Block),
+        ctx.arange_f64(1.5, 0.001, N, Dist::Block),
+    );
+    let cg = |flush: &dyn Fn()| {
+        let rr0 = (&rv * &rv).sum_async();
+        flush();
+        let q = &pv * &dv;
+        flush();
+        let den = (&pv * &q).sum_async();
+        flush();
+        let (rr0, den) = (rr0.wait(), den.wait());
+        let alpha = rr0 / den;
+        let x1 = &xv + &(&pv * alpha);
+        flush();
+        let r1 = &rv - &(&q * alpha);
+        flush();
+        let rr1 = (&r1 * &r1).sum();
+        let p1 = &r1 + &(&pv * (rr1 / rr0));
+        flush();
+        let scalars = [rr0, den, rr1].map(f64::to_bits);
+        (bits(&x1.to_vec()), bits(&p1.to_vec()), scalars)
+    };
+    let (_, st, twin) = e24_runs(&ctx, cg);
+    assert!(st.kernel_launches <= 3, "{st:?}");
+    assert_eq!(twin.kernel_launches, 7, "{twin:?}");
 }
 
 #[test]
 fn traced_program_is_deterministic_under_seeded_chaos() {
     let _g = stats_read();
-    // Swept over HPC_FAULT_SEED by ci.sh: the optimized whole-program
-    // path (fused multi-output kernels, pooled redistributes, scalar
-    // reply tickets) must heal every chaos schedule bit-exactly.
+    // Swept over HPC_FAULT_SEED by ci.sh: the optimized trace flush
+    // (fused multi-output kernels, pooled redistributes, shared fold
+    // replies) must heal every chaos schedule bit-exactly.
     let healthy = {
         let ctx = OdinContext::with_workers(4);
         run_traced_probe(&ctx)
@@ -984,7 +1074,7 @@ fn traced_program_is_deterministic_under_seeded_chaos() {
     assert_eq!(
         run_traced_probe(&ctx),
         healthy,
-        "chaos changed a traced-program result (seed {})",
+        "chaos changed a fused-program result (seed {})",
         fault_seed()
     );
     // The pooled redistribute of the Cyclic operand is the probe's
@@ -999,9 +1089,9 @@ fn traced_program_is_deterministic_under_seeded_chaos() {
 #[test]
 fn recover_replays_fused_program_kernels_into_the_new_pool() {
     let _g = stats_read();
-    // Run a traced program (registering its fused multi-output kernels),
-    // kill a worker, recover from a checkpoint, and run the identical
-    // trace again: the master's kernel cache makes the second run skip
+    // Run the fused probe (registering its multi-output kernels), kill a
+    // worker, recover from a checkpoint, and run the identical program
+    // again: the master's kernel cache makes the second run skip
     // registration, so it only works if recover() replayed the fused
     // bytecode into the respawned pool — and the bits must not move.
     let ctx = OdinContext::new(kill_worker_1_after(120)); // past the probe and its statement-at-a-time twin
@@ -1032,7 +1122,7 @@ fn recover_replays_fused_program_kernels_into_the_new_pool() {
     assert_eq!(
         run_traced_probe(&ctx),
         baseline,
-        "recovered pool changed a traced-program result (seed {})",
+        "recovered pool changed a fused-program result (seed {})",
         fault_seed()
     );
 }

@@ -10,7 +10,7 @@
 //! aligners get the same treatment: a lazy `Expr` (array and
 //! Sum/Max/Min tails), an eager `binary` under each `BinaryStrategy`,
 //! `lt`/`select`/`maximum`/`minimum` and the 2-D axis folds, a pyish
-//! `Kernel` and a multi-statement `Program`, each with its operands on
+//! `Kernel` and a fused multi-statement trace, each with its operands on
 //! three different layouts. Both payload arms run, clean and under a
 //! seeded fault schedule healed by reliable delivery (`HPC_FAULT_SEED`,
 //! swept by ci.sh). Apart from the grid, every kind of command that makes
@@ -240,21 +240,26 @@ fn compute_rows(ctx: &OdinContext, kernel: &Kernel<'_>, shape: &[usize], rng: &m
         }
 
         // The same body as three statements: `t1` runs at x's layout, is
-        // moved to z's for `t2`, and `t3` with the folds fuses onto it.
-        let mut p = ctx.trace();
-        let t1 = p.assign(Expr::leaf(&x) * 2.0 + Expr::leaf(&y));
-        let t2 = p.assign(Expr::leaf(&z) * Expr::from(t1));
-        let t3 = p.assign(Expr::from(t2) - Expr::leaf(&y).abs());
-        let tails = folds.iter().map(|&(kind, _)| p.reduce(t3, kind));
-        let tails: Vec<TracedScalar> = tails.collect();
-        let mut run = p.run(&[t1, t3]);
-        let (r1, r3) = (run.array(t1), run.array(t3));
-        assert_eq!((r1.dist(), r3.dist()), (la, lc), "Program: layouts, {case}");
+        // moved to z's for `t2` (the strategy names z the template), and
+        // `t3` with a fold tail fuses onto it.
+        set_binary_strategy(BinaryStrategy::RedistRight);
+        let t1 = &(&x * 2.0) + &y;
+        let t2 = &z * &t1;
+        let t3 = &t2 - &y.abs();
+        set_binary_strategy(BinaryStrategy::Auto);
+        let tail = t3.sum_async();
+        assert_eq!((t1.dist(), t3.dist()), (la, lc), "trace: layouts, {case}");
         let want1 = lanes(&|i| xs[i] * 2.0 + ys[i]);
-        check("Program t1", &r1, shape, &want1, &case);
-        check("Program t3", &r3, shape, &full, &case);
-        for (tail, &(kind, want)) in tails.iter().zip(folds) {
-            assert_eq!(run.scalar(*tail), want, "Program {kind:?}, {case}");
+        check("trace t1", &t1, shape, &want1, &case);
+        check("trace t3", &t3, shape, &full, &case);
+        let sum = tail.wait();
+        for &(kind, want) in folds {
+            let got = match kind {
+                ReduceKind::Sum => sum,
+                ReduceKind::Max => t3.max(),
+                _ => t3.min(),
+            };
+            assert_eq!(got, want, "trace {kind:?}, {case}");
         }
     }
 }
@@ -413,11 +418,12 @@ fn master_and_workers_agree_on_every_result() {
         let line = ctx.from_vec(&vals, Dist::BlockCyclic(3));
         let mask = line.binary_scalar(4.5, BinOp::Gt, false);
         let kernel = ctx.compile_kernel(BODY, "body").expect("BODY compiles");
-        let mut prog = ctx.trace();
-        let t1 = prog.assign(Expr::leaf(&grid) * 2.0 + Expr::leaf(&grid));
-        let t2 = prog.assign(Expr::from(t1) - Expr::leaf(&grid).abs());
-        let mut run = prog.run(&[t1, t2]);
-        assert_eq!(run.stats().kernel_launches, 1, "t1 and t2 fuse");
+        ctx.flush_batch();
+        let launches = ctx.stats().kernel_launches;
+        let t1 = &(&grid * 2.0) + &grid;
+        let t2 = &t1 - &grid.abs();
+        ctx.flush_batch();
+        assert_eq!(ctx.stats().kernel_launches - launches, 1, "t1 and t2 fuse");
         let results = [
             ("Create", ctx.zeros_dist(&[5, 2], DType::I64, Dist::Cyclic)),
             ("SetData", ctx.from_vec(&vals, Dist::Cyclic)),
@@ -433,8 +439,8 @@ fn master_and_workers_agree_on_every_result() {
             ("MatMul", grid.matmul(&ctx.random(&[3, 2], 7))),
             ("eager ufunc", flags),
             ("Kernel::map", kernel.map(&[&grid, &grid, &grid])),
-            ("Program t1", run.array(t1)),
-            ("Program t2", run.array(t2)),
+            ("trace t1", t1),
+            ("trace t2", t2),
         ];
         for (what, a) in &results {
             let want = a.meta();

@@ -498,34 +498,37 @@ fn fusion_counters_reconcile_exactly_with_program_stats() {
     let ctx = OdinContext::with_workers(3);
     let x = ctx.arange_f64(0.0, 1.0, 48, hpc_framework::odin::Dist::Block);
     let c = ctx.arange_f64(0.5, 0.25, 48, hpc_framework::odin::Dist::Cyclic);
-    let mut p = ctx.trace();
     // Repeated fragment (CSE), a dead store (DSE), the cyclic operand
     // used by two statements (merged redistribute), and a fused tail.
+    let a = &(&x * &c) + 1.0;
+    drop(&x * 9.0);
+    let b = &(&(&x * &c) * 2.0) + &c;
+    let s = (&a + &b).sum_async();
+    let _ = s.wait();
+    let st = ctx.stats();
+    // A lone `Expr::eval` flushes into the same counters: `x·c` twice is
+    // exactly one CSE hit, nothing else.
     let shared = Expr::leaf(&x) * Expr::leaf(&c);
-    let a = p.assign(shared.clone() + 1.0);
-    let _dead = p.assign(Expr::leaf(&x) * 9.0);
-    let b = p.assign(shared.clone() * 2.0 + Expr::leaf(&c));
-    let _s = p.sum(Expr::from(a) + Expr::from(b));
-    let mut run = p.run(&[a, b]);
-    let (_aa, _bb) = (run.array(a), run.array(b));
-    let st = run.stats();
-    // A lone `Expr::eval` is a one-statement program and lands in the
-    // same counters: `x·c` twice is exactly one CSE hit, nothing else.
-    let _lone = (shared.clone() - shared).eval();
+    let lone = (shared.clone() - shared).eval();
+    ctx.flush_batch();
     obs::set_enabled(false);
+    drop((a, b, lone));
 
     assert!(st.cse_hits >= 1, "{st:?}");
     assert_eq!(st.dse_eliminated, 1, "{st:?}");
     assert!(st.redistributes_merged >= 1, "{st:?}");
     assert!(st.launches_saved >= 1, "{st:?}");
-    // Exact mirror: each registry counter is the traced run's
-    // ProgramStats field plus the lone eval's contribution.
+    // Exact mirror: each registry counter is the ContextStats field both
+    // flushes add up to.
     let g = obs::global();
+    let lone = ctx.stats();
+    assert_eq!(lone.cse_hits, st.cse_hits + 1, "{lone:?}");
+    assert_eq!(lone.dse_eliminated, st.dse_eliminated, "{lone:?}");
     for (key, want) in [
-        ("fusion.cse_hits", st.cse_hits + 1),
-        ("fusion.dse_eliminated", st.dse_eliminated),
-        ("fusion.redistributes_merged", st.redistributes_merged),
-        ("fusion.launches_saved", st.launches_saved),
+        ("fusion.cse_hits", lone.cse_hits),
+        ("fusion.dse_eliminated", lone.dse_eliminated),
+        ("fusion.redistributes_merged", lone.redistributes_merged),
+        ("fusion.launches_saved", lone.launches_saved),
     ] {
         assert_eq!(g.counter_value(key), Some(want), "{key}");
     }

@@ -1057,11 +1057,11 @@ fn vm_matches_interpreter_on_integer_loops() {
     }
 }
 
-// ---- whole-program traces vs statement-at-a-time (DESIGN §14) ---------------
+// ---- fused traces vs statement-at-a-time (DESIGN §14) -----------------------
 
 /// Random expression plan, built once and turned into an `Expr` tree per
-/// arm: `Ref(j)` is statement `j`'s materialized array when the
-/// statements run one at a time, and its `Traced` handle inside a trace.
+/// arm: `Ref(j)` is statement `j`'s array — materialized when the
+/// statements run one at a time, still pending when they fuse.
 enum PlanNode {
     Leaf(usize),
     Ref(usize),
@@ -1074,7 +1074,7 @@ enum PlanNode {
 
 /// Scalars stay F64-flavoured only through binary promotion with the F64
 /// leaves, so the whole program stays F64 end-to-end — the regime where
-/// fused, unfused, and traced execution are all bitwise-comparable.
+/// fused and statement-at-a-time execution are bitwise-comparable.
 fn gen_scalar(rng: &mut SplitMix64) -> f64 {
     match rng.gen_index(5) {
         0 => 2.0,
@@ -1190,65 +1190,58 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
             })
             .collect();
 
-        // Statement-at-a-time reference: every statement materializes,
-        // and matches the serial oracle on the master bit for bit.
-        let mut eager: Vec<hpc_framework::odin::DistArray> = Vec::new();
-        for plan in &stmt_plans {
-            let (fused, oracle) = {
-                let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&eager[j]));
-                (e.eval(), hpc_framework::odin::reference::eval(&e).unwrap())
-            };
-            assert_eq!(
-                bitsv(&fused.to_vec()),
-                bitsv(oracle.as_f64()),
-                "case {case}: eval vs the serial oracle drifted"
-            );
-            eager.push(fused);
+        // The same plans run twice: statement at a time (`flush_batch()`
+        // after every statement, each result checked against the serial
+        // oracle on the master), then fused by the trace.
+        let program = |twin: bool| {
+            ctx.reset_stats();
+            let mut arrays: Vec<hpc_framework::odin::DistArray> = Vec::new();
+            for plan in &stmt_plans {
+                let a = {
+                    let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&arrays[j]));
+                    let a = e.eval();
+                    if twin {
+                        let oracle = hpc_framework::odin::reference::eval(&e).unwrap();
+                        assert_eq!(
+                            bitsv(&a.to_vec()),
+                            bitsv(oracle.as_f64()),
+                            "case {case}: eval vs the serial oracle drifted"
+                        );
+                    }
+                    a
+                };
+                arrays.push(a);
+                if twin {
+                    ctx.flush_batch();
+                }
+            }
+            let reds: Vec<u64> = reduce_plans
+                .iter()
+                .map(|(plan, kind)| {
+                    let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&arrays[j]));
+                    e.reduce(*kind).to_bits()
+                })
+                .collect();
+            let outs: Vec<Vec<u64>> = arrays.iter().map(|a| bitsv(&a.to_vec())).collect();
+            (outs, reds, ctx.stats())
+        };
+        let (eager, eager_reds, twin) = program(true);
+        let (fused, fused_reds, st) = program(false);
+        for (i, (f, e)) in fused.iter().zip(&eager).enumerate() {
+            assert_eq!(f, e, "case {case} stmt {i}: fused result drifted");
         }
-        let eager_reds: Vec<f64> = reduce_plans
-            .iter()
-            .map(|(plan, kind)| {
-                plan_to_expr(plan, &leaves, &|j| Expr::leaf(&eager[j])).reduce(*kind)
-            })
-            .collect();
-
-        // The same plans as one fused multi-statement trace.
-        let mut p = ctx.trace();
-        let mut traced: Vec<hpc_framework::odin::Traced> = Vec::new();
-        for plan in &stmt_plans {
-            let e = plan_to_expr(plan, &leaves, &|j| Expr::from(traced[j]));
-            traced.push(p.assign(e));
-        }
-        let traced_reds: Vec<hpc_framework::odin::TracedScalar> = reduce_plans
-            .iter()
-            .map(|(plan, kind)| {
-                p.reduce(
-                    plan_to_expr(plan, &leaves, &|j| Expr::from(traced[j])),
-                    *kind,
-                )
-            })
-            .collect();
-        let mut run = p.run(&traced);
-        for (i, t) in traced.iter().enumerate() {
-            assert_eq!(
-                bitsv(&run.array(*t).to_vec()),
-                bitsv(&eager[i].to_vec()),
-                "case {case} stmt {i}: traced result drifted from Expr::eval"
-            );
-        }
-        for (i, s) in traced_reds.iter().enumerate() {
-            assert_eq!(
-                run.scalar(*s).to_bits(),
-                eager_reds[i].to_bits(),
-                "case {case} reduction {i}: traced scalar drifted"
-            );
-        }
-        // The optimizer must never do worse than the baseline it claims.
-        let st = run.stats();
-        assert!(st.kernel_launches <= st.baseline_launches, "{st:?}");
+        assert_eq!(
+            fused_reds, eager_reds,
+            "case {case}: fused reductions drifted"
+        );
+        // The optimizer must never do worse than statement at a time.
         assert!(
-            st.redistributes_issued <= st.baseline_redistributes,
-            "{st:?}"
+            st.kernel_launches <= twin.kernel_launches,
+            "{st:?} vs {twin:?}"
+        );
+        assert!(
+            st.redistributes_issued <= twin.redistributes_issued,
+            "{st:?} vs {twin:?}"
         );
     }
 }

@@ -234,7 +234,7 @@ echo "== unsafe allowlist (FFI, the check-free SpMV sweep, nothing else)"
 # FFI (seamless `codegen`, `cmodule`), the test suite's counting global
 # allocator, the benchmark's CPU-affinity syscalls, and the CSR sweep,
 # whose column ids were proven in range when the matrix was built
-# (DESIGN §12.2). `api_listing` only names the keyword in strings. Every
+# (DESIGN §6). `api_listing` only names the keyword in strings. Every
 # block in csr.rs sits directly under a `// SAFETY:` line, and csr.rs holds
 # at most its committed number of blocks: lower the ceiling when one goes,
 # never raise it without a reason in the PR.
@@ -278,9 +278,74 @@ if [ "$newest" -gt 1200 ]; then
   exit 1
 fi
 
+echo "== docs (DESIGN and EXPERIMENTS describe the tree as it is)"
+# DESIGN.md is one section per layer: a module table, invariants that
+# each name their owner, decisions. This step fails on drift: (a) a
+# `DESIGN §N[.M]` reference without that heading, (b) a named test
+# (`tests/<file>.rs::<fn>`, `<crate>[::<module>]::tests::<fn>`, or a brace
+# list of either) or `ci.sh`'s *step* that does not exist, or an
+# invariant (one bullet on one line) that names no owner, (c) a crate
+# whose module table differs from its `src/*.rs`, (d) a document over its
+# line ceiling. The ceilings ratchet like the panic sites: lower one when
+# a document shrinks, never raise one without a reason in CHANGES.md.
+docs_fail() {
+  echo "docs gate: $*" >&2
+  exit 1
+}
+design_heads=$(grep -oE '^##+ [0-9]+(\.[0-9]+)?' DESIGN.md | awk '{print $2}')
+while IFS=: read -r file ref; do
+  [ -n "$ref" ] || continue
+  n=$(grep -oE '[0-9]+(\.[0-9]+)?' <<<"$ref")
+  grep -qxF "$n" <<<"$design_heads" || docs_fail "$file cites DESIGN §$n, which has no heading"
+done < <(grep -roE 'DESIGN(\.md)? ?§ ?[0-9]+(\.[0-9]+)?' crates src tests ci.sh README.md EXPERIMENTS.md \
+  .claude/skills/verify/SKILL.md || true)
+# Expand `prefix::{a, b}` to one `prefix::name` per line.
+expand_names() {
+  sed -E 's/[{}]//g' | awk -F'::' '{n = split($NF, f, ","); p = $1
+    for (i = 2; i < NF; i++) p = p "::" $i
+    for (i = 1; i <= n; i++) { gsub(/[ `…]/, "", f[i]); if (f[i] != "") print p "::" f[i] } }'
+}
+docs_text=$(cat DESIGN.md EXPERIMENTS.md | tr '\n' ' ')
+owners=0
+while read -r owner; do
+  fn=${owner##*::} path=${owner%::*}
+  case "$path" in
+    tests/*.rs) file=$path ;;
+    *::*::tests) file=$(awk -F'::' '{print "crates/" $1 "/src/" $2 ".rs"}' <<<"$path") ;;
+    *::tests) file="crates/${path%%::*}/src/lib.rs" ;;
+  esac
+  [ -f "$file" ] || docs_fail "$owner: no file $file"
+  grep -qE "fn $fn\b" "$file" || docs_fail "$owner: no fn $fn in $file"
+  owners=$((owners + 1))
+done < <(grep -oE 'tests/[a-z_]+\.rs::(\{[^}]*\}|[a-z_0-9]+)|\b[a-z_]+::([a-z_]+::)?tests::(\{[^}]*\}|[a-z_0-9]+)' \
+  <<<"$docs_text" | expand_names)
+while read -r step; do
+  grep -qF "echo \"== $step" ci.sh || docs_fail "no ci.sh step named '$step'"
+done < <(grep -oE "\`ci\.sh\`'s \*[^*]+\*" <<<"$docs_text" | sed -E "s/^[^*]*\*//; s/\*$//")
+unowned=$(awk '/^### [0-9]+\.2 Invariants/ {on = 1; next} /^#/ {on = 0}
+  on && /^- / && !/tests\/[a-z_]+\.rs::|::tests::|`ci\.sh`.s \*/ {print FNR ": " $0}' DESIGN.md)
+[ -z "$unowned" ] || docs_fail "an invariant names no owner: $unowned"
+named=$(awk '/^## / {sec = $2} match($0, /^\| `[a-z_]+::[a-z_]+` \|/) {
+  split(substr($0, 4, RLENGTH - 6), m, "::"); print sec, m[1], m[2]}' DESIGN.md)
+for dir in crates/*/; do
+  crate=$(basename "$dir")
+  secs=$(awk -v c="$crate" '$2 == c {print $1}' <<<"$named" | sort -u | wc -l)
+  [ "$secs" -eq 1 ] || docs_fail "crate $crate is tabled in $secs DESIGN sections, expected 1"
+  on_disk=$(basename -a -s .rs "$dir"src/*.rs | sort | tr '\n' ' ')
+  tabled=$(awk -v c="$crate" '$2 == c {print $3}' <<<"$named" | sort | tr '\n' ' ')
+  [ "$on_disk" = "$tabled" ] || docs_fail "crate $crate: DESIGN tables '$tabled', disk has '$on_disk'"
+done
+echo "-- $owners named tests resolve; every crate's module table matches its src/"
+for entry in DESIGN.md:467 EXPERIMENTS.md:312; do
+  doc=${entry%%:*} ceiling=${entry##*:}
+  lines=$(wc -l <"$doc")
+  echo "-- $doc: $lines lines (ceiling $ceiling)"
+  [ "$lines" -le "$ceiling" ] || docs_fail "$doc has $lines lines, ceiling is $ceiling"
+done
+
 echo "== native kernel tier: C compiler detection"
 # The tiered kernel plane lowers straight-line bodies to C and compiles
-# them with the system compiler (DESIGN.md §15). Without one, every
+# them with the system compiler (DESIGN.md §9). Without one, every
 # kernel stays on the typed-register VM — pin the tier explicitly so the
 # whole gate runs (and passes) on a compiler-less machine.
 if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1 \

@@ -18,7 +18,7 @@
 //! build that sends a message panics. Plans whose construction is an
 //! exchange are built by the object that owns them (a matrix builds its
 //! halo plan in its constructor, a vector its import in `redistribute`),
-//! where every rank enters the build by program order (DESIGN.md §12.2).
+//! where every rank enters the build by program order (DESIGN.md §5).
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -56,7 +56,7 @@ impl Default for OdinConfig {
 
 /// Master-side instrumentation (the paper's §III-J bottleneck
 /// instrumentation goal): control vs data traffic, separately, and the
-/// decisions of every trace flush (DESIGN §14; the `fusion.*` counters
+/// decisions of every trace flush (DESIGN §8; the `fusion.*` counters
 /// mirror four of them into the obs registry).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ContextStats {

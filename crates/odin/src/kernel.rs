@@ -16,7 +16,7 @@
 //! default; `I64`/`Bool` compile the parameters into the integer
 //! register file), and [`KernelSpec::tier`] picks the execution tier —
 //! the bytecode VM, or the native C-compiled chunk function that
-//! `seamless::codegen` arms after a bitwise-parity probe (DESIGN §15).
+//! `seamless::codegen` arms after a bitwise-parity probe (DESIGN §9).
 //! [`OdinContext::compile_kernel`] remains as the f64/native shorthand.
 //!
 //! ```

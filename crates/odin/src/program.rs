@@ -1,5 +1,5 @@
 //! The context's one open trace and the optimizer every flush runs
-//! (DESIGN §14).
+//! (DESIGN §8).
 //!
 //! Every elementwise op — an eager [`DistArray`] ufunc, `astype`,
 //! `select`, a whole-array reduction, and so [`crate::Expr::eval`] and
@@ -24,11 +24,13 @@
 //! This is the crate's only lowering, with one lane rule: a statement
 //! whose value is `I64` runs on i64 lanes, every other on f64 lanes —
 //! how the serial oracle ([`crate::reference`]) computes it. A statement
-//! reads a pending statement of its own lane and geometry as a register;
+//! reads a pending statement of its own lane and geometry as a register,
+//! and recomputes a dropped one of its own lane and another geometry in
+//! its own kernel, from that statement's leaves aligned to its geometry;
 //! any other pending value is materialized and staged first, as running
-//! the statements one at a time would. So a fused run is
-//! bitwise-identical to the same code with `flush_batch()` after every
-//! statement.
+//! the statements one at a time would. Every op is elementwise, so a fused
+//! run is bitwise-identical to the same code with `flush_batch()` after
+//! every statement.
 
 use std::collections::HashMap;
 
@@ -96,7 +98,8 @@ enum NodeKey {
     Leaf(usize),
     /// A literal, by its bits.
     Scalar(u64),
-    /// The materialized value of a statement on another lane or geometry.
+    /// The value of a statement on another lane or geometry: computed in
+    /// the reader's kernel when [`Trace::inlined`], else materialized.
     Ref(usize),
     Unary(UnaryOp, usize),
     Binary(BinOp, usize, usize),
@@ -236,30 +239,44 @@ impl Trace {
         }
     }
 
-    fn params(&self, root: usize) -> Params {
+    /// Whether a reader on `lane_of` computes pending statement `d` in its
+    /// own kernel rather than reading it materialized: nothing but the
+    /// trace holds `d`'s value and it is on the reader's lane, so its
+    /// leaves are aligned to the reader's geometry instead of its result.
+    fn inlined(&self, d: usize, lane_of: DType) -> bool {
+        let producer = &self.stmts[d];
+        !producer.held && lane(producer.meta.dtype) == lane_of
+    }
+
+    /// The parameters of statement `s`'s tree.
+    fn params(&self, s: usize) -> Params {
+        let stmt = &self.stmts[s];
         let mut params = Params::default();
-        self.walk_params(root, &mut vec![false; self.nodes.len()], &mut params);
+        let mut seen = vec![false; self.nodes.len()];
+        self.walk_params(stmt.root, lane(stmt.meta.dtype), &mut seen, &mut params);
         params
     }
 
-    fn walk_params(&self, node: usize, seen: &mut [bool], out: &mut Params) {
+    fn walk_params(&self, node: usize, lane_of: DType, seen: &mut [bool], out: &mut Params) {
         if std::mem::replace(&mut seen[node], true) {
             return;
         }
+        let mut walk = |n| self.walk_params(n, lane_of, seen, out);
         match self.nodes[node] {
             NodeKey::Leaf(slot) => out.arrays.push((node, Operand::Leaf(slot))),
+            NodeKey::Ref(d) if self.inlined(d, lane_of) => walk(self.stmts[d].root),
             NodeKey::Ref(d) => out.arrays.push((node, Operand::Ref(d))),
             NodeKey::Scalar(bits) => out.scalars.push((node, f64::from_bits(bits))),
-            NodeKey::Unary(_, c) | NodeKey::NonZero(c) => self.walk_params(c, seen, out),
+            NodeKey::Unary(_, c) | NodeKey::NonZero(c) => walk(c),
             NodeKey::Binary(op, a, b) => {
-                self.walk_params(a, seen, out);
+                walk(a);
                 if self.pow_const(op, b).is_none() {
-                    self.walk_params(b, seen, out);
+                    walk(b);
                 }
             }
             NodeKey::Select(c, a, b) => {
                 for n in [c, a, b] {
-                    self.walk_params(n, seen, out);
+                    walk(n);
                 }
             }
         }
@@ -282,7 +299,7 @@ impl Trace {
         let mut stack: Vec<usize> = (0..n).filter(|&s| self.stmts[s].held).collect();
         while let Some(s) = stack.pop() {
             if !std::mem::replace(&mut live[s], true) {
-                let p = self.params(self.stmts[s].root);
+                let p = self.params(s);
                 stack.extend(refs(&p));
                 params[s] = p;
             }
@@ -452,7 +469,8 @@ impl Trace {
     }
 
     /// Emit one interned node unless it already sits in a register (the
-    /// parameters are seeded); returns the register holding its value.
+    /// parameters are seeded, so a `Ref` reached here is inlined); returns
+    /// the register holding its value.
     fn emit(&self, node: usize, lw: &mut Lowerer, emitted: &mut [Option<Reg>]) -> Reg {
         if let Some(r) = emitted[node] {
             return r;
@@ -480,7 +498,8 @@ impl Trace {
                 let s = self.emit(c, lw, emitted);
                 lw.emit_nonzero(s)
             }
-            key @ (NodeKey::Leaf(_) | NodeKey::Scalar(_) | NodeKey::Ref(_)) => {
+            NodeKey::Ref(d) => self.emit(self.stmts[d].root, lw, emitted),
+            key @ (NodeKey::Leaf(_) | NodeKey::Scalar(_)) => {
                 unreachable!("{key:?} is a parameter, seeded before emission")
             }
         };
@@ -836,6 +855,27 @@ mod tests {
             || (-Expr::leaf(&x)).max_with(Expr::leaf(&y)) - Expr::leaf(&x).min_with(0.25.into());
         let oracle = crate::reference::eval(&make()).unwrap();
         assert_eq!(bits(&make().eval().to_vec()), bits(oracle.as_f64()));
+    }
+
+    #[test]
+    fn a_dropped_value_of_another_geometry_is_recomputed_where_it_is_read() {
+        let ctx = OdinContext::with_workers(3);
+        let x = ctx.arange_f64(0.0, 1.0, 29, Dist::Block);
+        let y = ctx.arange_f64(-9.5, 0.75, 29, Dist::Cyclic);
+        // `y.abs()` runs at y's geometry and is dropped before the flush:
+        // its consumer at x's geometry moves y once and computes it inline.
+        let make = || Expr::leaf(&x) * 2.0 + Expr::leaf(&y).abs();
+        let oracle = bits(crate::reference::eval(&make()).unwrap().as_f64());
+        ctx.reset_stats();
+        let t = make().eval();
+        ctx.flush_batch();
+        let st = ctx.stats();
+        assert_eq!(
+            (st.kernel_launches, st.redistributes_issued),
+            (1, 1),
+            "{st:?}"
+        );
+        assert_eq!(bits(&t.to_vec()), oracle);
     }
 
     #[test]

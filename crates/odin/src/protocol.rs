@@ -288,7 +288,7 @@ pub enum Cmd {
     },
     /// Ship compiled Seamless bytecode to every worker once; subsequent
     /// [`Cmd::EvalKernel`] invokes reference it by id (the kernel plane,
-    /// DESIGN §10). This is the only command besides `SetData` whose size
+    /// DESIGN §8). This is the only command besides `SetData` whose size
     /// scales with its payload — it is paid once per kernel per pool.
     RegisterKernel {
         /// Fresh kernel id.
@@ -301,7 +301,7 @@ pub enum Cmd {
     /// traffic per invoke, like every other command. A plain map names
     /// one [`KernelOut::Array`] reading the function's return register; a
     /// fused map+reduce names one [`KernelOut::Reduce`]; a trace flush
-    /// (DESIGN §14) fuses a group of statements into one function and
+    /// (DESIGN §8) fuses a group of statements into one function and
     /// names one out per materialized array or folded reduction. Every worker replies its reduction
     /// partials (a `Vec<f64>` in `outs` order) iff any
     /// [`KernelOut::Reduce`] is present; the master combines them.
@@ -351,7 +351,7 @@ macro_rules! ensure {
 impl Cmd {
     /// Check this command against what one side holds and return the
     /// arrays it makes as `(id, meta)` — the one rule for every output
-    /// layout and every precondition on a command's operands (DESIGN §10).
+    /// layout and every precondition on a command's operands (DESIGN §8).
     /// The master runs it before it buffers a command and panics with the
     /// message on a refusal; each worker runs it before it executes one
     /// and exits on a refusal, which only corrupt or hostile bytes reach.

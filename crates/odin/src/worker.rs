@@ -610,7 +610,7 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 /// are staged through the recycled scratch pool, and scalar parameters
 /// become constant rows, so the bytecode sees ordinary lane inputs.
 /// Either tier — the VM, or with `native` set the probed C
-/// monomorphization (DESIGN §15) — runs [`CHUNK`]-lane chunks, so staged
+/// monomorphization (DESIGN §9) — runs [`CHUNK`]-lane chunks, so staged
 /// inputs, scalar rows and reduction rows stay L1-sized whatever the
 /// segment length, and array rows are written straight into the result
 /// segment. The probe gate makes the tiers bitwise-interchangeable, and

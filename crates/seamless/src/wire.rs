@@ -1,5 +1,5 @@
 //! Wire codecs for compiled bytecode, so a [`Program`] can ship to ODIN
-//! workers once at registration time (the kernel plane, DESIGN §10).
+//! workers once at registration time (ODIN's kernel plane, DESIGN §8).
 //!
 //! Programs that reference foreign functions are **not** encodable:
 //! [`ExternDecl`](crate::bytecode::ExternDecl) holds a native fn pointer

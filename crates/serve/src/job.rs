@@ -33,7 +33,7 @@ pub enum JobSpec {
     },
     /// CG solve of a seeded SPD tridiagonal system on the worker pool,
     /// checkpointed every few iterations so a mid-solve worker kill
-    /// resumes instead of restarting (see DESIGN §13).
+    /// resumes instead of restarting (see DESIGN §10).
     Solve {
         /// Seeds the right-hand side.
         seed: u64,

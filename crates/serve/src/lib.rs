@@ -1,4 +1,4 @@
-//! # serve — the multi-tenant serving plane (DESIGN §13, experiment E23)
+//! # serve — the multi-tenant serving plane (DESIGN §10, experiment E23)
 //!
 //! Everything below this crate answers *one* request at a time: an
 //! [`OdinContext`](odin::OdinContext) is a single-tenant master driving

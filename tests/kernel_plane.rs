@@ -508,7 +508,7 @@ fn array_of<'c>(ctx: &'c OdinContext, data: Buffer) -> DistArray<'c> {
 fn every_reduction_path_folds_in_the_reference_order() {
     let _g = stats_read();
     // Workers fold a whole-array reduction in eight stripes per segment
-    // and the master combines their partials (DESIGN §10), in the same
+    // and the master combines their partials (DESIGN §8), in the same
     // bracketing at every pool width, so the grid runs 1–7 workers. Every path —
     // eager reductions over typed segments, fused `Expr` reductions,
     // `Kernel::map_reduce` in its own lane type on both tiers, and two

@@ -1057,7 +1057,7 @@ fn vm_matches_interpreter_on_integer_loops() {
     }
 }
 
-// ---- fused traces vs statement-at-a-time (DESIGN §14) -----------------------
+// ---- fused traces vs statement-at-a-time (DESIGN §8) -----------------------
 
 /// Random expression plan, built once and turned into an `Expr` tree per
 /// arm: `Ref(j)` is statement `j`'s array — materialized when the

@@ -1,4 +1,4 @@
-//! Serving-plane robustness contract (DESIGN §13, experiment E23):
+//! Serving-plane robustness contract (DESIGN §10, experiment E23):
 //! admission control, backpressure, priority-aware shedding, deadlines,
 //! and fault absorption with bitwise-identical completed results.
 //!
@@ -408,8 +408,19 @@ fn elastic_pool_grows_under_backlog_and_results_stay_exact() {
             (spec, t)
         })
         .collect();
-    for (spec, t) in tickets {
-        match t.wait() {
+    // Read `grown` as soon as the backlog drains: the oracle runs below
+    // take long enough for an idle pool to start shrinking.
+    let outcomes: Vec<_> = tickets
+        .into_iter()
+        .map(|(spec, t)| (spec, t.wait()))
+        .collect();
+    let grown = plane.stats().resizes;
+    assert!(
+        grown >= 1,
+        "a 24-job backlog over grow_backlog=2 must trigger growth: {grown}"
+    );
+    for (spec, outcome) in outcomes {
+        match outcome {
             JobOutcome::Completed { data, workers, .. } => {
                 // `workers` records the size the job actually ran at —
                 // resizes apply between jobs, so the oracle at that size
@@ -425,11 +436,6 @@ fn elastic_pool_grows_under_backlog_and_results_stay_exact() {
             other => panic!("expected completion, got {other:?}"),
         }
     }
-    let grown = plane.stats().resizes;
-    assert!(
-        grown >= 1,
-        "a 24-job backlog over grow_backlog=2 must trigger growth: {grown}"
-    );
     // Idle for 8x `shrink_after`: the driver steps its pool back down to
     // `min_workers`, one worker per idle period.
     std::thread::sleep(Duration::from_millis(400));

@@ -74,8 +74,8 @@ echo "== pools pull (each serve pool driver takes its own work)"
 # `sched` lock and parks on `work_cv` until there is one, so `serve` spawns
 # one kind of thread and polls nothing: a second spawn site is a scheduler
 # thread growing back, and a `Bounded` queue, a timed pop or a millisecond
-# constant is a staging queue or a polling tick. The retry backoff in
-# `ServeConfig::default` is the one wall-clock constant left.
+# constant is a staging queue or a polling tick. The retry backoff
+# constants in `pool.rs` are the one wall-clock constant left.
 serve_spawns=0
 for f in crates/serve/src/*.rs; do
   serve_code=$(awk '/#\[cfg\(test\)\]/{exit} {print}' "$f")
@@ -84,7 +84,7 @@ for f in crates/serve/src/*.rs; do
     exit 1
   fi
   if grep -n 'Duration::from_millis' <<<"$serve_code" \
-      | grep -vE 'backoff_(base|max): Duration::from_millis'; then
+      | grep -vE 'const BACKOFF_(BASE|MAX): Duration = Duration::from_millis'; then
     echo "pull gate: $f has a millisecond constant outside the retry backoff" >&2
     exit 1
   fi
@@ -209,19 +209,19 @@ if odin_code crates/odin/src/program.rs | grep -nE 'emit_const|Const[FI]'; then
   exit 1
 fi
 
-echo "== one front end (eager ops record; the next observation fuses)"
-# Every elementwise op and full reduction records a statement into the
-# context's trace, and `program.rs` lowers and launches what a flush
-# keeps; `Kernel::map` user kernels are the one other launch. Outside the
-# wire codec and check (`protocol.rs`) and the executor (`worker.rs`),
-# which read the command, an `EvalKernel` built anywhere else is a second
-# front end growing back, and so is a trace handle.
+echo "== one front end (eager ops and user kernels record; the next observation fuses)"
+# Every elementwise op, full reduction and `Kernel::map` call records a
+# statement into the context's trace, and `program.rs` lowers and
+# launches what a flush keeps. Outside the wire codec and check
+# (`protocol.rs`) and the executor (`worker.rs`), which read the command,
+# an `EvalKernel` built anywhere else is a second front end growing back,
+# and so is a trace handle.
 launchers=$(for f in crates/odin/src/*.rs; do
   case "$f" in crates/odin/src/protocol.rs | crates/odin/src/worker.rs) continue ;; esac
   if odin_code "$f" | grep -q 'Cmd::EvalKernel {'; then echo "$f"; fi; done | tr '\n' ' ')
 echo "-- Cmd::EvalKernel built in: $launchers"
-if [ "$launchers" != "crates/odin/src/kernel.rs crates/odin/src/program.rs " ]; then
-  echo "front-end gate: Cmd::EvalKernel { built outside crates/odin/src/{kernel,program}.rs" >&2
+if [ "$launchers" != "crates/odin/src/program.rs " ]; then
+  echo "front-end gate: Cmd::EvalKernel { built outside crates/odin/src/program.rs" >&2
   exit 1
 fi
 if grep -rnE 'fn trace\b|Traced|ProgramRun' crates/odin/src; then

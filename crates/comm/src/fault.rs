@@ -140,7 +140,7 @@ impl FaultPlan {
         if self.drop_p + self.dup_p + delay_p + self.corrupt_p <= 0.0 {
             return FaultAction::None;
         }
-        let h = mix64(
+        let h = obs::rng::mix64(
             self.seed
                 .wrapping_add((rank as u64).wrapping_mul(0x9e3779b97f4a7c15))
                 .wrapping_add(idx.wrapping_mul(0xbf58476d1ce4e5b9)),
@@ -170,14 +170,6 @@ impl FaultPlan {
     pub fn kills(&self, rank: usize, ops: u64) -> bool {
         self.kill_rank == Some(rank) && ops >= self.kill_after_ops
     }
-}
-
-/// SplitMix64 finalizer (same mixer as `obs::SplitMix64`).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over the payload. Cheap, deterministic, and plenty to catch the

@@ -6,9 +6,11 @@
 //! This is the paper's Seamless↔ODIN integration (§IV/§V): the kernel
 //! author writes element-wise code in the Python-like source language,
 //! ODIN compiles it on the master and registers it with the pool
-//! ([`Cmd::RegisterKernel`]); every [`Kernel::map`] /
-//! [`Kernel::map_reduce`] afterwards sends only array ids
-//! ([`Cmd::EvalKernel`]).
+//! ([`crate::protocol::Cmd::RegisterKernel`]); every [`Kernel::map`]
+//! afterwards records a call into the context's trace, and the flush
+//! that runs it sends only array ids
+//! ([`crate::protocol::Cmd::EvalKernel`]). A whole-array fold of the
+//! mapped value rides the same launch.
 //!
 //! Kernels are built through the dtype-generic [`KernelSpec`] builder:
 //! [`OdinContext::kernel`] names the source and entry function,
@@ -39,9 +41,8 @@
 use crate::array::DistArray;
 use crate::buffer::DType;
 use crate::context::OdinContext;
-use crate::protocol::{Cmd, KernelOut, ReduceKind};
-use crate::reply::fold_partials;
-use seamless::bytecode::{Reg, RegFile};
+use crate::program::{Call, Op};
+use seamless::bytecode::RegFile;
 use seamless::{SeamlessError, Type};
 
 /// Which execution tier a kernel runs on.
@@ -75,21 +76,14 @@ pub struct KernelSpec<'c> {
 /// from the f64 shorthand [`OdinContext::compile_kernel`], or implicitly
 /// by [`crate::lazy::Expr::eval`] (lowered expressions — all share the
 /// registration cache). The kernel's code shipped to the workers exactly
-/// once; each `map`/`map_reduce` invoke is a small fixed-size control
-/// message.
+/// once; each `map` invoke is a small fixed-size control message.
 pub struct Kernel<'c> {
     ctx: &'c OdinContext,
-    id: u64,
     name: String,
     arity: usize,
-    ret: DType,
-    /// The entry function's return register — the row every invoke
-    /// harvests.
-    ret_reg: (RegFile, Reg),
-    /// Compute dtype: the monomorphization workers execute.
-    dtype: DType,
-    /// Resolved tier after the arming attempt.
-    tier: Tier,
+    /// The registration a call launches: id, return register and dtype,
+    /// compute dtype, and the tier that armed.
+    call: Call,
 }
 
 impl OdinContext {
@@ -240,13 +234,15 @@ impl<'c> KernelSpec<'c> {
         }
         Ok(Kernel {
             ctx,
-            id,
             name: fname,
             arity,
-            ret,
-            ret_reg,
-            dtype,
-            tier: if native { Tier::Native } else { Tier::Vm },
+            call: Call {
+                kernel: id,
+                ret,
+                reg: ret_reg,
+                dtype,
+                tier: if native { Tier::Native } else { Tier::Vm },
+            },
         })
     }
 }
@@ -254,7 +250,7 @@ impl<'c> KernelSpec<'c> {
 impl<'c> Kernel<'c> {
     /// The pool-wide kernel id.
     pub fn id(&self) -> u64 {
-        self.id
+        self.call.kernel
     }
 
     /// The entry function's source name.
@@ -269,20 +265,23 @@ impl<'c> Kernel<'c> {
 
     /// Compute dtype this kernel was monomorphized for.
     pub fn dtype(&self) -> DType {
-        self.dtype
+        self.call.dtype
     }
 
     /// The tier that actually armed: [`Tier::Native`] iff the C
     /// monomorphization compiled and passed the bitwise-parity probe,
     /// otherwise [`Tier::Vm`].
     pub fn tier(&self) -> Tier {
-        self.tier
+        self.call.tier
     }
 
-    /// Align `args` to the first argument's distribution (redistributing
-    /// non-conformable ones) and return the bound input ids plus the
-    /// temporaries that must outlive the dispatch.
-    fn bind(&self, args: &[&DistArray<'c>]) -> (Vec<u64>, Vec<DistArray<'c>>) {
+    /// Apply the kernel element-wise: `out[i] = f(args[0][i], …)` over
+    /// every worker's segment, at `args[0]`'s geometry. Records one call
+    /// into the context's trace: the next observation launches it, one
+    /// small control message per worker, and a whole-array fold of the
+    /// result rides that launch (the array is not materialized when its
+    /// handle is dropped before the fold is waited on).
+    pub fn map(&self, args: &[&DistArray<'c>]) -> DistArray<'c> {
         assert_eq!(
             args.len(),
             self.arity,
@@ -291,67 +290,7 @@ impl<'c> Kernel<'c> {
             self.arity,
             args.len()
         );
-        let t_meta = args[0].meta();
-        let mut inputs = Vec::with_capacity(args.len());
-        let mut temps = Vec::new();
-        for a in args {
-            let m = a.meta();
-            assert_eq!(m.shape, t_meta.shape, "kernel arguments must share a shape");
-            if m.conformable(&t_meta) {
-                inputs.push(a.id());
-            } else {
-                let moved = a.redistribute(t_meta.dist);
-                inputs.push(moved.id());
-                temps.push(moved);
-            }
-        }
-        (inputs, temps)
-    }
-
-    /// The launch command harvesting this kernel's return row as `out`.
-    fn launch(&self, inputs: Vec<u64>, out: KernelOut) -> Cmd {
-        Cmd::EvalKernel {
-            kernel: self.id,
-            template: inputs[0],
-            inputs,
-            scalars: Vec::new(),
-            outs: vec![out],
-            dtype: self.dtype,
-            native: self.tier == Tier::Native,
-        }
-    }
-
-    /// Apply the kernel element-wise: `out[i] = f(args[0][i], …)` over
-    /// every worker's segment, one small control message total.
-    pub fn map(&self, args: &[&DistArray<'c>]) -> DistArray<'c> {
-        let (inputs, temps) = self.bind(args);
-        let ctx = self.ctx;
-        let out = ctx.alloc_id();
-        ctx.send_cmd(&self.launch(
-            inputs,
-            KernelOut::Array {
-                id: out,
-                dtype: self.ret,
-                reg: self.ret_reg,
-            },
-        ));
-        drop(temps);
-        DistArray::from_id(ctx, out)
-    }
-
-    /// Apply the kernel and fold the results to a scalar in the same
-    /// pass — the mapped array is never materialized. Bitwise-identical
-    /// to `map(args)` followed by the matching whole-array reduction.
-    pub fn map_reduce(&self, args: &[&DistArray<'c>], kind: ReduceKind) -> f64 {
-        let (inputs, temps) = self.bind(args);
-        let reduce = KernelOut::Reduce {
-            kind,
-            reg: self.ret_reg,
-        };
-        let partials = self.ctx.dispatch_each(&self.launch(inputs, reduce));
-        let v = fold_partials(&[kind], &partials.wait())[0];
-        drop(temps);
-        v
+        self.ctx.record(Op::Call(self.call), args, 0)
     }
 }
 
@@ -360,7 +299,7 @@ mod tests {
     use super::Tier;
     use crate::buffer::DType;
     use crate::context::OdinContext;
-    use crate::protocol::{Dist, ReduceKind};
+    use crate::protocol::Dist;
 
     #[test]
     fn kernel_maps_over_segments() {
@@ -405,10 +344,12 @@ mod tests {
             .unwrap();
         let x = ctx.linspace(0.0, 1.0, 32);
         let _warm = k.map(&[&x]);
+        ctx.flush_batch();
         ctx.reset_stats();
         let per_worker = 10;
         // hold results so Free commands don't pollute the stats window
         let results: Vec<_> = (0..per_worker).map(|_| k.map(&[&x])).collect();
+        ctx.flush_batch();
         let s = ctx.stats();
         drop(results);
         // registration happened before reset: each invoke is one
@@ -422,15 +363,17 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_matches_map_then_reduce_bitwise() {
+    fn a_fold_riding_the_call_matches_map_then_reduce_bitwise() {
         let ctx = OdinContext::with_workers(3);
         let k = ctx
             .compile_kernel("def g(x):\n    return exp(-x) * sin(x)\n", "g")
             .unwrap();
         let x = ctx.linspace(0.0, 3.0, 101);
-        let fused = k.map_reduce(&[&x], ReduceKind::Sum);
-        let two_pass = k.map(&[&x]).sum();
-        assert_eq!(fused.to_bits(), two_pass.to_bits());
+        let fused = k.map(&[&x]).sum_async();
+        let mapped = k.map(&[&x]);
+        ctx.flush_batch();
+        let two_pass = mapped.sum();
+        assert_eq!(fused.wait().to_bits(), two_pass.to_bits());
     }
 
     #[test]

@@ -21,22 +21,32 @@
 //! - **pooled alignment**: a non-conformable operand moves at most once
 //!   per target distribution per flush.
 //!
+//! A user kernel's [`crate::Kernel::map`] records a *call*: its body is
+//! opaque, so a call is a launch of its own under the kernel's registered
+//! id, dtype and tier, and it is never eliminated. Its arguments align to
+//! the first one's geometry through the pooled alignment, a pending one
+//! materialized first, and a whole-array fold of its value rides its
+//! launch as a reduce tail.
+//!
 //! This is the crate's only lowering, with one lane rule: a statement
 //! whose value is `I64` runs on i64 lanes, every other on f64 lanes —
 //! how the serial oracle ([`crate::reference`]) computes it. A statement
-//! reads a pending statement of its own lane and geometry as a register,
-//! and recomputes a dropped one of its own lane and another geometry in
-//! its own kernel, from that statement's leaves aligned to its geometry;
-//! any other pending value is materialized and staged first, as running
-//! the statements one at a time would. Every op is elementwise, so a fused
+//! reads a pending statement of its own lane and geometry as a register.
+//! It recomputes a dropped one of its own lane and another geometry in
+//! its own kernel, from that statement's leaves aligned to its geometry,
+//! when those leaves move no more elements than the value would; any
+//! other pending value is materialized and staged first, as running the
+//! statements one at a time would. Every op is elementwise, so a fused
 //! run is bitwise-identical to the same code with `flush_batch()` after
 //! every statement.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::array::DistArray;
 use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, DType};
 use crate::context::OdinContext;
+use crate::kernel::Tier;
 use crate::lazy::{powic_exponent, Lowerer};
 use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
 use seamless::bytecode::{Reg, RegFile};
@@ -57,6 +67,21 @@ pub(crate) enum Op {
     Cast(DType),
     /// `where(c, a, b)` over the operands `[c, a, b]`.
     Select,
+    /// A user kernel over its arguments.
+    Call(Call),
+}
+
+/// A registered user kernel as a call launches it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Call {
+    pub(crate) kernel: u64,
+    /// The dtype of its value.
+    pub(crate) ret: DType,
+    /// The register its value ends in.
+    pub(crate) reg: (RegFile, Reg),
+    /// The monomorphization the workers run, and on which tier.
+    pub(crate) dtype: DType,
+    pub(crate) tier: Tier,
 }
 
 impl Op {
@@ -68,6 +93,7 @@ impl Op {
             Op::Scalar(op, v, _) => binary_result_dtype(op, dtypes[0], scalar_dtype(v)),
             Op::Cast(dtype) => dtype,
             Op::Select => dtypes[1].promote(dtypes[2]),
+            Op::Call(call) => call.ret,
         }
     }
 }
@@ -98,8 +124,9 @@ enum NodeKey {
     Leaf(usize),
     /// A literal, by its bits.
     Scalar(u64),
-    /// The value of a statement on another lane or geometry: computed in
-    /// the reader's kernel when [`Trace::inlined`], else materialized.
+    /// The value of a statement on another lane or geometry, or of a
+    /// call: computed in the reader's kernel when [`Trace::inlined`],
+    /// else materialized.
     Ref(usize),
     Unary(UnaryOp, usize),
     Binary(BinOp, usize, usize),
@@ -108,16 +135,18 @@ enum NodeKey {
     NonZero(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
 enum Kind {
     /// An array, materialized when something outside its kernel reads it.
     Eval,
     /// A whole-array reduction, always harvested.
     Fold(ReduceKind),
+    /// A user kernel over its argument nodes (leaves and references).
+    Call(Call, Vec<usize>),
 }
 
 struct Stmt {
     kind: Kind,
+    /// The node of its value (a call's: its own `Ref`).
     root: usize,
     /// The geometry the statement runs at, with the dtype of its value
     /// (a fold's: the dtype of the array it folds).
@@ -128,6 +157,16 @@ struct Stmt {
     held: bool,
     /// Pending statements whose values this one reads.
     reads: Vec<usize>,
+}
+
+impl Stmt {
+    /// The user kernel a call statement launches.
+    fn call(&self) -> Option<Call> {
+        match self.kind {
+            Kind::Call(call, _) => Some(call),
+            _ => None,
+        }
+    }
 }
 
 /// The context's open trace: statements recorded since the last flush.
@@ -147,6 +186,10 @@ pub(crate) struct Trace {
     /// Alignments statement-at-a-time execution would issue: one per
     /// non-conformable operand of each op.
     baseline_moves: u64,
+    /// The pool size a flush prices its moves at.
+    n_workers: usize,
+    /// [`Trace::inlined`]'s answers by statement and reader distribution.
+    inlining: RefCell<HashMap<(usize, Dist), bool>>,
 }
 
 /// A worker array a kernel parameter binds: a leaf by its slot, or the
@@ -165,40 +208,46 @@ struct Params {
     scalars: Vec<(usize, f64)>,
 }
 
-/// A lowered group: the program, its array and literal parameter nodes,
-/// and each statement with the register its value ends in.
+/// A group ready to launch: the registered kernel with its lane dtype and
+/// tier flag, its array and literal parameter nodes, and each statement
+/// with the register its value ends in.
 type Lowered = (
-    seamless::bytecode::Program,
+    (u64, DType, bool),
     Vec<(usize, Operand)>,
     Vec<(usize, f64)>,
-    Vec<(usize, Reg)>,
+    Vec<(usize, (RegFile, Reg))>,
 );
 
-/// Live statements that share a geometry and a lane: one launch.
+/// Live statements that share a geometry and a lane, or a call and the
+/// folds of its value: one launch.
 struct Group {
     t_meta: ArrayMeta,
     lane: DType,
+    call: Option<Call>,
     stmts: Vec<usize>,
 }
 
 impl Trace {
-    /// The node an op at geometry `t_meta` on `lane` reads for array `id`:
-    /// a pending statement of the same lane and geometry by its root
-    /// (inline), any other pending statement by reference, and a
+    /// The node an op at geometry `t_meta` reads for array `id`: a pending
+    /// statement of the op's lane and geometry by its root (inline, unless
+    /// the op is a call), any other pending statement by reference, and a
     /// worker-resident array as a leaf.
     fn operand(
         &mut self,
         id: u64,
         meta: &ArrayMeta,
-        lane_of_op: DType,
         t_meta: &ArrayMeta,
+        inline: bool,
         reads: &mut Vec<usize>,
     ) -> usize {
         let key = match self.outputs.get(&id) {
             Some(&d) => {
                 reads.push(d);
                 let producer = &self.stmts[d];
-                if lane(producer.meta.dtype) == lane_of_op && producer.meta.conformable(t_meta) {
+                if inline
+                    && lane(producer.meta.dtype) == lane(t_meta.dtype)
+                    && producer.meta.conformable(t_meta)
+                {
                     return producer.root;
                 }
                 NodeKey::Ref(d)
@@ -239,32 +288,79 @@ impl Trace {
         }
     }
 
-    /// Whether a reader on `lane_of` computes pending statement `d` in its
-    /// own kernel rather than reading it materialized: nothing but the
-    /// trace holds `d`'s value and it is on the reader's lane, so its
-    /// leaves are aligned to the reader's geometry instead of its result.
-    fn inlined(&self, d: usize, lane_of: DType) -> bool {
+    /// Whether a reader at geometry `at` computes pending statement `d` in
+    /// its own kernel rather than reading it materialized: nothing but the
+    /// trace holds `d`'s value, it is no call and it is on the reader's
+    /// lane, and aligning `d`'s operands to `at` moves no more elements
+    /// (then no more arrays) than running `d` where it stands and moving
+    /// its value would. A full tie recomputes it.
+    fn inlined(&self, d: usize, at: &ArrayMeta) -> bool {
         let producer = &self.stmts[d];
-        !producer.held && lane(producer.meta.dtype) == lane_of
+        let same_lane = lane(producer.meta.dtype) == lane(at.dtype);
+        if producer.held || producer.call().is_some() || !same_lane {
+            return false;
+        }
+        if producer.meta.conformable(at) {
+            return true;
+        }
+        if let Some(&known) = self.inlining.borrow().get(&(d, at.dist)) {
+            return known;
+        }
+        let (elems, arrays) = self.moves(producer.root, &producer.meta);
+        let value = moved_elems(&producer.meta, at.dist, self.n_workers);
+        let inline = self.moves(producer.root, at) <= (elems + value, arrays + 1);
+        self.inlining.borrow_mut().insert((d, at.dist), inline);
+        inline
     }
 
-    /// The parameters of statement `s`'s tree.
+    /// Elements and arrays that aligning what `node`'s tree reads to `at`
+    /// moves.
+    fn moves(&self, node: usize, at: &ArrayMeta) -> (u64, u64) {
+        let arrays = self.tree_params(node, at).arrays;
+        let metas = arrays.iter().map(|&(_, operand)| self.array(operand).1);
+        metas
+            .filter(|meta| !meta.conformable(at))
+            .fold((0, 0), |(elems, arrays), meta| {
+                (
+                    elems + moved_elems(meta, at.dist, self.n_workers),
+                    arrays + 1,
+                )
+            })
+    }
+
+    /// The parameters of statement `s`: a call's arguments in order, or
+    /// its tree's.
     fn params(&self, s: usize) -> Params {
         let stmt = &self.stmts[s];
+        let Kind::Call(_, args) = &stmt.kind else {
+            return self.tree_params(stmt.root, &stmt.meta);
+        };
+        let arrays = args.iter().map(|&node| match self.nodes[node] {
+            NodeKey::Leaf(slot) => (node, Operand::Leaf(slot)),
+            NodeKey::Ref(d) => (node, Operand::Ref(d)),
+            key => unreachable!("a call argument is an array, not {key:?}"),
+        });
+        Params {
+            arrays: arrays.collect(),
+            scalars: Vec::new(),
+        }
+    }
+
+    /// The parameters of `node`'s tree computed at geometry `at`.
+    fn tree_params(&self, node: usize, at: &ArrayMeta) -> Params {
         let mut params = Params::default();
-        let mut seen = vec![false; self.nodes.len()];
-        self.walk_params(stmt.root, lane(stmt.meta.dtype), &mut seen, &mut params);
+        self.walk_params(node, at, &mut vec![false; self.nodes.len()], &mut params);
         params
     }
 
-    fn walk_params(&self, node: usize, lane_of: DType, seen: &mut [bool], out: &mut Params) {
+    fn walk_params(&self, node: usize, at: &ArrayMeta, seen: &mut [bool], out: &mut Params) {
         if std::mem::replace(&mut seen[node], true) {
             return;
         }
-        let mut walk = |n| self.walk_params(n, lane_of, seen, out);
+        let mut walk = |n| self.walk_params(n, at, seen, out);
         match self.nodes[node] {
             NodeKey::Leaf(slot) => out.arrays.push((node, Operand::Leaf(slot))),
-            NodeKey::Ref(d) if self.inlined(d, lane_of) => walk(self.stmts[d].root),
+            NodeKey::Ref(d) if self.inlined(d, at) => walk(self.stmts[d].root),
             NodeKey::Ref(d) => out.arrays.push((node, Operand::Ref(d))),
             NodeKey::Scalar(bits) => out.scalars.push((node, f64::from_bits(bits))),
             NodeKey::Unary(_, c) | NodeKey::NonZero(c) => walk(c),
@@ -291,12 +387,16 @@ impl Trace {
     }
 
     /// Optimize and post every pending statement on `ctx`.
-    fn run(self, ctx: &OdinContext) {
+    fn run(mut self, ctx: &OdinContext) {
         let n = self.stmts.len();
-        // ---- Liveness: held handles, and what they read by reference --
+        self.n_workers = ctx.n_workers();
+        // ---- Liveness: held handles and calls, and what they read by
+        // reference ------------------------------------------------------
         let mut params: Vec<Params> = (0..n).map(|_| Params::default()).collect();
         let mut live = vec![false; n];
-        let mut stack: Vec<usize> = (0..n).filter(|&s| self.stmts[s].held).collect();
+        let mut stack: Vec<usize> = (0..n)
+            .filter(|&s| self.stmts[s].held || self.stmts[s].call().is_some())
+            .collect();
         while let Some(s) = stack.pop() {
             if !std::mem::replace(&mut live[s], true) {
                 let p = self.params(s);
@@ -316,23 +416,47 @@ impl Trace {
             }
         }
         let dse_eliminated = used.iter().filter(|&&u| !u).count() as u64;
+        // A fold of a call's value rides the call's launch as a reduce
+        // tail, and a call whose handle is gone and whose value only its
+        // tails read harvests the tails alone.
+        let mut tails: Vec<Option<usize>> = vec![None; n];
+        for s in (0..n).filter(|&s| live[s]) {
+            let stmt = &self.stmts[s];
+            if let (Kind::Fold(_), NodeKey::Ref(c)) = (&stmt.kind, self.nodes[stmt.root]) {
+                tails[s] = self.stmts[c].call().map(|_| c);
+            }
+        }
+        let folded_only = |c: usize| {
+            let read = |s: usize| live[s] && refs(&params[s]).any(|d| d == c);
+            !self.stmts[c].held
+                && tails.contains(&Some(c))
+                && (0..n).all(|s| tails[s] == Some(c) || !read(s))
+        };
 
-        // ---- Grouping: join the latest compatible group after every
-        // statement read by reference (arrays are SSA, so any group not
-        // before a dependency is safe) ---------------------------------
+        // ---- Grouping: a call opens its own group and its folds join
+        // it; any other statement joins the latest compatible group after
+        // every statement it reads by reference (arrays are SSA, so any
+        // group not before a dependency is safe) -----------------------
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of = vec![0usize; n];
         for s in (0..n).filter(|&s| live[s]) {
             let stmt = &self.stmts[s];
             let after = refs(&params[s]).map(|d| group_of[d] + 1).max().unwrap_or(0);
             let lane_of = lane(stmt.meta.dtype);
-            let joined = (after..groups.len())
-                .rev()
-                .find(|&g| groups[g].lane == lane_of && groups[g].t_meta.conformable(&stmt.meta));
+            let call = stmt.call();
+            let joined = tails[s].map(|c| group_of[c]).or_else(|| {
+                (after..groups.len()).rev().find(|&g| {
+                    call.is_none()
+                        && groups[g].call.is_none()
+                        && groups[g].lane == lane_of
+                        && groups[g].t_meta.conformable(&stmt.meta)
+                })
+            });
             let g = joined.unwrap_or_else(|| {
                 groups.push(Group {
                     t_meta: stmt.meta.clone(),
                     lane: lane_of,
+                    call,
                     stmts: Vec::new(),
                 });
                 groups.len() - 1
@@ -348,7 +472,8 @@ impl Trace {
         let mut aligned: HashMap<(u64, Dist), u64> = HashMap::new();
         let (mut moves, mut elems_moved) = (0u64, 0u64);
         for group in &groups {
-            let (program, arrays, scalars, regs) = self.lower_group(group, &params);
+            let ((kernel, dtype, native), arrays, scalars, regs) =
+                self.lower_group(group, &params, ctx);
             // Pooled alignment: each (operand, distribution) pair moves at
             // most once per flush.
             let mut inputs: Vec<u64> = Vec::with_capacity(arrays.len());
@@ -361,7 +486,7 @@ impl Trace {
                 }
                 let copy = *aligned.entry((id, dist)).or_insert_with(|| {
                     moves += 1;
-                    elems_moved += moved_elems(meta, dist, ctx.n_workers());
+                    elems_moved += moved_elems(meta, dist, self.n_workers);
                     let out = ctx.alloc_id();
                     ctx.post(&Cmd::Redistribute { out, a: id, dist });
                     temps.push(DistArray::from_id(ctx, out));
@@ -369,29 +494,27 @@ impl Trace {
                 });
                 inputs.push(copy);
             }
-            let kernel = ctx.register_kernel_program(program);
-            let file = lane_file(group.lane);
             let (mut outs, mut folds, mut kinds) = (Vec::new(), Vec::new(), Vec::new());
             for &(s, reg) in &regs {
                 let stmt = &self.stmts[s];
-                let reg = (file, reg);
-                outs.push(match stmt.kind {
+                match stmt.kind {
                     Kind::Fold(kind) => {
                         folds.push(stmt.out);
                         kinds.push(kind);
-                        KernelOut::Reduce { kind, reg }
+                        outs.push(KernelOut::Reduce { kind, reg });
                     }
-                    Kind::Eval => {
+                    Kind::Call(..) if folded_only(s) => {}
+                    _ => {
                         if !stmt.held {
                             temps.push(DistArray::from_id(ctx, stmt.out));
                         }
-                        KernelOut::Array {
+                        outs.push(KernelOut::Array {
                             id: stmt.out,
                             dtype: stmt.meta.dtype,
                             reg,
-                        }
+                        });
                     }
-                });
+                }
             }
             ctx.post(&Cmd::EvalKernel {
                 kernel,
@@ -399,11 +522,8 @@ impl Trace {
                 inputs,
                 scalars: scalars.iter().map(|&(_, v)| v).collect(),
                 outs,
-                dtype: group.lane,
-                // Workers tier up to the probed native body when the
-                // compile plane is available (the first worker to arrive
-                // compiles, the rest hit the process-global cache).
-                native: true,
+                dtype,
+                native,
             });
             if !folds.is_empty() {
                 ctx.launch_folds(&folds, kinds);
@@ -439,12 +559,22 @@ impl Trace {
 
     /// Lower one group to straight-line bytecode through the shared
     /// [`Lowerer`] emitters — the only place an elementwise value becomes
-    /// a kernel. Parameters bind the group's operands in first-seen order,
-    /// arrays then literals, so the body holds no value a caller chose and
-    /// its key is its structure, lane and dtypes. Shared nodes are emitted
-    /// once. Returns the program, its array and literal parameter nodes,
-    /// and the register each statement's value ends in.
-    fn lower_group(&self, group: &Group, params: &[Params]) -> Lowered {
+    /// a kernel — and register it; a call's group launches the call's
+    /// kernel over its arguments instead. Parameters bind the group's
+    /// operands in first-seen order, arrays then literals, so the body
+    /// holds no value a caller chose and its key is its structure, lane and
+    /// dtypes. Shared nodes are emitted once.
+    fn lower_group(&self, group: &Group, params: &[Params], ctx: &OdinContext) -> Lowered {
+        if let Some(call) = group.call {
+            let regs = group.stmts.iter().map(|&s| (s, call.reg)).collect();
+            let launch = (call.kernel, call.dtype, call.tier == Tier::Native);
+            return (
+                launch,
+                params[group.stmts[0]].arrays.clone(),
+                Vec::new(),
+                regs,
+            );
+        }
         let (mut arrays, mut scalars) = (Vec::new(), Vec::new());
         for p in group.stmts.iter().map(|&s| &params[s]) {
             merge(&mut arrays, &p.arrays);
@@ -459,13 +589,23 @@ impl Trace {
         for (k, node) in nodes.enumerate() {
             emitted[node] = Some(k as Reg);
         }
-        let regs: Vec<(usize, Reg)> = group
+        let file = lane_file(group.lane);
+        let regs: Vec<(usize, (RegFile, Reg))> = group
             .stmts
             .iter()
-            .map(|&s| (s, self.emit(self.stmts[s].root, &mut lw, &mut emitted)))
+            .map(|&s| {
+                (
+                    s,
+                    (file, self.emit(self.stmts[s].root, &mut lw, &mut emitted)),
+                )
+            })
             .collect();
-        let ret = regs.last().map_or(0, |&(_, r)| r);
-        (lw.finish(ret), arrays, scalars, regs)
+        let ret = regs.last().map_or(0, |&(_, (_, r))| r);
+        // Workers tier up to the probed native body when the compile plane
+        // is available (the first worker to arrive compiles, the rest hit
+        // the process-global cache).
+        let kernel = ctx.register_kernel_program(lw.finish(ret));
+        ((kernel, group.lane, true), arrays, scalars, regs)
     }
 
     /// Emit one interned node unless it already sits in a register (the
@@ -566,12 +706,12 @@ impl OdinContext {
             let mut trace = self.trace.borrow_mut();
             let t = &mut *trace;
             t.baseline_moves += metas.iter().filter(|m| !m.conformable(&meta)).count() as u64;
-            let lane_of = lane(meta.dtype);
+            let call = matches!(op, Op::Call(_));
             let mut reads = Vec::new();
             let nodes: Vec<usize> = args
                 .iter()
                 .zip(&metas)
-                .map(|(a, m)| t.operand(a.id(), m, lane_of, &meta, &mut reads))
+                .map(|(a, m)| t.operand(a.id(), m, &meta, !call, &mut reads))
                 .collect();
             let key = match op {
                 Op::Unary(u) => Some(NodeKey::Unary(u, nodes[0])),
@@ -589,12 +729,15 @@ impl OdinContext {
                 Op::Cast(DType::Bool) if dtypes[0] != DType::Bool => {
                     Some(NodeKey::NonZero(nodes[0]))
                 }
-                Op::Cast(_) => None,
+                Op::Cast(_) | Op::Call(_) => None,
                 Op::Select => Some(NodeKey::Select(nodes[0], nodes[1], nodes[2])),
             };
-            let root = key.map_or(nodes[0], |k| t.intern(k));
+            let (kind, root) = match op {
+                Op::Call(c) => (Kind::Call(c, nodes), t.intern(NodeKey::Ref(t.stmts.len()))),
+                _ => (Kind::Eval, key.map_or(nodes[0], |k| t.intern(k))),
+            };
             t.push(Stmt {
-                kind: Kind::Eval,
+                kind,
                 root,
                 meta: meta.clone(),
                 out,
@@ -617,7 +760,7 @@ impl OdinContext {
         let out = self.alloc_id();
         let mut trace = self.trace.borrow_mut();
         let mut reads = Vec::new();
-        let root = trace.operand(a.id(), &meta, lane(meta.dtype), &meta, &mut reads);
+        let root = trace.operand(a.id(), &meta, &meta, true, &mut reads);
         trace.push(Stmt {
             kind: Kind::Fold(kind),
             root,
@@ -876,6 +1019,35 @@ mod tests {
             "{st:?}"
         );
         assert_eq!(bits(&t.to_vec()), oracle);
+    }
+
+    #[test]
+    fn a_dropped_value_whose_leaves_would_move_more_is_materialized() {
+        let ctx = OdinContext::with_workers(3);
+        let x = ctx.arange_f64(0.0, 1.0, 30, Dist::Block);
+        let a = ctx.arange_f64(-4.0, 0.5, 30, Dist::Cyclic);
+        let b = ctx.arange_f64(2.0, 0.25, 30, Dist::Cyclic);
+        let make = || Expr::leaf(&x) + (Expr::leaf(&a) + Expr::leaf(&b));
+        let oracle = bits(crate::reference::eval(&make()).unwrap().as_f64());
+        // `t` runs at a's geometry and is dropped before the flush; its two
+        // Cyclic leaves would move twice what `t` itself moves.
+        let program = |flush: bool| {
+            ctx.reset_stats();
+            let t = &a + &b;
+            if flush {
+                ctx.flush_batch();
+            }
+            let r = &x + &t;
+            drop(t);
+            ctx.flush_batch();
+            let st = ctx.stats();
+            let counts = (st.kernel_launches, st.redistributes_issued, st.elems_moved);
+            (bits(&r.to_vec()), counts)
+        };
+        let twin = program(true);
+        assert_eq!(twin.1, (2, 1, 18), "flush per statement");
+        assert_eq!(program(false), twin);
+        assert_eq!(twin.0, oracle);
     }
 
     #[test]

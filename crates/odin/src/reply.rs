@@ -131,14 +131,6 @@ enum Reply {
     Totals(Result<Vec<f64>, OdinError>),
 }
 
-/// Combine every worker's reduce-tail partials (one `Vec<f64>` per
-/// worker, in tail order) column by column with [`Fold::across`].
-pub(crate) fn fold_partials(kinds: &[ReduceKind], partials: &[Vec<f64>]) -> Vec<f64> {
-    let column = |j: usize| partials.iter().map(|w| w[j]).collect::<Vec<_>>();
-    let total = |(j, &kind)| Fold::across(kind, &column(j));
-    kinds.iter().enumerate().map(total).collect()
-}
-
 impl OdinContext {
     /// Reserve the next reply ticket from `worker`. A ticket means a
     /// reply-bearing command was just dispatched, so the command buffer is
@@ -354,9 +346,13 @@ impl OdinContext {
         let totals = match reply {
             Reply::Totals(totals) => totals.clone(),
             Reply::Tickets(tickets) => {
+                // Every worker replies its partials in tail order; each
+                // tail's column combines with `Fold::across`.
                 let totals = self.try_await_tickets(tickets, "fold").map(|replies| {
                     let partials: Vec<Vec<f64>> = replies.into_iter().map(decode_reply).collect();
-                    fold_partials(kinds, &partials)
+                    let column = |j: usize| partials.iter().map(|w| w[j]).collect::<Vec<_>>();
+                    let total = |(j, &kind)| Fold::across(kind, &column(j));
+                    kinds.iter().enumerate().map(total).collect()
                 });
                 *reply = Reply::Totals(totals.clone());
                 totals

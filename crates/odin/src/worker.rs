@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use comm::{encode_to_vec, Comm, Cursor, Payload, Wire};
 use dlinalg::DistVector;
+use obs::rng::mix64;
 use seamless::bytecode::{Program, Reg, RegFile};
 use seamless::vm::Lane;
 
@@ -118,17 +119,10 @@ impl<'a> WorkerScope<'a> {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform [0,1) from (seed, global element index) — worker-count
 /// invariant by construction.
 fn seeded_uniform(seed: u64, gidx: u64) -> f64 {
-    let bits = splitmix64(seed ^ splitmix64(gidx));
+    let bits = mix64(seed ^ mix64(gidx));
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 

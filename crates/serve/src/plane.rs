@@ -102,21 +102,8 @@ pub struct ServeConfig {
     /// Global queued-job bound; a submission that pushes the queues past
     /// it sheds the lowest-priority newest queued job.
     pub max_queued_total: usize,
-    /// Execution attempts per job before giving up.
-    pub max_attempts: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
     /// Elastic sizing; `None` pins pools at `workers_per_pool`.
     pub elastic: Option<ElasticPolicy>,
-    /// Iterations per CG chunk — the deadline-check (hard cancel)
-    /// granularity for solve jobs.
-    pub solve_chunk_iters: usize,
-    /// CG checkpoint cadence within a chunk (the retry resume grid).
-    pub solve_checkpoint_every: usize,
-    /// Total CG iteration budget; exceeding it is a permanent failure.
-    pub solve_max_iter: usize,
 }
 
 impl Default for ServeConfig {
@@ -127,13 +114,7 @@ impl Default for ServeConfig {
             odin: OdinConfig::default(),
             tenants: Vec::new(),
             max_queued_total: 128,
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(50),
             elastic: None,
-            solve_chunk_iters: 64,
-            solve_checkpoint_every: 8,
-            solve_max_iter: 1000,
         }
     }
 }

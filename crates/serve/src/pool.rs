@@ -23,11 +23,26 @@ use solvers::{
 };
 
 use crate::job::{ExpiredAt, JobOutcome, JobSpec};
-use crate::plane::{resolve, Pull, QueuedJob, ServeConfig, Shared};
+use crate::plane::{resolve, Pull, QueuedJob, Shared};
 
-/// The Seamless kernel every [`JobSpec::Kernel`] job maps (compiled once
-/// per pool lifetime, replayed across recoveries by the kernel registry).
+/// The Seamless kernel every [`JobSpec::Kernel`] job maps. Each attempt
+/// compiles it; the pool registers its bytecode once (the structural
+/// kernel cache) and the registry replays it across recoveries.
 const KERNEL_SRC: &str = "def serve_poly(v):\n    return v * v + 1.0\n";
+
+/// Execution attempts per job before giving up.
+const MAX_ATTEMPTS: u32 = 4;
+/// First retry backoff; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_millis(50);
+/// Iterations per CG chunk: the deadline-check (hard cancel) granularity
+/// for solve jobs.
+const SOLVE_CHUNK_ITERS: usize = 64;
+/// CG checkpoint cadence within a chunk (the retry resume grid).
+const SOLVE_CHECKPOINT_EVERY: usize = 8;
+/// Total CG iteration budget; exceeding it is a permanent failure.
+const SOLVE_MAX_ITER: usize = 1000;
 
 fn set_pool_gauge(pool: usize, workers: usize) {
     if obs::enabled() {
@@ -128,7 +143,6 @@ fn execute(
     job: &QueuedJob,
     queue_wait: Duration,
 ) -> JobOutcome {
-    let cfg = &shared.cfg;
     let t0 = Instant::now();
     let store: CheckpointStore<f64> = CheckpointStore::new();
     let mut attempts = 0u32;
@@ -137,7 +151,7 @@ fn execute(
         attempts += 1;
         shared.lock_stats().attempts += 1;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            attempt_once(ctx, &job.spec, &store, job.deadline, cfg)
+            attempt_once(ctx, &job.spec, &store, job.deadline)
         }));
         let crash = match result {
             Ok(Ok(data)) => {
@@ -173,7 +187,7 @@ fn execute(
             }
             debug_assert_eq!(report.respawned, ctx.n_workers());
         }
-        if attempts >= cfg.max_attempts {
+        if attempts >= MAX_ATTEMPTS {
             return JobOutcome::Failed {
                 attempts,
                 error: format!("retries exhausted after {attempts} attempts: {crash}"),
@@ -186,10 +200,8 @@ fn execute(
                 after: job.submitted.elapsed(),
             };
         }
-        let exp = cfg
-            .backoff_base
-            .saturating_mul(1u32 << (attempts - 1).min(16));
-        let backoff = exp.min(cfg.backoff_max).min(job.deadline - now);
+        let exp = BACKOFF_BASE.saturating_mul(1u32 << (attempts - 1).min(16));
+        let backoff = exp.min(BACKOFF_MAX).min(job.deadline - now);
         std::thread::sleep(backoff);
         shared.lock_stats().retries += 1;
     }
@@ -202,7 +214,6 @@ fn attempt_once(
     spec: &JobSpec,
     store: &CheckpointStore<f64>,
     deadline: Instant,
-    cfg: &ServeConfig,
 ) -> Result<Vec<f64>, AttemptFail> {
     match *spec {
         JobSpec::Array { seed, n } => {
@@ -220,12 +231,12 @@ fn attempt_once(
             let x = ctx.random_dist(&[n], seed, Dist::Block);
             Ok(k.map(&[&x]).to_vec())
         }
-        JobSpec::Solve { seed, n } => solve_attempt(ctx, seed, n, store, deadline, cfg),
+        JobSpec::Solve { seed, n } => solve_attempt(ctx, seed, n, store, deadline),
     }
 }
 
 /// Chunked, checkpointed CG on the worker pool. Runs
-/// `solve_chunk_iters` at a time so the deadline gets a hard-cancel
+/// [`SOLVE_CHUNK_ITERS`] at a time so the deadline gets a hard-cancel
 /// point between chunks; each chunk resumes from the newest common
 /// checkpoint (also the retry resume point after a mid-solve kill).
 fn solve_attempt(
@@ -234,13 +245,10 @@ fn solve_attempt(
     n: usize,
     store: &CheckpointStore<f64>,
     deadline: Instant,
-    cfg: &ServeConfig,
 ) -> Result<Vec<f64>, AttemptFail> {
     let x_arr = ctx.zeros(&[n], DType::F64);
     let shift = (seed % 997) as f64 * 1e-3;
-    let every = cfg.solve_checkpoint_every;
-    let chunk = cfg.solve_chunk_iters.max(1);
-    let mut hi = chunk.min(cfg.solve_max_iter.max(1));
+    let mut hi = SOLVE_CHUNK_ITERS.min(SOLVE_MAX_ITER);
     loop {
         let resume = Arc::new(store.resume_point(ctx.n_workers()));
         let status: Arc<Mutex<Option<SolveStatus>>> = Arc::new(Mutex::new(None));
@@ -276,7 +284,7 @@ fn solve_attempt(
                 ..KrylovConfig::default()
             };
             let ckp = CgCheckpointing {
-                every,
+                every: SOLVE_CHECKPOINT_EVERY,
                 sink: Some(&sink),
                 resume: resume2.as_ref().as_ref().map(|v| &v[rank]),
             };
@@ -294,17 +302,16 @@ fn solve_attempt(
         if st.converged {
             return Ok(x_arr.to_vec());
         }
-        if hi >= cfg.solve_max_iter {
+        if hi >= SOLVE_MAX_ITER {
             return Err(AttemptFail::Permanent(format!(
-                "CG did not converge within {} iterations",
-                cfg.solve_max_iter
+                "CG did not converge within {SOLVE_MAX_ITER} iterations"
             )));
         }
         if Instant::now() >= deadline {
             // Hard cancel at the chunk boundary.
             return Err(AttemptFail::Expired);
         }
-        hi = (hi + chunk).min(cfg.solve_max_iter);
+        hi = (hi + SOLVE_CHUNK_ITERS).min(SOLVE_MAX_ITER);
     }
 }
 
@@ -315,8 +322,7 @@ fn solve_attempt(
 pub fn reference_result(spec: &JobSpec, workers: usize) -> Vec<f64> {
     let ctx = OdinContext::with_workers(workers);
     let store = CheckpointStore::new();
-    let cfg = ServeConfig::default();
     let deadline = Instant::now() + Duration::from_secs(3600);
-    attempt_once(&ctx, spec, &store, deadline, &cfg)
+    attempt_once(&ctx, spec, &store, deadline)
         .unwrap_or_else(|_| panic!("reference run must succeed for {spec:?}"))
 }

@@ -134,8 +134,11 @@ def newton_sqrt(x: float):
     let v = ctx.linspace(0.0, 4.0, 100_000);
     let t = ctx.linspace(0.0, 1.0, 100_000);
     let _warm = decay.map(&[&v, &t]);
+    ctx.flush_batch();
     ctx.reset_stats();
     let mapped = decay.map(&[&v, &t]);
+    // `map` records a call; the flush launches it
+    ctx.flush_batch();
     let st = ctx.stats();
     println!(
         "decay.map over {} elements on {} workers: {:.0} bytes of control traffic per worker",
@@ -143,10 +146,10 @@ def newton_sqrt(x: float):
         ctx.n_workers(),
         st.ctrl_bytes as f64 / st.ctrl_msgs as f64
     );
-    // fused map+reduce: fold to a scalar in the same pass
-    let total = decay.map_reduce(&[&v, &t], ReduceKind::Sum);
+    // map + fold: the sum rides the call's launch as a reduce tail
+    let total = decay.map(&[&v, &t]).sum();
     assert_eq!(total.to_bits(), mapped.sum().to_bits());
-    println!("fused map_reduce sum = {total:.4} (bitwise-identical to map().sum())");
+    println!("map(..).sum() = {total:.4} in one launch (bitwise-identical to the two-pass sum)");
 
     // dtype-generic kernels: the same source monomorphizes per dtype.
     // An I64 build computes in integers end to end (no f64 round-trip).

@@ -273,12 +273,17 @@ fn a_kernel_registers_once_and_invokes_stay_small() {
         .unwrap();
     let x = ctx.linspace(0.0, 1.0, 64);
     let warm = sq.map(&[&x]); // ships the bytecode
-    let _ = (Expr::leaf(&x) + 1.0).eval(); // registers the Expr kernel
+                              // registers the Expr kernel (held: a dropped result registers nothing)
+    let warm_expr = (Expr::leaf(&x) + 1.0).eval();
+    ctx.flush_batch();
     ctx.reset_stats();
-    let mut live = vec![warm];
+    let mut live = vec![warm, warm_expr];
     for _ in 0..10 {
         live.push(sq.map(&[&x]));
         live.push((Expr::leaf(&x) + 1.0).eval());
+        // one flush per pair: recorded together, the ten identical Expr
+        // statements would fuse into one launch
+        ctx.flush_batch();
     }
     let st = ctx.stats();
     // 20 invokes × 2 workers, not a message more (no re-registration).
@@ -289,6 +294,190 @@ fn a_kernel_registers_once_and_invokes_stay_small() {
         st.mean_ctrl_bytes()
     );
     drop(live);
+}
+
+#[test]
+fn a_fold_of_a_mapped_value_rides_the_call_and_materializes_nothing() {
+    let _g = stats_read();
+    // `k.map(..)` records a call and a whole-array fold of its value rides
+    // the call's launch as a reduce tail: one EvalKernel per worker and
+    // no `Free`, since no array was made. Bitwise a held map folded after
+    // its own flush, and the serial oracle, in each lane type on each tier.
+    const W: usize = 3;
+    const LEN: usize = 1000;
+    let n = W * LEN;
+    let ctx = OdinContext::with_workers(W);
+    let xf = ctx.arange_f64(-3.0, 0.37, n, Dist::Block);
+    let xi = ctx.arange(n);
+    let xb = (&ctx.arange(n) % 3.0).astype(DType::Bool);
+    let yb = (&ctx.arange(n) % 2.0).astype(DType::Bool);
+    let fv = xf.to_vec();
+    let segments = |data: Buffer| -> Vec<Buffer> {
+        (0..W)
+            .map(|r| match &data {
+                Buffer::F64(v) => Buffer::F64(v[r * LEN..(r + 1) * LEN].to_vec()),
+                Buffer::I64(v) => Buffer::I64(v[r * LEN..(r + 1) * LEN].to_vec()),
+                Buffer::Bool(v) => Buffer::Bool(v[r * LEN..(r + 1) * LEN].to_vec()),
+            })
+            .collect()
+    };
+    for tier in [Tier::Vm, Tier::Native] {
+        let fk = ctx.kernel("def f(x):\n    return x * 0.5 + 1.25\n", "f");
+        let ik = ctx.kernel("def i(x):\n    return x * 3 - 7\n", "i");
+        let bk = ctx.kernel("def b(x, y):\n    return x == y\n", "b");
+        let cases = [
+            (
+                fk.tier(tier).build().unwrap(),
+                vec![&xf],
+                Buffer::F64(fv.iter().map(|x| x * 0.5 + 1.25).collect()),
+            ),
+            (
+                ik.dtype(DType::I64).tier(tier).build().unwrap(),
+                vec![&xi],
+                Buffer::I64((0..n as i64).map(|i| i * 3 - 7).collect()),
+            ),
+            (
+                bk.dtype(DType::Bool).tier(tier).build().unwrap(),
+                vec![&xb, &yb],
+                Buffer::Bool((0..n).map(|i| (i % 3 != 0) == (i % 2 != 0)).collect()),
+            ),
+        ];
+        for (k, args, mapped) in cases {
+            let case = format!("{:?} kernel on {tier:?}", k.dtype());
+            ctx.flush_batch();
+            ctx.reset_stats();
+            let pending = k.map(&args).sum_async(); // the handle drops here
+            let fused = pending.wait();
+            let st = ctx.stats();
+            assert_eq!(st.kernel_launches, 1, "{case}: {st:?}");
+            assert_eq!(st.ctrl_msgs, W as u64, "{case}: materialized: {st:?}");
+            // written as one expression the handle is alive at the wait, so
+            // the array is made too, in the same single launch
+            ctx.reset_stats();
+            let one = k.map(&args).sum();
+            assert_eq!(ctx.stats().kernel_launches, 1, "{case}");
+            let held = k.map(&args);
+            ctx.flush_batch();
+            let two_pass = held.sum();
+            let want = reference::fold(ReduceKind::Sum, &segments(mapped));
+            assert_eq!(fused.to_bits(), two_pass.to_bits(), "{case}: vs a held map");
+            assert_eq!(fused.to_bits(), want.to_bits(), "{case}: vs the oracle");
+            assert_eq!(one.to_bits(), want.to_bits(), "{case}: one statement");
+        }
+    }
+}
+
+#[test]
+fn statements_recorded_before_a_call_fuse_with_those_after_it() {
+    let _g = stats_read();
+    // A call flushes nothing: `a`, which the kernel does not read, shares
+    // its launch with `b`, recorded after the call, so the program is one
+    // launch fewer than its flush-per-statement twin.
+    const W: u64 = 2;
+    let ctx = OdinContext::with_workers(W as usize);
+    let k = ctx
+        .compile_kernel("def sq(a):\n    return a * a\n", "sq")
+        .unwrap();
+    let x = ctx.linspace(0.0, 1.0, 64);
+    let y = ctx.linspace(2.0, 3.0, 64);
+    let run = |flush: bool| {
+        let step = |a| {
+            if flush {
+                ctx.flush_batch();
+            }
+            a
+        };
+        ctx.flush_batch();
+        ctx.reset_stats();
+        let a = step(&x * 2.0);
+        let m = step(k.map(&[&y]));
+        let b = step(&x + 1.0);
+        ctx.flush_batch();
+        let st = ctx.stats();
+        let out = (bits(&a.to_vec()), bits(&m.to_vec()), bits(&b.to_vec()));
+        (out, st)
+    };
+    // first runs register every body, so the measured runs post launches
+    // only
+    let (_, _) = (run(true), run(false));
+    let (twin, twin_st) = run(true);
+    let (fused, st) = run(false);
+    assert_eq!(fused, twin);
+    assert_eq!((twin_st.kernel_launches, twin_st.ctrl_msgs), (3, 3 * W));
+    assert_eq!((st.statements, st.kernel_launches), (3, 2), "{st:?}");
+    assert_eq!(st.ctrl_msgs, 2 * W, "{st:?}");
+}
+
+#[test]
+fn calls_reading_one_misplaced_argument_move_it_once() {
+    let _g = stats_read();
+    // Two calls in one flush align the same Cyclic argument to Block
+    // through the flush's pooled alignment: one redistribute, one free of
+    // the aligned copy, and the two launches.
+    const W: u64 = 3;
+    let ctx = OdinContext::with_workers(W as usize);
+    let add = ctx
+        .compile_kernel("def add(a, b):\n    return a + b\n", "add")
+        .unwrap();
+    let mul = ctx
+        .compile_kernel("def mul(a, b):\n    return a * b\n", "mul")
+        .unwrap();
+    let x = ctx.arange_f64(0.0, 1.0, 30, Dist::Block);
+    let y = ctx.arange_f64(0.5, 2.0, 30, Dist::Cyclic);
+    ctx.flush_batch();
+    ctx.reset_stats();
+    let sum = add.map(&[&x, &y]);
+    let prod = mul.map(&[&x, &y]);
+    ctx.flush_batch();
+    let st = ctx.stats();
+    assert_eq!(
+        (st.redistributes_issued, st.redistributes_merged),
+        (1, 1),
+        "{st:?}"
+    );
+    assert_eq!(st.ctrl_msgs, 4 * W, "{st:?}");
+    let (xs, ys) = (x.to_vec(), y.to_vec());
+    let want = |f: fn(f64, f64) -> f64| -> Vec<u64> {
+        xs.iter()
+            .zip(&ys)
+            .map(|(&a, &b)| f(a, b).to_bits())
+            .collect()
+    };
+    assert_eq!(bits(&sum.to_vec()), want(|a, b| a + b));
+    assert_eq!(bits(&prod.to_vec()), want(|a, b| a * b));
+}
+
+#[test]
+fn a_dropped_call_still_launches_at_the_next_flush() {
+    let _g = stats_read();
+    // A call is never a dead store: a dropped result still runs, as the
+    // kernel timers that drop it before a barrier rely on, and its array
+    // is freed behind the launch.
+    const W: u64 = 2;
+    let ctx = OdinContext::with_workers(W as usize);
+    let k = ctx
+        .compile_kernel("def sq(a):\n    return a * a\n", "sq")
+        .unwrap();
+    let x = ctx.linspace(0.0, 1.0, 64);
+    ctx.flush_batch();
+    ctx.reset_stats();
+    drop(k.map(&[&x]));
+    assert_eq!(ctx.stats().ctrl_msgs, 0, "a call posts at the flush");
+    ctx.flush_batch();
+    let st = ctx.stats();
+    assert_eq!(
+        (st.statements, st.kernel_launches, st.dse_eliminated),
+        (1, 1, 0),
+        "{st:?}"
+    );
+    assert_eq!(st.ctrl_msgs, 2 * W, "the launch and the free: {st:?}");
+    // so does one whose fold was abandoned unread
+    ctx.reset_stats();
+    drop(k.map(&[&x]).sum_async());
+    ctx.flush_batch();
+    let st = ctx.stats();
+    assert_eq!((st.kernel_launches, st.dse_eliminated), (1, 1), "{st:?}");
+    assert_eq!(st.ctrl_msgs, 2 * W, "the launch and the free: {st:?}");
 }
 
 #[test]
@@ -412,7 +601,7 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
                 // The fused tail against the two-pass route over the map
                 // just held to the oracle.
                 assert_eq!(
-                    fk.map_reduce(&[a, &yf], ReduceKind::Sum).to_bits(),
+                    fk.map(&[a, &yf]).sum().to_bits(),
                     got.sum().to_bits(),
                     "f64 reduce tail, first input {:?}, {tag}",
                     a.dtype()
@@ -460,7 +649,7 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
                     a.dtype()
                 );
                 assert_eq!(
-                    ik.map_reduce(&[a, &yi], ReduceKind::Sum).to_bits(),
+                    ik.map(&[a, &yi]).sum().to_bits(),
                     got.sum().to_bits(),
                     "i64 reduce tail, first input {:?}, {tag}",
                     a.dtype()
@@ -481,11 +670,8 @@ fn chunk_boundaries_match_the_eager_oracle_across_lanes_tiers_and_staging() {
                 assert_eq!(got.dtype(), DType::Bool);
                 let want: Vec<i64> = (0..want.len()).map(|i| want.get_i64(i)).collect();
                 assert_eq!(got.to_vec_i64(), want, "bool map, {tag}");
-                assert_eq!(
-                    bk.map_reduce(&[&ab, &yb], ReduceKind::CountNonzero),
-                    got.count_nonzero() as f64,
-                    "bool reduce tail, {tag}"
-                );
+                let tail = bk.map(&[&ab, &yb]).count_nonzero();
+                assert_eq!(tail, got.count_nonzero(), "bool reduce tail, {tag}");
             }
         }
     }
@@ -511,7 +697,7 @@ fn every_reduction_path_folds_in_the_reference_order() {
     // and the master combines their partials (DESIGN §8), in the same
     // bracketing at every pool width, so the grid runs 1–7 workers. Every path —
     // eager reductions over typed segments, fused `Expr` reductions,
-    // `Kernel::map_reduce` in its own lane type on both tiers, and two
+    // `Kernel::map` folded in its own lane type on both tiers, and two
     // folds recorded together riding one launch — must equal
     // `reference::fold` over the same segments bit for bit. Segment
     // lengths straddle the stripe width and the 4096-lane chunk; the
@@ -592,9 +778,9 @@ fn every_reduction_path_folds_in_the_reference_order() {
                     assert_eq!(fused.to_bits(), want, "Expr::reduce {case}");
                     for (fk, ik) in &kernels {
                         let k = if dtype == DType::F64 { fk } else { ik };
-                        let got = k.map_reduce(&[&a], kind);
+                        let got = eager(&k.map(&[&a]), kind);
                         let tier = k.tier();
-                        assert_eq!(got.to_bits(), want, "map_reduce on {tier:?}, {case}");
+                        assert_eq!(got.to_bits(), want, "map then fold on {tier:?}, {case}");
                     }
                 }
             }
@@ -754,8 +940,8 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
                 bits(&vm.map(&[&a, &b]).to_vec()),
                 "f64 tiers diverged at {workers} workers, {n} lanes"
             );
-            let fused_n = auto.map_reduce(&[&a, &b], ReduceKind::Sum);
-            let fused_v = vm.map_reduce(&[&a, &b], ReduceKind::Sum);
+            let fused_n = auto.map(&[&a, &b]).sum();
+            let fused_v = vm.map(&[&a, &b]).sum();
             assert_eq!(
                 fused_n.to_bits(),
                 fused_v.to_bits(),
@@ -829,7 +1015,7 @@ fn native_tier_is_deterministic_under_seeded_chaos() {
         let a = ctx.linspace(-1.5, 2.5, 311);
         let b = ctx.linspace(0.2, 3.0, 311);
         let arr = bits(&k.map(&[&a, &b]).to_vec());
-        let sum = k.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits();
+        let sum = k.map(&[&a, &b]).sum().to_bits();
         (arr, sum, axis0_sums(&ctx))
     };
     let ctx = OdinContext::new(message_chaos());
@@ -843,7 +1029,7 @@ fn native_tier_is_deterministic_under_seeded_chaos() {
         fault_seed()
     );
     assert_eq!(
-        k.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits(),
+        k.map(&[&a, &b]).sum().to_bits(),
         healthy_vm.1,
         "native fused reduce under chaos diverged (seed {})",
         fault_seed()

@@ -190,8 +190,14 @@ fn compute_rows(ctx: &OdinContext, kernel: &Kernel<'_>, shape: &[usize], rng: &m
         check("Kernel::map", &k_map, shape, &full, &case);
         for &(kind, want) in folds {
             assert_eq!(e().reduce(kind), want, "Expr::reduce {kind:?}, {case}");
-            let got = kernel.map_reduce(&[&x, &y, &z], kind);
-            assert_eq!(got, want, "Kernel::map_reduce {kind:?}, {case}");
+            // The fold rides the call's launch as a reduce tail.
+            let mapped = kernel.map(&[&x, &y, &z]);
+            let got = match kind {
+                ReduceKind::Sum => mapped.sum(),
+                ReduceKind::Max => mapped.max(),
+                _ => mapped.min(),
+            };
+            assert_eq!(got, want, "Kernel::map then fold {kind:?}, {case}");
         }
 
         // Eager binary: the strategy picks which side moves, never the lanes.

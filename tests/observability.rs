@@ -506,13 +506,31 @@ fn fusion_counters_reconcile_exactly_with_program_stats() {
     let s = (&a + &b).sum_async();
     let _ = s.wait();
     let st = ctx.stats();
+    // A user kernel's call is one statement and one launch of its own,
+    // saving nothing and eliminating nothing.
+    let k = ctx
+        .compile_kernel("def f(v):\n    return v * 2.0\n", "f")
+        .unwrap();
+    let mapped = k.map(&[&x]);
+    ctx.flush_batch();
+    let call = ctx.stats();
+    assert_eq!(
+        (
+            call.statements - st.statements,
+            call.kernel_launches - st.kernel_launches,
+            call.launches_saved - st.launches_saved,
+            call.dse_eliminated - st.dse_eliminated,
+        ),
+        (1, 1, 0, 0),
+        "{call:?}"
+    );
     // A lone `Expr::eval` flushes into the same counters: `x·c` twice is
     // exactly one CSE hit, nothing else.
     let shared = Expr::leaf(&x) * Expr::leaf(&c);
     let lone = (shared.clone() - shared).eval();
     ctx.flush_batch();
     obs::set_enabled(false);
-    drop((a, b, lone));
+    drop((a, b, lone, mapped));
 
     assert!(st.cse_hits >= 1, "{st:?}");
     assert_eq!(st.dse_eliminated, 1, "{st:?}");

@@ -1139,52 +1139,144 @@ fn plan_to_expr<'x, 'c>(
                 _ => a.floor(),
             }
         }
-        PlanNode::Binary(op, a, b) => {
-            let a = plan_to_expr(a, leaves, prev);
-            let b = plan_to_expr(b, leaves, prev);
-            match op {
-                0 => a + b,
-                1 => a - b,
-                2 => a * b,
-                3 => a / b,
-                _ => a % b,
-            }
-        }
+        PlanNode::Binary(op, a, b) => binary_expr(
+            *op,
+            plan_to_expr(a, leaves, prev),
+            plan_to_expr(b, leaves, prev),
+        ),
         PlanNode::BinScalar(op, a, s) => {
-            let a = plan_to_expr(a, leaves, prev);
-            match op {
-                0 => a + *s,
-                1 => a - *s,
-                2 => a * *s,
-                3 => a / *s,
-                _ => a % *s,
-            }
+            binary_expr(*op, plan_to_expr(a, leaves, prev), Expr::scalar(*s))
         }
         PlanNode::Pow(a, e) => plan_to_expr(a, leaves, prev).pow(*e),
     }
 }
 
+/// One statement of a random traced program.
+enum StmtPlan {
+    /// An expression, evaluated and held.
+    Expr(PlanNode),
+    /// A user kernel (0 straight-line, 1 branchy) over leaves and held
+    /// arrays, whose result is held, folded with its handle dropped, or
+    /// dropped.
+    Call(usize, [PlanNode; 2], CallEnd),
+    /// `leaf[k] <op> t` with `t = leaf[i] <op> leaf[j]` dropped once read:
+    /// a dropped value of another geometry whose leaves may both be
+    /// misplaced.
+    Spill(usize, u8, usize, usize, u8),
+}
+
+#[derive(Clone, Copy)]
+enum CallEnd {
+    Held,
+    Folded,
+    Dropped,
+}
+
+/// The two user kernels a call plan names; `call_host` is their host twin.
+const CALL_SRC: [(&str, &str); 2] = [
+    ("def line(a, b):\n    return a * 0.5 + b * b\n", "line"),
+    (
+        "def branch(a, b):\n    if a > b:\n        return a - b\n    return b * 0.25\n",
+        "branch",
+    ),
+];
+
+fn call_host(kernel: usize, a: f64, b: f64) -> f64 {
+    match kernel {
+        0 => a * 0.5 + b * b,
+        _ if a > b => a - b,
+        _ => b * 0.25,
+    }
+}
+
+fn binary_expr<'x, 'c>(
+    op: u8,
+    a: hpc_framework::odin::Expr<'x, 'c>,
+    b: hpc_framework::odin::Expr<'x, 'c>,
+) -> hpc_framework::odin::Expr<'x, 'c> {
+    match op {
+        0 => a + b,
+        1 => a - b,
+        2 => a * b,
+        3 => a / b,
+        _ => a % b,
+    }
+}
+
+/// Statements that make a held array, and so can be read by `Ref`.
+fn holds(plan: &StmtPlan) -> bool {
+    !matches!(
+        plan,
+        StmtPlan::Call(_, _, CallEnd::Folded | CallEnd::Dropped)
+    )
+}
+
+fn gen_stmt(rng: &mut SplitMix64, n_leaves: usize, n_prev: usize) -> StmtPlan {
+    let arg = |rng: &mut SplitMix64| {
+        if n_prev > 0 && rng.gen_index(2) == 0 {
+            PlanNode::Ref(rng.gen_index(n_prev))
+        } else {
+            PlanNode::Leaf(rng.gen_index(n_leaves))
+        }
+    };
+    match rng.gen_index(7) {
+        0 | 1 => {
+            let end = [CallEnd::Held, CallEnd::Folded, CallEnd::Dropped][rng.gen_index(3)];
+            StmtPlan::Call(rng.gen_index(2), [arg(rng), arg(rng)], end)
+        }
+        2 | 3 => StmtPlan::Spill(
+            rng.gen_index(n_leaves),
+            rng.gen_index(3) as u8,
+            rng.gen_index(n_leaves),
+            rng.gen_index(n_leaves),
+            rng.gen_index(3) as u8,
+        ),
+        _ => StmtPlan::Expr(gen_plan(rng, 3, n_leaves, n_prev)),
+    }
+}
+
 #[test]
 fn traced_program_bitwise_matches_statement_at_a_time() {
-    use hpc_framework::odin::{Expr, ReduceKind};
+    use hpc_framework::odin::{reference, DistArray, Expr, ReduceKind};
     let mut rng = SplitMix64::new(0x7ace);
-    for case in 0..10 {
+    // Shapes the generator must reach: a spill whose two leaves both sit
+    // off the reader's layout, and every call kind and end.
+    let (mut two_misplaced, mut call_kinds) = (0, [[0usize; 3]; 2]);
+    for case in 0..24 {
         let workers = 1 + rng.gen_index(4);
         let n = 1 + rng.gen_index(80);
-        let n_leaves = 2 + rng.gen_index(2);
+        let n_leaves = 3 + rng.gen_index(2);
         let n_stmts = 3 + rng.gen_index(4);
         let ctx = OdinContext::with_workers(workers);
         let leaves: Vec<_> = (0..n_leaves)
             .map(|i| ctx.random_dist(&[n], 100 + case as u64 * 7 + i as u64, arb_dist(&mut rng)))
             .collect();
-        let stmt_plans: Vec<PlanNode> = (0..n_stmts)
-            .map(|i| gen_plan(&mut rng, 3, n_leaves, i))
+        let kernels: Vec<_> = CALL_SRC
+            .iter()
+            .map(|(src, name)| ctx.compile_kernel(src, name).unwrap())
             .collect();
+        let mut stmt_plans: Vec<StmtPlan> = Vec::new();
+        let mut n_held = 0;
+        for _ in 0..n_stmts {
+            let plan = gen_stmt(&mut rng, n_leaves, n_held);
+            n_held += usize::from(holds(&plan));
+            match &plan {
+                StmtPlan::Spill(k, _, i, j, _) => {
+                    let dist = |l: usize| leaves[l].dist();
+                    if workers > 1 && i != j && dist(*i) != dist(*k) && dist(*j) != dist(*k) {
+                        two_misplaced += 1;
+                    }
+                }
+                StmtPlan::Call(kernel, _, end) => call_kinds[*kernel][*end as usize] += 1,
+                StmtPlan::Expr(_) => {}
+            }
+            stmt_plans.push(plan);
+        }
         let kinds = [ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min];
         let reduce_plans: Vec<(PlanNode, ReduceKind)> = (0..1 + rng.gen_index(2))
             .map(|_| {
                 (
-                    gen_plan(&mut rng, 2, n_leaves, n_stmts),
+                    gen_plan(&mut rng, 2, n_leaves, n_held),
                     kinds[rng.gen_index(3)],
                 )
             })
@@ -1195,33 +1287,74 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         // oracle on the master), then fused by the trace.
         let program = |twin: bool| {
             ctx.reset_stats();
-            let mut arrays: Vec<hpc_framework::odin::DistArray> = Vec::new();
+            let mut arrays: Vec<DistArray> = Vec::new();
+            let mut folded = Vec::new();
+            let check = |a: &DistArray, want: &dyn Fn() -> Vec<u64>, what: &str| {
+                if twin {
+                    assert_eq!(bitsv(&a.to_vec()), want(), "case {case}: {what} drifted");
+                }
+            };
+            let oracle = |e: &Expr| bitsv(reference::eval(e).unwrap().as_f64());
             for plan in &stmt_plans {
-                let a = {
-                    let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&arrays[j]));
-                    let a = e.eval();
-                    if twin {
-                        let oracle = hpc_framework::odin::reference::eval(&e).unwrap();
-                        assert_eq!(
-                            bitsv(&a.to_vec()),
-                            bitsv(oracle.as_f64()),
-                            "case {case}: eval vs the serial oracle drifted"
-                        );
+                match plan {
+                    StmtPlan::Expr(plan) => {
+                        let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&arrays[j]));
+                        let a = e.eval();
+                        check(&a, &|| oracle(&e), "eval");
+                        arrays.push(a);
                     }
-                    a
-                };
-                arrays.push(a);
+                    StmtPlan::Call(kernel, args, end) => {
+                        let args: Vec<&DistArray> = args
+                            .iter()
+                            .map(|arg| match arg {
+                                PlanNode::Ref(j) => &arrays[*j],
+                                PlanNode::Leaf(i) => &leaves[*i],
+                                _ => unreachable!("a call argument is an array"),
+                            })
+                            .collect();
+                        let a = kernels[*kernel].map(&args);
+                        match end {
+                            CallEnd::Held => {
+                                let host = || {
+                                    let (x, y) = (args[0].to_vec(), args[1].to_vec());
+                                    let lanes = x.iter().zip(&y);
+                                    lanes
+                                        .map(|(&a, &b)| call_host(*kernel, a, b).to_bits())
+                                        .collect()
+                                };
+                                check(&a, &host, "call");
+                                arrays.push(a);
+                            }
+                            CallEnd::Folded => folded.push(a.sum_async()),
+                            CallEnd::Dropped => drop(a),
+                        }
+                    }
+                    StmtPlan::Spill(k, outer, i, j, inner) => {
+                        let t =
+                            binary_expr(*inner, Expr::leaf(&leaves[*i]), Expr::leaf(&leaves[*j]))
+                                .eval();
+                        if twin {
+                            ctx.flush_batch();
+                        }
+                        let e = binary_expr(*outer, Expr::leaf(&leaves[*k]), Expr::leaf(&t));
+                        let r = e.eval();
+                        check(&r, &|| oracle(&e), "spill");
+                        drop(t);
+                        arrays.push(r);
+                    }
+                }
                 if twin {
                     ctx.flush_batch();
                 }
             }
-            let reds: Vec<u64> = reduce_plans
+            let mut reds: Vec<u64> = reduce_plans
                 .iter()
                 .map(|(plan, kind)| {
                     let e = plan_to_expr(plan, &leaves, &|j| Expr::leaf(&arrays[j]));
                     e.reduce(*kind).to_bits()
                 })
                 .collect();
+            reds.extend(folded.into_iter().map(|p| p.wait().to_bits()));
             let outs: Vec<Vec<u64>> = arrays.iter().map(|a| bitsv(&a.to_vec())).collect();
             (outs, reds, ctx.stats())
         };
@@ -1237,11 +1370,25 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         // The optimizer must never do worse than statement at a time.
         assert!(
             st.kernel_launches <= twin.kernel_launches,
-            "{st:?} vs {twin:?}"
+            "case {case}: {st:?} vs {twin:?}"
         );
         assert!(
             st.redistributes_issued <= twin.redistributes_issued,
-            "{st:?} vs {twin:?}"
+            "case {case}: {st:?} vs {twin:?}"
+        );
+        assert!(
+            st.elems_moved <= twin.elems_moved,
+            "case {case}: {st:?} vs {twin:?}"
+        );
+    }
+    assert!(
+        two_misplaced >= 3,
+        "spills with two misplaced leaves: {two_misplaced}"
+    );
+    for (kernel, ends) in call_kinds.iter().enumerate() {
+        assert!(
+            ends.iter().all(|&k| k > 0),
+            "kernel {kernel} call ends: {ends:?}"
         );
     }
 }

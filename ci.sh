@@ -229,6 +229,27 @@ if grep -rnE 'fn trace\b|Traced|ProgramRun' crates/odin/src; then
   exit 1
 fi
 
+echo "== one comm ledger (CommStats counts every event; stats.rs alone names its series)"
+# A rank counts each message, fault and cache event once, in `CommStats`,
+# and `CommStats::publish` writes the rank's registry series from it when
+# the rank ends. One of those 17 keys named anywhere else in comm is a
+# second count growing back, and so is a cache of per-event handles.
+ledger_keys='"(comm\.(msgs|bytes)_(sent|recv)|comm\.zerocopy_(msgs|bytes)|comm\.(retransmits|dropped|corrupt|dup_suppressed|corrupt_skipped_region|region_integrity_checked|overlap_s)|cache\.plan_(hits|misses)|pool\.(buffer_reuse|buffer_pool_evictions))"'
+published=$(grep -oE "$ledger_keys" crates/comm/src/stats.rs | sort -u | wc -l)
+echo "-- series published by crates/comm/src/stats.rs: $published"
+if [ "$published" -ne 17 ]; then
+  echo "ledger gate: stats.rs names $published of the 17 series; update the gate with the table" >&2
+  exit 1
+fi
+if grep -rnE "$ledger_keys" --include='*.rs' crates/comm/src | grep -v '^crates/comm/src/stats.rs:'; then
+  echo "ledger gate: a CommStats series is named outside crates/comm/src/stats.rs" >&2
+  exit 1
+fi
+if grep -rn 'ObsHandles' crates/comm/src; then
+  echo "ledger gate: ObsHandles is back; the registry is published from CommStats" >&2
+  exit 1
+fi
+
 echo "== unsafe allowlist (FFI, the check-free SpMV sweep, nothing else)"
 # `unsafe` lives where safe code cannot reach: the native kernel tier's
 # FFI (seamless `codegen`, `cmodule`), the test suite's counting global

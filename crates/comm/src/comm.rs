@@ -152,48 +152,20 @@ pub(crate) struct RankState {
     pub(crate) flow_domain: u64,
     /// Messages stamped with a flow id so far (sequence within the domain).
     pub(crate) flow_seq: Cell<u64>,
-    /// Cached registry handles for the hot per-message metrics (see
-    /// [`RankState::obs_handles`]).
-    obs_handles: std::cell::OnceCell<ObsHandles>,
+    /// The `comm.sent_msg_bytes` histogram, resolved on the first traced
+    /// send: a key lookup takes the registry lock, a cached handle is one
+    /// relaxed update per message.
+    pub(crate) sent_msg_bytes: std::cell::OnceCell<obs::Histogram>,
 }
 
-/// Registry handles the enabled tracing path touches on every message.
-/// Resolving a handle costs a key format plus a registry lock; caching
-/// them per rank turns that into plain relaxed atomic updates, which is
-/// what keeps enabled-tracing overhead inside the E21 budget.
-pub(crate) struct ObsHandles {
-    pub(crate) msgs_sent: obs::Counter,
-    pub(crate) bytes_sent: obs::Counter,
-    pub(crate) sent_msg_bytes: obs::Histogram,
-    pub(crate) msgs_recv: obs::Counter,
-    pub(crate) bytes_recv: obs::Counter,
-    pub(crate) overlap_s: obs::Gauge,
-    pub(crate) zerocopy_msgs: obs::Counter,
-    pub(crate) zerocopy_bytes: obs::Counter,
-}
-
-impl RankState {
-    /// The cached metric handles, resolved on first use. A rank state
-    /// never outlives its universe run, so the cache cannot go stale —
-    /// except across an `obs::reset()` issued *mid-run*, which orphans
-    /// the handles (updates land on detached atomics; harmless, but
-    /// invisible to later snapshots).
-    pub(crate) fn obs_handles(&self) -> &ObsHandles {
-        self.obs_handles.get_or_init(|| {
-            let rank = self.world_rank.to_string();
-            let g = obs::global();
-            let k = |name: &str| obs::registry::key(name, &[("rank", &rank)]);
-            ObsHandles {
-                msgs_sent: g.counter(&k("comm.msgs_sent")),
-                bytes_sent: g.counter(&k("comm.bytes_sent")),
-                sent_msg_bytes: g.histogram("comm.sent_msg_bytes"),
-                msgs_recv: g.counter(&k("comm.msgs_recv")),
-                bytes_recv: g.counter(&k("comm.bytes_recv")),
-                overlap_s: g.gauge(&k("comm.overlap_s")),
-                zerocopy_msgs: g.counter(&k("comm.zerocopy_msgs")),
-                zerocopy_bytes: g.counter(&k("comm.zerocopy_bytes")),
-            }
-        })
+impl Drop for RankState {
+    /// A rank's one export: when its state ends — its program returned
+    /// or unwound — its final [`CommStats`] become its `{rank=…}`
+    /// registry series, if recording is on.
+    fn drop(&mut self) {
+        if obs::enabled() {
+            self.stats.get_mut().publish(self.world_rank);
+        }
     }
 }
 
@@ -278,7 +250,7 @@ impl Comm {
                 region_integrity: config.region_integrity,
                 flow_domain: obs::flow::next_domain(),
                 flow_seq: Cell::new(0),
-                obs_handles: std::cell::OnceCell::new(),
+                sent_msg_bytes: std::cell::OnceCell::new(),
             }),
             model: config.model,
             algo: config.algo,
@@ -327,16 +299,12 @@ impl Comm {
     /// Take a cleared wire buffer from this rank's pool, or allocate a
     /// fresh one if the pool is empty. Return it with [`Comm::put_buf`]
     /// once done so hot paths stop allocating per message; reuse is
-    /// counted in [`CommStats::buffer_reuse`] and mirrored as the
-    /// `pool.buffer_reuse{rank}` counter.
+    /// counted in [`CommStats::buffer_reuse`].
     pub fn take_buf(&self) -> Vec<u8> {
         match self.state.pool.borrow_mut().pop() {
             Some(mut buf) => {
                 buf.clear();
                 self.state.stats.borrow_mut().buffer_reuse += 1;
-                if obs::enabled() {
-                    self.obs_cache_counter("pool.buffer_reuse");
-                }
                 buf
             }
             None => Vec::new(),
@@ -348,8 +316,7 @@ impl Comm {
     /// than 64 KiB of capacity — so one large
     /// gather can no longer pin its high-water allocation in the pool.
     /// Refused buffers are dropped and counted in
-    /// [`CommStats::buffer_pool_evictions`] (mirrored as
-    /// `pool.buffer_pool_evictions{rank}`); capacity-less buffers never
+    /// [`CommStats::buffer_pool_evictions`]; capacity-less buffers never
     /// held memory and are discarded without counting.
     pub fn put_buf(&self, buf: Vec<u8>) {
         if buf.capacity() == 0 {
@@ -363,51 +330,25 @@ impl Comm {
             }
         }
         self.state.stats.borrow_mut().buffer_pool_evictions += 1;
-        if obs::enabled() {
-            self.obs_cache_counter("pool.buffer_pool_evictions");
-        }
     }
 
     /// Record a hit in a communication-plan cache. The caches themselves
     /// live above `comm` (the `dmap` plan cache, the ODIN worker
-    /// exchange-plan cache); this mirrors the event one-for-one into
-    /// [`CommStats::plan_hits`] and the `cache.plan_hits{rank}` counter,
-    /// exactly like the fault counters.
+    /// exchange-plan cache); this counts the event in
+    /// [`CommStats::plan_hits`].
     pub fn record_plan_hit(&self) {
         self.state.stats.borrow_mut().plan_hits += 1;
-        if obs::enabled() {
-            self.obs_cache_counter("cache.plan_hits");
-        }
     }
 
     /// Record a communication-plan cache miss (a plan was built from
-    /// scratch). Mirrored into [`CommStats::plan_misses`] and
-    /// `cache.plan_misses{rank}`.
+    /// scratch) in [`CommStats::plan_misses`].
     pub fn record_plan_miss(&self) {
         self.state.stats.borrow_mut().plan_misses += 1;
-        if obs::enabled() {
-            self.obs_cache_counter("cache.plan_misses");
-        }
-    }
-
-    /// Registry mirror of the cache/pool counters, labeled by global
-    /// rank exactly like the fault counters.
-    #[cold]
-    fn obs_cache_counter(&self, name: &str) {
-        let rank = self.state.world_rank.to_string();
-        obs::global()
-            .counter(&obs::registry::key(name, &[("rank", &rank)]))
-            .inc();
     }
 
     /// Snapshot of this rank's counters.
     pub fn stats(&self) -> CommStats {
         *self.state.stats.borrow()
-    }
-
-    /// Reset counters (benchmarks use this between phases).
-    pub fn reset_stats(&self) {
-        *self.state.stats.borrow_mut() = CommStats::default();
     }
 
     pub(crate) fn check_rank(&self, r: usize) -> Result<(), CommError> {

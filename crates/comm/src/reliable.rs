@@ -176,9 +176,6 @@ impl Comm {
         match action {
             FaultAction::Drop => {
                 st.stats.borrow_mut().faults_dropped += 1;
-                if obs::enabled() {
-                    self.obs_fault_counter("comm.dropped");
-                }
                 // Never enqueued; reliable mode heals it by retransmit.
                 Ok(depart)
             }
@@ -197,9 +194,6 @@ impl Comm {
                     // half-applied (see the `payload` module docs).
                     Payload::Region(_) => {
                         st.stats.borrow_mut().corrupt_skipped_region += 1;
-                        if obs::enabled() {
-                            self.obs_fault_counter("comm.corrupt_skipped_region");
-                        }
                     }
                 }
                 self.senders[gdest]
@@ -259,9 +253,6 @@ impl Comm {
         };
         if !ok {
             st.stats.borrow_mut().corrupt_detected += 1;
-            if obs::enabled() {
-                self.obs_fault_counter("comm.corrupt");
-            }
         }
         if st.delivery == Delivery::Reliable {
             if !ok {
@@ -271,9 +262,6 @@ impl Comm {
             self.send_ack(env.gsrc, env.seq);
             if !st.seen.borrow_mut()[env.gsrc].insert(env.seq) {
                 st.stats.borrow_mut().dup_suppressed += 1;
-                if obs::enabled() {
-                    self.obs_fault_counter("comm.dup_suppressed");
-                }
                 return None;
             }
             Some(env)
@@ -333,7 +321,6 @@ impl Comm {
                 s.retransmit_s += o + wire;
             }
             if obs::enabled() {
-                self.obs_fault_counter("comm.retransmits");
                 // Retx event span: clock paid `o` from (clock − o, clock];
                 // the copy reuses the original flow id so the graph can
                 // attribute whichever copy delivered.
@@ -401,16 +388,6 @@ impl Comm {
                 Err(_) => return,
             }
         }
-    }
-
-    /// Registry mirror of the fault/reliability counters, labeled by
-    /// global rank exactly like `comm.msgs_sent`.
-    #[cold]
-    pub(crate) fn obs_fault_counter(&self, name: &str) {
-        let rank = self.state.world_rank.to_string();
-        obs::global()
-            .counter(&obs::registry::key(name, &[("rank", &rank)]))
-            .inc();
     }
 }
 

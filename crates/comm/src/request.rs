@@ -27,8 +27,9 @@
 //!   the old blocking receive.
 //!
 //! `overlap_s` is therefore "modeled seconds of communication hidden
-//! behind compute", the quantity experiment E17 reports; it is also
-//! exported as the `comm.overlap_s{rank=…}` gauge when metrics are on.
+//! behind compute", the quantity experiment E17 reports; a rank's final
+//! value is published with the rest of its `CommStats` when the rank ends
+//! (see `CommStats::publish`), while metrics are on.
 //!
 //! Tag matching is unchanged: a request matches `(ctx, tag, src)` with the
 //! same pending-queue scan as blocking receives, so nonblocking and
@@ -211,7 +212,7 @@ impl Comm {
         // Flow ids only exist while tracing: the disabled path stays one
         // relaxed load, and flow 0 means "no causal edge" downstream.
         let (timer, flow) = if obs::enabled() {
-            self.obs_count_send(n, zerocopy, dest, tag);
+            self.obs_record_send(n);
             let seq = state.flow_seq.get() + 1;
             state.flow_seq.set(seq);
             (
@@ -353,9 +354,6 @@ impl Comm {
                 })?;
                 if let Some(expect) = stamped {
                     self.state.stats.borrow_mut().region_integrity_checked += 1;
-                    if obs::enabled() {
-                        self.obs_fault_counter("comm.region_integrity_checked");
-                    }
                     if self.region_digest(&value) != expect {
                         return Err(CommError::Corrupt {
                             rank: self.state.world_rank,
@@ -429,7 +427,7 @@ impl Comm {
                 let flow_in = env.flow;
                 let (out, timing) = self.deliver_posted(env, posted_at);
                 if let Some(t) = req.timer {
-                    self.obs_count_recv(t, req.span_name, &out.1, flow_in, timing);
+                    self.obs_recv_done(t, req.span_name, &out.1, flow_in, timing);
                 }
                 Ok(Some(out))
             }
@@ -693,20 +691,14 @@ impl Comm {
         Ok((value, status))
     }
 
-    /// Registry labels use the *global* rank so sub-communicator traffic
-    /// aggregates onto the same per-rank series as world traffic. Handles
-    /// are cached on the rank state: the per-message cost is three
-    /// relaxed atomic updates, not registry lookups.
+    /// Sent-message sizes, through the rank's cached histogram handle.
+    /// The message counts themselves live in `CommStats` alone.
     #[cold]
-    fn obs_count_send(&self, n: usize, zerocopy: bool, _dest: usize, _tag: Tag) {
-        let h = self.state.obs_handles();
-        h.msgs_sent.inc();
-        h.bytes_sent.add(n as u64);
-        h.sent_msg_bytes.record(n as u64);
-        if zerocopy {
-            h.zerocopy_msgs.inc();
-            h.zerocopy_bytes.add(n as u64);
-        }
+    fn obs_record_send(&self, n: usize) {
+        self.state
+            .sent_msg_bytes
+            .get_or_init(|| obs::global().histogram("comm.sent_msg_bytes"))
+            .record(n as u64);
     }
 
     #[cold]
@@ -738,11 +730,10 @@ impl Comm {
                 flow_in: 0,
             },
         );
-        self.obs_overlap_gauge();
     }
 
     #[cold]
-    fn obs_count_recv(
+    fn obs_recv_done(
         &self,
         timer: obs::span::SpanTimer,
         name: &'static str,
@@ -770,16 +761,6 @@ impl Comm {
                 flow_in,
             },
         );
-        let h = self.state.obs_handles();
-        h.msgs_recv.inc();
-        h.bytes_recv.add(status.bytes as u64);
-        self.obs_overlap_gauge();
-    }
-
-    /// Publish cumulative hidden-communication seconds for this rank.
-    fn obs_overlap_gauge(&self) {
-        let total = self.state.stats.borrow().overlap_s;
-        self.state.obs_handles().overlap_s.set(total);
     }
 }
 

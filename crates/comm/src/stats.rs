@@ -4,6 +4,11 @@
 //! performance bottlenecks associated with different communication
 //! patterns" as a goal of the ODIN prototype; these counters are that
 //! instrumentation, and experiments E2/E4/E12 read them directly.
+//!
+//! `CommStats` is the only place comm counts a message, fault or cache
+//! event. The metrics registry's per-rank `comm.*`, `cache.*` and `pool.*`
+//! series are an export of it: `CommStats::publish` writes them once,
+//! when the rank ends.
 
 /// Counters accumulated by one rank over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -95,6 +100,46 @@ impl CommStats {
         self.zerocopy_bytes += other.zerocopy_bytes;
         self.corrupt_skipped_region += other.corrupt_skipped_region;
         self.region_integrity_checked += other.region_integrity_checked;
+    }
+
+    /// Write this ledger into the metrics registry as `world_rank`'s
+    /// `{rank=…}` series: a counter per event count and the
+    /// `comm.overlap_s` gauge, zero fields skipped. The global rank
+    /// labels them, so sub-communicator traffic lands on its rank's
+    /// series. A rank's state calls this once, when it ends, while
+    /// recording is on; this table is the only place the keys are named.
+    pub(crate) fn publish(&self, world_rank: usize) {
+        let rank = world_rank.to_string();
+        let key = |name: &str| obs::registry::key(name, &[("rank", &rank)]);
+        let g = obs::global();
+        for (name, n) in [
+            ("comm.msgs_sent", self.msgs_sent),
+            ("comm.bytes_sent", self.bytes_sent),
+            ("comm.msgs_recv", self.msgs_recv),
+            ("comm.bytes_recv", self.bytes_recv),
+            ("comm.zerocopy_msgs", self.zerocopy_msgs),
+            ("comm.zerocopy_bytes", self.zerocopy_bytes),
+            ("comm.retransmits", self.retransmits),
+            ("comm.dropped", self.faults_dropped),
+            ("comm.corrupt", self.corrupt_detected),
+            ("comm.dup_suppressed", self.dup_suppressed),
+            ("comm.corrupt_skipped_region", self.corrupt_skipped_region),
+            (
+                "comm.region_integrity_checked",
+                self.region_integrity_checked,
+            ),
+            ("cache.plan_hits", self.plan_hits),
+            ("cache.plan_misses", self.plan_misses),
+            ("pool.buffer_reuse", self.buffer_reuse),
+            ("pool.buffer_pool_evictions", self.buffer_pool_evictions),
+        ] {
+            if n > 0 {
+                g.counter(&key(name)).add(n);
+            }
+        }
+        if self.overlap_s != 0.0 {
+            g.gauge(&key("comm.overlap_s")).set(self.overlap_s);
+        }
     }
 }
 

@@ -521,13 +521,6 @@ impl OdinContext {
         self.pending_all("barrier", |_| ()).wait();
     }
 
-    /// Total modeled virtual time is only available at shutdown (the pool
-    /// owns the clocks); this issues a Ping so the wall-clock of pending
-    /// work is at least observable.
-    pub fn sync(&self) {
-        self.barrier();
-    }
-
     /// Fallible [`Self::barrier`]: a dead worker surfaces as
     /// [`OdinError::WorkerDead`] in bounded time instead of a panic.
     pub fn try_barrier(&self) -> Result<(), OdinError> {

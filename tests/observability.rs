@@ -3,9 +3,10 @@
 //! * a programmatic run of the full stack produces a **valid** Chrome-trace
 //!   JSON document containing spans from all three subsystems (`comm`,
 //!   `odin`, `solver`) with per-rank virtual-clock timestamps;
-//! * registry counters agree **exactly** with `CommStats` for every
-//!   collective algorithm (the spans/metrics are the same events the
-//!   paper's §III-J instrumentation goal names);
+//! * each rank's registry series are its final `CommStats`, published
+//!   once when the rank ends — normally, by unwinding, or as an ODIN
+//!   worker when its context drops — and agree **exactly** with it for
+//!   every collective algorithm (the paper's §III-J instrumentation goal);
 //! * the paper's small-control-message claim holds: a global-mode ODIN
 //!   program issues control commands averaging < 100 bytes;
 //! * the disabled path records nothing (the single-atomic-load guarantee
@@ -17,11 +18,11 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use hpc_framework::comm::{
-    CollectiveAlgo, Delivery, FaultPlan, ReduceOp, Universe, UniverseConfig,
+    CollectiveAlgo, Delivery, FaultPlan, ReduceOp, Src, Universe, UniverseConfig,
 };
 use hpc_framework::hpc_core::bridge::{solve_with_odin_rhs, SolveMethod};
 use hpc_framework::obs;
-use hpc_framework::odin::{Expr, OdinContext};
+use hpc_framework::odin::{Dist, Expr, OdinContext};
 use hpc_framework::solvers::KrylovConfig;
 
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -211,9 +212,9 @@ fn fault_counters_reconcile_exactly_with_comm_stats() {
     });
     obs::set_enabled(false);
 
-    // Every fault/reliability counter increments CommStats and the
-    // registry at the same site, so the two views must agree exactly,
-    // per rank — the E18 acceptance identity.
+    // Each rank's fault/reliability series are its CommStats fields,
+    // published when the rank ended, so the two views must agree
+    // exactly, per rank — the E18 acceptance identity.
     let g = obs::global();
     let mut lost = 0;
     for (rank, s) in report.stats.iter().enumerate() {
@@ -276,9 +277,8 @@ fn cache_and_pool_counters_reconcile_exactly_with_comm_stats() {
     });
     obs::set_enabled(false);
 
-    // The cache/pool counters increment CommStats and the registry at
-    // the same site (like the fault counters), so the two views must
-    // agree exactly, per rank.
+    // The cache/pool series are published from CommStats (like the
+    // fault counters), so the two views must agree exactly, per rank.
     let g = obs::global();
     let (mut hits, mut reuse) = (0, 0);
     for (rank, s) in report.stats.iter().enumerate() {
@@ -334,9 +334,9 @@ fn zerocopy_and_eviction_counters_reconcile_exactly_with_comm_stats() {
     });
     obs::set_enabled(false);
 
-    // The zero-copy and eviction counters increment CommStats and the
-    // registry at the same site, so the two views must agree exactly,
-    // per rank.
+    // The zero-copy and eviction series, and the overlap gauge, are
+    // published from CommStats, so the two views must agree exactly, per
+    // rank.
     let g = obs::global();
     for (rank, s) in report.stats.iter().enumerate() {
         let r = rank.to_string();
@@ -351,12 +351,72 @@ fn zerocopy_and_eviction_counters_reconcile_exactly_with_comm_stats() {
             s.buffer_pool_evictions,
             "rank {rank}"
         );
+        let overlap = g
+            .gauge_value(&obs::registry::key("comm.overlap_s", &[("rank", &r)]))
+            .unwrap_or(0.0);
+        assert_eq!(overlap.to_bits(), s.overlap_s.to_bits(), "rank {rank}");
+        assert!(s.overlap_s > 0.0, "rank {rank} hid no flight time");
         assert!(s.zerocopy_msgs > 0, "rank {rank} sent no region payloads");
         assert!(
             s.buffer_pool_evictions > 0,
             "rank {rank} retained an oversized buffer"
         );
     }
+}
+
+#[test]
+fn a_rank_that_unwinds_still_publishes_its_ledger() {
+    let _g = obs_lock();
+    obs::reset();
+    obs::set_enabled(true);
+    let run = std::panic::catch_unwind(|| {
+        Universe::run_report(UniverseConfig::default(), 2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, &vec![1.0f64; 8]).unwrap();
+                panic!("rank 0 fails after its send");
+            }
+            comm.recv::<Vec<f64>>(Src::Rank(0), 7).unwrap().0.len()
+        })
+    });
+    obs::set_enabled(false);
+    assert!(run.is_err(), "rank 0's panic must reach the caller");
+
+    // Rank 0 never returned a CommStats, but its state published what it
+    // counted as it unwound.
+    let g = obs::global();
+    let val = |name: &str, rank: &str| {
+        g.counter_value(&obs::registry::key(name, &[("rank", rank)]))
+            .unwrap_or(0)
+    };
+    assert_eq!(val("comm.msgs_sent", "0"), 1);
+    assert_eq!(val("comm.msgs_recv", "1"), 1);
+    assert!(val("comm.bytes_sent", "0") > 0);
+    assert_eq!(val("comm.bytes_sent", "0"), val("comm.bytes_recv", "1"));
+}
+
+#[test]
+fn odin_workers_publish_their_ledger_when_the_context_drops() {
+    let _g = obs_lock();
+    obs::reset();
+    obs::set_enabled(true);
+    let ctx = OdinContext::with_workers(3);
+    let x = ctx.arange_f64(0.0, 1.0, 48, Dist::Block);
+    let y = x.redistribute(Dist::Cyclic);
+    assert_eq!(y.to_vec(), x.to_vec());
+    // A running pool has published nothing yet: the series are each
+    // worker's final ledger.
+    let g = obs::global();
+    assert_eq!(g.counter_sum("comm.msgs_sent"), 0);
+    drop((x, y));
+    drop(ctx);
+    obs::set_enabled(false);
+
+    let sent = g.counter_sum("comm.msgs_sent");
+    assert!(
+        sent > 0,
+        "the redistribute sent no worker-to-worker message"
+    );
+    assert_eq!(sent, g.counter_sum("comm.msgs_recv"));
 }
 
 #[test]
@@ -416,8 +476,8 @@ fn zerocopy_region_corrupt_skip_reconciles_exactly_with_comm_stats() {
     // The PR 7 gap, closed: with every payload on the region arm and an
     // aggressive seeded corrupt schedule, each skipped-and-counted
     // corruption (regions have no wire image to flip) and each
-    // FNV-integrity verification must land in `CommStats` and the obs
-    // registry at the same site, per rank, exactly. Swept over
+    // FNV-integrity verification must land in `CommStats` and, through
+    // its publish, the obs registry, per rank, exactly. Swept over
     // HPC_FAULT_SEED by the ci.sh chaos pass.
     let seed = std::env::var("HPC_FAULT_SEED")
         .ok()

@@ -55,6 +55,14 @@ const ROWS: &[Row] = &[
         run: e03_unary_scaling,
     },
     Row {
+        id: "e05",
+        title: "finite differences: global slicing vs the local-mode halo (wall)",
+        claim: "dy = y[1:] - y[:-1] is one line and ODIN does the halo communication \
+                automatically (§III-G)",
+        gate: false,
+        run: e05_finite_difference,
+    },
+    Row {
         id: "e09",
         title: "CG strong/weak scaling (modeled; AztecOO role)",
         claim: "PyTrilinos gives Python users 'massively parallel computations'; iteration \
@@ -279,6 +287,63 @@ fn modeled_cg(ranks: usize, grid_rows: usize, cols: usize, iters: usize) -> f64 
         }
     })
     .makespan_s
+}
+
+/// E5's array length.
+const FD_LANES: usize = 4_000_000;
+
+fn e05_finite_difference() -> Outcome {
+    let ctx = OdinContext::with_workers(WORKERS);
+    let y = ctx.random(&[FD_LANES], 5);
+    // Each arm holds its result across the barrier, so it launches.
+    let global = || {
+        let dy = &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1);
+        ctx.barrier();
+        std::hint::black_box(dy);
+    };
+    // The same line with both slices held across the flush: each is
+    // materialized as a copy before the subtraction reads it.
+    let copies = || {
+        let (hi, lo) = (y.slice1(1, None, 1), y.slice1(0, Some(-1), 1));
+        let dy = &hi - &lo;
+        ctx.barrier();
+        std::hint::black_box((dy, hi, lo));
+    };
+    // The hand-written local-mode version: each worker differences its
+    // segment and trades one boundary value with its right neighbour.
+    let out = ctx.zeros(&[FD_LANES], odin::DType::F64);
+    let halo = ctx.register_local(std::sync::Arc::new(|scope, args, _| {
+        let (_, right) = scope.exchange_boundary_1d(args[0]);
+        let mine = scope.local(args[0]).as_f64();
+        let mut dy: Vec<f64> = mine.windows(2).map(|w| w[1] - w[0]).collect();
+        dy.push(right.map_or(0.0, |r| r - mine[mine.len() - 1]));
+        scope.overwrite_f64(args[1], dy);
+    }));
+    let local = || {
+        ctx.call_local(halo, &[y.id(), out.id()], &[]);
+        ctx.barrier();
+    };
+    let ys = y.to_vec();
+    let serial = || std::hint::black_box(ys.windows(2).map(|w| w[1] - w[0]).collect::<Vec<f64>>());
+    // The arms take turns sample by sample, so host drift moves them all.
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..7 {
+        best[0] = best[0].min(timed(global).1);
+        best[1] = best[1].min(timed(copies).1);
+        best[2] = best[2].min(timed(local).1);
+        best[3] = best[3].min(timed(serial).1);
+    }
+    println!("{FD_LANES} lanes, {WORKERS} workers (best of 7):");
+    println!("  global slicing, views read in place : {}", fmt_s(best[0]));
+    println!("  global slicing, slices materialized : {}", fmt_s(best[1]));
+    println!("  local-mode halo                     : {}", fmt_s(best[2]));
+    println!("  serial loop on the master           : {}", fmt_s(best[3]));
+    println!(
+        "  -> global slicing is {:.2}x the local-mode halo ({:.2}x materialized)",
+        best[0] / best[2],
+        best[1] / best[2]
+    );
+    Outcome::Table
 }
 
 fn e09_cg_scaling() -> Outcome {

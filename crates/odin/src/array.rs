@@ -166,20 +166,27 @@ impl<'c> DistArray<'c> {
         DistArray::from_id(self.ctx, out)
     }
 
-    /// Materialize a slice (one [`SliceSpec`] per dimension).
+    /// A slice (one [`SliceSpec`] per dimension) as a view: it records
+    /// into the trace and posts nothing, and it lives until the next
+    /// flush. A view dropped by then and read by an elementwise op or
+    /// kernel at its own Block geometry, in unit row steps of whole rows,
+    /// is read in place, and only the rows past each worker's segment
+    /// cross (DESIGN §8). Every other view — one still held at the flush,
+    /// so one any other command names, or one read at another geometry,
+    /// with a row step, across a trailing dimension or of a Cyclic or
+    /// BlockCyclic base — is materialized by the flush as a copy. Either
+    /// way it has value semantics: any command that could write the base
+    /// flushes first. A spec out of range panics here.
     pub fn slice(&self, specs: &[SliceSpec]) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        self.ctx.send_cmd(&Cmd::Slice {
-            out,
-            a: self.id,
-            specs: specs.to_vec(),
-        });
-        DistArray::from_id(self.ctx, out)
+        self.ctx.record_slice(self, specs)
     }
 
-    /// 1-D Python-style slice with optional negative bounds:
-    /// `a.slice1(1, None, 1)` is `a[1:]`, `a.slice1(0, Some(-1), 1)` is
-    /// `a[:-1]` — the two slices of the paper's finite-difference example.
+    /// 1-D Python-style slice with optional negative bounds, as a view
+    /// ([`Self::slice`]): `a.slice1(1, None, 1)` is `a[1:]`,
+    /// `a.slice1(0, Some(-1), 1)` is `a[:-1]` — the two slices of the
+    /// paper's finite-difference example, which
+    /// `&a.slice1(1, None, 1) - &a.slice1(0, Some(-1), 1)` reads in place
+    /// in one launch.
     pub fn slice1(&self, start: isize, stop: Option<isize>, step: usize) -> DistArray<'c> {
         let n = self.meta().shape[0] as isize;
         let norm = |i: isize| -> usize {

@@ -95,6 +95,9 @@ pub struct ContextStats {
     /// Elements the issued alignments moved (counted via `dmap` owner
     /// maps).
     pub elems_moved: u64,
+    /// Slices the flushes materialized as arrays: views still held at a
+    /// flush, or read where they cannot be read in place.
+    pub slices_materialized: u64,
 }
 
 impl ContextStats {
@@ -696,18 +699,18 @@ pub(crate) mod tests {
         };
         let spec = |start, stop, step| SliceSpec { start, stop, step };
         let full = SliceSpec::full;
-        let eval = |kernel, template, inputs: Vec<u64>, scalars: Vec<f64>| Cmd::EvalKernel {
-            kernel,
-            template,
-            inputs,
-            scalars,
-            outs: vec![KernelOut::Reduce {
-                kind: ReduceKind::Sum,
-                reg: (seamless::bytecode::RegFile::F, 0),
-            }],
-            dtype: DType::F64,
-            native: false,
-        };
+        let eval =
+            |kernel, inputs: Vec<(u64, Option<SliceSpec>)>, scalars: Vec<f64>| Cmd::EvalKernel {
+                kernel,
+                inputs,
+                scalars,
+                outs: vec![KernelOut::Reduce {
+                    kind: ReduceKind::Sum,
+                    reg: (seamless::bytecode::RegFile::F, 0),
+                }],
+                dtype: DType::F64,
+                native: false,
+            };
         let (out, none) = (900, 999);
         let cases = [
             (
@@ -861,12 +864,29 @@ pub(crate) mod tests {
             (Cmd::MatMul { out, a: none, b: m }, "999"),
             (Cmd::MatMul { out, a: m, b: x }, "2-D"),
             (Cmd::MatMul { out, a: m, b: m }, "inner dims"),
-            (eval(none, x, vec![x], vec![1.0]), "unknown kernel 999"),
-            (eval(k, none, vec![x], vec![1.0]), "999"),
-            (eval(k, x, vec![none], vec![1.0]), "999"),
-            (eval(k, x, vec![cyc], vec![1.0]), "not conformable"),
-            (eval(k, x, vec![x], vec![]), "2 parameters"),
-            (eval(k, x, vec![x, x], vec![1.0]), "2 parameters"),
+            (eval(none, vec![(x, None)], vec![1.0]), "unknown kernel 999"),
+            (eval(k, vec![(none, None)], vec![1.0]), "999"),
+            (eval(k, vec![(x, None), (none, None)], vec![]), "999"),
+            (
+                eval(k, vec![(x, None), (cyc, None)], vec![]),
+                "not conformable",
+            ),
+            (eval(k, vec![(x, None)], vec![]), "2 parameters"),
+            (eval(k, vec![(x, None); 2], vec![1.0]), "2 parameters"),
+            (eval(k, vec![], vec![1.0, 2.0]), "at least one array"),
+            (eval(k, vec![(cyc, Some(full(6)))], vec![1.0]), "Block base"),
+            (
+                eval(k, vec![(x, Some(spec(0, 6, 2)))], vec![1.0]),
+                "steps by 1",
+            ),
+            (
+                eval(k, vec![(x, Some(spec(2, 7, 1)))], vec![1.0]),
+                "slice beyond",
+            ),
+            (
+                eval(k, vec![(x, Some(spec(1, 6, 1))), (x, None)], vec![]),
+                "not conformable",
+            ),
         ];
         let refuse = |cmd: &Cmd, what: &str| {
             let want = cmd.check(&*ctx.held.borrow()).unwrap_err();

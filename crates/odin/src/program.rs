@@ -4,10 +4,11 @@
 //! Every elementwise op — an eager [`DistArray`] ufunc, `astype`,
 //! `select`, a whole-array reduction, and so [`crate::Expr::eval`] and
 //! [`crate::Expr::reduce`] too — records one statement here instead of
-//! launching. The next observation (a scalar result, a fetch, a local
-//! function, a barrier, a checkpoint, a slice or redistribute, any other
-//! command, or [`OdinContext::flush_batch`]) runs the pending statements
-//! through one optimizer and posts what it decides:
+//! launching, and a slice records a view. The next observation (a scalar
+//! result, a fetch, a local function, a barrier, a checkpoint, a
+//! redistribute, any other command, or [`OdinContext::flush_batch`]) runs
+//! the pending statements through one optimizer and posts what it
+//! decides:
 //!
 //! - **liveness from `Drop`**: a statement whose handle was dropped
 //!   before the flush is a dead store — eliminated when nothing live reads
@@ -19,7 +20,13 @@
 //! - **CSE**: nodes are interned structurally, so a repeated fragment
 //!   compiles and runs once;
 //! - **pooled alignment**: a non-conformable operand moves at most once
-//!   per target distribution per flush.
+//!   per target distribution per flush;
+//! - **views read in place**: a slice dropped before the flush and read
+//!   at its own Block geometry, in unit steps of whole rows, binds as a
+//!   row window of its base ([`Cmd::EvalKernel`]'s inputs), so only the
+//!   rows past each worker's segment move; every other view — one still
+//!   held, or read anywhere else — is materialized once by `Cmd::Slice`
+//!   before the launches that read it.
 //!
 //! A user kernel's [`crate::Kernel::map`] records a *call*: its body is
 //! opaque, so a call is a launch of its own under the kernel's registered
@@ -41,14 +48,15 @@
 //! every statement.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::array::DistArray;
 use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, DType};
 use crate::context::OdinContext;
 use crate::kernel::Tier;
 use crate::lazy::{powic_exponent, Lowerer};
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
+use crate::protocol::{sliced, ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
+use crate::slicing::SliceSpec;
 use seamless::bytecode::{Reg, RegFile};
 
 /// Pending statements that force a flush: bounds how deep the trees the
@@ -169,7 +177,30 @@ impl Stmt {
     }
 }
 
-/// The context's open trace: statements recorded since the last flush.
+/// A slice recorded instead of posted: `specs` of a worker-resident base.
+struct View {
+    base: u64,
+    specs: Vec<SliceSpec>,
+    /// The view's own meta.
+    meta: ArrayMeta,
+    /// Its rows as a kernel input window, when the base is Block and the
+    /// view takes a unit-step range of whole rows.
+    window: Option<SliceSpec>,
+    /// Whether its handle is still alive.
+    held: bool,
+}
+
+impl View {
+    /// The window a launch at geometry `at` reads this view through in
+    /// place: only a dropped view, only at its own geometry.
+    fn window_at(&self, at: &ArrayMeta) -> Option<SliceSpec> {
+        self.window
+            .filter(|_| !self.held && self.meta.conformable(at))
+    }
+}
+
+/// The context's open trace: statements and slices recorded since the
+/// last flush.
 #[derive(Default)]
 pub(crate) struct Trace {
     /// Worker-resident operands with their metas, in first-use order.
@@ -179,7 +210,10 @@ pub(crate) struct Trace {
     stmts: Vec<Stmt>,
     /// Pending output id → the statement that makes it.
     outputs: HashMap<u64, usize>,
-    /// Leaves whose handles were dropped: freed behind the flush.
+    /// Slices by view id, in the order they were taken.
+    views: BTreeMap<u64, View>,
+    /// Leaves and view bases whose handles were dropped: freed behind the
+    /// flush.
     frees: Vec<u64>,
     /// Operation nodes interned instead of recorded again.
     cse_hits: u64,
@@ -308,7 +342,11 @@ impl Trace {
         }
         let (elems, arrays) = self.moves(producer.root, &producer.meta);
         let value = moved_elems(&producer.meta, at.dist, self.n_workers);
-        let inline = self.moves(producer.root, at) <= (elems + value, arrays + 1);
+        // A view is read in place only at its own geometry.
+        let reads_view = self.tree_params(producer.root, at).arrays.iter().any(|&(_, operand)| {
+            matches!(operand, Operand::Leaf(slot) if self.views.contains_key(&self.leaves[slot].0))
+        });
+        let inline = !reads_view && self.moves(producer.root, at) <= (elems + value, arrays + 1);
         self.inlining.borrow_mut().insert((d, at.dist), inline);
         inline
     }
@@ -390,6 +428,22 @@ impl Trace {
     fn run(mut self, ctx: &OdinContext) {
         let n = self.stmts.len();
         self.n_workers = ctx.n_workers();
+        // ---- Views: one still held is materialized now, as running the
+        // statements one at a time would; a dropped one is bound in place
+        // by the launch that reads it, or materialized there ------------
+        let slice = |out: u64, view: &View| {
+            ctx.post(&Cmd::Slice {
+                out,
+                a: view.base,
+                specs: view.specs.clone(),
+            });
+            ctx.stats.borrow_mut().slices_materialized += 1;
+        };
+        let mut sliced: HashSet<u64> = HashSet::new();
+        for (&id, view) in self.views.iter().filter(|(_, view)| view.held) {
+            slice(id, view);
+            sliced.insert(id);
+        }
         // ---- Liveness: held handles and calls, and what they read by
         // reference ------------------------------------------------------
         let mut params: Vec<Params> = (0..n).map(|_| Params::default()).collect();
@@ -474,14 +528,25 @@ impl Trace {
         for group in &groups {
             let ((kernel, dtype, native), arrays, scalars, regs) =
                 self.lower_group(group, &params, ctx);
-            // Pooled alignment: each (operand, distribution) pair moves at
-            // most once per flush.
-            let mut inputs: Vec<u64> = Vec::with_capacity(arrays.len());
+            // A dropped view at its own geometry is read in place; any
+            // other materializes once. Pooled alignment: each (operand,
+            // distribution) pair moves at most once per flush.
+            let mut inputs: Vec<(u64, Option<SliceSpec>)> = Vec::with_capacity(arrays.len());
             for &(_, operand) in &arrays {
                 let (id, meta) = self.array(operand);
                 let dist = group.t_meta.dist;
+                if let Some(view) = self.views.get(&id) {
+                    if let Some(rows) = view.window_at(&group.t_meta) {
+                        inputs.push((view.base, Some(rows)));
+                        continue;
+                    }
+                    if sliced.insert(id) {
+                        slice(id, view);
+                        temps.push(DistArray::from_id(ctx, id));
+                    }
+                }
                 if meta.conformable(&group.t_meta) {
-                    inputs.push(id);
+                    inputs.push((id, None));
                     continue;
                 }
                 let copy = *aligned.entry((id, dist)).or_insert_with(|| {
@@ -492,7 +557,7 @@ impl Trace {
                     temps.push(DistArray::from_id(ctx, out));
                     out
                 });
-                inputs.push(copy);
+                inputs.push((copy, None));
             }
             let (mut outs, mut folds, mut kinds) = (Vec::new(), Vec::new(), Vec::new());
             for &(s, reg) in &regs {
@@ -518,7 +583,6 @@ impl Trace {
             }
             ctx.post(&Cmd::EvalKernel {
                 kernel,
-                template: inputs[0],
                 inputs,
                 scalars: scalars.iter().map(|&(_, v)| v).collect(),
                 outs,
@@ -772,12 +836,48 @@ impl OdinContext {
         out
     }
 
-    /// Optimize and post every pending statement (see the module docs).
-    /// The trace is taken out first, so what the flush itself posts —
-    /// alignments, registrations, frees — finds an empty one.
+    /// Record `specs` (one per dimension) of `a` as a view and return its
+    /// handle: nothing is posted, and the next flush reads it in place or
+    /// materializes it (see [`Trace::run`]). A view's base is always
+    /// worker-resident: slicing a pending statement or a view flushes it
+    /// first. A bad spec panics here, as the materializing command's check
+    /// would.
+    pub(crate) fn record_slice<'c>(
+        &'c self,
+        a: &DistArray<'c>,
+        specs: &[SliceSpec],
+    ) -> DistArray<'c> {
+        if self.is_pending(a.id()) || self.trace.borrow().views.contains_key(&a.id()) {
+            self.flush_trace();
+        }
+        let base_meta = a.meta();
+        let meta = sliced(&base_meta, specs).unwrap_or_else(|e| panic!("{e}"));
+        let whole_rows = specs[1..]
+            .iter()
+            .zip(&base_meta.shape[1..])
+            .all(|(s, &n)| *s == SliceSpec::full(n));
+        let window =
+            (base_meta.dist == Dist::Block && specs[0].step == 1 && whole_rows).then_some(specs[0]);
+        let out = self.alloc_id();
+        let view = View {
+            base: a.id(),
+            specs: specs.to_vec(),
+            meta: meta.clone(),
+            window,
+            held: true,
+        };
+        self.trace.borrow_mut().views.insert(out, view);
+        self.held.borrow_mut().metas.insert(out, meta);
+        DistArray::from_id(self, out)
+    }
+
+    /// Optimize and post every pending statement and view (see the module
+    /// docs). The trace is taken out first, so what the flush itself
+    /// posts — slices, alignments, registrations, frees — finds an empty
+    /// one.
     pub(crate) fn flush_trace(&self) {
         let trace = std::mem::take(&mut *self.trace.borrow_mut());
-        if !trace.stmts.is_empty() {
+        if !(trace.stmts.is_empty() && trace.views.is_empty() && trace.frees.is_empty()) {
             trace.run(self);
         }
     }
@@ -787,27 +887,37 @@ impl OdinContext {
         self.trace.borrow().outputs.contains_key(&out)
     }
 
-    /// Drop the handle of pending statement `out` (`Drop` is the liveness
-    /// oracle); false when `out` is not pending.
+    /// Drop the handle of pending statement or view `out` (`Drop` is the
+    /// liveness oracle); false when `out` is neither. A view no pending
+    /// statement reads goes with its handle.
     pub(crate) fn unhold(&self, out: u64) -> bool {
         let mut trace = self.trace.borrow_mut();
-        let Some(&s) = trace.outputs.get(&out) else {
+        if let Some(&s) = trace.outputs.get(&out) {
+            trace.stmts[s].held = false;
+            return true;
+        }
+        let t = &mut *trace;
+        let Some(view) = t.views.get_mut(&out) else {
             return false;
         };
-        trace.stmts[s].held = false;
+        view.held = false;
+        if !t.leaves.iter().any(|(leaf, _)| *leaf == out) {
+            t.views.remove(&out);
+        }
         true
     }
 
-    /// The handle of array `id` was dropped. A pending statement just loses
-    /// its handle; a worker-resident array is freed — behind the next
-    /// flush, when a pending statement reads it.
+    /// The handle of array `id` was dropped. A pending statement or a view
+    /// just loses its handle; a worker-resident array is freed — behind
+    /// the next flush, when a pending statement or a view reads it.
     pub(crate) fn release(&self, id: u64) {
         if self.unhold(id) {
             self.forget_meta(id);
             return;
         }
         let mut trace = self.trace.borrow_mut();
-        if trace.leaves.iter().any(|(leaf, _)| *leaf == id) {
+        let leaf = trace.leaves.iter().any(|(leaf, _)| *leaf == id);
+        if leaf || trace.views.values().any(|view| view.base == id) {
             trace.frees.push(id);
             return;
         }

@@ -308,10 +308,12 @@ pub enum Cmd {
     EvalKernel {
         /// Registered kernel id.
         kernel: u64,
-        /// Template array id (defines the shared output meta before dtype).
-        template: u64,
-        /// Input array ids, in kernel array-parameter order.
-        inputs: Vec<u64>,
+        /// Input arrays, in kernel array-parameter order: an id read
+        /// whole, or with a row window — a unit-step range of a Block
+        /// array's rows, read in place where this worker holds them (a
+        /// slice that is never materialized). Input 0's window gives the
+        /// launch's geometry, which every other input and output shares.
+        inputs: Vec<(u64, Option<SliceSpec>)>,
         /// Scalar parameter values (resolved reduction results), in
         /// kernel scalar-parameter order after the array parameters.
         scalars: Vec<f64>,
@@ -348,6 +350,23 @@ macro_rules! ensure {
     };
 }
 
+/// The meta of `specs` (one per dimension) taken of an array of `m`: the
+/// one rule for a slice's layout, whether it is materialized or read as a
+/// view.
+pub(crate) fn sliced(m: &ArrayMeta, specs: &[SliceSpec]) -> Result<ArrayMeta, String> {
+    ensure!(specs.len() == m.ndim(), "one slice spec per dimension");
+    for (s, &dim) in specs.iter().zip(&m.shape) {
+        ensure!(
+            s.step >= 1 && s.start <= s.stop && s.stop <= dim,
+            "slice beyond dimension ({s:?} vs {dim})"
+        );
+    }
+    Ok(ArrayMeta {
+        shape: specs.iter().map(SliceSpec::len).collect(),
+        ..m.clone()
+    })
+}
+
 impl Cmd {
     /// Check this command against what one side holds and return the
     /// arrays it makes as `(id, meta)` — the one rule for every output
@@ -375,23 +394,7 @@ impl Cmd {
                     },
                 )]
             }
-            Cmd::Slice { out, a, specs } => {
-                let m = held.array(*a)?;
-                ensure!(specs.len() == m.ndim(), "one slice spec per dimension");
-                for (s, &dim) in specs.iter().zip(&m.shape) {
-                    ensure!(
-                        s.step >= 1 && s.start <= s.stop && s.stop <= dim,
-                        "slice beyond dimension ({s:?} vs {dim})"
-                    );
-                }
-                vec![(
-                    *out,
-                    ArrayMeta {
-                        shape: specs.iter().map(SliceSpec::len).collect(),
-                        ..m.clone()
-                    },
-                )]
-            }
+            Cmd::Slice { out, a, specs } => vec![(*out, sliced(held.array(*a)?, specs)?)],
             Cmd::Reduce { a, kind, axis, out } => {
                 let m = held.array(*a)?;
                 ensure!(*axis < m.ndim(), "axis {axis} out of range");
@@ -440,7 +443,6 @@ impl Cmd {
             }
             Cmd::EvalKernel {
                 kernel,
-                template,
                 inputs,
                 scalars,
                 outs,
@@ -456,11 +458,26 @@ impl Cmd {
                     inputs.len(),
                     scalars.len()
                 );
-                let t_meta = held.array(*template)?;
-                for &id in inputs {
+                let input =
+                    |&(id, window): &(u64, Option<SliceSpec>)| -> Result<ArrayMeta, String> {
+                        let m = held.array(id)?;
+                        let Some(rows) = window else {
+                            return Ok(m.clone());
+                        };
+                        ensure!(
+                            m.dist == Dist::Block,
+                            "a window of array {id} needs a Block base"
+                        );
+                        ensure!(rows.step == 1, "a window of array {id} steps by 1");
+                        let whole = m.shape[1..].iter().map(|&n| SliceSpec::full(n));
+                        sliced(m, &std::iter::once(rows).chain(whole).collect::<Vec<_>>())
+                    };
+                let t_meta = input(inputs.first().ok_or("a kernel reads at least one array")?)?;
+                for i in inputs {
                     ensure!(
-                        held.array(id)?.conformable(t_meta),
-                        "kernel input {id} is not conformable with template {template}"
+                        input(i)?.conformable(&t_meta),
+                        "kernel input {} is not conformable with input 0",
+                        i.0
                     );
                 }
                 outs.iter()
@@ -759,7 +776,6 @@ impl Wire for Cmd {
             }
             Cmd::EvalKernel {
                 kernel,
-                template,
                 inputs,
                 scalars,
                 outs,
@@ -768,7 +784,6 @@ impl Wire for Cmd {
             } => {
                 buf.push(21);
                 kernel.encode(buf);
-                template.encode(buf);
                 inputs.encode(buf);
                 scalars.encode(buf);
                 outs.encode(buf);
@@ -843,7 +858,6 @@ impl Wire for Cmd {
             }),
             21 => Ok(Cmd::EvalKernel {
                 kernel: u64::decode(cur)?,
-                template: u64::decode(cur)?,
                 inputs: Vec::decode(cur)?,
                 scalars: Vec::decode(cur)?,
                 outs: Vec::decode(cur)?,
@@ -951,8 +965,7 @@ mod tests {
             },
             Cmd::EvalKernel {
                 kernel: 1,
-                template: 7,
-                inputs: vec![7, 8],
+                inputs: vec![(7, Some(SliceSpec::new(1, 100, 1))), (8, None)],
                 scalars: vec![],
                 outs: vec![KernelOut::Reduce {
                     kind: ReduceKind::Sum,
@@ -963,8 +976,7 @@ mod tests {
             },
             Cmd::EvalKernel {
                 kernel: 2,
-                template: 7,
-                inputs: vec![7],
+                inputs: vec![(7, None)],
                 scalars: vec![],
                 outs: vec![KernelOut::Array {
                     id: 23,
@@ -1024,8 +1036,7 @@ mod tests {
         // even with several inputs and a reduction tail.
         let invoke = encode_to_vec(&Cmd::EvalKernel {
             kernel: u64::MAX - 1,
-            template: u64::MAX - 2,
-            inputs: vec![1, 2, 3],
+            inputs: vec![(1, None), (2, None), (3, None)],
             scalars: vec![],
             outs: vec![KernelOut::Reduce {
                 kind: ReduceKind::Sum,
@@ -1047,8 +1058,7 @@ mod tests {
         // reduction tails out of one kernel run, still control-sized.
         let cmd = Cmd::EvalKernel {
             kernel: 7,
-            template: u64::MAX - 3,
-            inputs: vec![10, 11, 12],
+            inputs: vec![(10, None), (11, None), (12, None)],
             scalars: vec![0.5, -3.25],
             outs: vec![
                 KernelOut::Array {
@@ -1158,8 +1168,7 @@ mod tests {
     fn eval_kernel() -> Cmd {
         Cmd::EvalKernel {
             kernel: 3,
-            template: 40,
-            inputs: vec![40, 41],
+            inputs: vec![(40, None), (41, Some(SliceSpec::new(2, 9, 1)))],
             scalars: vec![-0.5],
             outs: vec![
                 KernelOut::Array {
@@ -1194,12 +1203,12 @@ mod tests {
 
     #[test]
     fn a_length_prefix_past_the_end_is_refused_before_allocating() {
-        // Overwrite the `inputs` length prefix (after the tag, kernel and
-        // template) with one element more than there are bytes left, and
+        // Overwrite the `inputs` length prefix (after the tag and the
+        // kernel) with one element more than there are bytes left, and
         // with an absurd count: both fail at the guard, which runs before
         // any capacity is reserved.
         let bytes = encode_to_vec(&eval_kernel());
-        let at = 1 + 8 + 8;
+        let at = 1 + 8;
         for n in [(bytes.len() - at - 8 + 1) as u64, u64::MAX >> 1] {
             let mut bad = bytes.clone();
             bad[at..at + 8].copy_from_slice(&n.to_le_bytes());

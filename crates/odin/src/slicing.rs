@@ -198,6 +198,86 @@ fn row_route(
     CommPlan::from_runs(src.my_rank(), send, recv, width)
 }
 
+/// What this worker's segment of a unit-step row window of a Block array
+/// reads, in lanes: `head` ghost lanes, then `mid` lanes of its own
+/// segment from offset `at`, then the rest of `ghosts`.
+pub(crate) struct Window {
+    /// The lanes other workers hold: those before the segment's own, then
+    /// those after them.
+    pub(crate) ghosts: Buffer,
+    pub(crate) head: usize,
+    pub(crate) at: usize,
+    pub(crate) mid: usize,
+}
+
+impl Window {
+    /// All of segment `seg`: no ghost lanes.
+    pub(crate) fn whole(seg: &Buffer) -> Window {
+        Window {
+            ghosts: Buffer::zeros(seg.dtype(), 0),
+            head: 0,
+            at: 0,
+            mid: seg.len(),
+        }
+    }
+}
+
+/// `n` consecutive indices from `start`.
+fn run(start: usize, n: usize) -> Run {
+    Run { start, step: 1, n }
+}
+
+/// Move the ghost rows of window `rows` (unit step, whole rows) of the
+/// Block array `meta`: the rows this worker's Block segment of the window
+/// reads and another worker holds. Each worker works out its own and its
+/// peers' blocks in closed form, so this is [`slice_worker`]'s Block →
+/// Block route without the self run: only the few rows past a segment's
+/// ends cross, and nothing is copied locally. Collective.
+pub(crate) fn window_ghosts(
+    comm: &Comm,
+    meta: &ArrayMeta,
+    data: &Buffer,
+    rows: SliceSpec,
+) -> Window {
+    let (p, rank, slab) = (comm.size(), comm.rank(), meta.slab());
+    let block = |n: usize, r: usize| {
+        let map = DistMap::block(n, p, r);
+        let lo = map.my_block_start().unwrap_or_default();
+        (lo, lo + map.my_count())
+    };
+    // The base rows worker `r` holds, and those its segment of the window
+    // reads.
+    let held = |r: usize| block(meta.shape[0], r);
+    let reads = |r: usize| {
+        let (lo, hi) = block(rows.len(), r);
+        (lo + rows.start, hi + rows.start)
+    };
+    let ((own_lo, own_hi), (need_lo, need_hi)) = (held(rank), reads(rank));
+    let lo = own_lo.clamp(need_lo, need_hi);
+    let mid = own_hi.clamp(lo, need_hi) - lo;
+    // Rows `lo..hi` of a run list starting at row `origin`.
+    let span = |lo: usize, hi: usize, origin: usize| {
+        vec![run(lo.saturating_sub(origin), hi.saturating_sub(lo))]
+    };
+    let (mut send, mut recv) = (vec![Vec::new(); p], vec![Vec::new(); p]);
+    for peer in (0..p).filter(|&r| r != rank) {
+        let ((h_lo, h_hi), (r_lo, r_hi)) = (held(peer), reads(peer));
+        send[peer] = span(own_lo.max(r_lo), own_hi.min(r_hi), own_lo);
+        // Lower workers' rows land before this worker's own, upper ones'
+        // after them.
+        let origin = if peer < rank { need_lo } else { need_lo + mid };
+        recv[peer] = span(h_lo.max(need_lo), h_hi.min(need_hi), origin);
+    }
+    let mut ghosts = Buffer::zeros(meta.dtype, (need_hi - need_lo - mid) * slab);
+    ghosts.route_from(comm, &CommPlan::from_runs(rank, send, recv, slab), data);
+    Window {
+        ghosts,
+        head: (lo - need_lo) * slab,
+        at: lo.saturating_sub(own_lo) * slab,
+        mid: mid * slab,
+    }
+}
+
 /// Materialize a slice of a distributed array as this worker's segment of
 /// `out_meta` — the one mover behind slices and redistributes. `specs`
 /// has one entry per dimension of `meta.shape`. Collective over the
@@ -221,44 +301,14 @@ pub(crate) fn slice_worker(
         .all(|(s, &n)| *s == SliceSpec::full(n));
     let mut out = Buffer::zeros(meta.dtype, out_meta.local_len(p, rank));
     // Block → block with a unit row step (the shifted slices of the
-    // paper's finite-difference example): every transfer is one contiguous
-    // run per peer, known in closed form — no cached plan, pure memcpy.
+    // paper's finite-difference example): the window's ghost rows, then
+    // the rows this worker holds, copied in place between them.
     if meta.dist == Dist::Block && out_dist == Dist::Block && row_spec.step == 1 && whole_rows {
-        let blocks = |m: &ArrayMeta| -> Vec<(usize, usize)> {
-            (0..p)
-                .map(|r| {
-                    let map = m.axis_map(p, r);
-                    let lo = map.my_block_start().expect("block map");
-                    (lo, lo + map.my_count())
-                })
-                .collect()
-        };
-        let (src_blocks, out_blocks) = (blocks(meta), blocks(out_meta));
-        // Output rows held (as source rows) by `from` and owned by `to`.
-        let overlap = |from: usize, to: usize| {
-            let ((s_lo, s_hi), (o_lo, o_hi)) = (src_blocks[from], out_blocks[to]);
-            let lo = s_lo.max(row_spec.start) - row_spec.start;
-            let hi = s_hi.min(row_spec.stop).saturating_sub(row_spec.start);
-            (lo.max(o_lo), hi.min(o_hi))
-        };
-        let run = |lo: usize, hi: usize, origin: usize| {
-            vec![Run {
-                start: lo.saturating_sub(origin),
-                step: 1,
-                n: hi.saturating_sub(lo),
-            }]
-        };
-        let (src_lo, out_lo) = (src_blocks[rank].0, out_blocks[rank].0);
-        let send = (0..p).map(|to| {
-            let (lo, hi) = overlap(rank, to);
-            run(lo + row_spec.start, hi + row_spec.start, src_lo)
-        });
-        let recv = (0..p).map(|from| {
-            let (lo, hi) = overlap(from, rank);
-            run(lo, hi, out_lo)
-        });
-        let plan = CommPlan::from_runs(rank, send.collect(), recv.collect(), slab);
-        out.route_from(comm, &plan, data);
+        let w = window_ghosts(comm, meta, data, row_spec);
+        let tail = w.ghosts.len() - w.head;
+        let ghost_runs = [run(0, w.head), run(w.head + w.mid, tail)];
+        out.copy_runs(&ghost_runs, &w.ghosts, &[run(0, w.ghosts.len())], 1);
+        out.copy_runs(&[run(w.head, w.mid)], data, &[run(w.at, w.mid)], 1);
         return out;
     }
     // A route is a pure function of the array's shape, its layouts and

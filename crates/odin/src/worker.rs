@@ -16,7 +16,9 @@ use seamless::vm::Lane;
 
 use crate::buffer::{Buffer, DType};
 use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, Holdings, KernelOut, ReduceKind};
-use crate::slicing::{concat_worker, redistribute_worker, slice_worker};
+use crate::slicing::{
+    concat_worker, redistribute_worker, slice_worker, window_ghosts, SliceSpec, Window,
+};
 
 /// Signature of a registered local-mode function (the `@odin.local`
 /// decorator analog): it runs on every worker with direct access to the
@@ -433,7 +435,6 @@ fn exec_cmd(comm: &Comm, worker: &mut Worker, cmd: Cmd) -> bool {
         }
         Cmd::EvalKernel {
             kernel,
-            template,
             inputs,
             scalars,
             outs,
@@ -441,10 +442,10 @@ fn exec_cmd(comm: &Comm, worker: &mut Worker, cmd: Cmd) -> bool {
             native,
         } => match dtype {
             DType::F64 => exec_kernel::<f64>(
-                comm, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs, native,
+                comm, arrays, kernels, scratch, kernel, &inputs, &scalars, &outs, native,
             ),
             DType::I64 | DType::Bool => exec_kernel::<i64>(
-                comm, arrays, kernels, scratch, kernel, template, &inputs, &scalars, &outs, native,
+                comm, arrays, kernels, scratch, kernel, &inputs, &scalars, &outs, native,
             ),
         },
     };
@@ -600,9 +601,15 @@ fn take_row<L: Copy>(pool: &mut Vec<Vec<L>>, len: usize, fill: L) -> Vec<L> {
 /// straight into a scalar — map and reduce in one pass, no materialized
 /// intermediate.
 ///
-/// Inputs already stored as `L` rows are borrowed in place; the others
-/// are staged through the recycled scratch pool, and scalar parameters
-/// become constant rows, so the bytecode sees ordinary lane inputs.
+/// A windowed input (a slice bound in place, DESIGN §8) first receives
+/// the lanes of its window other workers hold ([`window_ghosts`]), before
+/// the kernel span opens. Then each chunk of an input stored as `L` rows
+/// that lies inside this worker's segment is borrowed in place at its
+/// offset; the others — the chunks that reach a window's ghost lanes
+/// (two for a shift by a few rows), and every chunk of an input of
+/// another lane type — are staged through the recycled scratch pool, and
+/// scalar parameters become constant rows, so the bytecode sees ordinary
+/// lane inputs.
 /// Either tier — the VM, or with `native` set the probed C
 /// monomorphization (DESIGN §9) — runs [`CHUNK`]-lane chunks, so staged
 /// inputs, scalar rows and reduction rows stay L1-sized whatever the
@@ -623,15 +630,25 @@ fn exec_kernel<L: KernelLane>(
     kernels: &HashMap<u64, Program>,
     scratch: &mut WorkerScratch,
     kernel: u64,
-    template: u64,
-    inputs: &[u64],
+    inputs: &[(u64, Option<SliceSpec>)],
     scalars: &[f64],
     outs: &[KernelOut],
     native: bool,
 ) -> Vec<Buffer> {
     let program = &kernels[&kernel];
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let n = arrays[&template].1.len();
+    let windows: Vec<(&Buffer, Window)> = inputs
+        .iter()
+        .map(|&(id, rows)| {
+            let (meta, seg) = &arrays[&id];
+            let window = match rows {
+                Some(rows) => window_ghosts(comm, meta, seg, rows),
+                None => Window::whole(seg),
+            };
+            (seg, window)
+        })
+        .collect();
+    let n = windows.first().map_or(0, |(_, w)| w.ghosts.len() + w.mid);
     // Kernel event span: covers the chunk loop plus its modeled compute
     // advance, closing *before* the reduce tail's reply so no comm spans
     // nest inside it (the critical-path walk treats Kernel spans as
@@ -676,13 +693,9 @@ fn exec_kernel<L: KernelLane>(
             },
         })
         .collect();
-    let mut staged: Vec<Option<Vec<L>>> = inputs
+    let mut staged: Vec<Vec<L>> = windows
         .iter()
-        .map(|id| {
-            L::borrow(&arrays[id].1)
-                .is_none()
-                .then(|| take_row(pool, 0, L::default()))
-        })
+        .map(|_| take_row(pool, 0, L::default()))
         .collect();
     // The VM reads a scalar parameter as a row; the native body reads
     // lane 0 once per call.
@@ -699,20 +712,21 @@ fn exec_kernel<L: KernelLane>(
     while start < n {
         let end = (start + step).min(n);
         let len = end - start;
-        for (buf, id) in staged.iter_mut().zip(inputs) {
-            if let Some(buf) = buf {
-                let b = &arrays[id].1;
+        for (buf, (seg, w)) in staged.iter_mut().zip(&windows) {
+            if in_place::<L>(seg, w, start, end).is_none() {
+                let lane = |i: usize| match i.checked_sub(w.head) {
+                    None => L::get(&w.ghosts, i),
+                    Some(k) if k < w.mid => L::get(seg, w.at + k),
+                    Some(_) => L::get(&w.ghosts, i - w.mid),
+                };
                 buf.clear();
-                buf.extend((start..end).map(|i| L::get(b, i)));
+                buf.extend((start..end).map(lane));
             }
         }
-        let mut refs: Vec<&[L]> = inputs
+        let mut refs: Vec<&[L]> = windows
             .iter()
             .zip(&staged)
-            .map(|(id, s)| match s {
-                Some(buf) => &buf[..],
-                None => &L::borrow(&arrays[id].1).expect("other inputs are staged")[start..end],
-            })
+            .map(|((seg, w), buf)| in_place(seg, w, start, end).unwrap_or(buf))
             .collect();
         refs.extend(scalar_rows.iter().map(|r| &r[..len.min(scalar_len)]));
         {
@@ -737,7 +751,7 @@ fn exec_kernel<L: KernelLane>(
         }
         start = end;
     }
-    pool.extend(staged.into_iter().flatten().chain(scalar_rows));
+    pool.extend(staged.into_iter().chain(scalar_rows));
     if native_fn.is_some() && obs::enabled() {
         obs::global().counter("odin.kernel.native_invokes").add(1);
     }
@@ -773,6 +787,22 @@ fn exec_kernel<L: KernelLane>(
         reply(comm, comm::encode_to_vec(&partials));
     }
     made
+}
+
+/// Lanes `start..end` of a kernel input as they lie in its segment, or
+/// `None` when some of them are ghosts or the segment is of another lane
+/// type.
+fn in_place<'a, L: KernelLane>(
+    seg: &'a Buffer,
+    w: &Window,
+    start: usize,
+    end: usize,
+) -> Option<&'a [L]> {
+    if start < w.head || end > w.head + w.mid {
+        return None;
+    }
+    let at = w.at + start - w.head;
+    L::borrow(seg).map(|lanes| &lanes[at..at + end - start])
 }
 
 /// `buf` as `dtype`, copied only when the type changes.

@@ -1100,11 +1100,12 @@ fn native_tier_rearms_after_recover_without_recompiling() {
 /// Fixed multi-statement eager program exercising the trace optimizer's
 /// surface: CSE (shared `x·c`), a merged redistribute (the cyclic operand
 /// feeds four ops), two reductions recorded together riding one launch,
-/// and a scalar result gating a later statement. Runs its
+/// a scalar result gating a later statement, and a shifted difference of
+/// slices read in place (a windowed launch). Runs its
 /// statement-at-a-time twin — the same code with `flush_batch()` after
 /// every statement — first, and holds the fused run to strictly fewer
 /// launches, control messages and data messages.
-fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
+fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64, Vec<u64>) {
     let x = ctx.arange_f64(-1.0, 0.031, 120, Dist::Block);
     let c = ctx.arange_f64(0.4, 0.011, 120, Dist::Cyclic);
     let program = |twin: bool| {
@@ -1114,6 +1115,13 @@ fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u6
             }
         };
         ctx.reset_stats();
+        // A shifted difference: the twin materializes the view it holds
+        // across a flush, the fused run reads both windows of `x` in place.
+        let hi = x.slice1(1, None, 1);
+        flush();
+        let dx = &hi - &x.slice1(0, Some(-1), 1);
+        drop(hi);
+        flush();
         let e1 = &(&x * &c) + 1.0;
         flush();
         let e2 = (&x * &c).abs().sqrt();
@@ -1131,6 +1139,7 @@ fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u6
             bits(&e3.to_vec()),
             es.to_bits(),
             ee.wait().to_bits(),
+            bits(&dx.to_vec()),
         );
         (bits, ctx.stats())
     };
@@ -1140,6 +1149,10 @@ fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u6
     assert!(st.cse_hits >= 1, "probe lost its CSE hit: {st:?}");
     assert!(st.redistributes_merged >= 1, "probe lost its merge: {st:?}");
     assert!(st.launches_saved >= 1, "probe lost its fusion: {st:?}");
+    assert!(
+        st.slices_materialized < twin.slices_materialized,
+        "the probe's views were not read in place: {st:?} vs {twin:?}"
+    );
     assert!(
         st.kernel_launches < twin.kernel_launches,
         "{st:?} vs {twin:?}"

@@ -1163,6 +1163,10 @@ enum StmtPlan {
     /// a dropped value of another geometry whose leaves may both be
     /// misplaced.
     Spill(usize, u8, usize, usize, u8),
+    /// `wide[a:a+n] <op> wide[c:c+n]` over one of the `n + 2`-row leaves,
+    /// the first view held past the statement (and readable by `Ref`)
+    /// when the flag is set, dropped otherwise.
+    Shift(usize, usize, usize, u8, bool),
 }
 
 #[derive(Clone, Copy)]
@@ -1203,13 +1207,17 @@ fn binary_expr<'x, 'c>(
     }
 }
 
-/// Statements that make a held array, and so can be read by `Ref`.
-fn holds(plan: &StmtPlan) -> bool {
-    !matches!(
-        plan,
-        StmtPlan::Call(_, _, CallEnd::Folded | CallEnd::Dropped)
-    )
+/// The held arrays a statement makes, which `Ref` can read.
+fn holds(plan: &StmtPlan) -> usize {
+    match plan {
+        StmtPlan::Call(_, _, CallEnd::Folded | CallEnd::Dropped) => 0,
+        StmtPlan::Shift(.., true) => 2,
+        _ => 1,
+    }
 }
+
+/// Wide leaves: the bases of `Shift` statements.
+const WIDES: usize = 2;
 
 fn gen_stmt(rng: &mut SplitMix64, n_leaves: usize, n_prev: usize) -> StmtPlan {
     let arg = |rng: &mut SplitMix64| {
@@ -1219,11 +1227,18 @@ fn gen_stmt(rng: &mut SplitMix64, n_leaves: usize, n_prev: usize) -> StmtPlan {
             PlanNode::Leaf(rng.gen_index(n_leaves))
         }
     };
-    match rng.gen_index(7) {
+    match rng.gen_index(9) {
         0 | 1 => {
             let end = [CallEnd::Held, CallEnd::Folded, CallEnd::Dropped][rng.gen_index(3)];
             StmtPlan::Call(rng.gen_index(2), [arg(rng), arg(rng)], end)
         }
+        7 | 8 => StmtPlan::Shift(
+            rng.gen_index(WIDES),
+            rng.gen_index(3),
+            rng.gen_index(3),
+            rng.gen_index(3) as u8,
+            rng.gen_bool(0.3),
+        ),
         2 | 3 => StmtPlan::Spill(
             rng.gen_index(n_leaves),
             rng.gen_index(3) as u8,
@@ -1240,8 +1255,10 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
     use hpc_framework::odin::{reference, DistArray, Expr, ReduceKind};
     let mut rng = SplitMix64::new(0x7ace);
     // Shapes the generator must reach: a spill whose two leaves both sit
-    // off the reader's layout, and every call kind and end.
+    // off the reader's layout, every call kind and end, and shifts of a
+    // Block base whose views are dropped (read in place) and held.
     let (mut two_misplaced, mut call_kinds) = (0, [[0usize; 3]; 2]);
+    let mut shifts = [0usize; 2];
     for case in 0..24 {
         let workers = 1 + rng.gen_index(4);
         let n = 1 + rng.gen_index(80);
@@ -1251,6 +1268,18 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         let leaves: Vec<_> = (0..n_leaves)
             .map(|i| ctx.random_dist(&[n], 100 + case as u64 * 7 + i as u64, arb_dist(&mut rng)))
             .collect();
+        // `Shift` bases, two rows longer than the leaves: their windows
+        // are conformable with them.
+        let wides: Vec<_> = (0..WIDES)
+            .map(|i| {
+                ctx.random_dist(
+                    &[n + 2],
+                    300 + case as u64 * 7 + i as u64,
+                    arb_dist(&mut rng),
+                )
+            })
+            .collect();
+        let wide_vals: Vec<Vec<f64>> = wides.iter().map(|w| w.to_vec()).collect();
         let kernels: Vec<_> = CALL_SRC
             .iter()
             .map(|(src, name)| ctx.compile_kernel(src, name).unwrap())
@@ -1259,7 +1288,7 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         let mut n_held = 0;
         for _ in 0..n_stmts {
             let plan = gen_stmt(&mut rng, n_leaves, n_held);
-            n_held += usize::from(holds(&plan));
+            n_held += holds(&plan);
             match &plan {
                 StmtPlan::Spill(k, _, i, j, _) => {
                     let dist = |l: usize| leaves[l].dist();
@@ -1268,7 +1297,10 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
                     }
                 }
                 StmtPlan::Call(kernel, _, end) => call_kinds[*kernel][*end as usize] += 1,
-                StmtPlan::Expr(_) => {}
+                StmtPlan::Shift(w, .., held) if wides[*w].dist() == Dist::Block => {
+                    shifts[usize::from(*held)] += 1
+                }
+                StmtPlan::Shift(..) | StmtPlan::Expr(_) => {}
             }
             stmt_plans.push(plan);
         }
@@ -1342,6 +1374,27 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
                         drop(t);
                         arrays.push(r);
                     }
+                    StmtPlan::Shift(w, a, c, op, held) => {
+                        let window =
+                            |s: usize| wides[*w].slice1(s as isize, Some((s + n) as isize), 1);
+                        let (l, r) = (window(*a), window(*c));
+                        let x = binary_expr(*op, Expr::leaf(&l), Expr::leaf(&r)).eval();
+                        drop(r);
+                        if *held {
+                            arrays.push(l);
+                        } else {
+                            drop(l);
+                        }
+                        // The oracle scatters both windows from the master.
+                        let want = || {
+                            let scatter =
+                                |s: usize| ctx.from_vec(&wide_vals[*w][s..s + n], Dist::Block);
+                            let (l, r) = (scatter(*a), scatter(*c));
+                            oracle(&binary_expr(*op, Expr::leaf(&l), Expr::leaf(&r)))
+                        };
+                        check(&x, &want, "shift");
+                        arrays.push(x);
+                    }
                 }
                 if twin {
                     ctx.flush_batch();
@@ -1380,7 +1433,15 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
             st.elems_moved <= twin.elems_moved,
             "case {case}: {st:?} vs {twin:?}"
         );
+        assert!(
+            st.slices_materialized <= twin.slices_materialized,
+            "case {case}: {st:?} vs {twin:?}"
+        );
     }
+    assert!(
+        shifts.iter().all(|&k| k >= 2),
+        "Block shifts dropped, held: {shifts:?}"
+    );
     assert!(
         two_misplaced >= 3,
         "spills with two misplaced leaves: {two_misplaced}"

@@ -270,6 +270,45 @@ if grep -rn 'ObsHandles' crates/comm/src; then
   exit 1
 fi
 
+echo "== one odin ledger (ContextStats counts every event; publish alone names its series)"
+# The ODIN master counts each post, reply, launch and kernel registration
+# once, in `ContextStats`, and `ContextStats::publish` writes the
+# `odin.*` and `fusion.*` series from it when the context drops. A
+# registry write or a series key anywhere else in odin above the tests is
+# a second count growing back; a reset makes the ledger a phase, not a
+# lifetime.
+publish_body=$(awk '/fn publish\(&self\)/ {on = 1} on {print} on && /^    }$/ {exit}' \
+  crates/odin/src/context.rs)
+registry_writes=$(for f in crates/odin/src/*.rs; do odin_code "$f" | grep -o 'obs::global()' || true; done | wc -l)
+echo "-- obs::global() in odin above the tests: $registry_writes (in publish: $(grep -c 'obs::global()' <<<"$publish_body"))"
+if [ "$registry_writes" -ne 1 ] || ! grep -q 'obs::global()' <<<"$publish_body"; then
+  echo "odin ledger gate: the registry is written outside ContextStats::publish" >&2
+  exit 1
+fi
+odin_keys='"(odin|fusion)\.[a-z_.]+"'
+stray=$(for f in crates/odin/src/*.rs; do odin_code "$f" | grep -oE "$odin_keys" || true; done | sort | uniq -d)
+all_keys=$(for f in crates/odin/src/*.rs; do odin_code "$f" | grep -oE "$odin_keys" || true; done | sort -u)
+table_keys=$(grep -oE "$odin_keys" <<<"$publish_body" | sort -u)
+if [ -n "$stray" ] || [ "$all_keys" != "$table_keys" ]; then
+  echo "odin ledger gate: an odin./fusion. series is named outside the publish table: $stray" >&2
+  exit 1
+fi
+fields=$(awk '/^pub struct ContextStats/ {on = 1; next} on && /^}/ {exit}
+  on {if (match($0, /pub [a-z_]+: u64/)) print substr($0, RSTART + 4, RLENGTH - 9)}' crates/odin/src/context.rs)
+rows=$(grep -cE "\(\"(odin|fusion)\.[a-z_.]+\", self\.[a-z_]+\)" <<<"$publish_body")
+echo "-- ContextStats counters: $(wc -w <<<"$fields"); counter rows in the publish table: $rows"
+for f in $fields; do
+  grep -q "self\.$f)" <<<"$publish_body" || { echo "odin ledger gate: ContextStats::$f is not published" >&2; exit 1; }
+done
+[ "$(wc -w <<<"$fields")" -eq "$rows" ] || {
+  echo "odin ledger gate: the publish table and ContextStats disagree" >&2
+  exit 1
+}
+if grep -rn 'reset_stats' --include='*.rs' crates src tests examples benchmark/src; then
+  echo "odin ledger gate: reset_stats is back; read deltas of stats()" >&2
+  exit 1
+fi
+
 echo "== unsafe allowlist (FFI, the check-free SpMV sweep, nothing else)"
 # `unsafe` lives where safe code cannot reach: the native kernel tier's
 # FFI (seamless `codegen`, `cmodule`), the test suite's counting global

@@ -55,42 +55,46 @@ impl Default for OdinConfig {
 }
 
 /// Master-side instrumentation (the paper's §III-J bottleneck
-/// instrumentation goal): control vs data traffic, separately, and the
-/// decisions of every trace flush (DESIGN §8; the `fusion.*` counters
-/// mirror four of them into the obs registry).
+/// instrumentation goal), and the only place ODIN counts a post, a reply,
+/// a launch or a kernel registration: control vs data traffic, the kernel
+/// registry, and the decisions of every trace flush (DESIGN §8). The
+/// registry's `odin.*`/`fusion.*` series are its export at context drop.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ContextStats {
     /// Control commands issued (each broadcast counts once per worker).
     pub ctrl_msgs: u64,
     /// Total control bytes.
     pub ctrl_bytes: u64,
-    /// Data-carrying messages (SetData / Fetch replies).
+    /// Data-carrying messages: data commands sent, and every reply that
+    /// arrives, a discarded one included.
     pub data_msgs: u64,
     /// Total data bytes.
     pub data_bytes: u64,
-    /// Physical channel sends: one per worker per flush of the command
-    /// buffer, one per data command (batching reduces this, not
-    /// ctrl_msgs).
+    /// Physical posts to a worker's mailbox: one per worker whose buffer a
+    /// flush posts, one per data command, one per worker per local
+    /// function shipped (batching reduces this, not ctrl_msgs). The
+    /// context's teardown post comes after its ledger is published.
     pub channel_sends: u64,
+    /// Kernel programs shipped to the workers: one per distinct program.
+    pub kernels_registered: u64,
+    /// Kernel registrations the structural cache answered, nothing
+    /// shipped.
+    pub kernel_cache_hits: u64,
     /// Elementwise statements recorded and flushed.
     pub statements: u64,
     /// Fused kernel launches the flushes issued.
     pub kernel_launches: u64,
     /// Statements a launch-per-statement run would have issued beyond
-    /// those launches: saved by fusion, CSE and DSE
-    /// (`fusion.launches_saved`).
+    /// those launches: saved by fusion, CSE and DSE.
     pub launches_saved: u64,
-    /// Repeated operation nodes interned instead of recorded again
-    /// (`fusion.cse_hits`).
+    /// Repeated operation nodes interned instead of recorded again.
     pub cse_hits: u64,
-    /// Statements dropped before their flush that nothing live read
-    /// (`fusion.dse_eliminated`).
+    /// Statements dropped before their flush that nothing live read.
     pub dse_eliminated: u64,
     /// Operand alignments (redistributes) the flushes issued.
     pub redistributes_issued: u64,
     /// Alignments a per-op run would have issued beyond those, avoided by
-    /// moving each (operand, distribution) pair once per flush
-    /// (`fusion.redistributes_merged`).
+    /// moving each (operand, distribution) pair once per flush.
     pub redistributes_merged: u64,
     /// Elements the issued alignments moved (counted via `dmap` owner
     /// maps).
@@ -109,6 +113,64 @@ impl ContextStats {
             self.ctrl_bytes as f64 / self.ctrl_msgs as f64
         }
     }
+
+    /// Write this ledger into the metrics registry: a counter per field,
+    /// zero fields skipped, and the `odin.mean_ctrl_bytes` gauge. The
+    /// context calls this once, when it drops, while recording is on;
+    /// this table is the only place the keys are named.
+    pub(crate) fn publish(&self) {
+        let g = obs::global();
+        for (name, n) in [
+            ("odin.ctrl_msgs", self.ctrl_msgs),
+            ("odin.ctrl_bytes", self.ctrl_bytes),
+            ("odin.data_msgs", self.data_msgs),
+            ("odin.data_bytes", self.data_bytes),
+            ("odin.channel_sends", self.channel_sends),
+            ("odin.kernel.registered", self.kernels_registered),
+            ("odin.kernel.cache_hit", self.kernel_cache_hits),
+            ("fusion.statements", self.statements),
+            ("fusion.kernel_launches", self.kernel_launches),
+            ("fusion.launches_saved", self.launches_saved),
+            ("fusion.cse_hits", self.cse_hits),
+            ("fusion.dse_eliminated", self.dse_eliminated),
+            ("fusion.redistributes_issued", self.redistributes_issued),
+            ("fusion.redistributes_merged", self.redistributes_merged),
+            ("fusion.elems_moved", self.elems_moved),
+            ("fusion.slices_materialized", self.slices_materialized),
+        ] {
+            if n > 0 {
+                g.counter(name).add(n);
+            }
+        }
+        if self.ctrl_msgs > 0 {
+            g.gauge("odin.mean_ctrl_bytes").set(self.mean_ctrl_bytes());
+        }
+    }
+}
+
+/// The counts of the phase between two snapshots: `ctx.stats() - before`.
+impl std::ops::Sub for ContextStats {
+    type Output = ContextStats;
+    fn sub(self, base: ContextStats) -> ContextStats {
+        ContextStats {
+            ctrl_msgs: self.ctrl_msgs - base.ctrl_msgs,
+            ctrl_bytes: self.ctrl_bytes - base.ctrl_bytes,
+            data_msgs: self.data_msgs - base.data_msgs,
+            data_bytes: self.data_bytes - base.data_bytes,
+            channel_sends: self.channel_sends - base.channel_sends,
+            kernels_registered: self.kernels_registered - base.kernels_registered,
+            kernel_cache_hits: self.kernel_cache_hits - base.kernel_cache_hits,
+            statements: self.statements - base.statements,
+            kernel_launches: self.kernel_launches - base.kernel_launches,
+            launches_saved: self.launches_saved - base.launches_saved,
+            cse_hits: self.cse_hits - base.cse_hits,
+            dse_eliminated: self.dse_eliminated - base.dse_eliminated,
+            redistributes_issued: self.redistributes_issued - base.redistributes_issued,
+            redistributes_merged: self.redistributes_merged - base.redistributes_merged,
+            elems_moved: self.elems_moved - base.elems_moved,
+            slices_materialized: self.slices_materialized - base.slices_materialized,
+        }
+    }
 }
 
 /// The ODIN master process.
@@ -124,12 +186,12 @@ pub struct OdinContext {
     /// Array handles and the registries a respawned pool is re-seeded
     /// from.
     pub(crate) held: RefCell<MasterHoldings>,
-    /// Structural kernel cache: encoded program bytes → registered id, so
-    /// re-evaluating the same expression registers nothing twice.
+    /// Structural kernel cache: encoded program bytes → registered id
+    /// (1, 2, … in registration order), so re-evaluating the same
+    /// expression registers nothing twice.
     pub(crate) kernel_cache: RefCell<HashMap<Vec<u8>, u64>>,
     /// Ids of arrays, local functions and fold replies.
     pub(crate) next_id: Cell<u64>,
-    pub(crate) next_kernel: Cell<u64>,
     pub(crate) stats: RefCell<ContextStats>,
     /// Elementwise statements recorded since the last flush.
     pub(crate) trace: RefCell<Trace>,
@@ -205,7 +267,6 @@ impl OdinContext {
             held: RefCell::default(),
             kernel_cache: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
-            next_kernel: Cell::new(1),
             stats: RefCell::new(ContextStats::default()),
             trace: RefCell::default(),
             batch: RefCell::new(vec![Vec::new(); config.n_workers]),
@@ -231,14 +292,9 @@ impl OdinContext {
         self.n_workers
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot: the live ledger since the context started.
     pub fn stats(&self) -> ContextStats {
         *self.stats.borrow()
-    }
-
-    /// Reset counters (benchmarks call this between phases).
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = ContextStats::default();
     }
 
     /// Fresh id for an array, a local function or a fold reply.
@@ -277,53 +333,23 @@ impl OdinContext {
         self.held.borrow_mut().metas.remove(&id);
     }
 
-    /// The master thread is not a simulated rank, so its spans use wall
-    /// time on both axes; §III-J control-vs-data traffic lands in the
-    /// registry under `odin.ctrl_*` / `odin.data_*`. A dispatch only
+    /// Record a master span. The master thread is not a simulated rank,
+    /// so its spans use wall time on both axes; the §III-J
+    /// control-vs-data counts are [`ContextStats`]. A dispatch only
     /// buffers its command, so the flush that posts it owns the flow.
     #[cold]
-    fn obs_ctrl(&self, cmd_bytes: usize, timer: obs::span::SpanTimer) {
-        timer.finish(
-            "odin",
-            "dispatch",
-            obs::span::wall_now_s(),
-            &[
-                ("cmd_bytes", cmd_bytes as f64),
-                ("workers", self.n_workers as f64),
-            ],
-        );
-        let g = obs::global();
-        g.counter("odin.ctrl_msgs").add(self.n_workers as u64);
-        g.counter("odin.ctrl_bytes")
-            .add((cmd_bytes * self.n_workers) as u64);
-        g.histogram("odin.ctrl_cmd_bytes").record(cmd_bytes as u64);
-        g.gauge("odin.mean_ctrl_bytes")
-            .set(self.stats.borrow().mean_ctrl_bytes());
-    }
-
-    #[cold]
-    pub(crate) fn obs_data(
+    pub(crate) fn obs_span(
         &self,
         name: &'static str,
-        msgs: u64,
-        bytes: u64,
         timer: obs::span::SpanTimer,
+        args: &[(&'static str, f64)],
         flow: u64,
     ) {
-        timer.finish_meta(
-            "odin",
-            name,
-            obs::span::wall_now_s(),
-            &[("msgs", msgs as f64), ("bytes", bytes as f64)],
-            obs::span::SpanMeta {
-                kind: obs::span::SpanKind::Other,
-                flow_out: flow,
-                flow_in: 0,
-            },
-        );
-        let g = obs::global();
-        g.counter("odin.data_msgs").add(msgs);
-        g.counter("odin.data_bytes").add(bytes);
+        let meta = obs::span::SpanMeta {
+            flow_out: flow,
+            ..Default::default()
+        };
+        timer.finish_meta("odin", name, obs::span::wall_now_s(), args, meta);
     }
 
     pub(crate) fn obs_timer(&self) -> Option<obs::span::SpanTimer> {
@@ -350,8 +376,10 @@ impl OdinContext {
     /// thread exited (killed, panicked, or shut down); instead of
     /// panicking, the death is recorded and surfaces as a typed
     /// [`OdinError::WorkerDead`] at the next reply wait or
-    /// [`Self::health_check`].
+    /// [`Self::health_check`]. The one place a post is counted
+    /// ([`ContextStats::channel_sends`]).
     pub(crate) fn worker_send(&self, worker: usize, payload: Payload, flow: u64) {
+        self.stats.borrow_mut().channel_sends += 1;
         if self.host.borrow().post(worker, payload, flow).is_err() {
             self.dead.borrow_mut()[worker] = true;
         }
@@ -379,19 +407,9 @@ impl OdinContext {
                 self.worker_send(w, Payload::Bytes(std::mem::take(buf)), flow);
             }
         }
-        self.stats.borrow_mut().channel_sends += sends;
         if let Some(t) = timer {
-            t.finish_meta(
-                "odin",
-                "flush_batch",
-                obs::span::wall_now_s(),
-                &[("sends", sends as f64), ("bytes", flushed_bytes as f64)],
-                obs::span::SpanMeta {
-                    kind: obs::span::SpanKind::Other,
-                    flow_out: flow,
-                    flow_in: 0,
-                },
-            );
+            let args = [("sends", sends as f64), ("bytes", flushed_bytes as f64)];
+            self.obs_span("flush_batch", t, &args, flow);
         }
     }
 
@@ -415,7 +433,11 @@ impl OdinContext {
             st.ctrl_bytes += (n_bytes * self.n_workers) as u64;
         }
         if let Some(t) = timer {
-            self.obs_ctrl(n_bytes, t);
+            let args = [
+                ("cmd_bytes", n_bytes as f64),
+                ("workers", self.n_workers as f64),
+            ];
+            self.obs_span("dispatch", t, &args, obs::flow::NONE);
         }
     }
 
@@ -442,12 +464,11 @@ impl OdinContext {
             let mut st = self.stats.borrow_mut();
             st.data_msgs += 1;
             st.data_bytes += n;
-            st.channel_sends += 1;
         }
         let flow = Self::ctrl_flow(&timer);
         self.worker_send(worker, Payload::Bytes(bytes), flow);
         if let Some(t) = timer {
-            self.obs_data("send_data", 1, n, t, flow);
+            self.obs_span("send_data", t, &[("msgs", 1.0), ("bytes", n as f64)], flow);
         }
     }
 
@@ -496,22 +517,15 @@ impl OdinContext {
         );
         let key = comm::encode_to_vec(&program);
         if let Some(&id) = self.kernel_cache.borrow().get(&key) {
-            if obs::enabled() {
-                obs::global().counter("odin.kernel.cache_hit").add(1);
-            }
+            self.stats.borrow_mut().kernel_cache_hits += 1;
             return id;
         }
-        let id = self.next_kernel.get();
-        self.next_kernel.set(id + 1);
+        let id = self.kernel_cache.borrow().len() as u64 + 1;
         self.post(&Cmd::RegisterKernel {
             id,
             program: program.clone(),
         });
-        if obs::enabled() {
-            let g = obs::global();
-            g.counter("odin.kernel.cache_miss").add(1);
-            g.counter("odin.kernel.registered").add(1);
-        }
+        self.stats.borrow_mut().kernels_registered += 1;
         self.held.borrow_mut().kernels.insert(id, program);
         self.kernel_cache.borrow_mut().insert(key, id);
         id
@@ -559,6 +573,11 @@ impl OdinContext {
 
 impl Drop for OdinContext {
     fn drop(&mut self) {
+        // Publish once the trace is flushed: only the teardown post comes after.
+        self.flush_trace();
+        if obs::enabled() {
+            self.stats.borrow().publish();
+        }
         // Best-effort shutdown behind whatever is still buffered; workers
         // may already be gone in panic paths.
         self.buffer_cmd(&Cmd::Shutdown);
@@ -607,13 +626,13 @@ pub(crate) mod tests {
         };
         drop(launch()); // registers the kernel
         let _ = x.sum(); // and the identity reduction's
-        ctx.reset_stats();
+        let base = ctx.stats();
         const K: u64 = 10;
         let ys: Vec<_> = (0..K).map(|_| launch()).collect();
         drop(ys); // K launches and K frees, all buffered
-        assert_eq!(ctx.stats().channel_sends, 0, "nothing posted yet");
+        assert_eq!((ctx.stats() - base).channel_sends, 0, "nothing posted yet");
         assert_eq!(x.sum(), 8.0);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(st.ctrl_msgs, (2 * K + 1) * 2);
         assert_eq!(st.channel_sends, 2, "one post per worker for all of it");
     }
@@ -623,9 +642,9 @@ pub(crate) mod tests {
         let ctx = OdinContext::with_workers(2);
         let a = ctx.from_vec(&[1.0, 2.0, 3.0, 4.0], Dist::Block);
         let b = &a * 2.0; // buffered, reads `a`
-        ctx.reset_stats();
+        let base = ctx.stats();
         let c = ctx.from_vec(&[10.0; 4], Dist::Block);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(
             st.channel_sends,
             2 + 2,
@@ -633,6 +652,22 @@ pub(crate) mod tests {
         );
         assert_eq!(st.data_msgs, 2);
         assert_eq!((&b + &c).to_vec(), vec![12.0, 14.0, 16.0, 18.0]);
+    }
+
+    #[test]
+    fn a_local_function_ships_as_one_counted_post_per_worker() {
+        let ctx = OdinContext::with_workers(2);
+        let f = ctx.register_local(Arc::new(|_, _, _| {}));
+        assert_eq!(ctx.stats().channel_sends, 2, "one region post per worker");
+        ctx.call_local(f, &[], &[]);
+        ctx.barrier();
+        let st = ctx.stats();
+        assert_eq!(
+            st.channel_sends,
+            2 + 2,
+            "the region posts, then one buffer flush per worker"
+        );
+        assert_eq!(st.ctrl_msgs, 2 * 2, "CallLocal and Ping, to each worker");
     }
 
     #[test]

@@ -142,11 +142,7 @@ impl<'c> KernelSpec<'c> {
             dtype,
             tier,
         } = self;
-        let timer = if obs::enabled() {
-            Some(obs::span::span_start(obs::span::wall_now_s()))
-        } else {
-            None
-        };
+        let timer = ctx.obs_timer();
         let module = seamless::parser::parse_module(&src)?;
         let def = module.function(&fname).ok_or_else(|| {
             SeamlessError::Type(format!("no function named `{fname}` in kernel source"))
@@ -198,25 +194,12 @@ impl<'c> KernelSpec<'c> {
         // populates the same codegen cache the workers will hit.
         let native = match tier {
             Tier::Vm => false,
-            Tier::Native => {
-                let armed = match dtype {
-                    DType::F64 => {
-                        seamless::codegen::native::<f64>(&program, &[ret_reg], 0).is_some()
-                    }
-                    DType::I64 | DType::Bool => {
-                        seamless::codegen::native::<i64>(&program, &[ret_reg], 0).is_some()
-                    }
-                };
-                if obs::enabled() {
-                    let key = if armed {
-                        "odin.kernel.native_armed"
-                    } else {
-                        "odin.kernel.native_refused"
-                    };
-                    obs::global().counter(key).add(1);
+            Tier::Native => match dtype {
+                DType::F64 => seamless::codegen::native::<f64>(&program, &[ret_reg], 0).is_some(),
+                DType::I64 | DType::Bool => {
+                    seamless::codegen::native::<i64>(&program, &[ret_reg], 0).is_some()
                 }
-                armed
-            }
+            },
         };
         let n_instrs: usize = program.funcs.iter().map(|f| f.instrs.len()).sum();
         let id = ctx.register_kernel_program(program);
@@ -345,14 +328,14 @@ mod tests {
         let x = ctx.linspace(0.0, 1.0, 32);
         let _warm = k.map(&[&x]);
         ctx.flush_batch();
-        ctx.reset_stats();
+        let base = ctx.stats();
         let per_worker = 10;
         // hold results so Free commands don't pollute the stats window
         let results: Vec<_> = (0..per_worker).map(|_| k.map(&[&x])).collect();
         ctx.flush_batch();
-        let s = ctx.stats();
+        let s = ctx.stats() - base;
         drop(results);
-        // registration happened before reset: each invoke is one
+        // registration happened before `base`: each invoke is one
         // broadcast control message, well under 100 bytes
         assert_eq!(s.ctrl_msgs, per_worker * 2);
         assert!(

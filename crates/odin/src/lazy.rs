@@ -557,13 +557,13 @@ mod tests {
     fn fusion_sends_one_command_for_many_ops() {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.linspace(0.0, 1.0, 50);
-        ctx.reset_stats();
+        let base = ctx.stats();
         let e = Expr::leaf(&x).pow(2.0) * 3.0 + Expr::leaf(&x) * 2.0 + 1.0;
         assert_eq!(e.n_ops(), 5);
         let _r = e.eval();
         ctx.flush_batch();
-        let fused_msgs = ctx.stats().ctrl_msgs;
-        ctx.reset_stats();
+        let fused_msgs = (ctx.stats() - base).ctrl_msgs;
+        let base = ctx.stats();
         let step = |a| {
             ctx.flush_batch();
             a
@@ -573,7 +573,7 @@ mod tests {
         let b = step(&x * 2.0);
         let c = step(&a + &b);
         let _r2 = step(&c + 1.0);
-        let unfused_msgs = ctx.stats().ctrl_msgs;
+        let unfused_msgs = (ctx.stats() - base).ctrl_msgs;
         assert!(
             fused_msgs < unfused_msgs,
             "fused {fused_msgs} vs unfused {unfused_msgs}"
@@ -624,12 +624,12 @@ mod tests {
         let x = ctx.linspace(0.0, 1.0, 40);
         let a = (Expr::leaf(&x) * 2.0 + 1.0).eval();
         ctx.flush_batch();
-        ctx.reset_stats();
+        let base = ctx.stats();
         let b = (Expr::leaf(&x) * 2.0 + 1.0).eval();
         ctx.flush_batch();
         // second eval reuses the registered kernel: one EvalKernel
         // broadcast only, well under 100 bytes
-        let s = ctx.stats();
+        let s = ctx.stats() - base;
         assert_eq!(s.ctrl_msgs, 2);
         assert!(s.ctrl_bytes / s.ctrl_msgs < 100);
         drop(b);

@@ -595,8 +595,6 @@ impl Trace {
         }
 
         let launches = groups.len() as u64;
-        let merged = self.baseline_moves.saturating_sub(moves);
-        let saved = (n as u64).saturating_sub(launches);
         {
             let mut st = ctx.stats.borrow_mut();
             st.statements += n as u64;
@@ -604,16 +602,9 @@ impl Trace {
             st.cse_hits += self.cse_hits;
             st.dse_eliminated += dse_eliminated;
             st.redistributes_issued += moves;
-            st.redistributes_merged += merged;
-            st.launches_saved += saved;
+            st.redistributes_merged += self.baseline_moves.saturating_sub(moves);
+            st.launches_saved += (n as u64).saturating_sub(launches);
             st.elems_moved += elems_moved;
-        }
-        if obs::enabled() {
-            let g = obs::global();
-            g.counter("fusion.cse_hits").add(self.cse_hits);
-            g.counter("fusion.dse_eliminated").add(dse_eliminated);
-            g.counter("fusion.redistributes_merged").add(merged);
-            g.counter("fusion.launches_saved").add(saved);
         }
         drop(temps);
         for id in self.frees {
@@ -952,10 +943,10 @@ mod tests {
         let y = ctx.linspace(1.0, 3.0, 101);
         let make = || (Expr::leaf(&x).pow(2.0) + Expr::leaf(&y).pow(2.0)).sqrt() * 0.5;
         let oracle = bits(crate::reference::eval(&make()).unwrap().as_f64());
-        ctx.reset_stats();
+        let base = ctx.stats();
         let t = make().eval();
         assert_eq!(bits(&t.to_vec()), oracle);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!((st.statements, st.kernel_launches), (5, 1), "{st:?}");
         // written eagerly, the same statements are the same launch
         let eager = &(&x.powf(2.0) + &y.powf(2.0)).sqrt() * 0.5;
@@ -968,12 +959,12 @@ mod tests {
         let x = ctx.linspace(0.0, 1.0, 64);
         let _warm = (Expr::leaf(&x) * 2.0 + 1.0).eval();
         ctx.flush_batch();
-        ctx.reset_stats();
+        let base = ctx.stats();
         let _a = &(&x * 2.0) + 1.0;
         ctx.flush_batch();
         // One EvalKernel broadcast under 100 B per worker and nothing
         // else: the bytecode matched the already-registered kernel.
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(st.ctrl_msgs, 2, "re-registration happened");
         assert!(st.ctrl_bytes / st.ctrl_msgs < 100);
     }
@@ -996,9 +987,9 @@ mod tests {
             (bits(&a.to_vec()), bits(&b.to_vec()))
         };
         let eager = program(true);
-        ctx.reset_stats();
+        let base = ctx.stats();
         assert_eq!(program(false), eager);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert!(st.cse_hits >= 2, "sqrt and mul should intern: {st:?}");
         assert_eq!(st.dse_eliminated, 1, "{st:?}");
         assert_eq!(st.kernel_launches, 1, "both statements fuse: {st:?}");
@@ -1019,9 +1010,9 @@ mod tests {
             (bits(&t1.to_vec()), r2.to_bits())
         };
         let eager = program(true);
-        ctx.reset_stats();
+        let base = ctx.stats();
         assert_eq!(program(false), eager);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(st.redistributes_issued, 1, "{st:?}");
         assert_eq!(st.redistributes_merged, 1, "{st:?}");
         assert!(st.elems_moved > 0);
@@ -1043,14 +1034,14 @@ mod tests {
             let y = &r - &(&pvec * (rr / pp));
             (rr.to_bits(), pp.to_bits(), bits(&y.to_vec()))
         };
-        ctx.reset_stats();
+        let base = ctx.stats();
         let eager = program(true);
-        let eager_launches = ctx.stats().kernel_launches;
-        ctx.reset_stats();
+        let eager_launches = (ctx.stats() - base).kernel_launches;
+        let base = ctx.stats();
         assert_eq!(program(false), eager);
         // Two launches: the fused reduction pair, then the update (which
         // must wait for the scalars).
-        assert_eq!(ctx.stats().kernel_launches, 2);
+        assert_eq!((ctx.stats() - base).kernel_launches, 2);
         assert_eq!(eager_launches, 3);
     }
 
@@ -1093,10 +1084,10 @@ mod tests {
             (bits(&masked.to_vec()), bits(&out.to_vec()))
         };
         let eager = program(true);
-        ctx.reset_stats();
+        let base = ctx.stats();
         assert_eq!(program(false), eager);
         // `mask` and `masked` share one; `mid` and `out` need one each.
-        assert_eq!(ctx.stats().kernel_launches, 3);
+        assert_eq!((ctx.stats() - base).kernel_launches, 3);
     }
 
     #[test]
@@ -1119,10 +1110,10 @@ mod tests {
         // its consumer at x's geometry moves y once and computes it inline.
         let make = || Expr::leaf(&x) * 2.0 + Expr::leaf(&y).abs();
         let oracle = bits(crate::reference::eval(&make()).unwrap().as_f64());
-        ctx.reset_stats();
+        let base = ctx.stats();
         let t = make().eval();
         ctx.flush_batch();
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(
             (st.kernel_launches, st.redistributes_issued),
             (1, 1),
@@ -1142,7 +1133,7 @@ mod tests {
         // `t` runs at a's geometry and is dropped before the flush; its two
         // Cyclic leaves would move twice what `t` itself moves.
         let program = |flush: bool| {
-            ctx.reset_stats();
+            let base = ctx.stats();
             let t = &a + &b;
             if flush {
                 ctx.flush_batch();
@@ -1150,7 +1141,7 @@ mod tests {
             let r = &x + &t;
             drop(t);
             ctx.flush_batch();
-            let st = ctx.stats();
+            let st = ctx.stats() - base;
             let counts = (st.kernel_launches, st.redistributes_issued, st.elems_moved);
             (bits(&r.to_vec()), counts)
         };

@@ -256,7 +256,11 @@ impl OdinContext {
             }
         }
         if let Some(t) = timer {
-            self.obs_data(name, tickets.len() as u64, reply_bytes, t, 0);
+            let args = [
+                ("msgs", tickets.len() as f64),
+                ("bytes", reply_bytes as f64),
+            ];
+            self.obs_span(name, t, &args, obs::flow::NONE);
         }
         Ok(out)
     }

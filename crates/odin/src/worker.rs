@@ -752,9 +752,6 @@ fn exec_kernel<L: KernelLane>(
         start = end;
     }
     pool.extend(staged.into_iter().chain(scalar_rows));
-    if native_fn.is_some() && obs::enabled() {
-        obs::global().counter("odin.kernel.native_invokes").add(1);
-    }
     // The modeled compute advance is tier- and lane-independent: chaos
     // schedules and critical-path attributions must not depend on which
     // tier executed.
@@ -764,7 +761,11 @@ fn exec_kernel<L: KernelLane>(
             "odin",
             "kernel",
             comm.virtual_time(),
-            &[("n", n as f64), ("instrs", n_instrs as f64)],
+            &[
+                ("n", n as f64),
+                ("instrs", n_instrs as f64),
+                ("native", f64::from(u8::from(native_fn.is_some()))),
+            ],
             obs::span::SpanMeta {
                 kind: obs::span::SpanKind::Kernel,
                 flow_out: 0,

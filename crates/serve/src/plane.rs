@@ -465,14 +465,22 @@ impl ServePlane {
         self.stats()
     }
 
+    /// Stop the pool drivers and join them; the call that joins them
+    /// publishes the final ledger.
     fn stop_and_join(&mut self) {
         let mut s = self.shared.lock_sched();
         s.closed = true;
         s.stopping = true;
         self.shared.work_cv.notify_all();
         drop(s);
+        if self.drivers.is_empty() {
+            return;
+        }
         for h in self.drivers.drain(..) {
             let _ = h.join();
+        }
+        if obs::enabled() {
+            self.stats().publish();
         }
     }
 }
@@ -612,5 +620,53 @@ mod tests {
         let st = plane.stats();
         assert_eq!((st.completed, st.failed), (1, 4), "{st:?}");
         assert!(st.reconciles(), "{st:?}");
+    }
+
+    #[test]
+    fn recoveries_are_published_once_when_the_plane_stops() {
+        // The only test in this crate that kills a worker, so no other
+        // plane adds to `serve.recoveries` while recording is on.
+        let fault = comm::FaultPlan {
+            kill_rank: Some(1),
+            kill_after_ops: 3,
+            ..comm::FaultPlan::none()
+        };
+        let plane = ServePlane::new(ServeConfig {
+            n_pools: 1,
+            workers_per_pool: 2,
+            odin: odin::OdinConfig {
+                universe: comm::UniverseConfig::default()
+                    .with_fault(fault)
+                    .with_stall_timeout(Duration::from_secs(2)),
+                reply_timeout: Some(Duration::from_secs(2)),
+                ..odin::OdinConfig::default()
+            },
+            tenants: vec![("t0".into(), TenantQuota::default())],
+            ..ServeConfig::default()
+        });
+        let recording = obs::enabled();
+        obs::set_enabled(true);
+        let s = plane.session("t0").unwrap();
+        let job = |seed| {
+            s.submit(JobRequest {
+                spec: JobSpec::Array { seed, n: 64 },
+                priority: Priority::Normal,
+                budget: Duration::from_secs(60),
+            })
+            .unwrap()
+        };
+        let tickets: Vec<_> = (0..4).map(job).collect();
+        for t in tickets {
+            assert!(t.wait().data().is_some());
+        }
+        let registry = obs::global();
+        assert_eq!(registry.counter_value("serve.recoveries"), None, "live");
+        let st = plane.shutdown(); // and its drop: one publish between them
+        obs::set_enabled(recording);
+        assert!(st.recoveries >= 1, "{st:?}");
+        assert_eq!(
+            registry.counter_value("serve.recoveries"),
+            Some(st.recoveries)
+        );
     }
 }

@@ -182,9 +182,6 @@ fn execute(
             let report = ctx.recover(&OdinCheckpoint::empty());
             recoveries += 1;
             shared.lock_stats().recoveries += 1;
-            if obs::enabled() {
-                obs::global().counter("serve.recoveries").inc();
-            }
             debug_assert_eq!(report.respawned, ctx.n_workers());
         }
         if attempts >= MAX_ATTEMPTS {

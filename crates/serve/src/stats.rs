@@ -48,6 +48,18 @@ impl ServeStats {
     pub fn reconciles(&self) -> bool {
         self.admitted == self.resolved()
     }
+
+    /// Write the plane-wide counters that have no live per-tenant series
+    /// into the metrics registry (`serve.recoveries`, when nonzero). The
+    /// plane calls this once, when its drivers stop, while recording is
+    /// on.
+    pub(crate) fn publish(&self) {
+        if self.recoveries > 0 {
+            obs::global()
+                .counter("serve.recoveries")
+                .add(self.recoveries);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -135,11 +135,11 @@ def newton_sqrt(x: float):
     let t = ctx.linspace(0.0, 1.0, 100_000);
     let _warm = decay.map(&[&v, &t]);
     ctx.flush_batch();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let mapped = decay.map(&[&v, &t]);
     // `map` records a call; the flush launches it
     ctx.flush_batch();
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     println!(
         "decay.map over {} elements on {} workers: {:.0} bytes of control traffic per worker",
         v.len(),

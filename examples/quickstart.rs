@@ -14,8 +14,7 @@ use hpc_framework::seamless;
 fn main() {
     // ---- start the framework: 4 workers (the paper's "8-core desktop"
     // prototyping story; move to a cluster by raising the knob) ----------
-    let session = Session::new(4);
-    let ctx = session.odin();
+    let ctx = OdinContext::with_workers(4);
 
     // ---- ODIN global mode: NumPy-like whole-array expressions ----------
     println!("== ODIN global mode ==");
@@ -59,7 +58,7 @@ def smooth(a):
     let kernel = compile_kernel(src, "smooth", &[Type::ArrF]).expect("kernel compiles");
     let noisy = ctx.random(&[1_000], 42);
     let before = noisy.to_vec();
-    apply_kernel(ctx, &noisy, &kernel).expect("segment kernel applies");
+    apply_kernel(&ctx, &noisy, &kernel).expect("segment kernel applies");
     let after = noisy.to_vec();
     let rough = |v: &[f64]| -> f64 {
         v.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (v.len() - 1) as f64
@@ -83,7 +82,7 @@ def smooth(a):
     let n = 10_000;
     let b = ctx.ones(&[n], DType::F64);
     let (solution, report) = solve_with_odin_rhs(
-        ctx,
+        &ctx,
         &b,
         move |g| {
             let mut row = vec![(g, 2.0)];

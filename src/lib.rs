@@ -38,18 +38,16 @@ pub mod prelude {
     pub use dlinalg::{CsrMatrix, DistVector};
     pub use hpc_core::{
         apply_kernel, newton_with_pyish_reaction, solve_with_odin_rhs, BridgeReport, Error,
-        PyishReaction, Result, Session, SolveMethod,
+        PyishReaction, Result, SolveMethod,
     };
     pub use odin::{
         DType, Dist, DistArray, DistTable, Expr, FieldType, FieldValue, Kernel, KernelSpec,
         OdinConfig, OdinContext, OdinError, Record, ReduceKind, Schema, Tier,
     };
     pub use seamless::{compile_kernel, jit, CompiledKernel, SeamlessError, Type, Value};
-    // serve::Session stays un-globbed (hpc_core::Session has the name);
-    // reach it as `serve::Session`.
     pub use serve::{
         JobOutcome, JobRequest, JobSpec, Priority, ServeConfig, ServeError, ServePlane, ServeStats,
-        TenantQuota,
+        Session, TenantQuota,
     };
     pub use solvers::{
         bicgstab, cg, gmres, newton_krylov, AmgPreconditioner, IdentityPrecond, JacobiPrecond,

@@ -336,14 +336,14 @@ fn i64_expr_eval_stays_exact_past_2_pow_53() {
     assert_eq!((&x + &one).to_vec_i64(), want, "eager");
 }
 
-/// Warm-up, then one run of `program` with the master's command counters
-/// reset: what it returns and the stats it left.
+/// Warm-up, then one run of `program`: what it returns and the control
+/// messages it posted.
 fn measured<T>(ctx: &OdinContext, program: impl Fn() -> T) -> (T, u64) {
     drop(program());
     ctx.barrier();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let out = program();
-    (out, ctx.stats().ctrl_msgs)
+    (out, (ctx.stats() - base).ctrl_msgs)
 }
 
 #[test]

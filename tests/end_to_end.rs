@@ -9,8 +9,7 @@ use hpc_framework::seamless;
 fn the_papers_section_v_user_story() {
     // "a user allocates, initializes and manipulates a large simulation
     // data set using ODIN …"
-    let session = Session::new(3);
-    let ctx = session.odin();
+    let ctx = OdinContext::with_workers(3);
     let n = 64;
     let x = ctx.linspace(0.0, 1.0, n);
     let forcing = (Expr::leaf(&x) * std::f64::consts::PI).sin().eval();
@@ -23,12 +22,12 @@ fn the_papers_section_v_user_story() {
         &[Type::ArrF],
     )
     .unwrap();
-    apply_kernel(ctx, &forcing, &kernel).unwrap();
+    apply_kernel(&ctx, &forcing, &kernel).unwrap();
 
     // "… devises a solution approach using PyTrilinos solvers that accept
     // ODIN arrays"
     let (u, report) = solve_with_odin_rhs(
-        ctx,
+        &ctx,
         &forcing,
         move |g| {
             let mut row = vec![(g, 2.0)];
@@ -61,7 +60,7 @@ fn the_papers_section_v_user_story() {
 fn newton_callback_pipeline_matches_rust_reference() {
     // Same Bratu problem with the nonlinearity in pyish vs hard-coded in
     // Rust (the solvers crate test) — the two solution paths must agree.
-    let session = Session::new(2);
+    let ctx = OdinContext::with_workers(2);
     let problem = PyishReaction::from_sources(
         16,
         1.0,
@@ -71,7 +70,7 @@ fn newton_callback_pipeline_matches_rust_reference() {
         "dg",
     )
     .unwrap();
-    let (x, st) = newton_with_pyish_reaction(session.odin(), problem, NewtonConfig::default());
+    let (x, st) = newton_with_pyish_reaction(&ctx, problem, NewtonConfig::default());
     assert!(st.converged);
     let u = x.to_vec();
     // residual of the PDE at every interior point
@@ -92,8 +91,7 @@ fn newton_callback_pipeline_matches_rust_reference() {
 
 #[test]
 fn distributions_io_and_reductions_compose() {
-    let session = Session::new(3);
-    let ctx = session.odin();
+    let ctx = OdinContext::with_workers(3);
     // build → slice → redistribute → save → load → reduce
     let a = ctx.arange_f64(0.0, 1.0, 30, Dist::Cyclic);
     let evens = a.slice1(0, None, 2); // 0, 2, …, 28
@@ -109,8 +107,7 @@ fn distributions_io_and_reductions_compose() {
 
 #[test]
 fn tables_and_arrays_share_one_context() {
-    let session = Session::new(2);
-    let ctx = session.odin();
+    let ctx = OdinContext::with_workers(2);
     let x = ctx.ones(&[10], DType::F64);
     let schema = Schema::new(&[("k", FieldType::Str), ("v", FieldType::F64)]);
     let t = ctx.table_from_records(
@@ -135,15 +132,14 @@ fn tables_and_arrays_share_one_context() {
 fn control_messages_stay_small_through_a_whole_pipeline() {
     // E2's claim checked at integration level: run a realistic pipeline
     // and assert the mean *control* message stays at tens of bytes.
-    let session = Session::new(4);
-    let ctx = session.odin();
-    ctx.reset_stats();
+    let ctx = OdinContext::with_workers(4);
+    let base = ctx.stats();
     let x = ctx.random(&[500], 1);
     let y = ctx.random(&[500], 2);
     let z = (&(&x * &y) + 1.0).sqrt();
     let _ = z.slice1(1, None, 1);
     let _ = z.sum();
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     assert!(st.ctrl_msgs > 0);
     assert!(
         st.mean_ctrl_bytes() < 100.0,

@@ -276,7 +276,7 @@ fn a_kernel_registers_once_and_invokes_stay_small() {
                               // registers the Expr kernel (held: a dropped result registers nothing)
     let warm_expr = (Expr::leaf(&x) + 1.0).eval();
     ctx.flush_batch();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let mut live = vec![warm, warm_expr];
     for _ in 0..10 {
         live.push(sq.map(&[&x]));
@@ -285,7 +285,7 @@ fn a_kernel_registers_once_and_invokes_stay_small() {
         // statements would fuse into one launch
         ctx.flush_batch();
     }
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     // 20 invokes × 2 workers, not a message more (no re-registration).
     assert_eq!(st.ctrl_msgs, 40, "unexpected extra control traffic");
     assert!(
@@ -345,17 +345,17 @@ fn a_fold_of_a_mapped_value_rides_the_call_and_materializes_nothing() {
         for (k, args, mapped) in cases {
             let case = format!("{:?} kernel on {tier:?}", k.dtype());
             ctx.flush_batch();
-            ctx.reset_stats();
+            let base = ctx.stats();
             let pending = k.map(&args).sum_async(); // the handle drops here
             let fused = pending.wait();
-            let st = ctx.stats();
+            let st = ctx.stats() - base;
             assert_eq!(st.kernel_launches, 1, "{case}: {st:?}");
             assert_eq!(st.ctrl_msgs, W as u64, "{case}: materialized: {st:?}");
             // written as one expression the handle is alive at the wait, so
             // the array is made too, in the same single launch
-            ctx.reset_stats();
+            let base = ctx.stats();
             let one = k.map(&args).sum();
-            assert_eq!(ctx.stats().kernel_launches, 1, "{case}");
+            assert_eq!((ctx.stats() - base).kernel_launches, 1, "{case}");
             let held = k.map(&args);
             ctx.flush_batch();
             let two_pass = held.sum();
@@ -388,12 +388,12 @@ fn statements_recorded_before_a_call_fuse_with_those_after_it() {
             a
         };
         ctx.flush_batch();
-        ctx.reset_stats();
+        let base = ctx.stats();
         let a = step(&x * 2.0);
         let m = step(k.map(&[&y]));
         let b = step(&x + 1.0);
         ctx.flush_batch();
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         let out = (bits(&a.to_vec()), bits(&m.to_vec()), bits(&b.to_vec()));
         (out, st)
     };
@@ -425,11 +425,11 @@ fn calls_reading_one_misplaced_argument_move_it_once() {
     let x = ctx.arange_f64(0.0, 1.0, 30, Dist::Block);
     let y = ctx.arange_f64(0.5, 2.0, 30, Dist::Cyclic);
     ctx.flush_batch();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let sum = add.map(&[&x, &y]);
     let prod = mul.map(&[&x, &y]);
     ctx.flush_batch();
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     assert_eq!(
         (st.redistributes_issued, st.redistributes_merged),
         (1, 1),
@@ -460,11 +460,15 @@ fn a_dropped_call_still_launches_at_the_next_flush() {
         .unwrap();
     let x = ctx.linspace(0.0, 1.0, 64);
     ctx.flush_batch();
-    ctx.reset_stats();
+    let base = ctx.stats();
     drop(k.map(&[&x]));
-    assert_eq!(ctx.stats().ctrl_msgs, 0, "a call posts at the flush");
+    assert_eq!(
+        (ctx.stats() - base).ctrl_msgs,
+        0,
+        "a call posts at the flush"
+    );
     ctx.flush_batch();
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     assert_eq!(
         (st.statements, st.kernel_launches, st.dse_eliminated),
         (1, 1, 0),
@@ -472,10 +476,10 @@ fn a_dropped_call_still_launches_at_the_next_flush() {
     );
     assert_eq!(st.ctrl_msgs, 2 * W, "the launch and the free: {st:?}");
     // so does one whose fold was abandoned unread
-    ctx.reset_stats();
+    let base = ctx.stats();
     drop(k.map(&[&x]).sum_async());
     ctx.flush_batch();
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     assert_eq!((st.kernel_launches, st.dse_eliminated), (1, 1), "{st:?}");
     assert_eq!(st.ctrl_msgs, 2 * W, "the launch and the free: {st:?}");
 }
@@ -808,10 +812,10 @@ fn a_lone_expression_keeps_its_wire_contract() {
     assert_eq!(cold_sum.to_bits(), cold.sum().to_bits());
 
     let warm = |what: &str, launch: &mut dyn FnMut()| {
-        ctx.reset_stats();
+        let base = ctx.stats();
         launch();
         ctx.flush_batch();
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(st.ctrl_msgs, 2, "{what}: one broadcast, no registration");
         assert!(st.ctrl_bytes / st.ctrl_msgs < 100, "{what}: {st:?}");
     };
@@ -861,12 +865,12 @@ fn a_fresh_literal_per_op_reuses_one_kernel_and_compiles_nothing() {
     for i in 0..200 {
         let a = literal(i);
         let make = |x| Expr::leaf(x) + Expr::leaf(&q) * a;
-        ctx.reset_stats();
+        let base = ctx.stats();
         let y = make(&x).eval();
         ctx.flush_batch();
         if i > 0 {
             assert_eq!(
-                ctx.stats().ctrl_msgs,
+                (ctx.stats() - base).ctrl_msgs,
                 WORKERS,
                 "op {i} (literal {a:?}) registered a kernel"
             );
@@ -897,10 +901,10 @@ fn a_fresh_literal_per_op_reuses_one_kernel_and_compiles_nothing() {
         (0.25, DType::F64, false),
     ] {
         let make = || Expr::leaf(&xi) + c;
-        ctx.reset_stats();
+        let base = ctx.stats();
         let got = make().eval();
         ctx.flush_batch();
-        let msgs = ctx.stats().ctrl_msgs;
+        let msgs = (ctx.stats() - base).ctrl_msgs;
         assert_eq!(got.dtype(), dtype, "+ {c}");
         assert_eq!(msgs, WORKERS * (1 + u64::from(registers)), "+ {c}");
         let want = oracle(&make());
@@ -1114,7 +1118,7 @@ fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u6
                 ctx.flush_batch();
             }
         };
-        ctx.reset_stats();
+        let base = ctx.stats();
         // A shifted difference: the twin materializes the view it holds
         // across a flush, the fused run reads both windows of `x` in place.
         let hi = x.slice1(1, None, 1);
@@ -1141,7 +1145,7 @@ fn run_traced_probe(ctx: &OdinContext) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u6
             ee.wait().to_bits(),
             bits(&dx.to_vec()),
         );
-        (bits, ctx.stats())
+        (bits, ctx.stats() - base)
     };
     let (eager, twin) = program(true);
     let (fused, st) = program(false);
@@ -1178,13 +1182,13 @@ fn e24_runs<T: PartialEq + std::fmt::Debug>(
 ) -> (T, ContextStats, ContextStats) {
     let run = |twin: bool| {
         ctx.barrier();
-        ctx.reset_stats();
+        let base = ctx.stats();
         let out = program(&|| {
             if twin {
                 ctx.flush_batch();
             }
         });
-        (out, ctx.stats())
+        (out, ctx.stats() - base)
     };
     let (eager, twin) = run(true);
     let (fused, st) = run(false);

@@ -7,6 +7,9 @@
 //!   once when the rank ends — normally, by unwinding, or as an ODIN
 //!   worker when its context drops — and agree **exactly** with it for
 //!   every collective algorithm (the paper's §III-J instrumentation goal);
+//! * the master's `odin.*` and `fusion.*` series are its final
+//!   `ContextStats`, published once when the context drops, and agree
+//!   **exactly** with it, a reply whose future was dropped included;
 //! * the paper's small-control-message claim holds: a global-mode ODIN
 //!   program issues control commands averaging < 100 bytes;
 //! * the disabled path records nothing (the single-atomic-load guarantee
@@ -22,7 +25,7 @@ use hpc_framework::comm::{
 };
 use hpc_framework::hpc_core::bridge::{solve_with_odin_rhs, SolveMethod};
 use hpc_framework::obs;
-use hpc_framework::odin::{Dist, Expr, OdinContext};
+use hpc_framework::odin::{ContextStats, Dist, Expr, OdinContext};
 use hpc_framework::solvers::KrylovConfig;
 
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -420,6 +423,99 @@ fn odin_workers_publish_their_ledger_when_the_context_drops() {
 }
 
 #[test]
+fn a_running_context_has_published_no_odin_series() {
+    let _g = obs_lock();
+    obs::reset();
+    obs::set_enabled(true);
+    let ctx = OdinContext::with_workers(3);
+    let x = ctx.arange_f64(0.0, 1.0, 48, Dist::Block);
+    let y = &(&x * 2.0) + 1.0;
+    assert_eq!(y.sum(), 48.0 * 47.0 + 48.0);
+    // The master counts in its ContextStats alone: the series are its
+    // final ledger.
+    let g = obs::global();
+    assert_eq!(g.counter_sum("odin."), 0);
+    assert_eq!(g.counter_sum("fusion."), 0);
+    assert_eq!(g.gauge_value("odin.mean_ctrl_bytes"), None);
+    drop((x, y));
+    let st = ctx.stats();
+    drop(ctx);
+    obs::set_enabled(false);
+
+    assert!(st.ctrl_msgs > 0 && st.kernel_launches > 0, "{st:?}");
+    assert_eq!(g.counter_value("odin.ctrl_msgs"), Some(st.ctrl_msgs));
+    assert_eq!(
+        g.counter_value("fusion.kernel_launches"),
+        Some(st.kernel_launches)
+    );
+}
+
+/// Every `odin.*` / `fusion.*` series `ContextStats::publish` writes, with
+/// the field it exports.
+fn odin_series(st: &ContextStats) -> [(&'static str, u64); 16] {
+    [
+        ("odin.ctrl_msgs", st.ctrl_msgs),
+        ("odin.ctrl_bytes", st.ctrl_bytes),
+        ("odin.data_msgs", st.data_msgs),
+        ("odin.data_bytes", st.data_bytes),
+        ("odin.channel_sends", st.channel_sends),
+        ("odin.kernel.registered", st.kernels_registered),
+        ("odin.kernel.cache_hit", st.kernel_cache_hits),
+        ("fusion.statements", st.statements),
+        ("fusion.kernel_launches", st.kernel_launches),
+        ("fusion.launches_saved", st.launches_saved),
+        ("fusion.cse_hits", st.cse_hits),
+        ("fusion.dse_eliminated", st.dse_eliminated),
+        ("fusion.redistributes_issued", st.redistributes_issued),
+        ("fusion.redistributes_merged", st.redistributes_merged),
+        ("fusion.elems_moved", st.elems_moved),
+        ("fusion.slices_materialized", st.slices_materialized),
+    ]
+}
+
+#[test]
+fn odin_series_reconcile_exactly_with_context_stats_an_abandoned_reply_included() {
+    let _g = obs_lock();
+    obs::reset();
+    obs::set_enabled(true);
+    let n_workers = 3;
+    let ctx = OdinContext::with_workers(n_workers);
+    let x = ctx.arange_f64(0.0, 1.0, 48, Dist::Block);
+    // The fold's replies arrive after their future is gone: discarded,
+    // and still counted as data messages.
+    let p = x.sum_async();
+    ctx.flush_batch();
+    drop(p);
+    ctx.barrier();
+    drop(x);
+    let st = ctx.stats();
+    drop(ctx);
+    obs::set_enabled(false);
+
+    assert_eq!(
+        st.data_msgs,
+        2 * n_workers as u64,
+        "the abandoned fold's replies and the barrier's: {st:?}"
+    );
+    let mut published = std::collections::BTreeMap::new();
+    obs::global().for_each(|key, kind, value, _| {
+        if kind == "counter" && (key.starts_with("odin.") || key.starts_with("fusion.")) {
+            published.insert(key.to_string(), value as u64);
+        }
+    });
+    let want: std::collections::BTreeMap<String, u64> = odin_series(&st)
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(key, n)| (key.to_string(), n))
+        .collect();
+    assert_eq!(published, want);
+    assert_eq!(
+        obs::global().gauge_value("odin.mean_ctrl_bytes"),
+        Some(st.mean_ctrl_bytes())
+    );
+}
+
+#[test]
 fn odin_control_messages_stay_small_paper_claim() {
     let _g = obs_lock();
     obs::reset();
@@ -435,6 +531,8 @@ fn odin_control_messages_stay_small_paper_claim() {
     let _ = z.argmax();
     ctx.barrier();
     let stats = ctx.stats();
+    drop((x, y, z));
+    drop(ctx);
     obs::set_enabled(false);
 
     assert!(stats.ctrl_msgs > 0);
@@ -443,7 +541,7 @@ fn odin_control_messages_stay_small_paper_claim() {
         mean < 100.0,
         "paper claim violated: mean control message is {mean:.1} bytes"
     );
-    // the same figure is exported live as a gauge
+    // the same figure is published as a gauge when the context drops
     let gauge = obs::global()
         .gauge_value("odin.mean_ctrl_bytes")
         .expect("gauge odin.mean_ctrl_bytes not exported");
@@ -589,17 +687,19 @@ fn fusion_counters_reconcile_exactly_with_program_stats() {
     let shared = Expr::leaf(&x) * Expr::leaf(&c);
     let lone = (shared.clone() - shared).eval();
     ctx.flush_batch();
-    obs::set_enabled(false);
     drop((a, b, lone, mapped));
+    let lone = ctx.stats();
+    drop((x, c, k));
+    drop(ctx);
+    obs::set_enabled(false);
 
     assert!(st.cse_hits >= 1, "{st:?}");
     assert_eq!(st.dse_eliminated, 1, "{st:?}");
     assert!(st.redistributes_merged >= 1, "{st:?}");
     assert!(st.launches_saved >= 1, "{st:?}");
-    // Exact mirror: each registry counter is the ContextStats field both
-    // flushes add up to.
+    // Exact export: each registry counter, published when the context
+    // dropped, is the ContextStats field both flushes add up to.
     let g = obs::global();
-    let lone = ctx.stats();
     assert_eq!(lone.cse_hits, st.cse_hits + 1, "{lone:?}");
     assert_eq!(lone.dse_eliminated, st.dse_eliminated, "{lone:?}");
     for (key, want) in [

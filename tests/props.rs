@@ -1318,7 +1318,7 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
         // after every statement, each result checked against the serial
         // oracle on the master), then fused by the trace.
         let program = |twin: bool| {
-            ctx.reset_stats();
+            let base = ctx.stats();
             let mut arrays: Vec<DistArray> = Vec::new();
             let mut folded = Vec::new();
             let check = |a: &DistArray, want: &dyn Fn() -> Vec<u64>, what: &str| {
@@ -1409,7 +1409,7 @@ fn traced_program_bitwise_matches_statement_at_a_time() {
                 .collect();
             reds.extend(folded.into_iter().map(|p| p.wait().to_bits()));
             let outs: Vec<Vec<u64>> = arrays.iter().map(|a| bitsv(&a.to_vec())).collect();
-            (outs, reds, ctx.stats())
+            (outs, reds, ctx.stats() - base)
         };
         let (eager, eager_reds, twin) = program(true);
         let (fused, fused_reds, st) = program(false);

@@ -116,10 +116,10 @@ fn a_shifted_difference_posts_no_slice_and_runs_one_launch() {
     let warm = &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1);
     drop(warm.redistribute(Dist::Cyclic)); // registers the kernel
     ctx.barrier();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let d = &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1);
     let c = d.redistribute(Dist::Cyclic);
-    let st = ctx.stats();
+    let st = ctx.stats() - base;
     // One launch and one redistribute per worker: no `Cmd::Slice` and no
     // `Free` of a materialized slice.
     assert_eq!((st.kernel_launches, st.ctrl_msgs), (1, 2 * 2), "{st:?}");
@@ -133,7 +133,7 @@ fn a_view_held_across_a_barrier_is_materialized_once_and_still_reads_correctly()
     let ctx = OdinContext::with_workers(3);
     let ys = lanes(50, 4);
     let y = ctx.from_vec(&ys, Dist::Block);
-    ctx.reset_stats();
+    let base = ctx.stats();
     let v = y.slice1(1, None, 1);
     ctx.barrier();
     ctx.barrier();
@@ -141,7 +141,8 @@ fn a_view_held_across_a_barrier_is_materialized_once_and_still_reads_correctly()
     let want: Vec<u64> = ys[1..].iter().map(|x| (x * 2.0).to_bits()).collect();
     assert_eq!(bits(&Buffer::F64(doubled.to_vec())), want);
     assert_eq!(v.to_vec(), ys[1..]);
-    assert_eq!(ctx.stats().slices_materialized, 1, "{:?}", ctx.stats());
+    let st = ctx.stats() - base;
+    assert_eq!(st.slices_materialized, 1, "{st:?}");
 }
 
 #[test]
@@ -158,19 +159,19 @@ fn windows_read_in_place_match_the_oracle_and_the_flushed_twin() {
                     let case = format!("p={p} n={n} {dtype:?} y[{a}:n-{b}] - z[{c}:n-{d}]");
                     let want = bits(&oracle(&ctx, (&ys, lo), (&zs, hi), dtype));
                     // The twin holds each view across a flush.
-                    ctx.reset_stats();
+                    let base = ctx.stats();
                     let (l, r) = (y.slice(&[lo]), z.slice(&[hi]));
                     ctx.flush_batch();
                     let t = &l - &r;
                     ctx.flush_batch();
-                    let twin = ctx.stats();
+                    let twin = ctx.stats() - base;
                     assert_eq!(bits(&t.fetch().1), want, "twin, {case}");
                     assert_eq!(twin.slices_materialized, 2, "{case}: {twin:?}");
                     drop((l, r, t));
-                    ctx.reset_stats();
+                    let base = ctx.stats();
                     let f = &y.slice(&[lo]) - &z.slice(&[hi]);
                     ctx.flush_batch();
-                    let st = ctx.stats();
+                    let st = ctx.stats() - base;
                     assert_eq!(bits(&f.fetch().1), want, "fused, {case}");
                     assert_eq!(
                         (st.slices_materialized, st.kernel_launches),
@@ -203,10 +204,10 @@ fn a_fold_rides_the_windowed_launch_in_the_reference_order() {
                     ctx.flush_batch();
                     t.sum().to_bits()
                 };
-                ctx.reset_stats();
+                let base = ctx.stats();
                 let s = (&y.slice(&[lo]) - &z.slice(&[hi])).sum_async();
                 let got = s.wait().to_bits();
-                let st = ctx.stats();
+                let st = ctx.stats() - base;
                 assert_eq!((got, twin), (want, want), "p={p} n={n} {dtype:?}");
                 assert_eq!(
                     (st.kernel_launches, st.slices_materialized),
@@ -232,10 +233,10 @@ fn whole_row_windows_of_a_2d_base_read_in_place() {
                 let want: Vec<u64> = (0..(n - a - b) * COLS)
                     .map(|k| (ys[a * COLS + k] - zs[c * COLS + k]).to_bits())
                     .collect();
-                ctx.reset_stats();
+                let base = ctx.stats();
                 let f = &y.slice(&rows(a, b)) - &z.slice(&rows(c, d));
                 ctx.flush_batch();
-                assert_eq!(ctx.stats().slices_materialized, 0);
+                assert_eq!((ctx.stats() - base).slices_materialized, 0);
                 let (shape, got) = f.fetch();
                 assert_eq!(shape, vec![n - a - b, COLS]);
                 assert_eq!(bits(&got), want, "p={p} n={n} ({a}, {b}, {c}, {d})");
@@ -253,12 +254,11 @@ fn assert_lanes(a: &DistArray<'_>, want: &[f64]) {
     );
 }
 
-/// What a flush of the statements since the last reset materialized.
-fn materialized(ctx: &OdinContext) -> ContextStats {
+/// What a flush of the statements since the `base` snapshot
+/// materialized.
+fn materialized(ctx: &OdinContext, base: ContextStats) -> ContextStats {
     ctx.flush_batch();
-    let st = ctx.stats();
-    ctx.reset_stats();
-    st
+    ctx.stats() - base
 }
 
 #[test]
@@ -270,36 +270,36 @@ fn views_that_cannot_be_read_in_place_are_materialized_by_the_flush() {
     // Cyclic and BlockCyclic bases: each view is one `Cmd::Slice`.
     for dist in [Dist::Cyclic, Dist::BlockCyclic(4)] {
         let y = ctx.from_vec(&ys, dist);
-        ctx.reset_stats();
+        let base = ctx.stats();
         let d = &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1);
-        assert_eq!(materialized(&ctx).slices_materialized, 2, "{dist:?}");
+        assert_eq!(materialized(&ctx, base).slices_materialized, 2, "{dist:?}");
         assert_lanes(&d, &diff);
         // `odin_shuffle`'s fetch of a view of a BlockCyclic array.
         assert_lanes(&y.slice1(0, Some(16), 1), &ys[..16]);
     }
     let y = ctx.from_vec(&ys, Dist::Block);
     // A row step.
-    ctx.reset_stats();
+    let base = ctx.stats();
     let e = &y.slice1(0, None, 2) + 1.0;
-    assert_eq!(materialized(&ctx).slices_materialized, 1);
+    assert_eq!(materialized(&ctx, base).slices_materialized, 1);
     let evens: Vec<f64> = ys.iter().step_by(2).map(|x| x + 1.0).collect();
     assert_lanes(&e, &evens);
     // A view read at another geometry than its own.
     let c = ctx.from_vec(&diff, Dist::Cyclic);
-    ctx.reset_stats();
+    let base = ctx.stats();
     set_binary_strategy(BinaryStrategy::RedistRight);
     let d = &c - &y.slice1(1, None, 1);
     set_binary_strategy(BinaryStrategy::Auto);
-    assert_eq!(materialized(&ctx).slices_materialized, 1);
+    assert_eq!(materialized(&ctx, base).slices_materialized, 1);
     let want: Vec<f64> = diff.iter().zip(&ys[1..]).map(|(a, b)| a - b).collect();
     assert_eq!(d.dist(), Dist::Cyclic);
     assert_lanes(&d, &want);
     // A slice of a trailing dimension.
     let m = ctx.random(&[9, 4], 3);
     let ms = m.to_vec();
-    ctx.reset_stats();
+    let base = ctx.stats();
     let cols = &m.slice(&[SliceSpec::full(9), SliceSpec::new(1, 3, 1)]) * 2.0;
-    assert_eq!(materialized(&ctx).slices_materialized, 1);
+    assert_eq!(materialized(&ctx, base).slices_materialized, 1);
     let want: Vec<f64> = (0..9)
         .flat_map(|r| [ms[r * 4 + 1] * 2.0, ms[r * 4 + 2] * 2.0])
         .collect();
@@ -344,9 +344,9 @@ fn a_base_dropped_before_the_flush_is_freed_behind_the_launch() {
             let y = ctx.from_vec(&ys, Dist::Block);
             &y.slice1(1, None, 1) - &y.slice1(0, Some(-1), 1)
         };
-        ctx.reset_stats();
+        let base = ctx.stats();
         assert_lanes(&d, &diff);
-        let st = ctx.stats();
+        let st = ctx.stats() - base;
         assert_eq!(
             (st.kernel_launches, st.slices_materialized),
             (1, 0),
@@ -392,11 +392,12 @@ fn a_view_of_a_view_and_a_view_of_a_pending_base_read_their_rows() {
         .collect();
     assert_lanes(&y.slice1(1, None, 2).slice1(1, None, 3), &stepped);
     assert_lanes(&y.slice1(3, Some(9), 2).slice1(5, None, 1), &[]);
-    ctx.reset_stats();
+    let base = ctx.stats();
     let d = &y.slice1(1, None, 1).slice1(1, None, 1) - &y.slice1(0, Some(-2), 1);
     let want: Vec<f64> = (0..43).map(|i| ys[i + 2] - ys[i]).collect();
     assert_lanes(&d, &want);
-    assert_eq!(ctx.stats().slices_materialized, 1, "{:?}", ctx.stats());
+    let st = ctx.stats() - base;
+    assert_eq!(st.slices_materialized, 1, "{st:?}");
     // A view of a pending statement: the statement runs first.
     let t = &y * 2.0;
     let dt = &t.slice1(1, None, 1) - &t.slice1(0, Some(-1), 1);
